@@ -29,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
 
 from .complexes import Complex, orientation_sign
 from .errors import (
@@ -240,18 +239,17 @@ def tau_v(f: Cochain, v: int) -> Cochain:
 
 @dataclass
 class LinearOperatorHandle:
-    """A linear map between cochain spaces: matrix-free apply + exact entries.
+    """A linear map between cochain spaces as exact sparse entries.
 
     `entries` is the sparse matrix {(row, col): rational} over canonical
-    simplex order; `apply` acts on a plain list of values.  The two views
-    agreeing on basis vectors is a test invariant.
+    simplex order.  That it agrees with the matrix-free `laplacian_apply`
+    is a test invariant.
     """
 
     domain_degree: int
     codomain_degree: int
     nrows: int
     ncols: int
-    apply: Callable[[list], list]
     entries: dict = field(repr=False)
 
     @property
@@ -302,16 +300,11 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
-
-    def apply(values: list) -> list:
-        return laplacian_apply(Cochain(c, i, values)).values
-
     return LinearOperatorHandle(
         domain_degree=i,
         codomain_degree=i,
         nrows=n,
         ncols=n,
-        apply=apply,
         entries=laplacian_entries(c, i),
     )
 

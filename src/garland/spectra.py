@@ -6,33 +6,39 @@ The minimal polynomial is guessed fast and then proved:
      denominators); the minimal polynomial of B is monic with integer
      coefficients and pulls back to A through x -> L*x.
   2. Over several word-size primes p, run Krylov sequences v, Bv, B^2 v,
-     ... mod p for deterministic seed vectors and take the lcm of the
-     per-seed annihilators.  Each lcm divides the minimal polynomial of
-     B mod p, so its degree is a LOWER bound on deg min_B.
+     ... mod p for a ladder of seed sets and take the lcm of the per-seed
+     annihilators.  Each lcm divides the minimal polynomial of B mod p,
+     which divides min_B mod p, so its degree is a LOWER bound on
+     deg min_B.  The rungs are 5, 10 and 20 pseudo-random seeds (a rung
+     stops early once one more seed leaves the lcm unchanged), then the
+     basis vectors e_j of the certification columns, all of them, with
+     no early stop: that lcm is the minimal polynomial of B mod p, which
+     equals min_B mod p for all but finitely many p.
   3. Reconstruct the integer coefficients by balanced CRT across primes
-     whose lcm degree is maximal; stop once one more prime leaves the
+     whose lcm degree is maximal (a prime of smaller degree reduced
+     badly and is dropped); stop once one more prime leaves the
      reconstruction unchanged.
-  4. CERTIFY the candidate by exact evaluation: p(A) e_j = 0 on basis
-     vectors.  A certified annihilator whose degree matches the Krylov
-     lower bound from step 2 IS the minimal polynomial, so a wrong
-     reconstruction can never be accepted, only retried.  If retries
-     stall, fall back to exact rational annihilators of all n basis
-     vectors, whose lcm is the minimal polynomial by definition.
+  4. CERTIFY the candidate: p(A) e_j = 0 on the certification columns.
+     A certified annihilator whose degree matches the Krylov lower bound
+     from step 2 IS the minimal polynomial, so a wrong reconstruction
+     can never be accepted, only retried on the next rung with fresh
+     primes.  If the last rung fails too, CertificationFailed is raised.
 
-Certification is exact by one of two equivalent routes:
-  * direct big-integer Horner evaluation per basis vector, or
-  * multi-modular: with integer coefficients c_k for the cleared
-    polynomial q(x) = M * L^d * p(x/L), every entry of q(B) is bounded
-    by H = sum_k |c_k| * ||B||_inf^k; verifying q(B) = 0 modulo primes
-    whose product exceeds 2H forces q(B) = 0 over Z.  The modular
-    passes run on scipy int64 CSR matmuls with primes capped so row
-    accumulations cannot overflow.
+The certificate is multi-modular.  With integer coefficients c_k of the
+cleared polynomial q(x) = M * L^d * p(x/L), every entry of q(B) is
+bounded by H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose
+product exceeds 2H forces q(B) = 0 over Z, hence p(A) = 0.  Every
+modular pass runs on scipy int64 CSR matmuls with entries kept in
+[0, p), and primes are capped so that max_nnz_row * (p-1)^2 < 2**62: a
+row accumulation cannot overflow int64.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
 basis index per orbit.  p(A) commutes with the group action, so
 annihilating the witnesses annihilates every basis vector; the caller
-owns that transitivity claim.
+owns that transitivity claim.  The same argument over F_p makes the
+basis-vector rung's lcm over the witnesses the minimal polynomial of
+B mod p.
 
 Seed vectors are a documented fixed pseudo-random stream: entries of
 seed vector `index` are random.Random(f"{seed}:{index}").randrange(-3, 4),
@@ -66,9 +72,8 @@ from .polyq import (
     is_squarefree,
     isolate_real_roots,
 )
-from .rationals import QQ, QQ0, QQ1, qstr
+from .rationals import QQ, QQ1, qstr
 
-EXACT_ROUTE_OPS = 5_000_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -97,56 +102,12 @@ def _integer_scaled(op: LinearOperatorHandle):
     return indptr, indices, data, L
 
 
-def _matvec_int(n, indptr, indices, data, v):
-    out = [0] * n
-    for r in range(n):
-        acc = 0
-        for k in range(indptr[r], indptr[r + 1]):
-            x = v[indices[k]]
-            if x:
-                acc += data[k] * x
-        out[r] = acc
-    return out
-
-
 def _seed_values(n: int, index: int, seed: int) -> list[int]:
     rng = Random(f"{seed}:{index}")
     while True:
         v = [rng.randrange(-3, 4) for _ in range(n)]
         if any(v):
             return v
-
-
-def _annihilator_of_vector(n, indptr, indices, data, L, v0) -> RatPolynomial:
-    """Monic annihilator of v0 under A = B/L via first Krylov dependency."""
-    basis: list[tuple[int, list, list]] = []  # (pivot, reduced vec, combination)
-    w_int = list(v0)
-    k = 0
-    while True:
-        r = [QQ(x) for x in w_int]
-        combo = [QQ0] * k + [QQ1]
-        # basis vectors were fully reduced at insertion, so insertion order
-        # eliminates each pivot exactly once
-        for pivot, vec, vcombo in basis:
-            c = r[pivot]
-            if c:
-                for j in range(n):
-                    if vec[j]:
-                        r[j] -= c * vec[j]
-                for j, x in enumerate(vcombo):
-                    combo[j] -= c * x
-        pivot = next((j for j in range(n) if r[j]), None)
-        if pivot is None:
-            # sum_j combo[j] B^j v = 0; substitute B = L*A and renormalize
-            Lq = QQ(L)
-            coeffs = tuple(combo[j] * Lq ** (j - k) for j in range(k + 1))
-            return RatPolynomial(coeffs)
-        inv = QQ1 / r[pivot]
-        vec = [x * inv if x else QQ0 for x in r]
-        vcombo = [x * inv for x in combo]
-        basis.append((pivot, vec, vcombo))
-        w_int = _matvec_int(n, indptr, indices, data, w_int)
-        k += 1
 
 
 # -- modular Krylov -------------------------------------------------------------
@@ -199,9 +160,9 @@ def _poly_lcm_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
 def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
     """Monic annihilator mod p of v0 under B, low-to-high coefficients.
 
-    Same elimination as the exact version, vectorized: stored vectors
-    are pivot-normalized and were fully reduced at insertion, so one
-    insertion-order pass reduces completely.
+    Vectorized Gaussian elimination on the Krylov vectors: stored
+    vectors are pivot-normalized and were fully reduced at insertion, so
+    one insertion-order pass reduces completely.
     """
     basis: list[tuple[int, np.ndarray]] = []
     combos: list[list[int]] = []
@@ -229,15 +190,32 @@ def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
         k += 1
 
 
-def _minpoly_mod_p(n, indptr_np, indices_np, data, p, seed, max_seeds) -> list[int]:
-    """lcm of seed-vector annihilators of B mod p; a divisor of min_{B mod p}."""
+def _ladder_seeds(n: int, seed: int, rung: int | None, columns):
+    """Seed vectors of one ladder rung: `rung` pseudo-random vectors, or
+    for the final rung (None) the basis vectors e_j, j in `columns`."""
+    if rung is None:
+        for j in columns:
+            e = [0] * n
+            e[j] = 1
+            yield e
+    else:
+        for index in range(rung):
+            yield _seed_values(n, index, seed)
+
+
+def _minpoly_mod_p(n, indptr_np, indices_np, data, p, seeds, stop_early) -> list[int]:
+    """lcm of the seeds' annihilators under B mod p; a divisor of min_{B mod p}.
+
+    With `stop_early` the lcm is returned as soon as one more seed
+    leaves it unchanged.
+    """
     dmod = np.asarray([x % p for x in data], dtype=np.int64)
     bp = csr_matrix((dmod, indices_np, indptr_np), shape=(n, n))
     acc = [1]
-    for index in range(max_seeds):
-        ann = _krylov_annihilator_mod_p(n, bp, p, _seed_values(n, index, seed))
+    for index, v0 in enumerate(seeds):
+        ann = _krylov_annihilator_mod_p(n, bp, p, v0)
         new = _poly_lcm_mod_p(acc, ann, p)
-        if index > 0 and new == acc:
+        if stop_early and index > 0 and new == acc:
             break
         acc = new
         if len(acc) - 1 >= n:
@@ -307,19 +285,19 @@ def _prime_stream(max_nnz_row: int):
         p -= 2
 
 
-def _certify_exact(n, indptr, indices, data, coeffs, columns) -> bool:
-    for j in columns:
-        u = [0] * n
-        u[j] = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            u = _matvec_int(n, indptr, indices, data, u)
-            u[j] += coeffs[k]
-        if any(u):
-            return False
-    return True
+def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
+                        columns=None) -> bool:
+    """Exact check that p(A) kills the given basis vectors (A = B/L).
 
-
-def _certify_modular(n, indptr, indices, data, coeffs, columns) -> bool:
+    Multi-modular with the 2H bound of the module docstring.  `columns`
+    defaults to all of them; a caller passing fewer must know that a
+    symmetry of A maps those onto the rest, see the module docstring.
+    """
+    if p.is_zero or not p.is_monic:
+        return False
+    if columns is None:
+        columns = range(n)
+    coeffs = _cleared_coefficients(p, L)
     max_nnz = max((indptr[r + 1] - indptr[r] for r in range(n)), default=0)
     binf = max(
         (sum(abs(data[k]) for k in range(indptr[r], indptr[r + 1])) for r in range(n)),
@@ -328,68 +306,47 @@ def _certify_modular(n, indptr, indices, data, coeffs, columns) -> bool:
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
-    for p in _prime_stream(max_nnz):
-        primes.append(p)
-        prod *= p
+    for q in _prime_stream(max_nnz):
+        primes.append(q)
+        prod *= q
         if prod > 2 * H:
             break
     indptr_np = np.asarray(indptr, dtype=np.int64)
     indices_np = np.asarray(indices, dtype=np.int64)
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
-    for p in primes:
-        dmod = np.asarray([x % p for x in data], dtype=np.int64)
-        bp = csr_matrix((dmod, indices_np, indptr_np), shape=(n, n))
-        cmod = [c % p for c in coeffs]
+    for q in primes:
+        dmod = np.asarray([x % q for x in data], dtype=np.int64)
+        bq = csr_matrix((dmod, indices_np, indptr_np), shape=(n, n))
+        cmod = [c % q for c in coeffs]
         for c0 in range(0, len(cols_np), block):
             cols = cols_np[c0:c0 + block]
             pos = np.arange(len(cols))
             s = np.zeros((n, len(cols)), dtype=np.int64)
             s[cols, pos] = cmod[-1]
-            # keep entries in [0, p) entering each matvec so row sums
-            # stay below max_nnz * (p-1)^2 < 2**62
+            # keep entries in [0, q) entering each matvec so row sums
+            # stay below max_nnz * (q-1)^2 < 2**62
             for k in range(len(cmod) - 2, -1, -1):
-                s = bp @ s
+                s = bq @ s
                 s[cols, pos] += cmod[k]
-                s %= p
+                s %= q
             if np.any(s):
                 return False
     return True
-
-
-def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
-                        route: str | None = None, columns=None) -> bool:
-    """Exact check that p(A) kills the given basis vectors (A = B/L).
-
-    `columns` defaults to all of them; a caller passing fewer must know
-    that a symmetry of A maps those onto the rest, see the module
-    docstring.
-    """
-    if p.is_zero or not p.is_monic:
-        return False
-    if columns is None:
-        columns = range(n)
-    coeffs = _cleared_coefficients(p, L)
-    if route is None:
-        est = len(columns) * (p.degree + 1) * max(1, len(data))
-        route = "exact" if est <= EXACT_ROUTE_OPS else "modular"
-    if route == "exact":
-        return _certify_exact(n, indptr, indices, data, coeffs, columns)
-    return _certify_modular(n, indptr, indices, data, coeffs, columns)
 
 
 # -- minimal polynomial --------------------------------------------------------
 
 
 def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
-                       route: str | None = None,
                        witness_columns=None) -> RatPolynomial:
     """Certified minimal polynomial of a square exact-rational operator.
 
-    `witness_columns` restricts the certification to those basis
-    vectors; pass it only when a symmetry of the operator carries them
-    onto all the others (module docstring).  Never affects the value,
-    which is the unique minimal polynomial.
+    `witness_columns` restricts the certification, and the seeds of the
+    basis-vector rung, to those basis vectors; pass it only when a
+    symmetry of the operator carries them onto all the others (module
+    docstring).  Never affects the value, which is the unique minimal
+    polynomial.
     """
     if not op.is_square:
         raise NotSquare(f"operator is {op.nrows}x{op.ncols}")
@@ -400,21 +357,19 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     indptr_np = np.asarray(indptr, dtype=np.int64)
     indices_np = np.asarray(indices, dtype=np.int64)
     max_nnz = max((indptr[r + 1] - indptr[r] for r in range(n)), default=0)
-
-    def certified(cand: RatPolynomial) -> bool:
-        return certify_annihilates(n, indptr, indices, data, L, cand,
-                                   route, witness_columns)
+    columns = range(n) if witness_columns is None else witness_columns
 
     prime_iter = _prime_stream(max_nnz)
-    for max_seeds in (5, 10, 20):
+    # unlucky seeds or primes move on to a deeper rung and fresh primes
+    for rung in (5, 10, 20, None):
         best: dict[int, list[int]] = {}
         best_deg = -1
         prev: list[int] | None = None
-        coeffs: list[int] | None = None
-        stable = False
         for _ in range(40):
             p = next(prime_iter)
-            mp = _minpoly_mod_p(n, indptr_np, indices_np, data, p, seed, max_seeds)
+            mp = _minpoly_mod_p(n, indptr_np, indices_np, data, p,
+                                _ladder_seeds(n, seed, rung, columns),
+                                stop_early=rung is not None)
             deg = len(mp) - 1
             if deg > best_deg:
                 best, best_deg, prev = {}, deg, None
@@ -428,29 +383,17 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
                 for k in range(best_deg + 1)
             ]
             if coeffs == prev:
-                stable = True
+                # the lcm degree mod p never exceeds deg min_B, so a
+                # certified annihilator of that degree is min_B itself
+                cand_b = RatPolynomial(tuple(QQ(c) for c in coeffs))
+                cand = cand_b.scale_roots(QQ(1, L))
+                if certify_annihilates(n, indptr, indices, data, L, cand,
+                                       columns=columns):
+                    return cand
                 break
             prev = coeffs
-        if stable:
-            # the lcm degree mod p never exceeds deg min_B, so a
-            # certified annihilator of that degree is min_B itself
-            cand_b = RatPolynomial(tuple(QQ(c) for c in coeffs))
-            cand = cand_b.scale_roots(QQ(1, L))
-            if certified(cand):
-                return cand
-        # unlucky seeds or primes: deepen the seed stream and move to
-        # fresh primes
-    # exact fallback: the lcm over all basis vectors is the minimal
-    # polynomial by definition
-    current = RatPolynomial((QQ1,))
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        current = current.lcm(_annihilator_of_vector(n, indptr, indices, data, L, e))
-    if certified(current):
-        return current
     raise CertificationFailed(
-        "basis-vector annihilation failed for the assembled candidate"
+        "no reconstruction from the basis-vector rung was certified"
     )
 
 

@@ -7,13 +7,21 @@ characteristic polynomial by an unrelated algorithm (Berkowitz), which
 cross-checks the Krylov engine on every small instance.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 import sympy
 
+from garland import spectra
 from garland.complexes import from_maximal_simplices
-from garland.errors import NoNonzeroRoot, NotSquare, NotSquarefree
+from garland.errors import (
+    CertificationFailed,
+    NoNonzeroRoot,
+    NotSquare,
+    NotSquarefree,
+)
 from garland.exactla import dense_from_entries
 from garland.laplace import LinearOperatorHandle, assemble_matrix
 from garland.building import witness_columns
@@ -21,6 +29,7 @@ from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
 from garland.spectra import (
     SpectralReport,
+    certify_annihilates,
     compute_spectral_report,
     extract_extremes,
     is_eigenvalue,
@@ -46,16 +55,31 @@ def simplex(n):
     return from_maximal_simplices([tuple(range(n + 1))])
 
 
+def sympy_matrix(op):
+    rows = dense_from_entries(op.nrows, op.ncols, op.entries)
+    return sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
+
+
 def sympy_minpoly(op):
     """Squarefree part of the characteristic polynomial, via sympy."""
-    rows = dense_from_entries(op.nrows, op.ncols, op.entries)
-    m = sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
+    m = sympy_matrix(op)
     x = sympy.Symbol("x")
     cp = m.charpoly(x).as_expr()
     sf = sympy.quo(cp, sympy.gcd(cp, sympy.diff(cp, x)), x)
     poly = sympy.Poly(sympy.monic(sf, x), x)
     coeffs = list(reversed(poly.all_coeffs()))
     return RatPolynomial(tuple(QQ(c.p, c.q) for c in coeffs))
+
+
+def sympy_annihilates(op, p):
+    """Whether p(A) is the zero matrix, by exact sympy arithmetic."""
+    m = sympy_matrix(op)
+    acc = sympy.zeros(op.nrows)
+    power = sympy.eye(op.nrows)
+    for c in p.coeffs:
+        acc += sympy.Rational(str(c)) * power
+        power = m * power
+    return acc == sympy.zeros(op.nrows)
 
 
 # -- minimal polynomials ------------------------------------------------------
@@ -94,21 +118,26 @@ def test_incidence_building_minpoly_against_oracle(b12):
     assert p == sympy_minpoly(op)
     assert p == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
     # certified annihilation is part of the contract
-    rows = dense_from_entries(op.nrows, op.ncols, op.entries)
-    m = sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
-    acc = sympy.zeros(op.nrows)
-    power = sympy.eye(op.nrows)
-    for c in p.coeffs:
-        acc += sympy.Rational(str(c)) * power
-        power = m * power
-    assert acc == sympy.zeros(op.nrows)
+    assert sympy_annihilates(op, p)
 
 
 def test_routes_and_seeds_agree(b12):
+    # the modular certificate agrees with exact evaluation of p(A): it
+    # accepts the minimal polynomial and rejects wrong candidates
+    for op in (assemble_matrix(b12.complex, 0), assemble_matrix(OCTAHEDRON, 1)):
+        assert op.dim <= 30
+        indptr, indices, data, L = spectra._integer_scaled(op)
+        true = sympy_minpoly(op)
+        short = true // P(0, 1)
+        assert short * P(0, 1) == true
+        # lifted(A) = first * I vanishes modulo the first certification
+        # prime only, so one prime alone would accept it
+        first = next(spectra._prime_stream(int(np.diff(indptr).max())))
+        lifted = true + P(first)
+        for cand, kills in ((true, True), (short, False), (lifted, False)):
+            assert sympy_annihilates(op, cand) is kills
+            assert certify_annihilates(op.dim, indptr, indices, data, L, cand) is kills
     op = assemble_matrix(b12.complex, 0)
-    exact = minimal_polynomial(op, route="exact")
-    modular = minimal_polynomial(op, route="modular")
-    assert exact == modular
     assert minimal_polynomial(op, seed=0) == minimal_polynomial(op, seed=7)
 
 
@@ -120,14 +149,84 @@ def test_witness_columns_do_not_change_the_answer(b12, b22):
         assert full == restricted
 
 
+def test_seed_ladder_falls_back_to_basis_vectors(b12, b22, monkeypatch):
+    # the all-ones vector lies in ker Delta_0, so every random rung sees
+    # only x and the basis-vector rung has to find the rest
+    monkeypatch.setattr(spectra, "_seed_values", lambda n, index, seed: [1] * n)
+    krylov = spectra._krylov_annihilator_mod_p
+    seeded = set()
+
+    def recording(n, bp, p, v0):
+        if v0.count(0) == n - 1:
+            seeded.add(v0.index(1))
+        return krylov(n, bp, p, v0)
+
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", recording)
+    b12_op = assemble_matrix(b12.complex, 0)
+    b22_op = assemble_matrix(b22.complex, 0)
+    got = []
+    for op, columns in ((b12_op, None), (b22_op, witness_columns(b22, 0))):
+        seeded.clear()
+        got.append(minimal_polynomial(op, witness_columns=columns))
+        assert got[-1] == sympy_minpoly(op)
+        # every certification column was seeded: the rung never stops early
+        assert seeded == set(range(op.dim) if columns is None else columns)
+    assert got[0] == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
+
+
+def test_uncertified_candidates_raise(b12, monkeypatch):
+    monkeypatch.setattr(spectra, "certify_annihilates", lambda *args, **kw: False)
+    with pytest.raises(CertificationFailed):
+        minimal_polynomial(assemble_matrix(b12.complex, 0))
+
+
+@pytest.mark.parametrize("max_nnz", [1, 7, 10**6, 2**40])
+def test_prime_stream_respects_int64_cap(max_nnz):
+    p = next(spectra._prime_stream(max_nnz))
+    assert sympy.isprime(p)
+    assert max_nnz * (p - 1) ** 2 < 2**62
+    # the cap is tight: the next prime would break p^2 * max_nnz <= 2^62
+    # or the 2^30 ceiling
+    q = sympy.nextprime(p)
+    assert q >= 2**30 or max_nnz * q**2 > 2**62
+
+
+def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
+    op = assemble_matrix(b12.complex, 0)
+    n = op.dim
+    true = minimal_polynomial(op)
+    # B = 3A has minimal polynomial x(x - 6)(x^2 - 6x + 7); mod 3 the roots
+    # 0 and 6 collide and the minimal polynomial of B mod 3 drops degree
+    bad = 3
+    indptr, indices, data, _ = spectra._integer_scaled(op)
+    basis_lcm = spectra._minpoly_mod_p(
+        n, np.asarray(indptr), np.asarray(indices), data, bad,
+        spectra._ladder_seeds(n, 0, None, range(n)), stop_early=False,
+    )
+    assert len(basis_lcm) - 1 < true.degree
+    stream = spectra._prime_stream
+    minpoly_mod_p = spectra._minpoly_mod_p
+    seen = {}
+
+    def recording(*args, **kwargs):
+        seen[args[4]] = mp = minpoly_mod_p(*args, **kwargs)
+        return mp
+
+    monkeypatch.setattr(spectra, "_prime_stream",
+                        lambda max_nnz: itertools.chain([bad], stream(max_nnz)))
+    monkeypatch.setattr(spectra, "_minpoly_mod_p", recording)
+    assert minimal_polynomial(op) == true
+    assert len(seen[bad]) - 1 < true.degree
+
+
 def test_non_square_is_rejected():
-    h = LinearOperatorHandle(0, 1, 2, 3, lambda v: v, {})
+    h = LinearOperatorHandle(0, 1, 2, 3, {})
     with pytest.raises(NotSquare):
         minimal_polynomial(h)
 
 
 def test_zero_dimensional_operator():
-    h = LinearOperatorHandle(0, 0, 0, 0, lambda v: v, {})
+    h = LinearOperatorHandle(0, 0, 0, 0, {})
     assert minimal_polynomial(h) == P(1)
 
 

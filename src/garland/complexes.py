@@ -19,7 +19,9 @@ first-appearance order and returns that map alongside the complex.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import (
     DimensionOutOfRange,
@@ -31,6 +33,12 @@ from .errors import (
 )
 
 Simplex = tuple  # canonical ascending tuple[int, ...]
+
+
+def _check_repeated_vertices(tops) -> None:
+    for vs in tops:
+        if len(set(vs)) != len(vs):
+            raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
 
 
 def orientation_sign(vertices) -> tuple[Simplex, int]:
@@ -68,37 +76,68 @@ class Complex:
 
     @classmethod
     def from_maximal_simplices(cls, maximal) -> "Complex":
-        tops = []
-        for raw in maximal:
-            vs = tuple(raw)
-            if len(set(vs)) != len(vs):
-                raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
-            tops.append(tuple(sorted(vs)))
+        """The closure of `maximal` with its face and weight tables.
+
+        Labels are ranked to dense ids in sorted order, so lexicographic
+        order on id tuples is lexicographic order on label tuples.  The
+        faces of each size k come from the k-column combinations of the
+        sorted id rows; a face's int64 key is rank(prefix) * V + last
+        vertex, which preserves that order and stays below the number of
+        (k-1)-faces times V.  One sort per size gives the distinct faces
+        in order, and the run lengths are the weights.  The tuples keep
+        the caller's label objects.
+        """
+        tops = [tuple(raw) for raw in maximal]
         if not tops:
             raise EmptyInput("a complex needs at least one maximal simplex")
         size = len(tops[0])
-        if any(len(t) != size for t in tops):
+        if len(set(map(len, tops))) != 1:
+            _check_repeated_vertices(tops)
             raise MixedDimensions("maximal simplices must all have the same dimension")
-        if len(set(tops)) != len(tops):
-            raise DuplicateSimplex("duplicate maximal simplex")
-        dim = size - 1
-
-        counts: list[dict] = [dict() for _ in range(size)]
-        for t in tops:
-            for k in range(1, size + 1):
-                level = counts[k - 1]
-                for face in combinations(t, k):
-                    level[face] = level.get(face, 0) + 1
+        labels = sorted(set(chain.from_iterable(tops)))
+        rank = {lab: j for j, lab in enumerate(labels)}
+        nv = len(labels)
+        ids = np.fromiter(map(rank.__getitem__, chain.from_iterable(tops)),
+                          dtype=np.int32, count=len(tops) * size)
+        ids = np.sort(ids.reshape(len(tops), size), axis=1)
+        if size > 1:
+            bad = np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1))
+            if len(bad):
+                _check_repeated_vertices(tops[: bad[0] + 1])
+        # fromiter keeps each label one element, even a tuple
+        label_of = np.fromiter(labels, dtype=object, count=nv)
 
         simplices = []
         index = []
         weights = []
-        for level in counts:
-            ordered = sorted(level)
-            simplices.append(ordered)
-            index.append({s: i for i, s in enumerate(ordered)})
-            weights.append([level[s] for s in ordered])
-        return cls(dim, simplices, index, weights)
+        faces = np.empty((1, 0), dtype=np.int32)  # the one empty face
+        prefix_rank = {(): np.zeros(len(tops), dtype=np.int64)}
+        for k in range(1, size + 1):
+            combos = list(combinations(range(size), k))
+            keys = np.concatenate(
+                [prefix_rank[c[:-1]] * nv + ids[:, c[-1]] for c in combos])
+            order = np.argsort(keys)
+            ordered = keys[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            counts = np.diff(np.append(starts, len(ordered)))
+            uniq = ordered[starts]
+            faces = np.concatenate(
+                [faces[uniq // nv], (uniq % nv).astype(np.int32)[:, None]], axis=1)
+            if k < size:
+                # position of every (top, combo) face among the distinct faces
+                pos = np.empty(len(keys), dtype=np.int64)
+                pos[order] = np.cumsum(
+                    np.concatenate(([0], ordered[1:] != ordered[:-1])))
+                prefix_rank = dict(zip(combos, np.split(pos, len(combos))))
+            del keys, order, ordered, starts, uniq
+            level = list(zip(*(label_of[faces[:, j]].tolist() for j in range(k))))
+            simplices.append(level)
+            index.append(dict(zip(level, range(len(level)))))
+            weights.append(counts.tolist())
+        if len(faces) != len(tops):
+            raise DuplicateSimplex("duplicate maximal simplex")
+        return cls(size - 1, simplices, index, weights)
 
     # -- lookups --------------------------------------------------------------
 

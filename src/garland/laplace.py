@@ -22,6 +22,15 @@ domain and rejected.
 Localization: rho_v restricts to the star of v, rho_alpha sums rho_v
 over the vertices of one type, tau_v contracts a degree-i cochain onto
 a degree-(i-1) cochain on Lk(v) via (tau_v f)(sigma) = f([v, sigma]).
+
+Materialized operators: assemble_matrix builds the Laplacian on C^i
+in integer arrays, never as rationals.  It returns B = L * Delta as CSR
+with Python-int data and the scale L (the lcm of the entry
+denominators of Delta), which is what the certified spectral code
+consumes; the assembly time therefore includes the integer scaling.
+`LinearOperatorHandle.entries` rebuilds the rational entries from the
+CSR for inspection and tests only.  That the CSR agrees with the
+matrix-free `laplacian_apply` is a test invariant.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import lcm
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .complexes import Complex, orientation_sign
 from .errors import (
@@ -239,18 +252,22 @@ def tau_v(f: Cochain, v: int) -> Cochain:
 
 @dataclass
 class LinearOperatorHandle:
-    """A linear map between cochain spaces as exact sparse entries.
+    """A linear map between cochain spaces as an exact integer CSR matrix.
 
-    `entries` is the sparse matrix {(row, col): rational} over canonical
-    simplex order.  That it agrees with the matrix-free `laplacian_apply`
-    is a test invariant.
+    The map is A = B / L: row r of B has the ascending columns
+    indices[indptr[r]:indptr[r+1]] (int64 arrays) with the Python-int
+    values at the same positions of `data`, and L >= 1 is the lcm of the
+    denominators of the entries of A, a Python int that may exceed 2**63.
     """
 
     domain_degree: int
     codomain_degree: int
     nrows: int
     ncols: int
-    entries: dict = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: list = field(repr=False)
+    L: int
 
     @property
     def is_square(self) -> bool:
@@ -260,52 +277,60 @@ class LinearOperatorHandle:
     def dim(self) -> int:
         return self.nrows
 
+    def _triples(self):
+        """(row, col, A[row, col]) over the stored entries in row-major order."""
+        rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr)).tolist()
+        for r, col, x in zip(rows, self.indices.tolist(), self.data):
+            yield r, col, QQ(x, self.L)
 
-def laplacian_entries(c: Complex, i: int) -> dict:
-    """Sparse entries of Delta = delta d on C^i: row/col over canonical order."""
-    entries: dict = {}
-    idx = c.index[i]
-    wlow = c.weights[i]
-    for t, wt in zip(c.simplices[i + 1], c.weights[i + 1]):
-        faces = [idx[f] for f in combinations(t, i + 1)]
-        # face k of t (drop the (i+1-k)-th vertex ... combinations yields
-        # ascending faces; face dropping vertex j is at position i+1-j
-        for j in range(i + 2):
-            row = faces_index_drop(faces, i, j)
-            sj = 1 if j % 2 == 0 else -1
-            for k in range(i + 2):
-                col = faces_index_drop(faces, i, k)
-                sk = 1 if k % 2 == 0 else -1
-                key = (row, col)
-                val = entries.get(key, QQ0) + QQ(sj * sk * wt, wlow[row])
-                if val:
-                    entries[key] = val
-                elif key in entries:
-                    del entries[key]
-    return entries
-
-
-def faces_index_drop(faces: list[int], i: int, j: int) -> int:
-    """Index of the face of t obtained by dropping vertex j.
-
-    combinations(t, i+1) lists faces in lexicographic order, which is
-    exactly dropping vertex i+1, i, ..., 0 in reverse: dropping vertex j
-    gives the face at position i+1-j.
-    """
-    return faces[i + 1 - j]
+    @property
+    def entries(self) -> dict:
+        """A as a fresh {(row, col): rational} dict, derived from the CSR arrays."""
+        return {(r, col): v for r, col, v in self._triples()}
 
 
 def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
-    """The Laplacian on C^i as an operator handle with exact sparse entries."""
+    """The Laplacian on C^i as B = L * Delta in exact integer CSR form.
+
+    With d the +-1 coboundary C^i -> C^{i+1}, Delta = diag(1/w_i) X for
+    X = d^T diag(w_{i+1}) d, so entry (r, c) of Delta is x / w_r with x
+    from X.  Reduced by g = gcd(x, w_r) its denominator is w_r / g, L is
+    the lcm of those, and B holds (x / g) * (L / (w_r / g)).  The
+    per-entry scaling and L use Python ints, because L can pass 2**63.
+    """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
+    idx = c.index[i]
+    upper = c.simplices[i + 1]
+    m = len(upper)
+    # combinations(t, i+1) lists the faces of t dropping vertex i+1, i,
+    # ..., 0 in turn, and the face without vertex j carries sign (-1)^j
+    cols = np.fromiter((idx[f] for t in upper for f in combinations(t, i + 1)),
+                       dtype=np.int64, count=m * (i + 2))
+    signs = np.tile(np.asarray([(-1) ** (i + 1 - p) for p in range(i + 2)],
+                               dtype=np.int64), m)
+    rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=np.int64)
+    d = csr_matrix((signs, cols, rowptr), shape=(m, n))
+    w_up = np.repeat(np.asarray(c.weights[i + 1], dtype=np.int64), i + 2)
+    wd = csr_matrix((signs * w_up, cols, rowptr), shape=(m, n))
+    x = (d.T @ wd).tocsr()
+    x.eliminate_zeros()
+    x.sort_indices()
+    w_row = np.repeat(np.asarray(c.weights[i], dtype=np.int64), np.diff(x.indptr))
+    g = np.gcd(x.data, w_row)
+    den = (w_row // g).tolist()
+    L = lcm(*set(den))
+    data = [a * (L // b) for a, b in zip((x.data // g).tolist(), den)]
     return LinearOperatorHandle(
         domain_degree=i,
         codomain_degree=i,
         nrows=n,
         ncols=n,
-        entries=laplacian_entries(c, i),
+        indptr=x.indptr.astype(np.int64),
+        indices=x.indices.astype(np.int64),
+        data=data,
+        L=L,
     )
 
 
@@ -326,6 +351,6 @@ def coboundary_entries(c: Complex, i: int) -> dict:
 def dump_matrix_text(handle: LinearOperatorHandle) -> str:
     """Stable text dump: header `nrows ncols degree`, then `row col num/den` lines."""
     lines = [f"{handle.nrows} {handle.ncols} {handle.domain_degree}"]
-    for (r, col) in sorted(handle.entries):
-        lines.append(f"{r} {col} {qstr(handle.entries[(r, col)])}")
+    for r, col, v in handle._triples():
+        lines.append(f"{r} {col} {qstr(v)}")
     return "\n".join(lines) + "\n"

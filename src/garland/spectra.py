@@ -2,9 +2,12 @@
 
 The minimal polynomial is guessed fast and then proved:
 
-  1. Scale the operator to an integer matrix B = L*A (L = lcm of entry
-     denominators); the minimal polynomial of B is monic with integer
-     coefficients and pulls back to A through x -> L*x.
+  1. Assembly (laplace.assemble_matrix) hands over the operator as the
+     integer CSR matrix B = L*A with L = lcm of the entry denominators of
+     A, so timings["assemble_s"] includes the integer scaling.  The
+     minimal polynomial of B is monic with integer coefficients and
+     pulls back to A through x -> L*x, and L caps the denominator of
+     every rational eigenvalue of A (the report's den_bound).
   2. Over several word-size primes p, run Krylov sequences v, Bv, B^2 v,
      ... mod p for a ladder of seed sets and take the lcm of the per-seed
      annihilators.  Each lcm divides the minimal polynomial of B mod p,
@@ -75,31 +78,6 @@ from .polyq import (
 from .rationals import QQ, QQ1, qstr
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-# -- integer scaling ----------------------------------------------------------
-
-
-def _integer_scaled(op: LinearOperatorHandle):
-    """CSR arrays of B = L * A with exact integer data, plus L."""
-    n = op.nrows
-    L = 1
-    for v in op.entries.values():
-        L = lcm(L, int(v.denominator))
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (r, c), v in op.entries.items():
-        scaled = v * L
-        rows[r].append((c, int(scaled.numerator)))
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    for row in rows:
-        row.sort()
-        for c, x in row:
-            indices.append(c)
-            data.append(x)
-        indptr.append(len(indices))
-    return indptr, indices, data, L
 
 
 def _seed_values(n: int, index: int, seed: int) -> list[int]:
@@ -298,11 +276,11 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
     if columns is None:
         columns = range(n)
     coeffs = _cleared_coefficients(p, L)
-    max_nnz = max((indptr[r + 1] - indptr[r] for r in range(n)), default=0)
-    binf = max(
-        (sum(abs(data[k]) for k in range(indptr[r], indptr[r + 1])) for r in range(n)),
-        default=0,
-    )
+    indptr_np = np.asarray(indptr, dtype=np.int64)
+    indices_np = np.asarray(indices, dtype=np.int64)
+    max_nnz = int(np.diff(indptr_np).max(initial=0))
+    ptr = indptr_np.tolist()
+    binf = max((sum(map(abs, data[ptr[r]:ptr[r + 1]])) for r in range(n)), default=0)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
@@ -311,8 +289,6 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
         prod *= q
         if prod > 2 * H:
             break
-    indptr_np = np.asarray(indptr, dtype=np.int64)
-    indices_np = np.asarray(indices, dtype=np.int64)
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
     for q in primes:
@@ -353,10 +329,8 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     n = op.dim
     if n == 0:
         return RatPolynomial((QQ1,))
-    indptr, indices, data, L = _integer_scaled(op)
-    indptr_np = np.asarray(indptr, dtype=np.int64)
-    indices_np = np.asarray(indices, dtype=np.int64)
-    max_nnz = max((indptr[r + 1] - indptr[r] for r in range(n)), default=0)
+    indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
+    max_nnz = int(np.diff(indptr).max(initial=0))
     columns = range(n) if witness_columns is None else witness_columns
 
     prime_iter = _prime_stream(max_nnz)
@@ -367,7 +341,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
         prev: list[int] | None = None
         for _ in range(40):
             p = next(prime_iter)
-            mp = _minpoly_mod_p(n, indptr_np, indices_np, data, p,
+            mp = _minpoly_mod_p(n, indptr, indices, data, p,
                                 _ladder_seeds(n, seed, rung, columns),
                                 stop_early=rung is not None)
             deg = len(mp) - 1
@@ -513,9 +487,7 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
     # rational eigenvalues of A = B/L are integer eigenvalues of B over
     # L, because the minimal polynomial of an integer matrix is monic
     # with integer coefficients
-    den_bound = 1
-    for v in op.entries.values():
-        den_bound = lcm(den_bound, int(v.denominator))
+    den_bound = op.L
     t0 = time.perf_counter()
     iso = isolate_real_roots(poly, width, den_bound=den_bound)
     timings["isolate_s"] = time.perf_counter() - t0

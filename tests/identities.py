@@ -6,8 +6,11 @@ caller can assert on an empty list and still see every violation at once.
 """
 
 import random
+from itertools import combinations
+from math import lcm
 
 from garland.complexes import Complex, from_maximal_simplices
+from garland.errors import DuplicateSimplex, EmptyInput, MixedDimensions, RepeatedVertex
 from garland.exactla import dense_from_entries, kernel_basis
 from garland.laplace import (
     Cochain,
@@ -34,6 +37,98 @@ def random_pure_complex(rng: random.Random) -> Complex:
     for _ in range(count):
         tops.add(tuple(sorted(rng.sample(pool, n + 1))))
     return from_maximal_simplices(sorted(tops))
+
+
+def reference_face_tables(maximal):
+    """(dim, simplices, index, weights) by counting every face in a dict.
+
+    The reference for Complex.from_maximal_simplices: same checks, same
+    errors, same layout.
+    """
+    tops = []
+    for raw in maximal:
+        vs = tuple(raw)
+        if len(set(vs)) != len(vs):
+            raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
+        tops.append(tuple(sorted(vs)))
+    if not tops:
+        raise EmptyInput("a complex needs at least one maximal simplex")
+    size = len(tops[0])
+    if any(len(t) != size for t in tops):
+        raise MixedDimensions("maximal simplices must all have the same dimension")
+    if len(set(tops)) != len(tops):
+        raise DuplicateSimplex("duplicate maximal simplex")
+    counts: list[dict] = [dict() for _ in range(size)]
+    for t in tops:
+        for k in range(1, size + 1):
+            level = counts[k - 1]
+            for face in combinations(t, k):
+                level[face] = level.get(face, 0) + 1
+    simplices, index, weights = [], [], []
+    for level in counts:
+        ordered = sorted(level)
+        simplices.append(ordered)
+        index.append({s: i for i, s in enumerate(ordered)})
+        weights.append([level[s] for s in ordered])
+    return size - 1, simplices, index, weights
+
+
+def star_union(kmax: int) -> tuple[Complex, list[list[int]]]:
+    """Disjoint union of the stars K_{1,k}, k = 1..kmax, and column groups.
+
+    Centers have weight k, so the degree-0 scale L is lcm(1..kmax).
+    Group g holds the g-th vertex of every star that has one: no two
+    lie in the same star, so their Laplacian columns have disjoint
+    supports.
+    """
+    tops, stars, nxt = [], [], 0
+    for k in range(1, kmax + 1):
+        stars.append(list(range(nxt, nxt + k + 1)))
+        tops.extend((nxt, nxt + j) for j in range(1, k + 1))
+        nxt += k + 1
+    cx = from_maximal_simplices(tops)
+    groups = [[cx.index[0][(star[g],)] for star in stars if g < len(star)]
+              for g in range(kmax + 1)]
+    return cx, groups
+
+
+def laplacian_csr_by_apply(cx: Complex, i: int, groups=None):
+    """(indptr, indices, data, L) of B = L * Delta on C^i from laplacian_apply.
+
+    The exact-rational oracle for assemble_matrix: column j of Delta is
+    Delta e_j.  Columns of one group are applied together; no simplex
+    may share a coface with two of them, which is checked, so every
+    nonzero of the sum belongs to the one column it shares a coface with.
+    """
+    n = cx.num_simplices(i)
+    if groups is None:
+        groups = [[j] for j in range(n)]
+    # near[j]: the i-simplices sharing an (i+1)-coface with simplex j, and j
+    near = [{j} for j in range(n)]
+    for t in cx.simplices[i + 1]:
+        faces = [cx.index[i][f] for f in combinations(t, i + 1)]
+        for a in faces:
+            near[a].update(faces)
+    rows: list[dict] = [dict() for _ in range(n)]
+    for group in groups:
+        owner = {}
+        for j in group:
+            for r in near[j]:
+                assert r not in owner, f"columns {owner.get(r)} and {j} reach row {r}"
+                owner[r] = j
+        members = set(group)
+        f = Cochain(cx, i, [QQ(1) if j in members else QQ0 for j in range(n)])
+        for r, v in enumerate(laplacian_apply(f).values):
+            if v:
+                rows[r][owner[r]] = v
+    L = lcm(*(v.denominator for row in rows for v in row.values()))
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        for col in sorted(row):
+            indices.append(col)
+            data.append(int(row[col] * L))
+        indptr.append(len(indices))
+    return indptr, indices, data, L
 
 
 def rand_cochain(cx: Complex, degree: int, rng: random.Random) -> Cochain:

@@ -1,5 +1,7 @@
 """Pure simplicial complexes: construction, weights, stars, links, text form."""
 
+import random
+
 import pytest
 
 from garland.complexes import Complex, from_maximal_simplices, from_text, orientation_sign
@@ -11,6 +13,9 @@ from garland.errors import (
     RepeatedVertex,
     SimplexNotFound,
 )
+from garland.harness import get_building
+
+from identities import reference_face_tables
 
 TRIANGLE = [(0, 1, 2)]
 TWO_TRIANGLES = [(0, 1, 2), (1, 2, 3)]
@@ -39,6 +44,43 @@ def test_construction_validation():
         from_maximal_simplices([(0, 1), (1, 0)])
     with pytest.raises(RepeatedVertex):
         from_maximal_simplices([(0, 1, 1)])
+
+
+def _random_tops(rng):
+    """Unordered rows of a random pure complex on sparse labels up to 10**12 + 999."""
+    n = rng.randint(0, 4)
+    pool = rng.sample(range(1000), rng.randint(n + 1, 30))
+    labels = [10**12 + v if rng.random() < 0.5 else v for v in pool]
+    tops = {tuple(sorted(rng.sample(labels, n + 1))) for _ in range(rng.randint(1, 40))}
+    return [rng.sample(t, len(t)) for t in tops]
+
+
+def test_face_tables_match_reference(b13, b22):
+    rng = random.Random(23)
+    inputs = [_random_tops(rng) for _ in range(60)]
+    inputs.append([["b", "a", "c"], ["c", "d", "a"]])  # any sortable labels
+    for b in (b13, b22, get_building(2, 3)):
+        inputs.append(b.complex.simplices[b.complex.dim])
+    for tops in inputs:
+        c = from_maximal_simplices(tops)
+        assert (c.dim, c.simplices, c.index, c.weights) == reference_face_tables(tops)
+        # the tuples hold the caller's label objects, not copies
+        mine = {id(v) for t in tops for v in t}
+        assert all(id(v) in mine for level in c.simplices for s in level for v in s)
+        assert all(type(w) is int for level in c.weights for w in level)
+    bad = {
+        EmptyInput: [[]],
+        MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)]],
+        DuplicateSimplex: [[(0, 1), (1, 0)], [(5, 9, 2), (2, 5, 9), (1, 2, 3)]],
+        # a repeated vertex is reported before a mixed size or a duplicate
+        RepeatedVertex: [[(0, 1, 1)], [(0, 1, 2), (3, 3)], [(0, 1), (1, 0), (2, 2)]],
+    }
+    for error, cases in bad.items():
+        for tops in cases:
+            with pytest.raises(error):
+                reference_face_tables(tops)
+            with pytest.raises(error):
+                from_maximal_simplices(tops)
 
 
 def test_triangle_counts_and_weights():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from garland.complexes import from_maximal_simplices
@@ -22,12 +23,13 @@ from garland.laplace import (
     dump_matrix_text,
     inner_product,
     laplacian_apply,
-    laplacian_entries,
     rho_alpha,
     rho_v,
     tau_v,
 )
 from garland.rationals import QQ, QQ0, QQ1
+
+from identities import laplacian_csr_by_apply, star_union
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
 TWO_TRIANGLES = from_maximal_simplices([(0, 1, 2), (1, 2, 3)])
@@ -153,17 +155,31 @@ def test_incidence_graph_laplacian_structure(b12):
     assert len(idx) == 14
 
 
-def test_assemble_matches_apply():
-    rng = random.Random(3)
-    c = TWO_TRIANGLES
-    for i in range(c.dim):
+def test_assemble_matches_apply(b22):
+    # column j of B / L is laplacian_apply(e_j); the star union has
+    # L = lcm(1..47) > 2**63
+    stars, groups = star_union(47)
+    cases = [(TWO_TRIANGLES, 0, None), (TWO_TRIANGLES, 1, None),
+             (b22.complex, 0, None), (b22.complex, 1, None), (stars, 0, groups)]
+    for c, i, grouping in cases:
         op = assemble_matrix(c, i)
-        f = rand_cochain(c, i, rng)
-        by_entries = [QQ0] * op.nrows
-        for (r, col), val in op.entries.items():
-            by_entries[r] += val * f.values[col]
-        assert by_entries == list(laplacian_apply(f).values)
-        assert laplacian_entries(c, i) == op.entries
+        indptr, indices, data, L = laplacian_csr_by_apply(c, i, grouping)
+        assert op.L == L
+        assert op.indptr.tolist() == indptr
+        assert op.indices.tolist() == indices
+        assert op.data == data
+        assert all(type(x) is int for x in op.data)
+    # scaling a reduced entry x/w by L // w is wrong: a weight-9 vertex
+    # of the (2,2) building has entries -3/9 = -1/3, and with L = 21 the
+    # scaled entry is -7, not -3 * (21 // 9) = -6
+    op = assemble_matrix(b22.complex, 0)
+    assert op.L == 21
+    rows = [r for r, w in enumerate(b22.complex.weights[0]) if w == 9]
+    assert rows
+    for r in rows:
+        off = [x for col, x in zip(op.indices[op.indptr[r]:op.indptr[r + 1]],
+                                   op.data[op.indptr[r]:op.indptr[r + 1]]) if col != r]
+        assert off and set(off) == {-7}
 
 
 def test_laplacian_degree_domain():
@@ -253,5 +269,6 @@ def test_coboundary_entries_shape():
 
 
 def test_handle_shape_flags():
-    h = LinearOperatorHandle(0, 1, 2, 3, {})
+    h = LinearOperatorHandle(0, 1, 2, 3, np.zeros(3, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), [], 1)
     assert not h.is_square

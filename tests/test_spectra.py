@@ -8,6 +8,7 @@ cross-checks the Krylov engine on every small instance.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -38,6 +39,8 @@ from garland.spectra import (
     reduced_cohomology_vanishes,
     squarefree_certify,
 )
+
+from identities import laplacian_csr_by_apply, star_union
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TWO_EDGES = from_maximal_simplices([(0, 1), (2, 3)])
@@ -126,7 +129,7 @@ def test_routes_and_seeds_agree(b12):
     # accepts the minimal polynomial and rejects wrong candidates
     for op in (assemble_matrix(b12.complex, 0), assemble_matrix(OCTAHEDRON, 1)):
         assert op.dim <= 30
-        indptr, indices, data, L = spectra._integer_scaled(op)
+        indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
         true = sympy_minpoly(op)
         short = true // P(0, 1)
         assert short * P(0, 1) == true
@@ -198,9 +201,8 @@ def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
     # B = 3A has minimal polynomial x(x - 6)(x^2 - 6x + 7); mod 3 the roots
     # 0 and 6 collide and the minimal polynomial of B mod 3 drops degree
     bad = 3
-    indptr, indices, data, _ = spectra._integer_scaled(op)
     basis_lcm = spectra._minpoly_mod_p(
-        n, np.asarray(indptr), np.asarray(indices), data, bad,
+        n, op.indptr, op.indices, op.data, bad,
         spectra._ladder_seeds(n, 0, None, range(n)), stop_early=False,
     )
     assert len(basis_lcm) - 1 < true.degree
@@ -219,14 +221,33 @@ def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
     assert len(seen[bad]) - 1 < true.degree
 
 
+def test_scale_beyond_int64():
+    # centers of K_{1,k} have weight k, so L = lcm(1..47) > 2**63: an
+    # int64 lcm or int64 data would wrap without an error
+    cx, groups = star_union(47)
+    op = assemble_matrix(cx, 0)
+    L = math.lcm(*range(1, 48))
+    assert L > 2**63 and op.L == L
+    indptr, indices, data, oracle_L = laplacian_csr_by_apply(cx, 0, groups)
+    assert oracle_L == L
+    assert (op.indptr.tolist(), op.indices.tolist(), op.data) == (indptr, indices, data)
+    # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
+    assert minimal_polynomial(op) == P(0, 2, -3, 1)
+    report = compute_spectral_report(cx, 0)
+    assert report.den_bound == L
+    assert [r.value for r in report.isolation.roots] == [0, 1, 2]
+
+
 def test_non_square_is_rejected():
-    h = LinearOperatorHandle(0, 1, 2, 3, {})
+    h = LinearOperatorHandle(0, 1, 2, 3, np.zeros(3, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), [], 1)
     with pytest.raises(NotSquare):
         minimal_polynomial(h)
 
 
 def test_zero_dimensional_operator():
-    h = LinearOperatorHandle(0, 0, 0, 0, {})
+    h = LinearOperatorHandle(0, 0, 0, 0, np.zeros(1, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), [], 1)
     assert minimal_polynomial(h) == P(1)
 
 

@@ -10,105 +10,4 @@ fundamental inequality driven by vertex links, and the cohomology
 vanishing threshold.
 """
 
-from .building import (
-    Subspace,
-    TypedBuilding,
-    enumerate_subspaces,
-    flag_complex,
-    fundamental_chamber_complex,
-    incident,
-    type_invariant_lift,
-    witness_columns,
-)
-from .complexes import Complex, from_maximal_simplices, from_text, orientation_sign
-from .errors import (
-    AmbientMismatch,
-    BudgetExceeded,
-    CertificationFailed,
-    DegreeMismatch,
-    DegreeOutOfRange,
-    DimensionMismatch,
-    DimensionOutOfRange,
-    DivisionByZero,
-    DuplicateSimplex,
-    EmptyInput,
-    GarlandError,
-    InvalidDegree,
-    MixedDimensions,
-    NoNonzeroRoot,
-    NonPrimeCharacteristic,
-    NotSquare,
-    NotSquarefree,
-    RepeatedVertex,
-    SimplexNotFound,
-    UnknownReferenceInstance,
-    UnknownType,
-    UnknownVertex,
-)
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    enumerate_field,
-    field_add,
-    field_for_order,
-    field_inv,
-    field_mul,
-    field_neg,
-    make_field,
-)
-from .harness import (
-    VerificationVerdict,
-    chamber_count,
-    conjecture_report,
-    default_grid,
-    extended_grid,
-    reproduce,
-    run_grid,
-    run_instance,
-    spectral_report_for_building,
-    spectral_report_for_complex,
-    verify_fundamental_inequality,
-    verify_integer_eigenvalues,
-    verify_max_eigenvalue,
-    verify_min_bound,
-    verify_vanishing_threshold,
-)
-from .laplace import (
-    Cochain,
-    LinearOperatorHandle,
-    adjoint_delta,
-    assemble_matrix,
-    coboundary,
-    dump_matrix_text,
-    inner_product,
-    laplacian_apply,
-    rho_alpha,
-    rho_v,
-    tau_v,
-)
-from .polyq import (
-    RatPolynomial,
-    RootInterval,
-    RootIsolation,
-    is_squarefree,
-    isolate_real_roots,
-    poly_product,
-    sturm_chain,
-)
-from .rationals import QQ, qstr
-from .reference import (
-    has_reference,
-    reference_factors,
-    reference_minimal_polynomial,
-)
-from .spectra import (
-    SpectralReport,
-    compute_spectral_report,
-    extract_extremes,
-    is_eigenvalue,
-    minimal_polynomial,
-    reduced_cohomology_ranks,
-    reduced_cohomology_vanishes,
-    squarefree_certify,
-)
 from .version import VERSION as __version__

@@ -11,22 +11,22 @@ only inside timings).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
 from . import harness
-from .complexes import Complex, from_text
+from .complexes import from_text
 from .errors import GarlandError
 from .laplace import assemble_matrix, dump_matrix_text
 from .version import VERSION
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (or env GARLAND_CACHE_DIR); no caching if unset")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for grid sweeps")
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for grid sweeps")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the documented Krylov seed-vector stream; "
                         "certified results do not depend on it")
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--emit-complex", metavar="PATH",
                    help="write the complex as text (one chamber per line)")
-    _add_common(b)
 
     s = sub.add_parser("spectrum", help="certified minimal polynomial and roots")
     s.add_argument("--ell", type=int)
@@ -67,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow degrees from the extended grid")
     v.add_argument("--width", default=harness.DEFAULT_WIDTH)
     v.add_argument("--json", action="store_true")
-    _add_common(v)
+    _add_common(v, threads=True)
 
     r = sub.add_parser("reproduce", help="compare against the recorded polynomial")
     r.add_argument("--ell", type=int, required=True)
@@ -81,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid", choices=("default", "extended"), default="default")
     g.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     g.add_argument("--width", default=harness.DEFAULT_WIDTH)
-    _add_common(g)
+    _add_common(g, threads=True)
 
     return top
 
@@ -116,11 +115,13 @@ def _print_verdict(v: dict) -> None:
     print(f"[{v['status']}] {v['check']} {v['instance']}")
 
 
-def _read_complex(path: str) -> tuple[Complex, dict]:
-    text = Path(path).read_text()
-    cx, _ = from_text(text)
-    digest = hashlib.sha256(cx.to_text().encode()).hexdigest()
-    return cx, {"sha256": digest}
+def _instance(args) -> harness.Instance:
+    if args.complex:
+        cx, _ = from_text(Path(args.complex).read_text())
+        return harness.Instance.complex(cx)
+    if args.ell is None or args.q is None:
+        raise GarlandError("pass either --ell and --q, or --complex PATH")
+    return harness.Instance.building(args.ell, args.q)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -139,27 +140,12 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _spectral_doc(args):
-    if args.complex:
-        cx, inst = _read_complex(args.complex)
-        inst = dict(inst, i=args.i)
-        report = harness.spectral_report_for_complex(
-            cx, args.i, inst, width=args.width, seed=args.seed,
-            cache_dir=args.cache_dir)
-    else:
-        if args.ell is None or args.q is None:
-            raise GarlandError("pass either --ell and --q, or --complex PATH")
-        cx = harness.get_building(args.ell, args.q).complex
-        report = harness.spectral_report_for_building(
-            args.ell, args.q, args.i, width=args.width, seed=args.seed,
-            cache_dir=args.cache_dir)
-    return cx, report
-
-
 def _cmd_spectrum(args) -> int:
-    cx, report = _spectral_doc(args)
+    inst = _instance(args)
+    report = harness.spectral_report(inst, args.i, width=args.width, seed=args.seed,
+                                     cache_dir=args.cache_dir)
     if args.dump_matrix:
-        handle = assemble_matrix(cx, args.i)
+        handle = assemble_matrix(inst.cx, args.i)
         Path(args.dump_matrix).write_text(dump_matrix_text(handle))
     doc = report.to_json_dict()
     if args.json:
@@ -171,11 +157,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_degrees(args) -> list[int]:
+def _verify_degrees(args, inst: harness.Instance) -> list[int]:
     if args.i is not None:
         return [args.i]
+    if inst.reference is None:  # the grids name (ell, q) reference points only
+        return list(range(inst.n))
     grid = harness.extended_grid() if args.extended else harness.default_grid()
-    degrees = [i for (ell, q, i) in grid if ell == args.ell and q == args.q]
+    degrees = [i for (ell, q, i) in grid if (ell, q) == inst.reference]
     if not degrees:
         raise GarlandError(
             f"(ell={args.ell}, q={args.q}) is not on the "
@@ -185,21 +173,10 @@ def _verify_degrees(args) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    docs = []
-    if args.complex:
-        cx, inst = _read_complex(args.complex)
-        degrees = [args.i] if args.i is not None else list(range(cx.dim))
-        for i in degrees:
-            docs.append(harness.run_complex_instance(
-                cx, i, dict(inst, i=i), width=args.width, seed=args.seed,
-                cache_dir=args.cache_dir))
-    else:
-        if args.ell is None or args.q is None:
-            raise GarlandError("pass either --ell and --q, or --complex PATH")
-        for i in _verify_degrees(args):
-            docs.append(harness.run_instance(
-                args.ell, args.q, i, width=args.width, seed=args.seed,
-                cache_dir=args.cache_dir))
+    inst = _instance(args)
+    docs = [harness.run_instance(inst, i, width=args.width, seed=args.seed,
+                                 cache_dir=args.cache_dir)
+            for i in _verify_degrees(args, inst)]
     failed = 0
     if args.json:
         sys.stdout.write(harness.dumps_report(docs))
@@ -223,8 +200,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    doc = harness.reproduce(args.ell, args.q, args.i, width=args.width,
-                            seed=args.seed, cache_dir=args.cache_dir)
+    doc = harness.reproduce(harness.Instance.building(args.ell, args.q), args.i,
+                            width=args.width, seed=args.seed, cache_dir=args.cache_dir)
     if args.json:
         sys.stdout.write(harness.dumps_report(doc))
     else:

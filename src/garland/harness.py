@@ -1,5 +1,16 @@
 """Verification drivers, reference reproduction, caching, and reports.
 
+Buildings and ingested complexes share one model, `Instance`: a pure
+complex of dimension n with a JSON label, a cache-key stem and optional
+symmetry data.  Garland's method bounds the spectrum of the Laplacian
+on C^i by the degree i-1 spectra of the vertex links.  On a building the
+linear group is transitive on vertices of each type and on simplices
+of each type signature, so one link per vertex type and one
+certification column per signature stand in for all of them; that
+symmetry data is the only difference between the two kinds.  So there
+is one report driver, `spectral_report`, and one run driver,
+`run_instance`, and both check 0 <= i <= n-1 before touching the cache.
+
 Every verdict is re-checkable from its witness data alone: witnesses
 carry exact rationals (as "num/den" strings) or certified root
 intervals, never floats.  Interval comparisons work on closed outer
@@ -10,11 +21,12 @@ is undecided at the requested isolation width, the intervals are
 refined down to a floor of 10^-12 before the verdict degrades to
 "inconclusive-at-width".
 
-Building instances are keyed (ell, q, i); ingested complexes are keyed
-by the sha256 of their canonical text form.  Cached spectral data is
-keyed the same way plus the artifact version, so cache hits reproduce
-fresh computations byte-for-byte (timings aside, which record whatever
-run produced the entry).
+Cached spectral data is keyed by the instance's stem (b{ell}-q{q} for a
+building, x{sha256 of the canonical text} for a complex), the degree,
+the isolation width and the artifact version.  A hit is re-derived
+from its minimal polynomial, and its instance and degree are the
+caller's, so it reproduces a fresh computation byte for byte (timings
+aside, which record whatever run produced the entry).
 """
 
 from __future__ import annotations
@@ -22,13 +34,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
 from .building import TypedBuilding, flag_complex, witness_columns
 from .complexes import Complex
-from .errors import BudgetExceeded, DegreeOutOfRange, NotSquarefree
+from .errors import (
+    BudgetExceeded,
+    DegreeOutOfRange,
+    NotSquarefree,
+    UnknownReferenceInstance,
+)
 from .gf import field_for_order
 from .polyq import RatPolynomial, RootInterval, isolate_real_roots, root_magnitude_bound
 from .rationals import QQ, QQ0, qstr
@@ -37,6 +56,7 @@ from .spectra import (
     SpectralReport,
     compute_spectral_report,
     extract_extremes,
+    is_eigenvalue,
     reduced_cohomology_ranks,
     reduced_cohomology_vanishes,
 )
@@ -80,6 +100,120 @@ def get_building(ell: int, q: int, budget: int | None = None) -> TypedBuilding:
     if key not in _BUILDINGS:
         _BUILDINGS[key] = flag_complex(ell, field_for_order(q))
     return _BUILDINGS[key]
+
+
+@dataclass(frozen=True)
+class LinkOrbit:
+    """A vertex whose link stands in for `count` vertices with isomorphic links."""
+
+    vertex: int
+    count: int
+    label: str  # names the orbit in the fundamental-inequality witness
+    tag: dict  # the instance recorded in the link's spectral report
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """What a group acting on the complex lets one representative decide.
+
+    `witness_columns(i)` gives certification columns for degree i: the
+    Laplacian commutes with the action, so a polynomial in it vanishes
+    once it vanishes on them.  `links` gives one vertex per orbit, whose
+    link spectrum is that of every vertex in the orbit.
+    """
+
+    witness_columns: Callable[[int], list[int]]
+    links: list[LinkOrbit]
+
+
+def _type_orbits(b: TypedBuilding) -> list[LinkOrbit]:
+    """One representative per vertex type, the least vertex id, with the type's size."""
+    reps: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for v in sorted(b.types):
+        t = b.types[v]
+        reps.setdefault(t, v)
+        counts[t] = counts.get(t, 0) + 1
+    return [LinkOrbit(reps[t], counts[t], f"type-{t}", {"link_type": t, "vertex": reps[t]})
+            for t in sorted(reps)]
+
+
+class Instance:
+    """One pure complex to verify, with the symmetry data that shortens the work.
+
+    - `label`: the JSON label; the documents of degree i carry it with
+      "i" added.
+    - `n`: the dimension of the complex (ell for a building).
+    - `stem`: the cache-key stem, b{ell}-q{q} for a building and
+      x{sha256 of the canonical text} for a complex (hashed on first use,
+      and never for a building).
+    - `reference`: the (ell, q) of the recorded minimal polynomials, or
+      None.
+    - the complex and its optional `Symmetry`, loaded on first use, so a
+      cache hit at i = 0 constructs no building.  Without symmetry data
+      every column is certified and every vertex is its own link orbit,
+      with count 1.
+
+    Build one with `Instance.building(ell, q)` or `Instance.complex(cx)`.
+    """
+
+    def __init__(self, label: dict, n: int, load, stem: str | None = None,
+                 reference: tuple[int, int] | None = None):
+        self.label = label
+        self.n = n
+        self.reference = reference
+        self._load = load  # () -> (Complex, Symmetry | None)
+        self._loaded = None
+        self._stem = stem
+
+    @classmethod
+    def building(cls, ell: int, q: int, budget: int | None = None) -> Instance:
+        """The flag complex of F_q^(ell+2), with its type symmetry."""
+        ensure_budget(ell, q, budget)
+
+        def load():
+            b = get_building(ell, q, budget)
+            return b.complex, Symmetry(partial(witness_columns, b), _type_orbits(b))
+
+        return cls({"ell": ell, "q": q}, ell, load, stem=f"b{ell}-q{q}",
+                   reference=(ell, q))
+
+    @classmethod
+    def complex(cls, cx: Complex, label: dict | None = None) -> Instance:
+        """A complex without symmetry data, labelled by its sha256 unless told otherwise."""
+        inst = cls(label, cx.dim, lambda: (cx, None))
+        if label is None:
+            inst.label = {"sha256": inst.stem[1:]}
+        return inst
+
+    def _data(self) -> tuple[Complex, Symmetry | None]:
+        if self._loaded is None:
+            self._loaded = self._load()
+        return self._loaded
+
+    @property
+    def cx(self) -> Complex:
+        return self._data()[0]
+
+    @property
+    def stem(self) -> str:
+        if self._stem is None:
+            self._stem = "x" + hashlib.sha256(self.cx.to_text().encode()).hexdigest()
+        return self._stem
+
+    def tag(self, i: int) -> dict:
+        """The label of this instance's documents in degree i."""
+        return dict(self.label, i=i)
+
+    def witness_columns(self, i: int) -> list[int] | None:
+        symmetry = self._data()[1]
+        return None if symmetry is None else symmetry.witness_columns(i)
+
+    def link_orbits(self) -> list[LinkOrbit]:
+        cx, symmetry = self._data()
+        if symmetry is not None:
+            return symmetry.links
+        return [LinkOrbit(v, 1, f"vertex-{v}", {"vertex": v}) for v in cx.vertices]
 
 
 def default_grid() -> list[tuple[int, int, int]]:
@@ -387,13 +521,8 @@ def _width_tag(width) -> str:
     return f"{w.numerator}x{w.denominator}"
 
 
-def building_cache_key(ell: int, q: int, i: int, width) -> str:
-    return f"v{VERSION}-b{ell}-q{q}-i{i}-w{_width_tag(width)}"
-
-
-def complex_cache_key(text: str, i: int, width) -> str:
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return f"v{VERSION}-x{digest}-i{i}-w{_width_tag(width)}"
+def cache_key(stem: str, i: int, width) -> str:
+    return f"v{VERSION}-{stem}-i{i}-w{_width_tag(width)}"
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -403,7 +532,15 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def load_cached_report(cache_dir: Path, key: str, width):
+def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree: int,
+                       n: int):
+    """The report stored under key, re-derived from its minimal polynomial, or None.
+
+    The roots are re-isolated and must equal the stored ones, and the
+    integer-eigenvalue table (candidates 0..n+1, n the dimension of the
+    complex) is re-evaluated; instance and degree are the caller's.
+    `dim` and `timings` are taken from the file.
+    """
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
@@ -422,14 +559,14 @@ def load_cached_report(cache_dir: Path, key: str, width):
         return None  # stale entry; recompute
     m, big_m = extract_extremes(iso)
     return SpectralReport(
-        instance=data["instance"],
-        degree=data["degree"],
+        instance=instance,
+        degree=degree,
         dim=data["dim"],
         minpoly=poly,
         isolation=iso,
         m=m,
         M=big_m,
-        integer_eigenvalues={int(k): v for k, v in data["integer_eigenvalues"].items()},
+        integer_eigenvalues={k: is_eigenvalue(poly, k) for k in range(n + 2)},
         timings=data["timings"],
         den_bound=den_bound,
     )
@@ -440,160 +577,52 @@ def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
     _atomic_write_text(cache_dir / f"{key}.json", text)
 
 
-# -- spectral report plumbing ---------------------------------------------------
+# -- drivers ----------------------------------------------------------------------
 
 
-def spectral_report_for_complex(cx: Complex, i: int, instance: dict,
-                                width=DEFAULT_WIDTH, seed: int = 0,
-                                cache_dir=None, cache_key=None) -> SpectralReport:
+def _report(inst: Instance, i: int, instance: dict, width, seed: int,
+            cache_dir) -> SpectralReport:
+    """The cached or freshly computed report of degree i, labelled `instance`."""
     cache_dir = resolve_cache_dir(cache_dir)
-    if cache_dir is not None and cache_key is None:
-        cache_key = complex_cache_key(cx.to_text(), i, width)
     if cache_dir is not None:
-        hit = load_cached_report(cache_dir, cache_key, width)
+        key = cache_key(inst.stem, i, width)
+        hit = load_cached_report(cache_dir, key, width, instance, i, inst.n)
         if hit is not None:
             return hit
-    report = compute_spectral_report(cx, i, width=width, seed=seed, instance=instance)
-    if cache_dir is not None:
-        store_report(cache_dir, cache_key, report)
-    return report
-
-
-def spectral_report_for_building(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                                 seed: int = 0, cache_dir=None,
-                                 budget: int | None = None) -> SpectralReport:
-    if not 0 <= i <= ell - 1:
-        raise DegreeOutOfRange(f"cochain degree {i} out of range for dimension {ell}")
-    ensure_budget(ell, q, budget)
-    cache_dir = resolve_cache_dir(cache_dir)
-    key = building_cache_key(ell, q, i, width)
-    if cache_dir is not None:
-        hit = load_cached_report(cache_dir, key, width)
-        if hit is not None:
-            return hit
-    b = get_building(ell, q, budget)
-    instance = {"ell": ell, "q": q, "i": i}
-    report = compute_spectral_report(b.complex, i, width=width, seed=seed,
-                                     instance=instance,
-                                     witness_columns=witness_columns(b, i))
+    report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
+                                     witness_columns=inst.witness_columns(i))
     if cache_dir is not None:
         store_report(cache_dir, key, report)
     return report
 
 
-# -- building-level drivers ------------------------------------------------------
+def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
+                    cache_dir=None) -> SpectralReport:
+    """Certified spectral report of degree i, from the cache when it holds one."""
+    if not 0 <= i <= inst.n - 1:
+        raise DegreeOutOfRange(f"cochain degree {i} out of range for dimension {inst.n}")
+    return _report(inst, i, inst.tag(i), width, seed, cache_dir)
 
 
-def _instance_dict(ell: int, q: int, i: int) -> dict:
-    return {"ell": ell, "q": q, "i": i}
-
-
-def verify_max_eigenvalue(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                          seed: int = 0, cache_dir=None,
-                          budget: int | None = None) -> VerificationVerdict:
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    return verdict_max_eigenvalue(report, ell + 1, _instance_dict(ell, q, i))
-
-
-def verify_min_bound(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                     seed: int = 0, cache_dir=None,
-                     budget: int | None = None) -> VerificationVerdict:
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    return verdict_min_bound(report, QQ(ell - i), _instance_dict(ell, q, i))
-
-
-def verify_integer_eigenvalues(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                               seed: int = 0, cache_dir=None,
-                               budget: int | None = None) -> VerificationVerdict:
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    return verdict_integer_eigenvalues(report, ell, i, _instance_dict(ell, q, i))
-
-
-def _building_link_data(b: TypedBuilding, j: int, width, seed,
-                        cache_dir) -> list[dict]:
-    """One spectral report per vertex type.
-
-    The group of linear automorphisms permutes same-dimension subspaces
-    transitively and carries links to links, so links of same-type
-    vertices are isomorphic as weighted complexes; one representative
-    per type determines the extremal link eigenvalues.
-    """
-    reps: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for v in sorted(b.types):
-        t = b.types[v]
-        reps.setdefault(t, v)
-        counts[t] = counts.get(t, 0) + 1
+def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
+    """Degree-j spectral report and cohomology of one vertex link per link orbit."""
     out = []
-    for t in sorted(reps):
-        link, _ = b.complex.vertex_link(reps[t])
-        rep = spectral_report_for_complex(
-            link, j, {"link_type": t, "vertex": reps[t]},
-            width=width, seed=seed, cache_dir=cache_dir)
+    for orbit in inst.link_orbits():
+        link, _ = inst.cx.vertex_link(orbit.vertex)
         out.append({
-            "label": f"type-{t}",
-            "count": counts[t],
-            "report": rep,
+            "label": orbit.label,
+            "count": orbit.count,
+            "report": _report(Instance.complex(link, orbit.tag), j, orbit.tag,
+                              width, seed, cache_dir),
             "vanishes": _link_cohomology_vanishes(link, j),
         })
     return out
 
 
-def _all_vertex_link_data(cx: Complex, j: int, width, seed, cache_dir) -> list[dict]:
-    out = []
-    for v in cx.vertices:
-        link, _ = cx.vertex_link(v)
-        rep = spectral_report_for_complex(link, j, {"vertex": v},
-                                          width=width, seed=seed, cache_dir=cache_dir)
-        out.append({
-            "label": f"vertex-{v}",
-            "count": 1,
-            "report": rep,
-            "vanishes": _link_cohomology_vanishes(link, j),
-        })
-    return out
-
-
-def verify_fundamental_inequality(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                                  seed: int = 0, cache_dir=None,
-                                  budget: int | None = None) -> VerificationVerdict:
-    if not 1 <= i <= ell - 1:
-        raise DegreeOutOfRange(f"the inequality needs 1 <= i <= {ell - 1}, got {i}")
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    b = get_building(ell, q, budget)
-    link_data = _building_link_data(b, i - 1, width, seed, cache_dir)
-    return fundamental_inequality_verdict(b.complex, i, report, link_data,
-                                          _instance_dict(ell, q, i))
-
-
-def verify_fundamental_inequality_complex(cx: Complex, i: int, instance: dict,
-                                          width=DEFAULT_WIDTH, seed: int = 0,
-                                          cache_dir=None) -> VerificationVerdict:
-    if not 1 <= i <= cx.dim - 1:
-        raise DegreeOutOfRange(f"the inequality needs 1 <= i <= {cx.dim - 1}, got {i}")
-    report = spectral_report_for_complex(cx, i, instance, width, seed, cache_dir)
-    link_data = _all_vertex_link_data(cx, i - 1, width, seed, cache_dir)
-    return fundamental_inequality_verdict(cx, i, report, link_data, instance)
-
-
-def verify_vanishing_threshold(ell: int, q: int, i: int, width=DEFAULT_WIDTH,
-                               seed: int = 0, cache_dir=None,
-                               budget: int | None = None) -> VerificationVerdict:
-    """i is the cohomology degree, 1 <= i <= ell; uses the degree i-1 spectrum."""
-    if not 1 <= i <= ell:
-        raise DegreeOutOfRange(f"cohomology degree must be in 1..{ell}, got {i}")
-    report = spectral_report_for_building(ell, q, i - 1, width, seed, cache_dir, budget)
-    return verdict_vanishing_threshold(report, ell, i, _instance_dict(ell, q, i))
-
-
-def conjecture_report(ell: int, q: int, i: int, width=DEFAULT_WIDTH, seed: int = 0,
-                      cache_dir=None, budget: int | None = None) -> dict:
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    return conjecture_table(report, ell - i, ell + 1, _instance_dict(ell, q, i))
-
-
-def _reproduction_dict(report: SpectralReport, ell: int, q: int, i: int) -> dict:
-    ref = reference_minimal_polynomial(ell, q, i)
+def _reproduction_dict(report: SpectralReport, inst: Instance, i: int) -> dict:
+    if inst.reference is None:
+        raise UnknownReferenceInstance(f"no recorded minimal polynomial for {inst.label}")
+    ref = reference_minimal_polynomial(*inst.reference, i)
     computed = report.minpoly
     match = computed == ref
     first_diff = None
@@ -606,7 +635,7 @@ def _reproduction_dict(report: SpectralReport, ell: int, q: int, i: int) -> dict
                 first_diff = {"power": k, "computed": qstr(a), "reference": qstr(bq)}
                 break
     return {
-        "instance": _instance_dict(ell, q, i),
+        "instance": inst.tag(i),
         "match": match,
         "computed": computed.serialize(),
         "reference": ref.serialize(),
@@ -614,36 +643,39 @@ def _reproduction_dict(report: SpectralReport, ell: int, q: int, i: int) -> dict
     }
 
 
-def reproduce(ell: int, q: int, i: int, width=DEFAULT_WIDTH, seed: int = 0,
-              cache_dir=None, budget: int | None = None) -> dict:
+def reproduce(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
+              cache_dir=None) -> dict:
     """Exact comparison of the computed minimal polynomial with the recorded one."""
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
-    return _reproduction_dict(report, ell, q, i)
+    report = spectral_report(inst, i, width, seed, cache_dir)
+    return _reproduction_dict(report, inst, i)
 
 
-# -- grid reports ----------------------------------------------------------------
+def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
+                 cache_dir=None) -> dict:
+    """Every check for degree i, with the dimension n in the role of ell.
 
-
-def run_instance(ell: int, q: int, i: int, width=DEFAULT_WIDTH, seed: int = 0,
-                 cache_dir=None, budget: int | None = None) -> dict:
-    inst = _instance_dict(ell, q, i)
-    report = spectral_report_for_building(ell, q, i, width, seed, cache_dir, budget)
+    For flag complexes these are the statements of the construction; for
+    other pure complexes the verdicts report honestly whether the same
+    statements happen to hold.
+    """
+    n = inst.n
+    tag = inst.tag(i)
+    report = spectral_report(inst, i, width, seed, cache_dir)
     verdicts = [
-        verdict_max_eigenvalue(report, ell + 1, inst),
-        verdict_min_bound(report, QQ(ell - i), inst),
-        verdict_integer_eigenvalues(report, ell, i, inst),
+        verdict_max_eigenvalue(report, n + 1, tag),
+        verdict_min_bound(report, QQ(n - i), tag),
+        verdict_integer_eigenvalues(report, n, i, tag),
     ]
     if i >= 1:
-        b = get_building(ell, q, budget)
-        link_data = _building_link_data(b, i - 1, width, seed, cache_dir)
-        verdicts.append(
-            fundamental_inequality_verdict(b.complex, i, report, link_data, inst))
-    verdicts.append(
-        verdict_vanishing_threshold(report, ell, i + 1, _instance_dict(ell, q, i + 1)))
-    conj = conjecture_table(report, ell - i, ell + 1, inst)
-    repro = _reproduction_dict(report, ell, q, i) if has_reference(ell, q, i) else None
+        links = _link_data(inst, i - 1, width, seed, cache_dir)
+        verdicts.append(fundamental_inequality_verdict(inst.cx, i, report, links, tag))
+    verdicts.append(verdict_vanishing_threshold(report, n, i + 1, inst.tag(i + 1)))
+    conj = conjecture_table(report, n - i, n + 1, tag)
+    repro = None
+    if inst.reference is not None and has_reference(*inst.reference, i):
+        repro = _reproduction_dict(report, inst, i)
     return {
-        "instance": inst,
+        "instance": tag,
         "spectral": report.to_json_dict(),
         "verdicts": [v.to_json_dict() for v in verdicts],
         "conjecture": conj,
@@ -651,37 +683,12 @@ def run_instance(ell: int, q: int, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     }
 
 
-def run_complex_instance(cx: Complex, i: int, instance: dict, width=DEFAULT_WIDTH,
-                         seed: int = 0, cache_dir=None) -> dict:
-    """Checks for an ingested complex, with ell read as the dimension.
-
-    For flag complexes this agrees with the (ell, q, i) drivers; for other
-    pure complexes the verdicts report honestly whether the same
-    statements happen to hold.
-    """
-    n = cx.dim
-    report = spectral_report_for_complex(cx, i, instance, width, seed, cache_dir)
-    verdicts = [
-        verdict_max_eigenvalue(report, n + 1, instance),
-        verdict_min_bound(report, QQ(n - i), instance),
-        verdict_integer_eigenvalues(report, n, i, instance),
-    ]
-    if 1 <= i <= n - 1:
-        link_data = _all_vertex_link_data(cx, i - 1, width, seed, cache_dir)
-        verdicts.append(fundamental_inequality_verdict(cx, i, report, link_data, instance))
-    if i + 1 <= n:
-        verdicts.append(verdict_vanishing_threshold(report, n, i + 1, instance))
-    return {
-        "instance": instance,
-        "spectral": report.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
-        "conjecture": conjecture_table(report, n - i, n + 1, instance),
-        "reproduction": None,
-    }
+# -- grid reports ----------------------------------------------------------------
 
 
 def _grid_task(args) -> dict:
-    return run_instance(*args)
+    ell, q, i, *rest = args
+    return run_instance(Instance.building(ell, q), i, *rest)
 
 
 def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,

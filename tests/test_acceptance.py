@@ -21,14 +21,14 @@ from garland.complexes import from_maximal_simplices
 from garland.harness import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
+    Instance,
     default_grid,
     dumps_report,
     get_building,
     run_grid,
-    spectral_report_for_building,
+    run_instance,
+    spectral_report,
     strip_timings,
-    verify_fundamental_inequality,
-    verify_fundamental_inequality_complex,
 )
 from garland.laplace import assemble_matrix
 from garland.polyq import RatPolynomial, poly_product
@@ -46,6 +46,16 @@ def P(*coeffs):
 def _line(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _building_report(ell, q, i, cache_dir):
+    return spectral_report(Instance.building(ell, q), i, cache_dir=cache_dir)
+
+
+def _inequality_verdict(inst, i, cache_dir):
+    (v,) = [v for v in run_instance(inst, i, cache_dir=cache_dir)["verdicts"]
+            if v["check"] == "fundamental-inequality"]
+    return v
 
 
 def _midpoint(interval_json):
@@ -68,7 +78,7 @@ def test_criterion_01_rank_one_reproduction(shared_cache):
     per_q = {}
     for q in (2, 3, 4, 5, 7):
         t_q = time.perf_counter()
-        rep = spectral_report_for_building(1, q, 0, cache_dir=shared_cache)
+        rep = _building_report(1, q, 0, shared_cache)
         expected = poly_product(
             [P(0, 1), P(-2, 1), P(QQ(q * q + q + 1, (q + 1) ** 2), -2, 1)]
         )
@@ -91,12 +101,12 @@ def test_criterion_02_rank_two_reproduction(shared_cache):
     for q in (2, 3):
         for i in (0, 1):
             t0 = time.perf_counter()
-            rep = spectral_report_for_building(2, q, i, cache_dir=shared_cache)
+            rep = _building_report(2, q, i, shared_cache)
             assert rep.minpoly == reference_minimal_polynomial(2, q, i), (q, i)
             dt = time.perf_counter() - t0
             worst = max(worst, dt)
             assert dt < 180.0
-    rep21 = spectral_report_for_building(2, 2, 1, cache_dir=shared_cache)
+    rep21 = _building_report(2, 2, 1, shared_cache)
     assert rep21.m.is_rational and QQ(rep21.m.value) == QQ(1, 3)
     _line(2, True,
           f"rank-2 minimal polynomials match the recorded expansions for "
@@ -106,7 +116,7 @@ def test_criterion_02_rank_two_reproduction(shared_cache):
 
 def test_criterion_03_rank_three_reproduction(shared_cache):
     t0 = time.perf_counter()
-    rep = spectral_report_for_building(3, 2, 0, cache_dir=shared_cache)
+    rep = _building_report(3, 2, 0, shared_cache)
     display = poly_product([
         P(0, 1),
         P(-4, 1),
@@ -120,7 +130,7 @@ def test_criterion_03_rank_three_reproduction(shared_cache):
     assert dt < 600.0
     extra = "extended instances skipped (GARLAND_EXTENDED unset)"
     if EXTENDED:
-        rep33 = spectral_report_for_building(3, 3, 0, cache_dir=shared_cache)
+        rep33 = _building_report(3, 3, 0, shared_cache)
         display33 = poly_product([
             P(0, 1),
             P(-4, 1),
@@ -130,7 +140,7 @@ def test_criterion_03_rank_three_reproduction(shared_cache):
               QQ(14350977, 270400), -12, 1),
         ])
         assert rep33.minpoly == display33
-        rep42 = spectral_report_for_building(4, 2, 0, cache_dir=shared_cache)
+        rep42 = _building_report(4, 2, 0, shared_cache)
         display42 = poly_product([
             P(0, 1),
             P(-4, 1),
@@ -182,8 +192,8 @@ def test_criterion_05_minimum_spot_checks(grid_runs, shared_cache):
     assert abs(mids[(3, 2, 0)] - 1.68) <= tol
     extra = "extended instances skipped (GARLAND_EXTENDED unset)"
     if EXTENDED:
-        m33 = spectral_report_for_building(3, 3, 0, cache_dir=shared_cache)
-        m42 = spectral_report_for_building(4, 2, 0, cache_dir=shared_cache)
+        m33 = _building_report(3, 3, 0, shared_cache)
+        m42 = _building_report(4, 2, 0, shared_cache)
         assert abs(_midpoint(m33.m.to_json_dict()) - 1.89) <= tol
         assert abs(_midpoint(m42.m.to_json_dict()) - 2.32) <= tol
         extra = "extended 1.89 and 2.32 spot checks also hold"
@@ -225,11 +235,10 @@ def test_criterion_07_simplex_oracle(shared_cache):
             p = minimal_polynomial(assemble_matrix(cx, i))
             assert p == P(0, -(n + 1), 1), (n, i)
         for i in range(1, n):
-            v = verify_fundamental_inequality_complex(
-                cx, i, {"n": n, "i": i}, cache_dir=shared_cache
-            )
-            assert v.status == CERTIFIED_TRUE, (n, i)
-            w = v.witness
+            v = _inequality_verdict(Instance.complex(cx, {"n": n}), i, shared_cache)
+            assert v["instance"] == {"n": n, "i": i}
+            assert v["status"] == CERTIFIED_TRUE, (n, i)
+            w = v["witness"]
             assert w["upper"]["lhs"] == w["upper"]["rhs"], (n, i)
             assert w["hypothesis_cohomology_vanishes"] is True
             assert w["lower"]["lhs"] == w["lower"]["rhs"], (n, i)
@@ -266,7 +275,7 @@ def test_criterion_08_vertex_link_divisibility(b22, shared_cache):
     # not divide the degree-1 minimal polynomial, and (c) the inequality,
     # over all links and over one link per type.
     t0 = time.perf_counter()
-    edge_minpoly = spectral_report_for_building(2, 2, 1, cache_dir=shared_cache).minpoly
+    edge_minpoly = _building_report(2, 2, 1, shared_cache).minpoly
     assert edge_minpoly == reference_minimal_polynomial(2, 2, 1)
     # types 0 and 2: the Heawood graph, x(x-2)(x^2-2x+7/9); the quadratic
     # has no root among the k/3, so only x(x-2) is shared with the edges
@@ -308,24 +317,26 @@ def test_criterion_08_vertex_link_divisibility(b22, shared_cache):
             bad.append(f"(a) vertex {v} of type {t}: float spectrum of its "
                        f"link {shown} is not {values}")
 
-    per_link = verify_fundamental_inequality_complex(
-        cx, 1, {"ell": 2, "q": 2, "i": 1, "links": "all"}, cache_dir=shared_cache)
-    per_type = verify_fundamental_inequality(2, 2, 1, cache_dir=shared_cache)
-    w = per_link.witness
-    if per_link.status != CERTIFIED_TRUE or len(w["links"]) != cx.num_simplices(0):
-        bad.append(f"(c) the inequality over all links is {per_link.status} "
+    # b22 as a plain complex (every vertex its own link) against the
+    # building instance (one link per vertex type)
+    per_link = _inequality_verdict(
+        Instance.complex(cx, {"ell": 2, "q": 2, "links": "all"}), 1, shared_cache)
+    per_type = _inequality_verdict(Instance.building(2, 2), 1, shared_cache)
+    w = per_link["witness"]
+    if per_link["status"] != CERTIFIED_TRUE or len(w["links"]) != cx.num_simplices(0):
+        bad.append(f"(c) the inequality over all links is {per_link['status']} "
                    f"on {len(w['links'])} links; expected {CERTIFIED_TRUE} "
                    f"on {cx.num_simplices(0)}")
     if not w["upper"]["lhs"] == w["upper"]["rhs"] == {"lo": "3/1", "hi": "3/1"}:
         bad.append(f"(c) the upper bound is not the equality 3 = 3: "
                    f"{w['upper']['lhs']} <= {w['upper']['rhs']}")
     for key in ("lambda_max", "lambda_min"):
-        if w.get(key) != per_type.witness.get(key):
+        if w.get(key) != per_type["witness"].get(key):
             bad.append(f"(c) {key} over all links {w.get(key)} differs from "
-                       f"one link per type {per_type.witness.get(key)}")
-    if per_type.status != per_link.status:
-        bad.append(f"(c) status over all links {per_link.status} differs from "
-                   f"one link per type {per_type.status}")
+                       f"one link per type {per_type['witness'].get(key)}")
+    if per_type["status"] != per_link["status"]:
+        bad.append(f"(c) status over all links {per_link['status']} differs from "
+                   f"one link per type {per_type['status']}")
     dt = time.perf_counter() - t0
     assert dt < 120.0
     detail = (

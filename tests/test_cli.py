@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from garland import harness
 from garland.cli import main
 from garland.complexes import from_text
 from garland.polyq import RatPolynomial
@@ -27,11 +28,9 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("garland ")
 
 
-def test_build_summary_and_emit(tmp_path, capsys, cache_args):
+def test_build_summary_and_emit(tmp_path, capsys):
     out_file = tmp_path / "complex.txt"
-    code, out, _ = run(
-        capsys, ["build", "--ell", "1", "--q", "3", "--emit-complex", str(out_file)] + cache_args
-    )
+    code, out, _ = run(capsys, ["build", "--ell", "1", "--q", "3", "--emit-complex", str(out_file)])
     assert code == 0
     assert "26" in out  # 13 + 13 vertices
     cx, _labels = from_text(out_file.read_text())
@@ -73,6 +72,22 @@ def test_spectrum_from_complex_file(tmp_path, capsys, cache_args):
     assert [str(c) for c in p.coeffs] == ["0", "-4", "1"]
 
 
+def test_spectrum_cache_hit_constructs_no_building(tmp_path, capsys, monkeypatch):
+    argv = ["spectrum", "--ell", "1", "--q", "2", "--i", "0", "--json",
+            "--cache-dir", str(tmp_path)]
+    code, warm, _ = run(capsys, argv)
+    assert code == 0
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("a building was constructed")
+
+    monkeypatch.setattr(harness, "_BUILDINGS", {})
+    monkeypatch.setattr(harness, "flag_complex", no_building)
+    code, hit, _ = run(capsys, argv)
+    assert code == 0
+    assert harness.strip_timings(json.loads(hit)) == harness.strip_timings(json.loads(warm))
+
+
 def test_spectrum_degree_out_of_range(capsys, cache_args):
     code, _out, err = run(capsys, ["spectrum", "--ell", "1", "--q", "2", "--i", "1"] + cache_args)
     assert code == 2
@@ -98,6 +113,19 @@ def test_verify_json_document(capsys, cache_args):
         if d["instance"]["i"] == 1
     }
     assert statuses["vanishing-threshold"] == "certified-false"
+
+
+def test_verify_complex_threshold_label(tmp_path, capsys):
+    path = tmp_path / "octahedron.txt"
+    path.write_text("".join(f"{a} {b} {c}\n" for a in (0, 1) for b in (2, 3) for c in (4, 5)))
+    code, out, _ = run(capsys, ["verify", "--complex", str(path), "--json"])
+    assert code == 0
+    docs = json.loads(out)
+    assert [d["instance"]["i"] for d in docs] == [0, 1]
+    for d in docs:
+        (t,) = [v for v in d["verdicts"] if v["check"] == "vanishing-threshold"]
+        assert t["instance"]["i"] == t["witness"]["cohomology_degree"] == d["instance"]["i"] + 1
+        assert t["instance"]["sha256"] == d["instance"]["sha256"]
 
 
 def test_verify_single_degree(capsys, cache_args):

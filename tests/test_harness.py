@@ -1,9 +1,11 @@
 """Verification harness: verdicts, budgets, caching, grids, reproduction."""
 
+import hashlib
 import json
 
 import pytest
 
+from garland import harness
 from garland.complexes import from_maximal_simplices
 from garland.errors import BudgetExceeded, DegreeOutOfRange, UnknownReferenceInstance
 from garland.harness import (
@@ -11,11 +13,10 @@ from garland.harness import (
     CERTIFIED_TRUE,
     DEFAULT_CHAMBER_BUDGET,
     INCONCLUSIVE,
+    Instance,
     VerificationVerdict,
-    building_cache_key,
+    cache_key,
     chamber_count,
-    complex_cache_key,
-    conjecture_report,
     default_grid,
     dumps_report,
     ensure_budget,
@@ -23,19 +24,13 @@ from garland.harness import (
     get_building,
     load_cached_report,
     reproduce,
-    run_complex_instance,
     run_instance,
-    spectral_report_for_building,
+    spectral_report,
     store_report,
     strip_timings,
     verdict_integer_eigenvalues,
     verdict_max_eigenvalue,
     verdict_min_bound,
-    verify_fundamental_inequality,
-    verify_integer_eigenvalues,
-    verify_max_eigenvalue,
-    verify_min_bound,
-    verify_vanishing_threshold,
 )
 from garland.rationals import QQ
 from garland.version import VERSION
@@ -43,7 +38,21 @@ from garland.version import VERSION
 
 @pytest.fixture(scope="module")
 def rep120(shared_cache):
-    return spectral_report_for_building(1, 2, 0, cache_dir=shared_cache)
+    return spectral_report(Instance.building(1, 2), 0, cache_dir=shared_cache)
+
+
+@pytest.fixture(scope="module")
+def doc120(shared_cache):
+    return run_instance(Instance.building(1, 2), 0, cache_dir=shared_cache)
+
+
+@pytest.fixture(scope="module")
+def doc221(shared_cache):
+    return run_instance(Instance.building(2, 2), 1, cache_dir=shared_cache)
+
+
+def verdicts_by_check(doc):
+    return {v["check"]: v for v in doc["verdicts"]}
 
 
 # -- sizes and grids ----------------------------------------------------------
@@ -136,16 +145,19 @@ def test_verdict_json_round_trip(rep120):
 # -- instance-level checks ------------------------------------------------------
 
 
-def test_verify_wrappers(shared_cache):
-    assert verify_max_eigenvalue(1, 2, 0, cache_dir=shared_cache).status == CERTIFIED_TRUE
-    assert verify_min_bound(1, 2, 0, cache_dir=shared_cache).status == CERTIFIED_TRUE
-    assert verify_integer_eigenvalues(1, 2, 0, cache_dir=shared_cache).status == CERTIFIED_TRUE
+def test_run_instance_degree_zero_checks(doc120):
+    checks = verdicts_by_check(doc120)
+    assert checks["max-eigenvalue"]["status"] == CERTIFIED_TRUE
+    assert checks["min-bound"]["status"] == CERTIFIED_TRUE
+    assert checks["integer-eigenvalues"]["status"] == CERTIFIED_TRUE
+    # the inequality needs a middle degree 1 <= i <= n - 1
+    assert "fundamental-inequality" not in checks
 
 
-def test_fundamental_inequality_building(shared_cache):
-    v = verify_fundamental_inequality(2, 2, 1, cache_dir=shared_cache)
-    assert v.status == CERTIFIED_TRUE
-    w = v.witness
+def test_fundamental_inequality_building(doc221):
+    v = verdicts_by_check(doc221)["fundamental-inequality"]
+    assert v["status"] == CERTIFIED_TRUE
+    w = v["witness"]
     assert w["n"] == 2 and w["i"] == 1
     # upper side is tight here: 1*3 = 2*2 - 1
     assert w["upper"]["status"] == CERTIFIED_TRUE
@@ -160,28 +172,26 @@ def test_fundamental_inequality_building(shared_cache):
         assert link["cohomology_vanishes"] is True
 
 
-def test_fundamental_inequality_needs_middle_degree(shared_cache):
-    with pytest.raises(DegreeOutOfRange):
-        verify_fundamental_inequality(2, 2, 0, cache_dir=shared_cache)
+def test_vanishing_threshold_true_and_false(doc120, doc221):
+    # ell=1, cohomology degree 1: threshold 1/2 < m = 1 - sqrt(2)/3
+    v = verdicts_by_check(doc120)["vanishing-threshold"]
+    assert v["status"] == CERTIFIED_TRUE
+    assert v["instance"] == {"ell": 1, "q": 2, "i": 1}
+    assert v["witness"]["kind"] == "hypothesis-check"
+    assert v["witness"]["threshold"] == "1/2"
+    assert v["witness"]["cohomology_degree"] == 1
+    assert v["witness"]["spectral_degree"] == 0
+    # ell=2, cohomology degree 2: threshold 1/3 equals m exactly, strict
+    # inequality fails
+    f = verdicts_by_check(doc221)["vanishing-threshold"]
+    assert f["status"] == CERTIFIED_FALSE
+    assert f["instance"] == {"ell": 2, "q": 2, "i": 2}
+    assert f["witness"]["threshold"] == "1/3"
+    assert f["witness"]["m"]["value"] == "1/3"
 
 
-def test_vanishing_threshold_true_and_false(shared_cache):
-    # ell=1, i=1: threshold 1/2 < m = 1 - sqrt(2)/3
-    v = verify_vanishing_threshold(1, 2, 1, cache_dir=shared_cache)
-    assert v.status == CERTIFIED_TRUE
-    assert v.witness["kind"] == "hypothesis-check"
-    assert v.witness["threshold"] == "1/2"
-    assert v.witness["cohomology_degree"] == 1
-    assert v.witness["spectral_degree"] == 0
-    # ell=2, i=2: threshold 1/3 equals m exactly, strict inequality fails
-    f = verify_vanishing_threshold(2, 2, 2, cache_dir=shared_cache)
-    assert f.status == CERTIFIED_FALSE
-    assert f.witness["threshold"] == "1/3"
-    assert f.witness["m"]["value"] == "1/3"
-
-
-def test_conjecture_report_shape(shared_cache):
-    cr = conjecture_report(1, 2, 0, cache_dir=shared_cache)
+def test_conjecture_report_shape(doc120):
+    cr = doc120["conjecture"]
     assert cr["instance"] == {"ell": 1, "q": 2, "i": 0}
     assert cr["admissible_integers"] == [1, 2]
     # zero is excluded; remaining roots are the two irrationals and 2
@@ -192,22 +202,51 @@ def test_conjecture_report_shape(shared_cache):
     assert abs(eps_num / eps_den - 0.4714) < 1e-3
 
 
+def test_degree_is_checked_before_the_cache(tmp_path, monkeypatch):
+    def no_cache_read(*args, **kwargs):
+        raise AssertionError("the cache was read")
+
+    monkeypatch.setattr(harness, "load_cached_report", no_cache_read)
+    c = from_maximal_simplices([(0, 1, 2)])
+    for inst in (Instance.complex(c), Instance.building(1, 2)):
+        with pytest.raises(DegreeOutOfRange):
+            spectral_report(inst, inst.n, cache_dir=tmp_path)
+        with pytest.raises(DegreeOutOfRange):
+            run_instance(inst, -1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_hit_constructs_no_building(tmp_path, monkeypatch):
+    warm = run_instance(Instance.building(1, 2), 0, cache_dir=tmp_path)
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("a building was constructed")
+
+    monkeypatch.setattr(harness, "_BUILDINGS", {})
+    monkeypatch.setattr(harness, "flag_complex", no_building)
+    hit = run_instance(Instance.building(1, 2), 0, cache_dir=tmp_path)
+    assert dumps_report(strip_timings(hit)) == dumps_report(strip_timings(warm))
+
+
 # -- caching ---------------------------------------------------------------------
 
 
 def test_cache_keys_pin_version_and_width():
-    k = building_cache_key(2, 3, 1, "1/1000000")
+    k = cache_key(Instance.building(2, 3).stem, 1, "1/1000000")
     assert k == f"v{VERSION}-b2-q3-i1-w1x1000000"
     c = from_maximal_simplices([(0, 1, 2)])
-    k2 = complex_cache_key(c.to_text(), 1, "1/1000000")
-    assert k2 != complex_cache_key(c.to_text(), 0, "1/1000000")
+    stem = Instance.complex(c, {"source": "triangle"}).stem
+    assert stem == "x" + hashlib.sha256(c.to_text().encode()).hexdigest()
+    assert Instance.complex(c).label == {"sha256": stem[1:]}
+    k2 = cache_key(stem, 1, "1/1000000")
+    assert k2 != cache_key(stem, 0, "1/1000000")
     assert len(k2.split("-")) >= 3
 
 
 def test_cache_round_trip(tmp_path, rep120):
-    key = building_cache_key(1, 2, 0, "1/1000000")
+    key = cache_key("b1-q2", 0, "1/1000000")
     store_report(tmp_path, key, rep120)
-    loaded = load_cached_report(tmp_path, key, "1/1000000")
+    loaded = load_cached_report(tmp_path, key, "1/1000000", rep120.instance, 0, 1)
     assert loaded is not None
     assert loaded.minpoly == rep120.minpoly
     assert loaded.m.lo == rep120.m.lo and loaded.M.value == rep120.M.value
@@ -215,21 +254,46 @@ def test_cache_round_trip(tmp_path, rep120):
 
 
 def test_cache_rejects_tampering(tmp_path, rep120):
-    key = building_cache_key(1, 2, 0, "1/1000000")
+    key = cache_key("b1-q2", 0, "1/1000000")
     store_report(tmp_path, key, rep120)
     path = next(tmp_path.glob("*"))
     doc = json.loads(path.read_text())
     doc["minpoly"] = "0/1 -1/1 1/1"
     path.write_text(json.dumps(doc))
-    assert load_cached_report(tmp_path, key, "1/1000000") is None
-    assert load_cached_report(tmp_path, "no-such-key", "1/1000000") is None
+    inst = rep120.instance
+    assert load_cached_report(tmp_path, key, "1/1000000", inst, 0, 1) is None
+    assert load_cached_report(tmp_path, "no-such-key", "1/1000000", inst, 0, 1) is None
+
+
+def test_cache_hit_takes_the_callers_instance(tmp_path):
+    c = from_maximal_simplices([(0, 1, 2, 3)])
+    run_instance(Instance.complex(c, {"source": "A"}), 1, cache_dir=tmp_path)
+    doc = run_instance(Instance.complex(c, {"source": "B"}), 1, cache_dir=tmp_path)
+    assert doc["instance"] == {"source": "B", "i": 1}
+    assert doc["spectral"]["instance"] == {"source": "B", "i": 1}
+    assert {v["instance"]["source"] for v in doc["verdicts"]} == {"B"}
+
+
+def test_cache_hit_rederives_instance_and_integer_table(tmp_path):
+    fresh = spectral_report(Instance.building(2, 2), 1)
+    spectral_report(Instance.building(2, 2), 1, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text())
+    assert doc["integer_eigenvalues"] == {"0": True, "1": True, "2": True, "3": True}
+    doc["instance"] = {"ell": 9, "q": 9, "i": 9}
+    doc["integer_eigenvalues"] = {"0": False, "1": False, "7": True}
+    path.write_text(json.dumps(doc))
+    hit = spectral_report(Instance.building(2, 2), 1, cache_dir=tmp_path)
+    assert hit.timings == doc["timings"]  # it did come from the edited file
+    assert (dumps_report(strip_timings(hit.to_json_dict()))
+            == dumps_report(strip_timings(fresh.to_json_dict())))
 
 
 # -- reproduction and full instances ----------------------------------------------
 
 
 def test_reproduce_known_instances(shared_cache):
-    doc = reproduce(1, 2, 0, cache_dir=shared_cache)
+    doc = reproduce(Instance.building(1, 2), 0, cache_dir=shared_cache)
     assert doc["match"] is True
     assert doc["first_difference"] is None
     assert doc["computed"] == doc["reference"]
@@ -237,11 +301,13 @@ def test_reproduce_known_instances(shared_cache):
 
 def test_reproduce_unknown_instance(shared_cache):
     with pytest.raises(UnknownReferenceInstance):
-        reproduce(3, 2, 1, cache_dir=shared_cache)
+        reproduce(Instance.building(3, 2), 1, cache_dir=shared_cache)
+    with pytest.raises(UnknownReferenceInstance):
+        reproduce(Instance.complex(from_maximal_simplices([(0, 1)])), 0)
 
 
-def test_run_instance_document(shared_cache):
-    doc = run_instance(2, 2, 1, cache_dir=shared_cache)
+def test_run_instance_document(doc221):
+    doc = doc221
     assert doc["instance"] == {"ell": 2, "q": 2, "i": 1}
     checks = {v["check"]: v["status"] for v in doc["verdicts"]}
     assert checks["max-eigenvalue"] == CERTIFIED_TRUE
@@ -255,7 +321,7 @@ def test_run_instance_document(shared_cache):
 
 def test_run_complex_instance(shared_cache):
     c = from_maximal_simplices([(0, 1, 2, 3)])
-    doc = run_complex_instance(c, 1, {"source": "simplex-3"}, cache_dir=shared_cache)
+    doc = run_instance(Instance.complex(c, {"source": "simplex-3"}), 1, cache_dir=shared_cache)
     checks = {v["check"]: v["status"] for v in doc["verdicts"]}
     assert doc["reproduction"] is None
     # universal checks hold on the simplex; the flag-complex-specific

@@ -21,12 +21,9 @@ from .laplace import assemble_matrix, dump_matrix_text
 from .version import VERSION
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (or env GARLAND_CACHE_DIR); no caching if unset")
-    if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for grid sweeps")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the documented Krylov seed-vector stream; "
                         "certified results do not depend on it")
@@ -66,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow degrees from the extended grid")
     v.add_argument("--width", default=harness.DEFAULT_WIDTH)
     v.add_argument("--json", action="store_true")
-    _add_common(v, threads=True)
+    v.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    _add_common(v)
 
     r = sub.add_parser("reproduce", help="compare against the recorded polynomial")
     r.add_argument("--ell", type=int, required=True)
@@ -80,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid", choices=("default", "extended"), default="default")
     g.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     g.add_argument("--width", default=harness.DEFAULT_WIDTH)
-    _add_common(g, threads=True)
+    g.add_argument("--threads", type=int, default=1, help="worker processes for the sweep")
+    _add_common(g)
 
     return top
 

@@ -56,7 +56,7 @@ from .spectra import (
     SpectralReport,
     compute_spectral_report,
     extract_extremes,
-    is_eigenvalue,
+    integer_table,
     reduced_cohomology_ranks,
     reduced_cohomology_vanishes,
 )
@@ -94,8 +94,8 @@ def ensure_budget(ell: int, q: int, budget: int | None = None) -> None:
 _BUILDINGS: dict[tuple[int, int], TypedBuilding] = {}
 
 
-def get_building(ell: int, q: int, budget: int | None = None) -> TypedBuilding:
-    ensure_budget(ell, q, budget)
+def get_building(ell: int, q: int) -> TypedBuilding:
+    ensure_budget(ell, q)
     key = (ell, q)
     if key not in _BUILDINGS:
         _BUILDINGS[key] = flag_complex(ell, field_for_order(q))
@@ -118,12 +118,19 @@ class Symmetry:
 
     `witness_columns(i)` gives certification columns for degree i: the
     Laplacian commutes with the action, so a polynomial in it vanishes
-    once it vanishes on them.  `links` gives one vertex per orbit, whose
-    link spectrum is that of every vertex in the orbit.
+    once it vanishes on them (None: certify every column).  `links`
+    gives one vertex per orbit, whose link spectrum is that of every
+    vertex in the orbit.
     """
 
-    witness_columns: Callable[[int], list[int]]
+    witness_columns: Callable[[int], list[int] | None]
     links: list[LinkOrbit]
+
+    @classmethod
+    def trivial(cls, cx: Complex) -> Symmetry:
+        """The identity alone: every column certified, every vertex its own orbit."""
+        return cls(lambda i: None,
+                   [LinkOrbit(v, 1, f"vertex-{v}", {"vertex": v}) for v in cx.vertices])
 
 
 def _type_orbits(b: TypedBuilding) -> list[LinkOrbit]:
@@ -149,10 +156,11 @@ class Instance:
       and never for a building).
     - `reference`: the (ell, q) of the recorded minimal polynomials, or
       None.
-    - the complex and its optional `Symmetry`, loaded on first use, so a
-      cache hit at i = 0 constructs no building.  Without symmetry data
-      every column is certified and every vertex is its own link orbit,
-      with count 1.
+    - the complex and its `Symmetry`, loaded on first use, so a cache hit
+      at i = 0 constructs no building.  A building carries its type
+      symmetry; a complex carries the trivial one, under which every
+      column is certified and every vertex is its own link orbit, with
+      count 1.
 
     Build one with `Instance.building(ell, q)` or `Instance.complex(cx)`.
     """
@@ -162,17 +170,17 @@ class Instance:
         self.label = label
         self.n = n
         self.reference = reference
-        self._load = load  # () -> (Complex, Symmetry | None)
+        self._load = load  # () -> (Complex, Symmetry)
         self._loaded = None
         self._stem = stem
 
     @classmethod
-    def building(cls, ell: int, q: int, budget: int | None = None) -> Instance:
+    def building(cls, ell: int, q: int) -> Instance:
         """The flag complex of F_q^(ell+2), with its type symmetry."""
-        ensure_budget(ell, q, budget)
+        ensure_budget(ell, q)
 
         def load():
-            b = get_building(ell, q, budget)
+            b = get_building(ell, q)
             return b.complex, Symmetry(partial(witness_columns, b), _type_orbits(b))
 
         return cls({"ell": ell, "q": q}, ell, load, stem=f"b{ell}-q{q}",
@@ -180,13 +188,13 @@ class Instance:
 
     @classmethod
     def complex(cls, cx: Complex, label: dict | None = None) -> Instance:
-        """A complex without symmetry data, labelled by its sha256 unless told otherwise."""
-        inst = cls(label, cx.dim, lambda: (cx, None))
+        """A complex with the trivial symmetry, labelled by its sha256 unless told otherwise."""
+        inst = cls(label, cx.dim, lambda: (cx, Symmetry.trivial(cx)))
         if label is None:
             inst.label = {"sha256": inst.stem[1:]}
         return inst
 
-    def _data(self) -> tuple[Complex, Symmetry | None]:
+    def _data(self) -> tuple[Complex, Symmetry]:
         if self._loaded is None:
             self._loaded = self._load()
         return self._loaded
@@ -194,6 +202,10 @@ class Instance:
     @property
     def cx(self) -> Complex:
         return self._data()[0]
+
+    @property
+    def symmetry(self) -> Symmetry:
+        return self._data()[1]
 
     @property
     def stem(self) -> str:
@@ -205,15 +217,6 @@ class Instance:
         """The label of this instance's documents in degree i."""
         return dict(self.label, i=i)
 
-    def witness_columns(self, i: int) -> list[int] | None:
-        symmetry = self._data()[1]
-        return None if symmetry is None else symmetry.witness_columns(i)
-
-    def link_orbits(self) -> list[LinkOrbit]:
-        cx, symmetry = self._data()
-        if symmetry is not None:
-            return symmetry.links
-        return [LinkOrbit(v, 1, f"vertex-{v}", {"vertex": v}) for v in cx.vertices]
 
 
 def default_grid() -> list[tuple[int, int, int]]:
@@ -533,13 +536,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree: int,
-                       n: int):
+                       complex_dim: int):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
     The roots are re-isolated and must equal the stored ones, and the
-    integer-eigenvalue table (candidates 0..n+1, n the dimension of the
-    complex) is re-evaluated; instance and degree are the caller's.
-    `dim` and `timings` are taken from the file.
+    integer-eigenvalue table is re-evaluated as `compute_spectral_report`
+    forms it for a complex of dimension `complex_dim`; instance and degree
+    are the caller's.  `dim` and `timings` are taken from the file.
     """
     path = cache_dir / f"{key}.json"
     if not path.exists():
@@ -566,7 +569,7 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
         isolation=iso,
         m=m,
         M=big_m,
-        integer_eigenvalues={k: is_eigenvalue(poly, k) for k in range(n + 2)},
+        integer_eigenvalues=integer_table(poly, complex_dim),
         timings=data["timings"],
         den_bound=den_bound,
     )
@@ -590,7 +593,7 @@ def _report(inst: Instance, i: int, instance: dict, width, seed: int,
         if hit is not None:
             return hit
     report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
-                                     witness_columns=inst.witness_columns(i))
+                                     witness_columns=inst.symmetry.witness_columns(i))
     if cache_dir is not None:
         store_report(cache_dir, key, report)
     return report
@@ -607,7 +610,7 @@ def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
 def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
     """Degree-j spectral report and cohomology of one vertex link per link orbit."""
     out = []
-    for orbit in inst.link_orbits():
+    for orbit in inst.symmetry.links:
         link, _ = inst.cx.vertex_link(orbit.vertex)
         out.append({
             "label": orbit.label,

@@ -380,6 +380,11 @@ def is_eigenvalue(p: RatPolynomial, c) -> bool:
     return p(QQ(c)) == 0
 
 
+def integer_table(p: RatPolynomial, complex_dim: int) -> dict[int, bool]:
+    """Which of the integers 0..complex_dim+1 are roots of p."""
+    return {k: is_eigenvalue(p, k) for k in range(complex_dim + 2)}
+
+
 def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
     """Smallest and largest nonzero roots (certified intervals or exact)."""
     nonzero = [r for r in iso.roots if not r.is_zero]
@@ -497,8 +502,9 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
         )
     m, M = extract_extremes(iso)
     if integer_candidates is None:
-        integer_candidates = range(cx.dim + 2)
-    table = {int(k): is_eigenvalue(poly, k) for k in integer_candidates}
+        table = integer_table(poly, cx.dim)
+    else:
+        table = {int(k): is_eigenvalue(poly, k) for k in integer_candidates}
     return SpectralReport(
         instance=instance or {},
         degree=i,

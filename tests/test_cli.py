@@ -94,6 +94,15 @@ def test_spectrum_degree_out_of_range(capsys, cache_args):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "reproduce"])
+def test_budget_is_reported_before_the_degree(capsys, cache_args, command):
+    # (3, 4) is over the chamber budget and i = 9 is out of range: the
+    # building Instance checks its budget when it is made, before any degree
+    code, _out, err = run(capsys, [command, "--ell", "3", "--q", "4", "--i", "9"] + cache_args)
+    assert code == 2
+    assert "over the budget" in err and "out of range" not in err
+
+
 def test_verify_default_degrees_pass(capsys, cache_args):
     code, out, _ = run(capsys, ["verify", "--ell", "1", "--q", "2"] + cache_args)
     assert code == 0

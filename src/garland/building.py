@@ -11,7 +11,14 @@ Canonical data layout, fixed as an external contract:
   * enumerate_subspaces orders by pivot-column set (lexicographic), then
     by the free entries row-major in field enumeration order;
   * building vertex ids are dimension-major: all dim-1 subspaces in
-    enumeration order, then dim-2, and so on;
+    enumeration order, then dim-2, and so on; `vertex_types[v]` is the
+    type of id v.  Every subspace lies on a chamber, so these ids are
+    also the complex's labels and its dense ids;
+  * the chambers are a (chambers x (ell+1)) int32 array of vertex ids,
+    each row ascending in type, in depth-first order: by the dim-1
+    subspace, then by the superspace enumeration order of each step
+    (`_superspace_rows`).  It goes straight to
+    `Complex.from_maximal_simplices`; no tuple per chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 """
@@ -19,7 +26,10 @@ Canonical data layout, fixed as an external contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+
+import numpy as np
 
 from .complexes import Complex
 from .errors import AmbientMismatch, DimensionMismatch, DimensionOutOfRange
@@ -105,9 +115,12 @@ def _superspace_rows(sub: Subspace):
     n = sub.ambient
     q = f.q
     add, neg, mul = f.add_table, f.neg_table, f.mul_table
-    nonpivots = [c for c in range(n) if c not in set(sub.pivots)]
+    pivots = sub.pivots
+    nonpivots = [c for c in range(n) if c not in set(pivots)]
     for t_idx, t in enumerate(nonpivots):
         tail = nonpivots[t_idx + 1 :]
+        # elimination keeps every old pivot, so r goes after the rows pivoting before t
+        at = sum(1 for p in pivots if p < t)
         for assignment in product(range(q), repeat=len(tail)):
             r = [0] * n
             r[t] = 1
@@ -124,25 +137,29 @@ def _superspace_rows(sub: Subspace):
                         for j, x in enumerate(row)
                     )
                 new_rows.append(row)
-            new_rows.append(tuple(r))
-            new_rows.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
+            new_rows.insert(at, tuple(r))
             yield tuple(new_rows)
 
 
 @dataclass
 class TypedBuilding:
-    """A flag complex with its type map and subspace labels."""
+    """A flag complex with its per-vertex type array and subspace labels."""
 
     ell: int
     field: FieldSpec
     complex: Complex
     subspaces: list[Subspace]
-    types: dict[int, int]
+    vertex_types: np.ndarray  # int32, type of vertex id v at position v
     fundamental_chamber: tuple
 
     @property
     def q(self) -> int:
         return self.field.q
+
+    @cached_property
+    def types(self) -> dict[int, int]:
+        """Vertex id -> type, as a dict, for the cochain oracle and the tests."""
+        return dict(enumerate(self.vertex_types.tolist()))
 
 
 def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
@@ -150,42 +167,25 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
         raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
     n = ell + 2
     layers = [enumerate_subspaces(n, d, field) for d in range(1, ell + 2)]
-    subspaces: list[Subspace] = []
-    id_of: list[dict] = []
-    for layer in layers:
-        id_of.append({s.rows: len(subspaces) + i for i, s in enumerate(layer)})
-        subspaces.extend(layer)
-
-    # superspace ids per vertex, for walking complete flags
-    sup: list[list[list[int]]] = []
-    for d, layer in enumerate(layers[:-1]):
-        lookup = id_of[d + 1]
-        sup.append([[lookup[rows] for rows in _superspace_rows(s)] for s in layer])
-
-    chambers: list[tuple] = []
     offsets = [0]
     for layer in layers:
         offsets.append(offsets[-1] + len(layer))
 
-    def extend(prefix: list[int], depth: int, local: int) -> None:
-        if depth == ell:
-            chambers.append(tuple(prefix))
-            return
-        for nxt in sup[depth][local]:
-            prefix.append(nxt)
-            extend(prefix, depth + 1, nxt - offsets[depth + 1])
-            prefix.pop()
-
-    for local, _ in enumerate(layers[0]):
-        extend([local], 0, local)
+    # walk the complete flags one dimension at a time: every d-subspace
+    # has the same number of (d+1)-superspaces, so each superspace-id
+    # table is rectangular and a layer of the walk is one np.repeat
+    chambers = np.arange(len(layers[0]), dtype=np.int32)[:, None]
+    for d, layer in enumerate(layers[:-1]):
+        lookup = {s.rows: offsets[d + 1] + i for i, s in enumerate(layers[d + 1])}
+        sup = np.asarray([[lookup[rows] for rows in _superspace_rows(s)] for s in layer],
+                         dtype=np.int32)
+        nxt = sup[chambers[:, -1] - offsets[d]].reshape(-1, 1)
+        chambers = np.concatenate([np.repeat(chambers, sup.shape[1], axis=0), nxt], axis=1)
 
     cx = Complex.from_maximal_simplices(chambers)
-    types = {}
-    for d, layer in enumerate(layers):
-        for i in range(len(layer)):
-            types[offsets[d] + i] = d
-    chamber = tuple(offsets[d] for d in range(ell + 1))
-    return TypedBuilding(ell, field, cx, subspaces, types, chamber)
+    types = np.repeat(np.arange(ell + 1, dtype=np.int32), [len(layer) for layer in layers])
+    subspaces = [s for layer in layers for s in layer]
+    return TypedBuilding(ell, field, cx, subspaces, types, tuple(offsets[:-1]))
 
 
 def fundamental_chamber_complex(ell: int) -> Complex:
@@ -216,7 +216,7 @@ def type_invariant_lift(b: TypedBuilding, degree: int, face_values) -> Cochain:
 
 
 def witness_columns(b: TypedBuilding, degree: int) -> list[int]:
-    """One basis index per simplex type signature of C^degree.
+    """One basis index per simplex type signature of C^degree, the first in order.
 
     Invertible maps of the ambient space permute the subspaces, preserve
     incidence and hence coface-count weights, and act transitively on
@@ -226,9 +226,6 @@ def witness_columns(b: TypedBuilding, degree: int) -> list[int]:
     (the weighted Laplacian and its polynomials) therefore vanish
     everywhere as soon as they vanish on these columns.
     """
-    seen: dict[tuple, int] = {}
-    for idx, s in enumerate(b.complex.simplices[degree]):
-        sig = tuple(b.types[v] for v in s)
-        if sig not in seen:
-            seen[sig] = idx
-    return sorted(seen.values())
+    signatures = b.vertex_types[b.complex.rows[degree]]
+    _, first = np.unique(signatures, axis=0, return_index=True)
+    return sorted(first.tolist())

@@ -40,6 +40,8 @@ from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
+import numpy as np
+
 from .building import TypedBuilding, flag_complex, witness_columns
 from .complexes import Complex
 from .errors import (
@@ -135,14 +137,9 @@ class Symmetry:
 
 def _type_orbits(b: TypedBuilding) -> list[LinkOrbit]:
     """One representative per vertex type, the least vertex id, with the type's size."""
-    reps: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for v in sorted(b.types):
-        t = b.types[v]
-        reps.setdefault(t, v)
-        counts[t] = counts.get(t, 0) + 1
-    return [LinkOrbit(reps[t], counts[t], f"type-{t}", {"link_type": t, "vertex": reps[t]})
-            for t in sorted(reps)]
+    types, reps, counts = np.unique(b.vertex_types, return_index=True, return_counts=True)
+    return [LinkOrbit(v, c, f"type-{t}", {"link_type": t, "vertex": v})
+            for t, v, c in zip(types.tolist(), reps.tolist(), counts.tolist())]
 
 
 class Instance:
@@ -599,11 +596,15 @@ def _report(inst: Instance, i: int, instance: dict, width, seed: int,
     return report
 
 
+def _check_degree(inst: Instance, i: int) -> None:
+    if not 0 <= i <= inst.n - 1:
+        raise DegreeOutOfRange(f"cochain degree {i} out of range for dimension {inst.n}")
+
+
 def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
                     cache_dir=None) -> SpectralReport:
     """Certified spectral report of degree i, from the cache when it holds one."""
-    if not 0 <= i <= inst.n - 1:
-        raise DegreeOutOfRange(f"cochain degree {i} out of range for dimension {inst.n}")
+    _check_degree(inst, i)
     return _report(inst, i, inst.tag(i), width, seed, cache_dir)
 
 
@@ -622,10 +623,8 @@ def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict
     return out
 
 
-def _reproduction_dict(report: SpectralReport, inst: Instance, i: int) -> dict:
-    if inst.reference is None:
-        raise UnknownReferenceInstance(f"no recorded minimal polynomial for {inst.label}")
-    ref = reference_minimal_polynomial(*inst.reference, i)
+def _reproduction_dict(report: SpectralReport, ref: RatPolynomial, inst: Instance,
+                       i: int) -> dict:
     computed = report.minpoly
     match = computed == ref
     first_diff = None
@@ -648,9 +647,16 @@ def _reproduction_dict(report: SpectralReport, inst: Instance, i: int) -> dict:
 
 def reproduce(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
               cache_dir=None) -> dict:
-    """Exact comparison of the computed minimal polynomial with the recorded one."""
+    """Exact comparison of the computed minimal polynomial with the recorded one.
+
+    The degree and the reference are looked up before anything is computed.
+    """
+    _check_degree(inst, i)
+    if inst.reference is None:
+        raise UnknownReferenceInstance(f"no recorded minimal polynomial for {inst.label}")
+    ref = reference_minimal_polynomial(*inst.reference, i)
     report = spectral_report(inst, i, width, seed, cache_dir)
-    return _reproduction_dict(report, inst, i)
+    return _reproduction_dict(report, ref, inst, i)
 
 
 def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
@@ -676,7 +682,8 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     conj = conjecture_table(report, n - i, n + 1, tag)
     repro = None
     if inst.reference is not None and has_reference(*inst.reference, i):
-        repro = _reproduction_dict(report, inst, i)
+        ref = reference_minimal_polynomial(*inst.reference, i)
+        repro = _reproduction_dict(report, ref, inst, i)
     return {
         "instance": tag,
         "spectral": report.to_json_dict(),

@@ -24,10 +24,12 @@ over the vertices of one type, tau_v contracts a degree-i cochain onto
 a degree-(i-1) cochain on Lk(v) via (tau_v f)(sigma) = f([v, sigma]).
 
 Materialized operators: assemble_matrix builds the Laplacian on C^i
-in integer arrays, never as rationals.  It returns B = L * Delta as CSR
-with Python-int data and the scale L (the lcm of the entry
-denominators of Delta), which is what the certified spectral code
-consumes; the assembly time therefore includes the integer scaling.
+in integer arrays, never as rationals, from the column gather of the
+coboundary (`coboundary_pattern`, one `Complex.facets` call).  It
+returns B = L * Delta as CSR with Python-int data and the scale L (the
+lcm of the entry denominators of Delta), which is what the certified
+spectral code consumes; the assembly time therefore includes the
+integer scaling.
 `LinearOperatorHandle.entries` rebuilds the rational entries from the
 CSR for inspection and tests only.  That the CSR agrees with the
 matrix-free `laplacian_apply` is a test invariant.
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -289,6 +290,17 @@ class LinearOperatorHandle:
         return {(r, col): v for r, col, v in self._triples()}
 
 
+def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and signs of the +-1 coboundary d: C^i -> C^{i+1}.
+
+    Row r of d has the entry signs[j] = (-1)^j at column cols[r, j], the
+    face of (i+1)-simplex r without its vertex j (`Complex.facets`).
+    """
+    if not 0 <= i <= c.dim - 1:
+        raise DegreeOutOfRange(f"coboundary entries need 0 <= i < {c.dim}")
+    return c.facets(i + 1), (-1) ** np.arange(i + 2, dtype=np.int64)
+
+
 def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     """The Laplacian on C^i as B = L * Delta in exact integer CSR form.
 
@@ -301,23 +313,17 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
-    idx = c.index[i]
-    upper = c.simplices[i + 1]
-    m = len(upper)
-    # combinations(t, i+1) lists the faces of t dropping vertex i+1, i,
-    # ..., 0 in turn, and the face without vertex j carries sign (-1)^j
-    cols = np.fromiter((idx[f] for t in upper for f in combinations(t, i + 1)),
-                       dtype=np.int64, count=m * (i + 2))
-    signs = np.tile(np.asarray([(-1) ** (i + 1 - p) for p in range(i + 2)],
-                               dtype=np.int64), m)
+    cols, signs = coboundary_pattern(c, i)
+    m = len(cols)
+    signs = np.tile(signs, m)
     rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=np.int64)
-    d = csr_matrix((signs, cols, rowptr), shape=(m, n))
-    w_up = np.repeat(np.asarray(c.weights[i + 1], dtype=np.int64), i + 2)
-    wd = csr_matrix((signs * w_up, cols, rowptr), shape=(m, n))
+    d = csr_matrix((signs, cols.ravel(), rowptr), shape=(m, n))
+    w_up = np.repeat(c.counts[i + 1], i + 2)
+    wd = csr_matrix((signs * w_up, cols.ravel(), rowptr), shape=(m, n))
     x = (d.T @ wd).tocsr()
     x.eliminate_zeros()
     x.sort_indices()
-    w_row = np.repeat(np.asarray(c.weights[i], dtype=np.int64), np.diff(x.indptr))
+    w_row = np.repeat(c.counts[i], np.diff(x.indptr))
     g = np.gcd(x.data, w_row)
     den = (w_row // g).tolist()
     L = lcm(*set(den))
@@ -336,16 +342,10 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
 
 def coboundary_entries(c: Complex, i: int) -> dict:
     """Sparse +-1 entries of d: C^i -> C^{i+1} over canonical order."""
-    if not 0 <= i <= c.dim - 1:
-        raise DegreeOutOfRange(f"coboundary entries need 0 <= i < {c.dim}")
-    idx = c.index[i]
-    entries: dict = {}
-    for row, t in enumerate(c.simplices[i + 1]):
-        sign = 1
-        for j in range(i + 2):
-            entries[(row, idx[t[:j] + t[j + 1 :]])] = QQ(sign)
-            sign = -sign
-    return entries
+    cols, signs = coboundary_pattern(c, i)
+    qsigns = [QQ(int(v)) for v in signs]
+    return {(row, col): qsigns[j]
+            for row, faces in enumerate(cols.tolist()) for j, col in enumerate(faces)}
 
 
 def dump_matrix_text(handle: LinearOperatorHandle) -> str:

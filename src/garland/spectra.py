@@ -12,9 +12,11 @@ The minimal polynomial is guessed fast and then proved:
      ... mod p for a ladder of seed sets and take the lcm of the per-seed
      annihilators.  Each lcm divides the minimal polynomial of B mod p,
      which divides min_B mod p, so its degree is a LOWER bound on
-     deg min_B.  The rungs are 5, 10 and 20 pseudo-random seeds (a rung
-     stops early once one more seed leaves the lcm unchanged), then the
-     basis vectors e_j of the certification columns, all of them, with
+     deg min_B.  The rungs are 5, 10 and 20 pseudo-random seeds, fresh
+     on each rung (stream indices 0-4, 5-14 and 15-34; a rung stops
+     early once one more seed leaves the lcm unchanged, and seeds that
+     stopped one rung short do not stop the next), then the basis
+     vectors e_j of the certification columns, all of them, with
      no early stop: that lcm is the minimal polynomial of B mod p, which
      equals min_B mod p for all but finitely many p.
   3. Reconstruct the integer coefficients by balanced CRT across primes
@@ -43,10 +45,18 @@ owns that transitivity claim.  The same argument over F_p makes the
 basis-vector rung's lcm over the witnesses the minimal polynomial of
 B mod p.
 
-Seed vectors are a documented fixed pseudo-random stream: entries of
-seed vector `index` are random.Random(f"{seed}:{index}").randrange(-3, 4),
-resampled while all-zero.  The certified result is the unique minimal
-polynomial, so --seed never changes reported values.
+Seed vectors are a documented fixed pseudo-random stream: seed vector
+`index` is drawn whole, as n integers in [-3, 3], by
+numpy.random.default_rng([seed mod 2**64, index]).integers(-3, 4, n),
+and drawn again from the same generator while it is all zero.  The
+certified result is the unique minimal polynomial, so --seed never
+changes reported values.
+
+The CSR data of B are Python ints, because L can pass 2**63.  When every
+entry fits int64 they are converted to one int64 array once per
+operator (per `minimal_polynomial` or `certify_annihilates` call) and
+reduced mod each prime in numpy; otherwise each prime reduces the
+Python ints.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isqrt, lcm
-from random import Random
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -67,7 +76,7 @@ from .errors import (
     NotSquare,
     NotSquarefree,
 )
-from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_entries
+from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from .polyq import (
     RatPolynomial,
     RootInterval,
@@ -80,12 +89,27 @@ from .rationals import QQ, QQ1, qstr
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _seed_values(n: int, index: int, seed: int) -> list[int]:
-    rng = Random(f"{seed}:{index}")
+def _seed_values(n: int, index: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed % 2**64, index])
     while True:
-        v = [rng.randrange(-3, 4) for _ in range(n)]
-        if any(v):
+        v = rng.integers(-3, 4, size=n)
+        if v.any():
             return v
+
+
+def _modular_data(data: list[int]):
+    """CSR data ready for `_reduce`: one int64 array when every entry fits, else the ints."""
+    try:
+        return np.asarray(data, dtype=np.int64)
+    except OverflowError:
+        return data
+
+
+def _reduce(data, p: int) -> np.ndarray:
+    """`_modular_data` output mod p, as int64 entries in [0, p)."""
+    if isinstance(data, np.ndarray):
+        return data % p
+    return np.asarray([x % p for x in data], dtype=np.int64)
 
 
 # -- modular Krylov -------------------------------------------------------------
@@ -144,7 +168,7 @@ def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
     """
     basis: list[tuple[int, np.ndarray]] = []
     combos: list[list[int]] = []
-    raw = np.asarray([x % p for x in v0], dtype=np.int64)
+    raw = np.asarray(v0, dtype=np.int64) % p
     k = 0
     while True:
         # reduce a copy; `raw` must stay B^k v0 for the combos to mean
@@ -168,27 +192,32 @@ def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
         k += 1
 
 
-def _ladder_seeds(n: int, seed: int, rung: int | None, columns):
-    """Seed vectors of one ladder rung: `rung` pseudo-random vectors, or
-    for the final rung (None) the basis vectors e_j, j in `columns`."""
+# the pseudo-random rungs as ranges of seed-stream indices, then the basis rung
+_RUNGS = (range(0, 5), range(5, 15), range(15, 35), None)
+
+
+def _ladder_seeds(n: int, seed: int, rung: range | None, columns):
+    """Seed vectors of one ladder rung: the pseudo-random vectors of the
+    stream indices in `rung`, or for the final rung (None) the basis
+    vectors e_j, j in `columns`."""
     if rung is None:
         for j in columns:
             e = [0] * n
             e[j] = 1
             yield e
     else:
-        for index in range(rung):
+        for index in rung:
             yield _seed_values(n, index, seed)
 
 
 def _minpoly_mod_p(n, indptr_np, indices_np, data, p, seeds, stop_early) -> list[int]:
     """lcm of the seeds' annihilators under B mod p; a divisor of min_{B mod p}.
 
-    With `stop_early` the lcm is returned as soon as one more seed
-    leaves it unchanged.
+    `data` is the CSR data of B, as Python ints or `_modular_data`.  With
+    `stop_early` the lcm is returned as soon as one more seed leaves it
+    unchanged.
     """
-    dmod = np.asarray([x % p for x in data], dtype=np.int64)
-    bp = csr_matrix((dmod, indices_np, indptr_np), shape=(n, n))
+    bp = csr_matrix((_reduce(data, p), indices_np, indptr_np), shape=(n, n))
     acc = [1]
     for index, v0 in enumerate(seeds):
         ann = _krylov_annihilator_mod_p(n, bp, p, v0)
@@ -291,9 +320,9 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
             break
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
+    data = _modular_data(data)
     for q in primes:
-        dmod = np.asarray([x % q for x in data], dtype=np.int64)
-        bq = csr_matrix((dmod, indices_np, indptr_np), shape=(n, n))
+        bq = csr_matrix((_reduce(data, q), indices_np, indptr_np), shape=(n, n))
         cmod = [c % q for c in coeffs]
         for c0 in range(0, len(cols_np), block):
             cols = cols_np[c0:c0 + block]
@@ -332,16 +361,17 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
     columns = range(n) if witness_columns is None else witness_columns
+    data_mod = _modular_data(data)
 
     prime_iter = _prime_stream(max_nnz)
     # unlucky seeds or primes move on to a deeper rung and fresh primes
-    for rung in (5, 10, 20, None):
+    for rung in _RUNGS:
         best: dict[int, list[int]] = {}
         best_deg = -1
         prev: list[int] | None = None
         for _ in range(40):
             p = next(prime_iter)
-            mp = _minpoly_mod_p(n, indptr, indices, data, p,
+            mp = _minpoly_mod_p(n, indptr, indices, data_mod, p,
                                 _ladder_seeds(n, seed, rung, columns),
                                 stop_early=rung is not None)
             deg = len(mp) - 1
@@ -397,12 +427,10 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 
 
 def _coboundary_int_rows(cx: Complex, i: int) -> list[list[int]]:
-    nrows = cx.num_simplices(i + 1)
-    ncols = cx.num_simplices(i)
-    rows = [[0] * ncols for _ in range(nrows)]
-    for (r, c), v in coboundary_entries(cx, i).items():
-        rows[r][c] = int(v)
-    return rows
+    cols, signs = coboundary_pattern(cx, i)
+    rows = np.zeros((len(cols), cx.num_simplices(i)), dtype=np.int64)
+    rows[np.arange(len(cols))[:, None], cols] = signs
+    return rows.tolist()
 
 
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:

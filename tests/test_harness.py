@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from garland import harness
+from garland import complexes, harness
 from garland.complexes import from_maximal_simplices
 from garland.errors import BudgetExceeded, DegreeOutOfRange, UnknownReferenceInstance
 from garland.harness import (
@@ -76,6 +76,14 @@ def test_budget_gate():
     with pytest.raises(BudgetExceeded):
         ensure_budget(2, 2, budget=100)
     assert DEFAULT_CHAMBER_BUDGET == 700_000
+
+
+@pytest.mark.parametrize("ell, q", [(2, 3), (4, 2)])
+def test_budget_edge(ell, q):
+    # the budget counts chambers inclusively: exactly enough passes
+    ensure_budget(ell, q, budget=chamber_count(ell, q))
+    with pytest.raises(BudgetExceeded):
+        ensure_budget(ell, q, budget=chamber_count(ell, q) - 1)
 
 
 def test_grids():
@@ -304,6 +312,36 @@ def test_reproduce_unknown_instance(shared_cache):
         reproduce(Instance.building(3, 2), 1, cache_dir=shared_cache)
     with pytest.raises(UnknownReferenceInstance):
         reproduce(Instance.complex(from_maximal_simplices([(0, 1)])), 0)
+
+
+def test_reproduce_checks_the_reference_before_computing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report was computed before the reference lookup")
+
+    monkeypatch.setattr(harness, "compute_spectral_report", refuse)
+    with pytest.raises(UnknownReferenceInstance):
+        reproduce(Instance.building(3, 2), 1)
+    with pytest.raises(UnknownReferenceInstance):
+        reproduce(Instance.complex(from_maximal_simplices([(0, 1)])), 0)
+    with pytest.raises(DegreeOutOfRange):  # the degree is still checked first
+        reproduce(Instance.building(3, 2), 3)
+
+
+def test_report_path_builds_no_face_views(monkeypatch, tmp_path):
+    # the per-face tuple and dict views are for the oracle only: a run
+    # works on the arrays, and this fails if any view is read on it
+    def refuse(self):
+        raise AssertionError("a per-face view was built on the report path")
+
+    monkeypatch.setattr(complexes._View, "_list", refuse)
+    monkeypatch.setattr(harness, "_BUILDINGS", {})  # a fresh building
+    doc = run_instance(Instance.building(2, 2), 1, cache_dir=tmp_path)
+    assert doc["reproduction"]["match"] is True
+    b = harness._BUILDINGS[(2, 2)]
+    assert "types" not in vars(b)
+    assert "index" not in vars(b.complex)
+    links = [b.complex.vertex_link(v)[0] for v in (0, 15, 50)]  # the memoized ones
+    assert all("index" not in vars(lk) for lk in links)
 
 
 def test_run_instance_document(doc221):

@@ -177,6 +177,26 @@ def test_seed_ladder_falls_back_to_basis_vectors(b12, b22, monkeypatch):
     assert got[0] == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
 
 
+def test_each_rung_draws_fresh_seeds(b22, monkeypatch):
+    # seeds 0-4 lie in ker Delta_0, so the first rung stops early on x
+    # alone and fails certification; the next rung must not reuse them
+    draw = spectra._seed_values
+    monkeypatch.setattr(spectra, "_seed_values",
+                        lambda n, index, seed: [1] * n if index < 5 else draw(n, index, seed))
+    krylov = spectra._krylov_annihilator_mod_p
+    basis_seeded = []
+
+    def recording(n, bp, p, v0):
+        if list(v0).count(0) == n - 1:
+            basis_seeded.append(p)
+        return krylov(n, bp, p, v0)
+
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", recording)
+    op = assemble_matrix(b22.complex, 0)
+    assert minimal_polynomial(op) == sympy_minpoly(op)
+    assert basis_seeded == []  # the second rung found it
+
+
 def test_uncertified_candidates_raise(b12, monkeypatch):
     monkeypatch.setattr(spectra, "certify_annihilates", lambda *args, **kw: False)
     with pytest.raises(CertificationFailed):
@@ -236,6 +256,33 @@ def test_scale_beyond_int64():
     report = compute_spectral_report(cx, 0)
     assert report.den_bound == L
     assert [r.value for r in report.isolation.roots] == [0, 1, 2]
+
+
+def test_int64_and_python_int_reductions_agree(b22):
+    # data that fit int64 are converted once and reduced in numpy; the
+    # Python-int path must give the same residues
+    for i in (0, 1):
+        data = assemble_matrix(b22.complex, i).data
+        fast = spectra._modular_data(data)
+        assert isinstance(fast, np.ndarray) and fast.dtype == np.int64
+        for p in (3, 1_000_003, next(spectra._prime_stream(7))):
+            got = spectra._reduce(fast, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, spectra._reduce(data, p))
+            assert got.tolist() == [x % p for x in data]
+    # entries past int64 stay Python ints (test_scale_beyond_int64 runs that path)
+    big = assemble_matrix(star_union(47)[0], 0).data
+    assert max(map(abs, big)) >= 2**63
+    assert spectra._modular_data(big) is big
+
+
+def test_seed_vectors_are_a_fixed_stream():
+    a = spectra._seed_values(50, 3, -7)
+    assert np.array_equal(a, spectra._seed_values(50, 3, -7))
+    assert not np.array_equal(a, spectra._seed_values(50, 4, -7))
+    assert a.any() and a.min() >= -3 and a.max() <= 3
+    # a one-entry vector is redrawn until it is nonzero
+    assert all(spectra._seed_values(1, k, 0)[0] != 0 for k in range(30))
 
 
 def test_non_square_is_rejected():

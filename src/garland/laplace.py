@@ -301,14 +301,26 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
     return c.facets(i + 1), (-1) ** np.arange(i + 2, dtype=np.int64)
 
 
+def _int64_scale(num: np.ndarray, den: np.ndarray, L: int) -> np.ndarray | None:
+    """L // den as int64 when every product num * (L // den) fits int64, else None."""
+    if L >= 2**63:
+        return None
+    scale = L // den
+    top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
+    if top * int(scale.max(initial=0)) >= 2**63:
+        return None
+    return scale
+
+
 def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     """The Laplacian on C^i as B = L * Delta in exact integer CSR form.
 
     With d the +-1 coboundary C^i -> C^{i+1}, Delta = diag(1/w_i) X for
     X = d^T diag(w_{i+1}) d, so entry (r, c) of Delta is x / w_r with x
     from X.  Reduced by g = gcd(x, w_r) its denominator is w_r / g, L is
-    the lcm of those, and B holds (x / g) * (L / (w_r / g)).  The
-    per-entry scaling and L use Python ints, because L can pass 2**63.
+    the lcm of those, and B holds (x / g) * (L / (w_r / g)).  L and the
+    entries are Python ints, because they can pass 2**63; the products are
+    taken in int64 when they all fit and one entry at a time otherwise.
     """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
@@ -323,11 +335,18 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     x = (d.T @ wd).tocsr()
     x.eliminate_zeros()
     x.sort_indices()
-    w_row = np.repeat(c.counts[i], np.diff(x.indptr))
-    g = np.gcd(x.data, w_row)
-    den = (w_row // g).tolist()
-    L = lcm(*set(den))
-    data = [a * (L // b) for a, b in zip((x.data // g).tolist(), den)]
+    # in place, to keep the peak down: x.data becomes x / g and den w_r / g
+    den = np.repeat(c.counts[i], np.diff(x.indptr))
+    g = np.gcd(x.data, den)
+    x.data //= g
+    den //= g
+    L = lcm(*np.unique(den).tolist())
+    scale = _int64_scale(x.data, den, L)
+    if scale is not None:
+        scale *= x.data
+        data = scale.tolist()
+    else:
+        data = [a * (L // b) for a, b in zip(x.data.tolist(), den.tolist())]
     return LinearOperatorHandle(
         domain_degree=i,
         codomain_degree=i,

@@ -4,16 +4,49 @@ Coefficient vectors are stored low-to-high, which is also the serialized
 form: "c0/d0 c1/d1 ..." with every coefficient written as an explicit
 fraction.  The zero polynomial serializes as "0/1" and reports degree -1.
 
-Root isolation is Sturm-chain bisection with exact rational endpoints.
-On top of the usual interval narrowing there is a certified rational-root
-pass that needs no integer factorization: any rational root of a monic
-p has denominator dividing D = lcm of p's coefficient denominators, and
-two distinct rationals with denominators <= D differ by at least 1/D^2.
-Once an isolating interval is narrower than 1/D^2 it contains at most one
-such rational, and that rational (if present) is the interval's unique
-minimal-denominator element, i.e. its Stern-Brocot "simplest" rational.
-Testing p at that single point therefore decides rationality exactly:
-p(s) = 0 certifies the root, p(s) != 0 certifies irrationality.
+Root isolation is Sturm-chain bisection with exact rational endpoints,
+and every sign it reads is computed in Python integers (after Collins and
+Loos, "Real zeros of polynomials", 1982).
+
+The chain.  For squarefree p the rational Sturm chain is p0 = p, p1 = p',
+p(k+1) = -rem(p(k-1), p(k)), ending in a nonzero constant.  The integer
+chain starts from c0 and c1, the coprime integer positive multiples of p
+and p', and continues with c(k+1) = -prem(c(k-1), c(k)) divided by its
+content, where prem(a, b) is the pseudo-remainder with the positive
+multiplier |lc(b)|^(delta+1), delta = deg a - deg b:
+
+    |lc(b)|^(delta+1) a = q b + prem(a, b),   deg prem(a, b) < deg b.
+
+If c(k-1) = s p(k-1) and c(k) = t p(k) with s, t > 0, then rem(c(k-1),
+c(k)) = s rem(p(k-1), p(k)), so prem(c(k-1), c(k)) is a positive multiple
+of rem(p(k-1), p(k)), and c(k+1) is a positive multiple of p(k+1).  By
+induction every member of the integer chain is a positive multiple of the
+rational member; a degree gap (delta > 1) only raises the exponent.  So
+at every x both chains have the same sign member by member and the same
+number of sign variations, and c(k+1) is the coprime integer polynomial
+that `RatPolynomial.primitive` makes of p(k+1).  The last member is
+gcd(p, p') up to a positive factor: p is squarefree exactly when the
+chain ends in a constant.
+
+Signs.  For x = u / v with v > 0 and c of degree d, v^d c(x) is the
+integer sum of c_j u^j v^(d-j) and has the sign of c(x).  Bisection runs
+in the coordinate y = x b / a, where a / b is the Cauchy bound of p: each
+member becomes the integer polynomial b^d c(a y / b), a positive multiple
+of c(x), and every endpoint is y = n / 2^k, where the sum of
+q_j n^j 2^(k (d-j)) is a Horner loop of multiplications by n and shifts.
+A `Fraction` is built only for what is handed back, the endpoints
+a n / (b 2^k), which are the rationals that halving (-a/b, a/b] gives.
+
+Rational roots.  On top of the usual interval narrowing there is a
+certified rational-root pass that needs no integer factorization: any
+rational root of a monic p has denominator dividing D = lcm of p's
+coefficient denominators, and two distinct rationals with denominators
+<= D differ by at least 1/D^2.  Once an isolating interval is narrower
+than 1/D^2 it contains at most one such rational, and that rational (if
+present) is the interval's unique minimal-denominator element, i.e. its
+Stern-Brocot "simplest" rational.  Testing p at that single point
+therefore decides rationality exactly: p(s) = 0 certifies the root,
+p(s) != 0 certifies irrationality.
 """
 
 from __future__ import annotations
@@ -22,7 +55,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import NotSquarefree
-from .rationals import QQ, QQ0, QQ1, ceil_q, floor_q, parse_qstr, qstr
+from .rationals import QQ, QQ0, QQ1, floor_q, parse_qstr, qstr
 
 
 @dataclass(frozen=True)
@@ -192,42 +225,180 @@ def poly_product(factors) -> RatPolynomial:
 
 
 def is_squarefree(p: RatPolynomial) -> bool:
-    if p.degree <= 1:
-        return not p.is_zero
-    return p.gcd(p.derivative()).degree == 0
+    """gcd(p, p') is constant: p's Sturm chain ends in a constant."""
+    return len(sturm_chain(p)[-1]) == 1
 
 
-# -- Sturm machinery ----------------------------------------------------------
+# -- integer Sturm machinery ----------------------------------------------------
 
 
-def sturm_chain(p: RatPolynomial) -> list[RatPolynomial]:
-    # primitive renormalization is by positive factors, which keeps the
-    # sign-variation counts intact and the coefficients integral
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero:
-        chain.append((-(chain[-2] % chain[-1])).primitive())
-    chain.pop()
+def _primitive(cs) -> tuple[int, ...]:
+    """Integer coefficients over their positive content, high zeros stripped."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    g = gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _integer_coeffs(p: RatPolynomial) -> tuple[int, ...]:
+    """The coprime integer coefficients of the positive multiple of p."""
+    den = lcm(*(int(c.denominator) for c in p.coeffs))
+    return _primitive(int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs)
+
+
+def _next_member(a: tuple, b: tuple) -> tuple[int, ...]:
+    """-prem(a, b) over its positive content.
+
+    prem(a, b) = |lc(b)|^(delta+1) (a mod b) with delta = deg a - deg b,
+    so any degree gap only raises the exponent.
+    """
+    r = list(a)
+    db = len(b) - 1
+    m = abs(b[-1])
+    neg = b[-1] < 0
+    low = b[:-1]
+    for i in range(len(r) - 1, db - 1, -1):
+        # r <- m r - sign(lc b) r_i x^(i - db) b clears r_i
+        f = -r[i] if neg else r[i]
+        r[:i] = [m * x for x in r[:i]]
+        for j, y in enumerate(low, i - db):
+            r[j] -= f * y
+    return _primitive(-x for x in r[:db])
+
+
+def _chain(c: tuple) -> list[tuple[int, ...]]:
+    chain = [c]
+    nxt = _primitive(j * x for j, x in enumerate(c) if j)
+    while nxt:
+        chain.append(nxt)
+        nxt = _next_member(chain[-2], nxt)
     return chain
 
 
-def _variations(chain: list[RatPolynomial], x) -> int:
-    signs = []
-    for poly in chain:
-        v = poly(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sturm_chain(p: RatPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain of p as coprime integer coefficient tuples, low to high.
+
+    Member k is the positive multiple of the k-th rational member p, p',
+    -rem(p, p'), ... (module docstring); the last is gcd(p, p') up to a
+    positive factor.
+    """
+    return _chain(_integer_coeffs(p))
 
 
-def count_roots_halfopen(chain: list[RatPolynomial], a, b) -> int:
+def _scaled(c: tuple, a: int, b: int) -> list[int]:
+    """Coefficients c_j a^j b^(d-j) of b^d c(a y / b), d = deg c."""
+    out = list(c)
+    w = 1
+    for j in range(len(out) - 2, -1, -1):
+        w *= b
+        out[j] *= w
+    w = 1
+    for j in range(1, len(out)):
+        w *= a
+        out[j] *= w
+    return out
+
+
+def _sign_at(c: tuple, u: int, v: int) -> int:
+    """Sign of c at u / v for v > 0, from the integer v^d c(u / v)."""
+    s = sum(_scaled(c, u, v))
+    return (s > 0) - (s < 0)
+
+
+def _sign_dyadic(q, n: int, k: int) -> int:
+    """Sign of q at n / 2**k: Horner on sum q_j n^j 2^(k (d-j)) with shifts."""
+    it = reversed(q)
+    acc = next(it)
+    s = 0
+    for x in it:
+        s += k
+        acc = acc * n + (x << s)
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(signs) -> int:
+    count = last = 0
+    for s in signs:
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
+
+
+def _variations_at(chain: list[tuple], x) -> int:
+    x = QQ(x)
+    u, v = int(x.numerator), int(x.denominator)
+    return _variations(_sign_at(c, u, v) for c in chain)
+
+
+def count_roots_halfopen(chain: list[tuple], a, b) -> int:
     """Number of distinct real roots in (a, b], from a squarefree Sturm chain."""
-    return _variations(chain, QQ(a)) - _variations(chain, QQ(b))
+    return _variations_at(chain, a) - _variations_at(chain, b)
+
+
+def _cauchy_bound(c: tuple) -> tuple[int, int]:
+    """Cauchy bound 1 + max |c_j / c_d| of a nonconstant c as a reduced a / b."""
+    lead = abs(c[-1])
+    a = lead + max(abs(x) for x in c[:-1])
+    g = gcd(a, lead)
+    return a // g, lead // g
 
 
 def root_magnitude_bound(p: RatPolynomial) -> QQ:
     """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    lead = p.coeffs[-1]
-    return QQ1 + max((abs(c / lead) for c in p.coeffs[:-1]), default=QQ0)
+    if p.degree <= 0:
+        return QQ1
+    return QQ(*_cauchy_bound(_integer_coeffs(p)))
+
+
+class _Frame:
+    """A chain in the coordinate y = x b / a (a, b > 0), read at y = n / 2**k.
+
+    Each member c becomes b^d c(a y / b) over its content, a positive
+    multiple, so the signs are those of c at x = a n / (b 2^k).
+    """
+
+    __slots__ = ("a", "b", "members")
+
+    def __init__(self, chain: list[tuple], a: int, b: int):
+        self.a, self.b = a, b
+        self.members = [_primitive(_scaled(c, a, b)) for c in chain]
+
+    def signs(self, n: int, k: int) -> list[int]:
+        return [_sign_dyadic(q, n, k) for q in self.members]
+
+    def sign(self, n: int, k: int) -> int:
+        """Sign of the first member."""
+        return _sign_dyadic(self.members[0], n, k)
+
+    def point(self, n: int, k: int) -> QQ:
+        return QQ(self.a * n, self.b << k)
+
+
+def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int]:
+    """Halve (n, n + delta] / 2**k around its one root until done(n, k).
+
+    The frame's first member must have exactly one root in the interval,
+    a simple one.  The root lies in the left half (2n, 2n + delta] of
+    level k + 1 exactly when the midpoint is the root or has the sign of
+    the right end (zero when the right end is the root), which is the
+    choice the Sturm count of each half makes.
+    """
+    if done(n, k):
+        return n, k
+    s_hi = frame.sign(n + delta, k)
+    while True:
+        mid = 2 * n + delta
+        k += 1
+        s = frame.sign(mid, k)
+        if s == s_hi or s == 0:
+            n, s_hi = 2 * n, s
+        else:
+            n = mid
+        if done(n, k):
+            return n, k
 
 
 def simplest_between(a, b):
@@ -282,11 +453,17 @@ class RootInterval:
 
 @dataclass
 class RootIsolation:
-    """All real roots of a squarefree polynomial, isolated and sorted."""
+    """All real roots of a squarefree polynomial, isolated and sorted.
+
+    `poly` is the monic input and `chain` its integer Sturm chain
+    (`sturm_chain`), which `count_in_halfopen` reads.  The interval (lo,
+    hi] of an irrational root holds no other root of `poly`; `refine`
+    halves it by the sign of `poly` alone.
+    """
 
     poly: RatPolynomial
     roots: list[RootInterval]
-    chain: list[RatPolynomial]
+    chain: list[tuple[int, ...]]
 
     @property
     def real_root_count(self) -> int:
@@ -296,22 +473,44 @@ class RootIsolation:
         return count_roots_halfopen(self.chain, a, b)
 
     def refine(self, width) -> "RootIsolation":
+        """Bisect each irrational interval until it is at most `width` wide."""
         width = QQ(width)
+        wn, wd = int(width.numerator), int(width.denominator)
         out = []
         for r in self.roots:
             if r.value is not None:
                 out.append(r)
                 continue
-            lo, hi = r.lo, r.hi
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                # mid cannot be a root: rationality was settled at isolation time
-                if count_roots_halfopen(self.chain, lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
-            out.append(RootInterval(lo, hi))
+            # (lo, hi] = (n, n + delta] / den holds one root of poly
+            den = lcm(int(r.lo.denominator), int(r.hi.denominator))
+            n = int(r.lo.numerator) * (den // int(r.lo.denominator))
+            delta = int(r.hi.numerator) * (den // int(r.hi.denominator)) - n
+            frame = _Frame(self.chain[:1], 1, den)
+            kstop = _halvings(delta, den, wn, wd)
+            n, k = _bisect(frame, n, 0, delta, lambda n, k: k >= kstop)
+            out.append(RootInterval(frame.point(n, k), frame.point(n + delta, k)))
         return RootIsolation(self.poly, out, self.chain)
+
+
+def _deflate(c: tuple, u: int, v: int) -> tuple[int, ...]:
+    """c / (v x - u) for a root u / v of c (v > 0), over its content.
+
+    By Gauss's lemma the quotient of the primitive c is integral.
+    """
+    q = [0] * (len(c) - 1)
+    acc = 0
+    for j in range(len(c) - 1, 0, -1):
+        acc = (c[j] + u * acc) // v
+        q[j - 1] = acc
+    return _primitive(q)
+
+
+def _halvings(span_num: int, span_den: int, tn: int, td: int) -> int:
+    """Fewest k >= 0 with span / 2**k <= tn / td."""
+    k = 0
+    while span_num * td > (tn * span_den) << k:
+        k += 1
+    return k
 
 
 def isolate_real_roots(p: RatPolynomial, width="1/1000000",
@@ -319,42 +518,53 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
     """Isolate every real root of squarefree p into disjoint intervals.
 
     Intervals come out no wider than `width` and every rational root is
-    detected exactly (see module docstring for the certificate).
+    detected exactly (see module docstring for the certificate).  Raises
+    NotSquarefree unless p is nonzero and squarefree; that test reads the
+    chain the isolation needs anyway.  The returned `RootIsolation`
+    carries the monic p and its integer Sturm chain.
 
     `den_bound` caps the denominator of any rational root of p.  The
-    default, the lcm D of p's coefficient denominators, is always valid
-    for monic p but can be enormous; a caller who knows p is the minimal
+    default, the lcm D of the coefficient denominators of monic p, is
+    always valid but can be enormous; a caller who knows p is the minimal
     polynomial of B/L for an integer matrix B may pass L, since monic
     integer polynomials have only integer rational roots.
     """
-    if p.is_zero or not is_squarefree(p):
+    c = _integer_coeffs(p)
+    if c and c[-1] < 0:
+        c = tuple(-x for x in c)
+    chain = _chain(c)
+    if len(chain[-1]) != 1:
         raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {p!r}")
     width = QQ(width)
-    p = p.monic()
+    wn, wd = int(width.numerator), int(width.denominator)
 
-    exact: list[QQ] = []
+    exact: list[tuple[int, int]] = []  # reduced (u, v) of each root u / v
+    current = chain
 
     # Rational roots surface through deflate-and-restart: every bisection
     # point is zero-tested before it becomes an endpoint, and once an
     # interval is narrow enough the simplest-rational certificate settles
     # rationality, so no up-front root scan is needed.
     while True:
-        restart = False
-        if p.degree <= 0:
-            intervals: list[tuple] = []
-            chain = sturm_chain(p) if p.degree >= 0 else [p]
+        frame, done = None, []
+        if len(c) <= 1:
             break
+        lead = c[-1]
         if den_bound is None:
-            denom_bound = lcm(*(int(c.denominator) for c in p.coeffs))
+            dbound = lcm(*(lead // gcd(x, lead) for x in c))
         else:
-            denom_bound = int(den_bound)
-        target = min(width, QQ(1, 2 * denom_bound * denom_bound))
-        chain = sturm_chain(p)
-        bound = root_magnitude_bound(p)
-        work = [(-bound, bound, count_roots_halfopen(chain, -bound, bound))]
-        done: list[tuple] = []
-        while work:
-            lo, hi, count = work.pop()
+            dbound = int(den_bound)
+        # target width min(width, 1 / (2 D^2)) as tn / td
+        tn, td = (wn, wd) if wn * 2 * dbound * dbound <= wd else (1, 2 * dbound * dbound)
+        a, b = _cauchy_bound(c)
+        frame = _Frame(current, a, b)
+        # the interval (n, n + 2] / 2**k in y = x b / a is 2 a / (b 2^k) wide in x
+        kstop = _halvings(2 * a, b, tn, td)
+        work = [(-1, 0, _variations(frame.signs(-1, 0)), _variations(frame.signs(1, 0)))]
+        root = None
+        while work and root is None:
+            n, k, v_lo, v_hi = work.pop()
+            count = v_lo - v_hi
             if count == 0:
                 continue
             if count == 1:
@@ -362,63 +572,58 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
                 # interior endpoints were zero-tested as midpoints), so
                 # the lone simple root flips the sign of p and plain sign
                 # bisection narrows the interval without the chain
-                sign_lo = 1 if p(lo) > 0 else -1
-                while hi - lo > target:
-                    mid = (lo + hi) / 2
-                    v = p(mid)
-                    if v == 0:
-                        exact.append(mid)
-                        p = (p // RatPolynomial((-mid, QQ1))).monic()
-                        restart = True
+                sign_lo = frame.sign(n, k)
+                while k < kstop:
+                    mid = 2 * n + 2
+                    k += 1
+                    s = frame.sign(mid, k)
+                    if s == 0:
+                        root = (mid, k)
                         break
-                    if (1 if v > 0 else -1) == sign_lo:
-                        lo = mid
-                    else:
-                        hi = mid
-                if restart:
-                    break
-                done.append((lo, hi))
+                    n = mid if s == sign_lo else 2 * n
+                else:
+                    done.append((n, k))
                 continue
-            mid = (lo + hi) / 2
-            if p(mid) == 0:
+            mid = 2 * n + 2
+            signs = frame.signs(mid, k + 1)
+            if signs[0] == 0:
                 # exact root hit mid-bisection: deflate and redo isolation
-                exact.append(mid)
-                p = (p // RatPolynomial((-mid, QQ1))).monic()
-                restart = True
+                root = (mid, k + 1)
                 break
-            left = count_roots_halfopen(chain, lo, mid)
-            work.append((lo, mid, left))
-            work.append((mid, hi, count - left))
-        if restart:
-            continue
-        intervals = []
-        for lo, hi in done:
-            if p(hi) == 0:
-                exact.append(hi)
-                continue
-            s = simplest_between(lo, hi)
-            if p(s) == 0:
-                exact.append(s)
-            else:
-                intervals.append((lo, hi))
-        break
+            v_mid = _variations(signs)
+            work.append((2 * n, k + 1, v_lo, v_mid))
+            work.append((mid, k + 1, v_mid, v_hi))
+        if root is None:
+            break
+        u, v = a * root[0], b << root[1]
+        g = gcd(u, v)
+        exact.append((u // g, v // g))
+        c = _deflate(c, u // g, v // g)
+        current = _chain(c)
+
+    intervals = []
+    for n, k in done:
+        # at most 1 / (2 D^2) wide, the interval holds a rational root only
+        # as its simplest rational (module docstring); its right end is
+        # the strict bound or a midpoint tested above, never a root
+        s = simplest_between(frame.point(n, k), frame.point(n + 2, k))
+        u, v = int(s.numerator), int(s.denominator)
+        if _sign_at(c, u, v) == 0:
+            exact.append((u, v))
+        else:
+            intervals.append((n, k))
 
     # shrink intervals until no previously deflated exact root sits inside,
-    # so each interval isolates exactly one root of the ORIGINAL polynomial
-    cleaned = []
-    for lo, hi in intervals:
-        while any(lo < v <= hi for v in exact):
-            mid = (lo + hi) / 2
-            if count_roots_halfopen(chain, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        cleaned.append((lo, hi))
-    intervals = cleaned
+    # so each interval isolates exactly one root of the input polynomial
+    def clear(n, k):
+        # no u / v with lo < u / v <= hi
+        lo, hi = frame.a * n, frame.a * (n + 2)
+        w = frame.b << k
+        return not any(lo * v < u * w <= hi * v for u, v in exact)
 
-    roots = [RootInterval(v, v, v) for v in exact]
-    roots.extend(RootInterval(lo, hi) for lo, hi in intervals)
+    intervals = [_bisect(frame, n, k, 2, clear) for n, k in intervals]
+    roots = [RootInterval(x, x, x) for x in (QQ(u, v) for u, v in exact)]
+    roots.extend(RootInterval(frame.point(n, k), frame.point(n + 2, k)) for n, k in intervals)
     roots.sort(key=lambda r: (r.lo, r.hi))
-    original = poly_product([RatPolynomial((-v, QQ1)) for v in exact] + [p])
-    full_chain = sturm_chain(original)
-    return RootIsolation(original, roots, full_chain)
+    poly = RatPolynomial(tuple(QQ(x, chain[0][-1]) for x in chain[0]))
+    return RootIsolation(poly, roots, chain)

@@ -112,6 +112,27 @@ def _reduce(data, p: int) -> np.ndarray:
     return np.asarray([x % p for x in data], dtype=np.int64)
 
 
+def _inf_norm(indptr: np.ndarray, data, max_nnz: int) -> int:
+    """max_r sum_j |B[r, j]| of CSR B, from `_modular_data` output.
+
+    Row sums are taken in int64 when no row of max_nnz entries can pass
+    2**63, else one Python int at a time.
+    """
+    if isinstance(data, np.ndarray):
+        absdata = np.abs(data)
+        if int(absdata.max(initial=0)) * max_nnz < 2**63:
+            # reduceat over the nonempty rows' starts: each segment then
+            # runs to the next nonempty row, i.e. over exactly one row
+            starts = indptr[:-1][np.diff(indptr) > 0]
+            if not len(starts):
+                return 0
+            return int(np.add.reduceat(absdata, starts).max())
+        data = data.tolist()
+    ptr = indptr.tolist()
+    return max((sum(map(abs, data[ptr[r]:ptr[r + 1]])) for r in range(len(ptr) - 1)),
+               default=0)
+
+
 # -- modular Krylov -------------------------------------------------------------
 
 
@@ -308,8 +329,8 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
     indptr_np = np.asarray(indptr, dtype=np.int64)
     indices_np = np.asarray(indices, dtype=np.int64)
     max_nnz = int(np.diff(indptr_np).max(initial=0))
-    ptr = indptr_np.tolist()
-    binf = max((sum(map(abs, data[ptr[r]:ptr[r + 1]])) for r in range(n)), default=0)
+    data = _modular_data(data)
+    binf = _inf_norm(indptr_np, data, max_nnz)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
@@ -320,7 +341,6 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
             break
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
-    data = _modular_data(data)
     for q in primes:
         bq = csr_matrix((_reduce(data, q), indices_np, indptr_np), shape=(n, n))
         cmod = [c % q for c in coeffs]
@@ -516,7 +536,7 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
     poly = minimal_polynomial(op, seed=seed, witness_columns=witness_columns)
     timings["minpoly_s"] = time.perf_counter() - t0
 
-    squarefree_certify(poly)
+    # isolation raises NotSquarefree: its Sturm chain is the squarefree test
     # rational eigenvalues of A = B/L are integer eigenvalues of B over
     # L, because the minimal polynomial of an integer matrix is monic
     # with integer coefficients

@@ -121,6 +121,20 @@ def test_max_eigenvalue_verdict(rep120):
     assert bad.status == CERTIFIED_FALSE
 
 
+def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
+    # with den_bound 1 the root 1 of x (x - 1) (x - 3) is certified by
+    # simplest_between, not met at a midpoint; 3 lies above it
+    from garland.polyq import RatPolynomial, isolate_real_roots
+    from garland.spectra import SpectralReport
+    p = RatPolynomial.from_roots((QQ(0), QQ(1), QQ(3)))
+    iso = isolate_real_roots(p, den_bound=1)
+    rep = SpectralReport({}, 0, 3, p, iso, iso.roots[1], iso.roots[2], {}, {})
+    v = verdict_max_eigenvalue(rep, 1, {})
+    assert v.witness["is_root"] is True
+    assert v.witness["roots_above"] == 1
+    assert v.status == CERTIFIED_FALSE
+
+
 def test_min_bound_verdict(rep120):
     # smallest nonzero root is 1 - sqrt(2)/3 = 0.5286, below the bound 1
     inst = {"ell": 1, "q": 2, "i": 0}

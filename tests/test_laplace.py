@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from garland import laplace
 from garland.complexes import from_maximal_simplices
 from garland.errors import (
     DegreeMismatch,
@@ -180,6 +181,31 @@ def test_assemble_matches_apply(b22):
         off = [x for col, x in zip(op.indices[op.indptr[r]:op.indptr[r + 1]],
                                    op.data[op.indptr[r]:op.indptr[r + 1]]) if col != r]
         assert off and set(off) == {-7}
+
+
+def test_int64_and_python_int_scaling_agree(b22, monkeypatch):
+    # products that fit int64 are taken in numpy; forcing the per-entry
+    # Python-int path must give the same data and L
+    taken = []
+
+    def spy(num, den, L):
+        scale = real(num, den, L)
+        taken.append(scale is not None)
+        return scale
+
+    real = laplace._int64_scale
+    monkeypatch.setattr(laplace, "_int64_scale", spy)
+    fast = [assemble_matrix(b22.complex, i) for i in (0, 1)]
+    assert taken == [True, True]
+    monkeypatch.setattr(laplace, "_int64_scale", lambda num, den, L: None)
+    for i, op in enumerate(fast):
+        slow = assemble_matrix(b22.complex, i)
+        assert (op.data, op.L) == (slow.data, slow.L)
+        assert all(type(x) is int for x in op.data)
+    # an L past 2**63 takes the Python-int path (test_assemble_matches_apply)
+    monkeypatch.setattr(laplace, "_int64_scale", spy)
+    assemble_matrix(star_union(47)[0], 0)
+    assert taken[-1] is False
 
 
 def test_laplacian_degree_domain():

@@ -109,7 +109,7 @@ def test_serialize_parse_round_trip():
 
 def test_sturm_chain_is_primitive_and_signed():
     f = P(-5, 3, -2, 1)  # x^3 - 2x^2 + 3x - 5
-    chain = sturm_chain(f)
+    chain = [RatPolynomial(c) for c in sturm_chain(f)]
     assert chain[0] == f.primitive()
     assert chain[1] == f.derivative().primitive()
     # signed-remainder property up to the positive primitive scaling
@@ -246,6 +246,39 @@ def test_refine_narrows_without_reclassifying():
         assert old.lo <= new.lo <= new.hi <= old.hi
         assert new.hi - new.lo <= QQ(1, 10**9)
         assert new.is_rational == old.is_rational
+
+
+def test_isolation_returns_the_input_and_its_chain():
+    # 0 is met at a midpoint and deflated, 1 and 3 are certified by
+    # simplest_between and stay in p: the result is still p, not p times
+    # the squares of (x - 1) (x - 3)
+    f = RatPolynomial.from_roots((QQ(0), QQ(1), QQ(3)))
+    iso = isolate_real_roots(f, den_bound=1)
+    assert [r.value for r in iso.roots] == [0, 1, 3]
+    assert iso.poly == f
+    assert iso.chain == sturm_chain(f)
+    assert iso.count_in_halfopen(1, 10) == 1
+    assert iso.count_in_halfopen(0, 3) == 2
+
+
+def test_isolation_runs_without_rational_polynomial_arithmetic(monkeypatch):
+    # signs, chain and deflation are integer work: evaluating or dividing
+    # a RatPolynomial anywhere on the isolation path fails this test
+    f = X * P(-2, 1) * P(QQ(7, 9), -2, 1)
+
+    def forbidden(*args):
+        raise AssertionError("rational polynomial arithmetic on the isolation path")
+
+    monkeypatch.setattr(RatPolynomial, "__call__", forbidden)
+    monkeypatch.setattr(RatPolynomial, "__divmod__", forbidden)
+    iso = isolate_real_roots(f)
+    assert [r.value for r in iso.roots if r.is_rational] == [0, 2]
+    assert iso.count_in_halfopen(QQ(1, 2), 2) == 3  # 1 -+ sqrt(2)/3 and 2
+    assert iso.count_in_halfopen(-1, 0) == 1
+    fine = iso.refine(QQ(1, 10**9))
+    assert all(r.hi - r.lo <= QQ(1, 10**9) for r in fine.roots)
+    with pytest.raises(AssertionError):
+        f(QQ(1))
 
 
 def test_root_interval_json():

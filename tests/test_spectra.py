@@ -276,6 +276,52 @@ def test_int64_and_python_int_reductions_agree(b22):
     assert spectra._modular_data(big) is big
 
 
+def python_inf_norm(indptr, data):
+    ptr = [int(x) for x in indptr]
+    return max((sum(abs(x) for x in data[ptr[r]:ptr[r + 1]]) for r in range(len(ptr) - 1)),
+               default=0)
+
+
+def test_inf_norm_in_int64_matches_python_rows(b22):
+    # the certification bound H depends on A only through ||B||_inf, so
+    # equal norms mean the same H and the same primes
+    ops = [assemble_matrix(b22.complex, i) for i in (0, 1)]
+    ops.append(assemble_matrix(star_union(47)[0], 0))
+    for op in ops:
+        max_nnz = int(np.diff(op.indptr).max())
+        data = spectra._modular_data(op.data)
+        assert spectra._inf_norm(op.indptr, data, max_nnz) == \
+            python_inf_norm(op.indptr, op.data)
+    assert isinstance(spectra._modular_data(ops[0].data), np.ndarray)
+    assert spectra._modular_data(ops[-1].data) is ops[-1].data
+    # empty rows at the start, in the middle and at the end
+    indptr = np.array([0, 0, 2, 2, 5, 5, 5], dtype=np.int64)
+    data = [3, -4, 1, -1, 7]
+    for d in (data, spectra._modular_data(data)):
+        assert spectra._inf_norm(indptr, d, 3) == 9
+    empty = np.zeros(4, dtype=np.int64)
+    assert spectra._inf_norm(empty, spectra._modular_data([]), 0) == 0
+    # int64 entries whose row sums could pass 2**63 are summed as Python ints
+    big = [2**62, 2**62, 2**62]
+    indptr = np.array([0, 3], dtype=np.int64)
+    assert spectra._inf_norm(indptr, spectra._modular_data(big), 3) == 3 * 2**62
+
+
+def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
+    # the isolator's Sturm chain is the squarefree test on the report path
+    def forbidden(p):
+        raise AssertionError("second squarefree test")
+
+    monkeypatch.setattr(spectra, "squarefree_certify", forbidden)
+    monkeypatch.setattr(spectra, "is_squarefree", forbidden)
+    report = compute_spectral_report(b12.complex, 0)
+    assert [r.value for r in report.isolation.roots if r.is_rational] == [0, 2]
+    monkeypatch.setattr(spectra, "minimal_polynomial",
+                        lambda *args, **kwargs: P(-1, 1) * P(-1, 1))
+    with pytest.raises(NotSquarefree):
+        compute_spectral_report(b12.complex, 0)
+
+
 def test_seed_vectors_are_a_fixed_stream():
     a = spectra._seed_values(50, 3, -7)
     assert np.array_equal(a, spectra._seed_values(50, 3, -7))

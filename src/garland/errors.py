@@ -79,10 +79,6 @@ class UnknownType(GarlandError):
 
 # -- spectra ----------------------------------------------------------------
 
-class NotSquare(GarlandError):
-    pass
-
-
 class CertificationFailed(GarlandError):
     pass
 

@@ -13,6 +13,9 @@ Fields here are tiny (the intended range is q <= 49), so FieldSpec
 precomputes full addition/multiplication/inverse tables indexed by the
 element's code: the integer whose base-p digits, least significant first,
 are the coefficients.  Codes double as the canonical enumeration order.
+
+The dense Z_p polynomial arithmetic and the primality test below are
+also the ones the modular Krylov code in `spectra` runs on.
 """
 
 from __future__ import annotations
@@ -23,20 +26,34 @@ from itertools import product
 from .errors import DivisionByZero, InvalidDegree, NonPrimeCharacteristic
 
 
-def _is_prime(n: int) -> bool:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve prime bases: exact below 3.3 * 10**24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-# -- polynomial helpers over Z_p (dense lists, low-to-high, trimmed) --------
+# -- polynomials over Z_p: dense lists, low-to-high, trimmed (zero is []) ----
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -44,7 +61,12 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -55,18 +77,32 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic m."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        c = r[-1]
-        shift = len(r) - 1 - dm
-        if c:
-            for j, mj in enumerate(m):
-                r[shift + j] = (r[shift + j] - c * mj) % p
-        r.pop()
-    return _trim(r)
+def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    r = [x % p for x in a]
+    db = len(b) - 1
+    inv = pow(b[db], -1, p)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        f = r[k + db] * inv % p
+        if f:
+            q[k] = f
+            for j in range(db + 1):
+                r[k + j] = (r[k + j] - f * b[j]) % p
+    return _trim(q), _trim(r)
+
+
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, not both zero."""
+    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic lcm of nonzero a and b."""
+    return _monic(poly_mul(poly_divmod(a, poly_gcd(a, b, p), p)[0], b, p), p)
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
@@ -77,7 +113,7 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for low in product(range(p), repeat=d):
             div = list(low) + [1]
-            if not _poly_rem(m, div, p):
+            if not poly_divmod(m, div, p)[1]:
                 return False
     return True
 
@@ -116,7 +152,7 @@ class FieldSpec:
         for a in coeffs:
             row = []
             for b in coeffs:
-                prod_ = _poly_rem(_poly_mul(_trim(list(a)), _trim(list(b)), p), mod, p)
+                prod_ = poly_divmod(poly_mul(_trim(list(a)), _trim(list(b)), p), mod, p)[1]
                 prod_ += [0] * (k - len(prod_))
                 row.append(self._encode(tuple(prod_)))
             self.mul_table.append(row)
@@ -171,7 +207,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     degree k over Z_p, coefficient tuples compared low-to-high, found by
     exhaustive trial division.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if k < 1:
         raise InvalidDegree(f"extension degree must be >= 1, got {k}")

@@ -536,16 +536,21 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
                        complex_dim: int):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
-    The roots are re-isolated and must equal the stored ones, and the
-    integer-eigenvalue table is re-evaluated as `compute_spectral_report`
-    forms it for a complex of dimension `complex_dim`; instance and degree
-    are the caller's.  `dim` and `timings` are taken from the file.
+    The entry must name the key it answers (`store_report` writes it), so
+    a file copied or renamed from another instance, degree, width or
+    version, or one without a key, is a miss.  The roots are re-isolated
+    and must equal the stored ones, and the integer-eigenvalue table is
+    re-evaluated as `compute_spectral_report` forms it for a complex of
+    dimension `complex_dim`; instance and degree are the caller's.  `dim`
+    and `timings` are taken from the file.
     """
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
     try:
         data = json.loads(path.read_text())
+        if data["key"] != key:
+            return None
         poly = RatPolynomial.parse(data["minpoly"])
         den_bound = int(data["den_bound"])
         if den_bound <= 0:
@@ -573,7 +578,7 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
 
 
 def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**report.to_json_dict(), "key": key}, indent=2, sort_keys=True) + "\n"
     _atomic_write_text(cache_dir / f"{key}.json", text)
 
 

@@ -26,10 +26,12 @@ a degree-(i-1) cochain on Lk(v) via (tau_v f)(sigma) = f([v, sigma]).
 Materialized operators: assemble_matrix builds the Laplacian on C^i
 in integer arrays, never as rationals, from the column gather of the
 coboundary (`coboundary_pattern`, one `Complex.facets` call).  It
-returns B = L * Delta as CSR with Python-int data and the scale L (the
-lcm of the entry denominators of Delta), which is what the certified
+returns the square matrix B = L * Delta as CSR and the scale L (the lcm
+of the entry denominators of Delta), which is what the certified
 spectral code consumes; the assembly time therefore includes the
-integer scaling.
+integer scaling.  B's entries are one ndarray, int64 when every entry
+fits and an object array of Python ints otherwise; assemble_matrix is
+the only code that makes that choice.
 `LinearOperatorHandle.entries` rebuilds the rational entries from the
 CSR for inspection and tests only.  That the CSR agrees with the
 matrix-free `laplacian_apply` is a test invariant.
@@ -253,40 +255,34 @@ def tau_v(f: Cochain, v: int) -> Cochain:
 
 @dataclass
 class LinearOperatorHandle:
-    """A linear map between cochain spaces as an exact integer CSR matrix.
+    """Delta on C^i as the exact square integer CSR matrix B = L * Delta.
 
-    The map is A = B / L: row r of B has the ascending columns
-    indices[indptr[r]:indptr[r+1]] (int64 arrays) with the Python-int
-    values at the same positions of `data`, and L >= 1 is the lcm of the
-    denominators of the entries of A, a Python int that may exceed 2**63.
+    Row r of B has the ascending columns indices[indptr[r]:indptr[r+1]]
+    (int64 arrays) with the values at the same positions of `data`, one
+    ndarray: int64 when every entry fits, else an object array of Python
+    ints.  L >= 1 is the lcm of the denominators of the entries of Delta,
+    a Python int that may exceed 2**63.
     """
 
     domain_degree: int
-    codomain_degree: int
-    nrows: int
-    ncols: int
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    data: list = field(repr=False)
+    data: np.ndarray = field(repr=False)
     L: int
 
     @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    @property
     def dim(self) -> int:
-        return self.nrows
+        return len(self.indptr) - 1
 
     def _triples(self):
-        """(row, col, A[row, col]) over the stored entries in row-major order."""
-        rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr)).tolist()
-        for r, col, x in zip(rows, self.indices.tolist(), self.data):
+        """(row, col, Delta[row, col]) over the stored entries in row-major order."""
+        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr)).tolist()
+        for r, col, x in zip(rows, self.indices.tolist(), self.data.tolist()):
             yield r, col, QQ(x, self.L)
 
     @property
     def entries(self) -> dict:
-        """A as a fresh {(row, col): rational} dict, derived from the CSR arrays."""
+        """Delta as a fresh {(row, col): rational} dict, derived from the CSR arrays."""
         return {(r, col): v for r, col, v in self._triples()}
 
 
@@ -301,15 +297,10 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
     return c.facets(i + 1), (-1) ** np.arange(i + 2, dtype=np.int64)
 
 
-def _int64_scale(num: np.ndarray, den: np.ndarray, L: int) -> np.ndarray | None:
-    """L // den as int64 when every product num * (L // den) fits int64, else None."""
-    if L >= 2**63:
-        return None
-    scale = L // den
+def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
+    """Whether every product num * (L // den) fits int64 (den > 0)."""
     top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
-    if top * int(scale.max(initial=0)) >= 2**63:
-        return None
-    return scale
+    return L < 2**63 and top * (L // int(den.min(initial=1))) < 2**63
 
 
 def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
@@ -318,9 +309,9 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     With d the +-1 coboundary C^i -> C^{i+1}, Delta = diag(1/w_i) X for
     X = d^T diag(w_{i+1}) d, so entry (r, c) of Delta is x / w_r with x
     from X.  Reduced by g = gcd(x, w_r) its denominator is w_r / g, L is
-    the lcm of those, and B holds (x / g) * (L / (w_r / g)).  L and the
-    entries are Python ints, because they can pass 2**63; the products are
-    taken in int64 when they all fit and one entry at a time otherwise.
+    the lcm of those, and B holds (x / g) * (L / (w_r / g)).  L is a
+    Python int, because it can pass 2**63; B's data are int64 when every
+    product fits and Python ints in an object array otherwise.
     """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
@@ -341,17 +332,13 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     x.data //= g
     den //= g
     L = lcm(*np.unique(den).tolist())
-    scale = _int64_scale(x.data, den, L)
-    if scale is not None:
-        scale *= x.data
-        data = scale.tolist()
+    if _fits_int64(x.data, den, L):
+        data = L // den
+        data *= x.data
     else:
-        data = [a * (L // b) for a, b in zip(x.data.tolist(), den.tolist())]
+        data = x.data.astype(object) * (L // den.astype(object))
     return LinearOperatorHandle(
         domain_degree=i,
-        codomain_degree=i,
-        nrows=n,
-        ncols=n,
         indptr=x.indptr.astype(np.int64),
         indices=x.indices.astype(np.int64),
         data=data,
@@ -368,8 +355,8 @@ def coboundary_entries(c: Complex, i: int) -> dict:
 
 
 def dump_matrix_text(handle: LinearOperatorHandle) -> str:
-    """Stable text dump: header `nrows ncols degree`, then `row col num/den` lines."""
-    lines = [f"{handle.nrows} {handle.ncols} {handle.domain_degree}"]
+    """Stable text dump: header `n n degree`, then `row col num/den` lines."""
+    lines = [f"{handle.dim} {handle.dim} {handle.domain_degree}"]
     for r, col, v in handle._triples():
         lines.append(f"{r} {col} {qstr(v)}")
     return "\n".join(lines) + "\n"

@@ -3,29 +3,21 @@
 All cochain values, matrix entries and polynomial coefficients in this
 package are exact rationals.  gmpy2.mpq is used when available (it is a
 drop-in replacement for fractions.Fraction, several times faster on the
-sizes that occur in Krylov iterations); otherwise Fraction.  Code in the
-rest of the package only goes through the QQ constructor and the helpers
-below, so the two backends are interchangeable.
+sizes that occur in Krylov iterations); otherwise Fraction.  The rest of
+the package makes rationals only with the QQ constructor and writes and
+reads them only as qstr/parse_qstr text, so the two backends are
+interchangeable.
 """
 
 from __future__ import annotations
 
 try:
     from gmpy2 import mpq as QQ  # type: ignore[import-untyped]
-    HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ  # type: ignore[assignment]
-    HAVE_GMPY2 = False
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
-
-
-def qq(value, den=None):
-    """Coerce to an exact rational.  Accepts ints, rationals and 'a/b' strings."""
-    if den is not None:
-        return QQ(value, den)
-    return QQ(value)
 
 
 def qstr(x) -> str:
@@ -41,10 +33,6 @@ def parse_qstr(s: str):
 
 def floor_q(x) -> int:
     return x.numerator // x.denominator
-
-
-def ceil_q(x) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def as_float(x) -> float:

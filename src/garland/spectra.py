@@ -52,11 +52,11 @@ and drawn again from the same generator while it is all zero.  The
 certified result is the unique minimal polynomial, so --seed never
 changes reported values.
 
-The CSR data of B are Python ints, because L can pass 2**63.  When every
-entry fits int64 they are converted to one int64 array once per
-operator (per `minimal_polynomial` or `certify_annihilates` call) and
-reduced mod each prime in numpy; otherwise each prime reduces the
-Python ints.
+B's CSR data are one ndarray, int64 when every entry fits and an object
+array of Python ints otherwise (assembly chooses).  Each prime reduces
+it in numpy, to int64 residues in [0, p), and ||B||_inf is one row
+reduction over it, widened to Python ints when an int64 row sum could
+pass 2**63.
 """
 
 from __future__ import annotations
@@ -70,12 +70,8 @@ from scipy.sparse import csr_matrix
 
 from . import exactla
 from .complexes import Complex
-from .errors import (
-    CertificationFailed,
-    NoNonzeroRoot,
-    NotSquare,
-    NotSquarefree,
-)
+from .errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
+from .gf import is_prime, poly_lcm
 from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from .polyq import (
     RatPolynomial,
@@ -86,8 +82,6 @@ from .polyq import (
 )
 from .rationals import QQ, QQ1, qstr
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _seed_values(n: int, index: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed % 2**64, index])
@@ -97,87 +91,29 @@ def _seed_values(n: int, index: int, seed: int) -> np.ndarray:
             return v
 
 
-def _modular_data(data: list[int]):
-    """CSR data ready for `_reduce`: one int64 array when every entry fits, else the ints."""
-    try:
-        return np.asarray(data, dtype=np.int64)
-    except OverflowError:
-        return data
+def _reduce(data: np.ndarray, p: int) -> np.ndarray:
+    """B's CSR data mod p, as int64 entries in [0, p)."""
+    return (data % p).astype(np.int64, copy=False)
 
 
-def _reduce(data, p: int) -> np.ndarray:
-    """`_modular_data` output mod p, as int64 entries in [0, p)."""
-    if isinstance(data, np.ndarray):
-        return data % p
-    return np.asarray([x % p for x in data], dtype=np.int64)
+def _inf_norm(indptr: np.ndarray, data: np.ndarray, max_nnz: int) -> int:
+    """max_r sum_j |B[r, j]| of CSR B with at most max_nnz entries a row.
 
-
-def _inf_norm(indptr: np.ndarray, data, max_nnz: int) -> int:
-    """max_r sum_j |B[r, j]| of CSR B, from `_modular_data` output.
-
-    Row sums are taken in int64 when no row of max_nnz entries can pass
-    2**63, else one Python int at a time.
+    The row sums are exact: data whose rows could pass 2**63 are summed
+    as Python ints.
     """
-    if isinstance(data, np.ndarray):
-        absdata = np.abs(data)
-        if int(absdata.max(initial=0)) * max_nnz < 2**63:
-            # reduceat over the nonempty rows' starts: each segment then
-            # runs to the next nonempty row, i.e. over exactly one row
-            starts = indptr[:-1][np.diff(indptr) > 0]
-            if not len(starts):
-                return 0
-            return int(np.add.reduceat(absdata, starts).max())
-        data = data.tolist()
-    ptr = indptr.tolist()
-    return max((sum(map(abs, data[ptr[r]:ptr[r + 1]])) for r in range(len(ptr) - 1)),
-               default=0)
+    absdata = np.abs(data)
+    if int(absdata.max(initial=0)) * max_nnz >= 2**63:
+        absdata = absdata.astype(object)
+    # reduceat over the nonempty rows' starts: each segment then runs to
+    # the next nonempty row, i.e. over exactly one row
+    starts = indptr[:-1][np.diff(indptr) > 0]
+    if not len(starts):
+        return 0
+    return int(np.add.reduceat(absdata, starts).max())
 
 
 # -- modular Krylov -------------------------------------------------------------
-
-
-def _poly_divmod_mod_p(a: list[int], b: list[int], p: int):
-    """Quotient and remainder of dense low-to-high coefficient lists mod p."""
-    r = [x % p for x in a]
-    db = len(b) - 1
-    inv = pow(b[db], p - 2, p)
-    q = [0] * max(1, len(r) - db)
-    for k in range(len(r) - 1 - db, -1, -1):
-        f = r[k + db] * inv % p
-        if f:
-            q[k] = f
-            for j in range(db + 1):
-                r[k + j] = (r[k + j] - f * b[j]) % p
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _poly_gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while len(b) > 1 or b[0]:
-        _, r = _poly_divmod_mod_p(a, b, p)
-        a, b = b, r
-    inv = pow(a[-1], p - 2, p)
-    return [x * inv % p for x in a]
-
-
-def _poly_mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_lcm_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    g = _poly_gcd_mod_p(a, b, p)
-    q, _ = _poly_divmod_mod_p(a, g, p)
-    out = _poly_mul_mod_p(q, b, p)
-    inv = pow(out[-1], p - 2, p)
-    return [x * inv % p for x in out]
 
 
 def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
@@ -231,18 +167,17 @@ def _ladder_seeds(n: int, seed: int, rung: range | None, columns):
             yield _seed_values(n, index, seed)
 
 
-def _minpoly_mod_p(n, indptr_np, indices_np, data, p, seeds, stop_early) -> list[int]:
+def _minpoly_mod_p(n, indptr, indices, data, p, seeds, stop_early) -> list[int]:
     """lcm of the seeds' annihilators under B mod p; a divisor of min_{B mod p}.
 
-    `data` is the CSR data of B, as Python ints or `_modular_data`.  With
-    `stop_early` the lcm is returned as soon as one more seed leaves it
-    unchanged.
+    With `stop_early` the lcm is returned as soon as one more seed leaves
+    it unchanged.
     """
-    bp = csr_matrix((_reduce(data, p), indices_np, indptr_np), shape=(n, n))
+    bp = csr_matrix((_reduce(data, p), indices, indptr), shape=(n, n))
     acc = [1]
     for index, v0 in enumerate(seeds):
         ann = _krylov_annihilator_mod_p(n, bp, p, v0)
-        new = _poly_lcm_mod_p(acc, ann, p)
+        new = poly_lcm(acc, ann, p)
         if stop_early and index > 0 and new == acc:
             break
         acc = new
@@ -280,35 +215,12 @@ def _cleared_coefficients(p: RatPolynomial, L: int) -> list[int]:
     return out
 
 
-def _is_prime_u64(n: int) -> bool:
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_stream(max_nnz_row: int):
     """Descending primes small enough that a mod-p row accumulation fits int64."""
     cap = min(isqrt((1 << 62) // max(1, max_nnz_row)), (1 << 30) - 1)
     p = cap if cap % 2 else cap - 1
     while p > 2:
-        if _is_prime_u64(p):
+        if is_prime(p):
             yield p
         p -= 2
 
@@ -317,20 +229,19 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
                         columns=None) -> bool:
     """Exact check that p(A) kills the given basis vectors (A = B/L).
 
-    Multi-modular with the 2H bound of the module docstring.  `columns`
-    defaults to all of them; a caller passing fewer must know that a
-    symmetry of A maps those onto the rest, see the module docstring.
+    `indptr`, `indices` and `data` are the CSR arrays of a
+    `LinearOperatorHandle`.  Multi-modular with the 2H bound of the module
+    docstring.  `columns` defaults to all of them; a caller passing fewer
+    must know that a symmetry of A maps those onto the rest, see the
+    module docstring.
     """
     if p.is_zero or not p.is_monic:
         return False
     if columns is None:
         columns = range(n)
     coeffs = _cleared_coefficients(p, L)
-    indptr_np = np.asarray(indptr, dtype=np.int64)
-    indices_np = np.asarray(indices, dtype=np.int64)
-    max_nnz = int(np.diff(indptr_np).max(initial=0))
-    data = _modular_data(data)
-    binf = _inf_norm(indptr_np, data, max_nnz)
+    max_nnz = int(np.diff(indptr).max(initial=0))
+    binf = _inf_norm(indptr, data, max_nnz)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
@@ -342,7 +253,7 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
     for q in primes:
-        bq = csr_matrix((_reduce(data, q), indices_np, indptr_np), shape=(n, n))
+        bq = csr_matrix((_reduce(data, q), indices, indptr), shape=(n, n))
         cmod = [c % q for c in coeffs]
         for c0 in range(0, len(cols_np), block):
             cols = cols_np[c0:c0 + block]
@@ -365,7 +276,7 @@ def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
 
 def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
                        witness_columns=None) -> RatPolynomial:
-    """Certified minimal polynomial of a square exact-rational operator.
+    """Certified minimal polynomial of the operator A = B / L of `op`.
 
     `witness_columns` restricts the certification, and the seeds of the
     basis-vector rung, to those basis vectors; pass it only when a
@@ -373,15 +284,12 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     docstring).  Never affects the value, which is the unique minimal
     polynomial.
     """
-    if not op.is_square:
-        raise NotSquare(f"operator is {op.nrows}x{op.ncols}")
     n = op.dim
     if n == 0:
         return RatPolynomial((QQ1,))
     indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
     columns = range(n) if witness_columns is None else witness_columns
-    data_mod = _modular_data(data)
 
     prime_iter = _prime_stream(max_nnz)
     # unlucky seeds or primes move on to a deeper rung and fresh primes
@@ -391,7 +299,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
         prev: list[int] | None = None
         for _ in range(40):
             p = next(prime_iter)
-            mp = _minpoly_mod_p(n, indptr, indices, data_mod, p,
+            mp = _minpoly_mod_p(n, indptr, indices, data, p,
                                 _ladder_seeds(n, seed, rung, columns),
                                 stop_early=rung is not None)
             deg = len(mp) - 1

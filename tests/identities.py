@@ -214,8 +214,8 @@ def rational_eigencochains(b, max_per_eigenvalue: int = 2):
         if not root.is_rational:
             continue
         c = QQ(root.value)
-        rows = dense_from_entries(op.nrows, op.ncols, op.entries)
-        for j in range(op.nrows):
+        rows = dense_from_entries(op.dim, op.dim, op.entries)
+        for j in range(op.dim):
             rows[j][j] -= c
         basis = kernel_basis(rows)
         vecs = basis[:max_per_eigenvalue]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -285,6 +286,28 @@ def test_cache_rejects_tampering(tmp_path, rep120):
     inst = rep120.instance
     assert load_cached_report(tmp_path, key, "1/1000000", inst, 0, 1) is None
     assert load_cached_report(tmp_path, "no-such-key", "1/1000000", inst, 0, 1) is None
+
+
+def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
+    # the (1,3,0) entry copied over the (1,2,0) file used to be believed:
+    # its polynomial and dim 26 came back with every verdict certified
+    width = "1/1000000"
+    for q in (2, 3):
+        spectral_report(Instance.building(1, q), 0, width, cache_dir=tmp_path)
+    src, dst = (tmp_path / f"{cache_key(f'b1-q{q}', 0, width)}.json" for q in (3, 2))
+    shutil.copyfile(src, dst)
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is None
+    doc = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
+    assert doc["spectral"]["minpoly"] == "0/1 -14/9 43/9 -4/1 1/1"
+    assert doc["spectral"]["dim"] == 14
+    # the recomputed entry replaced the file and names its own key
+    stored = json.loads(dst.read_text())
+    assert stored["key"] == dst.stem
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is not None
+    # an entry without a key is a miss as well
+    del stored["key"]
+    dst.write_text(json.dumps(stored))
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is None
 
 
 def test_cache_hit_takes_the_callers_instance(tmp_path):

@@ -16,7 +16,6 @@ from garland.errors import (
 )
 from garland.laplace import (
     Cochain,
-    LinearOperatorHandle,
     adjoint_delta,
     assemble_matrix,
     coboundary,
@@ -126,7 +125,7 @@ def test_triangle_vertex_laplacian_matrix():
         for c in range(3):
             expect[(r, c)] = QQ(2) if r == c else QQ(-1)
     assert op.entries == expect
-    assert op.nrows == op.ncols == 3 and op.is_square and op.dim == 3
+    assert op.dim == 3
 
 
 def test_simplex_vertex_laplacian_is_shifted_all_ones():
@@ -168,8 +167,7 @@ def test_assemble_matches_apply(b22):
         assert op.L == L
         assert op.indptr.tolist() == indptr
         assert op.indices.tolist() == indices
-        assert op.data == data
-        assert all(type(x) is int for x in op.data)
+        assert op.data.tolist() == data
     # scaling a reduced entry x/w by L // w is wrong: a weight-9 vertex
     # of the (2,2) building has entries -3/9 = -1/3, and with L = 21 the
     # scaled entry is -7, not -3 * (21 // 9) = -6
@@ -184,27 +182,29 @@ def test_assemble_matches_apply(b22):
 
 
 def test_int64_and_python_int_scaling_agree(b22, monkeypatch):
-    # products that fit int64 are taken in numpy; forcing the per-entry
-    # Python-int path must give the same data and L
+    # B's data are int64 when every product fits and Python ints in an
+    # object array otherwise; forcing the object array must give the
+    # same entries and L
     taken = []
 
     def spy(num, den, L):
-        scale = real(num, den, L)
-        taken.append(scale is not None)
-        return scale
+        taken.append(real(num, den, L))
+        return taken[-1]
 
-    real = laplace._int64_scale
-    monkeypatch.setattr(laplace, "_int64_scale", spy)
+    real = laplace._fits_int64
+    monkeypatch.setattr(laplace, "_fits_int64", spy)
     fast = [assemble_matrix(b22.complex, i) for i in (0, 1)]
     assert taken == [True, True]
-    monkeypatch.setattr(laplace, "_int64_scale", lambda num, den, L: None)
+    assert all(op.data.dtype == np.int64 for op in fast)
+    monkeypatch.setattr(laplace, "_fits_int64", lambda num, den, L: False)
     for i, op in enumerate(fast):
         slow = assemble_matrix(b22.complex, i)
-        assert (op.data, op.L) == (slow.data, slow.L)
-        assert all(type(x) is int for x in op.data)
-    # an L past 2**63 takes the Python-int path (test_assemble_matches_apply)
-    monkeypatch.setattr(laplace, "_int64_scale", spy)
-    assemble_matrix(star_union(47)[0], 0)
+        assert slow.data.dtype == object
+        assert all(type(x) is int for x in slow.data)
+        assert (op.data.tolist(), op.L) == (slow.data.tolist(), slow.L)
+    # an L past 2**63 takes the object array (test_assemble_matches_apply)
+    monkeypatch.setattr(laplace, "_fits_int64", spy)
+    assert assemble_matrix(star_union(47)[0], 0).data.dtype == object
     assert taken[-1] is False
 
 
@@ -276,7 +276,7 @@ def test_tau_contracts_with_sign():
 def test_dump_matrix_text():
     op = assemble_matrix(TRIANGLE, 0)
     lines = dump_matrix_text(op).strip().splitlines()
-    assert lines[0] == "3 3 0"  # nrows ncols degree
+    assert lines[0] == "3 3 0"  # n n degree
     assert lines[1].split() == ["0", "0", "2/1"]
     assert len(lines) == 1 + 9
     for line in lines[1:]:
@@ -292,9 +292,3 @@ def test_coboundary_entries_shape():
     for (r, c), val in ent.items():
         by_entries[r] += val * f.values[c]
     assert by_entries == list(df.values)
-
-
-def test_handle_shape_flags():
-    h = LinearOperatorHandle(0, 1, 2, 3, np.zeros(3, dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), [], 1)
-    assert not h.is_square

@@ -17,17 +17,13 @@ import sympy
 
 from garland import spectra
 from garland.complexes import from_maximal_simplices
-from garland.errors import (
-    CertificationFailed,
-    NoNonzeroRoot,
-    NotSquare,
-    NotSquarefree,
-)
+from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from garland.exactla import dense_from_entries
 from garland.laplace import LinearOperatorHandle, assemble_matrix
 from garland.building import witness_columns
 from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
+from garland.reference import reference_minimal_polynomial
 from garland.spectra import (
     SpectralReport,
     certify_annihilates,
@@ -59,7 +55,7 @@ def simplex(n):
 
 
 def sympy_matrix(op):
-    rows = dense_from_entries(op.nrows, op.ncols, op.entries)
+    rows = dense_from_entries(op.dim, op.dim, op.entries)
     return sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
 
 
@@ -77,12 +73,12 @@ def sympy_minpoly(op):
 def sympy_annihilates(op, p):
     """Whether p(A) is the zero matrix, by exact sympy arithmetic."""
     m = sympy_matrix(op)
-    acc = sympy.zeros(op.nrows)
-    power = sympy.eye(op.nrows)
+    acc = sympy.zeros(op.dim)
+    power = sympy.eye(op.dim)
     for c in p.coeffs:
         acc += sympy.Rational(str(c)) * power
         power = m * power
-    return acc == sympy.zeros(op.nrows)
+    return acc == sympy.zeros(op.dim)
 
 
 # -- minimal polynomials ------------------------------------------------------
@@ -250,7 +246,7 @@ def test_scale_beyond_int64():
     assert L > 2**63 and op.L == L
     indptr, indices, data, oracle_L = laplacian_csr_by_apply(cx, 0, groups)
     assert oracle_L == L
-    assert (op.indptr.tolist(), op.indices.tolist(), op.data) == (indptr, indices, data)
+    assert (op.indptr.tolist(), op.indices.tolist(), op.data.tolist()) == (indptr, indices, data)
     # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
     assert minimal_polynomial(op) == P(0, 2, -3, 1)
     report = compute_spectral_report(cx, 0)
@@ -259,21 +255,21 @@ def test_scale_beyond_int64():
 
 
 def test_int64_and_python_int_reductions_agree(b22):
-    # data that fit int64 are converted once and reduced in numpy; the
-    # Python-int path must give the same residues
+    # int64 data and the same entries as Python ints in an object array
+    # reduce to the same int64 residues
     for i in (0, 1):
         data = assemble_matrix(b22.complex, i).data
-        fast = spectra._modular_data(data)
-        assert isinstance(fast, np.ndarray) and fast.dtype == np.int64
+        assert data.dtype == np.int64
         for p in (3, 1_000_003, next(spectra._prime_stream(7))):
-            got = spectra._reduce(fast, p)
+            got = spectra._reduce(data, p)
             assert got.dtype == np.int64
-            assert np.array_equal(got, spectra._reduce(data, p))
-            assert got.tolist() == [x % p for x in data]
-    # entries past int64 stay Python ints (test_scale_beyond_int64 runs that path)
+            assert np.array_equal(got, spectra._reduce(data.astype(object), p))
+            assert got.tolist() == [x % p for x in data.tolist()]
+    # entries past int64 are Python ints (test_scale_beyond_int64 runs that path)
     big = assemble_matrix(star_union(47)[0], 0).data
-    assert max(map(abs, big)) >= 2**63
-    assert spectra._modular_data(big) is big
+    assert big.dtype == object and max(map(abs, big)) >= 2**63
+    got = spectra._reduce(big, 1_000_003)
+    assert got.dtype == np.int64 and got.tolist() == [x % 1_000_003 for x in big]
 
 
 def python_inf_norm(indptr, data):
@@ -287,24 +283,39 @@ def test_inf_norm_in_int64_matches_python_rows(b22):
     # equal norms mean the same H and the same primes
     ops = [assemble_matrix(b22.complex, i) for i in (0, 1)]
     ops.append(assemble_matrix(star_union(47)[0], 0))
+    assert [op.data.dtype for op in ops] == [np.int64, np.int64, object]
     for op in ops:
         max_nnz = int(np.diff(op.indptr).max())
-        data = spectra._modular_data(op.data)
-        assert spectra._inf_norm(op.indptr, data, max_nnz) == \
-            python_inf_norm(op.indptr, op.data)
-    assert isinstance(spectra._modular_data(ops[0].data), np.ndarray)
-    assert spectra._modular_data(ops[-1].data) is ops[-1].data
+        assert spectra._inf_norm(op.indptr, op.data, max_nnz) == \
+            python_inf_norm(op.indptr, op.data.tolist())
     # empty rows at the start, in the middle and at the end
     indptr = np.array([0, 0, 2, 2, 5, 5, 5], dtype=np.int64)
     data = [3, -4, 1, -1, 7]
-    for d in (data, spectra._modular_data(data)):
+    for d in (np.array(data, dtype=np.int64), np.array(data, dtype=object)):
         assert spectra._inf_norm(indptr, d, 3) == 9
     empty = np.zeros(4, dtype=np.int64)
-    assert spectra._inf_norm(empty, spectra._modular_data([]), 0) == 0
+    assert spectra._inf_norm(empty, np.zeros(0, dtype=np.int64), 0) == 0
     # int64 entries whose row sums could pass 2**63 are summed as Python ints
-    big = [2**62, 2**62, 2**62]
+    big = np.array([2**62, 2**62, 2**62], dtype=np.int64)
     indptr = np.array([0, 3], dtype=np.int64)
-    assert spectra._inf_norm(indptr, spectra._modular_data(big), 3) == 3 * 2**62
+    assert spectra._inf_norm(indptr, big, 3) == 3 * 2**62
+
+
+def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
+    # b22 fits int64; the star union's L = lcm(1..47) does not, and its
+    # data are the oracle's Python ints in an object array
+    cx, groups = star_union(47)
+    small = assemble_matrix(b22.complex, 1)
+    big = assemble_matrix(cx, 0)
+    assert isinstance(small.data, np.ndarray) and small.data.dtype == np.int64
+    assert isinstance(big.data, np.ndarray) and big.data.dtype == object
+    assert big.data.tolist() == laplacian_csr_by_apply(cx, 0, groups)[2]
+    # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
+    for op, true in ((small, reference_minimal_polynomial(2, 2, 1)), (big, P(0, 2, -3, 1))):
+        assert minimal_polynomial(op) == true
+        for cand, kills in ((true, True), (true // P(0, 1), False)):
+            assert certify_annihilates(op.dim, op.indptr, op.indices, op.data,
+                                       op.L, cand) is kills
 
 
 def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
@@ -331,16 +342,9 @@ def test_seed_vectors_are_a_fixed_stream():
     assert all(spectra._seed_values(1, k, 0)[0] != 0 for k in range(30))
 
 
-def test_non_square_is_rejected():
-    h = LinearOperatorHandle(0, 1, 2, 3, np.zeros(3, dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), [], 1)
-    with pytest.raises(NotSquare):
-        minimal_polynomial(h)
-
-
 def test_zero_dimensional_operator():
-    h = LinearOperatorHandle(0, 0, 0, 0, np.zeros(1, dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), [], 1)
+    h = LinearOperatorHandle(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), 1)
     assert minimal_polynomial(h) == P(1)
 
 

@@ -21,21 +21,23 @@ Canonical data layout, fixed as an external contract:
     `Complex.from_maximal_simplices`; no tuple per chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
+
+What ships is what a run needs: the enumeration, the chamber walk, the
+type array and `witness_columns`.  Incidence tests on single subspaces
+and the type-invariant lift of chamber cochains are test oracles and
+live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
 
 from .complexes import Complex
-from .errors import AmbientMismatch, DimensionMismatch, DimensionOutOfRange
+from .errors import DimensionOutOfRange
 from .gf import FieldSpec
-from .laplace import Cochain
-from .rationals import QQ
 
 
 @dataclass(frozen=True)
@@ -50,23 +52,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple:
         return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
-
-    def reduce_vector(self, vec) -> tuple:
-        """Residual of vec after elimination by this basis (0 iff vec in span)."""
-        f = self.field
-        add, neg, mul = f.add_table, f.neg_table, f.mul_table
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                nc = neg[c]
-                for j in range(p, self.ambient):
-                    if row[j]:
-                        v[j] = add[v[j]][mul[nc][row[j]]]
-        return tuple(v)
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(not any(self.reduce_vector(r)) for r in other.rows)
 
 
 def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[Subspace]:
@@ -92,16 +77,6 @@ def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[Subspace]:
                 rows[r][c] = code
             out.append(Subspace(n, d, tuple(tuple(r) for r in rows), field))
     return out
-
-
-def incident(a: Subspace, b: Subspace) -> bool:
-    """Proper containment in either direction (the flag relation)."""
-    if a.ambient != b.ambient or a.field != b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    if a.dim == b.dim:
-        return False
-    small, big = (a, b) if a.dim < b.dim else (b, a)
-    return big.contains(small)
 
 
 def _superspace_rows(sub: Subspace):
@@ -156,11 +131,6 @@ class TypedBuilding:
     def q(self) -> int:
         return self.field.q
 
-    @cached_property
-    def types(self) -> dict[int, int]:
-        """Vertex id -> type, as a dict, for the cochain oracle and the tests."""
-        return dict(enumerate(self.vertex_types.tolist()))
-
 
 def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     if ell < 1:
@@ -186,33 +156,6 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     types = np.repeat(np.arange(ell + 1, dtype=np.int32), [len(layer) for layer in layers])
     subspaces = [s for layer in layers for s in layer]
     return TypedBuilding(ell, field, cx, subspaces, types, tuple(offsets[:-1]))
-
-
-def fundamental_chamber_complex(ell: int) -> Complex:
-    """The chamber as a standalone full simplex whose vertex ids are the types."""
-    return Complex.from_maximal_simplices([tuple(range(ell + 1))])
-
-
-def type_invariant_lift(b: TypedBuilding, degree: int, face_values) -> Cochain:
-    """Extend a cochain on the fundamental chamber's faces type-invariantly.
-
-    `face_values` maps each ascending (degree+1)-tuple of types to the
-    value on the chamber face with those types, oriented by increasing
-    type.  Vertex ids ascend with type inside every simplex, so the
-    canonical orientation of each simplex already matches.
-    """
-    expected = set(combinations(range(b.ell + 1), degree + 1))
-    keys = {tuple(k) for k in face_values}
-    if keys != expected:
-        raise DimensionMismatch(
-            f"need values on all {len(expected)} type sets of size {degree + 1}"
-        )
-    fv = {tuple(k): QQ(v) for k, v in face_values.items()}
-    values = [
-        fv[tuple(b.types[v] for v in s)]
-        for s in b.complex.simplices[degree]
-    ]
-    return Cochain(b.complex, degree, values)
 
 
 def witness_columns(b: TypedBuilding, degree: int) -> list[int]:

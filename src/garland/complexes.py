@@ -30,13 +30,12 @@ read.  `facets` gathers the boundary faces of every simplex of one
 dimension at once, which is what the operators are assembled from, and
 the links come from one vertex-to-top-simplex CSR built on first use.
 
-Derived views.  `simplices` (label tuples, holding the caller's label
-objects), `index` (tuple -> position) and `weights` (Python ints) are
-read-only per-dimension views built from the arrays on first use; the
-length of a view costs nothing.  Only the exact-rational cochain calculus
-(`laplace.Cochain` and the maps on it, `building.type_invariant_lift`,
-`check_weight_identity`), which is the tests' oracle, and the tests read
-them; nothing on the path of a CLI command does.
+One derived view stays: `simplices`, per dimension the label tuples
+(holding the caller's label objects) in lexicographic order, built from
+the arrays on first item access; its length costs nothing.  Nothing on
+the path of a CLI command reads its items.  The benchmark counts faces
+through it, and the tests' exact-rational cochain calculus (which
+derives its own position and weight tables) reads it.
 
 The text interchange format is one maximal simplex per line as
 whitespace-separated non-negative integer labels, with '#' starting a
@@ -49,7 +48,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property, partial
 from itertools import chain, combinations
-from types import MappingProxyType
 
 import numpy as np
 
@@ -71,23 +69,8 @@ def _check_repeated_vertices(tops) -> None:
             raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
 
 
-def orientation_sign(vertices) -> tuple[Simplex, int]:
-    """Canonical form of an oriented simplex and the permutation sign.
-
-    The sign is (-1)**inversions of the vertex sequence, e.g.
-    orientation_sign([3, 1, 2, 0]) == ((0, 1, 2, 3), -1).
-    """
-    vs = tuple(vertices)
-    if len(set(vs)) != len(vs):
-        raise RepeatedVertex(f"oriented simplex has a repeated vertex: {vs}")
-    inversions = sum(
-        1 for i in range(len(vs)) for j in range(i + 1, len(vs)) if vs[i] > vs[j]
-    )
-    return tuple(sorted(vs)), -1 if inversions % 2 else 1
-
-
 class _View(Sequence):
-    """A read-only list of one dimension's simplices or weights, built on first item access."""
+    """A read-only list of one dimension's simplices, built on first item access."""
 
     def __init__(self, size: int, build):
         self._size = size
@@ -127,8 +110,8 @@ class Complex:
         labels: the sorted distinct vertex labels; id j is labels[j].
         rows, keys, counts: per dimension 0..n, the int32 id rows, the
             int64 search keys and the int64 weights.
-        simplices, index, weights: derived read-only views, for the
-            oracle and the tests only.
+        simplices: the derived read-only label-tuple view (module
+            docstring).
     """
 
     def __init__(self, labels: list, rows: list, keys: list, counts: list):
@@ -242,15 +225,6 @@ class Complex:
             return ids, -1
         return ids, int(self.locate(np.asarray([ids], dtype=np.int64))[0])
 
-    def contains(self, s: Simplex) -> bool:
-        return self._find(s)[1] >= 0
-
-    def weight(self, s: Simplex) -> int:
-        ids, pos = self._find(s)
-        if pos < 0:
-            raise SimplexNotFound(f"{tuple(s)} is not a simplex of this complex")
-        return int(self.counts[len(ids) - 1][pos])
-
     @property
     def vertices(self) -> list:
         return list(self.labels)
@@ -277,13 +251,6 @@ class Complex:
             tops = tops[(self.rows[self.dim][tops] == u).any(axis=1)]
         return ids, tops
 
-    def star(self, s: Simplex) -> "Complex":
-        """Closure of the maximal simplices containing s; keeps vertex labels."""
-        _, tops = self._tops_containing(s)
-        lab = self.labels
-        return Complex.from_maximal_simplices(
-            [tuple(lab[j] for j in row) for row in self.rows[self.dim][tops].tolist()])
-
     def link(self, s: Simplex) -> tuple["Complex", list]:
         """Link of s, relabeled to dense ids; returns (complex, new_to_old).
 
@@ -306,7 +273,7 @@ class Complex:
             self._vertex_links[v] = self.link((v,))
         return self._vertex_links[v]
 
-    # -- derived views (oracle and tests) ------------------------------------------
+    # -- derived view ---------------------------------------------------------------
 
     def _label_tuples(self, d: int) -> list[tuple]:
         label_of = np.fromiter(self.labels, dtype=object, count=len(self.labels))
@@ -318,33 +285,6 @@ class Complex:
     def simplices(self) -> list[_View]:
         """Per dimension, the canonical simplices as label tuples in lexicographic order."""
         return [_View(len(r), partial(self._label_tuples, d)) for d, r in enumerate(self.rows)]
-
-    @cached_property
-    def index(self) -> list[MappingProxyType]:
-        """Per dimension, simplex tuple -> position."""
-        return [MappingProxyType(dict(zip(level, range(len(level)))))
-                for level in self.simplices]
-
-    @cached_property
-    def weights(self) -> list[_View]:
-        """Per dimension, the weights as Python ints, aligned with `simplices`."""
-        return [_View(len(c), c.tolist) for c in self.counts]
-
-    # -- invariant checks ---------------------------------------------------------
-
-    def check_weight_identity(self) -> bool:
-        """Sum of (i+1)-coface weights of sigma equals (n-i) * w(sigma), all i < n."""
-        for i in range(self.dim):
-            acc = [0] * len(self.simplices[i])
-            idx = self.index[i]
-            for t, wt in zip(self.simplices[i + 1], self.weights[i + 1]):
-                for face in combinations(t, i + 1):
-                    acc[idx[face]] += wt
-            target = self.dim - i
-            for got, ws in zip(acc, self.weights[i]):
-                if got != target * ws:
-                    return False
-        return True
 
     # -- text interchange -----------------------------------------------------------
 

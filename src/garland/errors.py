@@ -19,10 +19,6 @@ class InvalidDegree(GarlandError):
     pass
 
 
-class DivisionByZero(GarlandError, ZeroDivisionError):
-    pass
-
-
 # -- simplicial complexes ---------------------------------------------------
 
 class MixedDimensions(GarlandError):
@@ -51,29 +47,9 @@ class DimensionOutOfRange(GarlandError):
     pass
 
 
-class AmbientMismatch(GarlandError):
-    pass
-
-
-class DimensionMismatch(GarlandError):
-    pass
-
-
-# -- cochain calculus -------------------------------------------------------
-
-class DegreeMismatch(GarlandError):
-    pass
-
+# -- operators --------------------------------------------------------------
 
 class DegreeOutOfRange(GarlandError):
-    pass
-
-
-class UnknownVertex(GarlandError):
-    pass
-
-
-class UnknownType(GarlandError):
     pass
 
 

@@ -1,11 +1,10 @@
-"""Exact dense linear algebra over Q.
+"""Exact dense rank over Q and over F_p.
 
-Rank and kernel extraction run fraction-free (Bareiss) on row-wise
-denominator-cleared integer matrices, then back-substitute rationally.
-Matrices here are small (cochain spaces of links, eigenspace recovery),
-so dense rows are fine.  rank_mod_p is the one-sided shortcut used for
-cohomology-vanishing certificates: a mod-p rank never exceeds the
-rational rank.
+`rank` runs fraction-free (Bareiss) elimination on row-wise
+denominator-cleared integer matrices.  The matrices here are the
+coboundaries of vertex links, which are small, so dense rows are fine.
+rank_mod_p is the one-sided shortcut used for cohomology-vanishing
+certificates: a mod-p rank never exceeds the rational rank.
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .rationals import QQ, QQ0, QQ1
-
-
-def dense_from_entries(nrows: int, ncols: int, entries: dict) -> list[list]:
-    rows = [[QQ0] * ncols for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        rows[r][c] = QQ(v)
-    return rows
+from .rationals import QQ
 
 
 def _cleared_int_rows(rows) -> list[list[int]]:
@@ -65,34 +57,6 @@ def rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     return len(_bareiss_echelon(_cleared_int_rows(rows))[1])
-
-
-def kernel_basis(rows, ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel {x : A x = 0}, one vector per free column.
-
-    Deterministic normalization: vector k has 1 in the k-th free column
-    and 0 in the others.
-    """
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return [[QQ1 if i == j else QQ0 for i in range(n)] for j in range(n)]
-    n = len(rows[0])
-    echelon, pivots = _bareiss_echelon(_cleared_int_rows(rows))
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        x = [QQ0] * n
-        x[f] = QQ1
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            acc = QQ0
-            row = echelon[k]
-            for j in range(pc + 1, n):
-                if row[j] and x[j]:
-                    acc += QQ(row[j]) * x[j]
-            x[pc] = -acc / QQ(row[pc])
-        basis.append(x)
-    return basis
 
 
 def rank_mod_p(int_rows: list[list[int]], p: int) -> int:

@@ -1,18 +1,22 @@
 """Arithmetic in GF(p^k) for small prime powers.
 
 Elements are dense coefficient vectors over Z_p (low-to-high degree) modulo
-a fixed monic irreducible polynomial.  The modulus is pinned to the
-lexicographically smallest monic irreducible of degree k, coefficients
-compared low-to-high, so a field is reproducible from (p, k) alone:
+a fixed monic irreducible polynomial; the package handles them by their
+codes only.  The modulus is pinned to the lexicographically smallest
+monic irreducible of degree k, coefficients compared low-to-high, so a
+field is reproducible from (p, k) alone:
 
     GF(2)  -> x
     GF(4)  -> x^2 + x + 1
     GF(9)  -> x^2 + 1
 
 Fields here are tiny (the intended range is q <= 49), so FieldSpec
-precomputes full addition/multiplication/inverse tables indexed by the
-element's code: the integer whose base-p digits, least significant first,
-are the coefficients.  Codes double as the canonical enumeration order.
+precomputes full addition, negation and multiplication tables indexed by
+the element's code: the integer whose base-p digits, least significant
+first, are the coefficients.  Codes double as the canonical enumeration
+order.  The subspace enumeration in `building` runs on these tables; the
+element objects and their arithmetic, which check the tables against the
+field axioms, are test oracles.
 
 The dense Z_p polynomial arithmetic and the primality test below are
 also the ones the modular Krylov code in `spectra` runs on.
@@ -20,10 +24,9 @@ also the ones the modular Krylov code in `spectra` runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import DivisionByZero, InvalidDegree, NonPrimeCharacteristic
+from .errors import InvalidDegree, NonPrimeCharacteristic
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,19 +121,8 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p^k): coefficient vector plus its field."""
-
-    coeffs: tuple[int, ...]
-    spec: "FieldSpec"
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.coeffs}, GF({self.spec.q}))"
-
-
 class FieldSpec:
-    """GF(p^k) with the pinned canonical modulus and full operation tables."""
+    """GF(p^k) with the pinned canonical modulus and full operation tables on codes."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -156,9 +148,6 @@ class FieldSpec:
                 prod_ += [0] * (k - len(prod_))
                 row.append(self._encode(tuple(prod_)))
             self.mul_table.append(row)
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            self.inv_table[a] = self.mul_table[a].index(1)
 
     def _decode(self, code: int) -> tuple[int, ...]:
         out = []
@@ -172,20 +161,6 @@ class FieldSpec:
         for c in reversed(coeffs):
             code = code * self.p + c
         return code
-
-    def element(self, code: int) -> FieldElement:
-        return FieldElement(self._decode(code), self)
-
-    def code(self, a: FieldElement) -> int:
-        return self._encode(a.coeffs)
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -236,31 +211,3 @@ def field_for_order(q: int) -> FieldSpec:
     if rest != 1:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
     return make_field(p, k)
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = a.spec
-    return spec.element(spec.add_table[spec.code(a)][spec.code(b)])
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    spec = a.spec
-    return spec.element(spec.neg_table[spec.code(a)])
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = a.spec
-    return spec.element(spec.mul_table[spec.code(a)][spec.code(b)])
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    spec = a.spec
-    code = spec.code(a)
-    if code == 0:
-        raise DivisionByZero("zero has no multiplicative inverse")
-    return spec.element(spec.inv_table[code])
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All elements in lexicographic coefficient order (low-to-high), zero first."""
-    return [spec.element(c) for c in range(spec.q)]

@@ -24,9 +24,9 @@ refined down to a floor of 10^-12 before the verdict degrades to
 Cached spectral data is keyed by the instance's stem (b{ell}-q{q} for a
 building, x{sha256 of the canonical text} for a complex), the degree,
 the isolation width and the artifact version.  A hit is re-derived
-from its minimal polynomial, and its instance and degree are the
-caller's, so it reproduces a fresh computation byte for byte (timings
-aside, which record whatever run produced the entry).
+from its minimal polynomial, and its instance, degree and dimension are
+the caller's, so it reproduces a fresh computation byte for byte.  Its
+timings are its own: the seconds the load took, as "load_s".
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -76,12 +78,36 @@ INCONCLUSIVE = "inconclusive-at-width"
 # -- instances and budget -------------------------------------------------------
 
 
+def _q_factorial(k: int, q: int) -> int:
+    """[k]_q! = prod over j = 1..k of (q^j - 1) / (q - 1)."""
+    out = 1
+    for j in range(1, k + 1):
+        out *= (q**j - 1) // (q - 1)
+    return out
+
+
+def flag_count(ell: int, q: int, i: int) -> int:
+    """Number of i-simplices of the flag complex on F_q^(ell+2), without building it.
+
+    An i-simplex is a flag of subspaces of dimensions d_0 < ... < d_i in
+    1..ell+1, and the flags of those dimensions in F_q^n, n = ell + 2,
+    number the Gaussian multinomial [n]_q! / ([d_0]_q! [d_1 - d_0]_q!
+    ... [n - d_i]_q!).
+    """
+    n = ell + 2
+    top = _q_factorial(n, q)
+    total = 0
+    for dims in combinations(range(1, n), i + 1):
+        den = 1
+        for a, b in zip((0, *dims), (*dims, n)):
+            den *= _q_factorial(b - a, q)
+        total += top // den
+    return total
+
+
 def chamber_count(ell: int, q: int) -> int:
     """Number of top simplices of the flag complex on F_q^(ell+2)."""
-    total = 1
-    for k in range(2, ell + 3):
-        total *= (q**k - 1) // (q - 1)
-    return total
+    return flag_count(ell, q, ell)
 
 
 def ensure_budget(ell: int, q: int, budget: int | None = None) -> None:
@@ -153,6 +179,9 @@ class Instance:
       and never for a building).
     - `reference`: the (ell, q) of the recorded minimal polynomials, or
       None.
+    - `num_simplices(i)`: the dimension of C^i; for a building the
+      closed-form flag count, so a cache hit sizes its report without
+      loading the complex.
     - the complex and its `Symmetry`, loaded on first use, so a cache hit
       at i = 0 constructs no building.  A building carries its type
       symmetry; a complex carries the trivial one, under which every
@@ -162,11 +191,12 @@ class Instance:
     Build one with `Instance.building(ell, q)` or `Instance.complex(cx)`.
     """
 
-    def __init__(self, label: dict, n: int, load, stem: str | None = None,
-                 reference: tuple[int, int] | None = None):
+    def __init__(self, label: dict, n: int, load, num_simplices,
+                 stem: str | None = None, reference: tuple[int, int] | None = None):
         self.label = label
         self.n = n
         self.reference = reference
+        self.num_simplices = num_simplices  # i -> the number of i-simplices
         self._load = load  # () -> (Complex, Symmetry)
         self._loaded = None
         self._stem = stem
@@ -180,13 +210,13 @@ class Instance:
             b = get_building(ell, q)
             return b.complex, Symmetry(partial(witness_columns, b), _type_orbits(b))
 
-        return cls({"ell": ell, "q": q}, ell, load, stem=f"b{ell}-q{q}",
-                   reference=(ell, q))
+        return cls({"ell": ell, "q": q}, ell, load, partial(flag_count, ell, q),
+                   stem=f"b{ell}-q{q}", reference=(ell, q))
 
     @classmethod
     def complex(cls, cx: Complex, label: dict | None = None) -> Instance:
         """A complex with the trivial symmetry, labelled by its sha256 unless told otherwise."""
-        inst = cls(label, cx.dim, lambda: (cx, Symmetry.trivial(cx)))
+        inst = cls(label, cx.dim, lambda: (cx, Symmetry.trivial(cx)), cx.num_simplices)
         if label is None:
             inst.label = {"sha256": inst.stem[1:]}
         return inst
@@ -213,7 +243,6 @@ class Instance:
     def tag(self, i: int) -> dict:
         """The label of this instance's documents in degree i."""
         return dict(self.label, i=i)
-
 
 
 def default_grid() -> list[tuple[int, int, int]]:
@@ -533,17 +562,19 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree: int,
-                       complex_dim: int):
+                       inst: Instance):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
     The entry must name the key it answers (`store_report` writes it), so
     a file copied or renamed from another instance, degree, width or
     version, or one without a key, is a miss.  The roots are re-isolated
-    and must equal the stored ones, and the integer-eigenvalue table is
+    and must equal the stored ones.  Nothing else is read from the file:
+    `dim` is `inst.num_simplices(degree)`, the integer-eigenvalue table is
     re-evaluated as `compute_spectral_report` forms it for a complex of
-    dimension `complex_dim`; instance and degree are the caller's.  `dim`
-    and `timings` are taken from the file.
+    dimension `inst.n`, `instance` and `degree` are the caller's, and the
+    timings are this load's own, {"load_s": seconds}.
     """
+    t0 = time.perf_counter()
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
@@ -566,13 +597,13 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
     return SpectralReport(
         instance=instance,
         degree=degree,
-        dim=data["dim"],
+        dim=inst.num_simplices(degree),
         minpoly=poly,
         isolation=iso,
         m=m,
         M=big_m,
-        integer_eigenvalues=integer_table(poly, complex_dim),
-        timings=data["timings"],
+        integer_eigenvalues=integer_table(poly, inst.n),
+        timings={"load_s": time.perf_counter() - t0},
         den_bound=den_bound,
     )
 
@@ -591,7 +622,7 @@ def _report(inst: Instance, i: int, instance: dict, width, seed: int,
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is not None:
         key = cache_key(inst.stem, i, width)
-        hit = load_cached_report(cache_dir, key, width, instance, i, inst.n)
+        hit = load_cached_report(cache_dir, key, width, instance, i, inst)
         if hit is not None:
             return hit
     report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,

@@ -23,8 +23,9 @@ of rem(p(k-1), p(k)), and c(k+1) is a positive multiple of p(k+1).  By
 induction every member of the integer chain is a positive multiple of the
 rational member; a degree gap (delta > 1) only raises the exponent.  So
 at every x both chains have the same sign member by member and the same
-number of sign variations, and c(k+1) is the coprime integer polynomial
-that `RatPolynomial.primitive` makes of p(k+1).  The last member is
+number of sign variations, and c(k+1) is the coprime integer positive
+multiple of p(k+1) (the tests' rational oracle builds exactly that
+chain).  The last member is
 gcd(p, p') up to a positive factor: p is squarefree exactly when the
 chain ends in a constant.
 
@@ -150,44 +151,6 @@ class RatPolynomial:
             return self
         lead = self.coeffs[-1]
         return RatPolynomial(tuple(c / lead for c in self.coeffs))
-
-    def derivative(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(QQ(i) * c for i, c in enumerate(self.coeffs) if i))
-
-    def primitive(self) -> "RatPolynomial":
-        """Positive rational multiple with coprime integer coefficients.
-
-        Scaling is by a positive factor, so signs of values are
-        preserved; remainder sequences are renormalized through this to
-        keep coefficient sizes polynomial instead of doubling per step.
-        """
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, int(c.denominator))
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        return RatPolynomial(tuple(QQ(x // g) for x in nums))
-
-    def gcd(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, (a % b).primitive()
-        return a.monic()
-
-    def lcm(self, other: "RatPolynomial") -> "RatPolynomial":
-        if self.is_zero or other.is_zero:
-            return RatPolynomial(())
-        g = self.gcd(other)
-        return ((self * other) // g).monic()
-
-    def divides(self, other: "RatPolynomial") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
 
     def scale_roots(self, c) -> "RatPolynomial":
         """Monic polynomial whose roots are c times this one's (self monic, c != 0)."""

@@ -1,6 +1,6 @@
 """Exact rational scalars.
 
-All cochain values, matrix entries and polynomial coefficients in this
+All matrix entries, polynomial coefficients and root endpoints in this
 package are exact rationals.  gmpy2.mpq is used when available (it is a
 drop-in replacement for fractions.Fraction, several times faster on the
 sizes that occur in Krylov iterations); otherwise Fraction.  The rest of
@@ -34,7 +34,3 @@ def parse_qstr(s: str):
 def floor_q(x) -> int:
     return x.numerator // x.denominator
 
-
-def as_float(x) -> float:
-    """Lossy float view, for human-readable display only."""
-    return x.numerator / x.denominator

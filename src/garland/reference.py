@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import UnknownReferenceInstance
 from .polyq import RatPolynomial, poly_product
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ1
 
 
 def _linear(root) -> RatPolynomial:
@@ -90,34 +90,24 @@ _ISOLATED: dict[tuple[int, int, int], tuple[tuple, ...]] = {
 }
 
 
-def reference_factors(ell: int, q: int, i: int,
-                      scaled: bool = False) -> list[RatPolynomial]:
-    """Recorded factors, low degree first as written.
-
-    With scaled=True each factor has its roots multiplied by q+1,
-    giving the minimal polynomial of (q+1) * Delta.
-    """
+def reference_factors(ell: int, q: int, i: int) -> list[RatPolynomial]:
+    """Recorded factors, low degree first as written."""
     if i == 0 and ell == 1:
-        factors = _factors_1_0(q)
-    elif i == 0 and ell == 2:
-        factors = _factors_2_0(q)
-    elif i == 1 and ell == 2:
-        factors = _factors_2_1(q)
-    elif (ell, q, i) in _ISOLATED:
-        factors = [_poly(*f) for f in _ISOLATED[(ell, q, i)]]
-    else:
-        raise UnknownReferenceInstance(
-            f"no recorded minimal polynomial for (ell, q, i) = ({ell}, {q}, {i})"
-        )
-    if scaled:
-        factors = [f.scale_roots(QQ(q + 1)) for f in factors]
-    return factors
+        return _factors_1_0(q)
+    if i == 0 and ell == 2:
+        return _factors_2_0(q)
+    if i == 1 and ell == 2:
+        return _factors_2_1(q)
+    if (ell, q, i) in _ISOLATED:
+        return [_poly(*f) for f in _ISOLATED[(ell, q, i)]]
+    raise UnknownReferenceInstance(
+        f"no recorded minimal polynomial for (ell, q, i) = ({ell}, {q}, {i})"
+    )
 
 
-def reference_minimal_polynomial(ell: int, q: int, i: int,
-                                 scaled: bool = False) -> RatPolynomial:
+def reference_minimal_polynomial(ell: int, q: int, i: int) -> RatPolynomial:
     """Exact expansion of the recorded factorization."""
-    return poly_product(reference_factors(ell, q, i, scaled=scaled))
+    return poly_product(reference_factors(ell, q, i))
 
 
 def has_reference(ell: int, q: int, i: int) -> bool:

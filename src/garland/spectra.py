@@ -23,19 +23,21 @@ The minimal polynomial is guessed fast and then proved:
      whose lcm degree is maximal (a prime of smaller degree reduced
      badly and is dropped); stop once one more prime leaves the
      reconstruction unchanged.
-  4. CERTIFY the candidate: p(A) e_j = 0 on the certification columns.
+  4. CERTIFY the integer candidate q: q(B) e_j = 0 on the certification
+     columns, which is p(A) e_j = 0 for p(x) = L^-d q(L x).
      A certified annihilator whose degree matches the Krylov lower bound
      from step 2 IS the minimal polynomial, so a wrong reconstruction
      can never be accepted, only retried on the next rung with fresh
      primes.  If the last rung fails too, CertificationFailed is raised.
 
-The certificate is multi-modular.  With integer coefficients c_k of the
-cleared polynomial q(x) = M * L^d * p(x/L), every entry of q(B) is
-bounded by H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose
-product exceeds 2H forces q(B) = 0 over Z, hence p(A) = 0.  Every
-modular pass runs on scipy int64 CSR matmuls with entries kept in
-[0, p), and primes are capped so that max_nnz_row * (p-1)^2 < 2**62: a
-row accumulation cannot overflow int64.
+The certificate is multi-modular and runs on the candidate for min_B
+itself, the monic integer coefficients c_k that the reconstruction
+produced.  Every entry of q(B) = sum_k c_k B^k is bounded by
+H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose product
+exceeds 2H forces q(B) = 0 over Z, hence p(A) = L^-d q(L A) = 0 for the
+returned p(x) = L^-d q(L x).  Every modular pass runs on scipy int64
+CSR matmuls with entries kept in [0, p), and primes are capped so that
+max_nnz_row * (p-1)^2 < 2**62: a row accumulation cannot overflow int64.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -201,20 +203,6 @@ def _balanced_crt(residues: list[int], primes: list[int]) -> int:
 # -- certification ------------------------------------------------------------
 
 
-def _cleared_coefficients(p: RatPolynomial, L: int) -> list[int]:
-    """Integer coefficients of M * L^d * p(x/L), low-to-high."""
-    d = p.degree
-    M = 1
-    for c in p.coeffs:
-        M = lcm(M, int(c.denominator))
-    out = []
-    for k, c in enumerate(p.coeffs):
-        v = c * M * QQ(L) ** (d - k)
-        assert v.denominator == 1
-        out.append(int(v.numerator))
-    return out
-
-
 def _prime_stream(max_nnz_row: int):
     """Descending primes small enough that a mod-p row accumulation fits int64."""
     cap = min(isqrt((1 << 62) // max(1, max_nnz_row)), (1 << 30) - 1)
@@ -225,21 +213,20 @@ def _prime_stream(max_nnz_row: int):
         p -= 2
 
 
-def certify_annihilates(n, indptr, indices, data, L, p: RatPolynomial,
-                        columns=None) -> bool:
-    """Exact check that p(A) kills the given basis vectors (A = B/L).
+def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
+    """Exact check that q(B) kills the given basis vectors.
 
     `indptr`, `indices` and `data` are the CSR arrays of a
-    `LinearOperatorHandle`.  Multi-modular with the 2H bound of the module
-    docstring.  `columns` defaults to all of them; a caller passing fewer
-    must know that a symmetry of A maps those onto the rest, see the
-    module docstring.
+    `LinearOperatorHandle`, and `coeffs` the integer coefficients of q,
+    low to high; q must be monic.  Multi-modular with the 2H bound of
+    the module docstring.  `columns` defaults to all of them; a caller
+    passing fewer must know that a symmetry of B maps those onto the
+    rest, see the module docstring.
     """
-    if p.is_zero or not p.is_monic:
+    if not coeffs or coeffs[-1] != 1:
         return False
     if columns is None:
         columns = range(n)
-    coeffs = _cleared_coefficients(p, L)
     max_nnz = int(np.diff(indptr).max(initial=0))
     binf = _inf_norm(indptr, data, max_nnz)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
@@ -317,11 +304,8 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
             if coeffs == prev:
                 # the lcm degree mod p never exceeds deg min_B, so a
                 # certified annihilator of that degree is min_B itself
-                cand_b = RatPolynomial(tuple(QQ(c) for c in coeffs))
-                cand = cand_b.scale_roots(QQ(1, L))
-                if certify_annihilates(n, indptr, indices, data, L, cand,
-                                       columns=columns):
-                    return cand
+                if certify_annihilates(n, indptr, indices, data, coeffs, columns=columns):
+                    return RatPolynomial(tuple(QQ(c) for c in coeffs)).scale_roots(QQ(1, L))
                 break
             prev = coeffs
     raise CertificationFailed(
@@ -432,7 +416,6 @@ class SpectralReport:
 
 def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 0,
                             instance: dict | None = None,
-                            integer_candidates=None,
                             witness_columns=None) -> SpectralReport:
     """Full certified pipeline for Delta on C^i of cx."""
     timings: dict[str, float] = {}
@@ -457,10 +440,6 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
             "real-root count does not match degree for a symmetric operator"
         )
     m, M = extract_extremes(iso)
-    if integer_candidates is None:
-        table = integer_table(poly, cx.dim)
-    else:
-        table = {int(k): is_eigenvalue(poly, k) for k in integer_candidates}
     return SpectralReport(
         instance=instance or {},
         degree=i,
@@ -469,7 +448,7 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
         isolation=iso,
         m=m,
         M=M,
-        integer_eigenvalues=table,
+        integer_eigenvalues=integer_table(poly, cx.dim),
         timings=timings,
         den_bound=den_bound,
     )

@@ -11,20 +11,24 @@ from math import lcm
 
 from garland.complexes import Complex, from_maximal_simplices
 from garland.errors import DuplicateSimplex, EmptyInput, MixedDimensions, RepeatedVertex
-from garland.exactla import dense_from_entries, kernel_basis
-from garland.laplace import (
+from garland.laplace import assemble_matrix
+from garland.rationals import QQ, QQ0
+from garland.spectra import minimal_polynomial
+from garland.polyq import isolate_real_roots
+
+from cochains import (
     Cochain,
     adjoint_delta,
-    assemble_matrix,
+    check_weight_identity,
     coboundary,
+    index,
     inner_product,
     laplacian_apply,
     rho_v,
     tau_v,
+    types_of,
 )
-from garland.rationals import QQ, QQ0
-from garland.spectra import minimal_polynomial
-from garland.polyq import isolate_real_roots
+from dense import dense_from_entries, kernel_basis
 
 
 def random_pure_complex(rng: random.Random) -> Complex:
@@ -87,7 +91,7 @@ def star_union(kmax: int) -> tuple[Complex, list[list[int]]]:
         tops.extend((nxt, nxt + j) for j in range(1, k + 1))
         nxt += k + 1
     cx = from_maximal_simplices(tops)
-    groups = [[cx.index[0][(star[g],)] for star in stars if g < len(star)]
+    groups = [[index(cx)[0][(star[g],)] for star in stars if g < len(star)]
               for g in range(kmax + 1)]
     return cx, groups
 
@@ -106,7 +110,7 @@ def laplacian_csr_by_apply(cx: Complex, i: int, groups=None):
     # near[j]: the i-simplices sharing an (i+1)-coface with simplex j, and j
     near = [{j} for j in range(n)]
     for t in cx.simplices[i + 1]:
-        faces = [cx.index[i][f] for f in combinations(t, i + 1)]
+        faces = [index(cx)[i][f] for f in combinations(t, i + 1)]
         for a in faces:
             near[a].update(faces)
     rows: list[dict] = [dict() for _ in range(n)]
@@ -149,7 +153,7 @@ def universal_identity_failures(cx: Complex, rng: random.Random, tag: str = "") 
     """
     bad = []
     n = cx.dim
-    if not cx.check_weight_identity():
+    if not check_weight_identity(cx):
         bad.append(f"{tag}: coface weight identity")
     for i in range(n + 1):
         f = rand_cochain(cx, i, rng)
@@ -199,7 +203,7 @@ def universal_identity_failures(cx: Complex, rng: random.Random, tag: str = "") 
 
 def _type_scaled(b, f: Cochain, alpha: int, scale) -> Cochain:
     vals = [
-        QQ(scale) * val if b.types[s[0]] == alpha else val
+        QQ(scale) * val if types_of(b)[s[0]] == alpha else val
         for s, val in zip(b.complex.simplices[0], f.values)
     ]
     return Cochain(b.complex, 0, vals)

@@ -6,31 +6,78 @@ polynomial multiplies back only the deflated roots.  The old code also
 multiplied in the roots certified by `simplest_between`, which p still
 has, so it returned their squares and a chain that miscounts at them.
 The chain is p, p', -rem(p, p'), ... with every member scaled to coprime
-integers by `RatPolynomial.primitive`, and every value is a `Fraction`
-evaluated with `RatPolynomial.__call__`.  `garland.polyq` must give the
-same polynomial, roots, chain, counts and refinements on every input.
+integers by `primitive`, and every value is a `Fraction` evaluated with
+`RatPolynomial.__call__`.  `garland.polyq` must give the same
+polynomial, roots, chain, counts and refinements on every input.
+
+The rational polynomial arithmetic this needs beyond the ring
+operations of `RatPolynomial` (derivative, primitive part, gcd, lcm,
+divisibility) lives here too: the package's integer isolator has no use
+for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from garland.errors import NotSquarefree
 from garland.polyq import RatPolynomial, RootInterval, poly_product, simplest_between
 from garland.rationals import QQ, QQ0, QQ1
 
 
+def derivative(p: RatPolynomial) -> RatPolynomial:
+    return RatPolynomial(tuple(QQ(i) * c for i, c in enumerate(p.coeffs) if i))
+
+
+def primitive(p: RatPolynomial) -> RatPolynomial:
+    """Positive rational multiple with coprime integer coefficients.
+
+    Scaling is by a positive factor, so signs of values are
+    preserved; remainder sequences are renormalized through this to
+    keep coefficient sizes polynomial instead of doubling per step.
+    """
+    if p.is_zero:
+        return p
+    den = 1
+    for c in p.coeffs:
+        den = lcm(den, int(c.denominator))
+    nums = [int(c * den) for c in p.coeffs]
+    g = 0
+    for x in nums:
+        g = gcd(g, x)
+    return RatPolynomial(tuple(QQ(x // g) for x in nums))
+
+
+def poly_gcd(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    while not b.is_zero:
+        a, b = b, primitive(a % b)
+    return a.monic()
+
+
+def poly_lcm(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    if a.is_zero or b.is_zero:
+        return RatPolynomial(())
+    return ((a * b) // poly_gcd(a, b)).monic()
+
+
+def divides(a: RatPolynomial, b: RatPolynomial) -> bool:
+    """Whether a divides b."""
+    if a.is_zero:
+        return b.is_zero
+    return (b % a).is_zero
+
+
 def is_squarefree(p: RatPolynomial) -> bool:
     if p.degree <= 1:
         return not p.is_zero
-    return p.gcd(p.derivative()).degree == 0
+    return poly_gcd(p, derivative(p)).degree == 0
 
 
 def sturm_chain(p: RatPolynomial) -> list[RatPolynomial]:
-    chain = [p.primitive(), p.derivative().primitive()]
+    chain = [primitive(p), primitive(derivative(p))]
     while not chain[-1].is_zero:
-        chain.append((-(chain[-2] % chain[-1])).primitive())
+        chain.append(primitive(-(chain[-2] % chain[-1])))
     chain.pop()
     return chain
 

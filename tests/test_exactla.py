@@ -2,8 +2,10 @@
 
 import random
 
-from garland.exactla import dense_from_entries, kernel_basis, rank, rank_mod_p
+from garland.exactla import rank, rank_mod_p
 from garland.rationals import QQ
+
+from dense import dense_from_entries, kernel_basis
 
 
 def test_rank_frozen_cases():

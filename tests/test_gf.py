@@ -2,16 +2,20 @@
 
 import pytest
 
-from garland.errors import DivisionByZero, InvalidDegree, NonPrimeCharacteristic
-from garland.gf import (
-    FieldSpec,
+from garland.errors import InvalidDegree, NonPrimeCharacteristic
+from garland.gf import FieldSpec, field_for_order, make_field
+
+from fields import (
+    DivisionByZero,
     enumerate_field,
     field_add,
-    field_for_order,
+    field_code,
+    field_element,
     field_inv,
     field_mul,
     field_neg,
-    make_field,
+    field_one,
+    field_zero,
 )
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -22,16 +26,16 @@ def test_enumeration_is_the_code_order(q):
     f = field_for_order(q)
     elems = enumerate_field(f)
     assert len(elems) == q
-    assert [f.code(a) for a in elems] == list(range(q))
-    assert elems[0] == f.zero
-    assert elems[1] == f.one
+    assert [field_code(f, a) for a in elems] == list(range(q))
+    assert elems[0] == field_zero(f)
+    assert elems[1] == field_one(f)
 
 
 @pytest.mark.parametrize("q", ORDERS)
 def test_field_axioms_exhaustive(q):
     f = field_for_order(q)
     elems = enumerate_field(f)
-    zero, one = f.zero, f.one
+    zero, one = field_zero(f), field_one(f)
     for a in elems:
         assert field_add(a, zero) == a
         assert field_mul(a, one) == a
@@ -55,10 +59,10 @@ def test_multiplicative_group_order(q):
     # a^(q-1) = 1 for every nonzero a
     f = field_for_order(q)
     for a in enumerate_field(f)[1:]:
-        power = f.one
+        power = field_one(f)
         for _ in range(q - 1):
             power = field_mul(power, a)
-        assert power == f.one
+        assert power == field_one(f)
 
 
 def test_pinned_moduli():
@@ -79,7 +83,7 @@ def test_field_for_order_factors():
 def test_element_code_round_trip():
     f = make_field(3, 2)
     for code in range(9):
-        assert f.code(f.element(code)) == code
+        assert field_code(f, field_element(f, code)) == code
 
 
 def test_invalid_constructions():
@@ -98,10 +102,10 @@ def test_invalid_constructions():
 def test_inverse_of_zero():
     f = make_field(5, 1)
     with pytest.raises(DivisionByZero):
-        field_inv(f.zero)
+        field_inv(field_zero(f))
     # the dedicated error still reads as the stdlib one
     with pytest.raises(ZeroDivisionError):
-        field_inv(f.zero)
+        field_inv(field_zero(f))
 
 
 def test_specs_compare_by_parameters():

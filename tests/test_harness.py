@@ -22,6 +22,7 @@ from garland.harness import (
     dumps_report,
     ensure_budget,
     extended_grid,
+    flag_count,
     get_building,
     load_cached_report,
     reproduce,
@@ -77,6 +78,15 @@ def test_budget_gate():
     with pytest.raises(BudgetExceeded):
         ensure_budget(2, 2, budget=100)
     assert DEFAULT_CHAMBER_BUDGET == 700_000
+
+
+def test_flag_count_is_the_number_of_simplices():
+    # the closed form a cache hit sizes its report by, without a building
+    for ell, q in ((1, 2), (1, 7), (2, 2), (2, 3), (3, 2)):
+        cx = get_building(ell, q).complex
+        assert [flag_count(ell, q, i) for i in range(ell + 1)] == [
+            cx.num_simplices(i) for i in range(ell + 1)]
+        assert Instance.building(ell, q).num_simplices(ell) == chamber_count(ell, q)
 
 
 @pytest.mark.parametrize("ell, q", [(2, 3), (4, 2)])
@@ -269,7 +279,8 @@ def test_cache_keys_pin_version_and_width():
 def test_cache_round_trip(tmp_path, rep120):
     key = cache_key("b1-q2", 0, "1/1000000")
     store_report(tmp_path, key, rep120)
-    loaded = load_cached_report(tmp_path, key, "1/1000000", rep120.instance, 0, 1)
+    loaded = load_cached_report(tmp_path, key, "1/1000000", rep120.instance, 0,
+                                Instance.building(1, 2))
     assert loaded is not None
     assert loaded.minpoly == rep120.minpoly
     assert loaded.m.lo == rep120.m.lo and loaded.M.value == rep120.M.value
@@ -284,8 +295,9 @@ def test_cache_rejects_tampering(tmp_path, rep120):
     doc["minpoly"] = "0/1 -1/1 1/1"
     path.write_text(json.dumps(doc))
     inst = rep120.instance
-    assert load_cached_report(tmp_path, key, "1/1000000", inst, 0, 1) is None
-    assert load_cached_report(tmp_path, "no-such-key", "1/1000000", inst, 0, 1) is None
+    b12 = Instance.building(1, 2)
+    assert load_cached_report(tmp_path, key, "1/1000000", inst, 0, b12) is None
+    assert load_cached_report(tmp_path, "no-such-key", "1/1000000", inst, 0, b12) is None
 
 
 def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
@@ -296,18 +308,19 @@ def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
         spectral_report(Instance.building(1, q), 0, width, cache_dir=tmp_path)
     src, dst = (tmp_path / f"{cache_key(f'b1-q{q}', 0, width)}.json" for q in (3, 2))
     shutil.copyfile(src, dst)
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is None
+    b12 = Instance.building(1, 2)
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
     doc = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
     assert doc["spectral"]["minpoly"] == "0/1 -14/9 43/9 -4/1 1/1"
     assert doc["spectral"]["dim"] == 14
     # the recomputed entry replaced the file and names its own key
     stored = json.loads(dst.read_text())
     assert stored["key"] == dst.stem
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is not None
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is not None
     # an entry without a key is a miss as well
     del stored["key"]
     dst.write_text(json.dumps(stored))
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, 1) is None
+    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
 
 
 def test_cache_hit_takes_the_callers_instance(tmp_path):
@@ -329,9 +342,36 @@ def test_cache_hit_rederives_instance_and_integer_table(tmp_path):
     doc["integer_eigenvalues"] = {"0": False, "1": False, "7": True}
     path.write_text(json.dumps(doc))
     hit = spectral_report(Instance.building(2, 2), 1, cache_dir=tmp_path)
-    assert hit.timings == doc["timings"]  # it did come from the edited file
+    assert list(hit.timings) == ["load_s"]  # a hit, timed by its own load
     assert (dumps_report(strip_timings(hit.to_json_dict()))
             == dumps_report(strip_timings(fresh.to_json_dict())))
+
+
+def test_cache_hit_rederives_dim_and_keeps_its_own_timings(tmp_path):
+    # an entry's dim and timings used to be read from disk: dim 99 came
+    # back with every verdict certified, and the timings of the run
+    # that wrote the entry were replayed as the hit's
+    fresh = run_instance(Instance.building(1, 2), 0)
+    run_instance(Instance.building(1, 2), 0, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text())
+    assert doc["dim"] == 14
+    doc["dim"] = 99
+    doc["timings"] = {"assemble_s": 0.0}
+    path.write_text(json.dumps(doc))
+    hit = run_instance(Instance.building(1, 2), 0, cache_dir=tmp_path)
+    assert hit["spectral"]["dim"] == 14
+    assert list(hit["spectral"]["timings"]) == ["load_s"]
+    assert dumps_report(strip_timings(hit)) == dumps_report(strip_timings(fresh))
+    # a complex's dim comes from the complex itself
+    c = from_maximal_simplices([(0, 1, 2, 3)])
+    spectral_report(Instance.complex(c), 1, cache_dir=tmp_path / "cx")
+    (path,) = (tmp_path / "cx").glob("*.json")
+    doc = json.loads(path.read_text())
+    doc["dim"] = 99
+    path.write_text(json.dumps(doc))
+    hit = spectral_report(Instance.complex(c), 1, cache_dir=tmp_path / "cx")
+    assert hit.dim == 6 and list(hit.timings) == ["load_s"]
 
 
 # -- reproduction and full instances ----------------------------------------------
@@ -406,6 +446,28 @@ def test_run_complex_instance(shared_cache):
     assert checks["vanishing-threshold"] == CERTIFIED_TRUE
     assert checks["min-bound"] == CERTIFIED_FALSE
     assert checks["integer-eigenvalues"] == CERTIFIED_FALSE
+
+
+def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
+    # the bowtie's vertex-0 link is two disjoint edges: its mod-p bound on
+    # the reduced H^0 is 1, which is inconclusive, so the exact ranks decide
+    calls = []
+
+    def spy(cx):
+        calls.append(cx)
+        return real(cx)
+
+    real = harness.reduced_cohomology_ranks
+    monkeypatch.setattr(harness, "reduced_cohomology_ranks", spy)
+    bowtie = from_maximal_simplices([(0, 1, 2), (0, 3, 4)])
+    doc = run_instance(Instance.complex(bowtie), 1)
+    (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
+    assert v["witness"]["hypothesis_cohomology_vanishes"] is False
+    assert v["witness"]["lower"] == {"status": "not-applicable"}
+    assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
+        False, True, True, True, True]
+    assert len(calls) == 1
+    assert [calls[0].num_simplices(d) for d in (0, 1)] == [4, 2]
 
 
 # -- report plumbing ---------------------------------------------------------------

@@ -1,0 +1,89 @@
+"""The package ships what the CLI runs: the exact-rational oracle lives in tests/.
+
+The cochain calculus, the per-face views and the element-level field and
+subspace code check the package's array and integer code; they are
+imported from the test modules `cochains`, `fields`, `dense` and
+`rational_isolation`, never from `garland`.
+"""
+
+import ast
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+# module -> names that only the tests' oracle defines
+MOVED = {
+    "garland.laplace": [
+        "Cochain", "inner_product", "coboundary", "adjoint_delta", "laplacian_apply",
+        "rho_v", "rho_alpha", "tau_v", "coboundary_entries",
+    ],
+    "garland.complexes": ["orientation_sign"],
+    "garland.building": ["type_invariant_lift", "fundamental_chamber_complex", "incident"],
+    "garland.gf": [
+        "FieldElement", "field_add", "field_neg", "field_mul", "field_inv", "enumerate_field",
+    ],
+    "garland.exactla": ["kernel_basis", "dense_from_entries"],
+    "garland.rationals": ["as_float"],
+    "garland.errors": [
+        "DegreeMismatch", "UnknownVertex", "UnknownType", "DivisionByZero",
+        "AmbientMismatch", "DimensionMismatch",
+    ],
+}
+MOVED_ATTRIBUTES = {
+    ("garland.complexes", "Complex"): [
+        "star", "contains", "weight", "check_weight_identity", "index", "weights",
+    ],
+    ("garland.building", "Subspace"): ["reduce_vector", "contains"],
+    ("garland.building", "TypedBuilding"): ["types"],
+    ("garland.gf", "FieldSpec"): ["element", "code", "zero", "one"],
+    ("garland.polyq", "RatPolynomial"): ["gcd", "lcm", "divides", "derivative", "primitive"],
+}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_the_oracle_is_not_shipped():
+    shipped = []
+    for module, names in MOVED.items():
+        mod = importlib.import_module(module)
+        shipped += [f"{module}.{name}" for name in names if hasattr(mod, name)]
+    for (module, cls), names in MOVED_ATTRIBUTES.items():
+        owner = getattr(importlib.import_module(module), cls)
+        shipped += [f"{module}.{cls}.{name}" for name in names if hasattr(owner, name)]
+    assert shipped == []
+
+
+def test_building_does_not_import_laplace():
+    source = inspect.getsource(importlib.import_module("garland.building"))
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            prefix = "garland." if node.level else ""
+            imported.add(prefix + (node.module or ""))
+            imported.update(prefix + alias.name for alias in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "garland.laplace" not in imported
+    assert imported >= {"garland.complexes", "garland.gf"}  # the scan sees relative imports
+
+
+def test_every_benchmark_target_resolves():
+    # bench/spans.py wraps these by module and attribute path, and counts
+    # faces and nonzeros through Complex.simplices and the operator's entries
+    sys.path.insert(0, str(BENCH))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(BENCH))
+    for _, module, path, _ in spans.TARGETS:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (module, path)
+    from garland.complexes import Complex
+    from garland.laplace import LinearOperatorHandle
+    from garland.spectra import certify_annihilates
+
+    assert hasattr(Complex, "simplices")
+    assert hasattr(LinearOperatorHandle, "entries")
+    assert {"n", "columns"} <= set(inspect.signature(certify_annihilates).parameters)

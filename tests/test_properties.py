@@ -2,6 +2,7 @@
 
 import random
 
+from cochains import Cochain, coboundary, inner_product, laplacian_apply, rho_alpha, types_of
 from identities import (
     eigencochain_sum_failures,
     rand_cochain,
@@ -9,7 +10,6 @@ from identities import (
     universal_identity_failures,
 )
 from garland.harness import get_building
-from garland.laplace import Cochain, coboundary, inner_product, laplacian_apply, rho_alpha
 from garland.rationals import QQ
 
 
@@ -48,7 +48,7 @@ def test_eigencochain_sum_rule_rank_two(b22):
 
 def _type_scaled(b, f, alpha, R):
     vals = [
-        QQ(R) * val if b.types[s[0]] == alpha else val
+        QQ(R) * val if types_of(b)[s[0]] == alpha else val
         for s, val in zip(b.complex.simplices[0], f.values)
     ]
     return Cochain(b.complex, 0, vals)
@@ -62,7 +62,7 @@ def test_type_block_projection_identities(b12, b13, b22):
     #   (Delta P d f_alpha, P d f_alpha) = ((1-P) d f, d f)
     rng = random.Random(41)
     for b in (b12, b13, b22):
-        cx, types = b.complex, b.types
+        cx, types = b.complex, types_of(b)
         ell = cx.dim
         for trial in range(4):
             f = rand_cochain(cx, 0, rng)

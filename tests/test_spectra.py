@@ -18,7 +18,6 @@ import sympy
 from garland import spectra
 from garland.complexes import from_maximal_simplices
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
-from garland.exactla import dense_from_entries
 from garland.laplace import LinearOperatorHandle, assemble_matrix
 from garland.building import witness_columns
 from garland.polyq import RatPolynomial
@@ -36,6 +35,7 @@ from garland.spectra import (
     squarefree_certify,
 )
 
+from dense import dense_from_entries
 from identities import laplacian_csr_by_apply, star_union
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
@@ -52,6 +52,13 @@ def P(*coeffs):
 
 def simplex(n):
     return from_maximal_simplices([tuple(range(n + 1))])
+
+
+def b_coefficients(p, L):
+    """Integer coefficients of L^d p(x / L): a candidate p for A = B / L, moved to B."""
+    scaled = p.scale_roots(QQ(L))
+    assert all(c.denominator == 1 for c in scaled.coeffs)
+    return [int(c) for c in scaled.coeffs]
 
 
 def sympy_matrix(op):
@@ -135,7 +142,8 @@ def test_routes_and_seeds_agree(b12):
         lifted = true + P(first)
         for cand, kills in ((true, True), (short, False), (lifted, False)):
             assert sympy_annihilates(op, cand) is kills
-            assert certify_annihilates(op.dim, indptr, indices, data, L, cand) is kills
+            coeffs = b_coefficients(cand, L)
+            assert certify_annihilates(op.dim, indptr, indices, data, coeffs) is kills
     op = assemble_matrix(b12.complex, 0)
     assert minimal_polynomial(op, seed=0) == minimal_polynomial(op, seed=7)
 
@@ -315,7 +323,7 @@ def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
         assert minimal_polynomial(op) == true
         for cand, kills in ((true, True), (true // P(0, 1), False)):
             assert certify_annihilates(op.dim, op.indptr, op.indices, op.data,
-                                       op.L, cand) is kills
+                                       b_coefficients(cand, op.L)) is kills
 
 
 def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
@@ -399,13 +407,6 @@ def test_report_width_is_respected():
     for root in rep.isolation.roots:
         if not root.is_rational:
             assert root.hi - root.lo <= QQ(1, 8)
-
-
-def test_report_integer_candidates():
-    rep = compute_spectral_report(simplex(3), 1, integer_candidates=range(0, 6))
-    assert rep.integer_eigenvalues == {
-        0: True, 1: False, 2: False, 3: False, 4: True, 5: False
-    }
 
 
 # -- reduced cohomology -------------------------------------------------------

@@ -8,30 +8,34 @@ simplices are the complete flags.  Type(v) = dim(v) - 1, so types run
 
 Canonical data layout, fixed as an external contract:
   * a subspace is its reduced row echelon basis (codes of field elements);
-  * enumerate_subspaces orders by pivot-column set (lexicographic), then
-    by the free entries row-major in field enumeration order;
-  * building vertex ids are dimension-major: all dim-1 subspaces in
-    enumeration order, then dim-2, and so on; `vertex_types[v]` is the
-    type of id v.  Every subspace lies on a chamber, so these ids are
-    also the complex's labels and its dense ids;
+  * the d-subspaces are ordered by pivot-column set (lexicographic), then
+    by the free entries row-major in field enumeration order, the last
+    varying fastest.  So the position of a subspace with pivot set P and
+    free entries c_1..c_F is start(P) + sum of c_k * q**(F - k), where
+    start(P) counts the d-subspaces whose pivot set comes before P;
+  * building vertex ids are dimension-major: all dim-1 subspaces in that
+    order, then dim-2, and so on; `vertex_types[v]` is the type of id v.
+    Every subspace lies on a chamber, so these ids are also the
+    complex's labels and its dense ids;
   * the chambers are a (chambers x (ell+1)) int32 array of vertex ids,
     each row ascending in type, in depth-first order: by the dim-1
-    subspace, then by the superspace enumeration order of each step
-    (`_superspace_rows`).  It goes straight to
+    subspace, then by the superspace order of each step
+    (`superspace_ids`).  It goes straight to
     `Complex.from_maximal_simplices`; no tuple per chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 
-What ships is what a run needs: the enumeration, the chamber walk, the
-type array and `witness_columns`.  Incidence tests on single subspaces
-and the type-invariant lift of chamber cochains are test oracles and
-live with the tests.
+What ships is what a run needs: the closed-form superspace tables, the
+chamber walk, the type array and `witness_columns`.  The subspace
+objects, their one-at-a-time enumeration, incidence tests on single
+subspaces and the type-invariant lift of chamber cochains are test
+oracles and live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -40,90 +44,88 @@ from .errors import DimensionOutOfRange
 from .gf import FieldSpec
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A d-dimensional subspace of F_q^n as its canonical RREF basis."""
-
-    ambient: int
-    dim: int
-    rows: tuple  # tuple of row tuples, entries are field codes
-    field: FieldSpec
-
-    @property
-    def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
+def _digits(q: int, width: int) -> np.ndarray:
+    """The rows of product(range(q), repeat=width), in that order: shape (q**width, width)."""
+    return np.arange(q**width)[:, None] // q ** np.arange(width - 1, -1, -1) % q
 
 
-def enumerate_subspaces(n: int, d: int, field: FieldSpec) -> list[Subspace]:
-    """All d-dimensional subspaces of F_q^n in canonical order."""
+def _pivot_groups(n: int, d: int, q: int) -> dict:
+    """Pivot set -> (free mask, start offset) for the d-subspaces, in canonical order.
+
+    The free mask of a pivot set is the (d, n) boolean array of the
+    entries a reduced echelon basis leaves open; boolean indexing reads
+    them row-major.  The group holds q**F subspaces, F the number of free
+    entries, and its start offset counts the subspaces of the pivot sets
+    before it.
+    """
     if not 1 <= d <= n:
         raise DimensionOutOfRange(f"subspace dimension {d} outside 1..{n}")
-    q = field.q
-    out = []
+    groups, start = {}, 0
     for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        free = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivot_set
-        ]
-        base = [[0] * n for _ in range(d)]
-        for r, p in enumerate(pivots):
-            base[r][p] = 1
-        for assignment in product(range(q), repeat=len(free)):
-            rows = [list(b) for b in base]
-            for (r, c), code in zip(free, assignment):
-                rows[r][c] = code
-            out.append(Subspace(n, d, tuple(tuple(r) for r in rows), field))
-    return out
+        free = np.arange(n) > np.asarray(pivots)[:, None]
+        free[:, pivots] = False
+        groups[pivots] = (free, start)
+        start += q ** int(free.sum())
+    return groups
 
 
-def _superspace_rows(sub: Subspace):
-    """Canonical RREF bases of the (dim+1)-superspaces of sub.
+def subspace_count(n: int, d: int, q: int) -> int:
+    """Number of d-subspaces of F_q^n, summed over the pivot groups."""
+    return sum(q ** int(free.sum()) for free, _ in _pivot_groups(n, d, q).values())
 
-    Each superspace is span(sub, r) for exactly one residual vector r
-    supported on the non-pivot columns with leading entry 1, so these are
-    enumerated directly instead of by containment testing.
+
+def superspace_ids(n: int, d: int, field: FieldSpec) -> np.ndarray:
+    """Superspace-id table of the d-subspaces of F_q^n: int32, (count, S).
+
+    Row i lists the positions among the (d+1)-subspaces of the S
+    superspaces of the i-th d-subspace, in walk order: by the non-pivot
+    column t on which the added row r has its pivot, then by r's entries
+    on the non-pivot columns after t (r[t] = 1) in product order.  Each
+    superspace is span(sub, r) for exactly one such r.  Its RREF basis
+    is sub's rows with column t eliminated by r, with r inserted in pivot
+    order, so its position is read off in closed form from its pivot set
+    and free entries.  One pass per pivot group and t covers every
+    subspace of the group at once.
     """
-    f = sub.field
-    n = sub.ambient
-    q = f.q
-    add, neg, mul = f.add_table, f.neg_table, f.mul_table
-    pivots = sub.pivots
-    nonpivots = [c for c in range(n) if c not in set(pivots)]
-    for t_idx, t in enumerate(nonpivots):
-        tail = nonpivots[t_idx + 1 :]
-        # elimination keeps every old pivot, so r goes after the rows pivoting before t
-        at = sum(1 for p in pivots if p < t)
-        for assignment in product(range(q), repeat=len(tail)):
-            r = [0] * n
-            r[t] = 1
-            for c, code in zip(tail, assignment):
-                r[c] = code
-            # eliminate column t from the old rows, insert r in pivot order
-            new_rows = []
-            for row in sub.rows:
-                c = row[t]
-                if c:
-                    nc = neg[c]
-                    row = tuple(
-                        add[x][mul[nc][r[j]]] if r[j] else x
-                        for j, x in enumerate(row)
-                    )
-                new_rows.append(row)
-            new_rows.insert(at, tuple(r))
-            yield tuple(new_rows)
+    q = field.q
+    add = np.asarray(field.add_table, dtype=np.intp)
+    neg = np.asarray(field.neg_table, dtype=np.intp)
+    mul = np.asarray(field.mul_table, dtype=np.intp)
+    upper = _pivot_groups(n, d + 1, q)
+    blocks = []
+    for pivots, (free, _) in _pivot_groups(n, d, q).items():
+        # every member's basis at once, in enumeration order: (G, d, n)
+        codes = np.zeros((q ** int(free.sum()), d, n), dtype=np.intp)
+        codes[:, range(d), pivots] = 1
+        codes[:, free] = _digits(q, int(free.sum()))
+        nonpivots = [c for c in range(n) if c not in pivots]
+        ids = []
+        for k, t in enumerate(nonpivots):
+            tail = nonpivots[k + 1:]
+            r = np.zeros((q ** len(tail), n), dtype=np.intp)
+            r[:, t] = 1
+            r[:, tail] = _digits(q, len(tail))
+            # row - row[t] * r for every member, old row and r at once: (G, R, d, n)
+            scale = neg[codes[:, :, t]][:, None, :, None]
+            rows = add[codes[:, None], mul[scale, r[None, :, None, :]]]
+            # elimination keeps every old pivot, so r goes after the rows pivoting before t
+            at = sum(p < t for p in pivots)
+            r = np.broadcast_to(r[None, :, None, :], rows[:, :, :1].shape)
+            rows = np.concatenate([rows[:, :, :at], r, rows[:, :, at:]], axis=2)
+            up_free, up_start = upper[tuple(sorted((*pivots, t)))]
+            width = int(up_free.sum())
+            ids.append(up_start + rows[:, :, up_free] @ q ** np.arange(width - 1, -1, -1))
+        blocks.append(np.concatenate(ids, axis=1))
+    return np.concatenate(blocks).astype(np.int32)
 
 
 @dataclass
 class TypedBuilding:
-    """A flag complex with its per-vertex type array and subspace labels."""
+    """A flag complex with its per-vertex type array."""
 
     ell: int
     field: FieldSpec
     complex: Complex
-    subspaces: list[Subspace]
     vertex_types: np.ndarray  # int32, type of vertex id v at position v
     fundamental_chamber: tuple
 
@@ -136,26 +138,21 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     if ell < 1:
         raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
     n = ell + 2
-    layers = [enumerate_subspaces(n, d, field) for d in range(1, ell + 2)]
-    offsets = [0]
-    for layer in layers:
-        offsets.append(offsets[-1] + len(layer))
+    sizes = [subspace_count(n, d, field.q) for d in range(1, ell + 2)]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
 
     # walk the complete flags one dimension at a time: every d-subspace
     # has the same number of (d+1)-superspaces, so each superspace-id
     # table is rectangular and a layer of the walk is one np.repeat
-    chambers = np.arange(len(layers[0]), dtype=np.int32)[:, None]
-    for d, layer in enumerate(layers[:-1]):
-        lookup = {s.rows: offsets[d + 1] + i for i, s in enumerate(layers[d + 1])}
-        sup = np.asarray([[lookup[rows] for rows in _superspace_rows(s)] for s in layer],
-                         dtype=np.int32)
-        nxt = sup[chambers[:, -1] - offsets[d]].reshape(-1, 1)
+    chambers = np.arange(sizes[0], dtype=np.int32)[:, None]
+    for d in range(1, ell + 1):
+        sup = superspace_ids(n, d, field) + np.int32(offsets[d])
+        nxt = sup[chambers[:, -1] - offsets[d - 1]].reshape(-1, 1)
         chambers = np.concatenate([np.repeat(chambers, sup.shape[1], axis=0), nxt], axis=1)
 
     cx = Complex.from_maximal_simplices(chambers)
-    types = np.repeat(np.arange(ell + 1, dtype=np.int32), [len(layer) for layer in layers])
-    subspaces = [s for layer in layers for s in layer]
-    return TypedBuilding(ell, field, cx, subspaces, types, tuple(offsets[:-1]))
+    types = np.repeat(np.arange(ell + 1, dtype=np.int32), sizes)
+    return TypedBuilding(ell, field, cx, types, tuple(offsets[:-1]))
 
 
 def witness_columns(b: TypedBuilding, degree: int) -> list[int]:

@@ -13,8 +13,9 @@ carrying the sign of the permutation.
 
 Array layout.  Vertices are the caller's labels.  Ranked in sorted order
 they become dense ids 0..V-1, so lexicographic order on id rows is
-lexicographic order on label tuples.  For each dimension d a complex
-holds
+lexicographic order on label tuples; maximal simplices given as an
+integer array must already be dense ids, which are then their own
+labels.  For each dimension d a complex holds
 
   * `rows[d]`, an int32 array of shape (count, d+1): the ascending id
     rows of the d-simplices, in lexicographic order;
@@ -56,6 +57,7 @@ from .errors import (
     DuplicateSimplex,
     EmptyInput,
     MixedDimensions,
+    NonDenseIds,
     RepeatedVertex,
     SimplexNotFound,
 )
@@ -67,6 +69,23 @@ def _check_repeated_vertices(tops) -> None:
     for vs in tops:
         if len(set(vs)) != len(vs):
             raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
+
+
+def _dense_vertex_count(tops: np.ndarray) -> int:
+    """V for a 2-D array of dense ids 0..V-1, each occurring; raises otherwise."""
+    if tops.ndim != 2 or tops.dtype.kind not in "iu":
+        raise NonDenseIds(f"maximal simplices as an array must be 2-D integer ids, "
+                          f"got shape {tops.shape} of {tops.dtype}")
+    if not tops.size:
+        raise EmptyInput("a complex needs at least one maximal simplex")
+    lo, hi = int(tops.min()), int(tops.max())
+    # ids past the entry count cannot all occur; checked before bincount allocates hi + 1
+    if lo < 0 or hi >= tops.size:
+        raise NonDenseIds(f"vertex ids {lo}..{hi} are not dense ids of {tops.size} entries")
+    missing = np.flatnonzero(np.bincount(tops.ravel().astype(np.intp, copy=False)) == 0)
+    if len(missing):
+        raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{hi}")
+    return hi + 1
 
 
 class _View(Sequence):
@@ -126,23 +145,24 @@ class Complex:
     def from_maximal_simplices(cls, maximal) -> "Complex":
         """The closure of `maximal` with its face and weight tables.
 
-        `maximal` is an iterable of vertex sequences or a 2-D integer
-        array with one maximal simplex per row.  Labels are ranked to
-        dense ids in sorted order.  The faces of each size k come from
-        the k-column combinations of the sorted id rows; a face's key is
-        rank(prefix) * V + last vertex, which preserves lexicographic
-        order and stays below the number of (k-1)-faces times V.  One
-        sort per size gives the distinct faces in order, and the run
-        lengths are the weights.
+        `maximal` is an iterable of vertex sequences, whose labels are
+        ranked to dense ids in sorted order, or a 2-D integer array with
+        one maximal simplex per row whose entries are already dense ids:
+        every id in 0..V-1 occurs and no other, so the labels are
+        0..V-1.  That contract is checked in O(size) before anything of
+        size V is allocated, and a violation raises NonDenseIds.
+
+        The faces of each size k come from the k-column combinations of
+        the sorted id rows; a face's key is rank(prefix) * V + last
+        vertex, which preserves lexicographic order and stays below the
+        number of (k-1)-faces times V.  One sort per size gives the
+        distinct faces in order, and the run lengths are the weights.
         """
         if isinstance(maximal, np.ndarray):
             tops = maximal
-            if not len(tops):
-                raise EmptyInput("a complex needs at least one maximal simplex")
+            labels = list(range(_dense_vertex_count(tops)))
             size = tops.shape[1]
-            uniq, inverse = np.unique(tops, return_inverse=True)
-            labels = uniq.tolist()
-            ids = inverse.reshape(tops.shape).astype(np.int32)
+            ids = tops.astype(np.int32, copy=False)
         else:
             tops = [tuple(raw) for raw in maximal]
             if not tops:

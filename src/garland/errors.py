@@ -41,6 +41,10 @@ class RepeatedVertex(GarlandError):
     pass
 
 
+class NonDenseIds(GarlandError):
+    pass
+
+
 # -- subspace geometry ------------------------------------------------------
 
 class DimensionOutOfRange(GarlandError):

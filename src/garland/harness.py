@@ -39,7 +39,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -742,6 +741,8 @@ def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,
     instances = default_grid() if grid == "default" else extended_grid()
     tasks = [(ell, q, i, width, seed, cache_dir) for (ell, q, i) in instances]
     if threads > 1:
+        from multiprocessing import Pool  # here, so that a run without workers never loads it
+
         with Pool(processes=threads) as pool:
             results = pool.map(_grid_task, tasks)
     else:

@@ -1,10 +1,12 @@
 """Flag complexes of finite vector spaces: counts, types, symmetry witnesses."""
 
+import numpy as np
 import pytest
 
-from garland.building import Subspace, enumerate_subspaces, flag_complex, witness_columns
+from garland.building import flag_complex, superspace_ids, witness_columns
 from garland.errors import DimensionOutOfRange
 from garland.gf import field_for_order
+from garland.harness import default_grid, extended_grid
 from garland.rationals import QQ
 
 from cochains import (
@@ -15,7 +17,18 @@ from cochains import (
     types_of,
     weight,
 )
-from fields import AmbientMismatch, incident, reduce_vector, subspace_contains
+from fields import (
+    AmbientMismatch,
+    Subspace,
+    enumerate_subspaces,
+    incident,
+    reduce_vector,
+    subspace_contains,
+    superspace_table,
+    walk_chambers,
+)
+
+GRID_BUILDINGS = sorted({(ell, q) for ell, q, _ in default_grid() + extended_grid()})
 
 
 def gaussian(n, d, q):
@@ -70,6 +83,22 @@ def test_reduce_vector_detects_span():
     s = Subspace(3, 1, ((1, 2, 0),), f)
     assert not any(reduce_vector(s, (2, 1, 0)))  # 2*(1,2,0) mod 3
     assert any(reduce_vector(s, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("ell,q", GRID_BUILDINGS)
+def test_closed_form_walk_matches_the_subspace_oracle(ell, q):
+    # the superspace ids read off in closed form equal the oracle's dict
+    # lookup of each enumerated superspace basis, table for table, and
+    # the chambers equal its walk one flag at a time
+    f = field_for_order(q)
+    tables = [superspace_table(ell + 2, d, f) for d in range(1, ell + 1)]
+    for d, table in enumerate(tables, start=1):
+        got = superspace_ids(ell + 2, d, f)
+        assert got.dtype == table.dtype and got.shape == table.shape
+        assert np.array_equal(got, table)
+    chambers = walk_chambers(tables)
+    chambers = chambers[np.lexsort(chambers.T[::-1])]
+    assert flag_complex(ell, f).complex.rows[ell].tobytes() == chambers.tobytes()
 
 
 def test_rank_one_building_is_point_line_incidence(b12):

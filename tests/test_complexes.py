@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from garland.complexes import Complex, from_maximal_simplices, from_text
@@ -10,6 +11,7 @@ from garland.errors import (
     DuplicateSimplex,
     EmptyInput,
     MixedDimensions,
+    NonDenseIds,
     RepeatedVertex,
     SimplexNotFound,
 )
@@ -90,6 +92,59 @@ def test_face_tables_match_reference(b13, b22):
                 reference_face_tables(tops)
             with pytest.raises(error):
                 from_maximal_simplices(tops)
+
+
+def _tables(c):
+    return (c.labels, [r.tobytes() for r in c.rows], [k.tobytes() for k in c.keys],
+            [w.tobytes() for w in c.counts])
+
+
+def test_array_input_must_be_dense_ids():
+    huge = 10**15  # a table indexed by this label could never be allocated
+    bad = [
+        np.array([[0, 1], [1, 3]]),  # 2 is missing
+        np.array([[0, 2], [2, 0]], dtype=np.uint8),  # 1 is missing
+        np.array([[-1, 0], [0, 1]]),
+        np.array([[0, 1], [1, 4]]),  # max id 4 >= 4 entries
+        np.array([[0, huge], [1, 2]], dtype=np.int64),
+        np.array([[0, 1], [1, 2]], dtype=np.float64),
+        np.array([0, 1, 2]),
+    ]
+    for tops in bad:
+        with pytest.raises(NonDenseIds):
+            from_maximal_simplices(tops)
+    with pytest.raises(EmptyInput):
+        from_maximal_simplices(np.empty((0, 3), dtype=np.int32))
+    with pytest.raises(RepeatedVertex):
+        from_maximal_simplices(np.array([[0, 1, 1], [0, 1, 2]]))
+    with pytest.raises(DuplicateSimplex):
+        from_maximal_simplices(np.array([[0, 1], [1, 0]]))
+
+
+def test_dense_array_matches_the_list_path():
+    b = get_building(2, 3)
+    rng = np.random.default_rng(5)
+    chambers = rng.permuted(b.complex.rows[2][rng.permutation(len(b.complex.rows[2]))], axis=1)
+    cases = [np.array(OCTAHEDRON), np.array(TWO_TRIANGLES, dtype=np.uint16), chambers]
+    for tops in cases:
+        a = from_maximal_simplices(tops)
+        assert _tables(a) == _tables(from_maximal_simplices(tops.tolist()))
+        assert all(type(v) is int for v in a.labels)
+    assert _tables(from_maximal_simplices(chambers)) == _tables(b.complex)
+
+
+def test_links_of_the_23_building_match_the_list_path():
+    # Complex.link hands its own dense ids to the array path; each link
+    # equals the list-path closure of the same tops on the old labels
+    cx = get_building(2, 3).complex
+    top = cx.rows[cx.dim].tolist()
+    for v in range(0, len(cx.labels), 7):
+        for s in ((v,), tuple(cx.rows[1][v].tolist())):
+            lk, new_to_old = cx.link(s)
+            ref = from_maximal_simplices([[u for u in t if u not in s] for t in top
+                                          if set(s) <= set(t)])
+            assert new_to_old == ref.labels
+            assert _tables(lk)[1:] == _tables(ref)[1:]
 
 
 def test_triangle_counts_and_weights():

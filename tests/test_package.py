@@ -19,7 +19,10 @@ MOVED = {
         "rho_v", "rho_alpha", "tau_v", "coboundary_entries",
     ],
     "garland.complexes": ["orientation_sign"],
-    "garland.building": ["type_invariant_lift", "fundamental_chamber_complex", "incident"],
+    "garland.building": [
+        "type_invariant_lift", "fundamental_chamber_complex", "incident",
+        "enumerate_subspaces", "_superspace_rows", "Subspace",
+    ],
     "garland.gf": [
         "FieldElement", "field_add", "field_neg", "field_mul", "field_inv", "enumerate_field",
     ],
@@ -34,7 +37,6 @@ MOVED_ATTRIBUTES = {
     ("garland.complexes", "Complex"): [
         "star", "contains", "weight", "check_weight_identity", "index", "weights",
     ],
-    ("garland.building", "Subspace"): ["reduce_vector", "contains"],
     ("garland.building", "TypedBuilding"): ["types"],
     ("garland.gf", "FieldSpec"): ["element", "code", "zero", "one"],
     ("garland.polyq", "RatPolynomial"): ["gcd", "lcm", "divides", "derivative", "primitive"],

@@ -116,7 +116,11 @@ def _print_verdict(v: dict) -> None:
 
 def _instance(args) -> harness.Instance:
     if args.complex:
-        cx, _ = from_text(Path(args.complex).read_text())
+        try:
+            text = Path(args.complex).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GarlandError(f"cannot read the complex file: {exc}") from None
+        cx, _ = from_text(text)
         return harness.Instance.complex(cx)
     if args.ell is None or args.q is None:
         raise GarlandError("pass either --ell and --q, or --complex PATH")

@@ -56,6 +56,7 @@ from .errors import (
     DimensionOutOfRange,
     DuplicateSimplex,
     EmptyInput,
+    InvalidLabel,
     MixedDimensions,
     NonDenseIds,
     RepeatedVertex,
@@ -190,8 +191,14 @@ class Complex:
         # rank[c]: position of every top's face on columns c among the faces of size len(c)
         rank = {(): np.zeros(len(ids), dtype=np.int64)}
         for k in range(1, size + 1):
-            flat = np.concatenate([rank[c[:-1]] * nv + ids[:, c[-1]]
-                                   for c in combinations(range(size), k)])
+            # filled in place, one row per column combination: joining a
+            # list of per-combination arrays held the keys twice
+            combos = list(combinations(range(size), k))
+            flat = np.empty((len(combos), len(ids)), dtype=np.int64)
+            for out, c in zip(flat, combos):
+                np.multiply(rank[c[:-1]], nv, out=out)
+                out += ids[:, c[-1]]
+            flat = flat.ravel()
             flat.sort()
             new = np.concatenate(([True], flat[1:] != flat[:-1]))
             starts = np.flatnonzero(new)
@@ -332,8 +339,9 @@ def from_text(text: str) -> tuple[Complex, dict[int, int]]:
             continue
         labels = []
         for tok in line.split():
-            if not tok.isdigit():
-                raise ValueError(f"line {lineno}: label {tok!r} is not a non-negative integer")
+            # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
+            if not (tok.isascii() and tok.isdigit()):
+                raise InvalidLabel(f"line {lineno}: label {tok!r} is not a non-negative integer")
             labels.append(int(tok))
         for lab in labels:
             if lab not in label_map:

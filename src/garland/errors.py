@@ -45,6 +45,10 @@ class NonDenseIds(GarlandError):
     pass
 
 
+class InvalidLabel(GarlandError, ValueError):
+    pass
+
+
 # -- subspace geometry ------------------------------------------------------
 
 class DimensionOutOfRange(GarlandError):
@@ -68,6 +72,10 @@ class NotSquarefree(GarlandError):
 
 
 class NoNonzeroRoot(GarlandError):
+    pass
+
+
+class InvalidWidth(GarlandError):
     pass
 
 

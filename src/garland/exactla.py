@@ -1,27 +1,17 @@
-"""Exact dense rank over Q and over F_p.
+"""Exact dense rank of integer matrices, over Q and over F_p.
 
-`rank` runs fraction-free (Bareiss) elimination on row-wise
-denominator-cleared integer matrices.  The matrices here are the
-coboundaries of vertex links, which are small, so dense rows are fine.
-rank_mod_p is the one-sided shortcut used for cohomology-vanishing
-certificates: a mod-p rank never exceeds the rational rank.
+Both functions take integer rows: an int64 array (the coboundaries of
+vertex links that `spectra` builds, which are small, so dense rows are
+fine) or a list of int lists.  `rank` runs fraction-free (Bareiss)
+elimination in Python ints, so no entry can overflow and no rational is
+made.  rank_mod_p is the one-sided shortcut used for
+cohomology-vanishing certificates: a mod-p rank never exceeds the
+rational rank.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 import numpy as np
-
-from .rationals import QQ
-
-
-def _cleared_int_rows(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = lcm(*(int(QQ(x).denominator) for x in row)) if row else 1
-        out.append([int(QQ(x) * scale) for x in row])
-    return out
 
 
 def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -52,18 +42,20 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows[: len(pivots)], pivots
 
 
-def rank(rows) -> int:
-    """Exact rank of a dense rational matrix (list of rows)."""
-    if not rows or not rows[0]:
+def rank(int_rows) -> int:
+    """Exact rank of an integer matrix, over Q."""
+    # object dtype turns int64 entries into Python ints, which Bareiss needs
+    rows = np.asarray(int_rows, dtype=object)
+    if rows.size == 0:
         return 0
-    return len(_bareiss_echelon(_cleared_int_rows(rows))[1])
+    return len(_bareiss_echelon(rows.tolist())[1])
 
 
-def rank_mod_p(int_rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix; lower bound for the rational rank."""
-    if not int_rows or not int_rows[0]:
+def rank_mod_p(int_rows, p: int) -> int:
+    """Rank over F_p (p < 2**31) of an integer matrix; lower bound for the rational rank."""
+    a = np.asarray(int_rows, dtype=np.int64) % p
+    if a.size == 0:
         return 0
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):

@@ -52,7 +52,13 @@ from .errors import (
     UnknownReferenceInstance,
 )
 from .gf import field_for_order
-from .polyq import RatPolynomial, RootInterval, isolate_real_roots, root_magnitude_bound
+from .polyq import (
+    RatPolynomial,
+    RootInterval,
+    isolate_real_roots,
+    parse_width,
+    root_magnitude_bound,
+)
 from .rationals import QQ, QQ0, qstr
 from .reference import has_reference, reference_minimal_polynomial
 from .spectra import (
@@ -618,6 +624,7 @@ def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
 def _report(inst: Instance, i: int, instance: dict, width, seed: int,
             cache_dir) -> SpectralReport:
     """The cached or freshly computed report of degree i, labelled `instance`."""
+    width = parse_width(width)  # before any building or cache file is touched
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is not None:
         key = cache_key(inst.stem, i, width)

@@ -4,6 +4,14 @@ Coefficient vectors are stored low-to-high, which is also the serialized
 form: "c0/d0 c1/d1 ..." with every coefficient written as an explicit
 fraction.  The zero polynomial serializes as "0/1" and reports degree -1.
 
+`RatPolynomial` carries a result, it is not a ring: it ships only what
+the package runs.  Evaluation at a rational (the harness asks which
+integers are eigenvalues), the product (`poly_product` multiplies out
+the recorded reference factors), `scale_roots` (the pullback of min_B
+to A = B / L), and the text form that reports and cache entries use.
+Sum, difference, scaling, division and `monic` have no caller here; the
+tests' rational oracle defines the division it needs.
+
 Root isolation is Sturm-chain bisection with exact rational endpoints,
 and every sign it reads is computed in Python integers (after Collins and
 Loos, "Real zeros of polynomials", 1982).
@@ -55,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import NotSquarefree
+from .errors import InvalidWidth, NotSquarefree
 from .rationals import QQ, QQ0, QQ1, floor_q, parse_qstr, qstr
 
 
@@ -81,32 +89,13 @@ class RatPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x):
         acc = QQ0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return RatPolynomial(tuple(out))
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + (-other)
+    # -- product and root scaling -------------------------------------------
 
     def __mul__(self, other: "RatPolynomial") -> "RatPolynomial":
         if self.is_zero or other.is_zero:
@@ -118,39 +107,6 @@ class RatPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return RatPolynomial(tuple(out))
-
-    def scale(self, c) -> "RatPolynomial":
-        c = QQ(c)
-        return RatPolynomial(tuple(c * a for a in self.coeffs))
-
-    def __divmod__(self, other: "RatPolynomial"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPolynomial(()), self
-        quo = [QQ0] * (dq + 1)
-        lead = other.coeffs[-1]
-        for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree] / lead
-            quo[shift] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[shift + j] = rem[shift + j] - c * b
-        return RatPolynomial(tuple(quo)), RatPolynomial(tuple(rem))
-
-    def __floordiv__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "RatPolynomial":
-        if self.is_zero or self.is_monic:
-            return self
-        lead = self.coeffs[-1]
-        return RatPolynomial(tuple(c / lead for c in self.coeffs))
 
     def scale_roots(self, c) -> "RatPolynomial":
         """Monic polynomial whose roots are c times this one's (self monic, c != 0)."""
@@ -168,13 +124,6 @@ class RatPolynomial:
     @classmethod
     def parse(cls, text: str) -> "RatPolynomial":
         return cls(tuple(parse_qstr(tok) for tok in text.split()))
-
-    @classmethod
-    def from_roots(cls, roots) -> "RatPolynomial":
-        p = cls((QQ1,))
-        for r in roots:
-            p = p * cls((-QQ(r), QQ1))
-        return p
 
     def __repr__(self) -> str:
         return f"RatPolynomial({self.serialize()!r})"
@@ -397,15 +346,6 @@ class RootInterval:
     def is_zero(self) -> bool:
         return self.value is not None and self.value == 0
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def midpoint(self):
-        if self.value is not None:
-            return QQ(self.value)
-        return (self.lo + self.hi) / 2
-
     def to_json_dict(self) -> dict:
         out = {"lo": qstr(self.lo), "hi": qstr(self.hi), "is_rational": self.is_rational,
                "is_zero": self.is_zero}
@@ -428,16 +368,12 @@ class RootIsolation:
     roots: list[RootInterval]
     chain: list[tuple[int, ...]]
 
-    @property
-    def real_root_count(self) -> int:
-        return len(self.roots)
-
     def count_in_halfopen(self, a, b) -> int:
         return count_roots_halfopen(self.chain, a, b)
 
     def refine(self, width) -> "RootIsolation":
-        """Bisect each irrational interval until it is at most `width` wide."""
-        width = QQ(width)
+        """Bisect each irrational interval until it is at most `width` wide (> 0)."""
+        width = parse_width(width)
         wn, wd = int(width.numerator), int(width.denominator)
         out = []
         for r in self.roots:
@@ -468,8 +404,23 @@ def _deflate(c: tuple, u: int, v: int) -> tuple[int, ...]:
     return _primitive(q)
 
 
+def parse_width(width) -> QQ:
+    """`width` as a positive rational; raises InvalidWidth for anything else.
+
+    Bisection halves an interval until it is at most `width` wide, which
+    never happens for a width <= 0.
+    """
+    try:
+        w = QQ(width)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidWidth(f"width {width!r} is not a rational number") from None
+    if w <= 0:
+        raise InvalidWidth(f"width must be positive, got {width!r}")
+    return w
+
+
 def _halvings(span_num: int, span_den: int, tn: int, td: int) -> int:
-    """Fewest k >= 0 with span / 2**k <= tn / td."""
+    """Fewest k >= 0 with span / 2**k <= tn / td (tn, td > 0)."""
     k = 0
     while span_num * td > (tn * span_den) << k:
         k += 1
@@ -480,7 +431,8 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
                        den_bound: int | None = None) -> RootIsolation:
     """Isolate every real root of squarefree p into disjoint intervals.
 
-    Intervals come out no wider than `width` and every rational root is
+    Intervals come out no wider than `width`, which must be a positive
+    rational (InvalidWidth otherwise), and every rational root is
     detected exactly (see module docstring for the certificate).  Raises
     NotSquarefree unless p is nonzero and squarefree; that test reads the
     chain the isolation needs anyway.  The returned `RootIsolation`
@@ -492,14 +444,14 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
     polynomial of B/L for an integer matrix B may pass L, since monic
     integer polynomials have only integer rational roots.
     """
+    width = parse_width(width)
+    wn, wd = int(width.numerator), int(width.denominator)
     c = _integer_coeffs(p)
     if c and c[-1] < 0:
         c = tuple(-x for x in c)
     chain = _chain(c)
     if len(chain[-1]) != 1:
         raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {p!r}")
-    width = QQ(width)
-    wn, wd = int(width.numerator), int(width.denominator)
 
     exact: list[tuple[int, int]] = []  # reduced (u, v) of each root u / v
     current = chain

@@ -1,20 +1,15 @@
 """Exact rational scalars.
 
-All matrix entries, polynomial coefficients and root endpoints in this
-package are exact rationals.  gmpy2.mpq is used when available (it is a
-drop-in replacement for fractions.Fraction, several times faster on the
-sizes that occur in Krylov iterations); otherwise Fraction.  The rest of
-the package makes rationals only with the QQ constructor and writes and
-reads them only as qstr/parse_qstr text, so the two backends are
-interchangeable.
+Matrix entries, polynomial coefficients and root endpoints in this
+package are `fractions.Fraction`, exported as QQ; there is one backend.
+The hot paths (Krylov, certification, Sturm isolation, rank) run on
+machine or Python integers and make a rational only for what they hand
+back.  Rationals are written and read only as qstr/parse_qstr text.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore[import-untyped]
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ  # type: ignore[assignment]
+from fractions import Fraction as QQ
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
@@ -33,4 +28,3 @@ def parse_qstr(s: str):
 
 def floor_q(x) -> int:
     return x.numerator // x.denominator
-

@@ -338,11 +338,12 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 # -- reduced cohomology ----------------------------------------------------------
 
 
-def _coboundary_int_rows(cx: Complex, i: int) -> list[list[int]]:
+def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
+    """The dense int64 matrix of d_i, one row per (i+1)-face."""
     cols, signs = coboundary_pattern(cx, i)
     rows = np.zeros((len(cols), cx.num_simplices(i)), dtype=np.int64)
     rows[np.arange(len(cols))[:, None], cols] = signs
-    return rows.tolist()
+    return rows
 
 
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:

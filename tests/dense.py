@@ -3,12 +3,25 @@
 `kernel_basis` back-substitutes rationally over the fraction-free
 echelon form that `garland.exactla.rank` computes; the package needs
 only the rank, the tests recover exact eigencochains from the kernel.
+`garland.exactla` takes integer rows only, so rational rows go through
+`cleared_int_rows` first.
 """
 
 from __future__ import annotations
 
-from garland.exactla import _bareiss_echelon, _cleared_int_rows
+from math import lcm
+
+from garland.exactla import _bareiss_echelon
 from garland.rationals import QQ, QQ0, QQ1
+
+
+def cleared_int_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators: same rank, same kernel."""
+    out = []
+    for row in rows:
+        scale = lcm(*(int(QQ(x).denominator) for x in row)) if row else 1
+        out.append([int(QQ(x) * scale) for x in row])
+    return out
 
 
 def dense_from_entries(nrows: int, ncols: int, entries: dict) -> list[list]:
@@ -28,7 +41,7 @@ def kernel_basis(rows, ncols: int | None = None) -> list[list]:
         n = ncols if ncols is not None else 0
         return [[QQ1 if i == j else QQ0 for i in range(n)] for j in range(n)]
     n = len(rows[0])
-    echelon, pivots = _bareiss_echelon(_cleared_int_rows(rows))
+    echelon, pivots = _bareiss_echelon(cleared_int_rows(rows))
     free = [c for c in range(n) if c not in set(pivots)]
     basis = []
     for f in free:

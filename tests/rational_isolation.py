@@ -10,10 +10,11 @@ integers by `primitive`, and every value is a `Fraction` evaluated with
 `RatPolynomial.__call__`.  `garland.polyq` must give the same
 polynomial, roots, chain, counts and refinements on every input.
 
-The rational polynomial arithmetic this needs beyond the ring
-operations of `RatPolynomial` (derivative, primitive part, gcd, lcm,
-divisibility) lives here too: the package's integer isolator has no use
-for it.
+The rational polynomial arithmetic this needs beyond what
+`RatPolynomial` ships (evaluation and products) lives here too, as
+functions: negation, division with remainder (`poly_divmod`, `poly_div`,
+`poly_mod`), `monic`, derivative, primitive part, gcd, lcm and
+divisibility.  The package's integer isolator has no use for any of it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,44 @@ from math import gcd, lcm
 from garland.errors import NotSquarefree
 from garland.polyq import RatPolynomial, RootInterval, poly_product, simplest_between
 from garland.rationals import QQ, QQ0, QQ1
+
+
+def neg(p: RatPolynomial) -> RatPolynomial:
+    return RatPolynomial(tuple(-c for c in p.coeffs))
+
+
+def poly_divmod(a: RatPolynomial, b: RatPolynomial) -> tuple[RatPolynomial, RatPolynomial]:
+    """Quotient and remainder: a = q b + r with deg r < deg b."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return RatPolynomial(()), a
+    quo = [QQ0] * (dq + 1)
+    lead = b.coeffs[-1]
+    for shift in range(dq, -1, -1):
+        c = rem[shift + b.degree] / lead
+        quo[shift] = c
+        if c != 0:
+            for j, y in enumerate(b.coeffs):
+                rem[shift + j] = rem[shift + j] - c * y
+    return RatPolynomial(tuple(quo)), RatPolynomial(tuple(rem))
+
+
+def poly_div(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    return poly_divmod(a, b)[0]
+
+
+def poly_mod(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
+    return poly_divmod(a, b)[1]
+
+
+def monic(p: RatPolynomial) -> RatPolynomial:
+    if p.is_zero:
+        return p
+    lead = p.coeffs[-1]
+    return RatPolynomial(tuple(c / lead for c in p.coeffs))
 
 
 def derivative(p: RatPolynomial) -> RatPolynomial:
@@ -51,21 +90,21 @@ def primitive(p: RatPolynomial) -> RatPolynomial:
 
 def poly_gcd(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
     while not b.is_zero:
-        a, b = b, primitive(a % b)
-    return a.monic()
+        a, b = b, primitive(poly_mod(a, b))
+    return monic(a)
 
 
 def poly_lcm(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
     if a.is_zero or b.is_zero:
         return RatPolynomial(())
-    return ((a * b) // poly_gcd(a, b)).monic()
+    return monic(poly_div(a * b, poly_gcd(a, b)))
 
 
 def divides(a: RatPolynomial, b: RatPolynomial) -> bool:
     """Whether a divides b."""
     if a.is_zero:
         return b.is_zero
-    return (b % a).is_zero
+    return poly_mod(b, a).is_zero
 
 
 def is_squarefree(p: RatPolynomial) -> bool:
@@ -77,7 +116,7 @@ def is_squarefree(p: RatPolynomial) -> bool:
 def sturm_chain(p: RatPolynomial) -> list[RatPolynomial]:
     chain = [primitive(p), primitive(derivative(p))]
     while not chain[-1].is_zero:
-        chain.append(primitive(-(chain[-2] % chain[-1])))
+        chain.append(primitive(neg(poly_mod(chain[-2], chain[-1]))))
     chain.pop()
     return chain
 
@@ -142,7 +181,7 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
     if p.is_zero or not is_squarefree(p):
         raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {p!r}")
     width = QQ(width)
-    p = p.monic()
+    p = monic(p)
 
     exact: list = []
     deflated: list = []
@@ -174,7 +213,7 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
                         cases.add("midpoint-narrow")
                         exact.append(mid)
                         deflated.append(mid)
-                        p = (p // RatPolynomial((-mid, QQ1))).monic()
+                        p = monic(poly_div(p, RatPolynomial((-mid, QQ1))))
                         restart = True
                         break
                     if (1 if v > 0 else -1) == sign_lo:
@@ -190,7 +229,7 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
                 cases.add("midpoint-split")
                 exact.append(mid)
                 deflated.append(mid)
-                p = (p // RatPolynomial((-mid, QQ1))).monic()
+                p = monic(poly_div(p, RatPolynomial((-mid, QQ1))))
                 restart = True
                 break
             left = count_roots_halfopen(chain, lo, mid)

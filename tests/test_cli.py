@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON output, file emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,44 @@ def test_budget_is_reported_before_the_degree(capsys, cache_args, command):
     code, _out, err = run(capsys, [command, "--ell", "3", "--q", "4", "--i", "9"] + cache_args)
     assert code == 2
     assert "over the budget" in err and "out of range" not in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1/2", "abc", "1/0"])
+def test_spectrum_rejects_a_bad_width(capsys, width):
+    code, out, err = run(capsys, ["spectrum", "--ell", "1", "--q", "2", "--i", "0",
+                                  f"--width={width}"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "width" in err
+
+
+def test_zero_width_exits_promptly():
+    # bisection toward width 0 used to loop forever; the timeout turns a
+    # regression into a failure instead of a stuck run
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "garland.cli", "spectrum", "--ell", "1", "--q", "2",
+         "--i", "0", "--width=0"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("label", ["a", "\u00b2"])
+def test_complex_file_with_a_bad_label(tmp_path, capsys, label):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1 {label}\n", encoding="utf-8")
+    code, _out, err = run(capsys, ["verify", "--complex", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and "label" in err
+
+
+def test_missing_complex_file(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, _out, err = run(capsys, ["spectrum", "--complex", str(missing), "--i", "0"])
+    assert code == 2
+    assert err.startswith("error: ") and "absent.txt" in err
 
 
 def test_verify_default_degrees_pass(capsys, cache_args):

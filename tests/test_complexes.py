@@ -10,6 +10,7 @@ from garland.errors import (
     DimensionOutOfRange,
     DuplicateSimplex,
     EmptyInput,
+    InvalidLabel,
     MixedDimensions,
     NonDenseIds,
     RepeatedVertex,
@@ -235,6 +236,10 @@ def test_text_round_trip():
 def test_from_text_rejects_bad_labels():
     with pytest.raises(ValueError):
         from_text("0 1 x\n")
+    # a GarlandError too; '²' and '١' pass str.isdigit but are no ASCII labels
+    for text in ("0 1 x\n", "0 1 \u00b2\n", "0 1 \u0661\n", "0 -1\n"):
+        with pytest.raises(InvalidLabel):
+            from_text(text)
 
 
 def test_classmethod_matches_module_function():

@@ -135,9 +135,9 @@ def test_max_eigenvalue_verdict(rep120):
 def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
     # with den_bound 1 the root 1 of x (x - 1) (x - 3) is certified by
     # simplest_between, not met at a midpoint; 3 lies above it
-    from garland.polyq import RatPolynomial, isolate_real_roots
+    from garland.polyq import isolate_real_roots, poly_product
     from garland.spectra import SpectralReport
-    p = RatPolynomial.from_roots((QQ(0), QQ(1), QQ(3)))
+    p = poly_product((-r, 1) for r in (0, 1, 3))
     iso = isolate_real_roots(p, den_bound=1)
     rep = SpectralReport({}, 0, 3, p, iso, iso.roots[1], iso.roots[2], {}, {})
     v = verdict_max_eigenvalue(rep, 1, {})

@@ -3,7 +3,7 @@
 import pytest
 import sympy
 
-from garland.errors import NotSquarefree
+from garland.errors import InvalidWidth, NotSquarefree
 from garland.polyq import (
     RatPolynomial,
     RootInterval,
@@ -17,7 +17,18 @@ from garland.polyq import (
 )
 from garland.rationals import QQ, QQ1
 
-from rational_isolation import derivative, divides, poly_gcd, poly_lcm, primitive
+from rational_isolation import (
+    derivative,
+    divides,
+    monic,
+    neg,
+    poly_div,
+    poly_divmod,
+    poly_gcd,
+    poly_lcm,
+    poly_mod,
+    primitive,
+)
 
 
 def P(*coeffs):
@@ -39,12 +50,11 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_ring_operations():
+    # the product and evaluation are all RatPolynomial ships
     f = P(-1, 0, 1)  # x^2 - 1
     assert f == P(1, 1) * P(-1, 1)
-    assert f + P(1) == P(0, 0, 1)
-    assert f - f == ZERO
-    assert (-f) + f == ZERO
-    assert f.scale(QQ(3)) == P(-3, 0, 3)
+    assert f * ZERO == ZERO
+    assert neg(f) == P(1, 0, -1)
     assert f(QQ(2)) == 3
     assert f(QQ(-1)) == 0
 
@@ -52,16 +62,19 @@ def test_ring_operations():
 def test_divmod_identity():
     f = P(2, -3, 0, 1, 5)
     g = P(1, 0, 7)
-    q, r = divmod(f, g)
-    assert q * g + r == f
+    q, r = poly_divmod(f, g)
+    # both sides have degree <= 4, so agreeing at 5 points makes q g + r = f
+    assert all((q * g)(x) + r(x) == f(x) for x in map(QQ, range(5)))
     assert r.degree < g.degree
-    assert f // g == q
-    assert f % g == r
+    assert poly_div(f, g) == q
+    assert poly_mod(f, g) == r
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(f, ZERO)
 
 
 def test_monic_and_derivative():
     f = P(2, 0, 4)
-    assert f.monic() == P(QQ(1, 2), 0, 1)
+    assert monic(f) == P(QQ(1, 2), 0, 1)
     assert derivative(f) == P(0, 8)
     assert derivative(ZERO) == ZERO
 
@@ -77,7 +90,7 @@ def test_gcd_lcm_divides():
     a = P(-1, 1) * P(-2, 1)
     b = P(-2, 1) * P(-3, 1)
     assert poly_gcd(a, b) == P(-2, 1)
-    assert poly_lcm(a, b) == (P(-1, 1) * P(-2, 1) * P(-3, 1)).monic()
+    assert poly_lcm(a, b) == monic(P(-1, 1) * P(-2, 1) * P(-3, 1))
     assert divides(P(-2, 1), a)
     assert not divides(P(-3, 1), a)
     assert divides(ZERO, ZERO)
@@ -86,17 +99,19 @@ def test_gcd_lcm_divides():
 def test_scale_roots_multiplies_roots():
     f = P(-4, 0, 1)  # roots +-2
     g = f.scale_roots(QQ(1, 2))  # roots +-1
-    assert g.monic() == P(-1, 0, 1)
+    assert monic(g) == P(-1, 0, 1)
     # monic stays monic
-    assert f.scale_roots(QQ(3)).is_monic
+    assert f.scale_roots(QQ(3)).coeffs[-1] == 1
 
 
-def test_from_roots_and_product():
-    f = RatPolynomial.from_roots((QQ(1), QQ(-2), QQ(1, 3)))
-    assert f.is_monic
+def test_product_of_linear_factors():
+    # factors may be given as coefficient tuples
+    f = poly_product((-QQ(r), 1) for r in (1, -2, QQ(1, 3)))
+    assert f.degree == 3 and f.coeffs[-1] == 1
     for r in (1, -2, QQ(1, 3)):
         assert f(QQ(r)) == 0
     assert poly_product([P(1, 1), P(-1, 1), P(2)]) == P(-2, 0, 2)
+    assert poly_product([]) == P(1)
 
 
 def test_serialize_parse_round_trip():
@@ -116,8 +131,8 @@ def test_sturm_chain_is_primitive_and_signed():
     assert chain[1] == primitive(derivative(f))
     # signed-remainder property up to the positive primitive scaling
     for k in range(2, len(chain)):
-        rem = chain[k - 2] % chain[k - 1]
-        assert primitive(-rem) == chain[k]
+        rem = poly_mod(chain[k - 2], chain[k - 1])
+        assert primitive(neg(rem)) == chain[k]
         assert primitive(chain[k]) == chain[k]
     assert chain[-1].degree == 0  # squarefree input ends in a constant
 
@@ -178,7 +193,7 @@ def test_isolation_rational_and_irrational_mix():
     # x (x - 2) (x^2 - 2x + 7/9): rational 0, 2 and irrational 1 +- sqrt(2)/3
     f = X * P(-2, 1) * P(QQ(7, 9), -2, 1)
     iso = isolate_real_roots(f, width="1/1000000")
-    assert iso.real_root_count == 4
+    assert len(iso.roots) == 4
     rational = [r for r in iso.roots if r.is_rational]
     assert [r.value for r in rational] == [0, 2]
     assert rational[0].is_zero and not rational[1].is_zero
@@ -196,14 +211,14 @@ def test_isolation_matches_sympy_intervals():
     x = sympy.Symbol("x")
     sf = sympy.Poly(x**4 + 2 * x**3 - 3 * x - 1, x)
     sroots = sf.real_roots()
-    assert iso.real_root_count == len(sroots)
+    assert len(iso.roots) == len(sroots)
     for r, s in zip(iso.roots, sroots):
         assert not r.is_rational
         assert sympy.Rational(str(r.lo)) < s < sympy.Rational(str(r.hi))
 
 
 def test_isolation_all_rational():
-    f = RatPolynomial.from_roots((QQ(-5), QQ(0), QQ(1, 3), QQ(7, 2)))
+    f = poly_product((-QQ(r), 1) for r in (-5, 0, QQ(1, 3), QQ(7, 2)))
     iso = isolate_real_roots(f)
     assert [r.value for r in iso.roots] == [-5, 0, QQ(1, 3), QQ(7, 2)]
     assert all(r.is_rational for r in iso.roots)
@@ -211,7 +226,7 @@ def test_isolation_all_rational():
 
 def test_isolation_no_real_roots():
     iso = isolate_real_roots(P(1, 0, 1))
-    assert iso.real_root_count == 0
+    assert len(iso.roots) == 0
 
 
 def test_isolation_den_bound_enables_coarse_width():
@@ -225,7 +240,7 @@ def test_isolation_intervals_certify_irrationality():
     # endpoints are non-roots and each interval holds exactly one root
     f = P(-2, 0, 1) * P(-3, 0, 1)
     iso = isolate_real_roots(f, width="1/4096")
-    assert iso.real_root_count == 4
+    assert len(iso.roots) == 4
     for r in iso.roots:
         assert not r.is_rational
         assert f(r.lo) != 0 and f(r.hi) != 0
@@ -239,11 +254,21 @@ def test_isolation_rejects_repeated_roots():
         isolate_real_roots(ZERO)
 
 
+@pytest.mark.parametrize("width", [0, "0", "-1/2", QQ(-1), "abc", "1/0", None])
+def test_isolation_and_refine_reject_a_width_that_is_not_positive(width):
+    # bisection toward a width <= 0 never ends, so it is refused up front
+    f = P(-2, 0, 1)
+    with pytest.raises(InvalidWidth):
+        isolate_real_roots(f, width=width)
+    with pytest.raises(InvalidWidth):
+        isolate_real_roots(f).refine(width)
+
+
 def test_refine_narrows_without_reclassifying():
     f = P(-2, 0, 1)
     iso = isolate_real_roots(f, width="1/8")
     fine = iso.refine(QQ(1, 10**9))
-    assert fine.real_root_count == 2
+    assert len(fine.roots) == 2
     for old, new in zip(iso.roots, fine.roots):
         assert old.lo <= new.lo <= new.hi <= old.hi
         assert new.hi - new.lo <= QQ(1, 10**9)
@@ -254,7 +279,7 @@ def test_isolation_returns_the_input_and_its_chain():
     # 0 is met at a midpoint and deflated, 1 and 3 are certified by
     # simplest_between and stay in p: the result is still p, not p times
     # the squares of (x - 1) (x - 3)
-    f = RatPolynomial.from_roots((QQ(0), QQ(1), QQ(3)))
+    f = poly_product((-r, 1) for r in (0, 1, 3))
     iso = isolate_real_roots(f, den_bound=1)
     assert [r.value for r in iso.roots] == [0, 1, 3]
     assert iso.poly == f
@@ -264,15 +289,17 @@ def test_isolation_returns_the_input_and_its_chain():
 
 
 def test_isolation_runs_without_rational_polynomial_arithmetic(monkeypatch):
-    # signs, chain and deflation are integer work: evaluating or dividing
-    # a RatPolynomial anywhere on the isolation path fails this test
+    # signs, chain and deflation are integer work: evaluating a
+    # RatPolynomial anywhere on the isolation path fails this test, and
+    # the class cannot divide at all
     f = X * P(-2, 1) * P(QQ(7, 9), -2, 1)
+    assert not any(hasattr(RatPolynomial, name)
+                   for name in ("__divmod__", "__floordiv__", "__mod__", "monic"))
 
     def forbidden(*args):
         raise AssertionError("rational polynomial arithmetic on the isolation path")
 
     monkeypatch.setattr(RatPolynomial, "__call__", forbidden)
-    monkeypatch.setattr(RatPolynomial, "__divmod__", forbidden)
     iso = isolate_real_roots(f)
     assert [r.value for r in iso.roots if r.is_rational] == [0, 2]
     assert iso.count_in_halfopen(QQ(1, 2), 2) == 3  # 1 -+ sqrt(2)/3 and 2

@@ -14,7 +14,13 @@ import pytest
 
 import rational_isolation as oracle
 from garland.errors import NotSquarefree
-from garland.polyq import RatPolynomial, isolate_real_roots, is_squarefree, sturm_chain
+from garland.polyq import (
+    RatPolynomial,
+    is_squarefree,
+    isolate_real_roots,
+    poly_product,
+    sturm_chain,
+)
 from garland.rationals import QQ
 
 EXTENDED = os.environ.get("GARLAND_EXTENDED") == "1"
@@ -25,7 +31,7 @@ def P(*coeffs):
 
 
 def roots_of(*values):
-    return RatPolynomial.from_roots(tuple(QQ(v) for v in values))
+    return poly_product((-QQ(v), 1) for v in values)
 
 
 X = P(0, 1)
@@ -98,8 +104,8 @@ PROBES = [(-3, 2), (QQ(1, 3), QQ(7, 2)), (-100, 100), (0, 1), (QQ(-1, 7), QQ(22,
 def compare(p, width, den_bound) -> set:
     """Assert the two isolators agree on p; return the branch names reached."""
     # chains first: a wrong chain can make the isolator count forever
-    chain = sturm_chain(p.monic())
-    assert [RatPolynomial(c) for c in chain] == oracle.sturm_chain(p.monic())
+    chain = sturm_chain(oracle.monic(p))
+    assert [RatPolynomial(c) for c in chain] == oracle.sturm_chain(oracle.monic(p))
     cases = set()
     old = oracle.isolate_real_roots(p, width, den_bound, cases)
     new = isolate_real_roots(p, width, den_bound)

@@ -17,6 +17,8 @@ import sympy
 
 from garland import spectra
 from garland.complexes import from_maximal_simplices
+from garland.gf import poly_mul
+from garland.harness import Instance, default_grid, get_building, spectral_report
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from garland.laplace import LinearOperatorHandle, assemble_matrix
 from garland.building import witness_columns
@@ -37,6 +39,7 @@ from garland.spectra import (
 
 from dense import dense_from_entries
 from identities import laplacian_csr_by_apply, star_union
+from rational_isolation import poly_div
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TWO_EDGES = from_maximal_simplices([(0, 1), (2, 3)])
@@ -134,12 +137,12 @@ def test_routes_and_seeds_agree(b12):
         assert op.dim <= 30
         indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
         true = sympy_minpoly(op)
-        short = true // P(0, 1)
+        short = poly_div(true, P(0, 1))
         assert short * P(0, 1) == true
         # lifted(A) = first * I vanishes modulo the first certification
         # prime only, so one prime alone would accept it
         first = next(spectra._prime_stream(int(np.diff(indptr).max())))
-        lifted = true + P(first)
+        lifted = RatPolynomial((true.coeffs[0] + first, *true.coeffs[1:]))
         for cand, kills in ((true, True), (short, False), (lifted, False)):
             assert sympy_annihilates(op, cand) is kills
             coeffs = b_coefficients(cand, L)
@@ -321,7 +324,7 @@ def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
     # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
     for op, true in ((small, reference_minimal_polynomial(2, 2, 1)), (big, P(0, 2, -3, 1))):
         assert minimal_polynomial(op) == true
-        for cand, kills in ((true, True), (true // P(0, 1), False)):
+        for cand, kills in ((true, True), (poly_div(true, P(0, 1)), False)):
             assert certify_annihilates(op.dim, op.indptr, op.indices, op.data,
                                        b_coefficients(cand, op.L)) is kills
 
@@ -407,6 +410,60 @@ def test_report_width_is_respected():
     for root in rep.isolation.roots:
         if not root.is_rational:
             assert root.hi - root.lo <= QQ(1, 8)
+
+
+# -- float shadow -------------------------------------------------------------
+
+
+def shadow_mismatches(op, weights, roots, tol=1e-8):
+    """Eigenvalues of Delta far from every root interval, and intervals with none.
+
+    Delta = D^-1 X for X = d^T W d and D = diag(weights), so Delta is
+    similar to the symmetric D^-1/2 X D^-1/2 = D^1/2 (B / L) D^-1/2, whose
+    float eigenvalues `eigvalsh` gives.  A float check proves nothing; it
+    catches a certified polynomial with a root that is no eigenvalue.
+    """
+    n = op.dim
+    a = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), np.diff(op.indptr))
+    a[rows, op.indices] = np.asarray(op.data, dtype=float) / op.L
+    s = np.sqrt(np.asarray(weights, dtype=float))
+    sym = a * s[:, None] / s[None, :]
+    assert np.abs(sym - sym.T).max() <= tol
+    eig = np.linalg.eigvalsh(sym)
+    spans = [(float(r.lo) - tol, float(r.hi) + tol) for r in roots]
+    stray = [e for e in eig if not any(lo <= e <= hi for lo, hi in spans)]
+    empty = [r for r, (lo, hi) in zip(roots, spans) if not ((lo <= eig) & (eig <= hi)).any()]
+    return stray, empty
+
+
+def test_float_shadow_matches_the_certified_roots_on_the_default_grid(shared_cache):
+    for ell, q, i in default_grid():
+        cx = get_building(ell, q).complex
+        rep = spectral_report(Instance.building(ell, q), i, cache_dir=shared_cache)
+        op = assemble_matrix(cx, i)
+        assert shadow_mismatches(op, cx.counts[i], rep.isolation.roots) == ([], []), (ell, q, i)
+
+
+def test_krylov_minimality_is_not_guarded_by_certification(b22, monkeypatch):
+    # Certification proves q(B) = 0, so it accepts any multiple of min_B.
+    # Only the Krylov lower bound makes the result minimal: an annihilator
+    # with a spurious factor (x - 7777) is certified, and the float shadow
+    # is what notices the root that is no eigenvalue.  (x - 5 would not
+    # do: 5 is a root of min_B, and the square fails isolation.)
+    krylov = spectra._krylov_annihilator_mod_p
+
+    def padded(n, bp, p, v0):
+        return poly_mul(krylov(n, bp, p, v0), [-7777 % p, 1], p)
+
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", padded)
+    rep = spectral_report(Instance.building(2, 2), 1)
+    op = assemble_matrix(b22.complex, 1)
+    assert rep.minpoly.degree == 11  # min_B has degree 10, roots k/3 for k = 0..9
+    assert rep.minpoly == reference_minimal_polynomial(2, 2, 1) * P(QQ(-7777, op.L), 1)
+    stray, empty = shadow_mismatches(op, b22.complex.counts[1], rep.isolation.roots)
+    assert stray == []
+    assert [r.value for r in empty] == [QQ(7777, op.L)]
 
 
 # -- reduced cohomology -------------------------------------------------------

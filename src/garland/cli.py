@@ -127,10 +127,24 @@ def _instance(args) -> harness.Instance:
     return harness.Instance.building(args.ell, args.q)
 
 
+def _check_output(path) -> None:
+    """Fail before any computation when an output path's directory is missing."""
+    if path and not Path(path).parent.is_dir():
+        raise GarlandError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise GarlandError(f"cannot write {path}: {exc}") from None
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_build(args) -> int:
+    _check_output(args.emit_complex)
     b = harness.get_building(args.ell, args.q)
     cx = b.complex
     print(f"flag complex ell={args.ell} q={args.q} (dimension {cx.dim})")
@@ -138,18 +152,19 @@ def _cmd_build(args) -> int:
         print(f"  dim {d}: {cx.num_simplices(d)} simplices")
     print(f"fundamental chamber vertices: {list(b.fundamental_chamber)}")
     if args.emit_complex:
-        Path(args.emit_complex).write_text(cx.to_text())
+        _write(args.emit_complex, cx.to_text())
         print(f"wrote {args.emit_complex}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    _check_output(args.dump_matrix)
     inst = _instance(args)
     report = harness.spectral_report(inst, args.i, width=args.width, seed=args.seed,
                                      cache_dir=args.cache_dir)
     if args.dump_matrix:
         handle = assemble_matrix(inst.cx, args.i)
-        Path(args.dump_matrix).write_text(dump_matrix_text(handle))
+        _write(args.dump_matrix, dump_matrix_text(handle))
     doc = report.to_json_dict()
     if args.json:
         sys.stdout.write(harness.dumps_report(doc))
@@ -221,11 +236,12 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_output(args.out)
     doc = harness.run_grid(grid=args.grid, threads=args.threads, width=args.width,
                            seed=args.seed, cache_dir=args.cache_dir)
     text = harness.dumps_report(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         print(f"wrote {args.out} ({len(doc['instances'])} instances)")
     else:
         sys.stdout.write(text)

@@ -17,8 +17,8 @@ lexicographic order on label tuples; maximal simplices given as an
 integer array must already be dense ids, which are then their own
 labels.  For each dimension d a complex holds
 
-  * `rows[d]`, an int32 array of shape (count, d+1): the ascending id
-    rows of the d-simplices, in lexicographic order;
+  * `rows[d]`, a C-contiguous int32 array of shape (count, d+1): the
+    ascending id rows of the d-simplices, in lexicographic order;
   * `keys[d]`, an int64 array: the key of a row is rank(prefix) * V +
     last id, where rank(prefix) is the position of the row without its
     last vertex among the (d-1)-simplices (0 for a vertex).  Keys are
@@ -27,9 +27,14 @@ labels.  For each dimension d a complex holds
   * `counts[d]`, an int64 array of the weights;
 
 and `labels`, the sorted distinct labels, which `vertices` and `to_text`
-read.  `facets` gathers the boundary faces of every simplex of one
-dimension at once, which is what the operators are assembled from, and
-the links come from one vertex-to-top-simplex CSR built on first use.
+read.  The vertex level is the dense ids themselves: `rows[0]` and
+`keys[0]` are 0..V-1, and `counts[0]` counts each id's occurrences among
+the maximal simplices.  Construction sorts every maximal row with a
+network of elementwise minima and maxima over per-column copies of the
+ids, and builds each larger face size from those sorted columns.
+`facets` gathers the boundary faces of every simplex of one dimension
+at once, which is what the operators are assembled from, and the links
+come from one vertex-to-top-simplex CSR built on first use.
 
 One derived view stays: `simplices`, per dimension the label tuples
 (holding the caller's label objects) in lexicographic order, built from
@@ -72,8 +77,9 @@ def _check_repeated_vertices(tops) -> None:
             raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
 
 
-def _dense_vertex_count(tops: np.ndarray) -> int:
-    """V for a 2-D array of dense ids 0..V-1, each occurring; raises otherwise."""
+def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
+    """Occurrences of each id in a 2-D array of dense ids 0..V-1, each
+    occurring (so the length is V); raises otherwise."""
     if tops.ndim != 2 or tops.dtype.kind not in "iu":
         raise NonDenseIds(f"maximal simplices as an array must be 2-D integer ids, "
                           f"got shape {tops.shape} of {tops.dtype}")
@@ -83,10 +89,31 @@ def _dense_vertex_count(tops: np.ndarray) -> int:
     # ids past the entry count cannot all occur; checked before bincount allocates hi + 1
     if lo < 0 or hi >= tops.size:
         raise NonDenseIds(f"vertex ids {lo}..{hi} are not dense ids of {tops.size} entries")
-    missing = np.flatnonzero(np.bincount(tops.ravel().astype(np.intp, copy=False)) == 0)
+    occurrences = np.bincount(tops.ravel().astype(np.intp, copy=False))
+    missing = np.flatnonzero(occurrences == 0)
     if len(missing):
         raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{hi}")
-    return hi + 1
+    return occurrences
+
+
+def _sort_columns(cols: list) -> None:
+    """Sort every row across the equal-length columns `cols`, in place:
+    an odd-even transposition network, whose len(cols) rounds of
+    compare-exchanges sort any input."""
+    spare = np.empty_like(cols[0])
+    for r in range(len(cols)):
+        for j in range(r % 2, len(cols) - 1, 2):
+            lo, hi = cols[j], cols[j + 1]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            cols[j], spare = spare, lo
+
+
+def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, out=None) -> np.ndarray:
+    """rank(prefix) * V + last vertex, in int64 whatever the dtype of the ranks."""
+    out = np.multiply(prefix_rank, nv, out=out, dtype=np.int64)
+    out += last
+    return out
 
 
 class _View(Sequence):
@@ -151,19 +178,27 @@ class Complex:
         one maximal simplex per row whose entries are already dense ids:
         every id in 0..V-1 occurs and no other, so the labels are
         0..V-1.  That contract is checked in O(size) before anything of
-        size V is allocated, and a violation raises NonDenseIds.
+        size V is allocated, and a violation raises NonDenseIds.  The
+        caller's array is only read.
 
-        The faces of each size k come from the k-column combinations of
-        the sorted id rows; a face's key is rank(prefix) * V + last
+        Either way the input becomes one contiguous int32 copy per
+        column, and an odd-even transposition network of elementwise
+        minima and maxima sorts every row across those columns.  The
+        vertex level is the dense ids themselves: vertex v is row v and
+        has key v, and its weight is the number of times v occurs.  The
+        faces of each larger size k come from the k-column combinations
+        of the sorted columns; a face's key is rank(prefix) * V + last
         vertex, which preserves lexicographic order and stays below the
         number of (k-1)-faces times V.  One sort per size gives the
-        distinct faces in order, and the run lengths are the weights.
+        distinct faces in order, the run lengths are the weights, and
+        the face rows are gathered one column at a time from the
+        prefix rows.
         """
         if isinstance(maximal, np.ndarray):
             tops = maximal
-            labels = list(range(_dense_vertex_count(tops)))
-            size = tops.shape[1]
-            ids = tops.astype(np.int32, copy=False)
+            occurrences = _dense_vertex_counts(tops)
+            labels = list(range(len(occurrences)))
+            ids = tops
         else:
             tops = [tuple(raw) for raw in maximal]
             if not tops:
@@ -172,32 +207,40 @@ class Complex:
             if len(set(map(len, tops))) != 1:
                 _check_repeated_vertices(tops)
                 raise MixedDimensions("maximal simplices must all have the same dimension")
+            if not size:
+                raise EmptyInput("a maximal simplex needs at least one vertex")
             labels = sorted(set(chain.from_iterable(tops)))
             id_of = {lab: j for j, lab in enumerate(labels)}
             ids = np.fromiter(map(id_of.__getitem__, chain.from_iterable(tops)),
                               dtype=np.int32, count=len(tops) * size)
             ids = ids.reshape(len(tops), size)
-        ids = np.sort(ids, axis=1)
+            occurrences = np.bincount(ids.ravel())
+        nv, size = len(labels), ids.shape[1]
+        # astype always copies, so sorting in place never writes into the caller's array
+        cols = [ids[:, j].astype(np.int32) for j in range(size)]
+        _sort_columns(cols)
         if size > 1:
-            bad = np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1))
-            if len(bad):
-                first = tops[bad[0]]
+            repeats = cols[0] == cols[1]
+            for a, b in zip(cols[1:], cols[2:]):
+                repeats |= a == b
+            if repeats.any():
+                first = tops[int(repeats.argmax())]
                 first = tuple(first.tolist() if isinstance(first, np.ndarray) else first)
                 raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
-        nv = len(labels)
 
-        rows, keys, counts = [], [], []
-        faces = np.empty((1, 0), dtype=np.int32)  # the one empty face
-        # rank[c]: position of every top's face on columns c among the faces of size len(c)
-        rank = {(): np.zeros(len(ids), dtype=np.int64)}
-        for k in range(1, size + 1):
+        rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
+        keys = [np.arange(nv, dtype=np.int64)]
+        counts = [occurrences.astype(np.int64, copy=False)]
+        # rank[c]: position of every top's face on columns c among the faces of size len(c);
+        # a vertex's position is its id
+        rank = {(j,): cols[j] for j in range(size - 1)}
+        for k in range(2, size + 1):
             # filled in place, one row per column combination: joining a
             # list of per-combination arrays held the keys twice
             combos = list(combinations(range(size), k))
             flat = np.empty((len(combos), len(ids)), dtype=np.int64)
-            for out, c in zip(flat, combos):
-                np.multiply(rank[c[:-1]], nv, out=out)
-                out += ids[:, c[-1]]
+            for j, c in enumerate(combos):
+                _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat[j])
             flat = flat.ravel()
             flat.sort()
             new = np.concatenate(([True], flat[1:] != flat[:-1]))
@@ -205,14 +248,20 @@ class Complex:
             uniq = flat[starts]
             counts.append(np.diff(np.append(starts, len(flat))))
             del flat, new, starts
-            faces = np.concatenate(
-                [faces[uniq // nv], (uniq % nv).astype(np.int32)[:, None]], axis=1)
+            prefix, last = np.divmod(uniq, nv)
+            faces = np.empty((len(uniq), k), dtype=np.int32)
+            # one column at a time; mode="clip" (prefix is in range) keeps
+            # take from buffering its strided output
+            for j in range(k - 1):
+                np.take(rows[-1][:, j], prefix, out=faces[:, j], mode="clip")
+            faces[:, -1] = last
+            del prefix, last
             rows.append(faces)
             keys.append(uniq)
             # the prefixes of the next size are the combos that leave a column after them
-            rank = {c: np.searchsorted(uniq, rank[c[:-1]] * nv + ids[:, c[-1]])
+            rank = {c: np.searchsorted(uniq, _face_keys(rank[c[:-1]], cols[c[-1]], nv))
                     for c in combinations(range(size - 1), k)}
-        if len(faces) != len(ids):
+        if len(rows[-1]) != len(ids):
             raise DuplicateSimplex("duplicate maximal simplex")
         return cls(labels, rows, keys, counts)
 

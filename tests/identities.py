@@ -60,6 +60,8 @@ def reference_face_tables(maximal):
     size = len(tops[0])
     if any(len(t) != size for t in tops):
         raise MixedDimensions("maximal simplices must all have the same dimension")
+    if not size:
+        raise EmptyInput("a maximal simplex needs at least one vertex")
     if len(set(tops)) != len(tops):
         raise DuplicateSimplex("duplicate maximal simplex")
     counts: list[dict] = [dict() for _ in range(size)]

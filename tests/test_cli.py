@@ -145,6 +145,32 @@ def test_missing_complex_file(tmp_path, capsys):
     assert err.startswith("error: ") and "absent.txt" in err
 
 
+@pytest.mark.parametrize("argv, computes", [
+    (["build", "--ell", "1", "--q", "2", "--emit-complex"], "get_building"),
+    (["spectrum", "--ell", "1", "--q", "2", "--i", "0", "--dump-matrix"], "spectral_report"),
+    (["report", "--grid", "default", "--out"], "run_grid"),
+])
+def test_missing_output_directory_fails_before_computing(tmp_path, capsys, monkeypatch,
+                                                         argv, computes):
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{computes} ran before the output path was checked")
+
+    monkeypatch.setattr(harness, computes, computed)
+    target = tmp_path / "absent" / "out.txt"
+    code, _out, err = run(capsys, argv + [str(target)])
+    assert code == 2
+    assert err.startswith("error: ") and "absent" in err
+    assert not target.parent.exists()
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    # the directory exists, but the target is a directory itself
+    code, _out, err = run(capsys, ["build", "--ell", "1", "--q", "2",
+                                   "--emit-complex", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
 def test_verify_default_degrees_pass(capsys, cache_args):
     code, out, _ = run(capsys, ["verify", "--ell", "1", "--q", "2"] + cache_args)
     assert code == 0

@@ -81,8 +81,8 @@ def test_face_tables_match_reference(b13, b22):
         assert all(id(v) in mine for level in c.simplices for s in level for v in s)
         assert all(type(w) is int for level in weights(c) for w in level)
     bad = {
-        EmptyInput: [[]],
-        MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)]],
+        EmptyInput: [[], [()], [(), ()]],
+        MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)], [(), (0,)]],
         DuplicateSimplex: [[(0, 1), (1, 0)], [(5, 9, 2), (2, 5, 9), (1, 2, 3)]],
         # a repeated vertex is reported before a mixed size or a duplicate
         RepeatedVertex: [[(0, 1, 1)], [(0, 1, 2), (3, 3)], [(0, 1), (1, 0), (2, 2)]],
@@ -96,8 +96,65 @@ def test_face_tables_match_reference(b13, b22):
 
 
 def _tables(c):
-    return (c.labels, [r.tobytes() for r in c.rows], [k.tobytes() for k in c.keys],
-            [w.tobytes() for w in c.counts])
+    """Labels, then per table the dtype, shape, C-contiguity and bytes of every level."""
+    return (c.labels, *([(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in t]
+                        for t in (c.rows, c.keys, c.counts)))
+
+
+def _dense_array_tops(rng, size):
+    """A random pure complex on dense ids, rows and each row's columns shuffled."""
+    pool = rng.integers(size, 4 * size + 3)
+    tops = {tuple(sorted(rng.choice(pool, size, replace=False).tolist()))
+            for _ in range(rng.integers(1, 40))}
+    _, dense = np.unique(np.array(sorted(tops)), return_inverse=True)
+    tops = dense.reshape(len(tops), size)[rng.permutation(len(tops))]
+    dtype = rng.choice([np.int32, np.int64, np.uint8, np.int16])
+    return rng.permuted(tops, axis=1).astype(dtype)
+
+
+def test_array_face_tables_match_reference():
+    rng = np.random.default_rng(29)
+    inputs = [_dense_array_tops(rng, size) for size in range(1, 7) for _ in range(8)]
+    # one descending row: each column of the caller's array is already contiguous
+    inputs += [np.arange(size)[::-1].reshape(1, size).copy() for size in range(1, 7)]
+    for tops in inputs:
+        before = tops.copy()
+        c = from_maximal_simplices(tops)
+        assert np.array_equal(tops, before)
+        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops.tolist())
+        assert _tables(c) == _tables(from_maximal_simplices(tops.tolist()))
+        for d in range(c.dim + 1):
+            rows, keys, counts = c.rows[d], c.keys[d], c.counts[d]
+            assert rows.dtype == np.int32 and rows.flags.c_contiguous
+            assert rows.shape == (len(keys), d + 1)
+            assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+            assert counts.dtype == np.int64
+    bad = []
+    # a repeated vertex at each adjacent position of the sorted row
+    for size in range(2, 7):
+        for p in range(size - 1):
+            row = np.arange(size)
+            row[p + 1] = p
+            bad.append((RepeatedVertex, np.stack([rng.permutation(size), rng.permutation(row)])))
+    bad += [
+        (DuplicateSimplex, np.array([[0], [1], [0]])),
+        (DuplicateSimplex, np.zeros((2, 1), dtype=np.uint8)),
+        (DuplicateSimplex, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 3]])),
+        # a repeated vertex is reported before a duplicate
+        (RepeatedVertex, np.array([[0, 1, 2], [2, 1, 0], [3, 3, 1]])),
+    ]
+    for error, tops in bad:
+        before = tops.copy()
+        with pytest.raises(error) as caught:
+            from_maximal_simplices(tops)
+        assert np.array_equal(tops, before)
+        with pytest.raises(error):
+            from_maximal_simplices(tops.tolist())
+        with pytest.raises(error):
+            reference_face_tables(tops.tolist())
+        if error is RepeatedVertex:
+            first = next(r for r in tops.tolist() if len(set(r)) < len(r))
+            assert str(tuple(first)) in str(caught.value)
 
 
 def test_array_input_must_be_dense_ids():

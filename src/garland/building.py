@@ -16,7 +16,7 @@ Canonical data layout, fixed as an external contract:
   * building vertex ids are dimension-major: all dim-1 subspaces in that
     order, then dim-2, and so on; `vertex_types[v]` is the type of id v.
     Every subspace lies on a chamber, so these ids are also the
-    complex's labels and its dense ids;
+    complex's dense vertex ids;
   * the chambers are a (chambers x (ell+1)) int32 array of vertex ids,
     each row ascending in type, in depth-first order: by the dim-1
     subspace, then by the superspace order of each step

@@ -179,6 +179,8 @@ def _verify_degrees(args, inst: harness.Instance) -> list[int]:
     if args.i is not None:
         return [args.i]
     if inst.reference is None:  # the grids name (ell, q) reference points only
+        if inst.n == 0:
+            raise GarlandError("a complex of dimension 0 has no degree 0 <= i <= n-1 to verify")
         return list(range(inst.n))
     grid = harness.extended_grid() if args.extended else harness.default_grid()
     degrees = [i for (ell, q, i) in grid if (ell, q) == inst.reference]

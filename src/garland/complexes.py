@@ -11,11 +11,11 @@ so w(t) = 1 for the n-simplices themselves.  Simplices are canonical
 ascending vertex tuples; an oriented simplex is any permutation of one,
 carrying the sign of the permutation.
 
-Array layout.  Vertices are the caller's labels.  Ranked in sorted order
-they become dense ids 0..V-1, so lexicographic order on id rows is
-lexicographic order on label tuples; maximal simplices given as an
-integer array must already be dense ids, which are then their own
-labels.  For each dimension d a complex holds
+Vertices are dense integer ids 0..V-1, the one vertex model: every id
+in that range occurs in some maximal simplex and no other id does.  The
+chamber walk of a building produces such ids, and `from_text` is the
+one place where outside labels become ids.  For each dimension d a
+complex holds
 
   * `rows[d]`, a C-contiguous int32 array of shape (count, d+1): the
     ascending id rows of the d-simplices, in lexicographic order;
@@ -24,24 +24,24 @@ labels.  For each dimension d a complex holds
     last vertex among the (d-1)-simplices (0 for a vertex).  Keys are
     strictly increasing, so `locate` finds a face by one `searchsorted`
     per prefix;
-  * `counts[d]`, an int64 array of the weights;
+  * `counts[d]`, an int64 array of the weights.
 
-and `labels`, the sorted distinct labels, which `vertices` and `to_text`
-read.  The vertex level is the dense ids themselves: `rows[0]` and
-`keys[0]` are 0..V-1, and `counts[0]` counts each id's occurrences among
-the maximal simplices.  Construction sorts every maximal row with a
-network of elementwise minima and maxima over per-column copies of the
-ids, and builds each larger face size from those sorted columns.
-`facets` gathers the boundary faces of every simplex of one dimension
-at once, which is what the operators are assembled from, and the links
-come from one vertex-to-top-simplex CSR built on first use.
+The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
+0..V-1, and `counts[0]` counts each id's occurrences among the maximal
+simplices.  Construction sorts every maximal row with a network of
+elementwise minima and maxima over per-column copies of the ids, and
+builds each larger face size from those sorted columns.  `facets`
+gathers the boundary faces of every simplex of one dimension at once,
+which is what the operators are assembled from, and vertex links, the
+only links that Garland's localization reads, come from one
+vertex-to-top-simplex CSR built on first use.
 
-One derived view stays: `simplices`, per dimension the label tuples
-(holding the caller's label objects) in lexicographic order, built from
-the arrays on first item access; its length costs nothing.  Nothing on
-the path of a CLI command reads its items.  The benchmark counts faces
-through it, and the tests' exact-rational cochain calculus (which
-derives its own position and weight tables) reads it.
+One derived view stays: `simplices`, per dimension the id tuples in
+lexicographic order, built from the arrays on first item access; its
+length costs nothing.  Nothing on the path of a CLI command reads its
+items.  The benchmark counts faces through it, and the tests'
+exact-rational cochain calculus (which derives its own position and
+weight tables) reads it.
 
 The text interchange format is one maximal simplex per line as
 whitespace-separated non-negative integer labels, with '#' starting a
@@ -53,12 +53,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property, partial
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (
-    DimensionOutOfRange,
     DuplicateSimplex,
     EmptyInput,
     InvalidLabel,
@@ -68,23 +67,14 @@ from .errors import (
     SimplexNotFound,
 )
 
-Simplex = tuple  # canonical ascending tuple[int, ...]
-
-
-def _check_repeated_vertices(tops) -> None:
-    for vs in tops:
-        if len(set(vs)) != len(vs):
-            raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
-
-
 def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
     """Occurrences of each id in a 2-D array of dense ids 0..V-1, each
     occurring (so the length is V); raises otherwise."""
-    if tops.ndim != 2 or tops.dtype.kind not in "iu":
-        raise NonDenseIds(f"maximal simplices as an array must be 2-D integer ids, "
-                          f"got shape {tops.shape} of {tops.dtype}")
     if not tops.size:
-        raise EmptyInput("a complex needs at least one maximal simplex")
+        raise EmptyInput("a complex needs at least one maximal simplex with a vertex")
+    if tops.ndim != 2 or tops.dtype.kind not in "iu":
+        raise NonDenseIds(f"maximal simplices must be a 2-D array of integer ids, "
+                          f"got shape {tops.shape} of {tops.dtype}")
     lo, hi = int(tops.min()), int(tops.max())
     # ids past the entry count cannot all occur; checked before bincount allocates hi + 1
     if lo < 0 or hi >= tops.size:
@@ -154,16 +144,13 @@ class Complex:
 
     Attributes:
         dim: n.
-        labels: the sorted distinct vertex labels; id j is labels[j].
         rows, keys, counts: per dimension 0..n, the int32 id rows, the
-            int64 search keys and the int64 weights.
-        simplices: the derived read-only label-tuple view (module
-            docstring).
+            int64 search keys and the int64 weights; V is len(rows[0]).
+        simplices: the derived read-only id-tuple view (module docstring).
     """
 
-    def __init__(self, labels: list, rows: list, keys: list, counts: list):
+    def __init__(self, rows: list, keys: list, counts: list):
         self.dim = len(rows) - 1
-        self.labels = labels
         self.rows = rows
         self.keys = keys
         self.counts = counts
@@ -173,59 +160,42 @@ class Complex:
     def from_maximal_simplices(cls, maximal) -> "Complex":
         """The closure of `maximal` with its face and weight tables.
 
-        `maximal` is an iterable of vertex sequences, whose labels are
-        ranked to dense ids in sorted order, or a 2-D integer array with
-        one maximal simplex per row whose entries are already dense ids:
-        every id in 0..V-1 occurs and no other, so the labels are
-        0..V-1.  That contract is checked in O(size) before anything of
-        size V is allocated, and a violation raises NonDenseIds.  The
-        caller's array is only read.
+        `maximal` holds one maximal simplex per row of a 2-D integer
+        array (or anything `np.asarray` makes one of, such as nested
+        equal-length lists), and its entries are dense ids: every id in
+        0..V-1 occurs and no other.  That contract is checked in O(size)
+        before anything of size V is allocated; a violation raises
+        NonDenseIds, and ragged rows, empty input, a repeated vertex or a
+        duplicate row raise their own GarlandError.  The caller's array
+        is only read.
 
-        Either way the input becomes one contiguous int32 copy per
-        column, and an odd-even transposition network of elementwise
-        minima and maxima sorts every row across those columns.  The
-        vertex level is the dense ids themselves: vertex v is row v and
-        has key v, and its weight is the number of times v occurs.  The
-        faces of each larger size k come from the k-column combinations
-        of the sorted columns; a face's key is rank(prefix) * V + last
-        vertex, which preserves lexicographic order and stays below the
-        number of (k-1)-faces times V.  One sort per size gives the
-        distinct faces in order, the run lengths are the weights, and
-        the face rows are gathered one column at a time from the
-        prefix rows.
+        The input becomes one contiguous int32 copy per column, and an
+        odd-even transposition network of elementwise minima and maxima
+        sorts every row across those columns.  The vertex level is the
+        ids themselves: vertex v is row v and has key v, and its weight
+        is the number of times v occurs.  The faces of each larger size k
+        come from the k-column combinations of the sorted columns; a
+        face's key is rank(prefix) * V + last vertex, which preserves
+        lexicographic order and stays below the number of (k-1)-faces
+        times V.  One sort per size gives the distinct faces in order,
+        the run lengths are the weights, and the face rows are gathered
+        one column at a time from the prefix rows.
         """
-        if isinstance(maximal, np.ndarray):
-            tops = maximal
-            occurrences = _dense_vertex_counts(tops)
-            labels = list(range(len(occurrences)))
-            ids = tops
-        else:
-            tops = [tuple(raw) for raw in maximal]
-            if not tops:
-                raise EmptyInput("a complex needs at least one maximal simplex")
-            size = len(tops[0])
-            if len(set(map(len, tops))) != 1:
-                _check_repeated_vertices(tops)
-                raise MixedDimensions("maximal simplices must all have the same dimension")
-            if not size:
-                raise EmptyInput("a maximal simplex needs at least one vertex")
-            labels = sorted(set(chain.from_iterable(tops)))
-            id_of = {lab: j for j, lab in enumerate(labels)}
-            ids = np.fromiter(map(id_of.__getitem__, chain.from_iterable(tops)),
-                              dtype=np.int32, count=len(tops) * size)
-            ids = ids.reshape(len(tops), size)
-            occurrences = np.bincount(ids.ravel())
-        nv, size = len(labels), ids.shape[1]
+        try:
+            tops = np.asarray(maximal)
+        except ValueError:
+            raise MixedDimensions("maximal simplices must all have the same dimension") from None
+        occurrences = _dense_vertex_counts(tops)
+        nv, size = len(occurrences), tops.shape[1]
         # astype always copies, so sorting in place never writes into the caller's array
-        cols = [ids[:, j].astype(np.int32) for j in range(size)]
+        cols = [tops[:, j].astype(np.int32) for j in range(size)]
         _sort_columns(cols)
         if size > 1:
             repeats = cols[0] == cols[1]
             for a, b in zip(cols[1:], cols[2:]):
                 repeats |= a == b
             if repeats.any():
-                first = tops[int(repeats.argmax())]
-                first = tuple(first.tolist() if isinstance(first, np.ndarray) else first)
+                first = tuple(tops[int(repeats.argmax())].tolist())
                 raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
 
         rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
@@ -238,7 +208,7 @@ class Complex:
             # filled in place, one row per column combination: joining a
             # list of per-combination arrays held the keys twice
             combos = list(combinations(range(size), k))
-            flat = np.empty((len(combos), len(ids)), dtype=np.int64)
+            flat = np.empty((len(combos), len(tops)), dtype=np.int64)
             for j, c in enumerate(combos):
                 _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat[j])
             flat = flat.ravel()
@@ -261,9 +231,9 @@ class Complex:
             # the prefixes of the next size are the combos that leave a column after them
             rank = {c: np.searchsorted(uniq, _face_keys(rank[c[:-1]], cols[c[-1]], nv))
                     for c in combinations(range(size - 1), k)}
-        if len(rows[-1]) != len(ids):
+        if len(rows[-1]) != len(tops):
             raise DuplicateSimplex("duplicate maximal simplex")
-        return cls(labels, rows, keys, counts)
+        return cls(rows, keys, counts)
 
     # -- array lookups ---------------------------------------------------------
 
@@ -272,7 +242,7 @@ class Complex:
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """Positions of ascending id rows (shape (m, d+1)) among the d-simplices; -1 if absent."""
-        nv = len(self.labels)
+        nv = len(self.rows[0])
         pos = np.zeros(len(rows), dtype=np.int64)
         found = np.ones(len(rows), dtype=bool)
         for j in range(rows.shape[1]):
@@ -289,83 +259,55 @@ class Complex:
         return np.stack([self.locate(np.delete(rows, j, axis=1)) for j in range(d + 1)],
                         axis=1)
 
-    @cached_property
-    def _id_of(self) -> dict:
-        return {lab: j for j, lab in enumerate(self.labels)}
-
-    def _find(self, s) -> tuple[list[int], int]:
-        """Ids and position of the canonical simplex s; position -1 if s is none."""
-        ids = [self._id_of.get(v, -1) for v in s]
-        if not 1 <= len(ids) <= self.dim + 1 or -1 in ids or any(
-                a >= b for a, b in zip(ids, ids[1:])):
-            return ids, -1
-        return ids, int(self.locate(np.asarray([ids], dtype=np.int64))[0])
-
     @property
-    def vertices(self) -> list:
-        return list(self.labels)
+    def vertices(self) -> range:
+        return range(len(self.rows[0]))
 
-    # -- subcomplexes -----------------------------------------------------------
+    # -- vertex links -----------------------------------------------------------
 
     @cached_property
     def _vertex_tops(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex-to-top CSR: the top simplices at id j are tops[ptr[j]:ptr[j+1]], ascending."""
         top = self.rows[self.dim]
         order = np.argsort(top, axis=None, kind="stable")
-        ptr = np.zeros(len(self.labels) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(top.ravel(), minlength=len(self.labels)), out=ptr[1:])
+        ptr = np.zeros(len(self.rows[0]) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(top.ravel(), minlength=len(self.rows[0])), out=ptr[1:])
         return ptr, order // top.shape[1]
 
-    def _tops_containing(self, s) -> tuple[list[int], np.ndarray]:
-        """Ids of s and the positions of the top simplices containing it."""
-        ids, pos = self._find(s)
-        if pos < 0:
-            raise SimplexNotFound(f"{tuple(s)} is not a simplex of this complex")
-        ptr, tops = self._vertex_tops
-        tops = tops[ptr[ids[0]]:ptr[ids[0] + 1]]
-        for u in ids[1:]:
-            tops = tops[(self.rows[self.dim][tops] == u).any(axis=1)]
-        return ids, tops
+    def vertex_link(self, v: int) -> tuple["Complex", list[int]]:
+        """Link of vertex v, relabeled to dense ids; returns (complex, new_to_old).
 
-    def link(self, s: Simplex) -> tuple["Complex", list]:
-        """Link of s, relabeled to dense ids; returns (complex, new_to_old).
-
-        The maximal simplices of Lk(s) are exactly t\\s for the maximal
-        t containing s, so the link is itself pure of dimension
-        n - dim(s) - 1 with every simplex under a top face.
+        The maximal simplices of Lk(v) are exactly t minus v for the
+        maximal t containing v, so the link is itself pure of dimension
+        n - 1 with every simplex under a top face.  Memoized: vertex
+        links recur in every localization op.
         """
-        ids, tops = self._tops_containing(s)
-        if len(ids) == self.dim + 1:
-            raise DimensionOutOfRange("the link of a maximal simplex is empty")
-        rows = self.rows[self.dim][tops]
-        rest = rows[~np.isin(rows, ids)].reshape(len(rows), -1)
-        old, dense = np.unique(rest, return_inverse=True)
-        return (Complex.from_maximal_simplices(dense.reshape(rest.shape)),
-                [self.labels[j] for j in old.tolist()])
-
-    def vertex_link(self, v: int) -> tuple["Complex", list]:
-        """Memoized link((v,)); vertex links recur in every localization op."""
         if v not in self._vertex_links:
-            self._vertex_links[v] = self.link((v,))
+            if not 0 <= v < len(self.rows[0]):
+                raise SimplexNotFound(f"{v} is not a vertex of this complex")
+            ptr, tops = self._vertex_tops
+            rows = self.rows[self.dim][tops[ptr[v]:ptr[v + 1]]]
+            rest = rows[rows != v].reshape(len(rows), -1)
+            old, dense = np.unique(rest, return_inverse=True)
+            self._vertex_links[v] = (Complex.from_maximal_simplices(dense.reshape(rest.shape)),
+                                     old.tolist())
         return self._vertex_links[v]
 
     # -- derived view ---------------------------------------------------------------
 
-    def _label_tuples(self, d: int) -> list[tuple]:
-        label_of = np.fromiter(self.labels, dtype=object, count=len(self.labels))
+    def _id_tuples(self, d: int) -> list[tuple]:
         rows = self.rows[d]
-        # object arrays hand back the caller's label objects, not copies
-        return list(zip(*(label_of[rows[:, j]].tolist() for j in range(d + 1))))
+        return list(zip(*(rows[:, j].tolist() for j in range(d + 1))))
 
     @cached_property
     def simplices(self) -> list[_View]:
-        """Per dimension, the canonical simplices as label tuples in lexicographic order."""
-        return [_View(len(r), partial(self._label_tuples, d)) for d, r in enumerate(self.rows)]
+        """Per dimension, the canonical simplices as id tuples in lexicographic order."""
+        return [_View(len(r), partial(self._id_tuples, d)) for d, r in enumerate(self.rows)]
 
     # -- text interchange -----------------------------------------------------------
 
     def to_text(self) -> str:
-        names = np.asarray([str(lab) for lab in self.labels], dtype=object)
+        names = np.asarray([str(v) for v in self.vertices], dtype=object)
         lines = map(" ".join, names[self.rows[self.dim]].tolist())
         return "\n".join(lines) + "\n"
 
@@ -396,4 +338,10 @@ def from_text(text: str) -> tuple[Complex, dict[int, int]]:
             if lab not in label_map:
                 label_map[lab] = len(label_map)
         tops.append(tuple(label_map[lab] for lab in labels))
+    if len(set(map(len, tops))) > 1:
+        # a repeated vertex is reported before a mixed size
+        for vs in tops:
+            if len(set(vs)) != len(vs):
+                raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
+        raise MixedDimensions("maximal simplices must all have the same dimension")
     return Complex.from_maximal_simplices(tops), label_map

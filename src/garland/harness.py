@@ -66,7 +66,6 @@ from .spectra import (
     compute_spectral_report,
     extract_extremes,
     integer_table,
-    reduced_cohomology_ranks,
     reduced_cohomology_vanishes,
 )
 from .version import VERSION
@@ -376,13 +375,6 @@ def _compare_le(lhs_hi, rhs_lo, lhs_lo, rhs_hi) -> str:
     return INCONCLUSIVE
 
 
-def _link_cohomology_vanishes(link: Complex, j: int) -> bool:
-    quick = reduced_cohomology_vanishes(link, j)
-    if quick:
-        return True
-    return reduced_cohomology_ranks(link)[j] == 0
-
-
 def fundamental_inequality_verdict(cx: Complex, i: int, report: SpectralReport,
                                    link_data: list[dict],
                                    instance: dict) -> VerificationVerdict:
@@ -570,14 +562,17 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
                        inst: Instance):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
-    The entry must name the key it answers (`store_report` writes it), so
-    a file copied or renamed from another instance, degree, width or
-    version, or one without a key, is a miss.  The roots are re-isolated
-    and must equal the stored ones.  Nothing else is read from the file:
-    `dim` is `inst.num_simplices(degree)`, the integer-eigenvalue table is
-    re-evaluated as `compute_spectral_report` forms it for a complex of
-    dimension `inst.n`, `instance` and `degree` are the caller's, and the
-    timings are this load's own, {"load_s": seconds}.
+    The entry must be a JSON object naming the key it answers
+    (`store_report` writes it), so a file copied or renamed from another
+    instance, degree, width or version, or one without a key, is a miss,
+    and so is one whose `minpoly` is not a string, whose `roots` is not a
+    list or whose `den_bound` is not a positive integer.  The roots are
+    re-isolated and must equal the stored ones.  Nothing else is read
+    from the file: `dim` is `inst.num_simplices(degree)`, the
+    integer-eigenvalue table is re-evaluated as `compute_spectral_report`
+    forms it for a complex of dimension `inst.n`, `instance` and `degree`
+    are the caller's, and the timings are this load's own,
+    {"load_s": seconds}.
     """
     t0 = time.perf_counter()
     path = cache_dir / f"{key}.json"
@@ -585,16 +580,17 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
         return None
     try:
         data = json.loads(path.read_text())
-        if data["key"] != key:
+        if not (isinstance(data, dict) and data.get("key") == key
+                and isinstance(data.get("minpoly"), str)
+                and isinstance(data.get("roots"), list)
+                and type(data.get("den_bound")) is int and data["den_bound"] > 0):
             return None
         poly = RatPolynomial.parse(data["minpoly"])
-        den_bound = int(data["den_bound"])
-        if den_bound <= 0:
-            raise ValueError("den_bound must be positive")
+        den_bound = data["den_bound"]
         # a wrong den_bound only changes rationality labels, which the
         # roots comparison below then rejects
         iso = isolate_real_roots(poly, width, den_bound=den_bound)
-    except (ValueError, KeyError, NotSquarefree):
+    except (ValueError, ZeroDivisionError, NotSquarefree):
         return None
     if [r.to_json_dict() for r in iso.roots] != data["roots"]:
         return None  # stale entry; recompute
@@ -660,7 +656,7 @@ def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict
             "count": orbit.count,
             "report": _report(Instance.complex(link, orbit.tag), j, orbit.tag,
                               width, seed, cache_dir),
-            "vanishes": _link_cohomology_vanishes(link, j),
+            "vanishes": reduced_cohomology_vanishes(link, j),
         })
     return out
 

@@ -338,6 +338,9 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 # -- reduced cohomology ----------------------------------------------------------
 
 
+_RANK_PRIME = 1_000_003  # any prime below 2**31 makes the mod-p bound sound
+
+
 def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
     """The dense int64 matrix of d_i, one row per (i+1)-face."""
     cols, signs = coboundary_pattern(cx, i)
@@ -359,20 +362,23 @@ def reduced_cohomology_ranks(cx: Complex) -> list[int]:
     return out
 
 
-def reduced_cohomology_vanishes(cx: Complex, i: int, prime: int = 1_000_003):
-    """One-sided mod-p certificate: True certifies rank 0, None is inconclusive.
+def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
+    """Whether the reduced cohomology of degree i vanishes, decided exactly.
 
-    Mod-p ranks never exceed rational ranks, so
-    dims[i] - rank_p(d_i) - rank_p(d_{i-1}) >= dim H-tilde^i >= 0.
+    dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
+    the augmentation (a column of ones) and d_n has no rows.  Mod-p ranks
+    never exceed rational ranks, so the count over F_p is an upper
+    bound, and 0 certifies vanishing; a positive bound is decided by the
+    exact ranks of the same two matrices.
     """
-    n = cx.dim
-    hi = exactla.rank_mod_p(_coboundary_int_rows(cx, i), prime) if i < n else 0
-    if i == 0:
-        lo = 1
-    else:
-        lo = exactla.rank_mod_p(_coboundary_int_rows(cx, i - 1), prime)
-    bound = cx.num_simplices(i) - hi - lo
-    return True if bound == 0 else None
+    size = cx.num_simplices(i)
+    hi = (_coboundary_int_rows(cx, i) if i < cx.dim
+          else np.zeros((0, size), dtype=np.int64))
+    lo = (_coboundary_int_rows(cx, i - 1) if i > 0
+          else np.ones((size, 1), dtype=np.int64))
+    if size == exactla.rank_mod_p(hi, _RANK_PRIME) + exactla.rank_mod_p(lo, _RANK_PRIME):
+        return True
+    return size == exactla.rank(hi) + exactla.rank(lo)
 
 
 # -- report -------------------------------------------------------------------

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 
+import numpy as np
+
 from garland.complexes import Complex
 from garland.errors import (
     DegreeOutOfRange,
@@ -112,23 +114,35 @@ def weights(cx: Complex) -> list[list[int]]:
     return [c.tolist() for c in cx.counts]
 
 
+def _position(cx: Complex, s) -> int:
+    """Position of the canonical simplex s among the simplices of its size; -1 if s is none."""
+    s = tuple(s)
+    if not (1 <= len(s) <= cx.dim + 1 and list(s) == sorted(set(s))
+            and 0 <= s[0] and s[-1] < cx.num_simplices(0)):
+        return -1
+    return int(cx.locate(np.asarray([s], dtype=np.int64))[0])
+
+
 def contains(cx: Complex, s) -> bool:
-    return cx._find(s)[1] >= 0
+    return _position(cx, s) >= 0
 
 
 def weight(cx: Complex, s) -> int:
-    ids, pos = cx._find(s)
+    pos = _position(cx, s)
     if pos < 0:
         raise SimplexNotFound(f"{tuple(s)} is not a simplex of this complex")
-    return int(cx.counts[len(ids) - 1][pos])
+    return int(cx.counts[len(s) - 1][pos])
 
 
-def star(cx: Complex, s) -> Complex:
-    """Closure of the maximal simplices containing s; keeps vertex labels."""
-    _, tops = cx._tops_containing(s)
-    lab = cx.labels
-    return Complex.from_maximal_simplices(
-        [tuple(lab[j] for j in row) for row in cx.rows[cx.dim][tops].tolist()])
+def star(cx: Complex, s) -> tuple[Complex, list[int]]:
+    """Closure of the maximal simplices containing s, relabeled to dense
+    ids; returns (complex, new_to_old) as `Complex.vertex_link` does."""
+    if not contains(cx, s):
+        raise SimplexNotFound(f"{tuple(s)} is not a simplex of this complex")
+    top = cx.rows[cx.dim]
+    rows = top[np.isin(top, s).sum(axis=1) == len(s)]
+    old, dense = np.unique(rows, return_inverse=True)
+    return Complex.from_maximal_simplices(dense.reshape(rows.shape)), old.tolist()
 
 
 def check_weight_identity(cx: Complex) -> bool:

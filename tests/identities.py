@@ -9,6 +9,8 @@ import random
 from itertools import combinations
 from math import lcm
 
+import numpy as np
+
 from garland.complexes import Complex, from_maximal_simplices
 from garland.errors import DuplicateSimplex, EmptyInput, MixedDimensions, RepeatedVertex
 from garland.laplace import assemble_matrix
@@ -40,7 +42,9 @@ def random_pure_complex(rng: random.Random) -> Complex:
     tops = set()
     for _ in range(count):
         tops.add(tuple(sorted(rng.sample(pool, n + 1))))
-    return from_maximal_simplices(sorted(tops))
+    # ranked to dense ids; ranking keeps the order, so every row stays ascending
+    _, dense = np.unique(sorted(tops), return_inverse=True)
+    return from_maximal_simplices(dense.reshape(len(tops), n + 1))
 
 
 def reference_face_tables(maximal):

@@ -205,6 +205,34 @@ def test_verify_complex_threshold_label(tmp_path, capsys):
         assert t["instance"]["sha256"] == d["instance"]["sha256"]
 
 
+def test_verify_zero_dimensional_complex_is_an_error(tmp_path, capsys):
+    # there is no degree 0 <= i <= n - 1 to check; this used to exit 0 silently
+    path = tmp_path / "points.txt"
+    path.write_text("0\n1\n")
+    code, out, err = run(capsys, ["verify", "--complex", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "dimension 0" in err
+
+
+def test_sparse_labels_ingest_to_the_same_bytes(tmp_path, capsys):
+    # from_text is the only relabelling: labels v and 10**12 + 7v, met in
+    # the same order, give the same ids, so the same complex and sha256
+    dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
+    code, _out, _err = run(capsys, ["build", "--ell", "1", "--q", "2",
+                                    "--emit-complex", str(dense)])
+    assert code == 0
+    sparse.write_text("".join(" ".join(str(10**12 + 7 * int(v)) for v in line.split()) + "\n"
+                              for line in dense.read_text().splitlines()))
+    assert sparse.read_text() != dense.read_text()
+    outs = []
+    for path in (dense, sparse):
+        code, out, _err = run(capsys, ["verify", "--complex", str(path), "--json"])
+        assert code == 0
+        outs.append(harness.dumps_report(harness.strip_timings(json.loads(out))))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])[0]["spectral"]["minpoly"] == "0/1 -14/9 43/9 -4/1 1/1"
+
+
 def test_verify_single_degree(capsys, cache_args):
     code, out, _ = run(capsys, ["verify", "--ell", "2", "--q", "2", "--i", "1", "--json"] + cache_args)
     assert code == 0

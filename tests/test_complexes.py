@@ -1,4 +1,4 @@
-"""Pure simplicial complexes: construction, weights, stars, links, text form."""
+"""Pure simplicial complexes: construction, weights, stars, vertex links, text form."""
 
 import random
 
@@ -7,9 +7,9 @@ import pytest
 
 from garland.complexes import Complex, from_maximal_simplices, from_text
 from garland.errors import (
-    DimensionOutOfRange,
     DuplicateSimplex,
     EmptyInput,
+    GarlandError,
     InvalidLabel,
     MixedDimensions,
     NonDenseIds,
@@ -52,6 +52,8 @@ def test_construction_validation():
         from_maximal_simplices([])
     with pytest.raises(MixedDimensions):
         from_maximal_simplices([(0, 1), (2,)])
+    with pytest.raises(MixedDimensions):
+        from_maximal_simplices([(), (0,)])
     with pytest.raises(DuplicateSimplex):
         from_maximal_simplices([(0, 1), (1, 0)])
     with pytest.raises(RepeatedVertex):
@@ -67,24 +69,29 @@ def _random_tops(rng):
     return [rng.sample(t, len(t)) for t in tops]
 
 
+def _text(tops) -> str:
+    return "".join(" ".join(map(str, t)) + "\n" for t in tops)
+
+
 def test_face_tables_match_reference(b13, b22):
+    # sparse labels reach a complex through from_text, which ranks them
+    # to dense ids in first-appearance order; nested lists of dense ids
+    # go straight in
     rng = random.Random(23)
-    inputs = [_random_tops(rng) for _ in range(60)]
-    inputs.append([["b", "a", "c"], ["c", "d", "a"]])  # any sortable labels
-    for b in (b13, b22, get_building(2, 3)):
-        inputs.append(b.complex.simplices[b.complex.dim])
-    for tops in inputs:
-        c = from_maximal_simplices(tops)
-        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops)
-        # the tuples hold the caller's label objects, not copies
-        mine = {id(v) for t in tops for v in t}
-        assert all(id(v) in mine for level in c.simplices for s in level for v in s)
+    for tops in [_random_tops(rng) for _ in range(60)]:
+        c, label_map = from_text(_text(tops))
+        ids = [[label_map[v] for v in t] for t in tops]
+        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(ids)
         assert all(type(w) is int for level in weights(c) for w in level)
+    for b in (b13, b22, get_building(2, 3)):
+        tops = b.complex.simplices[b.complex.dim]
+        c = from_maximal_simplices(list(tops))
+        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops)
     bad = {
         EmptyInput: [[], [()], [(), ()]],
-        MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)], [(), (0,)]],
+        MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)]],
         DuplicateSimplex: [[(0, 1), (1, 0)], [(5, 9, 2), (2, 5, 9), (1, 2, 3)]],
-        # a repeated vertex is reported before a mixed size or a duplicate
+        # in text, a repeated vertex is reported before a mixed size or a duplicate
         RepeatedVertex: [[(0, 1, 1)], [(0, 1, 2), (3, 3)], [(0, 1), (1, 0), (2, 2)]],
     }
     for error, cases in bad.items():
@@ -92,13 +99,15 @@ def test_face_tables_match_reference(b13, b22):
             with pytest.raises(error):
                 reference_face_tables(tops)
             with pytest.raises(error):
+                from_text(_text(tops))
+            with pytest.raises(GarlandError):
                 from_maximal_simplices(tops)
 
 
 def _tables(c):
-    """Labels, then per table the dtype, shape, C-contiguity and bytes of every level."""
-    return (c.labels, *([(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in t]
-                        for t in (c.rows, c.keys, c.counts)))
+    """Per table, the dtype, shape, C-contiguity and bytes of every level."""
+    return tuple([(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in t]
+                 for t in (c.rows, c.keys, c.counts))
 
 
 def _dense_array_tops(rng, size):
@@ -167,6 +176,9 @@ def test_array_input_must_be_dense_ids():
         np.array([[0, huge], [1, 2]], dtype=np.int64),
         np.array([[0, 1], [1, 2]], dtype=np.float64),
         np.array([0, 1, 2]),
+        [(0, 2), (2, 4)],  # sparse labels belong in from_text
+        [("a", "b")],
+        [(0, 10**20)],
     ]
     for tops in bad:
         with pytest.raises(NonDenseIds):
@@ -187,29 +199,28 @@ def test_dense_array_matches_the_list_path():
     for tops in cases:
         a = from_maximal_simplices(tops)
         assert _tables(a) == _tables(from_maximal_simplices(tops.tolist()))
-        assert all(type(v) is int for v in a.labels)
     assert _tables(from_maximal_simplices(chambers)) == _tables(b.complex)
 
 
 def test_links_of_the_23_building_match_the_list_path():
-    # Complex.link hands its own dense ids to the array path; each link
-    # equals the list-path closure of the same tops on the old labels
+    # each vertex link equals the reference tables of the tops through v
+    # without v, ranked to dense ids in sorted order
     cx = get_building(2, 3).complex
     top = cx.rows[cx.dim].tolist()
-    for v in range(0, len(cx.labels), 7):
-        for s in ((v,), tuple(cx.rows[1][v].tolist())):
-            lk, new_to_old = cx.link(s)
-            ref = from_maximal_simplices([[u for u in t if u not in s] for t in top
-                                          if set(s) <= set(t)])
-            assert new_to_old == ref.labels
-            assert _tables(lk)[1:] == _tables(ref)[1:]
+    for v in range(0, cx.num_simplices(0), 7):
+        lk, new_to_old = cx.vertex_link(v)
+        rest = [[u for u in t if u != v] for t in top if v in t]
+        assert new_to_old == sorted({u for t in rest for u in t})
+        new_id = {u: j for j, u in enumerate(new_to_old)}
+        ref = reference_face_tables([[new_id[u] for u in t] for t in rest])
+        assert (lk.dim, lk.simplices, index(lk), weights(lk)) == ref
 
 
 def test_triangle_counts_and_weights():
     c = from_maximal_simplices(TRIANGLE)
     assert c.dim == 2
     assert [c.num_simplices(i) for i in range(3)] == [3, 3, 1]
-    assert c.vertices == [0, 1, 2]
+    assert list(c.vertices) == [0, 1, 2]
     for i in range(3):
         for s in c.simplices[i]:
             assert weight(c, s) == 1
@@ -236,34 +247,33 @@ def test_weight_identity_on_octahedron():
 
 
 def test_star_keeps_vertex_ids():
+    # the star is on dense ids; new_to_old keeps the vertex ids of c
     c = from_maximal_simplices(TWO_TRIANGLES)
-    st = star(c, (3,))
+    st, new_to_old = star(c, (3,))
     assert st.dim == 2
-    assert st.simplices[2] == [(1, 2, 3)]
-    assert (1, 2) in st.simplices[1]
-    with pytest.raises(SimplexNotFound):
-        star(c, (9,))
+    assert new_to_old == [1, 2, 3]
+    assert st.simplices[2] == [(0, 1, 2)]
+    assert (0, 1) in st.simplices[1]
+    st, new_to_old = star(c, (1, 2))
+    assert new_to_old == [0, 1, 2, 3] and st.num_simplices(2) == 2
+    for s in ((9,), (0, 3), (2, 1), (0, 6)):
+        with pytest.raises(SimplexNotFound):
+            star(c, s)
 
 
 def test_link_relabels_densely():
     c = from_maximal_simplices(TWO_TRIANGLES)
-    lk, new_to_old = c.link((1,))
+    lk, new_to_old = c.vertex_link(1)
     assert lk.dim == 1
-    assert sorted(new_to_old) == [0, 2, 3]
+    assert new_to_old == [0, 2, 3]
     # edges of the link are the opposite edges of the two triangles
     old_edges = {tuple(sorted(new_to_old[u] for u in e)) for e in lk.simplices[1]}
     assert old_edges == {(0, 2), (2, 3)}
-
-
-def test_link_of_edge_and_of_chamber():
-    c = from_maximal_simplices(TWO_TRIANGLES)
-    lk, new_to_old = c.link((1, 2))
-    assert lk.dim == 0
-    assert sorted(new_to_old[u] for (u,) in lk.simplices[0]) == [0, 3]
-    with pytest.raises(DimensionOutOfRange):
-        c.link((0, 1, 2))
-    with pytest.raises(SimplexNotFound):
-        c.link((0, 3))
+    for v in (-1, 4):
+        with pytest.raises(SimplexNotFound):
+            c.vertex_link(v)
+    with pytest.raises(EmptyInput):  # the link of a maximal simplex is empty
+        from_maximal_simplices([(0,), (1,)]).vertex_link(0)
 
 
 def test_vertex_link_is_memoized():
@@ -276,18 +286,15 @@ def test_vertex_link_is_memoized():
 
 
 def test_text_round_trip():
-    c = from_maximal_simplices([(4, 7, 9), (7, 9, 12)])
-    text = c.to_text()
-    c2, labels = from_text(text)
-    assert c2.num_simplices(2) == 2
+    c, labels = from_text("4 7 9\n12 9 7  # a comment\n\n")
     # labels are dense in first-appearance order
-    assert sorted(labels.values()) == list(range(c2.num_simplices(0)))
-    relabeled = {
-        tuple(sorted(labels[v] for v in s)) for s in c.simplices[2]
-    }
-    assert relabeled == set(c2.simplices[2])
-    # canonical form is stable
-    assert c2.to_text() == from_text(c2.to_text())[0].to_text()
+    assert labels == {4: 0, 7: 1, 9: 2, 12: 3}
+    assert c.simplices[2] == [(0, 1, 2), (1, 2, 3)]
+    # the text form prints the ids, so it is a fixed point of from_text
+    assert c.to_text() == "0 1 2\n1 2 3\n"
+    c2, labels2 = from_text(c.to_text())
+    assert labels2 == {v: v for v in range(4)}
+    assert c2.to_text() == c.to_text()
 
 
 def test_from_text_rejects_bad_labels():
@@ -297,6 +304,11 @@ def test_from_text_rejects_bad_labels():
     for text in ("0 1 x\n", "0 1 \u00b2\n", "0 1 \u0661\n", "0 -1\n"):
         with pytest.raises(InvalidLabel):
             from_text(text)
+    # a bad label anywhere is reported before a repeated vertex or a mixed size
+    with pytest.raises(InvalidLabel):
+        from_text("0 0\n1 2 3\n4 x\n")
+    with pytest.raises(EmptyInput):
+        from_text("# nothing but a comment\n\n")
 
 
 def test_classmethod_matches_module_function():

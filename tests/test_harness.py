@@ -4,9 +4,10 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from garland import complexes, harness
+from garland import complexes, exactla, harness
 from garland.complexes import from_maximal_simplices
 from garland.errors import BudgetExceeded, DegreeOutOfRange, UnknownReferenceInstance
 from garland.harness import (
@@ -323,6 +324,26 @@ def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
     assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
 
 
+@pytest.mark.parametrize("entry", [
+    [], "str", {"minpoly": 5},
+], ids=["list", "string", "minpoly-not-a-string"])
+def test_malformed_cache_entry_is_a_recomputed_miss(tmp_path, entry):
+    # these used to raise TypeError or AttributeError out of the CLI
+    width = "1/1000000"
+    fresh = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("*.json")
+    if isinstance(entry, dict):
+        entry = {**json.loads(path.read_text()), **entry}
+    path.write_text(json.dumps(entry))
+    b12 = Instance.building(1, 2)
+    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is None
+    doc = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
+    assert strip_timings(doc) == strip_timings(fresh)
+    # the recomputed report replaced the entry, which is a hit again
+    assert json.loads(path.read_text())["key"] == path.stem
+    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is not None
+
+
 def test_cache_hit_takes_the_callers_instance(tmp_path):
     c = from_maximal_simplices([(0, 1, 2, 3)])
     run_instance(Instance.complex(c, {"source": "A"}), 1, cache_dir=tmp_path)
@@ -450,15 +471,16 @@ def test_run_complex_instance(shared_cache):
 
 def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     # the bowtie's vertex-0 link is two disjoint edges: its mod-p bound on
-    # the reduced H^0 is 1, which is inconclusive, so the exact ranks decide
+    # the reduced H^0 is 1, which is inconclusive, so the exact ranks of
+    # d_0 and of the augmentation decide, and nothing else is ranked exactly
     calls = []
 
-    def spy(cx):
-        calls.append(cx)
-        return real(cx)
+    def spy(rows):
+        calls.append(np.asarray(rows).shape)
+        return real(rows)
 
-    real = harness.reduced_cohomology_ranks
-    monkeypatch.setattr(harness, "reduced_cohomology_ranks", spy)
+    real = exactla.rank
+    monkeypatch.setattr(exactla, "rank", spy)
     bowtie = from_maximal_simplices([(0, 1, 2), (0, 3, 4)])
     doc = run_instance(Instance.complex(bowtie), 1)
     (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
@@ -466,8 +488,7 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     assert v["witness"]["lower"] == {"status": "not-applicable"}
     assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
         False, True, True, True, True]
-    assert len(calls) == 1
-    assert [calls[0].num_simplices(d) for d in (0, 1)] == [4, 2]
+    assert calls == [(2, 4), (4, 1)]
 
 
 # -- report plumbing ---------------------------------------------------------------

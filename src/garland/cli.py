@@ -163,7 +163,9 @@ def _cmd_spectrum(args) -> int:
     report = harness.spectral_report(inst, args.i, width=args.width, seed=args.seed,
                                      cache_dir=args.cache_dir)
     if args.dump_matrix:
-        handle = assemble_matrix(inst.cx, args.i)
+        handle = report.operator
+        if handle is None:  # a cache hit: the report was not computed here
+            handle = assemble_matrix(inst.cx, args.i)
         _write(args.dump_matrix, dump_matrix_text(handle))
     doc = report.to_json_dict()
     if args.json:

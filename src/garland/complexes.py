@@ -1,7 +1,7 @@
 """Pure weighted simplicial complexes, stored as integer arrays.
 
 A complex here is always given by its maximal simplices, all of one
-dimension n, and stores every face of every maximal simplex.  That
+dimension n, and has every face of every maximal simplex.  That
 construction makes the complex pure and gives every simplex a top-
 dimensional coface, the standing hypothesis for the weight function
 
@@ -15,7 +15,7 @@ Vertices are dense integer ids 0..V-1, the one vertex model: every id
 in that range occurs in some maximal simplex and no other id does.  The
 chamber walk of a building produces such ids, and `from_text` is the
 one place where outside labels become ids.  For each dimension d a
-complex holds
+complex has
 
   * `rows[d]`, a C-contiguous int32 array of shape (count, d+1): the
     ascending id rows of the d-simplices, in lexicographic order;
@@ -26,20 +26,24 @@ complex holds
     per prefix;
   * `counts[d]`, an int64 array of the weights.
 
-The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
+Face levels are built on demand.  Construction checks the input, sorts
+every maximal row with a network of elementwise minima and maxima over
+per-column copies of the ids, and keeps those sorted columns and the
+vertex level, which is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
-simplices.  Construction sorts every maximal row with a network of
-elementwise minima and maxima over per-column copies of the ids, and
-builds each larger face size from those sorted columns.  `facets`
-gathers the boundary faces of every simplex of one dimension at once,
-which is what the operators are assembled from, and vertex links, the
-only links that Garland's localization reads, come from one
-vertex-to-top-simplex CSR built on first use.
+simplices.  `rows`, `keys` and `counts` are read-only sequences of
+length n + 1; reading item d of any of them builds every missing level
+up to d, in order, from the sorted columns.  So an operator on C^i
+builds the levels up to i + 1 and no others.  `facets` gathers the
+boundary faces of every simplex of one dimension at once, which is what
+the operators are assembled from, and vertex links, the only links that
+Garland's localization reads, come from one vertex-to-top-simplex CSR
+over the sorted columns, built on first use.
 
 One derived view stays: `simplices`, per dimension the id tuples in
 lexicographic order, built from the arrays on first item access; its
-length costs nothing.  Nothing on the path of a CLI command reads its
-items.  The benchmark counts faces through it, and the tests'
+length builds that level.  Nothing on the path of a CLI command reads
+it.  The benchmark counts faces through it, and the tests'
 exact-rational cochain calculus (which derives its own position and
 weight tables) reads it.
 
@@ -52,7 +56,7 @@ first-appearance order and returns that map alongside the complex.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -99,6 +103,22 @@ def _sort_columns(cols: list) -> None:
             cols[j], spare = spare, lo
 
 
+def _packed_rows(cols: list, nv: int) -> np.ndarray:
+    """Each row's sum of col_j * V**(size-1-j), which is injective on rows
+    of ids below V: int64 when V**size < 2**63, else Python ints in an
+    object array."""
+    if nv ** len(cols) < 2**63:
+        packed = cols[0].astype(np.int64)
+        for c in cols[1:]:
+            packed *= nv
+            packed += c
+    else:
+        packed = cols[0].astype(object)
+        for c in cols[1:]:
+            packed = packed * nv + c.astype(object)
+    return packed
+
+
 def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, out=None) -> np.ndarray:
     """rank(prefix) * V + last vertex, in int64 whatever the dtype of the ranks."""
     out = np.multiply(prefix_rank, nv, out=out, dtype=np.int64)
@@ -106,21 +126,42 @@ def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, out=None) -> 
     return out
 
 
-class _View(Sequence):
-    """A read-only list of one dimension's simplices, built on first item access."""
+class _Levels(Sequence):
+    """One of a complex's per-dimension tables (`rows`, `keys` or
+    `counts`), read-only: its length is the number of dimensions, and
+    item d builds every missing face level up to d first."""
 
-    def __init__(self, size: int, build):
-        self._size = size
-        self._build = build
+    def __init__(self, cx: "Complex", built: list):
+        self._cx = cx
+        self._built = built
+
+    def __len__(self) -> int:
+        return self._cx.dim + 1
+
+    def __getitem__(self, d: int) -> np.ndarray:
+        d = range(len(self))[d]  # IndexError past either end, which ends iteration
+        if d >= len(self._built):
+            self._cx._build_levels(d)
+        return self._built[d]
+
+
+class _View(Sequence):
+    """A read-only list of one dimension's simplices, built on first item
+    access; its length builds that face level."""
+
+    def __init__(self, cx: "Complex", d: int):
+        self._cx = cx
+        self._d = d
         self._items = None
 
     def _list(self) -> list:
         if self._items is None:
-            self._items = self._build()
+            rows = self._cx.rows[self._d]
+            self._items = list(zip(*(rows[:, j].tolist() for j in range(self._d + 1))))
         return self._items
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._cx.rows[self._d])
 
     def __getitem__(self, k):
         return self._list()[k]
@@ -145,20 +186,31 @@ class Complex:
     Attributes:
         dim: n.
         rows, keys, counts: per dimension 0..n, the int32 id rows, the
-            int64 search keys and the int64 weights; V is len(rows[0]).
+            int64 search keys and the int64 weights, each level built on
+            first read; V is len(rows[0]).
         simplices: the derived read-only id-tuple view (module docstring).
+
+    Make one with `from_maximal_simplices`.
     """
 
-    def __init__(self, rows: list, keys: list, counts: list):
-        self.dim = len(rows) - 1
-        self.rows = rows
-        self.keys = keys
-        self.counts = counts
+    def __init__(self, cols: list, occurrences: np.ndarray):
+        """`cols`: the maximal simplices as int32 columns, each row
+        ascending across them; `occurrences`: each id's count in them."""
+        nv = len(occurrences)
+        self.dim = len(cols) - 1
+        self._cols = cols
+        self._rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
+        self._keys = [np.arange(nv, dtype=np.int64)]
+        self._counts = [occurrences.astype(np.int64, copy=False)]
+        # column combination c -> position of every top's face on columns
+        # c among the faces of size len(c): the prefixes of the last level
+        # built, kept until the top level is built
+        self._prefix_rank: dict | None = None
         self._vertex_links: dict[int, tuple["Complex", list[int]]] = {}
 
     @classmethod
     def from_maximal_simplices(cls, maximal) -> "Complex":
-        """The closure of `maximal` with its face and weight tables.
+        """The closure of `maximal`, with its face and weight tables built on demand.
 
         `maximal` holds one maximal simplex per row of a 2-D integer
         array (or anything `np.asarray` makes one of, such as nested
@@ -166,20 +218,17 @@ class Complex:
         0..V-1 occurs and no other.  That contract is checked in O(size)
         before anything of size V is allocated; a violation raises
         NonDenseIds, and ragged rows, empty input, a repeated vertex or a
-        duplicate row raise their own GarlandError.  The caller's array
-        is only read.
+        duplicate row raise their own GarlandError, in that order.  The
+        caller's array is only read.
 
         The input becomes one contiguous int32 copy per column, and an
         odd-even transposition network of elementwise minima and maxima
-        sorts every row across those columns.  The vertex level is the
-        ids themselves: vertex v is row v and has key v, and its weight
-        is the number of times v occurs.  The faces of each larger size k
-        come from the k-column combinations of the sorted columns; a
-        face's key is rank(prefix) * V + last vertex, which preserves
-        lexicographic order and stays below the number of (k-1)-faces
-        times V.  One sort per size gives the distinct faces in order,
-        the run lengths are the weights, and the face rows are gathered
-        one column at a time from the prefix rows.
+        sorts every row across those columns.  Duplicates are found by
+        sorting each row's packed value, sum of col_j * V**(size-1-j).
+        The complex keeps the sorted columns and the vertex level: vertex
+        v is row v and has key v, and its weight is the number of times v
+        occurs.  Every larger face level is built when first read
+        (`_build_levels`).
         """
         try:
             tops = np.asarray(maximal)
@@ -197,18 +246,37 @@ class Complex:
             if repeats.any():
                 first = tuple(tops[int(repeats.argmax())].tolist())
                 raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
+        packed = _packed_rows(cols, nv)
+        packed.sort()
+        if (packed[1:] == packed[:-1]).any():
+            raise DuplicateSimplex("duplicate maximal simplex")
+        return cls(cols, occurrences)
 
-        rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
-        keys = [np.arange(nv, dtype=np.int64)]
-        counts = [occurrences.astype(np.int64, copy=False)]
-        # rank[c]: position of every top's face on columns c among the faces of size len(c);
-        # a vertex's position is its id
-        rank = {(j,): cols[j] for j in range(size - 1)}
-        for k in range(2, size + 1):
+    def _build_levels(self, d: int) -> None:
+        """Build every missing face level up to dimension d, in order.
+
+        The faces of size k come from the k-column combinations of the
+        sorted columns.  A face's key is rank(prefix) * V + last vertex,
+        which preserves lexicographic order and stays below the number of
+        (k-1)-faces times V; the prefix ranks are found among the keys of
+        the level below, one `searchsorted` per (k-1)-combination that
+        leaves a column after it.  One sort per size gives the distinct
+        faces in order, the run lengths are the weights, and the face
+        rows are gathered one column at a time from the prefix rows.
+        """
+        cols, nv, size = self._cols, len(self._rows[0]), self.dim + 1
+        while len(self._rows) <= d:
+            k = len(self._rows) + 1
+            if k == 2:
+                rank = {(j,): cols[j] for j in range(size - 1)}  # a vertex's position is its id
+            else:
+                below, keys = self._prefix_rank, self._keys[-1]
+                rank = {c: np.searchsorted(keys, _face_keys(below[c[:-1]], cols[c[-1]], nv))
+                        for c in combinations(range(size - 1), k - 1)}
             # filled in place, one row per column combination: joining a
             # list of per-combination arrays held the keys twice
             combos = list(combinations(range(size), k))
-            flat = np.empty((len(combos), len(tops)), dtype=np.int64)
+            flat = np.empty((len(combos), len(cols[0])), dtype=np.int64)
             for j, c in enumerate(combos):
                 _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat[j])
             flat = flat.ravel()
@@ -216,24 +284,32 @@ class Complex:
             new = np.concatenate(([True], flat[1:] != flat[:-1]))
             starts = np.flatnonzero(new)
             uniq = flat[starts]
-            counts.append(np.diff(np.append(starts, len(flat))))
+            counts = np.diff(np.append(starts, len(flat)))
             del flat, new, starts
             prefix, last = np.divmod(uniq, nv)
             faces = np.empty((len(uniq), k), dtype=np.int32)
             # one column at a time; mode="clip" (prefix is in range) keeps
             # take from buffering its strided output
             for j in range(k - 1):
-                np.take(rows[-1][:, j], prefix, out=faces[:, j], mode="clip")
+                np.take(self._rows[-1][:, j], prefix, out=faces[:, j], mode="clip")
             faces[:, -1] = last
             del prefix, last
-            rows.append(faces)
-            keys.append(uniq)
-            # the prefixes of the next size are the combos that leave a column after them
-            rank = {c: np.searchsorted(uniq, _face_keys(rank[c[:-1]], cols[c[-1]], nv))
-                    for c in combinations(range(size - 1), k)}
-        if len(rows[-1]) != len(tops):
-            raise DuplicateSimplex("duplicate maximal simplex")
-        return cls(rows, keys, counts)
+            self._rows.append(faces)
+            self._keys.append(uniq)
+            self._counts.append(counts)
+            self._prefix_rank = rank if k < size else None
+
+    @property
+    def rows(self) -> _Levels:
+        return _Levels(self, self._rows)
+
+    @property
+    def keys(self) -> _Levels:
+        return _Levels(self, self._keys)
+
+    @property
+    def counts(self) -> _Levels:
+        return _Levels(self, self._counts)
 
     # -- array lookups ---------------------------------------------------------
 
@@ -242,7 +318,7 @@ class Complex:
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """Positions of ascending id rows (shape (m, d+1)) among the d-simplices; -1 if absent."""
-        nv = len(self.rows[0])
+        nv = len(self._rows[0])
         pos = np.zeros(len(rows), dtype=np.int64)
         found = np.ones(len(rows), dtype=bool)
         for j in range(rows.shape[1]):
@@ -261,17 +337,18 @@ class Complex:
 
     @property
     def vertices(self) -> range:
-        return range(len(self.rows[0]))
+        return range(len(self._rows[0]))
 
     # -- vertex links -----------------------------------------------------------
 
     @cached_property
     def _vertex_tops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex-to-top CSR: the top simplices at id j are tops[ptr[j]:ptr[j+1]], ascending."""
-        top = self.rows[self.dim]
+        """Vertex-to-top CSR over the stored maximal simplices: those at id
+        j are tops[ptr[j]:ptr[j+1]], ascending."""
+        top = np.stack(self._cols, axis=1)
         order = np.argsort(top, axis=None, kind="stable")
-        ptr = np.zeros(len(self.rows[0]) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(top.ravel(), minlength=len(self.rows[0])), out=ptr[1:])
+        ptr = np.zeros(len(self._rows[0]) + 1, dtype=np.int64)
+        np.cumsum(self._counts[0], out=ptr[1:])
         return ptr, order // top.shape[1]
 
     def vertex_link(self, v: int) -> tuple["Complex", list[int]]:
@@ -283,10 +360,11 @@ class Complex:
         links recur in every localization op.
         """
         if v not in self._vertex_links:
-            if not 0 <= v < len(self.rows[0]):
+            if not 0 <= v < len(self._rows[0]):
                 raise SimplexNotFound(f"{v} is not a vertex of this complex")
             ptr, tops = self._vertex_tops
-            rows = self.rows[self.dim][tops[ptr[v]:ptr[v + 1]]]
+            at = tops[ptr[v]:ptr[v + 1]]
+            rows = np.stack([c[at] for c in self._cols], axis=1)
             rest = rows[rows != v].reshape(len(rows), -1)
             old, dense = np.unique(rest, return_inverse=True)
             self._vertex_links[v] = (Complex.from_maximal_simplices(dense.reshape(rest.shape)),
@@ -295,14 +373,10 @@ class Complex:
 
     # -- derived view ---------------------------------------------------------------
 
-    def _id_tuples(self, d: int) -> list[tuple]:
-        rows = self.rows[d]
-        return list(zip(*(rows[:, j].tolist() for j in range(d + 1))))
-
     @cached_property
     def simplices(self) -> list[_View]:
         """Per dimension, the canonical simplices as id tuples in lexicographic order."""
-        return [_View(len(r), partial(self._id_tuples, d)) for d, r in enumerate(self.rows)]
+        return [_View(self, d) for d in range(self.dim + 1)]
 
     # -- text interchange -----------------------------------------------------------
 
@@ -321,27 +395,43 @@ def from_maximal_simplices(maximal) -> Complex:
 
 
 def from_text(text: str) -> tuple[Complex, dict[int, int]]:
-    """Parse the interchange format; labels become dense ids in first-appearance order."""
+    """Parse the interchange format; labels become dense ids in first-appearance order.
+
+    Errors come in the order EmptyInput, InvalidLabel, RepeatedVertex,
+    MixedDimensions, DuplicateSimplex: a bad label anywhere is reported
+    before a repeated vertex anywhere, and so on.  Each names its line
+    number and the labels as written.
+    """
     label_map: dict[int, int] = {}
-    tops = []
+    lines = []  # (line number, the labels as written) per maximal simplex
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        labels = []
-        for tok in line.split():
+        labels = line.split()
+        for tok in labels:
             # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
             if not (tok.isascii() and tok.isdigit()):
                 raise InvalidLabel(f"line {lineno}: label {tok!r} is not a non-negative integer")
-            labels.append(int(tok))
-        for lab in labels:
-            if lab not in label_map:
-                label_map[lab] = len(label_map)
-        tops.append(tuple(label_map[lab] for lab in labels))
-    if len(set(map(len, tops))) > 1:
-        # a repeated vertex is reported before a mixed size
-        for vs in tops:
-            if len(set(vs)) != len(vs):
-                raise RepeatedVertex(f"maximal simplex repeats a vertex: {vs}")
-        raise MixedDimensions("maximal simplices must all have the same dimension")
-    return Complex.from_maximal_simplices(tops), label_map
+        lines.append((lineno, labels))
+    tops = [[label_map.setdefault(lab, len(label_map)) for lab in map(int, labels)]
+            for _, labels in lines]
+    for (lineno, labels), ids in zip(lines, tops):
+        if len(set(ids)) != len(ids):
+            raise RepeatedVertex(f"line {lineno}: maximal simplex repeats a vertex: "
+                                 f"{' '.join(labels)}")
+    for (lineno, labels), ids in zip(lines, tops):
+        if len(ids) != len(tops[0]):
+            raise MixedDimensions(f"line {lineno}: maximal simplex {' '.join(labels)} has "
+                                  f"{len(ids)} vertices, but line {lines[0][0]} has "
+                                  f"{len(tops[0])}; all must have the same dimension")
+    try:
+        return Complex.from_maximal_simplices(tops), label_map
+    except DuplicateSimplex:
+        first_line: dict[tuple, int] = {}
+        for (lineno, labels), ids in zip(lines, tops):
+            first = first_line.setdefault(tuple(sorted(ids)), lineno)
+            if first != lineno:
+                raise DuplicateSimplex(f"line {lineno}: maximal simplex {' '.join(labels)} "
+                                       f"duplicates line {first}") from None
+        raise

@@ -64,7 +64,7 @@ pass 2**63.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -396,6 +396,9 @@ class SpectralReport:
     integer_eigenvalues: dict[int, bool]
     timings: dict[str, float]
     den_bound: int = 0  # rational-root denominator cap used at isolation
+    # the assembled operator when this report computed it, None when it
+    # came from the cache; never serialized
+    operator: LinearOperatorHandle | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def _extreme_json(r: RootInterval) -> dict:
@@ -458,4 +461,5 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
         integer_eigenvalues=integer_table(poly, cx.dim),
         timings=timings,
         den_bound=den_bound,
+        operator=op,
     )

@@ -8,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from garland import harness
+from garland import cli, harness, spectra
 from garland.cli import main
 from garland.complexes import from_text
+from garland.errors import (
+    DuplicateSimplex,
+    EmptyInput,
+    InvalidLabel,
+    MixedDimensions,
+    RepeatedVertex,
+)
+from garland.laplace import assemble_matrix
 from garland.polyq import RatPolynomial
 
 
@@ -62,6 +70,37 @@ def test_spectrum_json_and_matrix_dump(tmp_path, capsys, cache_args):
     assert doc["dim"] == 14
     header = dump.read_text().splitlines()[0]
     assert header == "14 14 0"
+
+
+def _count_assemblies(monkeypatch) -> list:
+    """Count assemble_matrix calls through every module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_matrix(*args, **kwargs)
+
+    for module in (cli, spectra):
+        monkeypatch.setattr(module, "assemble_matrix", counted)
+    return calls
+
+
+def test_matrix_dump_reuses_the_computed_operator(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GARLAND_CACHE_DIR", raising=False)
+    calls = _count_assemblies(monkeypatch)
+    dump = tmp_path / "matrix.txt"
+    code, _out, _ = run(capsys, ["spectrum", "--ell", "2", "--q", "2", "--i", "1",
+                                 "--dump-matrix", str(dump)])
+    assert code == 0
+    assert len(calls) == 1
+    # a cache hit computes no operator, so it assembles one for the dump
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    argv = ["spectrum", "--ell", "2", "--q", "2", "--i", "1", "--dump-matrix"]
+    for name in ("warm.txt", "hit.txt"):
+        assert run(capsys, argv + [str(tmp_path / name)] + cache)[0] == 0
+    assert len(calls) == 3
+    assert (tmp_path / "hit.txt").read_text() == dump.read_text()
+    assert (tmp_path / "warm.txt").read_text() == dump.read_text()
 
 
 def test_spectrum_from_complex_file(tmp_path, capsys, cache_args):
@@ -136,6 +175,32 @@ def test_complex_file_with_a_bad_label(tmp_path, capsys, label):
     code, _out, err = run(capsys, ["verify", "--complex", str(path)])
     assert code == 2
     assert err.startswith("error: ") and "label" in err
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("# nothing but a comment\n\n", EmptyInput, "at least one maximal simplex"),
+    ("5 7 9\n12 x 9\n", InvalidLabel, "line 2: label 'x'"),
+    ("5 7 9\n12 9 9\n", RepeatedVertex, "line 2: maximal simplex repeats a vertex: 12 9 9"),
+    ("5 7 9\n5 7\n", MixedDimensions, "line 2: maximal simplex 5 7 has 2 vertices, "
+                                      "but line 1 has 3"),
+    ("5 7 9\n12 9 7\n# a comment\n9 007 5\n", DuplicateSimplex,
+     "line 4: maximal simplex 9 007 5 duplicates line 1"),
+    # the order of the errors: a bad label, a repeated vertex, a mixed size, a duplicate
+    ("5 5\n1 2 3\n4 x\n", InvalidLabel, "line 3: label 'x'"),
+    ("5 7 9\n5 7\n\n12 0012 9\n", RepeatedVertex, "line 4: maximal simplex repeats a vertex: "
+                                                  "12 0012 9"),
+    ("5 7 9\n9 7 5\n1 2\n", MixedDimensions, "line 3: maximal simplex 1 2 has 2 vertices"),
+], ids=["empty", "label", "repeat", "mixed", "duplicate",
+        "label-first", "repeat-before-mixed", "mixed-before-duplicate"])
+def test_complex_file_errors_name_the_line_and_labels(tmp_path, capsys, text, error, message):
+    with pytest.raises(error) as caught:
+        from_text(text)
+    assert message in str(caught.value)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["verify", "--complex", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {caught.value}\n"
 
 
 def test_missing_complex_file(tmp_path, capsys):

@@ -16,7 +16,10 @@ from garland.errors import (
     RepeatedVertex,
     SimplexNotFound,
 )
+from garland.building import flag_complex, witness_columns
+from garland.gf import field_for_order
 from garland.harness import get_building
+from garland.spectra import compute_spectral_report
 
 from cochains import (
     check_weight_identity,
@@ -315,3 +318,76 @@ def test_classmethod_matches_module_function():
     a = Complex.from_maximal_simplices(TRIANGLE)
     b = from_maximal_simplices(TRIANGLE)
     assert a.simplices == b.simplices and weights(a) == weights(b)
+
+
+# -- face levels on demand ------------------------------------------------------
+
+
+def _built_levels(c) -> int:
+    return len(c._rows)
+
+
+def test_degree_zero_report_builds_only_vertices_and_edges():
+    b = flag_complex(3, field_for_order(2))
+    c = b.complex
+    assert (len(c.rows), len(c.keys), len(c.counts), _built_levels(c)) == (4, 4, 4, 1)
+    compute_spectral_report(c, 0, witness_columns=witness_columns(b, 0))
+    assert _built_levels(c) == 2
+
+
+def test_levels_read_in_any_order_match_the_reference():
+    tops = get_building(2, 2).complex.simplices[2]
+    ref = reference_face_tables(tops)
+
+    def top_first(c):
+        return c.rows[c.dim]
+
+    def counts_first(c):
+        return c.counts[1]
+
+    for first in (top_first, counts_first):
+        c = from_maximal_simplices(list(tops))
+        first(c)
+        assert (c.dim, c.simplices, index(c), weights(c)) == ref
+        assert _tables(c) == _tables(from_maximal_simplices(list(tops)))
+    c = from_maximal_simplices(list(tops))
+    assert len(c.rows[-1]) == len(tops) and _built_levels(c) == 3
+    assert [len(c.rows[d]) for d in (0, 1)] == [len(ref[1][0]), len(ref[1][1])]
+    with pytest.raises(IndexError):
+        c.keys[3]
+
+
+def _spread_tops(rng, nv, size, count):
+    """`count` distinct sorted rows of `size` ids that together cover 0..nv-1."""
+    tops = {tuple(sorted((j * size + t) % nv for t in range(size)))
+            for j in range(-(-nv // size))}
+    while len(tops) < count:
+        tops.add(tuple(sorted(rng.sample(range(nv), size))))
+    return [rng.sample(t, size) for t in tops]
+
+
+@pytest.mark.parametrize("size", [9, 10])  # 80**9 < 2**63 < 80**10
+def test_duplicates_on_each_side_of_the_int64_packing_bound(size):
+    rng = random.Random(size)
+    tops = _spread_tops(rng, 80, size, 12)
+    assert all(len(set(t)) == size for t in tops)
+    assert sorted({v for t in tops for v in t}) == list(range(80))
+    c = from_maximal_simplices(tops)
+    assert c.simplices[size - 1] == sorted(tuple(sorted(t)) for t in tops)
+    assert weights(c) == reference_face_tables(tops)[3]
+    for dup in (rng.sample(tops[3], size), tops[-1]):
+        with pytest.raises(DuplicateSimplex):
+            from_maximal_simplices(tops + [dup])
+
+
+def test_rows_whose_int64_packing_would_collide_are_distinct():
+    # on V = 2**16 ids the packed values of (0, 2, 3, 4, 5) and (1, 2, 3,
+    # 4, 5) differ by V**4 = 2**64, which int64 arithmetic wraps to 0
+    nv = 2**16
+    rest = np.arange(6, nv, dtype=np.int64).reshape(-1, 5)
+    tops = np.concatenate([[[0, 2, 3, 4, 5], [1, 2, 3, 4, 5]], rest])
+    c = from_maximal_simplices(tops)
+    assert c.num_simplices(0) == nv
+    assert c.num_simplices(4) == len(tops)
+    with pytest.raises(DuplicateSimplex):
+        from_maximal_simplices(np.concatenate([tops, tops[1:2]]))

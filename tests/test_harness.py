@@ -15,6 +15,7 @@ from garland.harness import (
     CERTIFIED_TRUE,
     DEFAULT_CHAMBER_BUDGET,
     INCONCLUSIVE,
+    WIDTH_FLOOR,
     Instance,
     VerificationVerdict,
     cache_key,
@@ -24,6 +25,7 @@ from garland.harness import (
     ensure_budget,
     extended_grid,
     flag_count,
+    fundamental_inequality_verdict,
     get_building,
     load_cached_report,
     reproduce,
@@ -34,8 +36,11 @@ from garland.harness import (
     verdict_integer_eigenvalues,
     verdict_max_eigenvalue,
     verdict_min_bound,
+    verdict_vanishing_threshold,
 )
+from garland.polyq import RatPolynomial, RootIsolation, isolate_real_roots
 from garland.rationals import QQ
+from garland.spectra import SpectralReport, extract_extremes
 from garland.version import VERSION
 
 
@@ -174,6 +179,108 @@ def test_verdict_json_round_trip(rep120):
     assert {CERTIFIED_TRUE, CERTIFIED_FALSE, INCONCLUSIVE} == {
         "certified-true", "certified-false", "inconclusive-at-width"
     }
+
+
+# -- refinement and inconclusive fallbacks ------------------------------------------
+#
+# No grid instance needs a verdict to refine: every comparison there is
+# decided at the default width.  These reports are isolated coarsely so
+# that the bound falls inside an isolating interval.
+
+
+def _coarse_report(coeffs, width="1/4") -> SpectralReport:
+    p = RatPolynomial(tuple(QQ(c) for c in coeffs))
+    iso = isolate_real_roots(p, width)
+    m, big_m = extract_extremes(iso)
+    return SpectralReport({}, 0, p.degree, p, iso, m, big_m, {}, {})
+
+
+@pytest.fixture
+def refines(monkeypatch):
+    """The number of RootIsolation.refine calls so far, as a one-item list."""
+    calls = [0]
+    real = RootIsolation.refine
+
+    def spy(self, width):
+        calls[0] += 1
+        return real(self, width)
+
+    monkeypatch.setattr(RootIsolation, "refine", spy)
+    return calls
+
+
+@pytest.fixture
+def rep_sqrt2():
+    # p = x (x^2 - 4x + 2): m = 2 - sqrt(2) in (15/32, 5/8], M = 2 + sqrt(2)
+    rep = _coarse_report((0, 2, -4, 1))
+    assert (rep.m.lo, rep.m.hi) == (QQ(15, 32), QQ(5, 8))
+    assert (rep.M.lo, rep.M.hi) == (QQ(105, 32), QQ(55, 16))
+    return rep
+
+
+def test_min_bound_refines_once_when_the_bound_splits_the_interval(rep_sqrt2, refines):
+    assert verdict_min_bound(rep_sqrt2, QQ(1), {}).status == CERTIFIED_TRUE
+    assert refines[0] == 0  # decided at the isolation width
+    v = verdict_min_bound(rep_sqrt2, QQ(3, 5), {})
+    assert refines[0] == 1
+    assert v.status == CERTIFIED_TRUE
+    m = v.witness["m"]
+    assert QQ(m["hi"]) - QQ(m["lo"]) <= WIDTH_FLOOR and QQ(m["hi"]) <= QQ(3, 5)
+
+
+def test_min_bound_at_the_floor_midpoint_is_inconclusive(rep_sqrt2, refines):
+    m = extract_extremes(rep_sqrt2.isolation.refine(WIDTH_FLOOR))[0]
+    bound = (m.lo + m.hi) / 2
+    v = verdict_min_bound(rep_sqrt2, bound, {})
+    assert v.status == INCONCLUSIVE
+    assert v.witness["m"] == m.to_json_dict()
+    assert refines[0] == 2  # the one above, and the verdict's own
+
+
+def test_vanishing_threshold_refines_to_decide(rep_sqrt2, refines):
+    # theta = (ell + 1 - i) / (i + 1) = 1/2 lies in (15/32, 5/8]
+    v = verdict_vanishing_threshold(rep_sqrt2, 1, 1, {})
+    assert v.witness["threshold"] == "1/2"
+    assert refines[0] == 1
+    assert v.status == CERTIFIED_TRUE
+    assert QQ(v.witness["m"]["lo"]) >= QQ(1, 2)
+
+
+def _links(*reports):
+    return [{"label": f"link-{k}", "count": 1, "report": r, "vanishes": True}
+            for k, r in enumerate(reports)]
+
+
+def test_fundamental_inequality_decides_after_refinement(rep_sqrt2, refines):
+    # upper, n = 2, i = 1: M = 2 + sqrt(2) <= 2 * 53/24 - 1 = 41/12, and
+    # 41/12 lies in M's interval (105/32, 55/16]; lower: 2 * 1/2 - 1 <= m
+    link = _coarse_report((0, QQ(53, 48), QQ(-65, 24), 1))  # x (x - 1/2) (x - 53/24)
+    assert (link.m.value, link.M.value) == (QQ(1, 2), QQ(53, 24))
+    v = fundamental_inequality_verdict(from_maximal_simplices([(0, 1, 2)]), 1, rep_sqrt2,
+                                       _links(link), {})
+    assert refines[0] > 0
+    assert v.status == CERTIFIED_TRUE
+    w = v.witness
+    assert w["upper"]["status"] == CERTIFIED_TRUE
+    assert w["lower"]["status"] == CERTIFIED_TRUE
+    assert w["upper"]["rhs"] == {"lo": "41/12", "hi": "41/12"}
+    assert QQ(w["M"]["hi"]) - QQ(w["M"]["lo"]) <= WIDTH_FLOOR
+    assert w["links"][0]["M"] == link.M.to_json_dict()  # links show their own reports
+
+
+def test_fundamental_inequality_stays_inconclusive_on_equal_irrationals(rep_sqrt2, refines):
+    # link x (x^2 - 3x + 7/4) has roots (3 -+ sqrt(2)) / 2, so with n = 2,
+    # i = 1 both sides meet exactly: 2 lambda_max - 1 = M, 2 lambda_min - 1 = m
+    link = _coarse_report((0, QQ(7, 4), -3, 1))
+    v = fundamental_inequality_verdict(from_maximal_simplices([(0, 1, 2)]), 1, rep_sqrt2,
+                                       _links(link), {})
+    assert refines[0] > 0
+    assert v.status == INCONCLUSIVE
+    assert v.witness["upper"]["status"] == INCONCLUSIVE
+    assert v.witness["lower"]["status"] == INCONCLUSIVE
+    upper = v.witness["upper"]
+    assert QQ(upper["lhs"]["lo"]) < QQ(upper["rhs"]["hi"])
+    assert QQ(upper["rhs"]["lo"]) < QQ(upper["lhs"]["hi"])
 
 
 # -- instance-level checks ------------------------------------------------------

@@ -23,7 +23,7 @@ from .version import VERSION
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
-                   help="cache directory (or env GARLAND_CACHE_DIR); no caching if unset")
+                   help="cache directory; no caching if unset")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the documented Krylov seed-vector stream; "
                         "certified results do not depend on it")

@@ -8,25 +8,28 @@ linear group is transitive on vertices of each type and on simplices
 of each type signature, so one link per vertex type and one
 certification column per signature stand in for all of them; that
 symmetry data is the only difference between the two kinds.  So there
-is one report driver, `spectral_report`, and one run driver,
-`run_instance`, and both check 0 <= i <= n-1 before touching the cache.
+is one report driver, `spectral_report`, which also serves the vertex
+links, and one run driver, `run_instance`, and both check
+0 <= i <= n-1 before touching the cache.
 
 Every verdict is re-checkable from its witness data alone: witnesses
 carry exact rationals (as "num/den" strings) or certified root
-intervals, never floats.  Interval comparisons work on closed outer
-hulls [lo, hi] of the isolating intervals, with one sharpening: an
-isolating interval (lo, hi] of an irrational root certifies value > lo
-strictly, which is what strict threshold checks use.  When a comparison
-is undecided at the requested isolation width, the intervals are
-refined down to a floor of 10^-12 before the verdict degrades to
-"inconclusive-at-width".
+intervals, never floats.  A root r is compared with a rational x by one
+rule, `_root_at_most`: a rational root exactly, and an irrational root
+isolated in (lo, hi] is <= x when hi <= x and > x when lo >= x, since it
+exceeds lo strictly.  The fundamental inequality compares sums of roots,
+so it compares the closed outer hulls [lo, hi] instead.  An undecided
+comparison refines the intervals once, to a floor of 10^-12, and one
+still undecided there makes the verdict "inconclusive-at-width".
 
 Cached spectral data is keyed by the instance's stem (b{ell}-q{q} for a
 building, x{sha256 of the canonical text} for a complex), the degree,
-the isolation width and the artifact version.  A hit is re-derived
-from its minimal polynomial, and its instance, degree and dimension are
-the caller's, so it reproduces a fresh computation byte for byte.  Its
-timings are its own: the seconds the load took, as "load_s".
+the isolation width and the artifact version.  A hit is built from its
+minimal polynomial by `report_from_minpoly`, the constructor of a fresh
+report, so it passes the same checks or is a miss; its instance, degree
+and dimension are the caller's, so it reproduces a fresh computation
+byte for byte.  Its timings are its own: the seconds the load took, as
+"load_s".
 """
 
 from __future__ import annotations
@@ -48,25 +51,19 @@ from .complexes import Complex
 from .errors import (
     BudgetExceeded,
     DegreeOutOfRange,
-    NotSquarefree,
+    GarlandError,
     UnknownReferenceInstance,
 )
 from .gf import field_for_order
-from .polyq import (
-    RatPolynomial,
-    RootInterval,
-    isolate_real_roots,
-    parse_width,
-    root_magnitude_bound,
-)
+from .polyq import RatPolynomial, RootInterval, parse_width, root_magnitude_bound
 from .rationals import QQ, QQ0, qstr
 from .reference import has_reference, reference_minimal_polynomial
 from .spectra import (
     SpectralReport,
     compute_spectral_report,
     extract_extremes,
-    integer_table,
     reduced_cohomology_vanishes,
+    report_from_minpoly,
 )
 from .version import VERSION
 
@@ -282,24 +279,47 @@ class VerificationVerdict:
         }
 
 
-def _bounds(r: RootInterval) -> tuple:
+_STATUS = {True: CERTIFIED_TRUE, False: CERTIFIED_FALSE, None: INCONCLUSIVE}
+
+
+def _root_at_most(r: RootInterval, x) -> bool | None:
+    """Whether the root r is <= x, or None when r's interval leaves it open.
+
+    An irrational root in (lo, hi] exceeds lo strictly, so lo >= x
+    decides r > x.
+    """
     if r.value is not None:
-        v = QQ(r.value)
-        return v, v
-    return r.lo, r.hi
+        return r.value <= x
+    if r.hi <= x:
+        return True
+    return False if r.lo >= x else None
 
 
-def _root_json(r: RootInterval) -> dict:
-    return r.to_json_dict()
+def _smallest_at_most(report: SpectralReport, x) -> tuple[RootInterval, bool | None]:
+    """m and whether m <= x, refining m once to WIDTH_FLOOR when undecided."""
+    m = report.m
+    at_most = _root_at_most(m, x)
+    if at_most is None:
+        m = extract_extremes(report.isolation.refine(WIDTH_FLOOR))[0]
+        at_most = _root_at_most(m, x)
+    return m, at_most
 
 
-def _refine_extreme(report: SpectralReport, which: int, undecided) -> RootInterval:
-    """Refine the m (which=0) or M (which=1) interval until undecided() clears."""
-    r = extract_extremes(report.isolation)[which]
-    if undecided(r):
-        iso = report.isolation.refine(WIDTH_FLOOR)
-        r = extract_extremes(iso)[which]
-    return r
+def _hull(r: RootInterval) -> tuple:
+    """The closed outer hull [lo, hi] of a root's interval."""
+    return (r.value, r.value) if r.value is not None else (r.lo, r.hi)
+
+
+def _hull_le(lhs: tuple, rhs: tuple) -> bool | None:
+    """Whether every point of hull lhs is <= every point of rhs; False when
+    all of lhs exceeds rhs, None when they overlap."""
+    if lhs[1] <= rhs[0]:
+        return True
+    return False if lhs[0] > rhs[1] else None
+
+
+def _hull_json(h: tuple) -> dict:
+    return {"lo": qstr(h[0]), "hi": qstr(h[1])}
 
 
 # -- individual checks ----------------------------------------------------------
@@ -329,24 +349,12 @@ def verdict_max_eigenvalue(report: SpectralReport, expected: int,
 def verdict_min_bound(report: SpectralReport, bound,
                       instance: dict) -> VerificationVerdict:
     bound = QQ(bound)
-
-    def undecided(r):
-        lo, hi = _bounds(r)
-        return r.value is None and lo < bound < hi
-
-    m = _refine_extreme(report, 0, undecided)
-    lo, hi = _bounds(m)
-    if hi <= bound:
-        status = CERTIFIED_TRUE
-    elif (m.value is not None and QQ(m.value) > bound) or (m.value is None and lo >= bound):
-        status = CERTIFIED_FALSE
-    else:
-        status = INCONCLUSIVE
+    m, at_most = _smallest_at_most(report, bound)
     return VerificationVerdict(
         check="min-bound",
         instance=instance,
-        status=status,
-        witness={"bound": qstr(bound), "m": _root_json(m)},
+        status=_STATUS[at_most],
+        witness={"bound": qstr(bound), "m": m.to_json_dict()},
     )
 
 
@@ -366,96 +374,63 @@ def verdict_integer_eigenvalues(report: SpectralReport, ell: int, i: int,
     )
 
 
-def _compare_le(lhs_hi, rhs_lo, lhs_lo, rhs_hi) -> str:
-    """Status of 'LHS <= RHS' given outer hulls of both sides."""
-    if lhs_hi <= rhs_lo:
-        return CERTIFIED_TRUE
-    if lhs_lo > rhs_hi:
-        return CERTIFIED_FALSE
-    return INCONCLUSIVE
-
-
-def fundamental_inequality_verdict(cx: Complex, i: int, report: SpectralReport,
+def fundamental_inequality_verdict(n: int, i: int, report: SpectralReport,
                                    link_data: list[dict],
                                    instance: dict) -> VerificationVerdict:
-    """Two-sided spectral bound from extremal link eigenvalues.
+    """Two-sided spectral bound from extremal link eigenvalues, on a complex of dimension n.
 
     link_data rows: {"label", "count", "report", "vanishes"} with one row
     per link (or per isomorphism class, with count carrying multiplicity).
     The lower bound is asserted only when every link has vanishing
-    reduced cohomology in degree i-1.
+    reduced cohomology in degree i-1.  Both sides are hulls of sums of
+    roots; when either comparison is undecided, every interval is
+    refined once to WIDTH_FLOOR.
     """
-    n = cx.dim
-    iq, nq = QQ(i), QQ(n)
-
-    def side_bounds(width_floor: bool):
-        mm = []
-        for row in link_data:
-            iso = row["report"].isolation
-            if width_floor:
-                iso = iso.refine(WIDTH_FLOOR)
-            mm.append(extract_extremes(iso))
-        big = report.isolation.refine(WIDTH_FLOOR) if width_floor else report.isolation
-        m_x, big_m = extract_extremes(big)
-        lam_max = (max(_bounds(e[1])[0] for e in mm), max(_bounds(e[1])[1] for e in mm))
-        lam_min = (min(_bounds(e[0])[0] for e in mm), min(_bounds(e[0])[1] for e in mm))
-        return m_x, big_m, lam_max, lam_min
-
     hypothesis = all(row["vanishes"] for row in link_data)
-    for attempt in (False, True):
-        m_x, big_m, lam_max, lam_min = side_bounds(attempt)
-        mlo, mhi = _bounds(m_x)
-        Mlo, Mhi = _bounds(big_m)
+    isos = [report.isolation] + [row["report"].isolation for row in link_data]
+    for refined in (False, True):
+        if refined:
+            isos = [iso.refine(WIDTH_FLOOR) for iso in isos]
+        (m_x, big_m), *extremes = [extract_extremes(iso) for iso in isos]
+        lam_max = tuple(max(_hull(e[1])[k] for e in extremes) for k in (0, 1))
+        lam_min = tuple(min(_hull(e[0])[k] for e in extremes) for k in (0, 1))
         # upper: i*M <= (i+1)*lam_max - (n-i)
-        up_lhs = (iq * Mlo, iq * Mhi)
-        up_rhs = ((iq + 1) * lam_max[0] - (nq - iq), (iq + 1) * lam_max[1] - (nq - iq))
-        upper = _compare_le(up_lhs[1], up_rhs[0], up_lhs[0], up_rhs[1])
+        up_lhs = tuple(i * x for x in _hull(big_m))
+        up_rhs = tuple((i + 1) * x - (n - i) for x in lam_max)
+        upper = _STATUS[_hull_le(up_lhs, up_rhs)]
         # lower: i*m >= (i+1)*lam_min - (n-i), i.e. RHS <= LHS
-        lo_lhs = (iq * mlo, iq * mhi)
-        lo_rhs = ((iq + 1) * lam_min[0] - (nq - iq), (iq + 1) * lam_min[1] - (nq - iq))
-        lower = _compare_le(lo_rhs[1], lo_lhs[0], lo_rhs[0], lo_lhs[1]) if hypothesis else "not-applicable"
-        if upper != INCONCLUSIVE and lower != INCONCLUSIVE:
+        lo_lhs = tuple(i * x for x in _hull(m_x))
+        lo_rhs = tuple((i + 1) * x - (n - i) for x in lam_min)
+        lower = _STATUS[_hull_le(lo_rhs, lo_lhs)] if hypothesis else "not-applicable"
+        if INCONCLUSIVE not in (upper, lower):
             break
-
-    parts = [upper] + ([lower] if hypothesis else [])
-    if CERTIFIED_FALSE in parts:
-        status = CERTIFIED_FALSE
-    elif INCONCLUSIVE in parts:
-        status = INCONCLUSIVE
-    else:
-        status = CERTIFIED_TRUE
-    links_witness = [
-        {
-            "label": row["label"],
-            "count": row["count"],
-            "minpoly": row["report"].minpoly.serialize(),
-            "m": _root_json(row["report"].m),
-            "M": _root_json(row["report"].M),
-            "cohomology_vanishes": row["vanishes"],
-        }
-        for row in link_data
-    ]
+    # a false side decides, then an undecided one; "not-applicable" is neither
+    status = next((s for s in (CERTIFIED_FALSE, INCONCLUSIVE) if s in (upper, lower)),
+                  CERTIFIED_TRUE)
     witness = {
         "n": n,
         "i": i,
-        "M": _root_json(big_m),
-        "m": _root_json(m_x),
-        "lambda_max": {"lo": qstr(lam_max[0]), "hi": qstr(lam_max[1])},
-        "upper": {
-            "lhs": {"lo": qstr(up_lhs[0]), "hi": qstr(up_lhs[1])},
-            "rhs": {"lo": qstr(up_rhs[0]), "hi": qstr(up_rhs[1])},
-            "status": upper,
-        },
+        "M": big_m.to_json_dict(),
+        "m": m_x.to_json_dict(),
+        "lambda_max": _hull_json(lam_max),
+        "upper": {"lhs": _hull_json(up_lhs), "rhs": _hull_json(up_rhs), "status": upper},
         "hypothesis_cohomology_vanishes": hypothesis,
-        "links": links_witness,
+        "links": [
+            {
+                "label": row["label"],
+                "count": row["count"],
+                "minpoly": row["report"].minpoly.serialize(),
+                "m": row["report"].m.to_json_dict(),
+                "M": row["report"].M.to_json_dict(),
+                "cohomology_vanishes": row["vanishes"],
+            }
+            for row in link_data
+        ],
     }
     if hypothesis:
-        witness["lambda_min"] = {"lo": qstr(lam_min[0]), "hi": qstr(lam_min[1])}
-        witness["lower"] = {
-            "lhs": {"lo": qstr(lo_lhs[0]), "hi": qstr(lo_lhs[1])},
-            "rhs": {"lo": qstr(lo_rhs[0]), "hi": qstr(lo_rhs[1])},
-            "status": lower,
-        }
+        witness["lambda_min"] = _hull_json(lam_min)
+        witness["lower"] = {"lhs": _hull_json(lo_lhs), "rhs": _hull_json(lo_rhs),
+                            "status": lower}
     else:
         witness["lower"] = {"status": "not-applicable"}
     return VerificationVerdict(
@@ -474,29 +449,17 @@ def verdict_vanishing_threshold(report_below: SpectralReport, ell: int, i: int,
     computed here.
     """
     theta = QQ(ell + 1 - i, i + 1)
-
-    def undecided(r):
-        lo, hi = _bounds(r)
-        return r.value is None and lo < theta < hi
-
-    m = _refine_extreme(report_below, 0, undecided)
-    lo, hi = _bounds(m)
-    if (m.value is not None and QQ(m.value) > theta) or (m.value is None and lo >= theta):
-        status = CERTIFIED_TRUE
-    elif hi <= theta:
-        status = CERTIFIED_FALSE
-    else:
-        status = INCONCLUSIVE
+    m, at_most = _smallest_at_most(report_below, theta)
     return VerificationVerdict(
         check="vanishing-threshold",
         instance=instance,
-        status=status,
+        status=_STATUS[None if at_most is None else not at_most],  # m > theta
         witness={
             "kind": "hypothesis-check",
             "cohomology_degree": i,
             "spectral_degree": i - 1,
             "threshold": qstr(theta),
-            "m": _root_json(m),
+            "m": m.to_json_dict(),
         },
     )
 
@@ -509,7 +472,7 @@ def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
     for r in report.isolation.roots:
         if r.is_zero:
             continue
-        lo, hi = _bounds(r)
+        lo, hi = _hull(r)
         best = None
         for k in range(lo_int, hi_int + 1):
             kq = QQ(k)
@@ -518,9 +481,9 @@ def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
             if best is None or dhi < best[2]:
                 best = (k, dlo, dhi)
         rows.append({
-            "root": _root_json(r),
+            "root": r.to_json_dict(),
             "nearest_integer": best[0],
-            "distance": {"lo": qstr(best[1]), "hi": qstr(best[2])},
+            "distance": _hull_json(best[1:]),
         })
         if best[2] > eps:
             eps = best[2]
@@ -533,13 +496,6 @@ def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
 
 
 # -- caching --------------------------------------------------------------------
-
-
-def resolve_cache_dir(arg=None):
-    if arg:
-        return Path(arg)
-    env = os.environ.get("GARLAND_CACHE_DIR")
-    return Path(env) if env else None
 
 
 def _width_tag(width) -> str:
@@ -566,18 +522,19 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
     (`store_report` writes it), so a file copied or renamed from another
     instance, degree, width or version, or one without a key, is a miss,
     and so is one whose `minpoly` is not a string, whose `roots` is not a
-    list or whose `den_bound` is not a positive integer.  The roots are
-    re-isolated and must equal the stored ones.  Nothing else is read
-    from the file: `dim` is `inst.num_simplices(degree)`, the
-    integer-eigenvalue table is re-evaluated as `compute_spectral_report`
-    forms it for a complex of dimension `inst.n`, `instance` and `degree`
-    are the caller's, and the timings are this load's own,
-    {"load_s": seconds}.
+    list or whose `den_bound` is not a positive integer.  The report is
+    built by `report_from_minpoly`, as a fresh one is: a polynomial that
+    fails its checks is a miss, and the re-isolated roots must equal the
+    stored ones.  Nothing else is read from the file: `dim` is
+    `inst.num_simplices(degree)`, the integer-eigenvalue table is formed
+    for a complex of dimension `inst.n`, `instance` and `degree` are the
+    caller's, and the timings are this load's own, {"load_s": seconds}.
     """
     t0 = time.perf_counter()
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
+    dim = inst.num_simplices(degree)
     try:
         data = json.loads(path.read_text())
         if not (isinstance(data, dict) and data.get("key") == key
@@ -585,28 +542,16 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
                 and isinstance(data.get("roots"), list)
                 and type(data.get("den_bound")) is int and data["den_bound"] > 0):
             return None
-        poly = RatPolynomial.parse(data["minpoly"])
-        den_bound = data["den_bound"]
         # a wrong den_bound only changes rationality labels, which the
         # roots comparison below then rejects
-        iso = isolate_real_roots(poly, width, den_bound=den_bound)
-    except (ValueError, ZeroDivisionError, NotSquarefree):
+        report = report_from_minpoly(RatPolynomial.parse(data["minpoly"]), data["den_bound"],
+                                     width, instance, degree, dim, inst.n)
+    except (ValueError, ZeroDivisionError, GarlandError):
         return None
-    if [r.to_json_dict() for r in iso.roots] != data["roots"]:
+    if [r.to_json_dict() for r in report.isolation.roots] != data["roots"]:
         return None  # stale entry; recompute
-    m, big_m = extract_extremes(iso)
-    return SpectralReport(
-        instance=instance,
-        degree=degree,
-        dim=inst.num_simplices(degree),
-        minpoly=poly,
-        isolation=iso,
-        m=m,
-        M=big_m,
-        integer_eigenvalues=integer_table(poly, inst.n),
-        timings={"load_s": time.perf_counter() - t0},
-        den_bound=den_bound,
-    )
+    report.timings = {"load_s": time.perf_counter() - t0}
+    return report
 
 
 def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
@@ -615,23 +560,6 @@ def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
 
 
 # -- drivers ----------------------------------------------------------------------
-
-
-def _report(inst: Instance, i: int, instance: dict, width, seed: int,
-            cache_dir) -> SpectralReport:
-    """The cached or freshly computed report of degree i, labelled `instance`."""
-    width = parse_width(width)  # before any building or cache file is touched
-    cache_dir = resolve_cache_dir(cache_dir)
-    if cache_dir is not None:
-        key = cache_key(inst.stem, i, width)
-        hit = load_cached_report(cache_dir, key, width, instance, i, inst)
-        if hit is not None:
-            return hit
-    report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
-                                     witness_columns=inst.symmetry.witness_columns(i))
-    if cache_dir is not None:
-        store_report(cache_dir, key, report)
-    return report
 
 
 def _check_degree(inst: Instance, i: int) -> None:
@@ -643,7 +571,19 @@ def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
                     cache_dir=None) -> SpectralReport:
     """Certified spectral report of degree i, from the cache when it holds one."""
     _check_degree(inst, i)
-    return _report(inst, i, inst.tag(i), width, seed, cache_dir)
+    width = parse_width(width)  # before any building or cache file is touched
+    instance = inst.tag(i)
+    if cache_dir:
+        cache_dir = Path(cache_dir)
+        key = cache_key(inst.stem, i, width)
+        hit = load_cached_report(cache_dir, key, width, instance, i, inst)
+        if hit is not None:
+            return hit
+    report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
+                                     witness_columns=inst.symmetry.witness_columns(i))
+    if cache_dir:
+        store_report(cache_dir, key, report)
+    return report
 
 
 def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
@@ -654,8 +594,8 @@ def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict
         out.append({
             "label": orbit.label,
             "count": orbit.count,
-            "report": _report(Instance.complex(link, orbit.tag), j, orbit.tag,
-                              width, seed, cache_dir),
+            "report": spectral_report(Instance.complex(link, orbit.tag), j, width, seed,
+                                      cache_dir),
             "vanishes": reduced_cohomology_vanishes(link, j),
         })
     return out
@@ -715,7 +655,7 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     ]
     if i >= 1:
         links = _link_data(inst, i - 1, width, seed, cache_dir)
-        verdicts.append(fundamental_inequality_verdict(inst.cx, i, report, links, tag))
+        verdicts.append(fundamental_inequality_verdict(n, i, report, links, tag))
     verdicts.append(verdict_vanishing_threshold(report, n, i + 1, inst.tag(i + 1)))
     conj = conjecture_table(report, n - i, n + 1, tag)
     repro = None

@@ -322,11 +322,6 @@ def is_eigenvalue(p: RatPolynomial, c) -> bool:
     return p(QQ(c)) == 0
 
 
-def integer_table(p: RatPolynomial, complex_dim: int) -> dict[int, bool]:
-    """Which of the integers 0..complex_dim+1 are roots of p."""
-    return {k: is_eigenvalue(p, k) for k in range(complex_dim + 2)}
-
-
 def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
     """Smallest and largest nonzero roots (certified intervals or exact)."""
     nonzero = [r for r in iso.roots if not r.is_zero]
@@ -424,6 +419,38 @@ class SpectralReport:
         }
 
 
+def report_from_minpoly(poly: RatPolynomial, den_bound: int, width, instance: dict,
+                        degree: int, dim: int, complex_dim: int) -> SpectralReport:
+    """The report of a symmetric operator on C^degree whose minimal polynomial is `poly`.
+
+    Both a fresh computation and a cache entry end here.  The roots are
+    isolated to `width` (NotSquarefree unless poly is squarefree), every
+    root must be real (CertificationFailed otherwise), and a spectrum
+    without a nonzero root raises NoNonzeroRoot.  `den_bound` caps the
+    denominators of the rational roots (`isolate_real_roots`), and the
+    integer-eigenvalue table says which of 0..complex_dim+1 are roots.
+    The timings are left to the caller.
+    """
+    iso = isolate_real_roots(poly, width, den_bound=den_bound)
+    if len(iso.roots) != poly.degree:
+        raise CertificationFailed(
+            "real-root count does not match degree for a symmetric operator"
+        )
+    m, M = extract_extremes(iso)
+    return SpectralReport(
+        instance=instance,
+        degree=degree,
+        dim=dim,
+        minpoly=poly,
+        isolation=iso,
+        m=m,
+        M=M,
+        integer_eigenvalues={k: is_eigenvalue(poly, k) for k in range(complex_dim + 2)},
+        timings={},
+        den_bound=den_bound,
+    )
+
+
 def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 0,
                             instance: dict | None = None,
                             witness_columns=None) -> SpectralReport:
@@ -437,29 +464,12 @@ def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 
     poly = minimal_polynomial(op, seed=seed, witness_columns=witness_columns)
     timings["minpoly_s"] = time.perf_counter() - t0
 
-    # isolation raises NotSquarefree: its Sturm chain is the squarefree test
     # rational eigenvalues of A = B/L are integer eigenvalues of B over
     # L, because the minimal polynomial of an integer matrix is monic
-    # with integer coefficients
-    den_bound = op.L
+    # with integer coefficients: L bounds their denominators
     t0 = time.perf_counter()
-    iso = isolate_real_roots(poly, width, den_bound=den_bound)
+    report = report_from_minpoly(poly, op.L, width, instance or {}, i, op.dim, cx.dim)
     timings["isolate_s"] = time.perf_counter() - t0
-    if len(iso.roots) != poly.degree:
-        raise CertificationFailed(
-            "real-root count does not match degree for a symmetric operator"
-        )
-    m, M = extract_extremes(iso)
-    return SpectralReport(
-        instance=instance or {},
-        degree=i,
-        dim=op.dim,
-        minpoly=poly,
-        isolation=iso,
-        m=m,
-        M=M,
-        integer_eigenvalues=integer_table(poly, cx.dim),
-        timings=timings,
-        den_bound=den_bound,
-        operator=op,
-    )
+    report.timings = timings
+    report.operator = op
+    return report

@@ -86,7 +86,6 @@ def _count_assemblies(monkeypatch) -> list:
 
 
 def test_matrix_dump_reuses_the_computed_operator(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GARLAND_CACHE_DIR", raising=False)
     calls = _count_assemblies(monkeypatch)
     dump = tmp_path / "matrix.txt"
     code, _out, _ = run(capsys, ["spectrum", "--ell", "2", "--q", "2", "--i", "1",

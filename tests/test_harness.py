@@ -256,8 +256,7 @@ def test_fundamental_inequality_decides_after_refinement(rep_sqrt2, refines):
     # 41/12 lies in M's interval (105/32, 55/16]; lower: 2 * 1/2 - 1 <= m
     link = _coarse_report((0, QQ(53, 48), QQ(-65, 24), 1))  # x (x - 1/2) (x - 53/24)
     assert (link.m.value, link.M.value) == (QQ(1, 2), QQ(53, 24))
-    v = fundamental_inequality_verdict(from_maximal_simplices([(0, 1, 2)]), 1, rep_sqrt2,
-                                       _links(link), {})
+    v = fundamental_inequality_verdict(2, 1, rep_sqrt2, _links(link), {})
     assert refines[0] > 0
     assert v.status == CERTIFIED_TRUE
     w = v.witness
@@ -272,8 +271,7 @@ def test_fundamental_inequality_stays_inconclusive_on_equal_irrationals(rep_sqrt
     # link x (x^2 - 3x + 7/4) has roots (3 -+ sqrt(2)) / 2, so with n = 2,
     # i = 1 both sides meet exactly: 2 lambda_max - 1 = M, 2 lambda_min - 1 = m
     link = _coarse_report((0, QQ(7, 4), -3, 1))
-    v = fundamental_inequality_verdict(from_maximal_simplices([(0, 1, 2)]), 1, rep_sqrt2,
-                                       _links(link), {})
+    v = fundamental_inequality_verdict(2, 1, rep_sqrt2, _links(link), {})
     assert refines[0] > 0
     assert v.status == INCONCLUSIVE
     assert v.witness["upper"]["status"] == INCONCLUSIVE
@@ -384,6 +382,13 @@ def test_cache_keys_pin_version_and_width():
     assert len(k2.split("-")) >= 3
 
 
+def test_the_environment_does_not_turn_caching_on(tmp_path, monkeypatch):
+    # --cache-dir is the one way to name a cache; GARLAND_CACHE_DIR once
+    # turned caching on for every run that passed none
+    monkeypatch.setenv("GARLAND_CACHE_DIR", str(tmp_path))
+    spectral_report(Instance.building(1, 2), 0)
+    assert list(tmp_path.iterdir()) == []
+
 def test_cache_round_trip(tmp_path, rep120):
     key = cache_key("b1-q2", 0, "1/1000000")
     store_report(tmp_path, key, rep120)
@@ -431,11 +436,23 @@ def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
     assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
 
 
+def _exact_roots(*values):
+    return [{"lo": v, "hi": v, "is_rational": True, "is_zero": v == "0/1", "value": v}
+            for v in values]
+
+
 @pytest.mark.parametrize("entry", [
     [], "str", {"minpoly": 5},
-], ids=["list", "string", "minpoly-not-a-string"])
+    # (x - 3)(x^2 + 1) with its one real root: a symmetric operator's
+    # minimal polynomial has only real roots
+    {"minpoly": "-3/1 1/1 -3/1 1/1", "roots": _exact_roots("3/1")},
+    # x: a spectrum without a nonzero root
+    {"minpoly": "0/1 1/1", "roots": _exact_roots("0/1")},
+], ids=["list", "string", "minpoly-not-a-string", "non-real-roots", "zero-spectrum"])
 def test_malformed_cache_entry_is_a_recomputed_miss(tmp_path, entry):
-    # these used to raise TypeError or AttributeError out of the CLI
+    # the first three used to raise TypeError or AttributeError out of
+    # the CLI; the cubic was believed, with certified-false verdicts, and
+    # the zero spectrum stopped `verify` with "spectrum is {0}"
     width = "1/1000000"
     fresh = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.json")

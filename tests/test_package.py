@@ -28,7 +28,11 @@ MOVED = {
     ],
     "garland.exactla": ["kernel_basis", "dense_from_entries", "_cleared_int_rows"],
     "garland.rationals": ["as_float"],
-    "garland.harness": ["_link_cohomology_vanishes"],  # deleted
+    "garland.harness": [  # deleted
+        "_link_cohomology_vanishes", "resolve_cache_dir", "_report", "_bounds", "_root_json",
+        "_refine_extreme", "_compare_le",
+    ],
+    "garland.spectra": ["integer_table"],  # folded into report_from_minpoly
     "garland.errors": [
         "DegreeMismatch", "UnknownVertex", "UnknownType", "DivisionByZero",
         "AmbientMismatch", "DimensionMismatch",

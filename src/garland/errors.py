@@ -61,6 +61,10 @@ class DegreeOutOfRange(GarlandError):
     pass
 
 
+class MalformedMatrix(GarlandError, ValueError):
+    pass
+
+
 # -- spectra ----------------------------------------------------------------
 
 class CertificationFailed(GarlandError):
@@ -82,6 +86,10 @@ class InvalidWidth(GarlandError):
 # -- harness ----------------------------------------------------------------
 
 class BudgetExceeded(GarlandError):
+    pass
+
+
+class InvalidThreadCount(GarlandError, ValueError):
     pass
 
 

@@ -52,6 +52,7 @@ from .errors import (
     BudgetExceeded,
     DegreeOutOfRange,
     GarlandError,
+    InvalidThreadCount,
     UnknownReferenceInstance,
 )
 from .gf import field_for_order
@@ -681,12 +682,20 @@ def _grid_task(args) -> dict:
 
 def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,
              seed: int = 0, cache_dir=None) -> dict:
+    """The grid's report documents, computed by up to `threads` worker processes.
+
+    A pool starts all of its workers up front, so it gets no more of
+    them than there are instances.
+    """
+    if threads < 1:
+        raise InvalidThreadCount(f"--threads must be at least 1, got {threads}")
     instances = default_grid() if grid == "default" else extended_grid()
     tasks = [(ell, q, i, width, seed, cache_dir) for (ell, q, i) in instances]
-    if threads > 1:
+    workers = min(threads, len(tasks))
+    if workers > 1:
         from multiprocessing import Pool  # here, so that a run without workers never loads it
 
-        with Pool(processes=threads) as pool:
+        with Pool(processes=workers) as pool:
             results = pool.map(_grid_task, tasks)
     else:
         results = [_grid_task(t) for t in tasks]

@@ -8,13 +8,14 @@ n is out of domain and rejected.
 
 assemble_matrix builds Delta on C^i in integer arrays, never as
 rationals, from the column gather of the coboundary
-(`coboundary_pattern`, one `Complex.facets` call).  It returns the
-square matrix B = L * Delta as CSR and the scale L (the lcm of the
-entry denominators of Delta), which is what the certified spectral
-code consumes; the assembly time therefore includes the integer
-scaling.  B's entries are one ndarray, int64 when every entry fits and
-an object array of Python ints otherwise; assemble_matrix is the only
-code that makes that choice.  `dump_matrix_text` writes Delta's entries
+(`coboundary_pattern`, one `Complex.facets` call) and one Gram product
+d^T (diag(w) d) on scipy's compiled CSR kernels (`csr.gram`).  It
+returns the square matrix B = L * Delta as CSR and the scale L (the lcm
+of the entry denominators of Delta), which is what the certified
+spectral code consumes; the assembly time therefore includes the
+integer scaling.  B's entries are one ndarray, int64 when every entry
+fits and an object array of Python ints otherwise; assemble_matrix is
+the only code that makes that choice.  `dump_matrix_text` writes Delta's entries
 as exact rationals, and `LinearOperatorHandle.entries` rebuilds them as
 a dict (the benchmark's nnz count reads it).  The exact-rational
 cochain calculus that this matrix must agree with lives in the tests.
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
+from . import csr
 from .complexes import Complex
 from .errors import DegreeOutOfRange
 from .rationals import QQ, qstr
@@ -100,30 +101,21 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     m = len(cols)
     signs = np.tile(signs, m)
     rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=np.int64)
-    d = csr_matrix((signs, cols.ravel(), rowptr), shape=(m, n))
     w_up = np.repeat(c.counts[i + 1], i + 2)
-    wd = csr_matrix((signs * w_up, cols.ravel(), rowptr), shape=(m, n))
-    x = (d.T @ wd).tocsr()
-    x.eliminate_zeros()
-    x.sort_indices()
-    # in place, to keep the peak down: x.data becomes x / g and den w_r / g
-    den = np.repeat(c.counts[i], np.diff(x.indptr))
-    g = np.gcd(x.data, den)
-    x.data //= g
+    indptr, indices, x = csr.gram(n, rowptr, cols.ravel(), signs, signs * w_up)
+    # in place, to keep the peak down: x becomes x / g and den w_r / g
+    den = np.repeat(c.counts[i], np.diff(indptr))
+    g = np.gcd(x, den)
+    x //= g
     den //= g
-    L = lcm(*np.unique(den).tolist())
-    if _fits_int64(x.data, den, L):
+    # a set, not np.unique, which loads numpy.ma on first use
+    L = lcm(*set(den.tolist()))
+    if _fits_int64(x, den, L):
         data = L // den
-        data *= x.data
+        data *= x
     else:
-        data = x.data.astype(object) * (L // den.astype(object))
-    return LinearOperatorHandle(
-        domain_degree=i,
-        indptr=x.indptr.astype(np.int64),
-        indices=x.indices.astype(np.int64),
-        data=data,
-        L=L,
-    )
+        data = x.astype(object) * (L // den.astype(object))
+    return LinearOperatorHandle(domain_degree=i, indptr=indptr, indices=indices, data=data, L=L)
 
 
 def dump_matrix_text(handle: LinearOperatorHandle) -> str:

@@ -35,9 +35,13 @@ itself, the monic integer coefficients c_k that the reconstruction
 produced.  Every entry of q(B) = sum_k c_k B^k is bounded by
 H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose product
 exceeds 2H forces q(B) = 0 over Z, hence p(A) = L^-d q(L A) = 0 for the
-returned p(x) = L^-d q(L x).  Every modular pass runs on scipy int64
-CSR matmuls with entries kept in [0, p), and primes are capped so that
-max_nnz_row * (p-1)^2 < 2**62: a row accumulation cannot overflow int64.
+returned p(x) = L^-d q(L x).  Every modular pass calls scipy's compiled
+int64 CSR kernels directly (`csr.matvec`, `csr.matvecs`) on the arrays
+(indptr, indices, data mod p), with entries kept in [0, p), and primes
+are capped so that max_nnz_row * (p-1)^2 < 2**62: a row accumulation
+cannot overflow int64.  The kernels check no bounds, so
+`minimal_polynomial` and `certify_annihilates` validate the CSR arrays
+once per call (`csr.check`), not once per prime.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
@@ -68,9 +72,9 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from numpy.random import default_rng
 
-from . import exactla
+from . import csr, exactla
 from .complexes import Complex
 from .errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from .gf import is_prime, poly_lcm
@@ -86,7 +90,7 @@ from .rationals import QQ, QQ1, qstr
 
 
 def _seed_values(n: int, index: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed % 2**64, index])
+    rng = default_rng([seed % 2**64, index])
     while True:
         v = rng.integers(-3, 4, size=n)
         if v.any():
@@ -121,6 +125,8 @@ def _inf_norm(indptr: np.ndarray, data: np.ndarray, max_nnz: int) -> int:
 def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
     """Monic annihilator mod p of v0 under B, low-to-high coefficients.
 
+    `bp` is (indptr, indices, data mod p), checked CSR arrays of B.
+
     Vectorized Gaussian elimination on the Krylov vectors: stored
     vectors are pivot-normalized and were fully reduced at insertion, so
     one insertion-order pass reduces completely.
@@ -147,7 +153,8 @@ def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
         inv = pow(int(w[pivot]), p - 2, p)
         basis.append((pivot, (w * inv) % p))
         combos.append([x * inv % p for x in combo])
-        raw = (bp @ raw) % p
+        raw = csr.matvec(*bp, raw)
+        raw %= p
         k += 1
 
 
@@ -173,9 +180,9 @@ def _minpoly_mod_p(n, indptr, indices, data, p, seeds, stop_early) -> list[int]:
     """lcm of the seeds' annihilators under B mod p; a divisor of min_{B mod p}.
 
     With `stop_early` the lcm is returned as soon as one more seed leaves
-    it unchanged.
+    it unchanged.  The CSR arrays must have passed `csr.check`.
     """
-    bp = csr_matrix((_reduce(data, p), indices, indptr), shape=(n, n))
+    bp = (indptr, indices, _reduce(data, p))
     acc = [1]
     for index, v0 in enumerate(seeds):
         ann = _krylov_annihilator_mod_p(n, bp, p, v0)
@@ -223,6 +230,7 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     passing fewer must know that a symmetry of B maps those onto the
     rest, see the module docstring.
     """
+    indptr, indices = csr.check((n, n), indptr, indices, data)
     if not coeffs or coeffs[-1] != 1:
         return False
     if columns is None:
@@ -240,7 +248,7 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
     for q in primes:
-        bq = csr_matrix((_reduce(data, q), indices, indptr), shape=(n, n))
+        dq = _reduce(data, q)
         cmod = [c % q for c in coeffs]
         for c0 in range(0, len(cols_np), block):
             cols = cols_np[c0:c0 + block]
@@ -250,7 +258,7 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
             # keep entries in [0, q) entering each matvec so row sums
             # stay below max_nnz * (q-1)^2 < 2**62
             for k in range(len(cmod) - 2, -1, -1):
-                s = bq @ s
+                s = csr.matvecs(indptr, indices, dq, s)
                 s[cols, pos] += cmod[k]
                 s %= q
             if np.any(s):
@@ -274,7 +282,8 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     n = op.dim
     if n == 0:
         return RatPolynomial((QQ1,))
-    indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
+    indptr, indices = csr.check((n, n), op.indptr, op.indices, op.data)
+    data, L = op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
     columns = range(n) if witness_columns is None else witness_columns
 

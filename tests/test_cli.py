@@ -339,3 +339,42 @@ def test_missing_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class RecordingPool:
+    """A stand-in for multiprocessing.Pool that records its size and starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize("threads, pools", [("64", [10]), ("3", [3]), ("1", [])])
+def test_report_pool_has_no_more_workers_than_instances(capsys, monkeypatch, threads, pools):
+    import multiprocessing
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(harness, "_grid_task", lambda task: {"task": list(task[:3])})
+    code, out, _err = run(capsys, ["report", "--grid", "default", "--threads", threads])
+    assert code == 0
+    assert len(json.loads(out)["instances"]) == 10
+    assert RecordingPool.sizes == pools
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_report_rejects_fewer_than_one_thread(capsys, monkeypatch, threads):
+    monkeypatch.setattr(harness, "_grid_task", lambda task: pytest.fail("the sweep ran"))
+    code, out, err = run(capsys, ["report", "--grid", "default", "--threads", threads])
+    assert (code, out) == (2, "")
+    assert err == f"error: --threads must be at least 1, got {threads}\n"

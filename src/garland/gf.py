@@ -18,8 +18,9 @@ order.  The subspace enumeration in `building` runs on these tables; the
 element objects and their arithmetic, which check the tables against the
 field axioms, are test oracles.
 
-The dense Z_p polynomial arithmetic and the primality test below are
-also the ones the modular Krylov code in `spectra` runs on.
+Of this module, `spectra` uses only `is_prime`, to draw its stream of
+word-size primes; the dense Z_p polynomial arithmetic below serves the
+field construction.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
 def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -93,19 +89,6 @@ def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
             for j in range(db + 1):
                 r[k + j] = (r[k + j] - f * b[j]) % p
     return _trim(q), _trim(r)
-
-
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b, not both zero."""
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    return _monic(a, p)
-
-
-def poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic lcm of nonzero a and b."""
-    return _monic(poly_mul(poly_divmod(a, poly_gcd(a, b, p), p)[0], b, p), p)
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:

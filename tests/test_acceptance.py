@@ -26,6 +26,7 @@ from garland.harness import (
     Instance,
     default_grid,
     dumps_report,
+    extended_grid,
     get_building,
     run_grid,
     run_instance,
@@ -357,6 +358,28 @@ def test_criterion_08_vertex_link_divisibility(b22, shared_cache):
         f"first: {bad[0]}"
     )
     _line(8, not bad, detail)
+
+
+def test_end_type_links_are_the_smaller_building(grid_runs, shared_cache):
+    # in the (ell, q) building the link of a type-0 or type-ell vertex is
+    # the (ell-1, q) building, so those rows of the fundamental-inequality
+    # witness carry its degree-(i-1) minimal polynomial; this guards
+    # vertex_link and the link path on every grid instance with i >= 1
+    docs = [d for d in grid_runs[0]["instances"] if d["instance"]["i"] >= 1]
+    if EXTENDED:
+        docs += [run_instance(Instance.building(ell, q), i, cache_dir=shared_cache)
+                 for ell, q, i in extended_grid()
+                 if i >= 1 and (ell, q, i) not in default_grid()]
+    checked = []
+    for d in docs:
+        ell, q, i = (d["instance"][k] for k in ("ell", "q", "i"))
+        (v,) = [v for v in d["verdicts"] if v["check"] == "fundamental-inequality"]
+        rows = {row["label"]: row["minpoly"] for row in v["witness"]["links"]}
+        smaller = reference_minimal_polynomial(ell - 1, q, i - 1).serialize()
+        for label in ("type-0", f"type-{ell}"):
+            assert rows[label] == smaller, (ell, q, i, label)
+        checked.append((ell, q, i))
+    assert len(checked) == (7 if EXTENDED else 2)
 
 
 def test_criterion_09_threshold_hypothesis_report(grid_runs):

@@ -160,55 +160,76 @@ def test_witness_columns_do_not_change_the_answer(b12, b22):
         assert full == restricted
 
 
-def test_seed_ladder_falls_back_to_basis_vectors(b12, b22, monkeypatch):
-    # the all-ones vector lies in ker Delta_0, so every random rung sees
-    # only x and the basis-vector rung has to find the rest
-    monkeypatch.setattr(spectra, "_seed_values", lambda n, index, seed: [1] * n)
+def _first_primes(op, k):
+    max_nnz = int(np.diff(op.indptr).max())
+    return list(itertools.islice(spectra._prime_stream(max_nnz), k))
+
+
+def _record_annihilators(monkeypatch):
+    """Patch the Krylov step to record each prime's annihilator, in order."""
     krylov = spectra._krylov_annihilator_mod_p
-    seeded = set()
+    seen = {}
 
     def recording(n, bp, p, v0):
-        if v0.count(0) == n - 1:
-            seeded.add(v0.index(1))
-        return krylov(n, bp, p, v0)
+        seen[p] = ann = krylov(n, bp, p, v0)
+        return ann
 
     monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", recording)
-    b12_op = assemble_matrix(b12.complex, 0)
-    b22_op = assemble_matrix(b22.complex, 0)
-    got = []
-    for op, columns in ((b12_op, None), (b22_op, witness_columns(b22, 0))):
-        seeded.clear()
-        got.append(minimal_polynomial(op, witness_columns=columns))
-        assert got[-1] == sympy_minpoly(op)
-        # every certification column was seeded: the rung never stops early
-        assert seeded == set(range(op.dim) if columns is None else columns)
-    assert got[0] == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
+    return seen
 
 
-def test_each_rung_draws_fresh_seeds(b22, monkeypatch):
-    # seeds 0-4 lie in ker Delta_0, so the first rung stops early on x
-    # alone and fails certification; the next rung must not reuse them
+def _record_certifications(monkeypatch, verdict=None):
+    """Patch certification to record each candidate; `verdict` overrides its answer."""
+    certify = spectra.certify_annihilates
+    candidates = []
+
+    def recording(*args, **kwargs):
+        candidates.append(args[4])
+        return certify(*args, **kwargs) if verdict is None else verdict
+
+    monkeypatch.setattr(spectra, "certify_annihilates", recording)
+    return candidates
+
+
+def test_unlucky_seeds_are_outvoted(b12, monkeypatch):
+    # the all-ones vector lies in ker Delta_0, so its annihilator is x
+    # alone; the primes after the first two draw seeds of full degree
+    op = assemble_matrix(b12.complex, 0)
+    unlucky = _first_primes(op, 2)
     draw = spectra._seed_values
     monkeypatch.setattr(spectra, "_seed_values",
-                        lambda n, index, seed: [1] * n if index < 5 else draw(n, index, seed))
-    krylov = spectra._krylov_annihilator_mod_p
-    basis_seeded = []
+                        lambda n, p, seed: np.ones(n, dtype=np.int64) if p in unlucky
+                        else draw(n, p, seed))
+    seen = _record_annihilators(monkeypatch)
+    certified = _record_certifications(monkeypatch)
+    got = minimal_polynomial(op)
+    assert got == sympy_minpoly(op) == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
+    assert [seen[p] for p in unlucky] == [[0, 1], [0, 1]]
+    assert [len(c) - 1 for c in certified] == [4]
 
-    def recording(n, bp, p, v0):
-        if list(v0).count(0) == n - 1:
-            basis_seeded.append(p)
-        return krylov(n, bp, p, v0)
 
-    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", recording)
-    op = assemble_matrix(b22.complex, 0)
-    assert minimal_polynomial(op) == sympy_minpoly(op)
-    assert basis_seeded == []  # the second rung found it
+def test_a_failed_candidate_is_certified_once(b12, monkeypatch):
+    # every seed in ker Delta_0: each prime reconstructs the same wrong
+    # candidate x, which fails once and is not certified again
+    monkeypatch.setattr(spectra, "_seed_values",
+                        lambda n, p, seed: np.ones(n, dtype=np.int64))
+    certified = _record_certifications(monkeypatch)
+    with pytest.raises(CertificationFailed):
+        minimal_polynomial(assemble_matrix(b12.complex, 0))
+    assert certified == [[0, 1]]
 
 
 def test_uncertified_candidates_raise(b12, monkeypatch):
-    monkeypatch.setattr(spectra, "certify_annihilates", lambda *args, **kw: False)
+    certified = _record_certifications(monkeypatch, verdict=False)
+    seen = _record_annihilators(monkeypatch)
+    op = assemble_matrix(b12.complex, 0)
     with pytest.raises(CertificationFailed):
-        minimal_polynomial(assemble_matrix(b12.complex, 0))
+        minimal_polynomial(op)
+    # the error comes after exactly the cap, and the true candidate is
+    # refused once and never offered again
+    assert spectra._MAX_PRIMES == 160
+    assert list(seen) == _first_primes(op, spectra._MAX_PRIMES)
+    assert len(certified) == 1
 
 
 @pytest.mark.parametrize("max_nnz", [1, 7, 10**6, 2**40])
@@ -224,27 +245,14 @@ def test_prime_stream_respects_int64_cap(max_nnz):
 
 def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
     op = assemble_matrix(b12.complex, 0)
-    n = op.dim
     true = minimal_polynomial(op)
     # B = 3A has minimal polynomial x(x - 6)(x^2 - 6x + 7); mod 3 the roots
-    # 0 and 6 collide and the minimal polynomial of B mod 3 drops degree
+    # 0 and 6 collide, so no seed reaches full degree mod 3
     bad = 3
-    basis_lcm = spectra._minpoly_mod_p(
-        n, op.indptr, op.indices, op.data, bad,
-        spectra._ladder_seeds(n, 0, None, range(n)), stop_early=False,
-    )
-    assert len(basis_lcm) - 1 < true.degree
     stream = spectra._prime_stream
-    minpoly_mod_p = spectra._minpoly_mod_p
-    seen = {}
-
-    def recording(*args, **kwargs):
-        seen[args[4]] = mp = minpoly_mod_p(*args, **kwargs)
-        return mp
-
     monkeypatch.setattr(spectra, "_prime_stream",
                         lambda max_nnz: itertools.chain([bad], stream(max_nnz)))
-    monkeypatch.setattr(spectra, "_minpoly_mod_p", recording)
+    seen = _record_annihilators(monkeypatch)
     assert minimal_polynomial(op) == true
     assert len(seen[bad]) - 1 < true.degree
 
@@ -346,12 +354,19 @@ def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
 
 
 def test_seed_vectors_are_a_fixed_stream():
-    a = spectra._seed_values(50, 3, -7)
-    assert np.array_equal(a, spectra._seed_values(50, 3, -7))
-    assert not np.array_equal(a, spectra._seed_values(50, 4, -7))
-    assert a.any() and a.min() >= -3 and a.max() <= 3
-    # a one-entry vector is redrawn until it is nonzero
-    assert all(spectra._seed_values(1, k, 0)[0] != 0 for k in range(30))
+    for seed, p in ((-7, 3), (0, 1_000_003), (2**70, (1 << 30) - 35)):
+        a = spectra._seed_values(50, p, seed)
+        assert np.array_equal(a, spectra._seed_values(50, p, seed))
+        # the documented draw, keyed by the seed and the prime
+        assert np.array_equal(
+            a, np.random.default_rng([seed % 2**64, p]).integers(0, p, 50))
+        assert a.any() and a.min() >= 0 and a.max() < p
+    assert not np.array_equal(spectra._seed_values(50, 1_000_003, 0),
+                              spectra._seed_values(50, 1_000_033, 0))
+    assert not np.array_equal(spectra._seed_values(50, 1_000_003, 0),
+                              spectra._seed_values(50, 1_000_003, 1))
+    # a one-entry vector over F_2 is redrawn until it is nonzero
+    assert all(spectra._seed_values(1, 2, k)[0] == 1 for k in range(30))
 
 
 def test_zero_dimensional_operator():

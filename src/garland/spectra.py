@@ -39,11 +39,26 @@ H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose product
 exceeds 2H forces q(B) = 0 over Z, hence p(A) = L^-d q(L A) = 0 for the
 returned p(x) = L^-d q(L x).  Every modular pass calls scipy's compiled
 int64 CSR kernels directly (`csr.matvec`, `csr.matvecs`) on the arrays
-(indptr, indices, data mod p), with entries kept in [0, p), and primes
-are capped so that max_nnz_row * (p-1)^2 < 2**62: a row accumulation
-cannot overflow int64.  The kernels check no bounds, so
-`minimal_polynomial` and `certify_annihilates` validate the CSR arrays
-once per call (`csr.check`), not once per prime.
+(indptr, indices, data) and vectors with entries in [0, p), and a row
+of the product plus one coefficient in [0, p) must fit int64.  Two
+representations of the data guarantee that, each up to its own cap:
+
+  * B's own int64 entries: the row is at most (||B||_inf + 1)(p - 1) in
+    absolute value, so (||B||_inf + 1)(p - 1) < 2**63;
+  * the entries reduced mod p to [0, p), one reduction per prime: the
+    row is at most max_nnz_row * (p-1)^2 + (p-1), so
+    max_nnz_row * p^2 <= 2**62 (and p < 2**30, the Krylov ceiling).
+
+Each call computes ||B||_inf once and takes whichever representation
+allows the larger primes (`_prime_cap`); object data, whose entries
+pass int64 (as when L >= 2**63), are always reduced.  Certification
+draws descending primes from that cap.  The Krylov elimination
+multiplies two residues, so its primes stay below 2**30 either way.
+On the grids' buildings ||B||_inf stays below 3*10^4, so their
+operators enter the kernels unreduced and certify with primes of at
+least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
+`certify_annihilates` validate the CSR arrays once per call
+(`csr.check`), not once per prime.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
@@ -59,10 +74,10 @@ certified result is the unique minimal polynomial, so --seed never
 changes reported values.
 
 B's CSR data are one ndarray, int64 when every entry fits and an object
-array of Python ints otherwise (assembly chooses).  Each prime reduces
-it in numpy, to int64 residues in [0, p), and ||B||_inf is one row
-reduction over it, widened to Python ints when an int64 row sum could
-pass 2**63.
+array of Python ints otherwise (assembly chooses).  When a pass reduces
+it, each prime reduces it in numpy, to int64 residues in [0, p).
+||B||_inf is one row reduction over it per call, widened to Python ints
+when an int64 row sum could pass 2**63.
 """
 
 from __future__ import annotations
@@ -93,6 +108,10 @@ from .rationals import QQ, QQ1, qstr
 # primes drawn before CertificationFailed; no grid instance needs more
 # than 7, so the cap is reached only when certification keeps failing
 _MAX_PRIMES = 160
+
+# the Krylov elimination multiplies two residues, so its primes stay
+# below 2**30 whatever the data: a product of two stays below 2**60
+_KRYLOV_CEILING = (1 << 30) - 1
 
 
 def _seed_values(n: int, p: int, seed: int) -> np.ndarray:
@@ -132,7 +151,8 @@ def _inf_norm(indptr: np.ndarray, data: np.ndarray, max_nnz: int) -> int:
 def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
     """Monic annihilator mod p of v0 under B, low-to-high coefficients.
 
-    `bp` is (indptr, indices, data mod p), checked CSR arrays of B.
+    `bp` is (indptr, indices, data), checked CSR arrays of B whose data
+    are reduced mod p or B's own entries, as `_prime_cap` decided.
 
     Vectorized Gaussian elimination on the Krylov vectors: stored
     vectors are pivot-normalized and were fully reduced at insertion, so
@@ -180,9 +200,30 @@ def _balanced_crt(residues: list[int], primes: list[int]) -> int:
 # -- certification ------------------------------------------------------------
 
 
-def _prime_stream(max_nnz_row: int):
-    """Descending primes small enough that a mod-p row accumulation fits int64."""
-    cap = min(isqrt((1 << 62) // max(1, max_nnz_row)), (1 << 30) - 1)
+def _reduced_cap(max_nnz_row: int) -> int:
+    """The largest modulus for data reduced mod p: max_nnz_row * p^2 <= 2**62,
+    below the Krylov ceiling."""
+    return min(isqrt((1 << 62) // max(1, max_nnz_row)), _KRYLOV_CEILING)
+
+
+def _prime_cap(data: np.ndarray, max_nnz_row: int, binf: int) -> tuple[int, bool]:
+    """(cap, reduce): the largest modulus a modular pass over B may use,
+    and whether that pass reduces B's data mod p first.
+
+    Unreduced int64 entries allow every p with (binf + 1)(p - 1) < 2**63,
+    binf = ||B||_inf; reduced entries allow `_reduced_cap`.  The larger
+    cap wins (module docstring); object data are always reduced.  The
+    primes descend from the cap, so the first bounds them all.
+    """
+    reduced = _reduced_cap(max_nnz_row)
+    unreduced = (2**63 - 1) // (binf + 1) + 1
+    if data.dtype == np.int64 and unreduced > reduced:
+        return unreduced, False
+    return reduced, True
+
+
+def _prime_stream(cap: int):
+    """The primes p <= cap, descending (2 excepted)."""
     p = cap if cap % 2 else cap - 1
     while p > 2:
         if is_prime(p):
@@ -196,9 +237,12 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     `indptr`, `indices` and `data` are the CSR arrays of a
     `LinearOperatorHandle`, and `coeffs` the integer coefficients of q,
     low to high; q must be monic.  Multi-modular with the 2H bound of
-    the module docstring.  `columns` defaults to all of them; a caller
-    passing fewer must know that a symmetry of B maps those onto the
-    rest, see the module docstring.
+    the module docstring: descending primes from `_prime_cap` until
+    their product exceeds 2H, so one ||B||_inf both sizes H and picks
+    the representation of the data, unreduced int64 entries whenever
+    they allow the larger primes.  `columns` defaults to all of them; a
+    caller passing fewer must know that a symmetry of B maps those onto
+    the rest, see the module docstring.
     """
     indptr, indices = csr.check((n, n), indptr, indices, data)
     if not coeffs or coeffs[-1] != 1:
@@ -207,10 +251,11 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
         columns = range(n)
     max_nnz = int(np.diff(indptr).max(initial=0))
     binf = _inf_norm(indptr, data, max_nnz)
+    cap, reduce = _prime_cap(data, max_nnz, binf)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
-    for q in _prime_stream(max_nnz):
+    for q in _prime_stream(cap):
         primes.append(q)
         prod *= q
         if prod > 2 * H:
@@ -218,15 +263,15 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
     for q in primes:
-        dq = _reduce(data, q)
+        dq = _reduce(data, q) if reduce else data
         cmod = [c % q for c in coeffs]
         for c0 in range(0, len(cols_np), block):
             cols = cols_np[c0:c0 + block]
             pos = np.arange(len(cols))
             s = np.zeros((n, len(cols)), dtype=np.int64)
             s[cols, pos] = cmod[-1]
-            # keep entries in [0, q) entering each matvec so row sums
-            # stay below max_nnz * (q-1)^2 < 2**62
+            # entries enter each product in [0, q), so a row plus one
+            # coefficient stays within the int64 bound of _prime_cap
             for k in range(len(cmod) - 2, -1, -1):
                 s = csr.matvecs(indptr, indices, dq, s)
                 s[cols, pos] += cmod[k]
@@ -254,12 +299,13 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     indptr, indices = csr.check((n, n), op.indptr, op.indices, op.data)
     data, L = op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
+    cap, reduce = _prime_cap(data, max_nnz, _inf_norm(indptr, data, max_nnz))
 
     best: dict[int, list[int]] = {}
     best_deg = -1
     prev = failed = None
-    for p in islice(_prime_stream(max_nnz), _MAX_PRIMES):
-        bp = (indptr, indices, _reduce(data, p))
+    for p in islice(_prime_stream(min(cap, _KRYLOV_CEILING)), _MAX_PRIMES):
+        bp = (indptr, indices, _reduce(data, p) if reduce else data)
         ann = _krylov_annihilator_mod_p(n, bp, p, _seed_values(n, p, seed))
         deg = len(ann) - 1
         if deg > best_deg:

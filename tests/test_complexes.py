@@ -391,3 +391,25 @@ def test_rows_whose_int64_packing_would_collide_are_distinct():
     assert c.num_simplices(4) == len(tops)
     with pytest.raises(DuplicateSimplex):
         from_maximal_simplices(np.concatenate([tops, tops[1:2]]))
+
+
+# 46340**2 <= 2**31 < 46341**2: the edge keys of a cycle on V vertices are
+# sorted as int32 only on the first V.  On 46342 vertices the largest key,
+# (V-2) * V + V-1, itself passes 2**31, so int32 keys would wrap there.
+@pytest.mark.parametrize("nv", [46_340, 46_341, 46_342])
+def test_cycle_edges_on_each_side_of_the_int32_key_bound(nv):
+    rng = np.random.default_rng(nv)
+    ids = np.arange(nv)
+    tops = np.stack([ids, np.roll(ids, -1)], axis=1)[rng.permutation(nv)]
+    flip = rng.random(nv) < 0.5
+    tops[flip] = tops[flip][:, ::-1]
+    c = from_maximal_simplices(tops)
+    edges = np.sort(tops, axis=1)
+    want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    assert want[:2].tolist() == [[0, 1], [0, nv - 1]]
+    assert np.array_equal(c.rows[1], want)
+    assert c.keys[1].dtype == np.int64
+    assert np.array_equal(c.keys[1], want[:, 0].astype(np.int64) * nv + want[:, 1])
+    assert np.array_equal(c.counts[1], np.ones(nv, dtype=np.int64))
+    assert np.array_equal(c.counts[0], np.full(nv, 2, dtype=np.int64))
+    assert np.array_equal(c.locate(want[::-1]), np.arange(nv)[::-1])

@@ -131,9 +131,17 @@ def test_incidence_building_minpoly_against_oracle(b12):
     assert sympy_annihilates(op, p)
 
 
-def test_routes_and_seeds_agree(b12):
+def _prime_cap(op):
+    """`spectra._prime_cap` of op's data, with the norm certification computes."""
+    max_nnz = int(np.diff(op.indptr).max())
+    return spectra._prime_cap(op.data, max_nnz,
+                              spectra._inf_norm(op.indptr, op.data, max_nnz))
+
+
+def test_routes_and_seeds_agree(b12, monkeypatch):
     # the modular certificate agrees with exact evaluation of p(A): it
     # accepts the minimal polynomial and rejects wrong candidates
+    stream = spectra._prime_stream
     for op in (assemble_matrix(b12.complex, 0), assemble_matrix(OCTAHEDRON, 1)):
         assert op.dim <= 30
         indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
@@ -142,12 +150,16 @@ def test_routes_and_seeds_agree(b12):
         assert short * P(0, 1) == true
         # lifted(A) = first * I vanishes modulo the first certification
         # prime only, so one prime alone would accept it
-        first = next(spectra._prime_stream(int(np.diff(indptr).max())))
+        first = next(stream(_prime_cap(op)[0]))
         lifted = RatPolynomial((true.coeffs[0] + first, *true.coeffs[1:]))
         for cand, kills in ((true, True), (short, False), (lifted, False)):
             assert sympy_annihilates(op, cand) is kills
             coeffs = b_coefficients(cand, L)
             assert certify_annihilates(op.dim, indptr, indices, data, coeffs) is kills
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_prime_stream", lambda cap: iter([next(stream(cap))]))
+            assert certify_annihilates(op.dim, indptr, indices, data,
+                                       b_coefficients(lifted, L))
     op = assemble_matrix(b12.complex, 0)
     assert minimal_polynomial(op, seed=0) == minimal_polynomial(op, seed=7)
 
@@ -161,8 +173,9 @@ def test_witness_columns_do_not_change_the_answer(b12, b22):
 
 
 def _first_primes(op, k):
-    max_nnz = int(np.diff(op.indptr).max())
-    return list(itertools.islice(spectra._prime_stream(max_nnz), k))
+    """The first k Krylov primes of `minimal_polynomial` on op."""
+    cap = min(_prime_cap(op)[0], spectra._KRYLOV_CEILING)
+    return list(itertools.islice(spectra._prime_stream(cap), k))
 
 
 def _record_annihilators(monkeypatch):
@@ -234,13 +247,47 @@ def test_uncertified_candidates_raise(b12, monkeypatch):
 
 @pytest.mark.parametrize("max_nnz", [1, 7, 10**6, 2**40])
 def test_prime_stream_respects_int64_cap(max_nnz):
-    p = next(spectra._prime_stream(max_nnz))
-    assert sympy.isprime(p)
-    assert max_nnz * (p - 1) ** 2 < 2**62
-    # the cap is tight: the next prime would break p^2 * max_nnz <= 2^62
-    # or the 2^30 ceiling
-    q = sympy.nextprime(p)
-    assert q >= 2**30 or max_nnz * q**2 > 2**62
+    reduced = sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
+    for binf, dtype in itertools.product((0, 3120, 2**40), (np.int64, object)):
+        cap, reduce = spectra._prime_cap(np.zeros(0, dtype=dtype), max_nnz, binf)
+        p = next(spectra._prime_stream(cap))
+        q = sympy.nextprime(p)
+        assert sympy.isprime(p)
+        # each rule is tight: the next prime would break it
+        if reduce:
+            # a reduced row: p^2 * max_nnz <= 2^62 and the 2^30 ceiling
+            assert max_nnz * (p - 1) ** 2 < 2**62 and p < 2**30
+            assert q >= 2**30 or max_nnz * q**2 > 2**62
+        else:
+            # an unreduced row plus one coefficient: (binf + 1)(p - 1) < 2^63
+            assert (binf + 1) * (p - 1) < 2**63 <= (binf + 1) * (q - 1)
+        # the rule chosen is the one with the larger primes; object data
+        # always reduce
+        unreduced = sympy.prevprime((2**63 - 1) // (binf + 1) + 2)
+        assert p == (max(reduced, unreduced) if dtype is np.int64 else reduced)
+        assert reduce is (dtype is object or unreduced < reduced)
+
+
+def test_operators_certify_with_norm_sized_primes(b22):
+    # int64 building operators enter the kernels unreduced: the first
+    # certification prime p has (||B||_inf + 1)(p - 1) < 2^63, and the
+    # next prime up breaks it; the Krylov primes start at the 2^30 ceiling
+    for i in (0, 1):
+        op = assemble_matrix(b22.complex, i)
+        binf = python_inf_norm(op.indptr, op.data.tolist())
+        cap, reduce = _prime_cap(op)
+        p = next(spectra._prime_stream(cap))
+        assert not reduce
+        assert (binf + 1) * (p - 1) < 2**63 <= (binf + 1) * (sympy.nextprime(p) - 1)
+        assert _first_primes(op, 1) == [sympy.prevprime(2**30)]
+    # the star union's data pass int64: they are reduced, under the
+    # max_nnz * (p-1)^2 < 2^62 cap and the 2^30 ceiling
+    op = assemble_matrix(star_union(47)[0], 0)
+    max_nnz = int(np.diff(op.indptr).max())
+    cap, reduce = _prime_cap(op)
+    assert reduce and op.data.dtype == object
+    assert next(spectra._prime_stream(cap)) == \
+        sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
 
 
 def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
@@ -251,7 +298,7 @@ def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
     bad = 3
     stream = spectra._prime_stream
     monkeypatch.setattr(spectra, "_prime_stream",
-                        lambda max_nnz: itertools.chain([bad], stream(max_nnz)))
+                        lambda cap: itertools.chain([bad], stream(cap)))
     seen = _record_annihilators(monkeypatch)
     assert minimal_polynomial(op) == true
     assert len(seen[bad]) - 1 < true.degree
@@ -280,7 +327,7 @@ def test_int64_and_python_int_reductions_agree(b22):
     for i in (0, 1):
         data = assemble_matrix(b22.complex, i).data
         assert data.dtype == np.int64
-        for p in (3, 1_000_003, next(spectra._prime_stream(7))):
+        for p in (3, 1_000_003, next(spectra._prime_stream(spectra._reduced_cap(7)))):
             got = spectra._reduce(data, p)
             assert got.dtype == np.int64
             assert np.array_equal(got, spectra._reduce(data.astype(object), p))

@@ -18,9 +18,9 @@ order.  The subspace enumeration in `building` runs on these tables; the
 element objects and their arithmetic, which check the tables against the
 field axioms, are test oracles.
 
-Of this module, `spectra` uses only `is_prime`, to draw its stream of
-word-size primes; the dense Z_p polynomial arithmetic below serves the
-field construction.
+`descending_primes` is the package's one prime source: the Krylov,
+certification and rank primes all come from it.  The dense Z_p
+polynomial arithmetic below serves the field construction.
 """
 
 from __future__ import annotations
@@ -34,18 +34,24 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin over the first twelve prime bases: exact below
-    3.1 * 10**23 (OEIS A014233), so for every int64 modulus."""
+    """Deterministic Miller-Rabin with bases sized to n (OEIS A014233).
+
+    Bases 2..7 decide n < 3,215,031,751 (every Krylov and rank prime),
+    2..23 decide n < 3,825,123,056,546,413,051, and all twelve, 2..37,
+    decide n < 3.1 * 10**23, so every int64 modulus.  Each bound is a
+    strong pseudoprime to the smaller set.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    k = 4 if n < 3_215_031_751 else 9 if n < 3_825_123_056_546_413_051 else 12
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in _MR_BASES:
+    for b in _MR_BASES[:k]:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -56,6 +62,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def descending_primes(cap: int):
+    """The odd primes p <= cap, descending."""
+    p = cap if cap % 2 else cap - 1
+    while p > 2:
+        if is_prime(p):
+            yield p
+        p -= 2
 
 
 # -- polynomials over Z_p: dense lists, low-to-high, trimmed (zero is []) ----

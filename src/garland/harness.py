@@ -508,13 +508,6 @@ def cache_key(stem: str, i: int, width) -> str:
     return f"v{VERSION}-{stem}-i{i}-w{_width_tag(width)}"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree: int,
                        inst: Instance):
     """The report stored under key, re-derived from its minimal polynomial, or None.
@@ -556,8 +549,11 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
 
 
 def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
-    text = json.dumps({**report.to_json_dict(), "key": key}, indent=2, sort_keys=True) + "\n"
-    _atomic_write_text(cache_dir / f"{key}.json", text)
+    """Write the report and its key atomically, as `dumps_report` text."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    tmp = cache_dir / f"{key}.json.tmp{os.getpid()}"
+    tmp.write_text(dumps_report({**report.to_json_dict(), "key": key}))
+    os.replace(tmp, cache_dir / f"{key}.json")
 
 
 # -- drivers ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InvalidWidth, NotSquarefree
-from .rationals import QQ, QQ0, QQ1, floor_q, parse_qstr, qstr
+from .rationals import QQ, QQ0, QQ1, parse_qstr, qstr
 
 
 @dataclass(frozen=True)
@@ -313,21 +313,23 @@ def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int]:
             return n, k
 
 
-def simplest_between(a, b):
-    """The unique minimal-denominator rational strictly inside (a, b)."""
-    a, b = QQ(a), QQ(b)
-    ia = floor_q(a)
-    if QQ(ia) == a:
-        # left endpoint is an integer; candidates are a + 1/m
-        if b - a > 1:
-            return QQ(ia + 1)
-        m = floor_q(QQ1 / (b - a)) + 1
-        return a + QQ(1, m)
-    if QQ(ia + 1) < b:
-        return QQ(ia + 1)
-    frac_a = a - ia
-    frac_b = b - ia
-    return QQ(ia) + QQ1 / simplest_between(QQ1 / frac_b, QQ1 / frac_a)
+def simplest_between(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The unique minimal-denominator rational strictly inside (a, b), by
+    Stern-Brocot descent on pairs (num, den), den > 0; (u, v) in lowest terms."""
+    (an, ad), (bn, bd) = a, b
+    ia = an // ad
+    if ia * ad == an:
+        # left endpoint is an integer; candidates are a + 1/m, and b - a = gap / bd
+        gap = bn - ia * bd
+        if gap > bd:
+            return ia + 1, 1
+        m = bd // gap + 1
+        return ia * m + 1, m
+    if (ia + 1) * bd < bn:
+        return ia + 1, 1
+    # 0 < a - ia < b - ia <= 1: ia + 1/s with s simplest in (1/(b - ia), 1/(a - ia))
+    u, v = simplest_between((bd, bn - ia * bd), (ad, an - ia * ad))
+    return ia * u + v, u
 
 
 @dataclass(frozen=True)
@@ -521,8 +523,8 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
         # at most 1 / (2 D^2) wide, the interval holds a rational root only
         # as its simplest rational (module docstring); its right end is
         # the strict bound or a midpoint tested above, never a root
-        s = simplest_between(frame.point(n, k), frame.point(n + 2, k))
-        u, v = int(s.numerator), int(s.denominator)
+        w = frame.b << k
+        u, v = simplest_between((frame.a * n, w), (frame.a * (n + 2), w))
         if _sign_at(c, u, v) == 0:
             exact.append((u, v))
         else:

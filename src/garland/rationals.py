@@ -24,7 +24,3 @@ def qstr(x) -> str:
 def parse_qstr(s: str):
     num, _, den = s.partition("/")
     return QQ(int(num), int(den)) if den else QQ(int(num))
-
-
-def floor_q(x) -> int:
-    return x.numerator // x.denominator

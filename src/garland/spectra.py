@@ -54,6 +54,7 @@ allows the larger primes (`_prime_cap`); object data, whose entries
 pass int64 (as when L >= 2**63), are always reduced.  Certification
 draws descending primes from that cap.  The Krylov elimination
 multiplies two residues, so its primes stay below 2**30 either way.
+Both streams, and the cohomology ranks, come from `gf.descending_primes`.
 On the grids' buildings ||B||_inf stays below 3*10^4, so their
 operators enter the kernels unreduced and certify with primes of at
 least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
@@ -93,7 +94,7 @@ from numpy.random import default_rng
 from . import csr, exactla
 from .complexes import Complex
 from .errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
-from .gf import is_prime
+from .gf import descending_primes
 from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from .polyq import (
     RatPolynomial,
@@ -222,15 +223,6 @@ def _prime_cap(data: np.ndarray, max_nnz_row: int, binf: int) -> tuple[int, bool
     return reduced, True
 
 
-def _prime_stream(cap: int):
-    """The primes p <= cap, descending (2 excepted)."""
-    p = cap if cap % 2 else cap - 1
-    while p > 2:
-        if is_prime(p):
-            yield p
-        p -= 2
-
-
 def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     """Exact check that q(B) kills the given basis vectors.
 
@@ -255,7 +247,7 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     prod = 1
-    for q in _prime_stream(cap):
+    for q in descending_primes(cap):
         primes.append(q)
         prod *= q
         if prod > 2 * H:
@@ -304,7 +296,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     best: dict[int, list[int]] = {}
     best_deg = -1
     prev = failed = None
-    for p in islice(_prime_stream(min(cap, _KRYLOV_CEILING)), _MAX_PRIMES):
+    for p in islice(descending_primes(min(cap, _KRYLOV_CEILING)), _MAX_PRIMES):
         bp = (indptr, indices, _reduce(data, p) if reduce else data)
         ann = _krylov_annihilator_mod_p(n, bp, p, _seed_values(n, p, seed))
         deg = len(ann) - 1
@@ -353,9 +345,6 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 # -- reduced cohomology ----------------------------------------------------------
 
 
-_RANK_PRIME = 1_000_003  # any prime below 2**31 makes the mod-p bound sound
-
-
 def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
     """The dense int64 matrix of d_i, one row per (i+1)-face."""
     cols, signs = coboundary_pattern(cx, i)
@@ -365,7 +354,8 @@ def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
 
 
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:
-    """Exact ranks of reduced cohomology in degrees 0..n (augmented at -1)."""
+    """Exact ranks of reduced cohomology in degrees 0..n (augmented at -1),
+    from coboundary ranks certified modularly by `exactla.rank`."""
     n = cx.dim
     rank_d = [exactla.rank(_coboundary_int_rows(cx, i)) for i in range(n)]
     dims = [cx.num_simplices(i) for i in range(n + 1)]
@@ -382,16 +372,17 @@ def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
 
     dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
     the augmentation (a column of ones) and d_n has no rows.  Mod-p ranks
-    never exceed rational ranks, so the count over F_p is an upper
-    bound, and 0 certifies vanishing; a positive bound is decided by the
-    exact ranks of the same two matrices.
+    never exceed rational ranks, so the count over the first prime of
+    `exactla.rank`'s stream is an upper bound, and 0 certifies vanishing;
+    a positive bound is decided by `exactla.rank` of the same two matrices.
     """
     size = cx.num_simplices(i)
     hi = (_coboundary_int_rows(cx, i) if i < cx.dim
           else np.zeros((0, size), dtype=np.int64))
     lo = (_coboundary_int_rows(cx, i - 1) if i > 0
           else np.ones((size, 1), dtype=np.int64))
-    if size == exactla.rank_mod_p(hi, _RANK_PRIME) + exactla.rank_mod_p(lo, _RANK_PRIME):
+    p = next(descending_primes(exactla.PRIME_CEILING))
+    if size == exactla.rank_mod_p(hi, p) + exactla.rank_mod_p(lo, p):
         return True
     return size == exactla.rank(hi) + exactla.rank(lo)
 

@@ -1,8 +1,10 @@
-"""Dense exact rational matrices for the tests: entry dicts to rows, and kernel bases.
+"""Dense exact rational matrices for the tests: entry dicts to rows, ranks and kernel bases.
 
-`kernel_basis` back-substitutes rationally over the fraction-free
-echelon form that `garland.exactla.rank` computes; the package needs
-only the rank, the tests recover exact eigencochains from the kernel.
+`bareiss_echelon` is fraction-free (Bareiss) elimination in Python ints,
+so no entry can overflow and no rational is made.  It is the tests'
+reference for `garland.exactla.rank`, which certifies a rank from
+modular ranks instead, and `kernel_basis` back-substitutes rationally
+over its echelon form to recover exact eigencochains.
 `garland.exactla` takes integer rows only, so rational rows go through
 `cleared_int_rows` first.
 """
@@ -11,8 +13,41 @@ from __future__ import annotations
 
 from math import lcm
 
-from garland.exactla import _bareiss_echelon
 from garland.rationals import QQ, QQ0, QQ1
+
+
+def bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon; returns (echelon rows, pivot columns)."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            mic = rows[i][c]
+            ri, rr = rows[i], rows[r]
+            # the Bareiss minor identity keeps every division exact, also when mic == 0
+            for j in range(c, ncols):
+                ri[j] = (pivot * ri[j] - mic * rr[j]) // prev
+        prev = pivot
+        pivots.append(c)
+        r += 1
+    return rows[: len(pivots)], pivots
+
+
+def reference_rank(int_rows) -> int:
+    """Rank over Q of integer rows (an int64 array or int lists), by Bareiss."""
+    rows = [[int(x) for x in row] for row in int_rows]
+    return len(bareiss_echelon(rows)[1])
 
 
 def cleared_int_rows(rows) -> list[list[int]]:
@@ -41,7 +76,7 @@ def kernel_basis(rows, ncols: int | None = None) -> list[list]:
         n = ncols if ncols is not None else 0
         return [[QQ1 if i == j else QQ0 for i in range(n)] for j in range(n)]
     n = len(rows[0])
-    echelon, pivots = _bareiss_echelon(cleared_int_rows(rows))
+    echelon, pivots = bareiss_echelon(cleared_int_rows(rows))
     free = [c for c in range(n) if c not in set(pivots)]
     basis = []
     for f in free:

@@ -15,16 +15,40 @@ The rational polynomial arithmetic this needs beyond what
 functions: negation, division with remainder (`poly_divmod`, `poly_div`,
 `poly_mod`), `monic`, derivative, primitive part, gcd, lcm and
 divisibility.  The package's integer isolator has no use for any of it.
+So does `simplest_between` on `Fraction`s; the package's runs on
+integer pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 from garland.errors import NotSquarefree
-from garland.polyq import RatPolynomial, RootInterval, poly_product, simplest_between
+from garland.polyq import RatPolynomial, RootInterval, poly_product
 from garland.rationals import QQ, QQ0, QQ1
+
+
+def simplest_between(a, b):
+    """The unique minimal-denominator rational strictly inside (a, b), in Fractions.
+
+    The Stern-Brocot recursion `garland.polyq.simplest_between` runs on
+    integer pairs, kept here on rationals so that the oracle does not
+    import the function it checks.
+    """
+    a, b = QQ(a), QQ(b)
+    ia = floor(a)
+    if QQ(ia) == a:
+        # left endpoint is an integer; candidates are a + 1/m
+        if b - a > 1:
+            return QQ(ia + 1)
+        m = floor(QQ1 / (b - a)) + 1
+        return a + QQ(1, m)
+    if QQ(ia + 1) < b:
+        return QQ(ia + 1)
+    frac_a = a - ia
+    frac_b = b - ia
+    return QQ(ia) + QQ1 / simplest_between(QQ1 / frac_b, QQ1 / frac_a)
 
 
 def neg(p: RatPolynomial) -> RatPolynomial:

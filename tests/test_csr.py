@@ -15,6 +15,7 @@ import pytest
 from garland import csr, spectra
 from garland.complexes import from_maximal_simplices
 from garland.errors import MalformedMatrix
+from garland.gf import descending_primes
 from garland.laplace import LinearOperatorHandle, coboundary_pattern
 
 OCTAHEDRON = from_maximal_simplices(
@@ -52,7 +53,7 @@ def test_matvec_and_matvecs_match_the_dense_product(n, density, saturated):
     rng = np.random.default_rng(n)
     indptr, indices = random_csr(rng, n, density)
     max_nnz = int(np.diff(indptr).max(initial=0))
-    p = next(spectra._prime_stream(spectra._reduced_cap(max_nnz)))
+    p = next(descending_primes(spectra._reduced_cap(max_nnz)))
     assert max_nnz * (p - 1) ** 2 < 2**62
     nnz = len(indices)
     if saturated:
@@ -81,7 +82,7 @@ def test_unreduced_rows_at_the_norm_cap_match_the_dense_product(binf):
     # plus one coefficient p - 1, reaches (binf + 1)(p - 1) and fits
     n = 5
     cap, reduce = spectra._prime_cap(np.zeros(0, dtype=np.int64), n, binf)
-    p = next(spectra._prime_stream(cap))
+    p = next(descending_primes(cap))
     assert not reduce and (binf + 1) * (p - 1) < 2**63
     split = np.full(n, binf // n, dtype=np.int64)
     split[0] += binf - split.sum()

@@ -1,9 +1,13 @@
 """Finite-field arithmetic: exhaustive axiom checks for every order in use."""
 
+import random
+from itertools import islice
+
 import pytest
+import sympy
 
 from garland.errors import InvalidDegree, NonPrimeCharacteristic
-from garland.gf import FieldSpec, field_for_order, make_field
+from garland.gf import FieldSpec, descending_primes, field_for_order, is_prime, make_field
 
 from fields import (
     DivisionByZero,
@@ -114,3 +118,58 @@ def test_specs_compare_by_parameters():
     assert a == b and hash(a) == hash(b)
     assert a != make_field(2, 3)
     assert isinstance(a, FieldSpec)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin on odd n > 37 with the given bases: False proves n composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+TWELVE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the bounds of the sized base sets, each a strong pseudoprime to its set
+BOUNDARIES = [(3_215_031_751, TWELVE[:4]), (3_825_123_056_546_413_051, TWELVE[:9])]
+
+
+@pytest.mark.parametrize("n, bases", BOUNDARIES)
+def test_sized_bases_stop_below_their_strong_pseudoprime(n, bases):
+    assert strong_probable_prime(n, bases)
+    assert not strong_probable_prime(n, TWELVE)
+    assert not sympy.isprime(n) and not is_prime(n)
+
+
+def test_sized_bases_give_the_same_primes():
+    # every odd n near each boundary and at random in each range, against
+    # all twelve bases and against sympy
+    rng = random.Random(41)
+    odd = []
+    for n, _ in BOUNDARIES:
+        odd += range(n - 401, n + 400, 2)
+    for lo, hi in ((41, 10**4), (10**4, 2**31), (2**31, 2**62), (2**62, 2**64)):
+        odd += [rng.randrange(lo, hi) | 1 for _ in range(400)]
+    for n in odd:
+        assert is_prime(n) is strong_probable_prime(n, TWELVE) is sympy.isprime(n), n
+    assert [n for n in range(40) if is_prime(n)] == list(sympy.primerange(40))
+
+
+@pytest.mark.parametrize("cap", [2**30 - 1, 2**31 - 1, 2**40, 2**61, 2**63 - 1])
+def test_descending_primes_are_the_primes_below_the_cap(cap):
+    want, p = [], cap + 1
+    for _ in range(5):
+        p = sympy.prevprime(p)
+        want.append(p)
+    assert list(islice(descending_primes(cap), 5)) == want
+    assert list(descending_primes(12)) == [11, 7, 5, 3]

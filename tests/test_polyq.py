@@ -167,20 +167,24 @@ def test_is_squarefree():
 
 
 def test_simplest_between_open_interval():
-    assert simplest_between(QQ(1, 3), QQ(1, 2)) == QQ(2, 5)
-    assert simplest_between(QQ(2, 7), QQ(1, 3)) == QQ(3, 10)
-    assert simplest_between(QQ(5, 17), QQ(6, 17)) == QQ(1, 3)
-    assert simplest_between(QQ(2), QQ(3)) == QQ(5, 2)
-    assert simplest_between(QQ(-3, 2), QQ(-4, 3)) == QQ(-7, 5)
-    assert simplest_between(QQ(-1, 2), QQ(1, 3)) == 0
+    # endpoints and results are (numerator, denominator) pairs
+    assert simplest_between((1, 3), (1, 2)) == (2, 5)
+    assert simplest_between((2, 7), (1, 3)) == (3, 10)
+    assert simplest_between((5, 17), (6, 17)) == (1, 3)
+    assert simplest_between((2, 1), (3, 1)) == (5, 2)
+    assert simplest_between((-3, 2), (-4, 3)) == (-7, 5)
+    assert simplest_between((-1, 2), (1, 3)) == (0, 1)
+    # unreduced endpoints give the reduced result
+    assert simplest_between((4, 6), (9, 12)) == simplest_between((2, 3), (3, 4)) == (5, 7)
 
 
 def test_simplest_between_is_minimal_denominator():
     # against brute force over denominators
     lo, hi = QQ(13, 31), QQ(14, 31)
-    s = simplest_between(lo, hi)
-    assert lo < s < hi
-    for den in range(1, int(s.denominator)):
+    u, v = simplest_between((13, 31), (14, 31))
+    s = QQ(u, v)
+    assert lo < s < hi and (u, v) == (s.numerator, s.denominator)
+    for den in range(1, v):
         lo_num = int(lo * den)
         for num in range(lo_num - 1, lo_num + den + 2):
             assert not lo < QQ(num, den) < hi

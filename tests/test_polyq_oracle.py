@@ -19,6 +19,7 @@ from garland.polyq import (
     is_squarefree,
     isolate_real_roots,
     poly_product,
+    simplest_between,
     sturm_chain,
 )
 from garland.rationals import QQ
@@ -228,3 +229,19 @@ def test_squarefree_test_matches_the_gcd_test():
         if not is_squarefree(p):
             with pytest.raises(NotSquarefree):
                 isolate_real_roots(p)
+
+
+def test_simplest_between_matches_the_rational_recursion():
+    # the package's integer-pair descent against the oracle's Fractions,
+    # on random intervals of both signs, narrow and wide, with endpoints
+    # given unreduced
+    rng = random.Random(59)
+    for _ in range(2000):
+        scale = rng.choice((1, 10, 10**6, 2**40))
+        ad, bd = rng.randrange(1, scale + 1), rng.randrange(1, scale + 1)
+        an = rng.randrange(-3 * ad, 3 * ad + 1)
+        bn = an * bd // ad + rng.randrange(1, max(2, bd // rng.choice((1, 7, 1000))) + 1)
+        a, b = QQ(an, ad), QQ(bn, bd)
+        assert a < b
+        want = oracle.simplest_between(a, b)
+        assert simplest_between((an, ad), (bn, bd)) == (want.numerator, want.denominator)

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 import sympy
 
-from garland import spectra
+from garland import exactla, spectra
+from garland.building import flag_complex, witness_columns
 from garland.complexes import from_maximal_simplices
-from garland.gf import poly_mul
+from garland.gf import descending_primes, field_for_order, poly_mul
 from garland.harness import Instance, default_grid, get_building, spectral_report
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from garland.laplace import LinearOperatorHandle, assemble_matrix
-from garland.building import witness_columns
 from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
 from garland.reference import reference_minimal_polynomial
@@ -38,7 +38,7 @@ from garland.spectra import (
     squarefree_certify,
 )
 
-from dense import dense_from_entries
+from dense import dense_from_entries, reference_rank
 from identities import laplacian_csr_by_apply, star_union
 from rational_isolation import poly_div
 
@@ -141,7 +141,6 @@ def _prime_cap(op):
 def test_routes_and_seeds_agree(b12, monkeypatch):
     # the modular certificate agrees with exact evaluation of p(A): it
     # accepts the minimal polynomial and rejects wrong candidates
-    stream = spectra._prime_stream
     for op in (assemble_matrix(b12.complex, 0), assemble_matrix(OCTAHEDRON, 1)):
         assert op.dim <= 30
         indptr, indices, data, L = op.indptr, op.indices, op.data, op.L
@@ -150,14 +149,15 @@ def test_routes_and_seeds_agree(b12, monkeypatch):
         assert short * P(0, 1) == true
         # lifted(A) = first * I vanishes modulo the first certification
         # prime only, so one prime alone would accept it
-        first = next(stream(_prime_cap(op)[0]))
+        first = next(descending_primes(_prime_cap(op)[0]))
         lifted = RatPolynomial((true.coeffs[0] + first, *true.coeffs[1:]))
         for cand, kills in ((true, True), (short, False), (lifted, False)):
             assert sympy_annihilates(op, cand) is kills
             coeffs = b_coefficients(cand, L)
             assert certify_annihilates(op.dim, indptr, indices, data, coeffs) is kills
         with monkeypatch.context() as m:
-            m.setattr(spectra, "_prime_stream", lambda cap: iter([next(stream(cap))]))
+            m.setattr(spectra, "descending_primes",
+                      lambda cap: iter([next(descending_primes(cap))]))
             assert certify_annihilates(op.dim, indptr, indices, data,
                                        b_coefficients(lifted, L))
     op = assemble_matrix(b12.complex, 0)
@@ -175,7 +175,7 @@ def test_witness_columns_do_not_change_the_answer(b12, b22):
 def _first_primes(op, k):
     """The first k Krylov primes of `minimal_polynomial` on op."""
     cap = min(_prime_cap(op)[0], spectra._KRYLOV_CEILING)
-    return list(itertools.islice(spectra._prime_stream(cap), k))
+    return list(itertools.islice(descending_primes(cap), k))
 
 
 def _record_annihilators(monkeypatch):
@@ -250,7 +250,7 @@ def test_prime_stream_respects_int64_cap(max_nnz):
     reduced = sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
     for binf, dtype in itertools.product((0, 3120, 2**40), (np.int64, object)):
         cap, reduce = spectra._prime_cap(np.zeros(0, dtype=dtype), max_nnz, binf)
-        p = next(spectra._prime_stream(cap))
+        p = next(descending_primes(cap))
         q = sympy.nextprime(p)
         assert sympy.isprime(p)
         # each rule is tight: the next prime would break it
@@ -276,7 +276,7 @@ def test_operators_certify_with_norm_sized_primes(b22):
         op = assemble_matrix(b22.complex, i)
         binf = python_inf_norm(op.indptr, op.data.tolist())
         cap, reduce = _prime_cap(op)
-        p = next(spectra._prime_stream(cap))
+        p = next(descending_primes(cap))
         assert not reduce
         assert (binf + 1) * (p - 1) < 2**63 <= (binf + 1) * (sympy.nextprime(p) - 1)
         assert _first_primes(op, 1) == [sympy.prevprime(2**30)]
@@ -286,7 +286,7 @@ def test_operators_certify_with_norm_sized_primes(b22):
     max_nnz = int(np.diff(op.indptr).max())
     cap, reduce = _prime_cap(op)
     assert reduce and op.data.dtype == object
-    assert next(spectra._prime_stream(cap)) == \
+    assert next(descending_primes(cap)) == \
         sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
 
 
@@ -296,9 +296,8 @@ def test_bad_reduction_prime_is_discarded(b12, monkeypatch):
     # B = 3A has minimal polynomial x(x - 6)(x^2 - 6x + 7); mod 3 the roots
     # 0 and 6 collide, so no seed reaches full degree mod 3
     bad = 3
-    stream = spectra._prime_stream
-    monkeypatch.setattr(spectra, "_prime_stream",
-                        lambda cap: itertools.chain([bad], stream(cap)))
+    monkeypatch.setattr(spectra, "descending_primes",
+                        lambda cap: itertools.chain([bad], descending_primes(cap)))
     seen = _record_annihilators(monkeypatch)
     assert minimal_polynomial(op) == true
     assert len(seen[bad]) - 1 < true.degree
@@ -327,7 +326,7 @@ def test_int64_and_python_int_reductions_agree(b22):
     for i in (0, 1):
         data = assemble_matrix(b22.complex, i).data
         assert data.dtype == np.int64
-        for p in (3, 1_000_003, next(spectra._prime_stream(spectra._reduced_cap(7)))):
+        for p in (3, 1_000_003, next(descending_primes(spectra._reduced_cap(7)))):
             got = spectra._reduce(data, p)
             assert got.dtype == np.int64
             assert np.array_equal(got, spectra._reduce(data.astype(object), p))
@@ -566,3 +565,31 @@ def test_vanishing_certificate_is_one_sided():
             got = reduced_cohomology_vanishes(cx, i)
             assert type(got) is bool
             assert got == (r == 0)
+
+
+def test_disconnected_link_ranks_need_four_primes(monkeypatch):
+    # the cone over two disjoint (1,7) incidence graphs: vertex 0's link
+    # is their union, 228 vertices and 912 edges in two components, so
+    # its reduced H^0 has dimension 1 and the mod-p bound is inconclusive
+    graph = flag_complex(1, field_for_order(7)).complex
+    nv = graph.num_simplices(0)
+    edges = graph.rows[1].tolist()
+    cone = from_maximal_simplices([(0, 1 + c + u, 1 + c + v)
+                                   for c in (0, nv) for u, v in edges])
+    link, _ = cone.vertex_link(0)
+    d0 = spectra._coboundary_int_rows(link, 0)
+    assert d0.shape == (912, 228)
+    want = reference_rank(d0)
+    assert want == 226
+    assert reduced_cohomology_ranks(link) == [228 - want - 1, 912 - want]
+    assert reduced_cohomology_vanishes(link, 0) is False
+    # rank 226 < min(912, 228), so the Hadamard bound decides: any
+    # 227-minor squared is at most 2**227 (rows of squared norm 2), which
+    # the squared product of four primes below 2**31 passes and of three
+    # does not
+    primes = []
+    real = exactla.rank_mod_p
+    monkeypatch.setattr(exactla, "rank_mod_p",
+                        lambda rows, p: primes.append(p) or real(rows, p))
+    assert exactla.rank(d0) == want
+    assert primes == list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(r)
 
     g = sub.add_parser("report", help="sweep an instance grid into a JSON report")
-    g.add_argument("--grid", choices=("default", "extended"), default="default")
+    g.add_argument("--grid", choices=tuple(harness.GRIDS), default="default")
     g.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     g.add_argument("--width", default=harness.DEFAULT_WIDTH)
     g.add_argument("--threads", type=int, default=1, help="worker processes for the sweep")

@@ -192,8 +192,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
-def field_for_order(q: int) -> FieldSpec:
-    """GF(q) for a prime power q, splitting q into p^k automatically."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; NonPrimeCharacteristic unless q is a prime power."""
     if q < 2:
         raise NonPrimeCharacteristic(f"field order must be >= 2, got {q}")
     p = q
@@ -209,4 +209,9 @@ def field_for_order(q: int) -> FieldSpec:
         k += 1
     if rest != 1:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
-    return make_field(p, k)
+    return p, k
+
+
+def field_for_order(q: int) -> FieldSpec:
+    """GF(q) for a prime power q, splitting q into p^k automatically."""
+    return make_field(*prime_power(q))

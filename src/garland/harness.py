@@ -41,7 +41,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,11 @@ from .errors import (
     InvalidThreadCount,
     UnknownReferenceInstance,
 )
-from .gf import field_for_order
-from .polyq import RatPolynomial, RootInterval, parse_width, root_magnitude_bound
+from .gf import field_for_order, prime_power
+from .polyq import (DEFAULT_WIDTH, RatPolynomial, RootInterval, parse_width,
+                    root_magnitude_bound)
 from .rationals import QQ, QQ0, qstr
-from .reference import has_reference, reference_minimal_polynomial
+from .reference import reference_minimal_polynomial
 from .spectra import (
     SpectralReport,
     compute_spectral_report,
@@ -68,7 +69,6 @@ from .spectra import (
 )
 from .version import VERSION
 
-DEFAULT_WIDTH = "1/1000000"
 WIDTH_FLOOR = QQ(1, 10**12)
 DEFAULT_CHAMBER_BUDGET = 700_000
 
@@ -112,13 +112,12 @@ def chamber_count(ell: int, q: int) -> int:
     return flag_count(ell, q, ell)
 
 
-def ensure_budget(ell: int, q: int, budget: int | None = None) -> None:
-    limit = DEFAULT_CHAMBER_BUDGET if budget is None else budget
+def ensure_budget(ell: int, q: int) -> None:
+    prime_power(q)  # q first: the chamber count divides by q - 1
     count = chamber_count(ell, q)
-    if count > limit:
-        raise BudgetExceeded(
-            f"instance (ell={ell}, q={q}) has {count} chambers, over the budget of {limit}"
-        )
+    if count > DEFAULT_CHAMBER_BUDGET:
+        raise BudgetExceeded(f"instance (ell={ell}, q={q}) has {count} chambers, "
+                             f"over the budget of {DEFAULT_CHAMBER_BUDGET}")
 
 
 _BUILDINGS: dict[tuple[int, int], TypedBuilding] = {}
@@ -261,6 +260,9 @@ def extended_grid() -> list[tuple[int, int, int]]:
     return sorted(grid)
 
 
+GRIDS = {"default": default_grid, "extended": extended_grid}
+
+
 # -- verdicts -------------------------------------------------------------------
 
 
@@ -361,8 +363,8 @@ def verdict_min_bound(report: SpectralReport, bound,
 
 def verdict_integer_eigenvalues(report: SpectralReport, ell: int, i: int,
                                 instance: dict) -> VerificationVerdict:
-    p = report.minpoly
-    required = {k: p(QQ(k)) == 0 for k in range(ell - i + 1, ell + 2)}
+    table = report.integer_eigenvalues  # 0..ell+1 for a complex of dimension ell
+    required = {k: table[k] for k in range(ell - i + 1, ell + 2)}
     edge = ell - i
     return VerificationVerdict(
         check="integer-eigenvalues",
@@ -370,7 +372,7 @@ def verdict_integer_eigenvalues(report: SpectralReport, ell: int, i: int,
         status=CERTIFIED_TRUE if all(required.values()) else CERTIFIED_FALSE,
         witness={
             "required": {str(k): v for k, v in sorted(required.items())},
-            "next_lower": {"value": edge, "is_root": p(QQ(edge)) == 0},
+            "next_lower": {"value": edge, "is_root": table[edge]},
         },
     )
 
@@ -388,11 +390,12 @@ def fundamental_inequality_verdict(n: int, i: int, report: SpectralReport,
     refined once to WIDTH_FLOOR.
     """
     hypothesis = all(row["vanishes"] for row in link_data)
-    isos = [report.isolation] + [row["report"].isolation for row in link_data]
+    reports = [report] + [row["report"] for row in link_data]
+    pairs = [(r.m, r.M) for r in reports]
     for refined in (False, True):
         if refined:
-            isos = [iso.refine(WIDTH_FLOOR) for iso in isos]
-        (m_x, big_m), *extremes = [extract_extremes(iso) for iso in isos]
+            pairs = [extract_extremes(r.isolation.refine(WIDTH_FLOOR)) for r in reports]
+        (m_x, big_m), *extremes = pairs
         lam_max = tuple(max(_hull(e[1])[k] for e in extremes) for k in (0, 1))
         lam_min = tuple(min(_hull(e[0])[k] for e in extremes) for k in (0, 1))
         # upper: i*M <= (i+1)*lam_max - (n-i)
@@ -474,13 +477,9 @@ def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
         if r.is_zero:
             continue
         lo, hi = _hull(r)
-        best = None
-        for k in range(lo_int, hi_int + 1):
-            kq = QQ(k)
-            dlo = max(QQ0, kq - hi, lo - kq)
-            dhi = max(abs(hi - kq), abs(kq - lo))
-            if best is None or dhi < best[2]:
-                best = (k, dlo, dhi)
+        # (k, least and greatest distance to the hull): the first k of least greatest
+        best = min(((k, max(QQ0, k - hi, lo - k), max(abs(hi - k), abs(k - lo)))
+                    for k in range(lo_int, hi_int + 1)), key=lambda t: t[2])
         rows.append({
             "root": r.to_json_dict(),
             "nearest_integer": best[0],
@@ -601,19 +600,12 @@ def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict
 def _reproduction_dict(report: SpectralReport, ref: RatPolynomial, inst: Instance,
                        i: int) -> dict:
     computed = report.minpoly
-    match = computed == ref
-    first_diff = None
-    if not match:
-        size = max(len(computed.coeffs), len(ref.coeffs))
-        for k in range(size):
-            a = computed.coeffs[k] if k < len(computed.coeffs) else QQ0
-            bq = ref.coeffs[k] if k < len(ref.coeffs) else QQ0
-            if a != bq:
-                first_diff = {"power": k, "computed": qstr(a), "reference": qstr(bq)}
-                break
+    pairs = enumerate(zip_longest(computed.coeffs, ref.coeffs, fillvalue=QQ0))
+    first_diff = next(({"power": k, "computed": qstr(a), "reference": qstr(b)}
+                       for k, (a, b) in pairs if a != b), None)
     return {
         "instance": inst.tag(i),
-        "match": match,
+        "match": computed == ref,
         "computed": computed.serialize(),
         "reference": ref.serialize(),
         "first_difference": first_diff,
@@ -656,9 +648,13 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     verdicts.append(verdict_vanishing_threshold(report, n, i + 1, inst.tag(i + 1)))
     conj = conjecture_table(report, n - i, n + 1, tag)
     repro = None
-    if inst.reference is not None and has_reference(*inst.reference, i):
-        ref = reference_minimal_polynomial(*inst.reference, i)
-        repro = _reproduction_dict(report, ref, inst, i)
+    if inst.reference is not None:
+        try:
+            ref = reference_minimal_polynomial(*inst.reference, i)
+        except UnknownReferenceInstance:  # no record for this degree
+            pass
+        else:
+            repro = _reproduction_dict(report, ref, inst, i)
     return {
         "instance": tag,
         "spectral": report.to_json_dict(),
@@ -685,7 +681,9 @@ def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,
     """
     if threads < 1:
         raise InvalidThreadCount(f"--threads must be at least 1, got {threads}")
-    instances = default_grid() if grid == "default" else extended_grid()
+    if grid not in GRIDS:
+        raise GarlandError(f"unknown grid {grid!r}: the grids are {', '.join(map(repr, GRIDS))}")
+    instances = GRIDS[grid]()
     tasks = [(ell, q, i, width, seed, cache_dir) for (ell, q, i) in instances]
     workers = min(threads, len(tasks))
     if workers > 1:

@@ -66,6 +66,8 @@ from math import gcd, lcm
 from .errors import InvalidWidth, NotSquarefree
 from .rationals import QQ, QQ0, QQ1, parse_qstr, qstr
 
+DEFAULT_WIDTH = "1/1000000"  # of every isolation whose caller names none
+
 
 @dataclass(frozen=True)
 class RatPolynomial:
@@ -358,15 +360,14 @@ class RootInterval:
 
 @dataclass
 class RootIsolation:
-    """All real roots of a squarefree polynomial, isolated and sorted.
+    """All real roots of a squarefree polynomial p, isolated and sorted.
 
-    `poly` is the monic input and `chain` its integer Sturm chain
-    (`sturm_chain`), which `count_in_halfopen` reads.  The interval (lo,
-    hi] of an irrational root holds no other root of `poly`; `refine`
-    halves it by the sign of `poly` alone.
+    `chain` is p's integer Sturm chain (`sturm_chain`), which
+    `count_in_halfopen` reads; chain[0], a positive multiple of p, is the
+    only copy of p kept.  The interval (lo, hi] of an irrational root
+    holds no other root of p; `refine` halves it by the sign of chain[0].
     """
 
-    poly: RatPolynomial
     roots: list[RootInterval]
     chain: list[tuple[int, ...]]
 
@@ -382,7 +383,7 @@ class RootIsolation:
             if r.value is not None:
                 out.append(r)
                 continue
-            # (lo, hi] = (n, n + delta] / den holds one root of poly
+            # (lo, hi] = (n, n + delta] / den holds one root of p
             den = lcm(int(r.lo.denominator), int(r.hi.denominator))
             n = int(r.lo.numerator) * (den // int(r.lo.denominator))
             delta = int(r.hi.numerator) * (den // int(r.hi.denominator)) - n
@@ -390,7 +391,7 @@ class RootIsolation:
             kstop = _halvings(delta, den, wn, wd)
             n, k = _bisect(frame, n, 0, delta, lambda n, k: k >= kstop)
             out.append(RootInterval(frame.point(n, k), frame.point(n + delta, k)))
-        return RootIsolation(self.poly, out, self.chain)
+        return RootIsolation(out, self.chain)
 
 
 def _deflate(c: tuple, u: int, v: int) -> tuple[int, ...]:
@@ -429,7 +430,7 @@ def _halvings(span_num: int, span_den: int, tn: int, td: int) -> int:
     return k
 
 
-def isolate_real_roots(p: RatPolynomial, width="1/1000000",
+def isolate_real_roots(p: RatPolynomial, width=DEFAULT_WIDTH,
                        den_bound: int | None = None) -> RootIsolation:
     """Isolate every real root of squarefree p into disjoint intervals.
 
@@ -438,7 +439,7 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
     detected exactly (see module docstring for the certificate).  Raises
     NotSquarefree unless p is nonzero and squarefree; that test reads the
     chain the isolation needs anyway.  The returned `RootIsolation`
-    carries the monic p and its integer Sturm chain.
+    carries the integer Sturm chain of p.
 
     `den_bound` caps the denominator of any rational root of p.  The
     default, the lcm D of the coefficient denominators of monic p, is
@@ -542,5 +543,4 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
     roots = [RootInterval(x, x, x) for x in (QQ(u, v) for u, v in exact)]
     roots.extend(RootInterval(frame.point(n, k), frame.point(n + 2, k)) for n, k in intervals)
     roots.sort(key=lambda r: (r.lo, r.hi))
-    poly = RatPolynomial(tuple(QQ(x, chain[0][-1]) for x in chain[0]))
-    return RootIsolation(poly, roots, chain)
+    return RootIsolation(roots, chain)

@@ -109,10 +109,3 @@ def reference_minimal_polynomial(ell: int, q: int, i: int) -> RatPolynomial:
     """Exact expansion of the recorded factorization."""
     return poly_product(reference_factors(ell, q, i))
 
-
-def has_reference(ell: int, q: int, i: int) -> bool:
-    try:
-        reference_factors(ell, q, i)
-    except UnknownReferenceInstance:
-        return False
-    return True

@@ -54,7 +54,7 @@ allows the larger primes (`_prime_cap`); object data, whose entries
 pass int64 (as when L >= 2**63), are always reduced.  Certification
 draws descending primes from that cap.  The Krylov elimination
 multiplies two residues, so its primes stay below 2**30 either way.
-Both streams, and the cohomology ranks, come from `gf.descending_primes`.
+Both streams come from `gf.descending_primes`, as `exactla`'s rank primes do.
 On the grids' buildings ||B||_inf stays below 3*10^4, so their
 operators enter the kernels unreduced and certify with primes of at
 least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
@@ -73,12 +73,6 @@ numpy.random.default_rng([seed mod 2**64, p]).integers(0, p, n), and
 drawn again from the same generator while it is all zero.  The
 certified result is the unique minimal polynomial, so --seed never
 changes reported values.
-
-B's CSR data are one ndarray, int64 when every entry fits and an object
-array of Python ints otherwise (assembly chooses).  When a pass reduces
-it, each prime reduces it in numpy, to int64 residues in [0, p).
-||B||_inf is one row reduction over it per call, widened to Python ints
-when an int64 row sum could pass 2**63.
 """
 
 from __future__ import annotations
@@ -86,7 +80,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 from numpy.random import default_rng
@@ -97,6 +91,7 @@ from .errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from .gf import descending_primes
 from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from .polyq import (
+    DEFAULT_WIDTH,
     RatPolynomial,
     RootInterval,
     RootIsolation,
@@ -186,16 +181,17 @@ def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
         k += 1
 
 
-def _balanced_crt(residues: list[int], primes: list[int]) -> int:
-    """The representative in (-M/2, M/2] of the CRT class, M = prod(primes)."""
-    m = 1
-    for p in primes:
-        m *= p
-    x = 0
-    for r, p in zip(residues, primes):
-        mp = m // p
-        x = (x + r * mp * pow(mp, p - 2, p)) % m
-    return x if 2 * x <= m else x - m
+def _balanced_crt(residues: list[list[int]], primes: list[int]) -> list[int]:
+    """Coefficientwise balanced CRT: entry k is the representative in
+    (-M/2, M/2] of the class of residues[j][k] mod primes[j], M = prod(primes)."""
+    m = prod(primes)
+    # basis[j] is 1 mod primes[j] and 0 mod the others
+    basis = [m // p * pow(m // p, -1, p) for p in primes]
+    out = []
+    for column in zip(*residues):
+        x = sum(r * e for r, e in zip(column, basis)) % m
+        out.append(x if 2 * x <= m else x - m)
+    return out
 
 
 # -- certification ------------------------------------------------------------
@@ -246,11 +242,9 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     cap, reduce = _prime_cap(data, max_nnz, binf)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
-    prod = 1
     for q in descending_primes(cap):
         primes.append(q)
-        prod *= q
-        if prod > 2 * H:
+        if prod(primes) > 2 * H:
             break
     cols_np = np.asarray(columns, dtype=np.int64)
     block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
@@ -308,10 +302,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
         if len(best) < 2:
             continue
         primes = sorted(best)
-        coeffs = [
-            _balanced_crt([best[q][k] for q in primes], primes)
-            for k in range(best_deg + 1)
-        ]
+        coeffs = _balanced_crt([best[q] for q in primes], primes)
         if coeffs == prev and coeffs != failed:
             # an annihilator's degree mod p never exceeds deg min_B, so a
             # certified annihilator of that degree is min_B itself
@@ -356,35 +347,32 @@ def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:
     """Exact ranks of reduced cohomology in degrees 0..n (augmented at -1),
     from coboundary ranks certified modularly by `exactla.rank`."""
-    n = cx.dim
-    rank_d = [exactla.rank(_coboundary_int_rows(cx, i)) for i in range(n)]
-    dims = [cx.num_simplices(i) for i in range(n + 1)]
-    out = []
-    for i in range(n + 1):
-        hi = rank_d[i] if i < n else 0
-        lo = 1 if i == 0 else rank_d[i - 1]  # augmentation has rank 1
-        out.append(dims[i] - hi - lo)
-    return out
+    # ranks[i] is the rank of d_{i-1}: the augmentation's 1, then d_0..d_{n-1}, then d_n's 0
+    ranks = [1] + [exactla.rank(_coboundary_int_rows(cx, i)) for i in range(cx.dim)] + [0]
+    return [cx.num_simplices(i) - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
 
 
 def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
     """Whether the reduced cohomology of degree i vanishes, decided exactly.
 
     dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
-    the augmentation (a column of ones) and d_n has no rows.  Mod-p ranks
-    never exceed rational ranks, so the count over the first prime of
-    `exactla.rank`'s stream is an upper bound, and 0 certifies vanishing;
-    a positive bound is decided by `exactla.rank` of the same two matrices.
+    the augmentation (a column of ones) and d_n has no rows.  Both ranks
+    come from `exactla.rank_bounds`, and only an uncertified one draws the
+    next prime: the count over lower bounds is an upper bound, so 0
+    certifies vanishing, and with both ranks certified it is the dimension.
     """
     size = cx.num_simplices(i)
     hi = (_coboundary_int_rows(cx, i) if i < cx.dim
           else np.zeros((0, size), dtype=np.int64))
     lo = (_coboundary_int_rows(cx, i - 1) if i > 0
           else np.ones((size, 1), dtype=np.int64))
-    p = next(descending_primes(exactla.PRIME_CEILING))
-    if size == exactla.rank_mod_p(hi, p) + exactla.rank_mod_p(lo, p):
-        return True
-    return size == exactla.rank(hi) + exactla.rank(lo)
+    streams = [exactla.rank_bounds(hi), exactla.rank_bounds(lo)]
+    bounds = [next(s) for s in streams]
+    while size != bounds[0][0] + bounds[1][0]:
+        if bounds[0][1] and bounds[1][1]:
+            return False
+        bounds = [b if b[1] else next(s) for s, b in zip(streams, bounds)]
+    return True
 
 
 # -- report -------------------------------------------------------------------
@@ -462,7 +450,7 @@ def report_from_minpoly(poly: RatPolynomial, den_bound: int, width, instance: di
     )
 
 
-def compute_spectral_report(cx: Complex, i: int, width="1/1000000", seed: int = 0,
+def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int = 0,
                             instance: dict | None = None,
                             witness_columns=None) -> SpectralReport:
     """Full certified pipeline for Delta on C^i of cx."""

@@ -57,6 +57,16 @@ def test_build_rejects_bad_field(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["build"], ["spectrum", "--i", "0"], ["verify", "--i", "0"], ["reproduce", "--i", "0"]])
+def test_field_order_one_is_rejected_before_the_chamber_count(capsys, command):
+    # the chamber count divides by q - 1, so q is checked first
+    code, out, err = run(capsys, command + ["--ell", "1", "--q", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: field order must be >= 2, got 1\n"
+
+
 def test_spectrum_json_and_matrix_dump(tmp_path, capsys, cache_args):
     dump = tmp_path / "matrix.txt"
     code, out, _ = run(

@@ -7,9 +7,14 @@ import shutil
 import numpy as np
 import pytest
 
-from garland import complexes, exactla, harness
+from garland import complexes, exactla, harness, reference
 from garland.complexes import from_maximal_simplices
-from garland.errors import BudgetExceeded, DegreeOutOfRange, UnknownReferenceInstance
+from garland.errors import (
+    BudgetExceeded,
+    DegreeOutOfRange,
+    GarlandError,
+    UnknownReferenceInstance,
+)
 from garland.harness import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
@@ -29,6 +34,7 @@ from garland.harness import (
     get_building,
     load_cached_report,
     reproduce,
+    run_grid,
     run_instance,
     spectral_report,
     store_report,
@@ -81,8 +87,6 @@ def test_budget_gate():
     ensure_budget(4, 2)  # 615195 <= 700000
     with pytest.raises(BudgetExceeded):
         ensure_budget(3, 4)
-    with pytest.raises(BudgetExceeded):
-        ensure_budget(2, 2, budget=100)
     assert DEFAULT_CHAMBER_BUDGET == 700_000
 
 
@@ -96,11 +100,13 @@ def test_flag_count_is_the_number_of_simplices():
 
 
 @pytest.mark.parametrize("ell, q", [(2, 3), (4, 2)])
-def test_budget_edge(ell, q):
+def test_budget_edge(ell, q, monkeypatch):
     # the budget counts chambers inclusively: exactly enough passes
-    ensure_budget(ell, q, budget=chamber_count(ell, q))
+    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", chamber_count(ell, q))
+    ensure_budget(ell, q)
+    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", chamber_count(ell, q) - 1)
     with pytest.raises(BudgetExceeded):
-        ensure_budget(ell, q, budget=chamber_count(ell, q) - 1)
+        ensure_budget(ell, q)
 
 
 def test_grids():
@@ -117,6 +123,23 @@ def test_grids():
     for (ell, q, i) in e:
         ensure_budget(ell, q)
         assert 0 <= i <= ell - 1
+
+
+def test_run_grid_rejects_an_unknown_grid():
+    with pytest.raises(GarlandError) as caught:
+        run_grid("bogus")
+    assert "'default'" in str(caught.value) and "'extended'" in str(caught.value)
+
+
+def test_run_grid_looks_each_reference_up_once(monkeypatch, shared_cache):
+    # every default-grid instance has a recorded polynomial, expanded once
+    calls = []
+    real = reference.reference_factors
+    monkeypatch.setattr(reference, "reference_factors",
+                        lambda *key: calls.append(key) or real(*key))
+    doc = run_grid("default", cache_dir=shared_cache)
+    assert sorted(calls) == default_grid()
+    assert all(item["reproduction"]["match"] for item in doc["instances"])
 
 
 def test_get_building_is_memoized():
@@ -596,15 +619,17 @@ def test_run_complex_instance(shared_cache):
 def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     # the bowtie's vertex-0 link is two disjoint edges: its mod-p bound on
     # the reduced H^0 is 1, which is inconclusive, so the exact ranks of
-    # d_0 and of the augmentation decide, and nothing else is ranked exactly
+    # d_0 and of the augmentation decide; both are full, so certified at
+    # the first prime, and no matrix is eliminated a second time
     calls = []
 
-    def spy(rows):
-        calls.append(np.asarray(rows).shape)
-        return real(rows)
+    def spy(rows, p):
+        calls.append((np.asarray(rows).shape, p))
+        return real(rows, p)
 
-    real = exactla.rank
-    monkeypatch.setattr(exactla, "rank", spy)
+    real = exactla.rank_mod_p
+    monkeypatch.setattr(exactla, "rank_mod_p", spy)
+    monkeypatch.setattr(exactla, "rank", None)  # the vanishing test walks the rank streams
     bowtie = from_maximal_simplices([(0, 1, 2), (0, 3, 4)])
     doc = run_instance(Instance.complex(bowtie), 1)
     (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
@@ -612,7 +637,8 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     assert v["witness"]["lower"] == {"status": "not-applicable"}
     assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
         False, True, True, True, True]
-    assert calls == [(2, 4), (4, 1)]
+    p = exactla.PRIME_CEILING  # 2**31 - 1 is prime: the first rank prime
+    assert calls == [((2, 4), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
 
 
 # -- report plumbing ---------------------------------------------------------------

@@ -567,16 +567,20 @@ def test_vanishing_certificate_is_one_sided():
             assert got == (r == 0)
 
 
-def test_disconnected_link_ranks_need_four_primes(monkeypatch):
-    # the cone over two disjoint (1,7) incidence graphs: vertex 0's link
-    # is their union, 228 vertices and 912 edges in two components, so
-    # its reduced H^0 has dimension 1 and the mod-p bound is inconclusive
+def _disconnected_link():
+    """Vertex 0's link in the cone over two disjoint (1,7) incidence graphs:
+    their union, 228 vertices and 912 edges in two components, so its
+    reduced H^0 has dimension 1 and the mod-p bound is inconclusive."""
     graph = flag_complex(1, field_for_order(7)).complex
     nv = graph.num_simplices(0)
     edges = graph.rows[1].tolist()
     cone = from_maximal_simplices([(0, 1 + c + u, 1 + c + v)
                                    for c in (0, nv) for u, v in edges])
-    link, _ = cone.vertex_link(0)
+    return cone.vertex_link(0)[0]
+
+
+def test_disconnected_link_ranks_need_four_primes(monkeypatch):
+    link = _disconnected_link()
     d0 = spectra._coboundary_int_rows(link, 0)
     assert d0.shape == (912, 228)
     want = reference_rank(d0)
@@ -593,3 +597,22 @@ def test_disconnected_link_ranks_need_four_primes(monkeypatch):
                         lambda rows, p: primes.append(p) or real(rows, p))
     assert exactla.rank(d0) == want
     assert primes == list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
+
+
+def test_disconnected_link_vanishing_eliminates_each_matrix_once_per_prime(monkeypatch):
+    # d_0 (912 x 228, rank 226) needs four primes and the augmentation
+    # (228 x 1) one; neither is eliminated again for its exact rank
+    link = _disconnected_link()
+    seen = []
+    real = exactla.rank_mod_p
+
+    def spy(rows, p):
+        seen.append((rows.shape, rows.tobytes(), p))
+        return real(rows, p)
+
+    monkeypatch.setattr(exactla, "rank_mod_p", spy)
+    assert reduced_cohomology_vanishes(link, 0) is False
+    assert len(seen) == len(set(seen)) <= 5
+    primes = list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
+    assert [(shape, p) for shape, _, p in seen] == [
+        ((912, 228), primes[0]), ((228, 1), primes[0])] + [((912, 228), p) for p in primes[1:]]

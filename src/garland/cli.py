@@ -145,6 +145,7 @@ def _write(path, text: str) -> None:
 
 def _cmd_build(args) -> int:
     _check_output(args.emit_complex)
+    harness.ensure_budget(args.ell, args.q)
     b = harness.get_building(args.ell, args.q)
     cx = b.complex
     print(f"flag complex ell={args.ell} q={args.q} (dimension {cx.dim})")

@@ -124,7 +124,7 @@ _BUILDINGS: dict[tuple[int, int], TypedBuilding] = {}
 
 
 def get_building(ell: int, q: int) -> TypedBuilding:
-    ensure_budget(ell, q)
+    """The memoized flag complex of F_q^(ell+2); the caller checks the budget."""
     key = (ell, q)
     if key not in _BUILDINGS:
         _BUILDINGS[key] = flag_complex(ell, field_for_order(q))
@@ -328,11 +328,12 @@ def _hull_json(h: tuple) -> dict:
 # -- individual checks ----------------------------------------------------------
 
 
-def verdict_max_eigenvalue(report: SpectralReport, expected: int,
-                           instance: dict) -> VerificationVerdict:
+def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> VerificationVerdict:
+    """Whether n + 1, the integer table's largest entry, is the largest root."""
+    largest = max(report.integer_eigenvalues)  # the table runs over 0..n+1
+    is_root = report.integer_eigenvalues[largest]
+    top = QQ(largest)
     p = report.minpoly
-    top = QQ(expected)
-    is_root = p(top) == 0
     bound = root_magnitude_bound(p)
     hi = bound if bound > top else top + 1
     above = report.isolation.count_in_halfopen(top, hi)
@@ -638,7 +639,7 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     tag = inst.tag(i)
     report = spectral_report(inst, i, width, seed, cache_dir)
     verdicts = [
-        verdict_max_eigenvalue(report, n + 1, tag),
+        verdict_max_eigenvalue(report, tag),
         verdict_min_bound(report, QQ(n - i), tag),
         verdict_integer_eigenvalues(report, n, i, tag),
     ]

@@ -54,7 +54,9 @@ allows the larger primes (`_prime_cap`); object data, whose entries
 pass int64 (as when L >= 2**63), are always reduced.  Certification
 draws descending primes from that cap.  The Krylov elimination
 multiplies two residues, so its primes stay below 2**30 either way.
-Both streams come from `gf.descending_primes`, as `exactla`'s rank primes do.
+Both streams come from `gf.descending_primes`, as the rank primes do
+with which `exactla` decides the reduced cohomology of vertex links on
+the sparse +-1 coboundary of `laplace.coboundary_pattern`.
 On the grids' buildings ||B||_inf stays below 3*10^4, so their
 operators enter the kernels unreduced and certify with primes of at
 least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
@@ -336,19 +338,21 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 # -- reduced cohomology ----------------------------------------------------------
 
 
-def _coboundary_int_rows(cx: Complex, i: int) -> np.ndarray:
-    """The dense int64 matrix of d_i, one row per (i+1)-face."""
-    cols, signs = coboundary_pattern(cx, i)
-    rows = np.zeros((len(cols), cx.num_simplices(i)), dtype=np.int64)
-    rows[np.arange(len(cols))[:, None], cols] = signs
-    return rows
+def _coboundary(cx: Complex, i: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """d_i as an `exactla` pattern with its column count, for -1 <= i <= n:
+    d_{-1} is the augmentation (a column of ones) and d_n has no rows."""
+    if i < 0:
+        return np.zeros((cx.num_simplices(0), 1), np.int64), np.ones(1, np.int64), 1
+    if i == cx.dim:
+        return np.zeros((0, i + 2), np.int64), np.ones(i + 2, np.int64), cx.num_simplices(i)
+    return (*coboundary_pattern(cx, i), cx.num_simplices(i))
 
 
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:
     """Exact ranks of reduced cohomology in degrees 0..n (augmented at -1),
     from coboundary ranks certified modularly by `exactla.rank`."""
-    # ranks[i] is the rank of d_{i-1}: the augmentation's 1, then d_0..d_{n-1}, then d_n's 0
-    ranks = [1] + [exactla.rank(_coboundary_int_rows(cx, i)) for i in range(cx.dim)] + [0]
+    # ranks[i] is the rank of d_{i-1}
+    ranks = [exactla.rank(*_coboundary(cx, i)) for i in range(-1, cx.dim + 1)]
     return [cx.num_simplices(i) - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
 
 
@@ -356,17 +360,14 @@ def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
     """Whether the reduced cohomology of degree i vanishes, decided exactly.
 
     dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
-    the augmentation (a column of ones) and d_n has no rows.  Both ranks
-    come from `exactla.rank_bounds`, and only an uncertified one draws the
-    next prime: the count over lower bounds is an upper bound, so 0
-    certifies vanishing, and with both ranks certified it is the dimension.
+    the augmentation and d_n has no rows.  Both ranks come from
+    `exactla.rank_bounds` on the sparse coboundary, and only an
+    uncertified one draws the next prime: the count over lower bounds is
+    an upper bound, so 0 certifies vanishing, and with both ranks
+    certified it is the dimension.
     """
     size = cx.num_simplices(i)
-    hi = (_coboundary_int_rows(cx, i) if i < cx.dim
-          else np.zeros((0, size), dtype=np.int64))
-    lo = (_coboundary_int_rows(cx, i - 1) if i > 0
-          else np.ones((size, 1), dtype=np.int64))
-    streams = [exactla.rank_bounds(hi), exactla.rank_bounds(lo)]
+    streams = [exactla.rank_bounds(*_coboundary(cx, j)) for j in (i, i - 1)]
     bounds = [next(s) for s in streams]
     while size != bounds[0][0] + bounds[1][0]:
         if bounds[0][1] and bounds[1][1]:

@@ -2,11 +2,11 @@
 
 `bareiss_echelon` is fraction-free (Bareiss) elimination in Python ints,
 so no entry can overflow and no rational is made.  It is the tests'
-reference for `garland.exactla.rank`, which certifies a rank from
-modular ranks instead, and `kernel_basis` back-substitutes rationally
-over its echelon form to recover exact eigencochains.
-`garland.exactla` takes integer rows only, so rational rows go through
-`cleared_int_rows` first.
+reference for `garland.exactla`, which certifies the rank of a +-1
+coboundary pattern from sparse modular ranks instead; `pattern_rows`
+writes such a pattern out densely.  `kernel_basis` clears the
+denominators of rational rows (`cleared_int_rows`) and back-substitutes
+rationally over the echelon form to recover exact eigencochains.
 """
 
 from __future__ import annotations
@@ -48,6 +48,17 @@ def reference_rank(int_rows) -> int:
     """Rank over Q of integer rows (an int64 array or int lists), by Bareiss."""
     rows = [[int(x) for x in row] for row in int_rows]
     return len(bareiss_echelon(rows)[1])
+
+
+def pattern_rows(cols, signs, ncols: int) -> list[list[int]]:
+    """The dense integer rows of an `exactla` pattern: signs[j] at column cols[r][j]."""
+    out = []
+    for row_cols in cols:
+        row = [0] * ncols
+        for c, s in zip(row_cols, signs):
+            row[int(c)] = int(s)
+        out.append(row)
+    return out
 
 
 def cleared_int_rows(rows) -> list[list[int]]:

@@ -51,6 +51,16 @@ def test_build_summary_and_emit(tmp_path, capsys):
     assert cx.num_simplices(1) == 52
 
 
+def test_build_rejects_an_instance_over_the_budget(capsys, monkeypatch):
+    def no_building(*args, **kwargs):
+        raise AssertionError("a building was constructed")
+
+    monkeypatch.setattr(harness, "flag_complex", no_building)
+    code, out, err = run(capsys, ["build", "--ell", "3", "--q", "4"])
+    assert (code, out) == (2, "")
+    assert "over the budget" in err
+
+
 def test_build_rejects_bad_field(capsys):
     code, _out, err = run(capsys, ["build", "--ell", "1", "--q", "6"])
     assert code == 2

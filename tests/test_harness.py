@@ -1,10 +1,10 @@
 """Verification harness: verdicts, budgets, caching, grids, reproduction."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from garland import complexes, exactla, harness, reference
@@ -109,6 +109,14 @@ def test_budget_edge(ell, q, monkeypatch):
         ensure_budget(ell, q)
 
 
+def test_a_building_run_checks_the_budget_once(monkeypatch):
+    calls = []
+    real = harness.ensure_budget
+    monkeypatch.setattr(harness, "ensure_budget", lambda *key: calls.append(key) or real(*key))
+    run_instance(Instance.building(1, 3), 0)
+    assert calls == [(1, 3)]
+
+
 def test_grids():
     d = default_grid()
     assert d == [
@@ -150,14 +158,20 @@ def test_get_building_is_memoized():
 
 
 def test_max_eigenvalue_verdict(rep120):
+    # the verdict reads n + 1 = 2 from the report's integer table, 0..2
     inst = {"ell": 1, "q": 2, "i": 0}
-    v = verdict_max_eigenvalue(rep120, 2, inst)
+    assert sorted(rep120.integer_eigenvalues) == [0, 1, 2]
+    v = verdict_max_eigenvalue(rep120, inst)
     assert v.check == "max-eigenvalue"
     assert v.status == CERTIFIED_TRUE
     assert v.witness["expected"] == "2/1"
     assert v.witness["is_root"] is True
     assert v.witness["roots_above"] == 0
-    bad = verdict_max_eigenvalue(rep120, 3, inst)
+    # a table running to 3 asks for 3, which is no root
+    table = {k: rep120.minpoly(QQ(k)) == 0 for k in range(4)}
+    bad = verdict_max_eigenvalue(dataclasses.replace(rep120, integer_eigenvalues=table), inst)
+    assert bad.witness["expected"] == "3/1"
+    assert bad.witness["is_root"] is False
     assert bad.status == CERTIFIED_FALSE
 
 
@@ -168,8 +182,8 @@ def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
     from garland.spectra import SpectralReport
     p = poly_product((-r, 1) for r in (0, 1, 3))
     iso = isolate_real_roots(p, den_bound=1)
-    rep = SpectralReport({}, 0, 3, p, iso, iso.roots[1], iso.roots[2], {}, {})
-    v = verdict_max_eigenvalue(rep, 1, {})
+    rep = SpectralReport({}, 0, 3, p, iso, iso.roots[1], iso.roots[2], {0: True, 1: True}, {})
+    v = verdict_max_eigenvalue(rep, {})
     assert v.witness["is_root"] is True
     assert v.witness["roots_above"] == 1
     assert v.status == CERTIFIED_FALSE
@@ -192,7 +206,7 @@ def test_integer_eigenvalues_verdict(rep120):
 
 
 def test_verdict_json_round_trip(rep120):
-    v = verdict_max_eigenvalue(rep120, 2, {"ell": 1, "q": 2, "i": 0})
+    v = verdict_max_eigenvalue(rep120, {"ell": 1, "q": 2, "i": 0})
     d = v.to_json_dict()
     assert d["check"] == "max-eigenvalue"
     assert d["status"] == "certified-true"
@@ -623,9 +637,9 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     # the first prime, and no matrix is eliminated a second time
     calls = []
 
-    def spy(rows, p):
-        calls.append((np.asarray(rows).shape, p))
-        return real(rows, p)
+    def spy(cols, signs, p):
+        calls.append((cols.shape, p))
+        return real(cols, signs, p)
 
     real = exactla.rank_mod_p
     monkeypatch.setattr(exactla, "rank_mod_p", spy)
@@ -638,7 +652,8 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
         False, True, True, True, True]
     p = exactla.PRIME_CEILING  # 2**31 - 1 is prime: the first rank prime
-    assert calls == [((2, 4), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
+    # d_0 of each link as 2-entry rows, the augmentation as 1-entry rows
+    assert calls == [((2, 2), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
 
 
 # -- report plumbing ---------------------------------------------------------------

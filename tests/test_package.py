@@ -29,6 +29,7 @@ MOVED = {
     "garland.exactla": [
         "kernel_basis", "dense_from_entries", "_cleared_int_rows",
         "_bareiss_echelon",  # the tests' reference rank; the package ranks modularly
+        "_as_int_rows", "_squared_row_norms",  # deleted: ranks are of sparse +-1 patterns
     ],
     "garland.rationals": ["as_float", "floor_q"],
     "garland.harness": [  # deleted
@@ -38,6 +39,7 @@ MOVED = {
     "garland.spectra": [
         "integer_table",  # folded into report_from_minpoly
         "_prime_stream", "_RANK_PRIME",  # one prime source: gf.descending_primes
+        "_coboundary_int_rows",  # deleted: link cohomology ranks the sparse coboundary
     ],
     "garland.errors": [
         "DegreeMismatch", "UnknownVertex", "UnknownType", "DivisionByZero",

@@ -11,6 +11,9 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,9 @@ from garland import exactla, spectra
 from garland.building import flag_complex, witness_columns
 from garland.complexes import from_maximal_simplices
 from garland.gf import descending_primes, field_for_order, poly_mul
-from garland.harness import Instance, default_grid, get_building, spectral_report
+from garland.harness import Instance, default_grid, get_building, run_instance, spectral_report
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
-from garland.laplace import LinearOperatorHandle, assemble_matrix
+from garland.laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
 from garland.reference import reference_minimal_polynomial
@@ -38,8 +41,8 @@ from garland.spectra import (
     squarefree_certify,
 )
 
-from dense import dense_from_entries, reference_rank
-from identities import laplacian_csr_by_apply, star_union
+from dense import dense_from_entries, pattern_rows, reference_rank
+from identities import laplacian_csr_by_apply, random_pure_complex, star_union
 from rational_isolation import poly_div
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
@@ -581,38 +584,104 @@ def _disconnected_link():
 
 def test_disconnected_link_ranks_need_four_primes(monkeypatch):
     link = _disconnected_link()
-    d0 = spectra._coboundary_int_rows(link, 0)
-    assert d0.shape == (912, 228)
-    want = reference_rank(d0)
+    cols, signs = coboundary_pattern(link, 0)
+    assert cols.shape == (912, 2)
+    want = reference_rank(pattern_rows(cols, signs, 228))
     assert want == 226
     assert reduced_cohomology_ranks(link) == [228 - want - 1, 912 - want]
     assert reduced_cohomology_vanishes(link, 0) is False
     # rank 226 < min(912, 228), so the Hadamard bound decides: any
-    # 227-minor squared is at most 2**227 (rows of squared norm 2), which
+    # 227-minor squared is at most 2**227 (two entries +-1 a row), which
     # the squared product of four primes below 2**31 passes and of three
     # does not
     primes = []
     real = exactla.rank_mod_p
     monkeypatch.setattr(exactla, "rank_mod_p",
-                        lambda rows, p: primes.append(p) or real(rows, p))
-    assert exactla.rank(d0) == want
+                        lambda cols, signs, p: primes.append(p) or real(cols, signs, p))
+    assert exactla.rank(cols, signs, 228) == want
     assert primes == list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
 
 
 def test_disconnected_link_vanishing_eliminates_each_matrix_once_per_prime(monkeypatch):
-    # d_0 (912 x 228, rank 226) needs four primes and the augmentation
-    # (228 x 1) one; neither is eliminated again for its exact rank
+    # d_0 (912 rows of 2 entries, rank 226) needs four primes and the
+    # augmentation (228 rows of 1) one; neither is eliminated again for
+    # its exact rank
     link = _disconnected_link()
     seen = []
     real = exactla.rank_mod_p
 
-    def spy(rows, p):
-        seen.append((rows.shape, rows.tobytes(), p))
-        return real(rows, p)
+    def spy(cols, signs, p):
+        seen.append((cols.shape, cols.tobytes(), p))
+        return real(cols, signs, p)
 
     monkeypatch.setattr(exactla, "rank_mod_p", spy)
     assert reduced_cohomology_vanishes(link, 0) is False
     assert len(seen) == len(set(seen)) <= 5
     primes = list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
     assert [(shape, p) for shape, _, p in seen] == [
-        ((912, 228), primes[0]), ((228, 1), primes[0])] + [((912, 228), p) for p in primes[1:]]
+        ((912, 2), primes[0]), ((228, 1), primes[0])] + [((912, 2), p) for p in primes[1:]]
+
+
+def _bareiss_cohomology(cx):
+    """Reduced cohomology dimensions from Bareiss ranks of the dense coboundaries."""
+    dims = [cx.num_simplices(i) for i in range(cx.dim + 1)]
+    ranks = [1] + [reference_rank(pattern_rows(*coboundary_pattern(cx, i), dims[i]))
+                   for i in range(cx.dim)] + [0]
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
+
+
+def test_sparse_cohomology_matches_bareiss_on_random_complexes():
+    rng = random.Random(1)
+    pairs = 0
+    for _ in range(150):
+        cx = random_pure_complex(rng)
+        want = _bareiss_cohomology(cx)
+        assert reduced_cohomology_ranks(cx) == want
+        for i, dim in enumerate(want):
+            assert reduced_cohomology_vanishes(cx, i) is (dim == 0)
+        pairs += len(want)
+    # every degree 0..n: the 317 Laplacian degrees 0..n-1 and the top ones
+    assert pairs == 467
+
+
+_CONNECTIVITY_27 = """
+import resource
+from garland.harness import get_building
+from garland.spectra import reduced_cohomology_vanishes
+cx = get_building(2, 7).complex
+cx.num_simplices(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(reduced_cohomology_vanishes(cx, 0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
+                    reason="builds the (2,7) building; runs only with GARLAND_EXTENDED=1")
+def test_connectivity_of_the_27_building_is_decided_in_little_memory():
+    # the building is the apex link of a cone over it: H~^0 of its 3,650
+    # vertices and 68,400 edges, whose dense d_0 took 6.3 GB; in a fresh
+    # process, so that ru_maxrss (KiB on Linux) is this call's peak alone
+    src = Path(spectra.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _CONNECTIVITY_27], capture_output=True,
+                          text=True, timeout=240, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    vanishes, added_kib = proc.stdout.split()
+    assert vanishes == "True"
+    assert int(added_kib) < 100 * 1024
+
+
+# Moebius's 7-vertex torus: the triangles {j, j+1, j+3} and {j, j+2, j+3} mod 7
+TORUS = [tuple(sorted((j, (j + a) % 7, (j + 3) % 7))) for j in range(7) for a in (1, 2)]
+
+
+def test_torus_cone_apex_link_has_first_cohomology():
+    torus = from_maximal_simplices(TORUS)
+    assert reduced_cohomology_ranks(torus) == [0, 2, 1] == _bareiss_cohomology(torus)
+    # in the cone over the torus the apex's link is the torus, and every
+    # other vertex's link is a cone over a hexagon, which is contractible
+    cone = from_maximal_simplices([t + (7,) for t in TORUS])
+    doc = run_instance(Instance.complex(cone), 2)
+    (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
+    assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [True] * 7 + [False]
+    assert v["witness"]["hypothesis_cohomology_vanishes"] is False
+    assert v["witness"]["lower"] == {"status": "not-applicable"}

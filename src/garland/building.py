@@ -20,8 +20,10 @@ Canonical data layout, fixed as an external contract:
   * the chambers are a (chambers x (ell+1)) int32 array of vertex ids,
     each row ascending in type, in depth-first order: by the dim-1
     subspace, then by the superspace order of each step
-    (`superspace_ids`).  It goes straight to
-    `Complex.from_maximal_simplices`; no tuple per chamber is made;
+    (`superspace_ids`).  The walk allocates that array once and fills
+    it in place a column per layer, so no layer copies the flags walked
+    so far.  It goes straight to `Complex.from_maximal_simplices`; no
+    tuple per chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 
@@ -143,12 +145,19 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
 
     # walk the complete flags one dimension at a time: every d-subspace
     # has the same number of (d+1)-superspaces, so each superspace-id
-    # table is rectangular and a layer of the walk is one np.repeat
-    chambers = np.arange(sizes[0], dtype=np.int32)[:, None]
-    for d in range(1, ell + 1):
-        sup = superspace_ids(n, d, field) + np.int32(offsets[d])
-        nxt = sup[chambers[:, -1] - offsets[d - 1]].reshape(-1, 1)
-        chambers = np.concatenate([np.repeat(chambers, sup.shape[1], axis=0), nxt], axis=1)
+    # table is rectangular, and in depth-first order the flags through
+    # one partial flag of layer d form a block of equal rows.  So the
+    # chamber array is allocated once and column d is filled in place,
+    # one value per block, through a (blocks, block size, ell+1) view
+    tables = [superspace_ids(n, d, field) + np.int32(offsets[d]) for d in range(1, ell + 1)]
+    blocks = np.cumprod([sizes[0]] + [sup.shape[1] for sup in tables]).tolist()
+    chambers = np.empty((blocks[-1], ell + 1), dtype=np.int32)
+    layer = chambers.reshape(blocks[0], -1, ell + 1)
+    layer[:, :, 0] = np.arange(sizes[0], dtype=np.int32)[:, None]
+    for d, sup in enumerate(tables, start=1):
+        parents = layer[:, 0, d - 1] - np.int32(offsets[d - 1])
+        layer = chambers.reshape(blocks[d], -1, ell + 1)
+        layer[:, :, d] = sup[parents].reshape(-1, 1)
 
     cx = Complex.from_maximal_simplices(chambers)
     types = np.repeat(np.arange(ell + 1, dtype=np.int32), sizes)

@@ -33,7 +33,11 @@ vertex level, which is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
 simplices.  `rows`, `keys` and `counts` are read-only sequences of
 length n + 1; reading item d of any of them builds every missing level
-up to d, in order, from the sorted columns.  So an operator on C^i
+up to d, in order, from the sorted columns: each column combination's
+face keys are sorted and run-length counted on their own, and the short
+per-combination lists of distinct faces are then merged, adding the
+counts of a face that several combinations share, so one combination's
+keys are the largest temporary of a level.  So an operator on C^i
 builds the levels up to i + 1 and no others.  `facets` gathers the
 boundary faces of every simplex of one dimension at once, which is what
 the operators are assembled from, and vertex links, the only links that
@@ -83,7 +87,11 @@ def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
     # ids past the entry count cannot all occur; checked before bincount allocates hi + 1
     if lo < 0 or hi >= tops.size:
         raise NonDenseIds(f"vertex ids {lo}..{hi} are not dense ids of {tops.size} entries")
-    occurrences = np.bincount(tops.ravel().astype(np.intp, copy=False))
+    # a column at a time: bincount widens its input to intp, and the
+    # whole array widened would be the largest temporary of construction
+    occurrences = np.zeros(hi + 1, dtype=np.intp)
+    for j in range(tops.shape[1]):
+        occurrences += np.bincount(tops[:, j].astype(np.intp, copy=False), minlength=hi + 1)
     missing = np.flatnonzero(occurrences == 0)
     if len(missing):
         raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{hi}")
@@ -117,6 +125,14 @@ def _packed_rows(cols: list, nv: int) -> np.ndarray:
         for c in cols[1:]:
             packed = packed * nv + c.astype(object)
     return packed
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted array `keys` starts."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, out=None) -> np.ndarray:
@@ -261,13 +277,17 @@ class Complex:
         which preserves lexicographic order and stays below the number of
         (k-1)-faces times V; the prefix ranks are found among the keys of
         the level below, one `searchsorted` per (k-1)-combination that
-        leaves a column after it.  One sort per size gives the distinct
-        faces in order, the run lengths are the weights, and the face
-        rows are gathered one column at a time from the prefix rows.
-        When that bound on the keys is at most 2**31, the keys of every
-        combination are filled and sorted as int32, which sorts about
-        twice as fast as int64; only the distinct keys are widened, so
-        `keys` holds int64 at every level.
+        leaves a column after it.  The keys of one k-combination at a
+        time are sorted in one reused buffer, and its distinct keys and
+        run lengths kept.  Those lists are merged by one stable sort of
+        their concatenation, which is a few sorted runs, and the run
+        lengths of a key that several combinations give are added: the
+        distinct faces in order and their weights.  The face rows are
+        gathered one column at a time from the prefix rows.
+        When that bound on the keys is at most 2**31, the keys are
+        filled and sorted as int32, which sorts about twice as fast as
+        int64; only the distinct keys are widened, so `keys` holds int64
+        at every level.
         """
         cols, nv, size = self._cols, len(self._rows[0]), self.dim + 1
         while len(self._rows) <= d:
@@ -278,20 +298,28 @@ class Complex:
                 below, keys = self._prefix_rank, self._keys[-1]
                 rank = {c: np.searchsorted(keys, _face_keys(below[c[:-1]], cols[c[-1]], nv))
                         for c in combinations(range(size - 1), k - 1)}
-            # filled in place, one row per column combination: joining a
-            # list of per-combination arrays held the keys twice
-            combos = list(combinations(range(size), k))
+            # one buffer for every combination, so that one combination's
+            # keys are the largest temporary of the level
             narrow = len(self._rows[-1]) * nv <= 2**31
-            flat = np.empty((len(combos), len(cols[0])), dtype=np.int32 if narrow else np.int64)
-            for j, c in enumerate(combos):
-                _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat[j])
-            flat = flat.ravel()
-            flat.sort()
-            new = np.concatenate(([True], flat[1:] != flat[:-1]))
-            starts = np.flatnonzero(new)
-            uniq = flat[starts].astype(np.int64, copy=False)
-            counts = np.diff(np.append(starts, len(flat)))
-            del flat, new, starts
+            flat = np.empty(len(cols[0]), dtype=np.int32 if narrow else np.int64)
+            parts, weights = [], []
+            for c in combinations(range(size), k):
+                _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat)
+                flat.sort()
+                starts = _run_starts(flat)
+                parts.append(flat[starts])
+                weights.append(np.diff(starts, append=len(flat)))
+            del flat, starts
+            merged = np.concatenate(parts)
+            weights = np.concatenate(weights)
+            del parts
+            order = np.argsort(merged, kind="stable")
+            merged, weights = merged[order], weights[order]
+            del order
+            starts = _run_starts(merged)
+            uniq = merged[starts].astype(np.int64, copy=False)
+            counts = np.add.reduceat(weights, starts)
+            del merged, weights, starts
             prefix, last = np.divmod(uniq, nv)
             faces = np.empty((len(uniq), k), dtype=np.int32)
             # one column at a time; mode="clip" (prefix is in range) keeps

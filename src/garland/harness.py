@@ -56,6 +56,7 @@ from .errors import (
     UnknownReferenceInstance,
 )
 from .gf import field_for_order, prime_power
+from .laplace import coboundary_pattern
 from .polyq import (DEFAULT_WIDTH, RatPolynomial, RootInterval, parse_width,
                     root_magnitude_bound)
 from .rationals import QQ, QQ0, qstr
@@ -565,8 +566,9 @@ def _check_degree(inst: Instance, i: int) -> None:
 
 
 def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
-                    cache_dir=None) -> SpectralReport:
-    """Certified spectral report of degree i, from the cache when it holds one."""
+                    cache_dir=None, coboundary=None) -> SpectralReport:
+    """Certified spectral report of degree i, from the cache when it holds
+    one; `coboundary` as in `laplace.assemble_matrix`."""
     _check_degree(inst, i)
     width = parse_width(width)  # before any building or cache file is touched
     instance = inst.tag(i)
@@ -577,23 +579,26 @@ def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
         if hit is not None:
             return hit
     report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
-                                     witness_columns=inst.symmetry.witness_columns(i))
+                                     witness_columns=inst.symmetry.witness_columns(i),
+                                     coboundary=coboundary)
     if cache_dir:
         store_report(cache_dir, key, report)
     return report
 
 
 def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
-    """Degree-j spectral report and cohomology of one vertex link per link orbit."""
+    """Degree-j spectral report and cohomology of one vertex link per link
+    orbit, both from one gather of the link's coboundary d_j."""
     out = []
     for orbit in inst.symmetry.links:
         link, _ = inst.cx.vertex_link(orbit.vertex)
+        d = coboundary_pattern(link, j)
         out.append({
             "label": orbit.label,
             "count": orbit.count,
             "report": spectral_report(Instance.complex(link, orbit.tag), j, width, seed,
-                                      cache_dir),
-            "vanishes": reduced_cohomology_vanishes(link, j),
+                                      cache_dir, coboundary=d),
+            "vanishes": reduced_cohomology_vanishes(link, j, d),
         })
     return out
 

@@ -9,16 +9,21 @@ n is out of domain and rejected.
 assemble_matrix builds Delta on C^i in integer arrays, never as
 rationals, from the column gather of the coboundary
 (`coboundary_pattern`, one `Complex.facets` call) and one Gram product
-d^T (diag(w) d) on scipy's compiled CSR kernels (`csr.gram`).  It
-returns the square matrix B = L * Delta as CSR and the scale L (the lcm
-of the entry denominators of Delta), which is what the certified
-spectral code consumes; the assembly time therefore includes the
-integer scaling.  B's entries are one ndarray, int64 when every entry
-fits and an object array of Python ints otherwise; assemble_matrix is
-the only code that makes that choice.  `dump_matrix_text` writes Delta's entries
-as exact rationals, and `LinearOperatorHandle.entries` rebuilds them as
-a dict (the benchmark's nnz count reads it).  The exact-rational
-cochain calculus that this matrix must agree with lives in the tests.
+d^T (diag(w) d) on scipy's compiled CSR kernels (`csr.gram`).  The
+coboundary of m (i+1)-simplices has i + 2 entries a row, so the product
+has at most m (i+2)^2 entries; while m, n and that bound are below
+2**31 - 1, the pattern goes to the Gram product as int32 index arrays,
+which it transposes and multiplies without widening them, and only B's
+returned indptr and indices are int64.  It returns the square matrix
+B = L * Delta as CSR and the scale L (the lcm of the entry denominators
+of Delta), which is what the certified spectral code consumes; the
+assembly time therefore includes the integer scaling.  B's entries are
+one ndarray, int64 when every entry fits and an object array of Python
+ints otherwise; assemble_matrix is the only code that makes that
+choice.  `dump_matrix_text` writes Delta's entries as exact rationals,
+and `LinearOperatorHandle.entries` rebuilds them as a dict (the
+benchmark's nnz count reads it).  The exact-rational cochain calculus
+that this matrix must agree with lives in the tests.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
     return L < 2**63 and top * (L // int(den.min(initial=1))) < 2**63
 
 
-def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
+def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle:
     """The Laplacian on C^i as B = L * Delta in exact integer CSR form.
 
     With d the +-1 coboundary C^i -> C^{i+1}, Delta = diag(1/w_i) X for
@@ -93,25 +98,36 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     the lcm of those, and B holds (x / g) * (L / (w_r / g)).  L is a
     Python int, because it can pass 2**63; B's data are int64 when every
     product fits and Python ints in an object array otherwise.
+
+    `coboundary` is `coboundary_pattern(c, i)` when the caller already
+    holds it (a vertex link's, which its cohomology test reads too); it
+    is only read.
     """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
-    cols, signs = coboundary_pattern(c, i)
+    cols, signs = coboundary_pattern(c, i) if coboundary is None else coboundary
     m = len(cols)
-    signs = np.tile(signs, m)
-    rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=np.int64)
-    w_up = np.repeat(c.counts[i + 1], i + 2)
-    indptr, indices, x = csr.gram(n, rowptr, cols.ravel(), signs, signs * w_up)
+    # the pattern in gram's index width, so gram takes it without a copy
+    index = csr.gram_index_dtype(m, n, i + 2, m * (i + 2))
+    rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=index)
+    cols = cols.astype(index, copy=False).ravel()
+    # Y's values w_{i+1}(row) * sign, formed in place
+    y = np.repeat(c.counts[i + 1], i + 2)
+    y.reshape(m, i + 2)[...] *= signs
+    indptr, indices, x = csr.gram(n, rowptr, cols, np.tile(signs, m), y)
+    del cols, rowptr, y
     # in place, to keep the peak down: x becomes x / g and den w_r / g
     den = np.repeat(c.counts[i], np.diff(indptr))
     g = np.gcd(x, den)
     x //= g
     den //= g
-    # a set, not np.unique, which loads numpy.ma on first use
-    L = lcm(*set(den.tolist()))
+    del g
+    # the distinct denominators from a count over 1..max w_r, not a list
+    # of every entry, nor np.unique, which loads numpy.ma on first use
+    L = lcm(*np.flatnonzero(np.bincount(den)).tolist())
     if _fits_int64(x, den, L):
-        data = L // den
+        data = np.floor_divide(L, den, out=den)
         data *= x
     else:
         data = x.astype(object) * (L // den.astype(object))

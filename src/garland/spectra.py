@@ -356,7 +356,7 @@ def reduced_cohomology_ranks(cx: Complex) -> list[int]:
     return [cx.num_simplices(i) - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
 
 
-def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
+def reduced_cohomology_vanishes(cx: Complex, i: int, coboundary=None) -> bool:
     """Whether the reduced cohomology of degree i vanishes, decided exactly.
 
     dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
@@ -364,10 +364,12 @@ def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
     `exactla.rank_bounds` on the sparse coboundary, and only an
     uncertified one draws the next prime: the count over lower bounds is
     an upper bound, so 0 certifies vanishing, and with both ranks
-    certified it is the dimension.
+    certified it is the dimension.  `coboundary`, when given, is
+    `laplace.coboundary_pattern(cx, i)` already made.
     """
     size = cx.num_simplices(i)
-    streams = [exactla.rank_bounds(*_coboundary(cx, j)) for j in (i, i - 1)]
+    d_i = _coboundary(cx, i) if coboundary is None else (*coboundary, size)
+    streams = [exactla.rank_bounds(*d_i), exactla.rank_bounds(*_coboundary(cx, i - 1))]
     bounds = [next(s) for s in streams]
     while size != bounds[0][0] + bounds[1][0]:
         if bounds[0][1] and bounds[1][1]:
@@ -453,11 +455,12 @@ def report_from_minpoly(poly: RatPolynomial, den_bound: int, width, instance: di
 
 def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int = 0,
                             instance: dict | None = None,
-                            witness_columns=None) -> SpectralReport:
-    """Full certified pipeline for Delta on C^i of cx."""
+                            witness_columns=None, coboundary=None) -> SpectralReport:
+    """Full certified pipeline for Delta on C^i of cx; `coboundary` as in
+    `assemble_matrix`."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    op = assemble_matrix(cx, i)
+    op = assemble_matrix(cx, i, coboundary)
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

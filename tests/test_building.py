@@ -1,5 +1,7 @@
 """Flag complexes of finite vector spaces: counts, types, symmetry witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from garland.building import flag_complex, superspace_ids, witness_columns
 from garland.errors import DimensionOutOfRange
 from garland.gf import field_for_order
 from garland.harness import default_grid, extended_grid
+from garland.laplace import assemble_matrix
 from garland.rationals import QQ
 
 from cochains import (
@@ -180,3 +183,19 @@ def test_type_invariant_lift_is_constant_on_signatures(b22):
     for s, val in zip(b22.complex.simplices[1], g.values):
         key = tuple(sorted(types_of(b22)[v] for v in s))
         assert val == edge_values[key]
+
+
+def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
+    # numpy reports every array allocation to tracemalloc, so the peak is
+    # deterministic.  251,680 chambers are 3.8 MiB as one int32 array and
+    # again as the sorted columns; the walk, the vertex counts, the edge
+    # level and the Gram product may each add at most one temporary of
+    # about that size
+    tracemalloc.start()
+    try:
+        b = flag_complex(3, field_for_order(3))
+        assemble_matrix(b.complex, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 2**20

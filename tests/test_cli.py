@@ -398,3 +398,38 @@ def test_report_rejects_fewer_than_one_thread(capsys, monkeypatch, threads):
     code, out, err = run(capsys, ["report", "--grid", "default", "--threads", threads])
     assert (code, out) == (2, "")
     assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+_VERIFY_HWM = """
+import contextlib, io, sys
+import garland.cli
+
+def peak_kib():
+    # the process's own peak RSS: unlike ru_maxrss, which a child starts
+    # at the RSS of the process it was forked from, VmHWM belongs to the
+    # address space that exec made
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+
+before = peak_kib()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = garland.cli.main(["verify", "--json", *sys.argv[1:]])
+print(code, peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
+                    reason="builds the (4,2) and (2,7) buildings; only with GARLAND_EXTENDED=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+@pytest.mark.parametrize("ell, q, i, bound_mb", [(4, 2, 0, 40), (2, 7, 1, 70)])
+def test_verify_on_the_largest_extended_buildings_adds_little_peak_memory(ell, q, i, bound_mb):
+    # the chamber walk, the face levels and the Gram product each keep at
+    # most one temporary of chamber size alive.  In a fresh process, with
+    # garland imported first, so that the added peak RSS is the command's own
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_HWM, "--ell", str(ell), "--q", str(q),
+                           "--i", str(i)], capture_output=True, text=True, timeout=240,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    code, added_kib = proc.stdout.split()
+    assert code == "0"
+    assert int(added_kib) < bound_mb * 1024

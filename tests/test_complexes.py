@@ -1,6 +1,8 @@
 """Pure simplicial complexes: construction, weights, stars, vertex links, text form."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from cochains import (
     weight,
     weights,
 )
-from identities import reference_face_tables
+from identities import random_pure_complex, reference_face_tables
 
 TRIANGLE = [(0, 1, 2)]
 TWO_TRIANGLES = [(0, 1, 2), (1, 2, 3)]
@@ -413,3 +415,58 @@ def test_cycle_edges_on_each_side_of_the_int32_key_bound(nv):
     assert np.array_equal(c.counts[1], np.ones(nv, dtype=np.int64))
     assert np.array_equal(c.counts[0], np.full(nv, 2, dtype=np.int64))
     assert np.array_equal(c.locate(want[::-1]), np.arange(nv)[::-1])
+
+
+def _brute_levels(tops, nv):
+    """Per face size, (rows, keys, counts) from counting every face of
+    every top with itertools."""
+    levels, rank = [], {(): 0}
+    for k in range(1, len(tops[0]) + 1):
+        count = Counter(f for top in tops for f in combinations(sorted(top), k))
+        faces = sorted(count)
+        keys = [rank[f[:-1]] * nv + f[-1] for f in faces]
+        levels.append((faces, keys, [count[f] for f in faces]))
+        rank = {f: r for r, f in enumerate(faces)}
+    return levels
+
+
+def _check_levels(c, tops):
+    for d, (faces, keys, counts) in enumerate(_brute_levels(tops, c.num_simplices(0))):
+        assert c.rows[d].dtype == np.int32 and np.array_equal(c.rows[d], faces)
+        assert c.keys[d].dtype == np.int64 and np.array_equal(c.keys[d], keys)
+        assert c.counts[d].dtype == np.int64 and np.array_equal(c.counts[d], counts)
+
+
+def _shared_faces(tops) -> int:
+    """Faces of two or more vertices that occur under two different column
+    combinations of the sorted tops: the merge adds their counts."""
+    where = {}
+    for top in map(sorted, tops):
+        for k in range(2, len(top) + 1):
+            for cols in combinations(range(len(top)), k):
+                where.setdefault(tuple(top[j] for j in cols), set()).add(cols)
+    return sum(len(cols) > 1 for cols in where.values())
+
+
+def test_face_levels_match_a_brute_force_count():
+    rng = random.Random(2024)
+    shared = 0
+    for _ in range(60):
+        c = random_pure_complex(rng)
+        tops = np.stack(c._cols, axis=1).tolist()  # the sorted input the levels come from
+        _check_levels(c, tops)
+        shared += _shared_faces(tops)
+    assert shared > 50
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_face_levels_of_a_50000_vertex_path(size):
+    # V**2 = 2.5e9 > 2**31, so every level above the vertices keys its
+    # faces in int64; on the triangle strip each inner edge is column
+    # pair (1, 2) of one triangle and (0, 1) of the next, weight 2
+    nv = 50_000
+    tops = [[j + t for t in range(size)] for j in range(nv - size + 1)]
+    assert nv * nv > 2**31
+    c = from_maximal_simplices(np.array(tops)[np.random.default_rng(size).permutation(len(tops))])
+    _check_levels(c, tops)
+    assert c.counts[1][c.locate(np.array([[1, 2]]))[0]] == size - 1

@@ -128,6 +128,28 @@ def test_gram_is_the_weighted_coboundary_square(i):
     assert (dense(n, indptr, indices, data) == want).all()
 
 
+def test_gram_index_width_follows_its_bound(monkeypatch):
+    # X^T Y has at most max_r nnz_r * nnz(X) entries; int32 below 2**31 - 1
+    top = 2**31 - 1
+    assert csr.gram_index_dtype(top - 1, top - 1, 1, top - 1) == np.int32
+    for m, n, row_nnz, nnz in [(top, 1, 1, 1), (1, top, 1, 1), (1, 1, 2, top // 2 + 1)]:
+        assert csr.gram_index_dtype(m, n, row_nnz, nnz) == np.int64
+    # either width, and int32 or int64 input, gives one int64 result
+    cols, signs = coboundary_pattern(OCTAHEDRON, 1)
+    m, n = len(cols), OCTAHEDRON.num_simplices(1)
+    tiled = np.tile(signs, m)
+    weighted = tiled * np.repeat(OCTAHEDRON.counts[2], 3)
+    results = []
+    for width in (np.int32, np.int64):
+        monkeypatch.setattr(csr, "gram_index_dtype", lambda *bound: width)
+        for given in (np.int32, np.int64):
+            rowptr = np.arange(0, 3 * m + 1, 3, dtype=given)
+            got = csr.gram(n, rowptr, cols.ravel().astype(given), tiled, weighted)
+            assert [a.dtype for a in got] == [np.int64] * 3
+            results.append([a.tolist() for a in got])
+    assert all(r == results[0] for r in results)
+
+
 VALID = ([0, 2, 3, 4], [0, 2, 1, 2], [1, 2, 3, 4])
 MALFORMED = {
     "index equal to n": ([0, 2, 3, 4], [0, 3, 1, 2], [1, 2, 3, 4]),

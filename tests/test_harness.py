@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from garland import complexes, exactla, harness, reference
+from garland import complexes, exactla, harness, laplace, reference, spectra
 from garland.complexes import from_maximal_simplices
 from garland.errors import (
     BudgetExceeded,
@@ -654,6 +654,24 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     p = exactla.PRIME_CEILING  # 2**31 - 1 is prime: the first rank prime
     # d_0 of each link as 2-entry rows, the augmentation as 1-entry rows
     assert calls == [((2, 2), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
+
+
+def test_each_link_coboundary_is_gathered_once(monkeypatch):
+    # the building's d_1 for its Laplacian, and each of the 3 link
+    # orbits' d_0 once, for both the link's Laplacian and its cohomology
+    calls = []
+    real = laplace.coboundary_pattern
+
+    def spy(c, i):
+        calls.append((c.num_simplices(0), i))
+        return real(c, i)
+
+    for module in (laplace, spectra, harness):
+        monkeypatch.setattr(module, "coboundary_pattern", spy)
+    run_instance(Instance.building(2, 2), 1)
+    assert len(calls) == 4
+    assert calls[0] == (harness.get_building(2, 2).complex.num_simplices(0), 1)
+    assert [i for _, i in calls[1:]] == [0, 0, 0]
 
 
 # -- report plumbing ---------------------------------------------------------------

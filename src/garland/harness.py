@@ -34,7 +34,6 @@ byte for byte.  Its timings are its own: the seconds the load took, as
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -239,6 +238,9 @@ class Instance:
     @property
     def stem(self) -> str:
         if self._stem is None:
+            # only a complex is hashed, so a building run never loads hashlib
+            import hashlib
+
             self._stem = "x" + hashlib.sha256(self.cx.to_text().encode()).hexdigest()
         return self._stem
 

@@ -8,19 +8,26 @@ The minimal polynomial is guessed fast and then proved:
      minimal polynomial of B is monic with integer coefficients and
      pulls back to A through x -> L*x, and L caps the denominator of
      every rational eigenvalue of A (the report's den_bound).
-  2. For each word-size prime p, draw one seed vector v uniformly from
-     F_p^n and run the Krylov sequence v, Bv, B^2 v, ... mod p to the
-     annihilator of v.  It divides the minimal polynomial of B mod p,
-     which divides min_B mod p, so its degree is a LOWER bound on
-     deg min_B.  For a uniform v it IS the minimal polynomial of B mod p
-     with probability at least 1 - d/p, d = deg min_B (Wiedemann, IEEE
-     Trans. Inf. Theory 32, 1986); d/p stays below 2e-7 on the grids.
+  2. For each word-size prime p, draw one seed vector v from F_p^n (the
+     stream below, each entry within 2**-64 of uniform) and run the
+     Krylov sequence v, Bv, B^2 v, ... mod p to the annihilator of v.
+     It divides the minimal polynomial of B mod p, which divides min_B
+     mod p, so its degree is a LOWER bound on deg min_B.  For a uniform
+     v it IS the minimal polynomial of B mod p with probability at least
+     1 - d/p, d = deg min_B (Wiedemann, IEEE Trans. Inf. Theory 32,
+     1986), and the stream's bias adds at most d * 2**-64; d/p stays
+     below 2e-7 on the grids.
      That minimal polynomial equals min_B mod p for all but finitely
      many p.
-  3. Reconstruct the integer coefficients by balanced CRT across primes
-     whose annihilator degree is maximal (a prime of smaller degree drew
-     an unlucky seed or reduced badly and is dropped); stop once one
-     more prime leaves the reconstruction unchanged.
+  3. Reconstruct the integer coefficients by balanced CRT across the
+     primes whose annihilator degree e is maximal (a prime of smaller
+     degree drew an unlucky seed or reduced badly and is dropped).  Every
+     root of min_B has absolute value at most ||B||_inf, so each
+     coefficient of min_B is at most (||B||_inf + 1)^d in absolute value,
+     and the reconstruction is tried as soon as the product of those
+     primes exceeds 2(||B||_inf + 1)^e.  A prime's annihilator of degree
+     d is min_B mod p, so once e = d the first reconstruction tried is
+     min_B itself; while e < d the candidate fails step 4.
   4. CERTIFY the integer candidate q: q(B) e_j = 0 on the certification
      columns, which is p(A) e_j = 0 for p(x) = L^-d q(L x).
      A certified annihilator whose degree matches the Krylov lower bound
@@ -69,23 +76,27 @@ basis index per orbit.  p(A) commutes with the group action, so
 annihilating the witnesses annihilates every basis vector; the caller
 owns that transitivity claim.
 
-Seed vectors are a documented fixed pseudo-random stream: the seed
-vector of prime p is drawn whole, as n integers in [0, p), by
-numpy.random.default_rng([seed mod 2**64, p]).integers(0, p, n), and
-drawn again from the same generator while it is all zero.  The
-certified result is the unique minimal polynomial, so --seed never
-changes reported values.
+Seed vectors are a documented fixed pseudo-random stream: SplitMix64
+(Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014) in counter form, on numpy uint64 arrays with
+all arithmetic mod 2**64.  With mix its output function and gamma =
+0x9E3779B97F4A7C15 its increment, draw r = 0, 1, ... for prime p has
+the key k = mix(mix(mix(seed mod 2**64) ^ p) ^ r), and its entry i is
+mix(k + (i + 1) * gamma) mod p, the (i + 1)-th output of SplitMix64
+started at state k.  The seed vector is the first draw that is not all
+zero.  A 64-bit value mod p takes each residue with probability within
+2**-64 of 1/p.  The certified result is the unique minimal polynomial,
+so --seed never changes reported values.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from math import isqrt, prod
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import csr, exactla
 from .complexes import Complex
@@ -112,13 +123,28 @@ _MAX_PRIMES = 160
 _KRYLOV_CEILING = (1 << 30) - 1
 
 
+# SplitMix64's increment and the multipliers of its output function
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, mod 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
 def _seed_values(n: int, p: int, seed: int) -> np.ndarray:
-    """The seed vector of prime p: uniform in F_p^n and nonzero."""
-    rng = default_rng([seed % 2**64, p])
-    while True:
-        v = rng.integers(0, p, size=n)
+    """The seed vector of prime p: the stream of the module docstring,
+    n values in [0, p), redrawn while all zero."""
+    counters = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+    key = _mix64(_mix64(np.array([seed % 2**64], dtype=np.uint64)) ^ np.uint64(p))
+    for r in count():
+        v = _mix64(_mix64(key ^ np.uint64(r)) + counters) % np.uint64(p)
         if v.any():
-            return v
+            return v.astype(np.int64)
 
 
 def _reduce(data: np.ndarray, p: int) -> np.ndarray:
@@ -287,32 +313,33 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     indptr, indices = csr.check((n, n), op.indptr, op.indices, op.data)
     data, L = op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
-    cap, reduce = _prime_cap(data, max_nnz, _inf_norm(indptr, data, max_nnz))
+    binf = _inf_norm(indptr, data, max_nnz)
+    cap, reduce = _prime_cap(data, max_nnz, binf)
 
     best: dict[int, list[int]] = {}
     best_deg = -1
-    prev = failed = None
+    failed: set[tuple[int, ...]] = set()
     for p in islice(descending_primes(min(cap, _KRYLOV_CEILING)), _MAX_PRIMES):
         bp = (indptr, indices, _reduce(data, p) if reduce else data)
         ann = _krylov_annihilator_mod_p(n, bp, p, _seed_values(n, p, seed))
         deg = len(ann) - 1
         if deg > best_deg:
-            best, best_deg, prev = {}, deg, None
+            best, best_deg = {}, deg
         if deg < best_deg:
             continue
         best[p] = ann
-        if len(best) < 2:
+        # balanced CRT is exact past twice the coefficient bound of step 3
+        if prod(best) <= 2 * (binf + 1) ** deg:
             continue
         primes = sorted(best)
         coeffs = _balanced_crt([best[q] for q in primes], primes)
-        if coeffs == prev and coeffs != failed:
-            # an annihilator's degree mod p never exceeds deg min_B, so a
-            # certified annihilator of that degree is min_B itself
-            if certify_annihilates(n, indptr, indices, data, coeffs,
-                                   columns=witness_columns):
-                return RatPolynomial(tuple(QQ(c) for c in coeffs)).scale_roots(QQ(1, L))
-            failed = coeffs
-        prev = coeffs
+        if tuple(coeffs) in failed:
+            continue
+        # an annihilator's degree mod p never exceeds deg min_B, so a
+        # certified annihilator of that degree is min_B itself
+        if certify_annihilates(n, indptr, indices, data, coeffs, columns=witness_columns):
+            return RatPolynomial(tuple(QQ(c) for c in coeffs)).scale_roots(QQ(1, L))
+        failed.add(tuple(coeffs))
     raise CertificationFailed(
         f"no reconstruction was certified within {_MAX_PRIMES} primes"
     )

@@ -21,6 +21,8 @@ from garland.errors import (
 from garland.laplace import assemble_matrix
 from garland.polyq import RatPolynomial
 
+from peak_memory import HAS_VMHWM, PEAK_KIB
+
 
 @pytest.fixture()
 def cache_args(shared_cache):
@@ -400,16 +402,9 @@ def test_report_rejects_fewer_than_one_thread(capsys, monkeypatch, threads):
     assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
-_VERIFY_HWM = """
+_VERIFY_HWM = PEAK_KIB + """
 import contextlib, io, sys
 import garland.cli
-
-def peak_kib():
-    # the process's own peak RSS: unlike ru_maxrss, which a child starts
-    # at the RSS of the process it was forked from, VmHWM belongs to the
-    # address space that exec made
-    with open("/proc/self/status") as status:
-        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
 
 before = peak_kib()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -420,7 +415,7 @@ print(code, peak_kib() - before)
 
 @pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
                     reason="builds the (4,2) and (2,7) buildings; only with GARLAND_EXTENDED=1")
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+@pytest.mark.skipif(not HAS_VMHWM, reason="reads VmHWM (Linux)")
 @pytest.mark.parametrize("ell, q, i, bound_mb", [(4, 2, 0, 40), (2, 7, 1, 70)])
 def test_verify_on_the_largest_extended_buildings_adds_little_peak_memory(ell, q, i, bound_mb):
     # the chamber walk, the face levels and the Gram product each keep at
@@ -433,3 +428,4 @@ def test_verify_on_the_largest_extended_buildings_adds_little_peak_memory(ell, q
     code, added_kib = proc.stdout.split()
     assert code == "0"
     assert int(added_kib) < bound_mb * 1024
+

@@ -188,12 +188,19 @@ def test_a_wrong_row_count_is_malformed():
 
 def test_start_up_loads_no_scipy_sparse_and_calls_load_no_numpy_module():
     # scipy.sparse's package init was about 0.2 s of every start-up; and
-    # a module the call loads lazily (numpy.random, numpy.ma) moves that
-    # cost from start-up into the computation.  Every module is diffed:
+    # a module the call loads lazily (numpy.ma, say) moves that cost from
+    # start-up into the computation.  Every module is diffed:
     # the one known load inside the calls is `locale`, which gettext
-    # imports when argparse first translates a message
+    # imports when argparse first translates a message.  Nor does start-up
+    # load numpy.random (nine extension modules, and OpenSSL through
+    # `secrets`: the Krylov seeds are SplitMix64 in plain numpy) or
+    # hashlib (only a complex is hashed, for its label).  numpy 1.x
+    # imports both in `import numpy` itself, so only garland's own
+    # additions to that are counted
     script = """if True:
         import contextlib, io, json, sys
+        import numpy
+        with_numpy = set(sys.modules)
         import garland.cli
         before = set(sys.modules)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -203,6 +210,9 @@ def test_start_up_loads_no_scipy_sparse_and_calls_load_no_numpy_module():
             "scipy": sorted(m for m in before if m.startswith("scipy")),
             "new": sorted(set(sys.modules) - before),
             "known": sorted({"_locale", "locale"} - before),
+            "random_or_hash": sorted(m for m in before - with_numpy
+                                     if m.startswith("numpy.random")
+                                     or m in ("hashlib", "_hashlib")),
         }))
     """
     src = Path(__file__).resolve().parents[1] / "src"
@@ -212,3 +222,4 @@ def test_start_up_loads_no_scipy_sparse_and_calls_load_no_numpy_module():
     got = json.loads(proc.stdout)
     assert got["scipy"] == ["scipy.sparse._sparsetools"]
     assert got["new"] == got["known"]
+    assert got["random_or_hash"] == []

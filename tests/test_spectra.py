@@ -43,6 +43,7 @@ from garland.spectra import (
 
 from dense import dense_from_entries, pattern_rows, reference_rank
 from identities import laplacian_csr_by_apply, random_pure_complex, star_union
+from peak_memory import HAS_VMHWM, PEAK_KIB
 from rational_isolation import poly_div
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
@@ -209,7 +210,10 @@ def _record_certifications(monkeypatch, verdict=None):
 
 def test_unlucky_seeds_are_outvoted(b12, monkeypatch):
     # the all-ones vector lies in ker Delta_0, so its annihilator is x
-    # alone; the primes after the first two draw seeds of full degree
+    # alone; the primes after the first two draw seeds of full degree.
+    # One prime passes the coefficient bound of degree 1, so x is
+    # certified at once and fails, the second prime rebuilds x and is
+    # not certified again, and the first prime of degree 4 certifies
     op = assemble_matrix(b12.complex, 0)
     unlucky = _first_primes(op, 2)
     draw = spectra._seed_values
@@ -221,7 +225,39 @@ def test_unlucky_seeds_are_outvoted(b12, monkeypatch):
     got = minimal_polynomial(op)
     assert got == sympy_minpoly(op) == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
     assert [seen[p] for p in unlucky] == [[0, 1], [0, 1]]
-    assert [len(c) - 1 for c in certified] == [4]
+    assert list(seen) == _first_primes(op, 3)
+    assert certified[0] == [0, 1]
+    assert [len(c) - 1 for c in certified] == [1, 4]
+
+
+@pytest.mark.parametrize("case", ["b12-0", "b22-0", "star-union-47"])
+def test_reconstruction_waits_for_the_coefficient_bound(case, b12, b22, monkeypatch):
+    # every root of min_B lies in [-||B||_inf, ||B||_inf], so balanced CRT
+    # is exact once the primes' product passes 2(||B||_inf + 1)^d: no
+    # certification is tried before, and one is tried at the first prime
+    # past it.  (1,2) needs one prime, (2,2) two, and the star union's
+    # object data (L >= 2^63, ||B||_inf of 70 bits) several
+    cx = {"b12-0": b12.complex, "b22-0": b22.complex, "star-union-47": star_union(47)[0]}[case]
+    op = assemble_matrix(cx, 0)
+    seen = _record_annihilators(monkeypatch)
+    certify = spectra.certify_annihilates
+    tried = []
+
+    def recording(*args, **kwargs):
+        tried.append(list(seen))
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "certify_annihilates", recording)
+    got = minimal_polynomial(op)
+    primes = list(seen)
+    assert {len(a) - 1 for a in seen.values()} == {got.degree}
+    assert tried == [primes]
+    bound = 2 * (python_inf_norm(op.indptr, op.data.tolist()) + 1) ** got.degree
+    assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+    assert len(primes) == {"b12-0": 1, "b22-0": 2, "star-union-47": 8}[case]
+    if case == "star-union-47":
+        assert op.data.dtype == object and op.L >= 2**63
+        assert got == P(0, 2, -3, 1)
 
 
 def test_a_failed_candidate_is_certified_once(b12, monkeypatch):
@@ -402,20 +438,55 @@ def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
         compute_spectral_report(b12.complex, 0)
 
 
+_M64 = 2**64
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    """SplitMix64's output function, in Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _M64
+    return z ^ (z >> 31)
+
+
+def _splitmix64(state):
+    """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) started at `state`."""
+    while True:
+        state = (state + _GAMMA) % _M64
+        yield _mix64(state)
+
+
+def _python_seed_values(n, p, seed):
+    """The documented seed vector and the index of its draw."""
+    for r in itertools.count():
+        key = _mix64(_mix64(_mix64(seed % _M64) ^ p) ^ r)
+        v = [x % p for x in itertools.islice(_splitmix64(key), n)]
+        if any(v):
+            return v, r
+
+
 def test_seed_vectors_are_a_fixed_stream():
-    for seed, p in ((-7, 3), (0, 1_000_003), (2**70, (1 << 30) - 35)):
+    # the generator is SplitMix64 itself: its published first outputs
+    # from state 0
+    assert list(itertools.islice(_splitmix64(0), 3)) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed, p in ((-7, 3), (0, 1_000_003), (2**70, (1 << 30) - 35), (2**64 - 1, 2)):
         a = spectra._seed_values(50, p, seed)
+        assert a.dtype == np.int64
         assert np.array_equal(a, spectra._seed_values(50, p, seed))
-        # the documented draw, keyed by the seed and the prime
-        assert np.array_equal(
-            a, np.random.default_rng([seed % 2**64, p]).integers(0, p, 50))
+        # the documented draw, keyed by the seed mod 2^64, the prime and
+        # the redraw index
+        assert a.tolist() == _python_seed_values(50, p, seed)[0]
         assert a.any() and a.min() >= 0 and a.max() < p
     assert not np.array_equal(spectra._seed_values(50, 1_000_003, 0),
                               spectra._seed_values(50, 1_000_033, 0))
     assert not np.array_equal(spectra._seed_values(50, 1_000_003, 0),
                               spectra._seed_values(50, 1_000_003, 1))
-    # a one-entry vector over F_2 is redrawn until it is nonzero
-    assert all(spectra._seed_values(1, 2, k)[0] == 1 for k in range(30))
+    # a one-entry vector over F_2 is redrawn until it is nonzero, with the
+    # next redraw index in the key
+    draws = [_python_seed_values(1, 2, k) for k in range(30)]
+    assert all(spectra._seed_values(1, 2, k).tolist() == v == [1] for k, (v, _) in enumerate(draws))
+    assert max(r for _, r in draws) >= 2
 
 
 def test_zero_dimensional_operator():
@@ -644,23 +715,23 @@ def test_sparse_cohomology_matches_bareiss_on_random_complexes():
     assert pairs == 467
 
 
-_CONNECTIVITY_27 = """
-import resource
+_CONNECTIVITY_27 = PEAK_KIB + """
 from garland.harness import get_building
 from garland.spectra import reduced_cohomology_vanishes
 cx = get_building(2, 7).complex
 cx.num_simplices(1)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(reduced_cohomology_vanishes(cx, 0), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+before = peak_kib()
+print(reduced_cohomology_vanishes(cx, 0), peak_kib() - before)
 """
 
 
 @pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
                     reason="builds the (2,7) building; runs only with GARLAND_EXTENDED=1")
+@pytest.mark.skipif(not HAS_VMHWM, reason="reads VmHWM (Linux)")
 def test_connectivity_of_the_27_building_is_decided_in_little_memory():
     # the building is the apex link of a cone over it: H~^0 of its 3,650
     # vertices and 68,400 edges, whose dense d_0 took 6.3 GB; in a fresh
-    # process, so that ru_maxrss (KiB on Linux) is this call's peak alone
+    # process, so that VmHWM (KiB) is this call's peak alone
     src = Path(spectra.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _CONNECTIVITY_27], capture_output=True,
                           text=True, timeout=240, check=True,

@@ -336,8 +336,7 @@ def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> Verificati
     largest = max(report.integer_eigenvalues)  # the table runs over 0..n+1
     is_root = report.integer_eigenvalues[largest]
     top = QQ(largest)
-    p = report.minpoly
-    bound = root_magnitude_bound(p)
+    bound = root_magnitude_bound(report.isolation.chain[0])  # chain[0] is min_A's multiple
     hi = bound if bound > top else top + 1
     above = report.isolation.count_in_halfopen(top, hi)
     ok = is_root and above == 0
@@ -519,13 +518,16 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
     (`store_report` writes it), so a file copied or renamed from another
     instance, degree, width or version, or one without a key, is a miss,
     and so is one whose `minpoly` is not a string, whose `roots` is not a
-    list or whose `den_bound` is not a positive integer.  The report is
-    built by `report_from_minpoly`, as a fresh one is: a polynomial that
-    fails its checks is a miss, and the re-isolated roots must equal the
-    stored ones.  Nothing else is read from the file: `dim` is
-    `inst.num_simplices(degree)`, the integer-eigenvalue table is formed
-    for a complex of dimension `inst.n`, `instance` and `degree` are the
-    caller's, and the timings are this load's own, {"load_s": seconds}.
+    list or whose `den_bound` L is not a positive integer.  `minpoly` is
+    min_A, and its coefficients c_k times L^(d-k) must form a monic
+    integer polynomial, min_B = q, or the entry is a miss.  The report is
+    built from q and L by `report_from_minpoly`, as a fresh one is: a
+    polynomial that fails its checks is a miss, and the re-isolated roots
+    must equal the stored ones.  Nothing else is read from the file:
+    `dim` is `inst.num_simplices(degree)`, the integer-eigenvalue table is
+    formed for a complex of dimension `inst.n`, `instance` and `degree`
+    are the caller's, and the timings are this load's own,
+    {"load_s": seconds}.
     """
     t0 = time.perf_counter()
     path = cache_dir / f"{key}.json"
@@ -539,10 +541,15 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
                 and isinstance(data.get("roots"), list)
                 and type(data.get("den_bound")) is int and data["den_bound"] > 0):
             return None
-        # a wrong den_bound only changes rationality labels, which the
-        # roots comparison below then rejects
-        report = report_from_minpoly(RatPolynomial.parse(data["minpoly"]), data["den_bound"],
-                                     width, instance, degree, dim, inst.n)
+        L = data["den_bound"]
+        coeffs = RatPolynomial.parse(data["minpoly"]).coeffs
+        q = [c * L ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs)]
+        if not q or q[-1] != 1 or any(c.denominator != 1 for c in q):
+            return None
+        # any L that makes q integral passes here; a wrong one is caught
+        # below only where it moves the stop width min(width, 1/L)
+        report = report_from_minpoly(tuple(int(c) for c in q), L, width, instance, degree,
+                                     dim, inst.n)
     except (ValueError, ZeroDivisionError, GarlandError):
         return None
     if [r.to_json_dict() for r in report.isolation.roots] != data["roots"]:

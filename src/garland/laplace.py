@@ -86,7 +86,7 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
 def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
     """Whether every product num * (L // den) fits int64 (den > 0)."""
     top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
-    return L < 2**63 and top * (L // int(den.min(initial=1))) < 2**63
+    return L < 2**63 and top * (L // int(den.min(initial=L))) < 2**63
 
 
 def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle:

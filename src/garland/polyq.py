@@ -4,12 +4,12 @@ Coefficient vectors are stored low-to-high, which is also the serialized
 form: "c0/d0 c1/d1 ..." with every coefficient written as an explicit
 fraction.  The zero polynomial serializes as "0/1" and reports degree -1.
 
-`RatPolynomial` carries a result, it is not a ring: it ships only what
-the package runs.  Evaluation at a rational (the harness asks which
-integers are eigenvalues), the product (`poly_product` multiplies out
-the recorded reference factors), `scale_roots` (the pullback of min_B
-to A = B / L), and the text form that reports and cache entries use.
-Sum, difference, scaling, division and `monic` have no caller here; the
+`RatPolynomial` carries a result, it is not a ring.  It holds min_A for
+the text form that reports and cache entries use, built by `from_scaled`
+from the certified integer min_B = q and the scale L of A = B / L, and
+the recorded reference factors, which `poly_product` multiplies out.
+Evaluation at a rational is the one other operation it ships; sum,
+difference, scaling, division and `monic` have no caller here, and the
 tests' rational oracle defines the division it needs.
 
 Root isolation is Sturm-chain bisection with exact rational endpoints,
@@ -46,16 +46,17 @@ q_j n^j 2^(k (d-j)) is a Horner loop of multiplications by n and shifts.
 A `Fraction` is built only for what is handed back, the endpoints
 a n / (b 2^k), which are the rationals that halving (-a/b, a/b] gives.
 
-Rational roots.  On top of the usual interval narrowing there is a
-certified rational-root pass that needs no integer factorization: any
-rational root of a monic p has denominator dividing D = lcm of p's
-coefficient denominators, and two distinct rationals with denominators
-<= D differ by at least 1/D^2.  Once an isolating interval is narrower
-than 1/D^2 it contains at most one such rational, and that rational (if
-present) is the interval's unique minimal-denominator element, i.e. its
-Stern-Brocot "simplest" rational.  Testing p at that single point
-therefore decides rationality exactly: p(s) = 0 certifies the root,
-p(s) != 0 certifies irrationality.
+Rational roots.  Isolation takes min_B = q, monic with integer
+coefficients, and the scale L >= 1, and isolates the roots of
+p(x) = L^-d q(L x), whose chain starts at P = primitive(c_k L^k), the
+coprime positive integer multiple of p.  A monic integer polynomial has
+only integer rational roots, so every rational root of p lies in the
+lattice (1/L)Z, and no factorization is needed to find them.  Intervals
+are narrowed to at most min(width, 1/L), and a half-open (lo, hi] that
+narrow holds at most one lattice point, floor(L hi) / L when that
+exceeds lo.  One integer sign of the current (deflated) member there
+decides rationality exactly: zero certifies the root, and a nonzero
+sign or no lattice point certifies irrationality.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class RatPolynomial:
             acc = acc * x + c
         return acc
 
-    # -- product and root scaling -------------------------------------------
+    # -- product and the pullback from B to A -------------------------------
 
     def __mul__(self, other: "RatPolynomial") -> "RatPolynomial":
         if self.is_zero or other.is_zero:
@@ -110,11 +111,11 @@ class RatPolynomial:
                 out[i + j] = out[i + j] + a * b
         return RatPolynomial(tuple(out))
 
-    def scale_roots(self, c) -> "RatPolynomial":
-        """Monic polynomial whose roots are c times this one's (self monic, c != 0)."""
-        c = QQ(c)
-        d = self.degree
-        return RatPolynomial(tuple(a * c ** (d - i) for i, a in enumerate(self.coeffs)))
+    @classmethod
+    def from_scaled(cls, q, L: int) -> "RatPolynomial":
+        """L^-d q(L x) for integer q of degree d (low to high): q's roots over L."""
+        d = len(q) - 1
+        return cls(tuple(QQ(c, L ** (d - k)) for k, c in enumerate(q)))
 
     # -- serialization --------------------------------------------------------
 
@@ -138,9 +139,10 @@ def poly_product(factors) -> RatPolynomial:
     return out
 
 
-def is_squarefree(p: RatPolynomial) -> bool:
-    """gcd(p, p') is constant: p's Sturm chain ends in a constant."""
-    return len(sturm_chain(p)[-1]) == 1
+def is_squarefree(c) -> bool:
+    """gcd(c, c') is constant for integer coefficients c (low to high):
+    c's Sturm chain ends in a constant."""
+    return len(sturm_chain(c)[-1]) == 1
 
 
 # -- integer Sturm machinery ----------------------------------------------------
@@ -153,12 +155,6 @@ def _primitive(cs) -> tuple[int, ...]:
         cs.pop()
     g = gcd(*cs)
     return tuple(c // g for c in cs) if g > 1 else tuple(cs)
-
-
-def _integer_coeffs(p: RatPolynomial) -> tuple[int, ...]:
-    """The coprime integer coefficients of the positive multiple of p."""
-    den = lcm(*(int(c.denominator) for c in p.coeffs))
-    return _primitive(int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs)
 
 
 def _next_member(a: tuple, b: tuple) -> tuple[int, ...]:
@@ -181,23 +177,19 @@ def _next_member(a: tuple, b: tuple) -> tuple[int, ...]:
     return _primitive(-x for x in r[:db])
 
 
-def _chain(c: tuple) -> list[tuple[int, ...]]:
-    chain = [c]
-    nxt = _primitive(j * x for j, x in enumerate(c) if j)
+def sturm_chain(c) -> list[tuple[int, ...]]:
+    """Sturm chain of integer coefficients c as coprime integer tuples, low to high.
+
+    Member k is the positive multiple of the k-th rational member p, p',
+    -rem(p, p'), ... of p = c (module docstring); the last is gcd(p, p')
+    up to a positive factor.
+    """
+    chain = [_primitive(c)]
+    nxt = _primitive(j * x for j, x in enumerate(chain[0]) if j)
     while nxt:
         chain.append(nxt)
         nxt = _next_member(chain[-2], nxt)
     return chain
-
-
-def sturm_chain(p: RatPolynomial) -> list[tuple[int, ...]]:
-    """Sturm chain of p as coprime integer coefficient tuples, low to high.
-
-    Member k is the positive multiple of the k-th rational member p, p',
-    -rem(p, p'), ... (module docstring); the last is gcd(p, p') up to a
-    positive factor.
-    """
-    return _chain(_integer_coeffs(p))
 
 
 def _scaled(c: tuple, a: int, b: int) -> list[int]:
@@ -260,11 +252,12 @@ def _cauchy_bound(c: tuple) -> tuple[int, int]:
     return a // g, lead // g
 
 
-def root_magnitude_bound(p: RatPolynomial) -> QQ:
-    """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    if p.degree <= 0:
+def root_magnitude_bound(c) -> QQ:
+    """Cauchy bound of integer coefficients c (low to high, no high zeros):
+    every real root lies strictly inside (-B, B)."""
+    if len(c) <= 1:
         return QQ1
-    return QQ(*_cauchy_bound(_integer_coeffs(p)))
+    return QQ(*_cauchy_bound(c))
 
 
 class _Frame:
@@ -313,25 +306,6 @@ def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int]:
             n = mid
         if done(n, k):
             return n, k
-
-
-def simplest_between(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The unique minimal-denominator rational strictly inside (a, b), by
-    Stern-Brocot descent on pairs (num, den), den > 0; (u, v) in lowest terms."""
-    (an, ad), (bn, bd) = a, b
-    ia = an // ad
-    if ia * ad == an:
-        # left endpoint is an integer; candidates are a + 1/m, and b - a = gap / bd
-        gap = bn - ia * bd
-        if gap > bd:
-            return ia + 1, 1
-        m = bd // gap + 1
-        return ia * m + 1, m
-    if (ia + 1) * bd < bn:
-        return ia + 1, 1
-    # 0 < a - ia < b - ia <= 1: ia + 1/s with s simplest in (1/(b - ia), 1/(a - ia))
-    u, v = simplest_between((bd, bn - ia * bd), (ad, an - ia * ad))
-    return ia * u + v, u
 
 
 @dataclass(frozen=True)
@@ -430,50 +404,39 @@ def _halvings(span_num: int, span_den: int, tn: int, td: int) -> int:
     return k
 
 
-def isolate_real_roots(p: RatPolynomial, width=DEFAULT_WIDTH,
-                       den_bound: int | None = None) -> RootIsolation:
-    """Isolate every real root of squarefree p into disjoint intervals.
+def isolate_real_roots(q, L: int = 1, width=DEFAULT_WIDTH) -> RootIsolation:
+    """Isolate every real root of p(x) = L^-d q(L x) into disjoint intervals.
 
-    Intervals come out no wider than `width`, which must be a positive
-    rational (InvalidWidth otherwise), and every rational root is
-    detected exactly (see module docstring for the certificate).  Raises
-    NotSquarefree unless p is nonzero and squarefree; that test reads the
-    chain the isolation needs anyway.  The returned `RootIsolation`
-    carries the integer Sturm chain of p.
-
-    `den_bound` caps the denominator of any rational root of p.  The
-    default, the lcm D of the coefficient denominators of monic p, is
-    always valid but can be enormous; a caller who knows p is the minimal
-    polynomial of B/L for an integer matrix B may pass L, since monic
-    integer polynomials have only integer rational roots.
+    `q` holds the integer coefficients of a monic polynomial, low to high
+    (ValueError otherwise), and L >= 1 is the scale: for min_B and
+    A = B / L, p is min_A.  Intervals come out no wider than `width`,
+    which must be a positive rational (InvalidWidth otherwise), and every
+    rational root is detected exactly (see module docstring for the
+    certificate).  Raises NotSquarefree unless q is nonzero and
+    squarefree; that test reads the chain the isolation needs anyway.
+    The returned `RootIsolation` carries the integer Sturm chain of p.
     """
+    if q and q[-1] != 1:
+        raise ValueError(f"root isolation requires a monic integer polynomial, got {q!r}")
     width = parse_width(width)
-    wn, wd = int(width.numerator), int(width.denominator)
-    c = _integer_coeffs(p)
-    if c and c[-1] < 0:
-        c = tuple(-x for x in c)
-    chain = _chain(c)
+    # stop at min(width, 1 / L) as tn / td: (1/L)Z holds every rational root
+    tn, td = (width.numerator, width.denominator) if width * L <= 1 else (1, L)
+    chain = sturm_chain(x * L**k for k, x in enumerate(q))
+    c = chain[0]
     if len(chain[-1]) != 1:
-        raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {p!r}")
+        raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {q!r}")
 
     exact: list[tuple[int, int]] = []  # reduced (u, v) of each root u / v
     current = chain
 
     # Rational roots surface through deflate-and-restart: every bisection
     # point is zero-tested before it becomes an endpoint, and once an
-    # interval is narrow enough the simplest-rational certificate settles
+    # interval is narrow enough its one lattice point settles
     # rationality, so no up-front root scan is needed.
     while True:
         frame, done = None, []
         if len(c) <= 1:
             break
-        lead = c[-1]
-        if den_bound is None:
-            dbound = lcm(*(lead // gcd(x, lead) for x in c))
-        else:
-            dbound = int(den_bound)
-        # target width min(width, 1 / (2 D^2)) as tn / td
-        tn, td = (wn, wd) if wn * 2 * dbound * dbound <= wd else (1, 2 * dbound * dbound)
         a, b = _cauchy_bound(c)
         frame = _Frame(current, a, b)
         # the interval (n, n + 2] / 2**k in y = x b / a is 2 a / (b 2^k) wide in x
@@ -517,17 +480,19 @@ def isolate_real_roots(p: RatPolynomial, width=DEFAULT_WIDTH,
         g = gcd(u, v)
         exact.append((u // g, v // g))
         c = _deflate(c, u // g, v // g)
-        current = _chain(c)
+        current = sturm_chain(c)
 
     intervals = []
     for n, k in done:
-        # at most 1 / (2 D^2) wide, the interval holds a rational root only
-        # as its simplest rational (module docstring); its right end is
-        # the strict bound or a midpoint tested above, never a root
+        # at most 1 / L wide, (lo, hi] holds at most the lattice point
+        # u / L with u = floor(L hi), a root exactly when c vanishes there
+        # (module docstring); hi is the strict bound or a midpoint tested
+        # above, never a root
         w = frame.b << k
-        u, v = simplest_between((frame.a * n, w), (frame.a * (n + 2), w))
-        if _sign_at(c, u, v) == 0:
-            exact.append((u, v))
+        u = L * frame.a * (n + 2) // w
+        if u * w > L * frame.a * n and _sign_at(c, u, L) == 0:
+            g = gcd(u, L)
+            exact.append((u // g, L // g))
         else:
             intervals.append((n, k))
 

@@ -5,9 +5,13 @@ The minimal polynomial is guessed fast and then proved:
   1. Assembly (laplace.assemble_matrix) hands over the operator as the
      integer CSR matrix B = L*A with L = lcm of the entry denominators of
      A, so timings["assemble_s"] includes the integer scaling.  The
-     minimal polynomial of B is monic with integer coefficients and
-     pulls back to A through x -> L*x, and L caps the denominator of
-     every rational eigenvalue of A (the report's den_bound).
+     minimal polynomial q = min_B is monic with integer coefficients,
+     and q with L is what this module computes, certifies, isolates and
+     reports; min_A(x) = L^-d q(L x) is built only for the JSON writer
+     and the comparison with the recorded references.  A monic integer
+     polynomial has only integer rational roots, so every rational
+     eigenvalue of A lies in (1/L)Z (L is the report's den_bound), and
+     the integer k is one exactly when q(k L) = 0.
   2. For each word-size prime p, draw one seed vector v from F_p^n (the
      stream below, each entry within 2**-64 of uniform) and run the
      Krylov sequence v, Bv, B^2 v, ... mod p to the annihilator of v.
@@ -29,7 +33,7 @@ The minimal polynomial is guessed fast and then proved:
      d is min_B mod p, so once e = d the first reconstruction tried is
      min_B itself; while e < d the candidate fails step 4.
   4. CERTIFY the integer candidate q: q(B) e_j = 0 on the certification
-     columns, which is p(A) e_j = 0 for p(x) = L^-d q(L x).
+     columns, in integers; a certified q is returned as it is, with L.
      A certified annihilator whose degree matches the Krylov lower bound
      from step 2 IS the minimal polynomial, so a wrong reconstruction
      can never be accepted, only replaced as more primes arrive; a
@@ -43,11 +47,11 @@ The certificate is multi-modular and runs on the candidate for min_B
 itself, the monic integer coefficients c_k that the reconstruction
 produced.  Every entry of q(B) = sum_k c_k B^k is bounded by
 H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose product
-exceeds 2H forces q(B) = 0 over Z, hence p(A) = L^-d q(L A) = 0 for the
-returned p(x) = L^-d q(L x).  Every modular pass calls scipy's compiled
-int64 CSR kernels directly (`csr.matvec`, `csr.matvecs`) on the arrays
-(indptr, indices, data) and vectors with entries in [0, p), and a row
-of the product plus one coefficient in [0, p) must fit int64.  Two
+exceeds 2H forces q(B) = 0 over Z, hence min_A(A) = L^-d q(L A) = 0.
+Every modular pass calls scipy's compiled int64 CSR kernels directly
+(`csr.matvec`, `csr.matvecs`) on the arrays (indptr, indices, data) and
+vectors with entries in [0, p), and a row of the product plus one
+coefficient in [0, p) must fit int64.  Two
 representations of the data guarantee that, each up to its own cap:
 
   * B's own int64 entries: the row is at most (||B||_inf + 1)(p - 1) in
@@ -93,6 +97,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, islice
 from math import isqrt, prod
 
@@ -111,7 +116,7 @@ from .polyq import (
     is_squarefree,
     isolate_real_roots,
 )
-from .rationals import QQ, QQ1, qstr
+from .rationals import qstr
 
 
 # primes drawn before CertificationFailed; no grid instance needs more
@@ -298,9 +303,21 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
 # -- minimal polynomial --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MinimalPolynomial:
+    """min_A of A = B / L as the certified min_B = q and L: min_A(x) = L^-d q(L x)."""
+
+    q: tuple[int, ...]  # monic integer coefficients, low to high
+    L: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.q) - 1
+
+
 def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
-                       witness_columns=None) -> RatPolynomial:
-    """Certified minimal polynomial of the operator A = B / L of `op`.
+                       witness_columns=None) -> MinimalPolynomial:
+    """Certified minimal polynomial of the operator A = B / L of `op`, as min_B and L.
 
     `witness_columns` restricts the certification to those basis
     vectors; pass it only when a symmetry of the operator carries them
@@ -309,7 +326,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     """
     n = op.dim
     if n == 0:
-        return RatPolynomial((QQ1,))
+        return MinimalPolynomial((1,), op.L)
     indptr, indices = csr.check((n, n), op.indptr, op.indices, op.data)
     data, L = op.data, op.L
     max_nnz = int(np.diff(indptr).max(initial=0))
@@ -338,20 +355,17 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
         # an annihilator's degree mod p never exceeds deg min_B, so a
         # certified annihilator of that degree is min_B itself
         if certify_annihilates(n, indptr, indices, data, coeffs, columns=witness_columns):
-            return RatPolynomial(tuple(QQ(c) for c in coeffs)).scale_roots(QQ(1, L))
+            return MinimalPolynomial(tuple(coeffs), L)
         failed.add(tuple(coeffs))
     raise CertificationFailed(
         f"no reconstruction was certified within {_MAX_PRIMES} primes"
     )
 
 
-def squarefree_certify(p: RatPolynomial) -> None:
-    if not is_squarefree(p):
-        raise NotSquarefree(f"gcd(p, p') is not constant for {p!r}")
-
-
-def is_eigenvalue(p: RatPolynomial, c) -> bool:
-    return p(QQ(c)) == 0
+def squarefree_certify(q) -> None:
+    """NotSquarefree unless the integer polynomial q (low to high) is squarefree."""
+    if not is_squarefree(q):
+        raise NotSquarefree(f"gcd(q, q') is not constant for {q!r}")
 
 
 def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
@@ -413,16 +427,21 @@ class SpectralReport:
     instance: dict
     degree: int
     dim: int
-    minpoly: RatPolynomial
+    q: tuple[int, ...]  # min_B, monic integer coefficients, low to high
+    L: int  # the scale of A = B / L, written as "den_bound"
     isolation: RootIsolation
     m: RootInterval
     M: RootInterval
     integer_eigenvalues: dict[int, bool]
     timings: dict[str, float]
-    den_bound: int = 0  # rational-root denominator cap used at isolation
     # the assembled operator when this report computed it, None when it
     # came from the cache; never serialized
     operator: LinearOperatorHandle | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def minpoly(self) -> RatPolynomial:
+        """min_A(x) = L^-d q(L x), built once, for the JSON writer and the references."""
+        return RatPolynomial.from_scaled(self.q, self.L)
 
     @staticmethod
     def _extreme_json(r: RootInterval) -> dict:
@@ -437,7 +456,7 @@ class SpectralReport:
             "degree": self.degree,
             "dim": self.dim,
             "minpoly": self.minpoly.serialize(),
-            "den_bound": self.den_bound,
+            "den_bound": self.L,
             "roots": [r.to_json_dict() for r in self.isolation.roots],
             "m": self._extreme_json(self.m),
             "M": self._extreme_json(self.M),
@@ -448,20 +467,20 @@ class SpectralReport:
         }
 
 
-def report_from_minpoly(poly: RatPolynomial, den_bound: int, width, instance: dict,
+def report_from_minpoly(q: tuple[int, ...], L: int, width, instance: dict,
                         degree: int, dim: int, complex_dim: int) -> SpectralReport:
-    """The report of a symmetric operator on C^degree whose minimal polynomial is `poly`.
+    """The report of a symmetric operator A = B / L on C^degree with min_B = q.
 
-    Both a fresh computation and a cache entry end here.  The roots are
-    isolated to `width` (NotSquarefree unless poly is squarefree), every
-    root must be real (CertificationFailed otherwise), and a spectrum
-    without a nonzero root raises NoNonzeroRoot.  `den_bound` caps the
-    denominators of the rational roots (`isolate_real_roots`), and the
-    integer-eigenvalue table says which of 0..complex_dim+1 are roots.
-    The timings are left to the caller.
+    Both a fresh computation and a cache entry end here.  The roots of
+    min_A are isolated to `width` (NotSquarefree unless q is
+    squarefree), every root must be real (CertificationFailed
+    otherwise), and a spectrum without a nonzero root raises
+    NoNonzeroRoot.  The integer-eigenvalue table says which of
+    0..complex_dim+1 are roots: k is one exactly when q(k L) = 0.  The
+    timings are left to the caller.
     """
-    iso = isolate_real_roots(poly, width, den_bound=den_bound)
-    if len(iso.roots) != poly.degree:
+    iso = isolate_real_roots(q, L, width)
+    if len(iso.roots) != len(q) - 1:
         raise CertificationFailed(
             "real-root count does not match degree for a symmetric operator"
         )
@@ -470,13 +489,14 @@ def report_from_minpoly(poly: RatPolynomial, den_bound: int, width, instance: di
         instance=instance,
         degree=degree,
         dim=dim,
-        minpoly=poly,
+        q=q,
+        L=L,
         isolation=iso,
         m=m,
         M=M,
-        integer_eigenvalues={k: is_eigenvalue(poly, k) for k in range(complex_dim + 2)},
+        integer_eigenvalues={k: sum(c * (k * L)**j for j, c in enumerate(q)) == 0
+                             for k in range(complex_dim + 2)},
         timings={},
-        den_bound=den_bound,
     )
 
 
@@ -491,14 +511,11 @@ def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int 
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    poly = minimal_polynomial(op, seed=seed, witness_columns=witness_columns)
+    mp = minimal_polynomial(op, seed=seed, witness_columns=witness_columns)
     timings["minpoly_s"] = time.perf_counter() - t0
 
-    # rational eigenvalues of A = B/L are integer eigenvalues of B over
-    # L, because the minimal polynomial of an integer matrix is monic
-    # with integer coefficients: L bounds their denominators
     t0 = time.perf_counter()
-    report = report_from_minpoly(poly, op.L, width, instance or {}, i, op.dim, cx.dim)
+    report = report_from_minpoly(mp.q, mp.L, width, instance or {}, i, op.dim, cx.dim)
     timings["isolate_s"] = time.perf_counter() - t0
     report.timings = timings
     report.operator = op

@@ -218,7 +218,8 @@ def _type_scaled(b, f: Cochain, alpha: int, scale) -> Cochain:
 def rational_eigencochains(b, max_per_eigenvalue: int = 2):
     """Exact (c, f) pairs with Delta f = c f, for each rational eigenvalue c."""
     op = assemble_matrix(b.complex, 0)
-    iso = isolate_real_roots(minimal_polynomial(op))
+    mp = minimal_polynomial(op)
+    iso = isolate_real_roots(mp.q, mp.L)
     out = []
     for root in iso.roots:
         if not root.is_rational:

@@ -1,12 +1,17 @@
 """Sturm isolation in rational arithmetic: the oracle for `garland.polyq`.
 
 This is the isolator the package used before its integer rewrite, with
-two changes: `cases` records the branches a call takes, and the returned
-polynomial multiplies back only the deflated roots.  The old code also
-multiplied in the roots certified by `simplest_between`, which p still
+three changes: `cases` records the branches a call takes, the returned
+polynomial multiplies back only the deflated roots, and rational roots
+are certified as the package certifies them.  The old code also
+multiplied in the roots it certified without deflating, which p still
 has, so it returned their squares and a chain that miscounts at them.
-The chain is p, p', -rem(p, p'), ... with every member scaled to coprime
-integers by `primitive`, and every value is a `Fraction` evaluated with
+It isolates the roots of a monic p whose rational roots lie in (1/L)Z,
+as those of p(x) = L^-d q(L x) do for a monic integer q
+(`integer_form` gives q): intervals stop at min(width, 1/L), and each
+is tested at its one lattice point floor(L hi) / L.  The chain is p,
+p', -rem(p, p'), ... with every member scaled to coprime integers by
+`primitive`, and every value is a `Fraction` evaluated with
 `RatPolynomial.__call__`.  `garland.polyq` must give the same
 polynomial, roots, chain, counts and refinements on every input.
 
@@ -15,8 +20,6 @@ The rational polynomial arithmetic this needs beyond what
 functions: negation, division with remainder (`poly_divmod`, `poly_div`,
 `poly_mod`), `monic`, derivative, primitive part, gcd, lcm and
 divisibility.  The package's integer isolator has no use for any of it.
-So does `simplest_between` on `Fraction`s; the package's runs on
-integer pairs.
 """
 
 from __future__ import annotations
@@ -29,26 +32,18 @@ from garland.polyq import RatPolynomial, RootInterval, poly_product
 from garland.rationals import QQ, QQ0, QQ1
 
 
-def simplest_between(a, b):
-    """The unique minimal-denominator rational strictly inside (a, b), in Fractions.
+def integer_form(p: RatPolynomial, L: int | None = None) -> tuple[tuple[int, ...], int]:
+    """(q, L) with q = L^d monic(p)(x / L), the input `garland.polyq` takes for p.
 
-    The Stern-Brocot recursion `garland.polyq.simplest_between` runs on
-    integer pairs, kept here on rationals so that the oracle does not
-    import the function it checks.
+    L defaults to the lcm D of the denominators of monic(p), which makes
+    q integral; a given L must as well.
     """
-    a, b = QQ(a), QQ(b)
-    ia = floor(a)
-    if QQ(ia) == a:
-        # left endpoint is an integer; candidates are a + 1/m
-        if b - a > 1:
-            return QQ(ia + 1)
-        m = floor(QQ1 / (b - a)) + 1
-        return a + QQ(1, m)
-    if QQ(ia + 1) < b:
-        return QQ(ia + 1)
-    frac_a = a - ia
-    frac_b = b - ia
-    return QQ(ia) + QQ1 / simplest_between(QQ1 / frac_b, QQ1 / frac_a)
+    p = monic(p)
+    if L is None:
+        L = lcm(*(int(c.denominator) for c in p.coeffs))
+    q = [c * L ** (p.degree - k) for k, c in enumerate(p.coeffs)]
+    assert all(c.denominator == 1 for c in q), f"L = {L} leaves {p!r} fractional"
+    return tuple(int(c) for c in q), L
 
 
 def neg(p: RatPolynomial) -> RatPolynomial:
@@ -190,22 +185,25 @@ class OracleIsolation:
         return OracleIsolation(self.poly, out, self.chain)
 
 
-def isolate_real_roots(p: RatPolynomial, width="1/1000000",
-                       den_bound: int | None = None, cases: set | None = None):
+def isolate_real_roots(p: RatPolynomial, width="1/1000000", L: int = 1,
+                       cases: set | None = None):
     """The rational isolator; `cases` collects the names of the branches taken.
 
-    The names are "midpoint-split" (a root at a midpoint of a split),
-    "midpoint-narrow" (a root at a midpoint of sign bisection), "hi" (a
-    root at a finished interval's right end), "simplest" (a root certified
-    by `simplest_between`), "irrational", "shrink" (an interval narrowed
-    off a deflated root) and "gap" (a chain member more than one degree
-    below the one before it).
+    The rational roots of p must lie in (1/L)Z.  The names are
+    "midpoint-split" (a root at a midpoint of a split), "midpoint-narrow"
+    (a root at a midpoint of sign bisection), "hi" (a root at a finished
+    interval's right end), "lattice" (a root at a finished interval's
+    lattice point), "lattice root below" (a finished interval without a
+    lattice point, while p has a root at floor(L hi) / L <= lo),
+    "irrational", "shrink" (an interval narrowed off a deflated root) and
+    "gap" (a chain member more than one degree below the one before it).
     """
     cases = set() if cases is None else cases
     if p.is_zero or not is_squarefree(p):
         raise NotSquarefree(f"root isolation requires a squarefree polynomial, got {p!r}")
     width = QQ(width)
     p = monic(p)
+    target = min(width, QQ(1, L))
 
     exact: list = []
     deflated: list = []
@@ -215,11 +213,6 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
             intervals: list[tuple] = []
             chain = sturm_chain(p) if p.degree >= 0 else [p]
             break
-        if den_bound is None:
-            denom_bound = lcm(*(int(c.denominator) for c in p.coeffs))
-        else:
-            denom_bound = int(den_bound)
-        target = min(width, QQ(1, 2 * denom_bound * denom_bound))
         chain = sturm_chain(p)
         bound = root_magnitude_bound(p)
         work = [(-bound, bound, count_roots_halfopen(chain, -bound, bound))]
@@ -267,11 +260,14 @@ def isolate_real_roots(p: RatPolynomial, width="1/1000000",
                 cases.add("hi")
                 exact.append(hi)
                 continue
-            s = simplest_between(lo, hi)
-            if p(s) == 0:
-                cases.add("simplest")
+            # the one point of (1/L)Z that (lo, hi] can hold
+            s = QQ(floor(hi * L), L)
+            if s > lo and p(s) == 0:
+                cases.add("lattice")
                 exact.append(s)
             else:
+                if p(s) == 0:
+                    cases.add("lattice root below")
                 cases.add("irrational")
                 intervals.append((lo, hi))
         break

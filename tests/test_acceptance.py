@@ -18,7 +18,7 @@ from identities import (
     random_pure_complex,
     universal_identity_failures,
 )
-from rational_isolation import divides, poly_gcd
+from rational_isolation import divides, integer_form, poly_gcd
 from garland.complexes import from_maximal_simplices
 from garland.harness import (
     CERTIFIED_FALSE,
@@ -91,7 +91,7 @@ def test_criterion_01_rank_one_reproduction(shared_cache):
             [P(0, 1), P(-2, 1), P(QQ(q * q + q + 1, (q + 1) ** 2), -2, 1)]
         )
         assert rep.minpoly == expected, f"q={q}"
-        scaled = rep.minpoly.scale_roots(QQ(q + 1))
+        scaled = RatPolynomial(integer_form(rep.minpoly, q + 1)[0])
         expected_scaled = poly_product(
             [P(0, 1), P(-(2 * q + 2), 1), P(q * q + q + 1, -(2 * q + 2), 1)]
         )
@@ -240,8 +240,8 @@ def test_criterion_07_simplex_oracle(shared_cache):
     for n in range(1, 7):
         cx = from_maximal_simplices([tuple(range(n + 1))])
         for i in range(n):
-            p = minimal_polynomial(assemble_matrix(cx, i))
-            assert p == P(0, -(n + 1), 1), (n, i)
+            mp = minimal_polynomial(assemble_matrix(cx, i))
+            assert RatPolynomial.from_scaled(mp.q, mp.L) == P(0, -(n + 1), 1), (n, i)
         for i in range(1, n):
             v = _inequality_verdict(Instance.complex(cx, {"n": n}), i, shared_cache)
             assert v["instance"] == {"n": n, "i": i}
@@ -299,8 +299,9 @@ def test_criterion_08_vertex_link_divisibility(b22, shared_cache):
     for v in cx.vertices:
         t = types_of(b22)[v]
         link, _ = cx.vertex_link(v)
-        p = minimal_polynomial(assemble_matrix(link, 0))
-        squarefree_certify(p)
+        mp = minimal_polynomial(assemble_matrix(link, 0))
+        squarefree_certify(mp.q)
+        p = RatPolynomial.from_scaled(mp.q, mp.L)
         if p != expected[t]:
             bad.append(f"(a) vertex {v} of type {t} has link minimal "
                        f"polynomial {p.serialize()}, not the closed form "

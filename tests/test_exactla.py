@@ -122,6 +122,19 @@ def test_rank_needs_a_second_prime_when_the_first_divides_a_minor(monkeypatch):
     assert seen == [3, exactla.PRIME_CEILING]
 
 
+def test_rank_bound_covers_the_next_minor(monkeypatch):
+    # rows (1, 1, -1) and (-1, 1, 1) have rank 2 over Q and 1 mod 2.  A
+    # 2-minor can be as large as the Hadamard bound 3**2, so after 2
+    # alone (2**2 <= 3**2) rank 1 is not certified, though 2**2 > 3**1
+    cols, signs = pattern([[0, 1, 2], [2, 1, 0]], [1, 1, -1])
+    assert rank_mod_p(cols, signs, 2) == 1
+    monkeypatch.setattr(exactla, "descending_primes",
+                        lambda cap: itertools.chain([2], descending_primes(cap)))
+    seen = spy_primes(monkeypatch)
+    assert rank(cols, signs, 3) == 2
+    assert seen == [2, exactla.PRIME_CEILING]
+
+
 def test_rank_stops_at_the_hadamard_bound(monkeypatch):
     # rank 1 with rows of squared norm 2: the first prime squared passes
     # the bound 2 * 2 on any 2-minor, so one prime certifies rank 1

@@ -2,10 +2,16 @@
 
 Each entry of extended_grid_digests.json is the sha256 of
 dumps_report(strip_timings(item)) for one instance of
-run_grid("extended"), keyed "ell,q,i".  The table was generated with
-the earlier row-sort face construction, so it pins the face tables of
-every row size the grid reaches (2 to 5 columns, the 5 only in the
-(4,2) building) through to the reports.  A report that is meant to
+run_grid("extended"), keyed "ell,q,i".  The table was first generated
+with the earlier row-sort face construction, so it pins the face tables
+of every row size the grid reaches (2 to 5 columns, the 5 only in the
+(4,2) building) through to the reports.  It was regenerated at 0.2.0,
+where only the "4,2,0" entry changed: its scale L = 3255 makes the
+rational-root stop width 1/L = 1/3255, where it used to be
+1/(2 L^2) < 10^-6, so its isolating intervals now stop at the 10^-6
+width.  Its endpoints and what is computed from them moved (m, the
+witness intervals, the conjecture distances and epsilon); every status,
+exact root and minimal polynomial stayed.  A report that is meant to
 change needs a new VERSION and a regenerated table.  The seed picks
 every Krylov seed vector, so the table is checked under two seeds: the
 certified report must not depend on it.  Runs only with

@@ -49,6 +49,8 @@ from garland.rationals import QQ
 from garland.spectra import SpectralReport, extract_extremes
 from garland.version import VERSION
 
+from rational_isolation import integer_form
+
 
 @pytest.fixture(scope="module")
 def rep120(shared_cache):
@@ -176,13 +178,11 @@ def test_max_eigenvalue_verdict(rep120):
 
 
 def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
-    # with den_bound 1 the root 1 of x (x - 1) (x - 3) is certified by
-    # simplest_between, not met at a midpoint; 3 lies above it
-    from garland.polyq import isolate_real_roots, poly_product
-    from garland.spectra import SpectralReport
-    p = poly_product((-r, 1) for r in (0, 1, 3))
-    iso = isolate_real_roots(p, den_bound=1)
-    rep = SpectralReport({}, 0, 3, p, iso, iso.roots[1], iso.roots[2], {0: True, 1: True}, {})
+    # the root 1 of x (x - 1) (x - 3) is certified at its lattice point,
+    # not met at a midpoint; 3 lies above it
+    q = (0, 3, -4, 1)
+    iso = isolate_real_roots(q)
+    rep = SpectralReport({}, 0, 3, q, 1, iso, iso.roots[1], iso.roots[2], {0: True, 1: True}, {})
     v = verdict_max_eigenvalue(rep, {})
     assert v.witness["is_root"] is True
     assert v.witness["roots_above"] == 1
@@ -226,10 +226,10 @@ def test_verdict_json_round_trip(rep120):
 
 
 def _coarse_report(coeffs, width="1/4") -> SpectralReport:
-    p = RatPolynomial(tuple(QQ(c) for c in coeffs))
-    iso = isolate_real_roots(p, width)
+    q, L = integer_form(RatPolynomial(tuple(QQ(c) for c in coeffs)))
+    iso = isolate_real_roots(q, L, width)
     m, big_m = extract_extremes(iso)
-    return SpectralReport({}, 0, p.degree, p, iso, m, big_m, {}, {})
+    return SpectralReport({}, 0, len(q) - 1, q, L, iso, m, big_m, {}, {})
 
 
 @pytest.fixture
@@ -471,6 +471,30 @@ def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
     del stored["key"]
     dst.write_text(json.dumps(stored))
     assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
+
+
+@pytest.mark.parametrize("entry", [
+    # min_A of (1,2,0) with L = 1: 43/9 x^2 is no integer coefficient of B
+    {"den_bound": 1},
+    # 2 min_A with its L = 3: integral, but not monic
+    {"minpoly": "0/1 -28/9 86/9 -8/1 2/1"},
+], ids=["not-integral", "not-monic"])
+def test_cache_entry_is_a_miss_unless_it_is_monic_and_integral_on_b(tmp_path, monkeypatch,
+                                                                   entry):
+    # the entry's c_k L^(d-k) must form min_B, a monic integer polynomial,
+    # before any report is built from it
+    width = "1/1000000"
+    run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("*.json")
+    b12 = Instance.building(1, 2)
+    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is not None
+    path.write_text(json.dumps({**json.loads(path.read_text()), **entry}))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a report built from an entry that is not min_B")
+
+    monkeypatch.setattr(harness, "report_from_minpoly", forbidden)
+    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is None
 
 
 def _exact_roots(*values):

@@ -207,6 +207,18 @@ def test_int64_and_python_int_scaling_agree(b22, monkeypatch):
     assert taken[-1] is False
 
 
+def test_int64_fit_scales_by_the_smallest_denominator():
+    # the largest product num * (L // den) comes from the smallest den:
+    # 3 * (2**62 // 1) passes int64, though 3 * (2**62 // 2**62) does not
+    assert not laplace._fits_int64(np.array([3]), np.array([1, 2**62]), 2**62)
+    assert laplace._fits_int64(np.array([1]), np.array([1, 2**62]), 2**62)
+    # and only from it: 3 * (2**62 // 4) fits, so the test is not top * L
+    # a negative numerator counts by its absolute value: -2 * 2**62 = -2**63
+    # is the int64 minimum, yet the bound is kept symmetric
+    assert not laplace._fits_int64(np.array([-2]), np.array([1, 2**62]), 2**62)
+    assert laplace._fits_int64(np.array([-3]), np.array([4, 2**62]), 2**62)
+
+
 def test_laplacian_degree_domain():
     with pytest.raises(DegreeOutOfRange):
         laplacian_apply(Cochain.zeros(TRIANGLE, 2))

@@ -9,6 +9,7 @@ imported from the test modules `cochains`, `fields`, `dense` and
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,9 @@ MOVED = {
         "_as_int_rows", "_squared_row_norms",  # deleted: ranks are of sparse +-1 patterns
     ],
     "garland.rationals": ["as_float", "floor_q"],
+    "garland.polyq": [  # deleted: rational roots are certified on the lattice (1/L)Z
+        "simplest_between", "_integer_coeffs",
+    ],
     "garland.harness": [  # deleted
         "_link_cohomology_vanishes", "resolve_cache_dir", "_report", "_bounds", "_root_json",
         "_refine_extreme", "_compare_le",
@@ -40,6 +44,7 @@ MOVED = {
         "integer_table",  # folded into report_from_minpoly
         "_prime_stream", "_RANK_PRIME",  # one prime source: gf.descending_primes
         "_coboundary_int_rows",  # deleted: link cohomology ranks the sparse coboundary
+        "is_eigenvalue",  # deleted: the integer table reads q(k L) in integers
     ],
     "garland.errors": [
         "DegreeMismatch", "UnknownVertex", "UnknownType", "DivisionByZero",
@@ -59,6 +64,7 @@ MOVED_ATTRIBUTES = {
         "__divmod__", "__floordiv__", "__mod__", "monic",
         # deleted outright, with no caller in the package or the oracle
         "__add__", "__neg__", "__sub__", "scale", "is_monic", "from_roots",
+        "scale_roots",  # deleted: reports keep min_B and L, and build min_A as from_scaled
     ],
     ("garland.polyq", "RootInterval"): ["width", "midpoint"],  # deleted
     ("garland.polyq", "RootIsolation"): ["real_root_count"],  # deleted
@@ -81,6 +87,17 @@ def test_the_oracle_is_not_shipped():
     shipped += [f"Complex().{name}" for name in MOVED_ATTRIBUTES[("garland.complexes", "Complex")]
                 if hasattr(cx, name)]
     assert shipped == []
+
+
+def test_version_matches_the_project_metadata():
+    # --version, the report's "version" and the cache key read
+    # garland.__version__; an installed package reports pyproject's
+    import garland
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert garland.__version__ == version
 
 
 def test_one_rational_backend():

@@ -12,7 +12,6 @@ from garland.polyq import (
     isolate_real_roots,
     poly_product,
     root_magnitude_bound,
-    simplest_between,
     sturm_chain,
 )
 from garland.rationals import QQ, QQ1
@@ -20,6 +19,7 @@ from garland.rationals import QQ, QQ1
 from rational_isolation import (
     derivative,
     divides,
+    integer_form,
     monic,
     neg,
     poly_div,
@@ -97,11 +97,14 @@ def test_gcd_lcm_divides():
 
 
 def test_scale_roots_multiplies_roots():
-    f = P(-4, 0, 1)  # roots +-2
-    g = f.scale_roots(QQ(1, 2))  # roots +-1
-    assert monic(g) == P(-1, 0, 1)
-    # monic stays monic
-    assert f.scale_roots(QQ(3)).coeffs[-1] == 1
+    # from_scaled multiplies q's roots by 1/L: q = x^2 - 36, roots +-6,
+    # with L = 3 gives x^2 - 4, roots +-2
+    assert RatPolynomial.from_scaled((-36, 0, 1), 3) == P(-4, 0, 1)
+    # monic stays monic, and L = 1 changes nothing
+    assert RatPolynomial.from_scaled((0, -14, 43, -4, 1), 1) == P(0, -14, 43, -4, 1)
+    assert RatPolynomial.from_scaled((0, -14, 43, -12, 1), 3) == \
+        P(0, QQ(-14, 27), QQ(43, 9), -4, 1)
+    assert RatPolynomial.from_scaled((1,), 5) == P(1)
 
 
 def test_product_of_linear_factors():
@@ -126,7 +129,7 @@ def test_serialize_parse_round_trip():
 
 def test_sturm_chain_is_primitive_and_signed():
     f = P(-5, 3, -2, 1)  # x^3 - 2x^2 + 3x - 5
-    chain = [RatPolynomial(c) for c in sturm_chain(f)]
+    chain = [RatPolynomial(c) for c in sturm_chain((-5, 3, -2, 1))]
     assert chain[0] == primitive(f)
     assert chain[1] == primitive(derivative(f))
     # signed-remainder property up to the positive primitive scaling
@@ -138,8 +141,7 @@ def test_sturm_chain_is_primitive_and_signed():
 
 
 def test_count_roots_halfopen():
-    f = P(-1, 1) * P(-2, 1) * P(-3, 1)
-    chain = sturm_chain(f)
+    chain = sturm_chain(integer_form(P(-1, 1) * P(-2, 1) * P(-3, 1))[0])
     assert count_roots_halfopen(chain, QQ(0), QQ(3)) == 3
     assert count_roots_halfopen(chain, QQ(1), QQ(2)) == 1  # (1, 2] excludes 1
     assert count_roots_halfopen(chain, QQ(3, 2), QQ(3)) == 2
@@ -149,45 +151,19 @@ def test_count_roots_halfopen():
 
 def test_root_magnitude_bound_is_strict():
     for f in (P(-1, 0, 1), P(QQ(-14, 9), QQ(43, 9), -4, 1), P(100, 1)):
-        b = root_magnitude_bound(f)
+        # the bound is read off integer coefficients, as off a Sturm chain's first member
+        chain = sturm_chain(int(c) for c in primitive(f).coeffs)
+        b = root_magnitude_bound(chain[0])
         assert f(b) != 0 and f(-b) != 0
-        chain = sturm_chain(primitive(f))
         assert count_roots_halfopen(chain, -b, b) == len(
             sympy.Poly([c for c in reversed(f.coeffs)], sympy.Symbol("x")).real_roots()
         )
 
 
 def test_is_squarefree():
-    assert is_squarefree(P(-1, 0, 1))
-    assert not is_squarefree(P(-1, 1) * P(-1, 1))
-    assert is_squarefree(P(7))
-
-
-# -- simplest rational in an open interval ------------------------------------
-
-
-def test_simplest_between_open_interval():
-    # endpoints and results are (numerator, denominator) pairs
-    assert simplest_between((1, 3), (1, 2)) == (2, 5)
-    assert simplest_between((2, 7), (1, 3)) == (3, 10)
-    assert simplest_between((5, 17), (6, 17)) == (1, 3)
-    assert simplest_between((2, 1), (3, 1)) == (5, 2)
-    assert simplest_between((-3, 2), (-4, 3)) == (-7, 5)
-    assert simplest_between((-1, 2), (1, 3)) == (0, 1)
-    # unreduced endpoints give the reduced result
-    assert simplest_between((4, 6), (9, 12)) == simplest_between((2, 3), (3, 4)) == (5, 7)
-
-
-def test_simplest_between_is_minimal_denominator():
-    # against brute force over denominators
-    lo, hi = QQ(13, 31), QQ(14, 31)
-    u, v = simplest_between((13, 31), (14, 31))
-    s = QQ(u, v)
-    assert lo < s < hi and (u, v) == (s.numerator, s.denominator)
-    for den in range(1, v):
-        lo_num = int(lo * den)
-        for num in range(lo_num - 1, lo_num + den + 2):
-            assert not lo < QQ(num, den) < hi
+    assert is_squarefree((-1, 0, 1))
+    assert not is_squarefree((1, -2, 1))  # (x - 1)^2
+    assert is_squarefree((7,))
 
 
 # -- root isolation -----------------------------------------------------------
@@ -196,7 +172,7 @@ def test_simplest_between_is_minimal_denominator():
 def test_isolation_rational_and_irrational_mix():
     # x (x - 2) (x^2 - 2x + 7/9): rational 0, 2 and irrational 1 +- sqrt(2)/3
     f = X * P(-2, 1) * P(QQ(7, 9), -2, 1)
-    iso = isolate_real_roots(f, width="1/1000000")
+    iso = isolate_real_roots(*integer_form(f), width="1/1000000")
     assert len(iso.roots) == 4
     rational = [r for r in iso.roots if r.is_rational]
     assert [r.value for r in rational] == [0, 2]
@@ -211,7 +187,7 @@ def test_isolation_rational_and_irrational_mix():
 
 def test_isolation_matches_sympy_intervals():
     f = P(-1, -3, 0, 2, 1)  # x^4 + 2x^3 - 3x - 1, irrational roots only
-    iso = isolate_real_roots(f, width="1/100000")
+    iso = isolate_real_roots(*integer_form(f), width="1/100000")
     x = sympy.Symbol("x")
     sf = sympy.Poly(x**4 + 2 * x**3 - 3 * x - 1, x)
     sroots = sf.real_roots()
@@ -223,27 +199,31 @@ def test_isolation_matches_sympy_intervals():
 
 def test_isolation_all_rational():
     f = poly_product((-QQ(r), 1) for r in (-5, 0, QQ(1, 3), QQ(7, 2)))
-    iso = isolate_real_roots(f)
+    iso = isolate_real_roots(*integer_form(f))
     assert [r.value for r in iso.roots] == [-5, 0, QQ(1, 3), QQ(7, 2)]
     assert all(r.is_rational for r in iso.roots)
 
 
 def test_isolation_no_real_roots():
-    iso = isolate_real_roots(P(1, 0, 1))
+    iso = isolate_real_roots((1, 0, 1))
     assert len(iso.roots) == 0
 
 
 def test_isolation_den_bound_enables_coarse_width():
-    # a valid denominator cap certifies rational roots even at width 1
-    f = P(QQ(1, 3), QQ(-4, 3), 1)  # (x - 1)(x - 1/3)
-    iso = isolate_real_roots(f, width="1", den_bound=3)
+    # the scale L certifies rational roots even at width 1: q = (x - 3)(x - 1)
+    # with L = 3 is (x - 1)(x - 1/3), whose roots lie on (1/3)Z
+    iso = isolate_real_roots((3, -4, 1), 3, width="1")
     assert [r.value for r in iso.roots] == [QQ(1, 3), 1]
+    # the stop width is min(width, 1/L) = 1/3
+    assert all(r.hi - r.lo <= QQ(1, 3) for r in isolate_real_roots((-2, 0, 1), 3, "1").roots)
+    with pytest.raises(ValueError):
+        isolate_real_roots((1, -4, 3), 3)  # not monic
 
 
 def test_isolation_intervals_certify_irrationality():
     # endpoints are non-roots and each interval holds exactly one root
     f = P(-2, 0, 1) * P(-3, 0, 1)
-    iso = isolate_real_roots(f, width="1/4096")
+    iso = isolate_real_roots(*integer_form(f), width="1/4096")
     assert len(iso.roots) == 4
     for r in iso.roots:
         assert not r.is_rational
@@ -253,15 +233,15 @@ def test_isolation_intervals_certify_irrationality():
 
 def test_isolation_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
-        isolate_real_roots(P(-1, 1) * P(-1, 1))
+        isolate_real_roots((1, -2, 1))
     with pytest.raises(NotSquarefree):
-        isolate_real_roots(ZERO)
+        isolate_real_roots(())
 
 
 @pytest.mark.parametrize("width", [0, "0", "-1/2", QQ(-1), "abc", "1/0", None])
 def test_isolation_and_refine_reject_a_width_that_is_not_positive(width):
     # bisection toward a width <= 0 never ends, so it is refused up front
-    f = P(-2, 0, 1)
+    f = (-2, 0, 1)
     with pytest.raises(InvalidWidth):
         isolate_real_roots(f, width=width)
     with pytest.raises(InvalidWidth):
@@ -269,8 +249,7 @@ def test_isolation_and_refine_reject_a_width_that_is_not_positive(width):
 
 
 def test_refine_narrows_without_reclassifying():
-    f = P(-2, 0, 1)
-    iso = isolate_real_roots(f, width="1/8")
+    iso = isolate_real_roots((-2, 0, 1), width="1/8")
     fine = iso.refine(QQ(1, 10**9))
     assert len(fine.roots) == 2
     for old, new in zip(iso.roots, fine.roots):
@@ -280,13 +259,13 @@ def test_refine_narrows_without_reclassifying():
 
 
 def test_isolation_returns_the_input_and_its_chain():
-    # 0 is met at a midpoint and deflated, 1 and 3 are certified by
-    # simplest_between and stay in p: the result is still p, not p times
+    # 0 is met at a midpoint and deflated, 1 and 3 are certified at their
+    # lattice points and stay in p: the result is still p, not p times
     # the squares of (x - 1) (x - 3)
-    f = poly_product((-r, 1) for r in (0, 1, 3))
-    iso = isolate_real_roots(f, den_bound=1)
+    q = (0, 3, -4, 1)  # x (x - 1) (x - 3)
+    iso = isolate_real_roots(q)
     assert [r.value for r in iso.roots] == [0, 1, 3]
-    assert iso.chain == sturm_chain(f)
+    assert iso.chain == sturm_chain(q)
     assert iso.count_in_halfopen(1, 10) == 1
     assert iso.count_in_halfopen(0, 3) == 2
 
@@ -303,7 +282,7 @@ def test_isolation_runs_without_rational_polynomial_arithmetic(monkeypatch):
         raise AssertionError("rational polynomial arithmetic on the isolation path")
 
     monkeypatch.setattr(RatPolynomial, "__call__", forbidden)
-    iso = isolate_real_roots(f)
+    iso = isolate_real_roots(*integer_form(f))
     assert [r.value for r in iso.roots if r.is_rational] == [0, 2]
     assert iso.count_in_halfopen(QQ(1, 2), 2) == 3  # 1 -+ sqrt(2)/3 and 2
     assert iso.count_in_halfopen(-1, 0) == 1

@@ -1,10 +1,13 @@
 """The integer isolator against the rational one it replaced.
 
 `rational_isolation` holds the isolator that evaluated every sign with
-`Fraction` arithmetic.  On every polynomial below both must give the same
-monic polynomial, the same roots (compared as JSON), the same chain, the
-same counts at a few rationals and the same refinement to 1e-9.  The fixed
-list reaches each branch of the isolator; the seeded random ones add bulk.
+`Fraction` arithmetic.  Each case is a rational p and a scale L (None for
+the lcm D of the denominators of monic p); the package isolates the
+monic integer q = L^d p(x / L) with L, the oracle p with L.  On every
+case both must give the same monic polynomial, the same roots (compared
+as JSON), the same chain, the same counts at a few rationals and the
+same refinement to 1e-9.  The fixed list reaches each branch of the
+isolator; the seeded random ones add bulk.
 """
 
 import os
@@ -19,7 +22,6 @@ from garland.polyq import (
     is_squarefree,
     isolate_real_roots,
     poly_product,
-    simplest_between,
     sturm_chain,
 )
 from garland.rationals import QQ
@@ -37,33 +39,33 @@ def roots_of(*values):
 
 X = P(0, 1)
 
-# (polynomial, width, den_bound)
+# (polynomial, width, L)
 FIXED = [
     # Heawood factor times x (x - 2): 0 at the first midpoint, deflation
     (X * P(-2, 1) * P(QQ(7, 9), -2, 1), "1/1000000", None),
     (X * P(-2, 1) * P(QQ(7, 9), -2, 1), "1/1000000", 9),
-    # 1/3 and 5 are no bisection points: certified by simplest_between
+    # 1/3 and 5 are no bisection points: certified at their lattice points
     (roots_of(QQ(1, 3), 5), "1/1000000", None),
     (roots_of(-5, 0, QQ(1, 3), QQ(7, 2)), "1/1000000", None),
     # a root met while sign bisection narrows a one-root interval
     (roots_of(QQ(3, 8)) * P(-2, 0, 1), "1/1000000", None),
-    # 0 is deflated and sqrt(1/50) shares an interval with it at width 1
-    (X * P(QQ(-1, 50), 0, 1), "1", 1),
+    # -1 is certified and 1 - sqrt(6) shares an interval with it at width 1
+    (roots_of(-1) * P(-5, -2, 1), "1", 1),
     (P(1, 0, 1), "1/1000000", None),  # no real roots
     (P(1, 0, 1) * P(QQ(1, 2), 1, 1), "1/8", 2),  # no real roots, degree 4
     (P(7), "1/1000000", None),  # degree 0
     (P(QQ(-3, 2)), "1", 1),
     (P(QQ(5, 7), QQ(3, 2)), "1/1000000", None),  # degree 1, rational root
-    (P(QQ(-2, 3), 3), "1", 3),
+    (P(-2, 3), "1", 3),
     (P(-1, -3, 0, 2, 1), "1/100000", None),  # irrational roots only
     (P(-2, 0, 1) * P(-3, 0, 1), "1/4096", None),
     # x^5 + 2x^2 - 2: a chain member of negative leading coefficient
     # followed by a degree gap of 2, so |lc|^(delta+1) has an odd power
     (P(-2, 0, 2, 0, 0, 1), "1/1000000", None),
     (P(4, 0, 0, 0, 2, 1), "1/1000", None),
-    # den_bound 1 is wrong for the root -11/5, so it is left in an interval
-    # labelled irrational, and refining meets it at a midpoint
-    (P(QQ(11, 2), QQ(5, 2)), "1", 1),
+    # at width 1 the interval of 1 + sqrt(2) holds no lattice point, and
+    # floor(hi) = 2, below it, is a root of p: the test must not read it
+    (roots_of(2) * P(-1, -2, 1), "1", 1),
     # non-monic input with a negative leading coefficient
     (P(6, 0, -3), "1/1000000", None),
     (P(QQ(-14, 9), QQ(43, 9), -4, 1), "1/1000000", None),
@@ -93,23 +95,26 @@ def random_cases(seed: int, count: int):
     out = []
     while len(out) < count:
         p = random_polynomial(rng)
-        if not p.is_zero and is_squarefree(p):
-            out.append((p, rng.choice(["1/1000000", "1/8", "1", "1/3"]),
-                        rng.choice([None, None, 1, 2, 6, 12])))
+        if not p.is_zero and is_squarefree(oracle.integer_form(p)[0]):
+            # L = None or a multiple of D, as an operator's L is of min_A's
+            width, m = rng.choice(["1/1000000", "1/8", "1", "1/3"]), \
+                rng.choice([None, None, 1, 2, 6, 12])
+            out.append((p, width, m and m * oracle.integer_form(p)[1]))
     return out
 
 
 PROBES = [(-3, 2), (QQ(1, 3), QQ(7, 2)), (-100, 100), (0, 1), (QQ(-1, 7), QQ(22, 7))]
 
 
-def compare(p, width, den_bound) -> set:
+def compare(p, width, L) -> set:
     """Assert the two isolators agree on p; return the branch names reached."""
+    cases = {"L default" if L is None else "L given"}
+    q, L = oracle.integer_form(p, L)
     # chains first: a wrong chain can make the isolator count forever
-    chain = sturm_chain(oracle.monic(p))
+    chain = sturm_chain(c * L**k for k, c in enumerate(q))
     assert [RatPolynomial(c) for c in chain] == oracle.sturm_chain(oracle.monic(p))
-    cases = set()
-    old = oracle.isolate_real_roots(p, width, den_bound, cases)
-    new = isolate_real_roots(p, width, den_bound)
+    old = oracle.isolate_real_roots(p, width, L, cases)
+    new = isolate_real_roots(q, L, width)
     assert new.chain == chain
     assert [r.to_json_dict() for r in new.roots] == [r.to_json_dict() for r in old.roots]
     for a, b in PROBES:
@@ -119,7 +124,6 @@ def compare(p, width, den_bound) -> set:
         [r.to_json_dict() for r in fine_old.roots]
 
     cases.add(f"degree {min(p.degree, 2)}")
-    cases.add("den_bound None" if den_bound is None else "den_bound given")
     if not new.roots:
         cases.add("no real roots")
     bound = oracle.root_magnitude_bound(p)
@@ -132,18 +136,18 @@ def compare(p, width, den_bound) -> set:
     return cases
 
 
-@pytest.mark.parametrize("p,width,den_bound", FIXED)
-def test_fixed_polynomials_match_the_rational_isolator(p, width, den_bound):
-    compare(p, width, den_bound)
+@pytest.mark.parametrize("p,width,L", FIXED)
+def test_fixed_polynomials_match_the_rational_isolator(p, width, L):
+    compare(p, width, L)
 
 
 def test_every_branch_is_reached():
     reached = set()
-    for p, width, den_bound in FIXED:
-        reached |= compare(p, width, den_bound)
+    for p, width, L in FIXED:
+        reached |= compare(p, width, L)
     assert reached >= {
-        "midpoint-split", "midpoint-narrow", "simplest", "irrational", "shrink", "gap",
-        "den_bound None", "den_bound given", "no real roots", "degree 0", "degree 1",
+        "midpoint-split", "midpoint-narrow", "lattice", "lattice root below", "irrational",
+        "shrink", "gap", "L default", "L given", "no real roots", "degree 0", "degree 1",
         "non-dyadic bound", "negative lc, odd power",
     }
     # a finished interval's right end is never a root: it is the strict
@@ -154,13 +158,13 @@ def test_every_branch_is_reached():
 
 def test_seeded_random_polynomials_match_the_rational_isolator():
     reached = set()
-    for p, width, den_bound in random_cases(20261018, 150):
-        reached |= compare(p, width, den_bound)
+    for p, width, L in random_cases(20261018, 150):
+        reached |= compare(p, width, L)
     assert "hi" not in reached
-    assert {"midpoint-split", "simplest", "irrational", "gap"} <= reached
+    assert {"midpoint-split", "lattice", "irrational", "gap"} <= reached
 
 
-# minimal polynomials of B / L and the den_bound L their reports isolate
+# minimal polynomials of B / L and the scale L their reports isolate
 # with, for the building instances (ell, q, i), as recorded in the cache of
 # `garland report --grid extended`
 BUILDING_MINPOLYS = {
@@ -212,8 +216,8 @@ def test_building_polynomials_match_the_rational_isolator():
     # the (3,2) building, where the rational isolator takes seconds
     instances = [(2, 2, 1), (2, 3, 1)] + ([(3, 2, 1), (3, 2, 2)] if EXTENDED else [])
     for key in instances:
-        den_bound, text = BUILDING_MINPOLYS[key]
-        compare(RatPolynomial.parse(text), "1/1000000", den_bound)
+        L, text = BUILDING_MINPOLYS[key]
+        compare(RatPolynomial.parse(text), "1/1000000", L)
 
 
 def test_squarefree_test_matches_the_gcd_test():
@@ -224,23 +228,8 @@ def test_squarefree_test_matches_the_gcd_test():
     for p in samples:
         if p.is_zero:
             continue
-        assert is_squarefree(p) == oracle.is_squarefree(p)
-        if not is_squarefree(p):
+        q, L = oracle.integer_form(p)
+        assert is_squarefree(q) == oracle.is_squarefree(p)
+        if not is_squarefree(q):
             with pytest.raises(NotSquarefree):
-                isolate_real_roots(p)
-
-
-def test_simplest_between_matches_the_rational_recursion():
-    # the package's integer-pair descent against the oracle's Fractions,
-    # on random intervals of both signs, narrow and wide, with endpoints
-    # given unreduced
-    rng = random.Random(59)
-    for _ in range(2000):
-        scale = rng.choice((1, 10, 10**6, 2**40))
-        ad, bd = rng.randrange(1, scale + 1), rng.randrange(1, scale + 1)
-        an = rng.randrange(-3 * ad, 3 * ad + 1)
-        bn = an * bd // ad + rng.randrange(1, max(2, bd // rng.choice((1, 7, 1000))) + 1)
-        a, b = QQ(an, ad), QQ(bn, bd)
-        assert a < b
-        want = oracle.simplest_between(a, b)
-        assert simplest_between((an, ad), (bn, bd)) == (want.numerator, want.denominator)
+                isolate_real_roots(q, L)

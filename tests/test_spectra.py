@@ -30,21 +30,22 @@ from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
 from garland.reference import reference_minimal_polynomial
 from garland.spectra import (
+    MinimalPolynomial,
     SpectralReport,
     certify_annihilates,
     compute_spectral_report,
     extract_extremes,
-    is_eigenvalue,
     minimal_polynomial,
     reduced_cohomology_ranks,
     reduced_cohomology_vanishes,
+    report_from_minpoly,
     squarefree_certify,
 )
 
 from dense import dense_from_entries, pattern_rows, reference_rank
 from identities import laplacian_csr_by_apply, random_pure_complex, star_union
 from peak_memory import HAS_VMHWM, PEAK_KIB
-from rational_isolation import poly_div
+from rational_isolation import integer_form, poly_div
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TWO_EDGES = from_maximal_simplices([(0, 1), (2, 3)])
@@ -64,9 +65,13 @@ def simplex(n):
 
 def b_coefficients(p, L):
     """Integer coefficients of L^d p(x / L): a candidate p for A = B / L, moved to B."""
-    scaled = p.scale_roots(QQ(L))
-    assert all(c.denominator == 1 for c in scaled.coeffs)
-    return [int(c) for c in scaled.coeffs]
+    return list(integer_form(p, L)[0])
+
+
+def min_a(op, **kwargs):
+    """The certified minimal polynomial of A = B / L, as a rational polynomial."""
+    mp = minimal_polynomial(op, **kwargs)
+    return RatPolynomial.from_scaled(mp.q, mp.L)
 
 
 def sympy_matrix(op):
@@ -101,20 +106,22 @@ def sympy_annihilates(op, p):
 
 def test_edge_laplacian_minpoly():
     op = assemble_matrix(from_maximal_simplices([(0, 1)]), 0)
-    assert minimal_polynomial(op) == P(0, -2, 1)  # x(x - 2)
+    # min_B = x (x - 2L) with its L: min_A = x (x - 2)
+    assert minimal_polynomial(op) == MinimalPolynomial((0, -2 * op.L, 1), op.L)
+    assert min_a(op) == P(0, -2, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_simplex_minpoly_all_degrees(n):
     c = simplex(n)
     for i in range(n):
-        p = minimal_polynomial(assemble_matrix(c, i))
+        p = min_a(assemble_matrix(c, i))
         assert p == P(0, -(n + 1), 1)  # x(x - (n+1))
 
 
 def test_circle_minpoly_against_oracle():
     op = assemble_matrix(CIRCLE, 0)
-    p = minimal_polynomial(op)
+    p = min_a(op)
     assert p == sympy_minpoly(op)
     # 3-cycle: adjacency eigenvalues {2, -1}, edge weights 1, vertex weights 2
     assert p == P(0, QQ(-3, 2), 1)
@@ -123,12 +130,12 @@ def test_circle_minpoly_against_oracle():
 def test_octahedron_minpoly_against_oracle():
     for i in (0, 1):
         op = assemble_matrix(OCTAHEDRON, i)
-        assert minimal_polynomial(op) == sympy_minpoly(op)
+        assert min_a(op) == sympy_minpoly(op)
 
 
 def test_incidence_building_minpoly_against_oracle(b12):
     op = assemble_matrix(b12.complex, 0)
-    p = minimal_polynomial(op)
+    p = min_a(op)
     assert p == sympy_minpoly(op)
     assert p == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
     # certified annihilation is part of the contract
@@ -166,6 +173,18 @@ def test_routes_and_seeds_agree(b12, monkeypatch):
                                        b_coefficients(lifted, L))
     op = assemble_matrix(b12.complex, 0)
     assert minimal_polynomial(op, seed=0) == minimal_polynomial(op, seed=7)
+
+
+def test_certificate_bound_uses_every_power_of_the_norm(monkeypatch):
+    # B = [30] and q = x: q(B) = 30 != 0.  H = sum |c_k| ||B||^k = 30, so
+    # the primes run until their product passes 60: 5, 3, 2, 7, and 7
+    # sees 30 != 0.  A bound with ||B||^(k // 2) gives H = 1 and stops
+    # after 5, which divides 30, and would accept x
+    monkeypatch.setattr(spectra, "descending_primes", lambda cap: iter([5, 3, 2, 7, 11]))
+    indptr, indices = np.array([0, 1], dtype=np.int64), np.array([0], dtype=np.int64)
+    assert not certify_annihilates(1, indptr, indices, np.array([30], dtype=np.int64), [0, 1])
+    # x - 30 does annihilate it
+    assert certify_annihilates(1, indptr, indices, np.array([30], dtype=np.int64), [-30, 1])
 
 
 def test_witness_columns_do_not_change_the_answer(b12, b22):
@@ -222,7 +241,7 @@ def test_unlucky_seeds_are_outvoted(b12, monkeypatch):
                         else draw(n, p, seed))
     seen = _record_annihilators(monkeypatch)
     certified = _record_certifications(monkeypatch)
-    got = minimal_polynomial(op)
+    got = min_a(op)
     assert got == sympy_minpoly(op) == P(0, QQ(-14, 9), QQ(43, 9), -4, 1)
     assert [seen[p] for p in unlucky] == [[0, 1], [0, 1]]
     assert list(seen) == _first_primes(op, 3)
@@ -257,7 +276,7 @@ def test_reconstruction_waits_for_the_coefficient_bound(case, b12, b22, monkeypa
     assert len(primes) == {"b12-0": 1, "b22-0": 2, "star-union-47": 8}[case]
     if case == "star-union-47":
         assert op.data.dtype == object and op.L >= 2**63
-        assert got == P(0, 2, -3, 1)
+        assert RatPolynomial.from_scaled(got.q, got.L) == P(0, 2, -3, 1)
 
 
 def test_a_failed_candidate_is_certified_once(b12, monkeypatch):
@@ -353,9 +372,9 @@ def test_scale_beyond_int64():
     assert oracle_L == L
     assert (op.indptr.tolist(), op.indices.tolist(), op.data.tolist()) == (indptr, indices, data)
     # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
-    assert minimal_polynomial(op) == P(0, 2, -3, 1)
+    assert min_a(op) == P(0, 2, -3, 1)
     report = compute_spectral_report(cx, 0)
-    assert report.den_bound == L
+    assert report.L == L and report.q == (0, 2 * L**2, -3 * L, 1)
     assert [r.value for r in report.isolation.roots] == [0, 1, 2]
 
 
@@ -417,7 +436,7 @@ def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
     assert big.data.tolist() == laplacian_csr_by_apply(cx, 0, groups)[2]
     # each star has spectrum {0, 1, 2} ({0, 2} for K_{1,1})
     for op, true in ((small, reference_minimal_polynomial(2, 2, 1)), (big, P(0, 2, -3, 1))):
-        assert minimal_polynomial(op) == true
+        assert min_a(op) == true
         for cand, kills in ((true, True), (poly_div(true, P(0, 1)), False)):
             assert certify_annihilates(op.dim, op.indptr, op.indices, op.data,
                                        b_coefficients(cand, op.L)) is kills
@@ -433,9 +452,36 @@ def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
     report = compute_spectral_report(b12.complex, 0)
     assert [r.value for r in report.isolation.roots if r.is_rational] == [0, 2]
     monkeypatch.setattr(spectra, "minimal_polynomial",
-                        lambda *args, **kwargs: P(-1, 1) * P(-1, 1))
+                        lambda *args, **kwargs: MinimalPolynomial((1, -2, 1), 1))
     with pytest.raises(NotSquarefree):
         compute_spectral_report(b12.complex, 0)
+
+
+def test_report_builds_no_rational_polynomial(b22, monkeypatch):
+    # certification, isolation and the integer table run on min_B and L in
+    # integers: no RatPolynomial is built or evaluated for the report, and
+    # min_A is built once, when the report is first written
+    def forbidden(*args):
+        raise AssertionError("a RatPolynomial on the report path")
+
+    monkeypatch.setattr(RatPolynomial, "__post_init__", forbidden)
+    monkeypatch.setattr(RatPolynomial, "__call__", forbidden)
+    report = compute_spectral_report(b22.complex, 1)
+    assert report.integer_eigenvalues == {0: True, 1: True, 2: True, 3: True}
+    monkeypatch.undo()
+    built = []
+    real = RatPolynomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(RatPolynomial, "__post_init__", counting)
+    docs = [report.to_json_dict() for _ in range(2)]
+    assert report.minpoly is report.minpoly and len(built) == 1
+    monkeypatch.undo()
+    assert docs[0] == docs[1]
+    assert report.minpoly == reference_minimal_polynomial(2, 2, 1)
 
 
 _M64 = 2**64
@@ -492,33 +538,37 @@ def test_seed_vectors_are_a_fixed_stream():
 def test_zero_dimensional_operator():
     h = LinearOperatorHandle(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
                              np.zeros(0, dtype=np.int64), 1)
-    assert minimal_polynomial(h) == P(1)
+    assert minimal_polynomial(h) == MinimalPolynomial((1,), 1)
 
 
 # -- helpers around the minimal polynomial ------------------------------------
 
 
 def test_is_eigenvalue():
-    p = P(0, -2, 1)
-    assert is_eigenvalue(p, 0) and is_eigenvalue(p, 2)
-    assert not is_eigenvalue(p, 1)
-    assert is_eigenvalue(P(QQ(-1, 3), 1), QQ(1, 3))
+    # the integer k is an eigenvalue of A = B / L exactly when q(k L) = 0
+    # for q = min_B, read in integers: q = x (x - 6) with L = 3 is
+    # A = x (x - 2), and q = x (x - 1) with L = 3 is x (x - 1/3)
+    rep = report_from_minpoly((0, -6, 1), 3, "1/1000000", {}, 0, 2, 1)
+    assert rep.integer_eigenvalues == {0: True, 1: False, 2: True}
+    rep = report_from_minpoly((0, -1, 1), 3, "1/1000000", {}, 0, 2, 1)
+    assert rep.integer_eigenvalues == {0: True, 1: False, 2: False}
+    assert rep.M.value == QQ(1, 3)
 
 
 def test_squarefree_certify():
-    squarefree_certify(P(0, -2, 1))
+    squarefree_certify((0, -2, 1))
     with pytest.raises(NotSquarefree):
-        squarefree_certify(P(-1, 1) * P(-1, 1))
+        squarefree_certify((1, -2, 1))  # (x - 1)^2
 
 
 def test_extract_extremes():
     from garland.polyq import isolate_real_roots
 
-    iso = isolate_real_roots(P(0, 1) * P(-2, 1) * P(-5, 1))
+    iso = isolate_real_roots((0, 10, -7, 1))  # x (x - 2) (x - 5)
     m, M = extract_extremes(iso)
     assert m.value == 2 and M.value == 5
     with pytest.raises(NoNonzeroRoot):
-        extract_extremes(isolate_real_roots(P(0, 1)))
+        extract_extremes(isolate_real_roots((0, 1)))
 
 
 # -- spectral reports ---------------------------------------------------------
@@ -535,7 +585,8 @@ def test_spectral_report_shape(b12):
     d = rep.to_json_dict()
     assert d["minpoly"] == "0/1 -14/9 43/9 -4/1 1/1"
     assert d["instance"] == {"ell": 1, "q": 2, "i": 0}
-    assert d["den_bound"] >= 1
+    assert d["den_bound"] == rep.L >= 1
+    assert RatPolynomial.from_scaled(rep.q, rep.L) == rep.minpoly
     assert [r["is_rational"] for r in d["roots"]] == [True, False, False, True]
     assert set(d["timings"]) == {"assemble_s", "minpoly_s", "isolate_s"}
     assert d["m"]["lo"] and d["M"]["exact"] == "2/1"

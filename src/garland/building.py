@@ -17,9 +17,11 @@ Canonical data layout, fixed as an external contract:
     order, then dim-2, and so on; `vertex_types[v]` is the type of id v.
     Every subspace lies on a chamber, so these ids are also the
     complex's dense vertex ids;
-  * the chambers are a (chambers x (ell+1)) int32 array of vertex ids,
-    each row ascending in type, in depth-first order: by the dim-1
-    subspace, then by the superspace order of each step
+  * the chambers are a (chambers x (ell+1)) array of vertex ids in the
+    width that V proves (`vertex_id_dtype`): uint16 when the ids 0..V-1
+    fit 16 bits (V <= 2**16; the (3,3) building has V = 2,662), else
+    int32.  Each row is ascending in type, in depth-first order: by the
+    dim-1 subspace, then by the superspace order of each step
     (`superspace_ids`).  The walk allocates that array once and fills
     it in place a column per layer, so no layer copies the flags walked
     so far.  It goes straight to `Complex.from_maximal_simplices`; no
@@ -41,7 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, vertex_id_dtype
 from .errors import DimensionOutOfRange
 from .gf import FieldSpec
 
@@ -151,7 +153,7 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     # one value per block, through a (blocks, block size, ell+1) view
     tables = [superspace_ids(n, d, field) + np.int32(offsets[d]) for d in range(1, ell + 1)]
     blocks = np.cumprod([sizes[0]] + [sup.shape[1] for sup in tables]).tolist()
-    chambers = np.empty((blocks[-1], ell + 1), dtype=np.int32)
+    chambers = np.empty((blocks[-1], ell + 1), dtype=vertex_id_dtype(offsets[-1]))
     layer = chambers.reshape(blocks[0], -1, ell + 1)
     layer[:, :, 0] = np.arange(sizes[0], dtype=np.int32)[:, None]
     for d, sup in enumerate(tables, start=1):

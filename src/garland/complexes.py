@@ -29,7 +29,10 @@ complex has
 Face levels are built on demand.  Construction checks the input, sorts
 every maximal row with a network of elementwise minima and maxima over
 per-column copies of the ids, and keeps those sorted columns and the
-vertex level, which is the ids themselves: `rows[0]` and `keys[0]` are
+vertex level.  The columns hold the ids in the narrowest width that V
+proves enough (`vertex_id_dtype`): uint16 when V <= 2**16, as on the
+(3,3) building's 2,662 vertices and 251,680 chambers, and int32 beyond.
+The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
 simplices.  `rows`, `keys` and `counts` are read-only sequences of
 length n + 1; reading item d of any of them builds every missing level
@@ -74,6 +77,12 @@ from .errors import (
     RepeatedVertex,
     SimplexNotFound,
 )
+
+def vertex_id_dtype(nv: int) -> type:
+    """The width of a stored vertex id among dense ids 0..V-1: uint16 when
+    V <= 2**16, so that V - 1 fits 16 bits, and int32 otherwise."""
+    return np.uint16 if nv <= 2**16 else np.int32
+
 
 def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
     """Occurrences of each id in a 2-D array of dense ids 0..V-1, each
@@ -211,8 +220,8 @@ class Complex:
     """
 
     def __init__(self, cols: list, occurrences: np.ndarray):
-        """`cols`: the maximal simplices as int32 columns, each row
-        ascending across them; `occurrences`: each id's count in them."""
+        """`cols`: the maximal simplices as columns of `vertex_id_dtype(V)`,
+        each row ascending across them; `occurrences`: each id's count in them."""
         nv = len(occurrences)
         self.dim = len(cols) - 1
         self._cols = cols
@@ -238,7 +247,9 @@ class Complex:
         duplicate row raise their own GarlandError, in that order.  The
         caller's array is only read.
 
-        The input becomes one contiguous int32 copy per column, and an
+        The input becomes one contiguous copy per column, in the id width
+        `vertex_id_dtype(V)` (uint16 up to 2**16 vertices, else int32;
+        every id is below V once the contract is checked), and an
         odd-even transposition network of elementwise minima and maxima
         sorts every row across those columns.  Duplicates are found by
         sorting each row's packed value, sum of col_j * V**(size-1-j).
@@ -254,7 +265,7 @@ class Complex:
         occurrences = _dense_vertex_counts(tops)
         nv, size = len(occurrences), tops.shape[1]
         # astype always copies, so sorting in place never writes into the caller's array
-        cols = [tops[:, j].astype(np.int32) for j in range(size)]
+        cols = [tops[:, j].astype(vertex_id_dtype(nv)) for j in range(size)]
         _sort_columns(cols)
         if size > 1:
             repeats = cols[0] == cols[1]

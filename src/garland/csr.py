@@ -14,8 +14,10 @@ The kernel contract, which the functions below keep:
   - outputs are accumulated into (y += A x), so they start zeroed;
   - every index array of one kernel call has one width, int64 except
     inside `gram`, which works in int32 where a bound proves it fits
-    (`gram_index_dtype`) and returns int64; blocks of vectors are
-    C-contiguous (n, k) int64 arrays;
+    (`gram_index_dtype`) and returns int64; `gram`'s values keep the
+    width of its inputs, which its caller proves wide enough
+    (`gram_value_dtype`); blocks of vectors are C-contiguous (n, k)
+    int64 arrays;
   - the kernels do no bounds checks: a stray index reads or writes out
     of bounds.  `check` validates the arrays of a matrix, and callers run
     it once per call on their input, not once per product.
@@ -116,11 +118,22 @@ def gram_index_dtype(m, n, row_nnz, nnz):
     return np.int32 if max(m, n, row_nnz * nnz) < 2**31 - 1 else np.int64
 
 
+def gram_value_dtype(bound):
+    """The value width for a Gram product X^T Y whose every entry and
+    partial sum is at most `bound` in absolute value: int32 below 2**31,
+    int64 otherwise."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def gram(n, indptr, indices, x, y):
     """X^T Y as n x n CSR (indptr, indices, data) with ascending columns.
 
-    X and Y are m x n int64 CSR matrices with the one pattern (indptr,
-    indices) and the values x and y.  Exact zero sums are left out.
+    X and Y are m x n integer CSR matrices with the one pattern (indptr,
+    indices) and the values x and y.  Exact zero sums are left out.  The
+    product's values are in the result type of x and y, int32 or int64,
+    and the kernels accumulate in that type without an overflow check:
+    the caller picks a type that holds every entry and partial sum of
+    X^T Y (`gram_value_dtype`).
 
     The transposition and the product run on int32 index arrays when
     they provably fit: X^T Y has at most sum_r nnz_r^2 <= max_r nnz_r *
@@ -131,17 +144,20 @@ def gram(n, indptr, indices, x, y):
     either way.
     """
     indptr, indices = _validated((len(indptr) - 1, n), indptr, indices, x, y)
+    value = np.result_type(*map(np.asarray, (x, y)))
+    x, y = (np.asarray(a, dtype=value) for a in (x, y))
     m = len(indptr) - 1
     index = gram_index_dtype(m, n, int((indptr[1:] - indptr[:-1]).max(initial=0)), len(indices))
     indptr, indices = (np.ascontiguousarray(a, dtype=index) for a in (indptr, indices))
     tp = np.empty(n + 1, dtype=index)
     tj = np.empty(len(indices), dtype=index)
-    tx = np.empty(len(x), dtype=np.int64)
+    tx = np.empty(len(x), dtype=value)
     _kernels.csr_tocsc(m, n, indptr, indices, x, tp, tj, tx)
+    del x
     nnz = _kernels.csr_matmat_maxnnz(n, n, tp, tj, indptr, indices)
     cp = np.empty(n + 1, dtype=index)
     cj = np.empty(nnz, dtype=index)
-    cx = np.empty(nnz, dtype=np.int64)
+    cx = np.empty(nnz, dtype=value)
     _kernels.csr_matmat(n, n, tp, tj, tx, indptr, indices, y, cp, cj, cx)
     del tp, tj, tx, indptr, indices
     cj, cx = cj[:cp[-1]], cx[:cp[-1]]

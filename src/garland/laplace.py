@@ -14,9 +14,12 @@ coboundary of m (i+1)-simplices has i + 2 entries a row, so the product
 has at most m (i+2)^2 entries; while m, n and that bound are below
 2**31 - 1, the pattern goes to the Gram product as int32 index arrays,
 which it transposes and multiplies without widening them, and only B's
-returned indptr and indices are int64.  It returns the square matrix
-B = L * Delta as CSR and the scale L (the lcm of the entry denominators
-of Delta), which is what the certified spectral code consumes; the
+returned indptr and indices are int64.  The values are int32 likewise
+while the sum of w_{i+1} is below 2**31, a bound on every entry of X
+and every weight (`assemble_matrix` gives the proof), and B's data are
+made afresh from them.  It returns the square matrix B = L * Delta as
+CSR and the scale L (the lcm of the entry denominators of Delta),
+which is what the certified spectral code consumes; the
 assembly time therefore includes the integer scaling.  B's entries are
 one ndarray, int64 when every entry fits and an object array of Python
 ints otherwise; assemble_matrix is the only code that makes that
@@ -86,7 +89,9 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
 def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
     """Whether every product num * (L // den) fits int64 (den > 0)."""
     top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
-    return L < 2**63 and top * (L // int(den.min(initial=L))) < 2**63
+    # not den.min(initial=L): an int32 den cannot hold an L past 2**31
+    smallest = int(den.min()) if den.size else L
+    return L < 2**63 and top * (L // smallest) < 2**63
 
 
 def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle:
@@ -98,6 +103,14 @@ def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle
     the lcm of those, and B holds (x / g) * (L / (w_r / g)).  L is a
     Python int, because it can pass 2**63; B's data are int64 when every
     product fits and Python ints in an object array otherwise.
+
+    X, its factors, the denominators and the gcds are int32 when
+    W = sum_s w_{i+1}(s) < 2**31 and int64 otherwise
+    (`csr.gram_value_dtype`).  That is enough: a row of d has entries
+    +-1, so |X[r, c]| and every partial sum of it are at most W; and
+    w_r <= W, because each of the w_r top simplices through r contains
+    an (i+1)-simplex (i < n), and W counts every top simplex once per
+    (i+1)-face, so at least once.  |g| <= w_r then too.
 
     `coboundary` is `coboundary_pattern(c, i)` when the caller already
     holds it (a vertex link's, which its cohomology test reads too); it
@@ -112,13 +125,18 @@ def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle
     index = csr.gram_index_dtype(m, n, i + 2, m * (i + 2))
     rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=index)
     cols = cols.astype(index, copy=False).ravel()
+    # every |X[r, c]|, every partial sum of it and every w_r is at most
+    # the sum of w_{i+1} (docstring), so that sum picks the width of Y,
+    # X's +-1 values, X, the denominators and the gcds
+    value = csr.gram_value_dtype(int(c.counts[i + 1].sum()))
+    signs = signs.astype(value)
     # Y's values w_{i+1}(row) * sign, formed in place
-    y = np.repeat(c.counts[i + 1], i + 2)
+    y = np.repeat(c.counts[i + 1].astype(value), i + 2)
     y.reshape(m, i + 2)[...] *= signs
     indptr, indices, x = csr.gram(n, rowptr, cols, np.tile(signs, m), y)
     del cols, rowptr, y
     # in place, to keep the peak down: x becomes x / g and den w_r / g
-    den = np.repeat(c.counts[i], np.diff(indptr))
+    den = np.repeat(c.counts[i].astype(value), np.diff(indptr))
     g = np.gcd(x, den)
     x //= g
     den //= g
@@ -127,7 +145,10 @@ def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle
     # of every entry, nor np.unique, which loads numpy.ma on first use
     L = lcm(*np.flatnonzero(np.bincount(den)).tolist())
     if _fits_int64(x, den, L):
-        data = np.floor_divide(L, den, out=den)
+        # a fresh int64 array: L // den and its products need not fit den's width
+        data = den.astype(np.int64)
+        del den
+        np.floor_divide(L, data, out=data)
         data *= x
     else:
         data = x.astype(object) * (L // den.astype(object))

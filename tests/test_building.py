@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from garland import building
 from garland.building import flag_complex, superspace_ids, witness_columns
+from garland.complexes import Complex
 from garland.errors import DimensionOutOfRange
 from garland.gf import field_for_order
 from garland.harness import default_grid, extended_grid
@@ -185,12 +187,36 @@ def test_type_invariant_lift_is_constant_on_signatures(b22):
         assert val == edge_values[key]
 
 
+@pytest.mark.parametrize("ell,q", [(2, 3), (3, 2)])
+def test_chamber_walk_stores_16_bit_ids_and_agrees_with_a_32_bit_walk(ell, q, monkeypatch):
+    # V <= 2**16 on every grid building, so the walk's chamber array and
+    # the complex's sorted columns hold uint16 ids; a walk forced to
+    # int32 builds the same complex
+    widths = []
+    real = Complex.from_maximal_simplices.__func__
+
+    def spy(cls, maximal):
+        widths.append(maximal.dtype)
+        return real(cls, maximal)
+
+    monkeypatch.setattr(Complex, "from_maximal_simplices", classmethod(spy))
+    f = field_for_order(q)
+    narrow = flag_complex(ell, f).complex
+    monkeypatch.setattr(building, "vertex_id_dtype", lambda nv: np.int32)
+    wide = flag_complex(ell, f).complex
+    assert widths == [np.uint16, np.int32]
+    assert [c.dtype for c in narrow._cols] == [np.uint16] * (ell + 1)
+    for d in range(ell + 1):
+        assert np.array_equal(narrow.rows[d], wide.rows[d])
+        assert np.array_equal(narrow.counts[d], wide.counts[d])
+
+
 def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
     # numpy reports every array allocation to tracemalloc, so the peak is
-    # deterministic.  251,680 chambers are 3.8 MiB as one int32 array and
-    # again as the sorted columns; the walk, the vertex counts, the edge
-    # level and the Gram product may each add at most one temporary of
-    # about that size
+    # deterministic.  251,680 chambers of 4 vertex ids are 1.9 MiB as one
+    # uint16 array and again as the sorted columns; the peak is the walk's
+    # duplicate check, where the packed int64 row values add 1.9 MiB more.
+    # The edge level and the Gram product, in int32 values, stay below it
     tracemalloc.start()
     try:
         b = flag_complex(3, field_for_order(3))
@@ -198,4 +224,4 @@ def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11.5 * 2**20
+    assert peak <= 7.5 * 2**20

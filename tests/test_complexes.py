@@ -470,3 +470,25 @@ def test_face_levels_of_a_50000_vertex_path(size):
     c = from_maximal_simplices(np.array(tops)[np.random.default_rng(size).permutation(len(tops))])
     _check_levels(c, tops)
     assert c.counts[1][c.locate(np.array([[1, 2]]))[0]] == size - 1
+
+
+# ids 0..65,535 fit uint16, so a complex on 2**16 vertices stores its
+# sorted columns in 16 bits; one more vertex needs id 65,536 and int32
+@pytest.mark.parametrize("nv, width", [(2**16, np.uint16), (2**16 + 1, np.int32)])
+def test_path_on_each_side_of_the_uint16_id_bound(nv, width):
+    tops = [[j, j + 1] for j in range(nv - 1)]
+    given = np.array(tops)[np.random.default_rng(nv).permutation(nv - 1)]
+    given[::2] = given[::2, ::-1]  # the sorting network has rows to sort
+    c = from_maximal_simplices(given)
+    assert [col.dtype for col in c._cols] == [width, width]
+    _check_levels(c, tops)
+    ends = np.array([[nv - 2, nv - 1], [0, 1], [0, nv - 1], [nv - 3, nv - 2]])
+    assert c.locate(ends).tolist() == [nv - 2, 0, -1, nv - 3]
+    # the link of the next-to-last vertex is its two neighbours, the last
+    # of them the largest id
+    v = nv - 2
+    link, new_to_old = c.vertex_link(v)
+    want = sorted(u for top in tops if v in top for u in top if u != v)
+    assert new_to_old == want == [nv - 3, nv - 1]
+    assert [[new_to_old[u] for u in row] for row in link.rows[0].tolist()] == [[u] for u in want]
+    assert link.counts[0].tolist() == [1, 1]

@@ -150,6 +150,31 @@ def test_gram_index_width_follows_its_bound(monkeypatch):
     assert all(r == results[0] for r in results)
 
 
+def test_gram_value_width_follows_its_bound():
+    # every entry and partial sum at most the bound: int32 up to 2**31 - 1
+    assert csr.gram_value_dtype(2**31 - 1) == np.int32
+    assert csr.gram_value_dtype(2**31) == np.int64
+    # at each edge, one column of two rows whose Gram entry is the bound,
+    # computed exactly in the width the rule gives
+    for bound in (2**31 - 1, 2**31):
+        value = csr.gram_value_dtype(bound)
+        y = np.array([2**30, bound - 2**30], dtype=value)
+        got = csr.gram(1, [0, 1, 2], [0, 0], np.ones(2, dtype=value), y)
+        assert got[2].dtype == value and got[2].tolist() == [bound]
+    # int32 and int64 values give one product, in their own width
+    cols, signs = coboundary_pattern(OCTAHEDRON, 1)
+    m, n = len(cols), OCTAHEDRON.num_simplices(1)
+    rowptr = np.arange(0, 3 * m + 1, 3)
+    results = []
+    for value in (np.int32, np.int64):
+        tiled = np.tile(signs.astype(value), m)
+        weighted = tiled * np.repeat(OCTAHEDRON.counts[2].astype(value), 3)
+        got = csr.gram(n, rowptr, cols.ravel(), tiled, weighted)
+        assert [a.dtype for a in got] == [np.int64, np.int64, value]
+        results.append([a.tolist() for a in got])
+    assert results[0] == results[1]
+
+
 VALID = ([0, 2, 3, 4], [0, 2, 1, 2], [1, 2, 3, 4])
 MALFORMED = {
     "index equal to n": ([0, 2, 3, 4], [0, 3, 1, 2], [1, 2, 3, 4]),

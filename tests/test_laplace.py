@@ -207,6 +207,35 @@ def test_int64_and_python_int_scaling_agree(b22, monkeypatch):
     assert taken[-1] is False
 
 
+def test_value_width_follows_the_weight_sum(b22, monkeypatch):
+    # X, the denominators and the gcds take the width that the sum of
+    # w_{i+1} bounds; B's data are int64 or Python ints either way, and
+    # forcing int64 values gives the same B.  The star unions reach
+    # L = lcm(1..23) = 5,354,228,880 > 2**31, scaled from int32
+    # denominators into int64 data, and L = lcm(1..47) > 2**63, into
+    # Python ints
+    asked = []
+    real = laplace.csr.gram_value_dtype
+
+    def spy(bound):
+        asked.append((bound, real(bound)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(laplace.csr, "gram_value_dtype", spy)
+    cases = [(b22.complex, 0), (b22.complex, 1), (star_union(23)[0], 0), (star_union(47)[0], 0)]
+    narrow = [assemble_matrix(c, i) for c, i in cases]
+    assert asked == [(int(c.counts[i + 1].sum()), np.int32) for c, i in cases]
+    assert [op.data.dtype for op in narrow] == [np.int64, np.int64, np.int64, object]
+    assert narrow[2].L == 5_354_228_880
+    assert narrow[2].data.tolist() == laplacian_csr_by_apply(*cases[2])[2]
+    monkeypatch.setattr(laplace.csr, "gram_value_dtype", lambda bound: np.int64)
+    for (c, i), op in zip(cases, narrow):
+        wide = assemble_matrix(c, i)
+        assert wide.data.dtype == op.data.dtype and wide.L == op.L
+        for a, b in zip((op.indptr, op.indices, op.data), (wide.indptr, wide.indices, wide.data)):
+            assert a.tolist() == b.tolist()
+
+
 def test_int64_fit_scales_by_the_smallest_denominator():
     # the largest product num * (L // den) comes from the smallest den:
     # 3 * (2**62 // 1) passes int64, though 3 * (2**62 // 2**62) does not
@@ -217,6 +246,9 @@ def test_int64_fit_scales_by_the_smallest_denominator():
     # is the int64 minimum, yet the bound is kept symmetric
     assert not laplace._fits_int64(np.array([-2]), np.array([1, 2**62]), 2**62)
     assert laplace._fits_int64(np.array([-3]), np.array([4, 2**62]), 2**62)
+    # int32 denominators, whose dtype cannot hold L = 2**40
+    assert laplace._fits_int64(np.array([3], np.int32), np.array([1, 4], np.int32), 2**40)
+    assert not laplace._fits_int64(np.array([2**23], np.int32), np.array([1], np.int32), 2**40)
 
 
 def test_laplacian_degree_domain():

@@ -20,12 +20,15 @@ Canonical data layout, fixed as an external contract:
   * the chambers are a (chambers x (ell+1)) array of vertex ids in the
     width that V proves (`vertex_id_dtype`): uint16 when the ids 0..V-1
     fit 16 bits (V <= 2**16; the (3,3) building has V = 2,662), else
-    int32.  Each row is ascending in type, in depth-first order: by the
-    dim-1 subspace, then by the superspace order of each step
-    (`superspace_ids`).  The walk allocates that array once and fills
-    it in place a column per layer, so no layer copies the flags walked
-    so far.  It goes straight to `Complex.from_maximal_simplices`; no
-    tuple per chamber is made;
+    int32.  Each row is ascending in type, so ascending in id, and the
+    rows are in strictly ascending lexicographic order: the depth-first
+    walk takes the dim-1 subspaces in id order and, at each step, a
+    partial flag's superspaces in ascending id order (each row of
+    `superspace_ids` sorted).  The walk allocates that array once and
+    fills it in place a column per layer, so no layer copies the flags
+    walked so far.  It goes straight to `Complex.from_maximal_simplices`,
+    whose duplicate check that order proves at the cost of one pass of
+    comparisons; no tuple per chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 
@@ -150,8 +153,12 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     # table is rectangular, and in depth-first order the flags through
     # one partial flag of layer d form a block of equal rows.  So the
     # chamber array is allocated once and column d is filled in place,
-    # one value per block, through a (blocks, block size, ell+1) view
-    tables = [superspace_ids(n, d, field) + np.int32(offsets[d]) for d in range(1, ell + 1)]
+    # one value per block, through a (blocks, block size, ell+1) view.
+    # Each table row is sorted, so the walk takes a partial flag's
+    # superspaces in ascending id order and, ids being dimension-major,
+    # emits the chambers in strictly ascending lexicographic order
+    tables = [np.sort(superspace_ids(n, d, field), axis=1) + np.int32(offsets[d])
+              for d in range(1, ell + 1)]
     blocks = np.cumprod([sizes[0]] + [sup.shape[1] for sup in tables]).tolist()
     chambers = np.empty((blocks[-1], ell + 1), dtype=vertex_id_dtype(offsets[-1]))
     layer = chambers.reshape(blocks[0], -1, ell + 1)

@@ -23,15 +23,20 @@ complex has
     last id, where rank(prefix) is the position of the row without its
     last vertex among the (d-1)-simplices (0 for a vertex).  Keys are
     strictly increasing, so `locate` finds a face by one `searchsorted`
-    per prefix;
+    per prefix after the first vertex, whose position is its id;
   * `counts[d]`, an int64 array of the weights.
 
 Face levels are built on demand.  Construction checks the input, sorts
 every maximal row with a network of elementwise minima and maxima over
-per-column copies of the ids, and keeps those sorted columns and the
-vertex level.  The columns hold the ids in the narrowest width that V
-proves enough (`vertex_id_dtype`): uint16 when V <= 2**16, as on the
-(3,3) building's 2,662 vertices and 251,680 chambers, and int32 beyond.
+per-column copies of the ids, proves the rows distinct, and keeps those
+sorted columns and the vertex level.  Rows that arrive in strictly
+ascending lexicographic order, as a building's chambers and the vertex
+links of such a complex do, are distinct by that order, which one pass
+of comparisons checks; rows in any other order are packed into one
+integer each and sorted to find a duplicate.  The columns hold the ids
+in the narrowest width that V proves enough (`vertex_id_dtype`): uint16
+when V <= 2**16, as on the (3,3) building's 2,662 vertices and 251,680
+chambers, and int32 beyond.
 The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
 simplices.  `rows`, `keys` and `counts` are read-only sequences of
@@ -43,9 +48,13 @@ counts of a face that several combinations share, so one combination's
 keys are the largest temporary of a level.  So an operator on C^i
 builds the levels up to i + 1 and no others.  `facets` gathers the
 boundary faces of every simplex of one dimension at once, which is what
-the operators are assembled from, and vertex links, the only links that
-Garland's localization reads, come from one vertex-to-top-simplex CSR
-over the sorted columns, built on first use.
+the operators are assembled from, as int32 positions while the faces
+number fewer than 2**31 (`position_dtype`), so the coboundary pattern
+reaches the Gram product without an int64 copy.  Vertex links, the only
+links that Garland's localization reads, come from one vertex-to-top-
+simplex CSR over the sorted columns, built on first use; removing a
+vertex that two ascending rows share keeps their order, so the links of
+a lexicographic complex are lexicographic too.
 
 One derived view stays: `simplices`, per dimension the id tuples in
 lexicographic order, built from the arrays on first item access; its
@@ -84,6 +93,17 @@ def vertex_id_dtype(nv: int) -> type:
     return np.uint16 if nv <= 2**16 else np.int32
 
 
+# positions among fewer faces than this fit int32 (`position_dtype`)
+_INT32_POSITIONS = 2**31
+
+
+def position_dtype(count: int) -> type:
+    """The width of a position among `count` faces, or of -1 for an absent
+    face: int32 when count < 2**31, so every position 0..count-1 fits,
+    and int64 otherwise."""
+    return np.int32 if count < _INT32_POSITIONS else np.int64
+
+
 def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
     """Occurrences of each id in a 2-D array of dense ids 0..V-1, each
     occurring (so the length is V); raises otherwise."""
@@ -118,6 +138,18 @@ def _sort_columns(cols: list) -> None:
             np.minimum(lo, hi, out=spare)
             np.maximum(lo, hi, out=hi)
             cols[j], spare = spare, lo
+
+
+def _strictly_ascending(cols: list) -> bool:
+    """Whether the rows across the equal-length columns `cols` are in
+    strictly ascending lexicographic order, which proves them distinct:
+    one pass of elementwise comparisons of every row with the next."""
+    tied = np.ones(len(cols[0]) - 1, dtype=bool)  # equal on the columns so far
+    for c in cols:
+        if (tied & (c[1:] < c[:-1])).any():
+            return False
+        tied &= c[1:] == c[:-1]
+    return not tied.any()
 
 
 def _packed_rows(cols: list, nv: int) -> np.ndarray:
@@ -251,8 +283,14 @@ class Complex:
         `vertex_id_dtype(V)` (uint16 up to 2**16 vertices, else int32;
         every id is below V once the contract is checked), and an
         odd-even transposition network of elementwise minima and maxima
-        sorts every row across those columns.  Duplicates are found by
-        sorting each row's packed value, sum of col_j * V**(size-1-j).
+        sorts every row across those columns.  Sorted rows that arrive in
+        strictly ascending lexicographic order are distinct, and one pass
+        of elementwise comparisons of each row with the next checks that
+        order (`_strictly_ascending`); a building's chamber walk emits
+        that order, and so do the vertex links of such a complex.  Rows in
+        any other order, as from text or a caller's array, are checked
+        for duplicates by sorting each row's packed value, sum of
+        col_j * V**(size-1-j) (`_packed_rows`).
         The complex keeps the sorted columns and the vertex level: vertex
         v is row v and has key v, and its weight is the number of times v
         occurs.  Every larger face level is built when first read
@@ -274,10 +312,11 @@ class Complex:
             if repeats.any():
                 first = tuple(tops[int(repeats.argmax())].tolist())
                 raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
-        packed = _packed_rows(cols, nv)
-        packed.sort()
-        if (packed[1:] == packed[:-1]).any():
-            raise DuplicateSimplex("duplicate maximal simplex")
+        if not _strictly_ascending(cols):
+            packed = _packed_rows(cols, nv)
+            packed.sort()
+            if (packed[1:] == packed[:-1]).any():
+                raise DuplicateSimplex("duplicate maximal simplex")
         return cls(cols, occurrences)
 
     def _build_levels(self, d: int) -> None:
@@ -362,23 +401,31 @@ class Complex:
         return len(self.rows[i])
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of ascending id rows (shape (m, d+1)) among the d-simplices; -1 if absent."""
+        """Positions of ascending id rows (shape (m, d+1)) among the
+        d-simplices, int64; -1 if absent.  A vertex's position is its id,
+        so the first column needs only a range check; each later column
+        one `searchsorted` among the keys."""
         nv = len(self._rows[0])
-        pos = np.zeros(len(rows), dtype=np.int64)
-        found = np.ones(len(rows), dtype=bool)
-        for j in range(rows.shape[1]):
+        pos = rows[:, 0].astype(np.int64)
+        found = (pos >= 0) & (pos < nv)
+        np.clip(pos, 0, nv - 1, out=pos)
+        for j in range(1, rows.shape[1]):
             keys = self.keys[j]
             want = pos * nv + rows[:, j]
             pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             found &= keys[pos] == want
-        return np.where(found, pos, -1)
+        pos[~found] = -1
+        return pos
 
     def facets(self, d: int) -> np.ndarray:
-        """Shape (count, d+1): column j holds the position among the
-        (d-1)-simplices of each d-simplex without its vertex j."""
+        """Shape (count, d+1), 1 <= d <= n: column j holds the position
+        among the (d-1)-simplices of each d-simplex without its vertex j,
+        in the width `position_dtype` gives for the (d-1)-simplex count."""
         rows = self.rows[d]
-        return np.stack([self.locate(np.delete(rows, j, axis=1)) for j in range(d + 1)],
-                        axis=1)
+        out = np.empty((len(rows), d + 1), dtype=position_dtype(self.num_simplices(d - 1)))
+        for j in range(d + 1):
+            out[:, j] = self.locate(np.delete(rows, j, axis=1))
+        return out
 
     @property
     def vertices(self) -> range:

@@ -12,12 +12,14 @@ it (and one made earlier is reused here).
 
 The kernel contract, which the functions below keep:
   - outputs are accumulated into (y += A x), so they start zeroed;
-  - every index array of one kernel call has one width, int64 except
-    inside `gram`, which works in int32 where a bound proves it fits
-    (`gram_index_dtype`) and returns int64; `gram`'s values keep the
-    width of its inputs, which its caller proves wide enough
-    (`gram_value_dtype`); blocks of vectors are C-contiguous (n, k)
-    int64 arrays;
+  - every index array of one kernel call has one width, int32 or int64:
+    `gram` works in int32 where a bound proves it fits
+    (`gram_index_dtype`) and returns its indptr and indices in that
+    width, and `check` keeps a pattern whose two arrays are both int32
+    and makes anything else int64, so no kernel call converts an index
+    array; `gram`'s values keep the width of its inputs, which its
+    caller proves wide enough (`gram_value_dtype`); blocks of vectors
+    are C-contiguous (n, k) int64 arrays;
   - the kernels do no bounds checks: a stray index reads or writes out
     of bounds.  `check` validates the arrays of a matrix, and callers run
     it once per call on their input, not once per product.
@@ -81,10 +83,12 @@ def _validated(shape, indptr, indices, *data):
 
 
 def check(shape, indptr, indices, *data):
-    """(indptr, indices) as contiguous int64 arrays, once they form a valid
-    CSR pattern (`_validated` lists the conditions; MalformedMatrix otherwise)."""
-    return tuple(np.ascontiguousarray(a, dtype=np.int64)
-                 for a in _validated(shape, indptr, indices, *data))
+    """(indptr, indices) as contiguous arrays of one width, once they form
+    a valid CSR pattern (`_validated` lists the conditions; MalformedMatrix
+    otherwise): int32 when both are int32 arrays, int64 otherwise."""
+    indptr, indices = _validated(shape, indptr, indices, *data)
+    width = np.int32 if indptr.dtype == indices.dtype == np.int32 else np.int64
+    return tuple(np.ascontiguousarray(a, dtype=width) for a in (indptr, indices))
 
 
 def _rows_of(indptr, x) -> int:
@@ -96,7 +100,7 @@ def _rows_of(indptr, x) -> int:
 
 
 def matvec(indptr, indices, data, x) -> np.ndarray:
-    """B x for checked CSR arrays of an n x n int64 matrix B and an int64 n-vector x."""
+    """B x for `check`ed CSR arrays of an n x n int64 matrix B and an int64 n-vector x."""
     n = _rows_of(indptr, x)
     y = np.zeros(n, dtype=np.int64)
     _kernels.csr_matvec(n, n, indptr, indices, data, x, y)
@@ -104,8 +108,8 @@ def matvec(indptr, indices, data, x) -> np.ndarray:
 
 
 def matvecs(indptr, indices, data, x) -> np.ndarray:
-    """B X for checked CSR arrays of an n x n int64 matrix B and a C-contiguous
-    (n, k) int64 block X."""
+    """B X for `check`ed CSR arrays of an n x n int64 matrix B and a
+    C-contiguous (n, k) int64 block X."""
     n = _rows_of(indptr, x)
     y = np.zeros((n, x.shape[1]), dtype=np.int64)
     _kernels.csr_matvecs(n, n, x.shape[1], indptr, indices, data, x, y)
@@ -140,8 +144,8 @@ def gram(n, indptr, indices, x, y):
     nnz(X) entries (row r of X meets row r of Y in nnz_r^2 products), so
     int32 is taken when m, n and that bound are all below 2**31 - 1, and
     int64 otherwise (`gram_index_dtype`).  int32 inputs of that width are
-    used without a copy.  The returned indptr and indices are int64
-    either way.
+    used without a copy, and the returned indptr and indices keep that
+    width, which `check` keeps too.
     """
     indptr, indices = _validated((len(indptr) - 1, n), indptr, indices, x, y)
     value = np.result_type(*map(np.asarray, (x, y)))
@@ -162,4 +166,4 @@ def gram(n, indptr, indices, x, y):
     del tp, tj, tx, indptr, indices
     cj, cx = cj[:cp[-1]], cx[:cp[-1]]
     _kernels.csr_sort_indices(n, cp, cj, cx)
-    return cp.astype(np.int64), cj.astype(np.int64), cx
+    return cp, cj, cx

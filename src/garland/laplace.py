@@ -12,12 +12,15 @@ rationals, from the column gather of the coboundary
 d^T (diag(w) d) on scipy's compiled CSR kernels (`csr.gram`).  The
 coboundary of m (i+1)-simplices has i + 2 entries a row, so the product
 has at most m (i+2)^2 entries; while m, n and that bound are below
-2**31 - 1, the pattern goes to the Gram product as int32 index arrays,
-which it transposes and multiplies without widening them, and only B's
-returned indptr and indices are int64.  The values are int32 likewise
-while the sum of w_{i+1} is below 2**31, a bound on every entry of X
-and every weight (`assemble_matrix` gives the proof), and B's data are
-made afresh from them.  It returns the square matrix B = L * Delta as
+2**31 - 1, the pattern goes to the Gram product as int32 index arrays
+(`facets` writes int32 positions, so no int64 copy is made), which it
+transposes and multiplies without widening them, and B's indptr and
+indices come back int32 too; past the bound all four are int64.
+Krylov and certification run the kernels on B's arrays in that width
+(`csr.check`).  The values are int32 likewise while the sum of w_{i+1}
+is below 2**31, a bound on every entry of X and every weight
+(`assemble_matrix` gives the proof), and B's data are made afresh from
+them.  It returns the square matrix B = L * Delta as
 CSR and the scale L (the lcm of the entry denominators of Delta),
 which is what the certified spectral code consumes; the
 assembly time therefore includes the integer scaling.  B's entries are
@@ -47,10 +50,12 @@ class LinearOperatorHandle:
     """Delta on C^i as the exact square integer CSR matrix B = L * Delta.
 
     Row r of B has the ascending columns indices[indptr[r]:indptr[r+1]]
-    (int64 arrays) with the values at the same positions of `data`, one
-    ndarray: int64 when every entry fits, else an object array of Python
-    ints.  L >= 1 is the lcm of the denominators of the entries of Delta,
-    a Python int that may exceed 2**63.
+    with the values at the same positions of `data`.  indptr and indices
+    have one width: int32 when the Gram product that made them worked in
+    int32 (`csr.gram_index_dtype`), else int64.  `data` is one ndarray:
+    int64 when every entry fits, else an object array of Python ints.
+    L >= 1 is the lcm of the denominators of the entries of Delta, a
+    Python int that may exceed 2**63.
     """
 
     domain_degree: int

@@ -58,13 +58,16 @@ representations of the data guarantee that, each up to its own cap:
     absolute value, so (||B||_inf + 1)(p - 1) < 2**63;
   * the entries reduced mod p to [0, p), one reduction per prime: the
     row is at most max_nnz_row * (p-1)^2 + (p-1), so
-    max_nnz_row * p^2 <= 2**62 (and p < 2**30, the Krylov ceiling).
+    max_nnz_row * p^2 <= 2**62 (hence p <= 2**31, below the Krylov
+    ceiling).
 
 Each call computes ||B||_inf once and takes whichever representation
 allows the larger primes (`_prime_cap`); object data, whose entries
 pass int64 (as when L >= 2**63), are always reduced.  Certification
 draws descending primes from that cap.  The Krylov elimination
-multiplies two residues, so its primes stay below 2**30 either way.
+subtracts a product of two residues from a residue, so its primes stay
+at most isqrt(2**63 - 1) = 3,037,000,499 either way: (p-1)^2 and
+w - f*vec in (-(p-1)^2, p) then fit int64.
 Both streams come from `gf.descending_primes`, as the rank primes do
 with which `exactla` decides the reduced cohomology of vertex links on
 the sparse +-1 coboundary of `laplace.coboundary_pattern`.
@@ -123,9 +126,10 @@ from .rationals import qstr
 # than 7, so the cap is reached only when certification keeps failing
 _MAX_PRIMES = 160
 
-# the Krylov elimination multiplies two residues, so its primes stay
-# below 2**30 whatever the data: a product of two stays below 2**60
-_KRYLOV_CEILING = (1 << 30) - 1
+# the Krylov elimination forms w - f * vec from residues w, f and vec, so
+# its primes stay at most isqrt(2**63 - 1) whatever the data: then
+# (p - 1)**2 and that difference, in (-(p - 1)**2, p), fit int64
+_KRYLOV_CEILING = isqrt(2**63 - 1)
 
 
 # SplitMix64's increment and the multipliers of its output function
@@ -232,8 +236,8 @@ def _balanced_crt(residues: list[list[int]], primes: list[int]) -> list[int]:
 
 def _reduced_cap(max_nnz_row: int) -> int:
     """The largest modulus for data reduced mod p: max_nnz_row * p^2 <= 2**62,
-    below the Krylov ceiling."""
-    return min(isqrt((1 << 62) // max(1, max_nnz_row)), _KRYLOV_CEILING)
+    so at most 2**31, below the Krylov ceiling."""
+    return isqrt((1 << 62) // max(1, max_nnz_row))
 
 
 def _prime_cap(data: np.ndarray, max_nnz_row: int, binf: int) -> tuple[int, bool]:

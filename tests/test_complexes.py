@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from garland.complexes import Complex, from_maximal_simplices, from_text
+from garland import complexes
+from garland.complexes import Complex, from_maximal_simplices, from_text, position_dtype
 from garland.errors import (
     DuplicateSimplex,
     EmptyInput,
@@ -21,6 +22,7 @@ from garland.errors import (
 from garland.building import flag_complex, witness_columns
 from garland.gf import field_for_order
 from garland.harness import get_building
+from garland.laplace import assemble_matrix
 from garland.spectra import compute_spectral_report
 
 from cochains import (
@@ -391,6 +393,8 @@ def test_rows_whose_int64_packing_would_collide_are_distinct():
     c = from_maximal_simplices(tops)
     assert c.num_simplices(0) == nv
     assert c.num_simplices(4) == len(tops)
+    # the same rows out of order go through the packing, in object ints
+    assert from_maximal_simplices(tops[::-1]).num_simplices(4) == len(tops)
     with pytest.raises(DuplicateSimplex):
         from_maximal_simplices(np.concatenate([tops, tops[1:2]]))
 
@@ -492,3 +496,96 @@ def test_path_on_each_side_of_the_uint16_id_bound(nv, width):
     assert new_to_old == want == [nv - 3, nv - 1]
     assert [[new_to_old[u] for u in row] for row in link.rows[0].tolist()] == [[u] for u in want]
     assert link.counts[0].tolist() == [1, 1]
+
+
+# -- duplicate proof and face positions -------------------------------------------
+
+
+def _spy_packing(monkeypatch) -> list:
+    """Patch `_packed_rows` to record the row count of every call."""
+    calls = []
+    real = complexes._packed_rows
+
+    def spy(cols, nv):
+        calls.append(len(cols[0]))
+        return real(cols, nv)
+
+    monkeypatch.setattr(complexes, "_packed_rows", spy)
+    return calls
+
+
+def test_only_rows_out_of_ascending_order_are_packed(monkeypatch):
+    # the walk's chambers arrive strictly ascending, which proves them
+    # distinct, and so do the tops of each vertex link; the same chambers
+    # in shuffled rows and order are packed and sorted
+    calls = _spy_packing(monkeypatch)
+    b = flag_complex(2, field_for_order(3))
+    cx = b.complex
+    links = [cx.vertex_link(v)[0] for v in range(0, cx.num_simplices(0), 7)]
+    assert calls == []
+    chambers = cx.rows[2]
+    rng = np.random.default_rng(23)
+    shuffled = rng.permuted(chambers[rng.permutation(len(chambers))], axis=1)
+    assert _tables(from_maximal_simplices(shuffled)) == _tables(cx)
+    assert calls == [len(chambers)]
+    # each link equals the one built from its tops in reverse order
+    for v, link in zip(range(0, cx.num_simplices(0), 7), links):
+        at = np.flatnonzero((chambers == v).any(axis=1))
+        rest = chambers[at][chambers[at] != v].reshape(len(at), -1)
+        _, dense = np.unique(rest, return_inverse=True)
+        dense = dense.reshape(rest.shape)
+        assert _tables(link) == _tables(from_maximal_simplices(dense[::-1]))
+
+
+def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch):
+    # an ascending input with two equal adjacent rows is not strictly
+    # ascending, so it is packed like a shuffled one, and both raise
+    # DuplicateSimplex; a repeated vertex is reported before it, and a
+    # missing id before both
+    chambers = get_building(2, 3).complex.rows[2]
+    nv = int(chambers.max()) + 1
+    ascending = np.insert(chambers, 100, chambers[100], axis=0)
+    rng = np.random.default_rng(32)
+    shuffled = rng.permuted(ascending[rng.permutation(len(ascending))], axis=1)
+    calls = _spy_packing(monkeypatch)
+    for tops in (ascending, shuffled):
+        with pytest.raises(DuplicateSimplex):
+            from_maximal_simplices(tops)
+        repeated = tops.copy()
+        repeated[-1, 0] = repeated[-1, 1]
+        with pytest.raises(RepeatedVertex):
+            from_maximal_simplices(repeated)
+        repeated[0, 0] = nv + 1  # id nv is then missing
+        with pytest.raises(NonDenseIds):
+            from_maximal_simplices(repeated)
+    assert calls == [len(ascending)] * 2
+    # the ascending input without its duplicate needs no packing
+    assert from_maximal_simplices(chambers).num_simplices(2) == len(chambers)
+    assert calls == [len(ascending)] * 2
+
+
+def test_facets_width_follows_the_face_count(monkeypatch):
+    # positions among fewer than 2**31 faces are int32, else int64; a
+    # bound moved to the face count itself shows both sides on a small
+    # complex, with the same positions and the same assembled operator
+    assert position_dtype(2**31 - 1) == np.int32
+    assert position_dtype(2**31) == np.int64
+    cx = get_building(2, 2).complex
+    for d in (1, 2):
+        count = cx.num_simplices(d - 1)
+        faces = cx.simplices[d - 1]
+        want = [[faces.index(s[:j] + s[j + 1:]) for j in range(d + 1)]
+                for s in cx.simplices[d]]
+        got = {}
+        for bound in (count + 1, count):
+            monkeypatch.setattr(complexes, "_INT32_POSITIONS", bound)
+            facets = cx.facets(d)
+            assert facets.tolist() == want
+            op = assemble_matrix(cx, d - 1)
+            got[facets.dtype.type] = [a.tolist() for a in (op.indptr, op.indices, op.data)]
+        assert list(got) == [np.int32, np.int64]
+        assert got[np.int32] == got[np.int64]
+    # a vertex's position is its id, when it is one
+    nv = cx.num_simplices(0)
+    assert cx.locate(np.array([[-1], [0], [nv - 1], [nv]])).tolist() == [-1, 0, nv - 1, -1]
+    assert cx.locate(np.array([[-1, 0], [nv, nv + 1], [0, nv]])).tolist() == [-1, -1, -1]

@@ -16,7 +16,7 @@ from garland import csr, spectra
 from garland.complexes import from_maximal_simplices
 from garland.errors import MalformedMatrix
 from garland.gf import descending_primes
-from garland.laplace import LinearOperatorHandle, coboundary_pattern
+from garland.laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 
 OCTAHEDRON = from_maximal_simplices(
     [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
@@ -134,7 +134,8 @@ def test_gram_index_width_follows_its_bound(monkeypatch):
     assert csr.gram_index_dtype(top - 1, top - 1, 1, top - 1) == np.int32
     for m, n, row_nnz, nnz in [(top, 1, 1, 1), (1, top, 1, 1), (1, 1, 2, top // 2 + 1)]:
         assert csr.gram_index_dtype(m, n, row_nnz, nnz) == np.int64
-    # either width, and int32 or int64 input, gives one int64 result
+    # either width, from int32 or int64 input, gives one result, whose
+    # indptr and indices are in the width the rule gives
     cols, signs = coboundary_pattern(OCTAHEDRON, 1)
     m, n = len(cols), OCTAHEDRON.num_simplices(1)
     tiled = np.tile(signs, m)
@@ -145,7 +146,7 @@ def test_gram_index_width_follows_its_bound(monkeypatch):
         for given in (np.int32, np.int64):
             rowptr = np.arange(0, 3 * m + 1, 3, dtype=given)
             got = csr.gram(n, rowptr, cols.ravel().astype(given), tiled, weighted)
-            assert [a.dtype for a in got] == [np.int64] * 3
+            assert [a.dtype for a in got] == [width, width, np.int64]
             results.append([a.tolist() for a in got])
     assert all(r == results[0] for r in results)
 
@@ -161,18 +162,67 @@ def test_gram_value_width_follows_its_bound():
         y = np.array([2**30, bound - 2**30], dtype=value)
         got = csr.gram(1, [0, 1, 2], [0, 0], np.ones(2, dtype=value), y)
         assert got[2].dtype == value and got[2].tolist() == [bound]
-    # int32 and int64 values give one product, in their own width
+    # int32 and int64 values give one product, in their own width; the
+    # indptr and indices are in the index width of the pattern's bound
     cols, signs = coboundary_pattern(OCTAHEDRON, 1)
     m, n = len(cols), OCTAHEDRON.num_simplices(1)
     rowptr = np.arange(0, 3 * m + 1, 3)
+    index = csr.gram_index_dtype(m, n, 3, 3 * m)
     results = []
     for value in (np.int32, np.int64):
         tiled = np.tile(signs.astype(value), m)
         weighted = tiled * np.repeat(OCTAHEDRON.counts[2].astype(value), 3)
         got = csr.gram(n, rowptr, cols.ravel(), tiled, weighted)
-        assert [a.dtype for a in got] == [np.int64, np.int64, value]
+        assert [a.dtype for a in got] == [index, index, value]
         results.append([a.tolist() for a in got])
     assert results[0] == results[1]
+
+
+def test_int32_and_int64_forms_of_one_operator_agree(b22):
+    # the (2,2) building's degree-1 operator comes out of assembly with an
+    # int32 pattern, which `check` keeps; its int64 copy gives the same
+    # products, certificates and minimal polynomial
+    op = assemble_matrix(b22.complex, 1)
+    n = op.dim
+    narrow = csr.check((n, n), op.indptr, op.indices, op.data)
+    wide = tuple(a.astype(np.int64) for a in narrow)
+    assert [a.dtype for a in narrow] == [np.int32, np.int32]
+    assert all(a is b for a, b in zip(narrow, (op.indptr, op.indices)))
+    rng = np.random.default_rng(221)
+    x = rng.integers(-1000, 1000, n)
+    block = rng.integers(-1000, 1000, (n, 3))
+    a = dense(n, op.indptr, op.indices, op.data)
+    for indptr, indices in (narrow, wide):
+        assert csr.matvec(indptr, indices, op.data, x).tolist() == a.dot(x.astype(object)).tolist()
+        got = csr.matvecs(indptr, indices, op.data, block)
+        assert got.tolist() == a.dot(block.astype(object)).tolist()
+    forms = [LinearOperatorHandle(1, *pattern, op.data, op.L) for pattern in (narrow, wide)]
+    got = [spectra.minimal_polynomial(form) for form in forms]
+    assert got[0] == got[1] and got[0].degree > 1
+    # the minimal polynomial q kills every column, and q(B) + B does not
+    wrong = list(got[0].q)
+    wrong[1] += 1
+    for indptr, indices in (narrow, wide):
+        assert spectra.certify_annihilates(n, indptr, indices, op.data, list(got[0].q))
+        assert not spectra.certify_annihilates(n, indptr, indices, op.data, wrong)
+
+
+def test_check_keeps_int32_and_widens_anything_else():
+    # one index width per kernel call: a pattern of two int32 arrays is
+    # kept as it is, and every other pattern becomes two int64 arrays
+    indptr, indices, data = VALID
+    i32 = [np.array(a, dtype=np.int32) for a in (indptr, indices)]
+    got = csr.check((3, 3), *i32, data)
+    assert all(a is b for a, b in zip(got, i32))
+    i64 = [np.array(a, dtype=np.int64) for a in (indptr, indices)]
+    for given in [(indptr, indices),
+                  [np.array(a, dtype=np.int16) for a in (indptr, indices)],
+                  [np.array(a, dtype=np.uint32) for a in (indptr, indices)],
+                  (i32[0], i64[1]), (i64[0], i32[1])]:
+        got = csr.check((3, 3), *given, data)
+        assert [a.dtype for a in got] == [np.int64, np.int64]
+        assert all(a.flags.c_contiguous for a in got)
+        assert [a.tolist() for a in got] == [indptr, indices]
 
 
 VALID = ([0, 2, 3, 4], [0, 2, 1, 2], [1, 2, 3, 4])

@@ -305,7 +305,13 @@ def test_uncertified_candidates_raise(b12, monkeypatch):
 
 @pytest.mark.parametrize("max_nnz", [1, 7, 10**6, 2**40])
 def test_prime_stream_respects_int64_cap(max_nnz):
-    reduced = sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
+    # the Krylov ceiling is exactly the largest p with p^2 < 2^63, and the
+    # reduced cap, p^2 <= 2^62 / max_nnz, stays below it
+    ceiling = spectra._KRYLOV_CEILING
+    assert ceiling == math.isqrt(2**63 - 1) == 3_037_000_499
+    assert ceiling**2 < 2**63 <= (ceiling + 1) ** 2
+    reduced = sympy.prevprime(math.isqrt(2**62 // max_nnz) + 1)
+    assert reduced < ceiling
     for binf, dtype in itertools.product((0, 3120, 2**40), (np.int64, object)):
         cap, reduce = spectra._prime_cap(np.zeros(0, dtype=dtype), max_nnz, binf)
         p = next(descending_primes(cap))
@@ -313,9 +319,8 @@ def test_prime_stream_respects_int64_cap(max_nnz):
         assert sympy.isprime(p)
         # each rule is tight: the next prime would break it
         if reduce:
-            # a reduced row: p^2 * max_nnz <= 2^62 and the 2^30 ceiling
-            assert max_nnz * (p - 1) ** 2 < 2**62 and p < 2**30
-            assert q >= 2**30 or max_nnz * q**2 > 2**62
+            # a reduced row: p^2 * max_nnz <= 2^62
+            assert max_nnz * (p - 1) ** 2 < 2**62 <= max_nnz * q**2
         else:
             # an unreduced row plus one coefficient: (binf + 1)(p - 1) < 2^63
             assert (binf + 1) * (p - 1) < 2**63 <= (binf + 1) * (q - 1)
@@ -329,7 +334,9 @@ def test_prime_stream_respects_int64_cap(max_nnz):
 def test_operators_certify_with_norm_sized_primes(b22):
     # int64 building operators enter the kernels unreduced: the first
     # certification prime p has (||B||_inf + 1)(p - 1) < 2^63, and the
-    # next prime up breaks it; the Krylov primes start at the 2^30 ceiling
+    # next prime up breaks it; the Krylov primes start below the
+    # isqrt(2^63 - 1) ceiling, where the elimination's (p - 1)^2 fits
+    # int64 and the next prime's does not
     for i in (0, 1):
         op = assemble_matrix(b22.complex, i)
         binf = python_inf_norm(op.indptr, op.data.tolist())
@@ -337,15 +344,17 @@ def test_operators_certify_with_norm_sized_primes(b22):
         p = next(descending_primes(cap))
         assert not reduce
         assert (binf + 1) * (p - 1) < 2**63 <= (binf + 1) * (sympy.nextprime(p) - 1)
-        assert _first_primes(op, 1) == [sympy.prevprime(2**30)]
+        krylov = _first_primes(op, 1)[0]
+        assert krylov == sympy.prevprime(math.isqrt(2**63 - 1) + 1) == 3_037_000_493
+        assert (krylov - 1) ** 2 < 2**63 <= (sympy.nextprime(krylov) - 1) ** 2
     # the star union's data pass int64: they are reduced, under the
-    # max_nnz * (p-1)^2 < 2^62 cap and the 2^30 ceiling
+    # max_nnz * (p-1)^2 < 2^62 cap, which stays below the ceiling
     op = assemble_matrix(star_union(47)[0], 0)
     max_nnz = int(np.diff(op.indptr).max())
     cap, reduce = _prime_cap(op)
     assert reduce and op.data.dtype == object
     assert next(descending_primes(cap)) == \
-        sympy.prevprime(min(math.isqrt(2**62 // max_nnz), 2**30 - 1) + 1)
+        sympy.prevprime(math.isqrt(2**62 // max_nnz) + 1)
 
 
 def test_bad_reduction_prime_is_discarded(b12, monkeypatch):

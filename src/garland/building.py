@@ -48,12 +48,7 @@ import numpy as np
 
 from .complexes import Complex, vertex_id_dtype
 from .errors import DimensionOutOfRange
-from .gf import FieldSpec
-
-
-def _digits(q: int, width: int) -> np.ndarray:
-    """The rows of product(range(q), repeat=width), in that order: shape (q**width, width)."""
-    return np.arange(q**width)[:, None] // q ** np.arange(width - 1, -1, -1) % q
+from .gf import FieldSpec, digits
 
 
 def _pivot_groups(n: int, d: int, q: int) -> dict:
@@ -104,14 +99,14 @@ def superspace_ids(n: int, d: int, field: FieldSpec) -> np.ndarray:
         # every member's basis at once, in enumeration order: (G, d, n)
         codes = np.zeros((q ** int(free.sum()), d, n), dtype=np.intp)
         codes[:, range(d), pivots] = 1
-        codes[:, free] = _digits(q, int(free.sum()))
+        codes[:, free] = digits(q, int(free.sum()))
         nonpivots = [c for c in range(n) if c not in pivots]
         ids = []
         for k, t in enumerate(nonpivots):
             tail = nonpivots[k + 1:]
             r = np.zeros((q ** len(tail), n), dtype=np.intp)
             r[:, t] = 1
-            r[:, tail] = _digits(q, len(tail))
+            r[:, tail] = digits(q, len(tail))
             # row - row[t] * r for every member, old row and r at once: (G, R, d, n)
             scale = neg[codes[:, :, t]][:, None, :, None]
             rows = add[codes[:, None], mul[scale, r[None, :, None, :]]]

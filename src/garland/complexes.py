@@ -28,15 +28,17 @@ complex has
 
 Face levels are built on demand.  Construction checks the input, sorts
 every maximal row with a network of elementwise minima and maxima over
-per-column copies of the ids, proves the rows distinct, and keeps those
-sorted columns and the vertex level.  Rows that arrive in strictly
-ascending lexicographic order, as a building's chambers and the vertex
-links of such a complex do, are distinct by that order, which one pass
-of comparisons checks; rows in any other order are packed into one
-integer each and sorted to find a duplicate.  The columns hold the ids
-in the narrowest width that V proves enough (`vertex_id_dtype`): uint16
-when V <= 2**16, as on the (3,3) building's 2,662 vertices and 251,680
-chambers, and int32 beyond.
+per-column copies of the ids, puts the rows in lexicographic order, and
+keeps those sorted columns and the vertex level.  Rows in strictly
+ascending lexicographic order are distinct, which one pass of
+comparisons checks; so the order is the duplicate proof.  A building's
+chambers, and the vertex links of any complex, arrive in that order and
+are never sorted; rows in any other order, as from text, are put in it
+by one `np.lexsort`.  So the stored columns are always the top level in
+lexicographic order, and `to_text` renders them without building a face
+level.  The columns hold the ids in the narrowest width that V proves
+enough (`vertex_id_dtype`): uint16 when V <= 2**16, as on the (3,3)
+building's 2,662 vertices and 251,680 chambers, and int32 beyond.
 The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
 simplices.  `rows`, `keys` and `counts` are read-only sequences of
@@ -53,8 +55,8 @@ number fewer than 2**31 (`position_dtype`), so the coboundary pattern
 reaches the Gram product without an int64 copy.  Vertex links, the only
 links that Garland's localization reads, come from one vertex-to-top-
 simplex CSR over the sorted columns, built on first use; removing a
-vertex that two ascending rows share keeps their order, so the links of
-a lexicographic complex are lexicographic too.
+vertex that two ascending rows share keeps their order, so every vertex
+link arrives in lexicographic order too.
 
 One derived view stays: `simplices`, per dimension the id tuples in
 lexicographic order, built from the arrays on first item access; its
@@ -152,22 +154,6 @@ def _strictly_ascending(cols: list) -> bool:
     return not tied.any()
 
 
-def _packed_rows(cols: list, nv: int) -> np.ndarray:
-    """Each row's sum of col_j * V**(size-1-j), which is injective on rows
-    of ids below V: int64 when V**size < 2**63, else Python ints in an
-    object array."""
-    if nv ** len(cols) < 2**63:
-        packed = cols[0].astype(np.int64)
-        for c in cols[1:]:
-            packed *= nv
-            packed += c
-    else:
-        packed = cols[0].astype(object)
-        for c in cols[1:]:
-            packed = packed * nv + c.astype(object)
-    return packed
-
-
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in the sorted array `keys` starts."""
     new = np.empty(len(keys), dtype=bool)
@@ -253,7 +239,9 @@ class Complex:
 
     def __init__(self, cols: list, occurrences: np.ndarray):
         """`cols`: the maximal simplices as columns of `vertex_id_dtype(V)`,
-        each row ascending across them; `occurrences`: each id's count in them."""
+        each row ascending across them and the rows in strictly ascending
+        lexicographic order, so distinct and the top level as `rows[n]`
+        lists it; `occurrences`: each id's count in them."""
         nv = len(occurrences)
         self.dim = len(cols) - 1
         self._cols = cols
@@ -283,14 +271,14 @@ class Complex:
         `vertex_id_dtype(V)` (uint16 up to 2**16 vertices, else int32;
         every id is below V once the contract is checked), and an
         odd-even transposition network of elementwise minima and maxima
-        sorts every row across those columns.  Sorted rows that arrive in
-        strictly ascending lexicographic order are distinct, and one pass
-        of elementwise comparisons of each row with the next checks that
-        order (`_strictly_ascending`); a building's chamber walk emits
-        that order, and so do the vertex links of such a complex.  Rows in
-        any other order, as from text or a caller's array, are checked
-        for duplicates by sorting each row's packed value, sum of
-        col_j * V**(size-1-j) (`_packed_rows`).
+        sorts every row across those columns.  Sorted rows that are not
+        already in strictly ascending lexicographic order, as from text
+        or a caller's array, are put in lexicographic order by one
+        `np.lexsort`; a building's chamber walk emits that order, and so
+        does every vertex link, so neither is sorted.  One pass of
+        elementwise comparisons of each row with the next then proves
+        the rows distinct (`_strictly_ascending`): no descent is left, so
+        a tie is a duplicate row.
         The complex keeps the sorted columns and the vertex level: vertex
         v is row v and has key v, and its weight is the number of times v
         occurs.  Every larger face level is built when first read
@@ -313,9 +301,11 @@ class Complex:
                 first = tuple(tops[int(repeats.argmax())].tolist())
                 raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
         if not _strictly_ascending(cols):
-            packed = _packed_rows(cols, nv)
-            packed.sort()
-            if (packed[1:] == packed[:-1]).any():
+            order = np.lexsort(cols[::-1])
+            for j, c in enumerate(cols):
+                cols[j] = c[order]
+            del order
+            if not _strictly_ascending(cols):
                 raise DuplicateSimplex("duplicate maximal simplex")
         return cls(cols, occurrences)
 
@@ -474,7 +464,7 @@ class Complex:
 
     def to_text(self) -> str:
         names = np.asarray([str(v) for v in self.vertices], dtype=object)
-        lines = map(" ".join, names[self.rows[self.dim]].tolist())
+        lines = map(" ".join, names[np.stack(self._cols, axis=1)].tolist())
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:

@@ -1,31 +1,37 @@
 """Arithmetic in GF(p^k) for small prime powers.
 
-Elements are dense coefficient vectors over Z_p (low-to-high degree) modulo
-a fixed monic irreducible polynomial; the package handles them by their
-codes only.  The modulus is pinned to the lexicographically smallest
-monic irreducible of degree k, coefficients compared low-to-high, so a
-field is reproducible from (p, k) alone:
+Elements are coefficient vectors over Z_p (low-to-high degree) modulo a
+fixed monic irreducible polynomial; the package handles them by their
+codes only: the integer whose base-p digits, least significant first,
+are the coefficients.  Codes double as the canonical enumeration order.
+
+Fields here are tiny (the intended range is q <= 49), so FieldSpec
+precomputes full addition, negation and multiplication tables on codes,
+straight from the digits of every code at once.  The modulus is pinned
+to the first monic m of degree k, coefficient tuples in lexicographic
+order low-to-high, whose multiplication table has no zero product of
+two nonzero elements, so a field is reproducible from (p, k) alone:
 
     GF(2)  -> x
     GF(4)  -> x^2 + x + 1
     GF(9)  -> x^2 + 1
 
-Fields here are tiny (the intended range is q <= 49), so FieldSpec
-precomputes full addition, negation and multiplication tables indexed by
-the element's code: the integer whose base-p digits, least significant
-first, are the coefficients.  Codes double as the canonical enumeration
-order.  The subspace enumeration in `building` runs on these tables; the
-element objects and their arithmetic, which check the tables against the
-field axioms, are test oracles.
+A finite commutative ring is a field exactly when it has no zero
+divisors, and Z_p[x]/(m) is a field exactly when m is irreducible, so
+that table proves the modulus irreducible with no polynomial division.
+The subspace enumeration in `building` runs on these tables; the
+element objects and their arithmetic, which check the tables against
+the field axioms, are test oracles.
 
 `descending_primes` is the package's one prime source: the Krylov,
-certification and rank primes all come from it.  The dense Z_p
-polynomial arithmetic below serves the field construction.
+certification and rank primes all come from it.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 from .errors import InvalidDegree, NonPrimeCharacteristic
 
@@ -73,51 +79,37 @@ def descending_primes(cap: int):
         p -= 2
 
 
-# -- polynomials over Z_p: dense lists, low-to-high, trimmed (zero is []) ----
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def digits(q: int, width: int) -> np.ndarray:
+    """The rows of product(range(q), repeat=width), in that order: shape (q**width, width)."""
+    return np.arange(q**width)[:, None] // q ** np.arange(width - 1, -1, -1) % q
 
 
-def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+def _digit_table(p: int, k: int) -> np.ndarray:
+    """(q, k): the base-p digits of every code, least significant first."""
+    return digits(p, k)[:, ::-1]
 
 
-def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero trimmed b."""
-    r = [x % p for x in a]
-    db = len(b) - 1
-    inv = pow(b[db], -1, p)
-    q = [0] * max(0, len(r) - db)
-    for k in range(len(r) - 1 - db, -1, -1):
-        f = r[k + db] * inv % p
-        if f:
-            q[k] = f
-            for j in range(db + 1):
-                r[k + j] = (r[k + j] - f * b[j]) % p
-    return _trim(q), _trim(r)
+def _codes(digits: np.ndarray, p: int) -> np.ndarray:
+    """The codes of digit vectors along the last axis: the inverse of `_digit_table`."""
+    return (digits * p ** np.arange(digits.shape[-1])).sum(axis=-1)
 
 
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
-    deg = len(m) - 1
-    if m[0] == 0:  # divisible by x
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for low in product(range(p), repeat=d):
-            div = list(low) + [1]
-            if not poly_divmod(m, div, p)[1]:
-                return False
-    return True
+def _products(digits: np.ndarray, p: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """(q, q): the code of a * b mod the monic `modulus` m, for all codes a, b.
+
+    Row j of the shift stack is x^j * b for every b: multiplying by x
+    moves each digit up one place and folds the carried x^k back as
+    -(m_0 + ... + m_{k-1} x^{k-1}).  Then a * b = sum_j a_j (x^j b).
+    """
+    low = np.asarray(modulus[:-1])
+    shifts = [digits]
+    for _ in range(1, len(low)):
+        b = shifts[-1]
+        up = np.zeros_like(b)
+        up[:, 1:] = b[:, :-1]
+        shifts.append((up - b[:, -1:] * low) % p)
+    stack = np.stack(shifts)  # (j, b, digit)
+    return _codes((digits[:, :, None, None] * stack).sum(axis=1) % p, p)
 
 
 class FieldSpec:
@@ -128,38 +120,10 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        mod = list(self.modulus)
-        coeffs = [self._decode(c) for c in range(q)]
-        self.add_table = [
-            [self._encode(tuple((x + y) % p for x, y in zip(a, b))) for b in coeffs]
-            for a in coeffs
-        ]
-        self.neg_table = [self._encode(tuple((-x) % p for x in a)) for a in coeffs]
-        self.mul_table = []
-        for a in coeffs:
-            row = []
-            for b in coeffs:
-                prod_ = poly_divmod(poly_mul(_trim(list(a)), _trim(list(b)), p), mod, p)[1]
-                prod_ += [0] * (k - len(prod_))
-                row.append(self._encode(tuple(prod_)))
-            self.mul_table.append(row)
-
-    def _decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def _encode(self, coeffs: tuple[int, ...]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
+        digits = _digit_table(p, k)
+        self.add_table = _codes((digits[:, None] + digits) % p, p).tolist()
+        self.neg_table = _codes(-digits % p, p).tolist()
+        self.mul_table = _products(digits, p, modulus).tolist()
 
     def __eq__(self, other) -> bool:
         return (
@@ -177,18 +141,24 @@ class FieldSpec:
 def make_field(p: int, k: int) -> FieldSpec:
     """Construct GF(p^k) with the canonical modulus.
 
-    The modulus is the lexicographically smallest monic irreducible of
-    degree k over Z_p, coefficient tuples compared low-to-high, found by
-    exhaustive trial division.
+    The modulus is the first monic m of degree k over Z_p, coefficient
+    tuples in lexicographic order low-to-high, whose multiplication
+    table has no zero product of two nonzero codes.  A finite
+    commutative ring without zero divisors is a field, and Z_p[x]/(m)
+    is a field exactly when m is irreducible, so the table is the
+    irreducibility proof.  For k > 1 a candidate with m_0 = 0 is
+    divisible by x and skipped.
     """
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if k < 1:
         raise InvalidDegree(f"extension degree must be >= 1, got {k}")
+    digits = _digit_table(p, k)
     for low in product(range(p), repeat=k):
-        candidate = list(low) + [1]
-        if _is_irreducible(candidate, p):
-            return FieldSpec(p, k, tuple(candidate))
+        if k > 1 and low[0] == 0:
+            continue
+        if (_products(digits, p, (*low, 1))[1:, 1:] != 0).all():
+            return FieldSpec(p, k, (*low, 1))
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 

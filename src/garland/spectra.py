@@ -181,7 +181,7 @@ def _inf_norm(indptr: np.ndarray, data: np.ndarray, max_nnz: int) -> int:
 # -- modular Krylov -------------------------------------------------------------
 
 
-def _krylov_annihilator_mod_p(n, bp, p, v0) -> list[int]:
+def _krylov_annihilator_mod_p(bp, p, v0) -> list[int]:
     """Monic annihilator mod p of v0 under B, low-to-high coefficients.
 
     `bp` is (indptr, indices, data), checked CSR arrays of B whose data
@@ -342,7 +342,7 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     failed: set[tuple[int, ...]] = set()
     for p in islice(descending_primes(min(cap, _KRYLOV_CEILING)), _MAX_PRIMES):
         bp = (indptr, indices, _reduce(data, p) if reduce else data)
-        ann = _krylov_annihilator_mod_p(n, bp, p, _seed_values(n, p, seed))
+        ann = _krylov_annihilator_mod_p(bp, p, _seed_values(n, p, seed))
         deg = len(ann) - 1
         if deg > best_deg:
             best, best_deg = {}, deg

@@ -238,8 +238,8 @@ def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
     # numpy reports every array allocation to tracemalloc, so the peak is
     # deterministic.  251,680 chambers of 4 vertex ids are 1.9 MiB as one
     # uint16 array and again as the sorted columns.  They arrive in
-    # lexicographic order, so the duplicate check packs no int64 copy of
-    # them and the walk peaks at 5.2 MiB.  The peak, 6.5 MiB, has moved
+    # lexicographic order, so the duplicate check sorts nothing and the
+    # walk peaks at 5.2 MiB.  The peak, 6.5 MiB, has moved
     # into the Gram product of the degree-0 operator, where its int32
     # pattern, the transpose and the product sit beside the columns and
     # the edge level; the bound leaves 0.5 MiB (8%) above it

@@ -335,6 +335,17 @@ def test_reproduce_exit_codes(capsys, cache_args):
     assert "error:" in err
 
 
+# extension fields other than GF(4): the tables of GF(8), GF(9), GF(16)
+# and GF(27) drive the subspace walk, and each report must equal the
+# recorded closed form in q
+@pytest.mark.parametrize("ell, q, i", [(1, 8, 0), (1, 9, 0), (1, 16, 0), (1, 27, 0), (2, 8, 0)])
+def test_reproduce_over_extension_fields(capsys, cache_args, ell, q, i):
+    argv = ["reproduce", "--ell", str(ell), "--q", str(q), "--i", str(i), "--json"]
+    code, out, _ = run(capsys, argv + cache_args)
+    doc = json.loads(out)
+    assert code == 0 and doc["match"] is True and doc["computed"] == doc["reference"]
+
+
 def test_reproduce_json(capsys, cache_args):
     code, out, _ = run(
         capsys, ["reproduce", "--ell", "2", "--q", "3", "--i", "1", "--json"] + cache_args
@@ -429,7 +440,7 @@ def _verify_added_kib(ell, q, i) -> int:
 @pytest.mark.skipif(not HAS_VMHWM, reason="reads VmHWM (Linux)")
 def test_verify_on_the_33_building_adds_little_peak_memory():
     # 251,680 chambers of 16-bit ids, walked in lexicographic order so
-    # that no packed int64 copy is made, and a Gram product in int32
+    # that the duplicate check sorts nothing, and a Gram product in int32
     # values and indices add about 10.3 MB (10,568 KiB); the bound leaves
     # 11% above that
     assert _verify_added_kib(3, 3, 0) < 11.5 * 1024
@@ -443,7 +454,7 @@ def test_verify_on_the_largest_extended_buildings_adds_little_peak_memory(ell, q
     # the chamber walk, the face levels and the Gram product each keep at
     # most one temporary of chamber size alive, the ids in 16 bits, the
     # facet positions, B's indices and the Gram values in 32, and the
-    # lexicographic walk packs no int64 copy of the chambers: about 17.5
+    # lexicographic walk leaves the chambers nothing to sort: about 17.5
     # and 38.9 MB added (17,944 and 39,792 KiB), which the bounds clear
     # by 14% and 13%
     assert _verify_added_kib(ell, q, i) < bound_mb * 1024

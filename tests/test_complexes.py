@@ -370,8 +370,9 @@ def _spread_tops(rng, nv, size, count):
     return [rng.sample(t, size) for t in tops]
 
 
-@pytest.mark.parametrize("size", [9, 10])  # 80**9 < 2**63 < 80**10
-def test_duplicates_on_each_side_of_the_int64_packing_bound(size):
+# 80**9 < 2**63 < 80**10: rows read as base-80 numbers, within and past int64
+@pytest.mark.parametrize("size", [9, 10])
+def test_duplicates_on_each_side_of_the_int64_range(size):
     rng = random.Random(size)
     tops = _spread_tops(rng, 80, size, 12)
     assert all(len(set(t)) == size for t in tops)
@@ -384,16 +385,16 @@ def test_duplicates_on_each_side_of_the_int64_packing_bound(size):
             from_maximal_simplices(tops + [dup])
 
 
-def test_rows_whose_int64_packing_would_collide_are_distinct():
-    # on V = 2**16 ids the packed values of (0, 2, 3, 4, 5) and (1, 2, 3,
-    # 4, 5) differ by V**4 = 2**64, which int64 arithmetic wraps to 0
+def test_rows_equal_modulo_2_to_the_64_are_distinct():
+    # on V = 2**16 ids, (0, 2, 3, 4, 5) and (1, 2, 3, 4, 5) read as base-V
+    # numbers differ by V**4 = 2**64, which int64 arithmetic wraps to 0
     nv = 2**16
     rest = np.arange(6, nv, dtype=np.int64).reshape(-1, 5)
     tops = np.concatenate([[[0, 2, 3, 4, 5], [1, 2, 3, 4, 5]], rest])
     c = from_maximal_simplices(tops)
     assert c.num_simplices(0) == nv
     assert c.num_simplices(4) == len(tops)
-    # the same rows out of order go through the packing, in object ints
+    # the same rows out of order are sorted first
     assert from_maximal_simplices(tops[::-1]).num_simplices(4) == len(tops)
     with pytest.raises(DuplicateSimplex):
         from_maximal_simplices(np.concatenate([tops, tops[1:2]]))
@@ -501,24 +502,24 @@ def test_path_on_each_side_of_the_uint16_id_bound(nv, width):
 # -- duplicate proof and face positions -------------------------------------------
 
 
-def _spy_packing(monkeypatch) -> list:
-    """Patch `_packed_rows` to record the row count of every call."""
+def _spy_sorting(monkeypatch) -> list:
+    """Patch `np.lexsort` to record the row count of every call."""
     calls = []
-    real = complexes._packed_rows
+    real = np.lexsort
 
-    def spy(cols, nv):
-        calls.append(len(cols[0]))
-        return real(cols, nv)
+    def spy(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return real(keys, *args, **kwargs)
 
-    monkeypatch.setattr(complexes, "_packed_rows", spy)
+    monkeypatch.setattr(complexes.np, "lexsort", spy)
     return calls
 
 
-def test_only_rows_out_of_ascending_order_are_packed(monkeypatch):
+def test_only_rows_out_of_ascending_order_are_sorted(monkeypatch):
     # the walk's chambers arrive strictly ascending, which proves them
     # distinct, and so do the tops of each vertex link; the same chambers
-    # in shuffled rows and order are packed and sorted
-    calls = _spy_packing(monkeypatch)
+    # in shuffled rows and order are sorted once
+    calls = _spy_sorting(monkeypatch)
     b = flag_complex(2, field_for_order(3))
     cx = b.complex
     links = [cx.vertex_link(v)[0] for v in range(0, cx.num_simplices(0), 7)]
@@ -539,7 +540,7 @@ def test_only_rows_out_of_ascending_order_are_packed(monkeypatch):
 
 def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch):
     # an ascending input with two equal adjacent rows is not strictly
-    # ascending, so it is packed like a shuffled one, and both raise
+    # ascending, so it is sorted like a shuffled one, and both raise
     # DuplicateSimplex; a repeated vertex is reported before it, and a
     # missing id before both
     chambers = get_building(2, 3).complex.rows[2]
@@ -547,7 +548,7 @@ def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch)
     ascending = np.insert(chambers, 100, chambers[100], axis=0)
     rng = np.random.default_rng(32)
     shuffled = rng.permuted(ascending[rng.permutation(len(ascending))], axis=1)
-    calls = _spy_packing(monkeypatch)
+    calls = _spy_sorting(monkeypatch)
     for tops in (ascending, shuffled):
         with pytest.raises(DuplicateSimplex):
             from_maximal_simplices(tops)
@@ -559,9 +560,35 @@ def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch)
         with pytest.raises(NonDenseIds):
             from_maximal_simplices(repeated)
     assert calls == [len(ascending)] * 2
-    # the ascending input without its duplicate needs no packing
+    # the ascending input without its duplicate needs no sort
     assert from_maximal_simplices(chambers).num_simplices(2) == len(chambers)
     assert calls == [len(ascending)] * 2
+
+
+def _top_rows_text(c) -> str:
+    """The text of the top level as `rows[n]` lists it."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in c.rows[c.dim].tolist())
+
+
+def test_text_is_the_top_level_without_the_face_levels(monkeypatch):
+    # to_text renders the stored columns, which are the top level in
+    # lexicographic order whatever order the rows came in: on a building,
+    # on the same chambers shuffled as text, and on the links of both,
+    # which arrive in order and are never sorted
+    cx = flag_complex(2, field_for_order(3)).complex
+    chambers = get_building(2, 3).complex.rows[2]
+    rng = np.random.default_rng(5)
+    shuffled = rng.permuted(chambers[rng.permutation(len(chambers))], axis=1)
+    text = "".join(" ".join(map(str, row)) + "\n" for row in shuffled.tolist())
+    ingested = from_text(text)[0]
+    calls = _spy_sorting(monkeypatch)
+    complexes_ = [cx, ingested, cx.vertex_link(5)[0], ingested.vertex_link(5)[0]]
+    assert calls == []
+    for c in complexes_:
+        got = c.to_text()
+        assert _built_levels(c) == 1
+        assert got == _top_rows_text(c)
+    assert ingested.to_text() != text
 
 
 def test_facets_width_follows_the_face_count(monkeypatch):

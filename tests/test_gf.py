@@ -1,13 +1,21 @@
 """Finite-field arithmetic: exhaustive axiom checks for every order in use."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
+import numpy as np
 import pytest
 import sympy
 
 from garland.errors import InvalidDegree, NonPrimeCharacteristic
-from garland.gf import FieldSpec, descending_primes, field_for_order, is_prime, make_field
+from garland.gf import (
+    FieldSpec,
+    descending_primes,
+    field_for_order,
+    is_prime,
+    make_field,
+    prime_power,
+)
 
 from fields import (
     DivisionByZero,
@@ -75,6 +83,51 @@ def test_pinned_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 3).modulus == (1, 0, 1, 1)
+
+
+PRIME_POWERS = [q for q in range(2, 130) if len(sympy.factorint(q)) == 1]
+X = sympy.Symbol("x")
+
+
+def _poly(coeffs, p):
+    """A polynomial over Z_p from its coefficients, low to high."""
+    return sympy.Poly(list(reversed(coeffs)), X, modulus=p)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_the_modulus_is_the_first_irreducible(q):
+    # the first monic m, coefficients in lexicographic order low to high,
+    # that sympy finds irreducible
+    p, k = prime_power(q)
+    first = next((*low, 1) for low in product(range(p), repeat=k)
+                 if _poly((*low, 1), p).is_irreducible)
+    assert make_field(p, k).modulus == first
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_are_the_arithmetic_modulo_the_modulus(q):
+    # addition and negation act on the base-p digits of the codes, and
+    # multiplication is commutative, associative, distributive over the
+    # addition, has 1 as identity and multiplies by x as sympy does
+    # modulo m; the powers x^j (j < k) then span, so the table is
+    # multiplication in Z_p[x]/(m)
+    f = field_for_order(q)
+    p, k = f.p, f.k
+    add, neg, mul = (np.array(t) for t in (f.add_table, f.neg_table, f.mul_table))
+    digits = np.array([[c // p**j % p for j in range(k)] for c in range(q)])
+    assert np.array_equal(digits[add], (digits[:, None] + digits) % p)
+    assert np.array_equal(digits[neg], -digits % p)
+    assert np.array_equal(mul, mul.T)
+    assert mul[1].tolist() == list(range(q))
+    m = _poly(f.modulus, p)
+    x = 0 if k == 1 else p  # the code of x mod m: 0 when m = x, else x itself
+    times_x = [(_poly(d, p) * _poly((0, 1), p)).rem(m).all_coeffs()[::-1]
+               for d in digits.tolist()]
+    assert digits[mul[x]].tolist() == [[c % p for c in d] + [0] * (k - len(d))
+                                       for d in times_x]
+    for a in range(q):
+        assert np.array_equal(mul[mul[a]], mul[a][mul])  # (ab)c = a(bc)
+        assert np.array_equal(mul[a][add], add[mul[a][:, None], mul[a]])
 
 
 def test_field_for_order_factors():

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from garland import complexes, exactla, harness, laplace, reference, spectra
-from garland.complexes import from_maximal_simplices
+from garland.complexes import from_maximal_simplices, from_text
 from garland.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -417,6 +417,18 @@ def test_cache_keys_pin_version_and_width():
     k2 = cache_key(stem, 1, "1/1000000")
     assert k2 != cache_key(stem, 0, "1/1000000")
     assert len(k2.split("-")) >= 3
+
+
+def test_a_complex_is_labelled_without_its_lower_face_levels():
+    # the sha256 label hashes the stored top rows, so an unlabelled
+    # degree-0 report on the (3,2) building's text builds the vertices
+    # and edges alone, as a labelled one does
+    cx, _ = from_text(get_building(3, 2).complex.to_text())
+    inst = Instance.complex(cx)
+    assert inst.label == {
+        "sha256": "e89aa25a2ee8d631038a97d4eea177058cfd8edbc07ebd20ee8bd24c34607651"}
+    spectral_report(inst, 0)
+    assert len(cx._rows) == 2
 
 
 def test_the_environment_does_not_turn_caching_on(tmp_path, monkeypatch):

@@ -19,13 +19,18 @@ MOVED = {
         "Cochain", "inner_product", "coboundary", "adjoint_delta", "laplacian_apply",
         "rho_v", "rho_alpha", "tau_v", "coboundary_entries",
     ],
-    "garland.complexes": ["orientation_sign"],
+    "garland.complexes": [
+        "orientation_sign",
+        "_packed_rows",  # deleted: lexicographic order is the duplicate proof
+    ],
     "garland.building": [
         "type_invariant_lift", "fundamental_chamber_complex", "incident",
         "enumerate_subspaces", "_superspace_rows", "Subspace",
     ],
     "garland.gf": [
         "FieldElement", "field_add", "field_neg", "field_mul", "field_inv", "enumerate_field",
+        # deleted: the multiplication table proves the modulus irreducible
+        "_trim", "poly_mul", "poly_divmod", "_is_irreducible",
     ],
     "garland.exactla": [
         "kernel_basis", "dense_from_entries", "_cleared_int_rows",
@@ -58,7 +63,10 @@ MOVED_ATTRIBUTES = {
         "labels", "link", "_find", "_id_of", "_tops_containing",
     ],
     ("garland.building", "TypedBuilding"): ["types"],
-    ("garland.gf", "FieldSpec"): ["element", "code", "zero", "one"],
+    ("garland.gf", "FieldSpec"): [
+        "element", "code", "zero", "one",
+        "_build_tables", "_decode", "_encode",  # deleted: tables come from digit arrays
+    ],
     ("garland.polyq", "RatPolynomial"): [
         "gcd", "lcm", "divides", "derivative", "primitive",
         "__divmod__", "__floordiv__", "__mod__", "monic",

@@ -22,7 +22,7 @@ import sympy
 from garland import exactla, spectra
 from garland.building import flag_complex, witness_columns
 from garland.complexes import from_maximal_simplices
-from garland.gf import descending_primes, field_for_order, poly_mul
+from garland.gf import descending_primes, field_for_order
 from garland.harness import Instance, default_grid, get_building, run_instance, spectral_report
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
 from garland.laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
@@ -206,8 +206,8 @@ def _record_annihilators(monkeypatch):
     krylov = spectra._krylov_annihilator_mod_p
     seen = {}
 
-    def recording(n, bp, p, v0):
-        seen[p] = ann = krylov(n, bp, p, v0)
+    def recording(bp, p, v0):
+        seen[p] = ann = krylov(bp, p, v0)
         return ann
 
     monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", recording)
@@ -664,8 +664,10 @@ def test_krylov_minimality_is_not_guarded_by_certification(b22, monkeypatch):
     # do: 5 is a root of min_B, and the square fails isolation.)
     krylov = spectra._krylov_annihilator_mod_p
 
-    def padded(n, bp, p, v0):
-        return poly_mul(krylov(n, bp, p, v0), [-7777 % p, 1], p)
+    def padded(bp, p, v0):
+        # ann * (x - 7777) mod p, low to high
+        ann = krylov(bp, p, v0)
+        return [(a - 7777 * b) % p for a, b in zip([0] + ann, ann + [0])]
 
     monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", padded)
     rep = spectral_report(Instance.building(2, 2), 1)

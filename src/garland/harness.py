@@ -12,9 +12,10 @@ is one report driver, `spectral_report`, which also serves the vertex
 links, and one run driver, `run_instance`, and both check
 0 <= i <= n-1 before touching the cache.
 
-Every verdict is re-checkable from its witness data alone: witnesses
-carry exact rationals (as "num/den" strings) or certified root
-intervals, never floats.  A root r is compared with a rational x by one
+A verdict is the JSON record {"check", "instance", "status", "witness"}
+that `run_instance` writes, re-checkable from its witness alone:
+witnesses carry exact rationals (as "num/den" strings) or certified
+root intervals, never floats.  A root r is compared with a rational x by one
 rule, `_root_at_most`: a rational root exactly, and an irrational root
 isolated in (lo, hi] is <= x when hi <= x and > x when lo >= x, since it
 exceeds lo strictly.  The fundamental inequality compares sums of roots,
@@ -269,22 +270,6 @@ GRIDS = {"default": default_grid, "extended": extended_grid}
 # -- verdicts -------------------------------------------------------------------
 
 
-@dataclass
-class VerificationVerdict:
-    check: str
-    instance: dict
-    status: str
-    witness: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
-
 _STATUS = {True: CERTIFIED_TRUE, False: CERTIFIED_FALSE, None: INCONCLUSIVE}
 
 
@@ -331,7 +316,7 @@ def _hull_json(h: tuple) -> dict:
 # -- individual checks ----------------------------------------------------------
 
 
-def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> VerificationVerdict:
+def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> dict:
     """Whether n + 1, the integer table's largest entry, is the largest root."""
     largest = max(report.integer_eigenvalues)  # the table runs over 0..n+1
     is_root = report.integer_eigenvalues[largest]
@@ -340,49 +325,48 @@ def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> Verificati
     hi = bound if bound > top else top + 1
     above = report.isolation.count_in_halfopen(top, hi)
     ok = is_root and above == 0
-    return VerificationVerdict(
-        check="max-eigenvalue",
-        instance=instance,
-        status=CERTIFIED_TRUE if ok else CERTIFIED_FALSE,
-        witness={
+    return {
+        "check": "max-eigenvalue",
+        "instance": instance,
+        "status": CERTIFIED_TRUE if ok else CERTIFIED_FALSE,
+        "witness": {
             "expected": qstr(top),
             "is_root": is_root,
             "roots_above": above,
         },
-    )
+    }
 
 
-def verdict_min_bound(report: SpectralReport, bound,
-                      instance: dict) -> VerificationVerdict:
+def verdict_min_bound(report: SpectralReport, bound, instance: dict) -> dict:
     bound = QQ(bound)
     m, at_most = _smallest_at_most(report, bound)
-    return VerificationVerdict(
-        check="min-bound",
-        instance=instance,
-        status=_STATUS[at_most],
-        witness={"bound": qstr(bound), "m": m.to_json_dict()},
-    )
+    return {
+        "check": "min-bound",
+        "instance": instance,
+        "status": _STATUS[at_most],
+        "witness": {"bound": qstr(bound), "m": m.to_json_dict()},
+    }
 
 
 def verdict_integer_eigenvalues(report: SpectralReport, ell: int, i: int,
-                                instance: dict) -> VerificationVerdict:
+                                instance: dict) -> dict:
     table = report.integer_eigenvalues  # 0..ell+1 for a complex of dimension ell
     required = {k: table[k] for k in range(ell - i + 1, ell + 2)}
     edge = ell - i
-    return VerificationVerdict(
-        check="integer-eigenvalues",
-        instance=instance,
-        status=CERTIFIED_TRUE if all(required.values()) else CERTIFIED_FALSE,
-        witness={
+    return {
+        "check": "integer-eigenvalues",
+        "instance": instance,
+        "status": CERTIFIED_TRUE if all(required.values()) else CERTIFIED_FALSE,
+        "witness": {
             "required": {str(k): v for k, v in sorted(required.items())},
             "next_lower": {"value": edge, "is_root": table[edge]},
         },
-    )
+    }
 
 
 def fundamental_inequality_verdict(n: int, i: int, report: SpectralReport,
                                    link_data: list[dict],
-                                   instance: dict) -> VerificationVerdict:
+                                   instance: dict) -> dict:
     """Two-sided spectral bound from extremal link eigenvalues, on a complex of dimension n.
 
     link_data rows: {"label", "count", "report", "vanishes"} with one row
@@ -440,16 +424,16 @@ def fundamental_inequality_verdict(n: int, i: int, report: SpectralReport,
                             "status": lower}
     else:
         witness["lower"] = {"status": "not-applicable"}
-    return VerificationVerdict(
-        check="fundamental-inequality",
-        instance=instance,
-        status=status,
-        witness=witness,
-    )
+    return {
+        "check": "fundamental-inequality",
+        "instance": instance,
+        "status": status,
+        "witness": witness,
+    }
 
 
 def verdict_vanishing_threshold(report_below: SpectralReport, ell: int, i: int,
-                                instance: dict) -> VerificationVerdict:
+                                instance: dict) -> dict:
     """Hypothesis check for cohomology degree i: is m^{i-1} > (ell+1-i)/(i+1)?
 
     This checks the spectral hypothesis only; no group cohomology is
@@ -457,18 +441,18 @@ def verdict_vanishing_threshold(report_below: SpectralReport, ell: int, i: int,
     """
     theta = QQ(ell + 1 - i, i + 1)
     m, at_most = _smallest_at_most(report_below, theta)
-    return VerificationVerdict(
-        check="vanishing-threshold",
-        instance=instance,
-        status=_STATUS[None if at_most is None else not at_most],  # m > theta
-        witness={
+    return {
+        "check": "vanishing-threshold",
+        "instance": instance,
+        "status": _STATUS[None if at_most is None else not at_most],  # m > theta
+        "witness": {
             "kind": "hypothesis-check",
             "cohomology_degree": i,
             "spectral_degree": i - 1,
             "threshold": qstr(theta),
             "m": m.to_json_dict(),
         },
-    )
+    }
 
 
 def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
@@ -673,7 +657,7 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
     return {
         "instance": tag,
         "spectral": report.to_json_dict(),
-        "verdicts": [v.to_json_dict() for v in verdicts],
+        "verdicts": verdicts,
         "conjecture": conj,
         "reproduction": repro,
     }

@@ -284,28 +284,28 @@ class _Frame:
         return QQ(self.a * n, self.b << k)
 
 
-def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int]:
+def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int, bool]:
     """Halve (n, n + delta] / 2**k around its one root until done(n, k).
 
     The frame's first member must have exactly one root in the interval,
-    a simple one.  The root lies in the left half (2n, 2n + delta] of
-    level k + 1 exactly when the midpoint is the root or has the sign of
-    the right end (zero when the right end is the root), which is the
-    choice the Sturm count of each half makes.
+    a simple one, and none at the right end.  The root lies in the left
+    half (2n, 2n + delta] of level k + 1 exactly when the midpoint has
+    the sign of the right end, which is the choice the Sturm count of
+    each half makes.  Returns (n, k, False) once done(n, k), or
+    (m, k, True) when the midpoint m / 2**k is the root.
     """
     if done(n, k):
-        return n, k
+        return n, k, False
     s_hi = frame.sign(n + delta, k)
     while True:
         mid = 2 * n + delta
         k += 1
         s = frame.sign(mid, k)
-        if s == s_hi or s == 0:
-            n, s_hi = 2 * n, s
-        else:
-            n = mid
+        if s == 0:
+            return mid, k, True
+        n = 2 * n if s == s_hi else mid
         if done(n, k):
-            return n, k
+            return n, k, False
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,8 @@ class RootIsolation:
     `chain` is p's integer Sturm chain (`sturm_chain`), which
     `count_in_halfopen` reads; chain[0], a positive multiple of p, is the
     only copy of p kept.  The interval (lo, hi] of an irrational root
-    holds no other root of p; `refine` halves it by the sign of chain[0].
+    holds no other root of p, and hi is none; `refine` halves it by the
+    sign of chain[0].
     """
 
     roots: list[RootInterval]
@@ -349,7 +350,12 @@ class RootIsolation:
         return count_roots_halfopen(self.chain, a, b)
 
     def refine(self, width) -> "RootIsolation":
-        """Bisect each irrational interval until it is at most `width` wide (> 0)."""
+        """Bisect each irrational interval until it is at most `width` wide (> 0).
+
+        `_bisect` reads the sign of p at the right end, never at lo, which
+        can be an exact root deflated during isolation.  No midpoint is a
+        root, since the one root inside is irrational.
+        """
         width = parse_width(width)
         wn, wd = int(width.numerator), int(width.denominator)
         out = []
@@ -363,7 +369,7 @@ class RootIsolation:
             delta = int(r.hi.numerator) * (den // int(r.hi.denominator)) - n
             frame = _Frame(self.chain[:1], 1, den)
             kstop = _halvings(delta, den, wn, wd)
-            n, k = _bisect(frame, n, 0, delta, lambda n, k: k >= kstop)
+            n, k, _ = _bisect(frame, n, 0, delta, lambda n, k: k >= kstop)
             out.append(RootInterval(frame.point(n, k), frame.point(n + delta, k)))
         return RootIsolation(out, self.chain)
 
@@ -453,15 +459,9 @@ def isolate_real_roots(q, L: int = 1, width=DEFAULT_WIDTH) -> RootIsolation:
                 # interior endpoints were zero-tested as midpoints), so
                 # the lone simple root flips the sign of p and plain sign
                 # bisection narrows the interval without the chain
-                sign_lo = frame.sign(n, k)
-                while k < kstop:
-                    mid = 2 * n + 2
-                    k += 1
-                    s = frame.sign(mid, k)
-                    if s == 0:
-                        root = (mid, k)
-                        break
-                    n = mid if s == sign_lo else 2 * n
+                n, k, hit = _bisect(frame, n, k, 2, lambda n, k: k >= kstop)
+                if hit:
+                    root = (n, k)
                 else:
                     done.append((n, k))
                 continue
@@ -497,14 +497,15 @@ def isolate_real_roots(q, L: int = 1, width=DEFAULT_WIDTH) -> RootIsolation:
             intervals.append((n, k))
 
     # shrink intervals until no previously deflated exact root sits inside,
-    # so each interval isolates exactly one root of the input polynomial
+    # so each interval isolates exactly one root of the input polynomial;
+    # the one root of c inside is irrational, so no midpoint is a root
     def clear(n, k):
         # no u / v with lo < u / v <= hi
         lo, hi = frame.a * n, frame.a * (n + 2)
         w = frame.b << k
         return not any(lo * v < u * w <= hi * v for u, v in exact)
 
-    intervals = [_bisect(frame, n, k, 2, clear) for n, k in intervals]
+    intervals = [_bisect(frame, n, k, 2, clear)[:2] for n, k in intervals]
     roots = [RootInterval(x, x, x) for x in (QQ(u, v) for u, v in exact)]
     roots.extend(RootInterval(frame.point(n, k), frame.point(n + 2, k)) for n, k in intervals)
     roots.sort(key=lambda r: (r.lo, r.hi))

@@ -10,8 +10,9 @@ The minimal polynomial is guessed fast and then proved:
      reports; min_A(x) = L^-d q(L x) is built only for the JSON writer
      and the comparison with the recorded references.  A monic integer
      polynomial has only integer rational roots, so every rational
-     eigenvalue of A lies in (1/L)Z (L is the report's den_bound), and
-     the integer k is one exactly when q(k L) = 0.
+     eigenvalue of A lies in (1/L)Z (L is the report's den_bound), where
+     root isolation certifies each one exactly; the integer eigenvalues
+     are read off those exact roots.
   2. For each word-size prime p, draw one seed vector v from F_p^n (the
      stream below, each entry within 2**-64 of uniform) and run the
      Krylov sequence v, Bv, B^2 v, ... mod p to the annihilator of v.
@@ -480,7 +481,8 @@ def report_from_minpoly(q: tuple[int, ...], L: int, width, instance: dict,
     squarefree), every root must be real (CertificationFailed
     otherwise), and a spectrum without a nonzero root raises
     NoNonzeroRoot.  The integer-eigenvalue table says which of
-    0..complex_dim+1 are roots: k is one exactly when q(k L) = 0.  The
+    0..complex_dim+1 are roots, read off the isolation's exact roots: it
+    certifies every rational root of min_A on the lattice (1/L)Z.  The
     timings are left to the caller.
     """
     iso = isolate_real_roots(q, L, width)
@@ -489,6 +491,7 @@ def report_from_minpoly(q: tuple[int, ...], L: int, width, instance: dict,
             "real-root count does not match degree for a symmetric operator"
         )
     m, M = extract_extremes(iso)
+    exact = {r.value for r in iso.roots if r.value is not None}
     return SpectralReport(
         instance=instance,
         degree=degree,
@@ -498,8 +501,7 @@ def report_from_minpoly(q: tuple[int, ...], L: int, width, instance: dict,
         isolation=iso,
         m=m,
         M=M,
-        integer_eigenvalues={k: sum(c * (k * L)**j for j, c in enumerate(q)) == 0
-                             for k in range(complex_dim + 2)},
+        integer_eigenvalues={k: k in exact for k in range(complex_dim + 2)},
         timings={},
     )
 

@@ -14,7 +14,8 @@ witness intervals, the conjecture distances and epsilon); every status,
 exact root and minimal polynomial stayed.  A report that is meant to
 change needs a new VERSION and a regenerated table.  The seed picks
 every Krylov seed vector, so the table is checked under two seeds: the
-certified report must not depend on it.  Runs only with
+certified report must not depend on it.  The default grid's ten
+entries are checked in tier-1; the whole table only with
 GARLAND_EXTENDED=1.
 """
 
@@ -25,23 +26,31 @@ from pathlib import Path
 
 import pytest
 
-from garland.harness import dumps_report, run_grid, strip_timings
-
-pytestmark = [
-    pytest.mark.extended,
-    pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
-                       reason="extended grid runs only with GARLAND_EXTENDED=1"),
-]
+from garland.harness import default_grid, dumps_report, run_grid, strip_timings
 
 TABLE = Path(__file__).with_name("extended_grid_digests.json")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_extended_grid_report_matches_the_pinned_digests(seed):
-    expected = json.loads(TABLE.read_text())
-    doc = run_grid("extended", seed=seed)
+def _digests(grid: str, seed: int) -> dict:
+    """The sha256 of each instance's report in run_grid(grid), keyed "ell,q,i"."""
     got = {}
-    for item in doc["instances"]:
+    for item in run_grid(grid, seed=seed)["instances"]:
         key = ",".join(str(item["instance"][k]) for k in ("ell", "q", "i"))
         got[key] = hashlib.sha256(dumps_report(strip_timings(item)).encode()).hexdigest()
-    assert got == expected
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_default_grid_report_matches_the_pinned_digests(seed):
+    expected = json.loads(TABLE.read_text())
+    keys = [f"{ell},{q},{i}" for ell, q, i in default_grid()]
+    assert len(keys) == 10
+    assert _digests("default", seed) == {k: expected[k] for k in keys}
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
+                    reason="extended grid runs only with GARLAND_EXTENDED=1")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extended_grid_report_matches_the_pinned_digests(seed):
+    assert _digests("extended", seed) == json.loads(TABLE.read_text())

@@ -22,7 +22,6 @@ from garland.harness import (
     INCONCLUSIVE,
     WIDTH_FLOOR,
     Instance,
-    VerificationVerdict,
     cache_key,
     chamber_count,
     default_grid,
@@ -44,7 +43,7 @@ from garland.harness import (
     verdict_min_bound,
     verdict_vanishing_threshold,
 )
-from garland.polyq import RatPolynomial, RootIsolation, isolate_real_roots
+from garland.polyq import RatPolynomial, RootInterval, RootIsolation, isolate_real_roots
 from garland.rationals import QQ
 from garland.spectra import SpectralReport, extract_extremes
 from garland.version import VERSION
@@ -164,17 +163,17 @@ def test_max_eigenvalue_verdict(rep120):
     inst = {"ell": 1, "q": 2, "i": 0}
     assert sorted(rep120.integer_eigenvalues) == [0, 1, 2]
     v = verdict_max_eigenvalue(rep120, inst)
-    assert v.check == "max-eigenvalue"
-    assert v.status == CERTIFIED_TRUE
-    assert v.witness["expected"] == "2/1"
-    assert v.witness["is_root"] is True
-    assert v.witness["roots_above"] == 0
+    assert v["check"] == "max-eigenvalue"
+    assert v["status"] == CERTIFIED_TRUE
+    assert v["witness"]["expected"] == "2/1"
+    assert v["witness"]["is_root"] is True
+    assert v["witness"]["roots_above"] == 0
     # a table running to 3 asks for 3, which is no root
     table = {k: rep120.minpoly(QQ(k)) == 0 for k in range(4)}
     bad = verdict_max_eigenvalue(dataclasses.replace(rep120, integer_eigenvalues=table), inst)
-    assert bad.witness["expected"] == "3/1"
-    assert bad.witness["is_root"] is False
-    assert bad.status == CERTIFIED_FALSE
+    assert bad["witness"]["expected"] == "3/1"
+    assert bad["witness"]["is_root"] is False
+    assert bad["status"] == CERTIFIED_FALSE
 
 
 def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
@@ -184,35 +183,35 @@ def test_max_eigenvalue_verdict_sees_roots_above_a_certified_rational():
     iso = isolate_real_roots(q)
     rep = SpectralReport({}, 0, 3, q, 1, iso, iso.roots[1], iso.roots[2], {0: True, 1: True}, {})
     v = verdict_max_eigenvalue(rep, {})
-    assert v.witness["is_root"] is True
-    assert v.witness["roots_above"] == 1
-    assert v.status == CERTIFIED_FALSE
+    assert v["witness"]["is_root"] is True
+    assert v["witness"]["roots_above"] == 1
+    assert v["status"] == CERTIFIED_FALSE
 
 
 def test_min_bound_verdict(rep120):
     # smallest nonzero root is 1 - sqrt(2)/3 = 0.5286, below the bound 1
     inst = {"ell": 1, "q": 2, "i": 0}
     v = verdict_min_bound(rep120, QQ(1), inst)
-    assert v.status == CERTIFIED_TRUE
-    assert v.witness["bound"] == "1/1"
-    assert verdict_min_bound(rep120, QQ(1, 4), inst).status == CERTIFIED_FALSE
+    assert v["status"] == CERTIFIED_TRUE
+    assert v["witness"]["bound"] == "1/1"
+    assert verdict_min_bound(rep120, QQ(1, 4), inst)["status"] == CERTIFIED_FALSE
 
 
 def test_integer_eigenvalues_verdict(rep120):
     v = verdict_integer_eigenvalues(rep120, 1, 0, {"ell": 1, "q": 2, "i": 0})
-    assert v.status == CERTIFIED_TRUE
-    assert v.witness["required"] == {"2": True}
-    assert v.witness["next_lower"] == {"value": 1, "is_root": False}
+    assert v["status"] == CERTIFIED_TRUE
+    assert v["witness"]["required"] == {"2": True}
+    assert v["witness"]["next_lower"] == {"value": 1, "is_root": False}
 
 
 def test_verdict_json_round_trip(rep120):
+    # a verdict is its JSON-clean record, with nothing to convert
     v = verdict_max_eigenvalue(rep120, {"ell": 1, "q": 2, "i": 0})
-    d = v.to_json_dict()
-    assert d["check"] == "max-eigenvalue"
-    assert d["status"] == "certified-true"
-    assert d["instance"] == {"ell": 1, "q": 2, "i": 0}
-    json.dumps(d)  # witness is JSON-clean
-    assert isinstance(v, VerificationVerdict)
+    assert set(v) == {"check", "instance", "status", "witness"}
+    assert v["check"] == "max-eigenvalue"
+    assert v["status"] == "certified-true"
+    assert v["instance"] == {"ell": 1, "q": 2, "i": 0}
+    assert json.loads(json.dumps(v)) == v
     assert {CERTIFIED_TRUE, CERTIFIED_FALSE, INCONCLUSIVE} == {
         "certified-true", "certified-false", "inconclusive-at-width"
     }
@@ -255,13 +254,21 @@ def rep_sqrt2():
     return rep
 
 
+def test_an_irrational_root_exceeds_its_left_end_without_refinement(rep_sqrt2, refines):
+    # m = 2 - sqrt(2) isolated in (15/32, 5/8] is > 15/32 by the interval
+    # alone; reading lo > x in place of lo >= x would refine to decide
+    assert harness._root_at_most(RootInterval(QQ(15, 32), QQ(5, 8)), QQ(15, 32)) is False
+    assert verdict_min_bound(rep_sqrt2, QQ(15, 32), {})["status"] == CERTIFIED_FALSE
+    assert refines[0] == 0
+
+
 def test_min_bound_refines_once_when_the_bound_splits_the_interval(rep_sqrt2, refines):
-    assert verdict_min_bound(rep_sqrt2, QQ(1), {}).status == CERTIFIED_TRUE
+    assert verdict_min_bound(rep_sqrt2, QQ(1), {})["status"] == CERTIFIED_TRUE
     assert refines[0] == 0  # decided at the isolation width
     v = verdict_min_bound(rep_sqrt2, QQ(3, 5), {})
     assert refines[0] == 1
-    assert v.status == CERTIFIED_TRUE
-    m = v.witness["m"]
+    assert v["status"] == CERTIFIED_TRUE
+    m = v["witness"]["m"]
     assert QQ(m["hi"]) - QQ(m["lo"]) <= WIDTH_FLOOR and QQ(m["hi"]) <= QQ(3, 5)
 
 
@@ -269,18 +276,18 @@ def test_min_bound_at_the_floor_midpoint_is_inconclusive(rep_sqrt2, refines):
     m = extract_extremes(rep_sqrt2.isolation.refine(WIDTH_FLOOR))[0]
     bound = (m.lo + m.hi) / 2
     v = verdict_min_bound(rep_sqrt2, bound, {})
-    assert v.status == INCONCLUSIVE
-    assert v.witness["m"] == m.to_json_dict()
+    assert v["status"] == INCONCLUSIVE
+    assert v["witness"]["m"] == m.to_json_dict()
     assert refines[0] == 2  # the one above, and the verdict's own
 
 
 def test_vanishing_threshold_refines_to_decide(rep_sqrt2, refines):
     # theta = (ell + 1 - i) / (i + 1) = 1/2 lies in (15/32, 5/8]
     v = verdict_vanishing_threshold(rep_sqrt2, 1, 1, {})
-    assert v.witness["threshold"] == "1/2"
+    assert v["witness"]["threshold"] == "1/2"
     assert refines[0] == 1
-    assert v.status == CERTIFIED_TRUE
-    assert QQ(v.witness["m"]["lo"]) >= QQ(1, 2)
+    assert v["status"] == CERTIFIED_TRUE
+    assert QQ(v["witness"]["m"]["lo"]) >= QQ(1, 2)
 
 
 def _links(*reports):
@@ -295,8 +302,8 @@ def test_fundamental_inequality_decides_after_refinement(rep_sqrt2, refines):
     assert (link.m.value, link.M.value) == (QQ(1, 2), QQ(53, 24))
     v = fundamental_inequality_verdict(2, 1, rep_sqrt2, _links(link), {})
     assert refines[0] > 0
-    assert v.status == CERTIFIED_TRUE
-    w = v.witness
+    assert v["status"] == CERTIFIED_TRUE
+    w = v["witness"]
     assert w["upper"]["status"] == CERTIFIED_TRUE
     assert w["lower"]["status"] == CERTIFIED_TRUE
     assert w["upper"]["rhs"] == {"lo": "41/12", "hi": "41/12"}
@@ -310,10 +317,10 @@ def test_fundamental_inequality_stays_inconclusive_on_equal_irrationals(rep_sqrt
     link = _coarse_report((0, QQ(7, 4), -3, 1))
     v = fundamental_inequality_verdict(2, 1, rep_sqrt2, _links(link), {})
     assert refines[0] > 0
-    assert v.status == INCONCLUSIVE
-    assert v.witness["upper"]["status"] == INCONCLUSIVE
-    assert v.witness["lower"]["status"] == INCONCLUSIVE
-    upper = v.witness["upper"]
+    assert v["status"] == INCONCLUSIVE
+    assert v["witness"]["upper"]["status"] == INCONCLUSIVE
+    assert v["witness"]["lower"]["status"] == INCONCLUSIVE
+    upper = v["witness"]["upper"]
     assert QQ(upper["lhs"]["lo"]) < QQ(upper["rhs"]["hi"])
     assert QQ(upper["rhs"]["lo"]) < QQ(upper["lhs"]["hi"])
 

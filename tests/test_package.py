@@ -44,12 +44,13 @@ MOVED = {
     "garland.harness": [  # deleted
         "_link_cohomology_vanishes", "resolve_cache_dir", "_report", "_bounds", "_root_json",
         "_refine_extreme", "_compare_le",
+        "VerificationVerdict",  # a verdict is its JSON record
     ],
     "garland.spectra": [
         "integer_table",  # folded into report_from_minpoly
         "_prime_stream", "_RANK_PRIME",  # one prime source: gf.descending_primes
         "_coboundary_int_rows",  # deleted: link cohomology ranks the sparse coboundary
-        "is_eigenvalue",  # deleted: the integer table reads q(k L) in integers
+        "is_eigenvalue",  # deleted: the integer table reads the exact roots
     ],
     "garland.errors": [
         "DegreeMismatch", "UnknownVertex", "UnknownType", "DivisionByZero",

@@ -187,6 +187,15 @@ def test_certificate_bound_uses_every_power_of_the_norm(monkeypatch):
     assert certify_annihilates(1, indptr, indices, np.array([30], dtype=np.int64), [-30, 1])
 
 
+def test_certificate_refuses_a_candidate_that_is_not_monic(b12):
+    # 2 min_B annihilates B as well, but min_B is monic and 2 min_B is not
+    op = assemble_matrix(b12.complex, 0)
+    q = minimal_polynomial(op).q
+    args = (op.dim, op.indptr, op.indices, op.data)
+    assert certify_annihilates(*args, list(q))
+    assert not certify_annihilates(*args, [2 * c for c in q])
+
+
 def test_witness_columns_do_not_change_the_answer(b12, b22):
     for b, i in ((b12, 0), (b22, 0), (b22, 1)):
         op = assemble_matrix(b.complex, i)
@@ -227,6 +236,19 @@ def _record_certifications(monkeypatch, verdict=None):
     return candidates
 
 
+def _tried_after(monkeypatch, seen):
+    """Patch certification to record the Krylov primes drawn before each call."""
+    certify = spectra.certify_annihilates
+    tried = []
+
+    def recording(*args, **kwargs):
+        tried.append(list(seen))
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "certify_annihilates", recording)
+    return tried
+
+
 def test_unlucky_seeds_are_outvoted(b12, monkeypatch):
     # the all-ones vector lies in ker Delta_0, so its annihilator is x
     # alone; the primes after the first two draw seeds of full degree.
@@ -259,14 +281,7 @@ def test_reconstruction_waits_for_the_coefficient_bound(case, b12, b22, monkeypa
     cx = {"b12-0": b12.complex, "b22-0": b22.complex, "star-union-47": star_union(47)[0]}[case]
     op = assemble_matrix(cx, 0)
     seen = _record_annihilators(monkeypatch)
-    certify = spectra.certify_annihilates
-    tried = []
-
-    def recording(*args, **kwargs):
-        tried.append(list(seen))
-        return certify(*args, **kwargs)
-
-    monkeypatch.setattr(spectra, "certify_annihilates", recording)
+    tried = _tried_after(monkeypatch, seen)
     got = minimal_polynomial(op)
     primes = list(seen)
     assert {len(a) - 1 for a in seen.values()} == {got.degree}
@@ -277,6 +292,49 @@ def test_reconstruction_waits_for_the_coefficient_bound(case, b12, b22, monkeypa
     if case == "star-union-47":
         assert op.data.dtype == object and op.L >= 2**63
         assert RatPolynomial.from_scaled(got.q, got.L) == P(0, 2, -3, 1)
+
+
+def test_reconstruction_waits_for_twice_the_coefficient_bound(b12, monkeypatch):
+    # (1,2,0) has ||B||_inf = 6 and d = 4, so balanced CRT waits for a
+    # product of primes past 2 * 7^4 = 4802.  A Krylov stream that starts
+    # with 4801, in (7^4, 2 * 7^4], tries no certification before its
+    # second prime, and certifies min_B there
+    op = assemble_matrix(b12.complex, 0)
+    want = minimal_polynomial(op)
+    monkeypatch.setattr(spectra, "descending_primes",
+                        lambda cap: itertools.chain([4801], descending_primes(cap))
+                        if cap == spectra._KRYLOV_CEILING else descending_primes(cap))
+    seen = _record_annihilators(monkeypatch)
+    tried = _tried_after(monkeypatch, seen)
+    assert minimal_polynomial(op) == want
+    assert (want.degree, python_inf_norm(op.indptr, op.data.tolist())) == (4, 6)
+    assert len(seen[4801]) - 1 == 4
+    assert tried == [[4801, *_first_primes(op, 1)]]
+
+
+def test_a_prime_of_lower_degree_is_dropped(b22, monkeypatch):
+    # (2,2,0) needs two Krylov primes.  With the second prime's annihilator
+    # cut to its degree-5 divisor (0 is a root of min_B), that prime is
+    # dropped, and min_B is certified from the first and third primes
+    op = assemble_matrix(b22.complex, 0)
+    want = minimal_polynomial(op)
+    assert want.q[0] == 0
+    p1, p2, p3 = _first_primes(op, 3)
+    krylov = spectra._krylov_annihilator_mod_p
+    seen = {}
+
+    def cut(bp, p, v0):
+        ann = krylov(bp, p, v0)
+        seen[p] = ann = ann[1:] if p == p2 else ann
+        return ann
+
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", cut)
+    certified = _record_certifications(monkeypatch)
+    assert minimal_polynomial(op) == want
+    assert [len(seen[p]) - 1 for p in (p1, p2, p3)] == [6, 5, 6]
+    assert list(seen) == [p1, p2, p3]
+    assert certified == [list(want.q)]
+    assert spectra._balanced_crt([seen[p1], seen[p3]], [p1, p3]) == list(want.q)
 
 
 def test_a_failed_candidate_is_certified_once(b12, monkeypatch):
@@ -554,14 +612,36 @@ def test_zero_dimensional_operator():
 
 
 def test_is_eigenvalue():
-    # the integer k is an eigenvalue of A = B / L exactly when q(k L) = 0
-    # for q = min_B, read in integers: q = x (x - 6) with L = 3 is
-    # A = x (x - 2), and q = x (x - 1) with L = 3 is x (x - 1/3)
+    # the integer table reads the isolation's exact roots of A = B / L:
+    # q = min_B = x (x - 6) with L = 3 is A = x (x - 2), and q = x (x - 1)
+    # with L = 3 is x (x - 1/3)
     rep = report_from_minpoly((0, -6, 1), 3, "1/1000000", {}, 0, 2, 1)
     assert rep.integer_eigenvalues == {0: True, 1: False, 2: True}
     rep = report_from_minpoly((0, -1, 1), 3, "1/1000000", {}, 0, 2, 1)
     assert rep.integer_eigenvalues == {0: True, 1: False, 2: False}
     assert rep.M.value == QQ(1, 3)
+
+
+def _integer_table_by_evaluation(rep):
+    """The oracle: the integer k is a root of min_A exactly when q(k L) = 0."""
+    return {k: sum(c * (k * rep.L)**j for j, c in enumerate(rep.q)) == 0
+            for k in range(len(rep.integer_eigenvalues))}
+
+
+def test_integer_table_agrees_with_evaluation_on_the_lattice(b12, b22, shared_cache):
+    reports = [spectral_report(Instance.building(ell, q), i, cache_dir=shared_cache)
+               for ell, q, i in default_grid()]
+    reports += [
+        report_from_minpoly((0, -6, 1), 3, "1/1000000", {}, 0, 2, 1),
+        report_from_minpoly((0, -1, 1), 3, "1/1000000", {}, 0, 2, 1),
+        compute_spectral_report(b12.complex, 0),
+        compute_spectral_report(b22.complex, 1),
+        compute_spectral_report(CIRCLE, 0, width="1/8"),
+    ]
+    for rep in reports:
+        assert rep.integer_eigenvalues == _integer_table_by_evaluation(rep), rep.instance
+    assert [len(rep.integer_eigenvalues) for rep in reports[:10]] == \
+        [ell + 2 for ell, _, _ in default_grid()]
 
 
 def test_squarefree_certify():

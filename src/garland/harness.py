@@ -28,9 +28,9 @@ building, x{sha256 of the canonical text} for a complex), the degree,
 the isolation width and the artifact version.  A hit is built from its
 minimal polynomial by `report_from_minpoly`, the constructor of a fresh
 report, so it passes the same checks or is a miss; its instance, degree
-and dimension are the caller's, so it reproduces a fresh computation
-byte for byte.  Its timings are its own: the seconds the load took, as
-"load_s".
+and dimension come from the caller's `Instance` and degree, so it
+reproduces a fresh computation byte for byte.  Its timings are its
+own: the seconds the load took, as "load_s".
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .errors import (
     UnknownReferenceInstance,
 )
 from .gf import field_for_order, prime_power
-from .laplace import coboundary_pattern
 from .polyq import (DEFAULT_WIDTH, RatPolynomial, RootInterval, parse_width,
                     root_magnitude_bound)
 from .rationals import QQ, QQ0, qstr
@@ -494,8 +493,7 @@ def cache_key(stem: str, i: int, width) -> str:
     return f"v{VERSION}-{stem}-i{i}-w{_width_tag(width)}"
 
 
-def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree: int,
-                       inst: Instance):
+def load_cached_report(cache_dir: Path, key: str, width, degree: int, inst: Instance):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
     The entry must be a JSON object naming the key it answers
@@ -509,8 +507,8 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
     polynomial that fails its checks is a miss, and the re-isolated roots
     must equal the stored ones.  Nothing else is read from the file:
     `dim` is `inst.num_simplices(degree)`, the integer-eigenvalue table is
-    formed for a complex of dimension `inst.n`, `instance` and `degree`
-    are the caller's, and the timings are this load's own,
+    formed for a complex of dimension `inst.n`, the instance is
+    `inst.tag(degree)`, and the timings are this load's own,
     {"load_s": seconds}.
     """
     t0 = time.perf_counter()
@@ -532,8 +530,8 @@ def load_cached_report(cache_dir: Path, key: str, width, instance: dict, degree:
             return None
         # any L that makes q integral passes here; a wrong one is caught
         # below only where it moves the stop width min(width, 1/L)
-        report = report_from_minpoly(tuple(int(c) for c in q), L, width, instance, degree,
-                                     dim, inst.n)
+        report = report_from_minpoly(tuple(int(c) for c in q), L, width, inst.tag(degree),
+                                     degree, dim, inst.n)
     except (ValueError, ZeroDivisionError, GarlandError):
         return None
     if [r.to_json_dict() for r in report.isolation.roots] != data["roots"]:
@@ -559,39 +557,35 @@ def _check_degree(inst: Instance, i: int) -> None:
 
 
 def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
-                    cache_dir=None, coboundary=None) -> SpectralReport:
-    """Certified spectral report of degree i, from the cache when it holds
-    one; `coboundary` as in `laplace.assemble_matrix`."""
+                    cache_dir=None) -> SpectralReport:
+    """Certified spectral report of degree i, from the cache when it holds one."""
     _check_degree(inst, i)
     width = parse_width(width)  # before any building or cache file is touched
-    instance = inst.tag(i)
     if cache_dir:
         cache_dir = Path(cache_dir)
         key = cache_key(inst.stem, i, width)
-        hit = load_cached_report(cache_dir, key, width, instance, i, inst)
+        hit = load_cached_report(cache_dir, key, width, i, inst)
         if hit is not None:
             return hit
-    report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=instance,
-                                     witness_columns=inst.symmetry.witness_columns(i),
-                                     coboundary=coboundary)
+    report = compute_spectral_report(inst.cx, i, width=width, seed=seed, instance=inst.tag(i),
+                                     witness_columns=inst.symmetry.witness_columns(i))
     if cache_dir:
         store_report(cache_dir, key, report)
     return report
 
 
 def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
-    """Degree-j spectral report and cohomology of one vertex link per link
-    orbit, both from one gather of the link's coboundary d_j."""
+    """Degree-j spectral report and reduced cohomology of one vertex link
+    per link orbit."""
     out = []
     for orbit in inst.symmetry.links:
         link, _ = inst.cx.vertex_link(orbit.vertex)
-        d = coboundary_pattern(link, j)
         out.append({
             "label": orbit.label,
             "count": orbit.count,
             "report": spectral_report(Instance.complex(link, orbit.tag), j, width, seed,
-                                      cache_dir, coboundary=d),
-            "vanishes": reduced_cohomology_vanishes(link, j, d),
+                                      cache_dir),
+            "vanishes": reduced_cohomology_vanishes(link, j),
         })
     return out
 

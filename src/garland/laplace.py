@@ -99,7 +99,7 @@ def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
     return L < 2**63 and top * (L // smallest) < 2**63
 
 
-def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle:
+def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     """The Laplacian on C^i as B = L * Delta in exact integer CSR form.
 
     With d the +-1 coboundary C^i -> C^{i+1}, Delta = diag(1/w_i) X for
@@ -116,15 +116,11 @@ def assemble_matrix(c: Complex, i: int, coboundary=None) -> LinearOperatorHandle
     w_r <= W, because each of the w_r top simplices through r contains
     an (i+1)-simplex (i < n), and W counts every top simplex once per
     (i+1)-face, so at least once.  |g| <= w_r then too.
-
-    `coboundary` is `coboundary_pattern(c, i)` when the caller already
-    holds it (a vertex link's, which its cohomology test reads too); it
-    is only read.
     """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
-    cols, signs = coboundary_pattern(c, i) if coboundary is None else coboundary
+    cols, signs = coboundary_pattern(c, i)
     m = len(cols)
     # the pattern in gram's index width, so gram takes it without a copy
     index = csr.gram_index_dtype(m, n, i + 2, m * (i + 2))

@@ -47,8 +47,10 @@ The minimal polynomial is guessed fast and then proved:
 The certificate is multi-modular and runs on the candidate for min_B
 itself, the monic integer coefficients c_k that the reconstruction
 produced.  Every entry of q(B) = sum_k c_k B^k is bounded by
-H = sum_k |c_k| * ||B||_inf^k; q(B) = 0 modulo primes whose product
-exceeds 2H forces q(B) = 0 over Z, hence min_A(A) = L^-d q(L A) = 0.
+H = sum_k |c_k| * ||B||_inf^k in absolute value.  An integer of absolute
+value at most H that a modulus M > H divides is 0, so q(B) = 0 modulo
+distinct primes whose product exceeds H forces q(B) = 0 over Z, hence
+min_A(A) = L^-d q(L A) = 0.
 Every modular pass calls scipy's compiled int64 CSR kernels directly
 (`csr.matvec`, `csr.matvecs`) on the arrays (indptr, indices, data) and
 vectors with entries in [0, p), and a row of the product plus one
@@ -63,9 +65,9 @@ representations of the data guarantee that, each up to its own cap:
     ceiling).
 
 Each call computes ||B||_inf once and takes whichever representation
-allows the larger primes (`_prime_cap`); object data, whose entries
-pass int64 (as when L >= 2**63), are always reduced.  Certification
-draws descending primes from that cap.  The Krylov elimination
+allows the larger primes (`_kernel_setup`, `_prime_cap`); object data,
+whose entries pass int64 (as when L >= 2**63), are always reduced.
+Certification draws descending primes from that cap.  The Krylov elimination
 subtracts a product of two residues from a residue, so its primes stay
 at most isqrt(2**63 - 1) = 3,037,000,499 either way: (p-1)^2 and
 w - f*vec in (-(p-1)^2, p) then fit int64.
@@ -76,7 +78,10 @@ On the grids' buildings ||B||_inf stays below 3*10^4, so their
 operators enter the kernels unreduced and certify with primes of at
 least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
 `certify_annihilates` validate the CSR arrays once per call
-(`csr.check`), not once per prime.
+(`csr.check`, in `_kernel_setup`), not once per prime.  Certification
+multiplies B into blocks of max(8, 400,000 // n) columns, 3.2 MB of
+int64 up to n = 50,000, so a building's 3 to 6 witness columns are one
+block.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
@@ -100,7 +105,7 @@ so --seed never changes reported values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from math import isqrt, prod
@@ -186,7 +191,7 @@ def _krylov_annihilator_mod_p(bp, p, v0) -> list[int]:
     """Monic annihilator mod p of v0 under B, low-to-high coefficients.
 
     `bp` is (indptr, indices, data), checked CSR arrays of B whose data
-    are reduced mod p or B's own entries, as `_prime_cap` decided.
+    are reduced mod p or B's own entries, as `_kernel_setup` decided.
 
     Vectorized Gaussian elimination on the Krylov vectors: stored
     vectors are pivot-normalized and were fully reduced at insertion, so
@@ -257,35 +262,45 @@ def _prime_cap(data: np.ndarray, max_nnz_row: int, binf: int) -> tuple[int, bool
     return reduced, True
 
 
+def _kernel_setup(n, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
+    """(indptr, indices, binf, cap, reduce) for the n x n CSR matrix B:
+    the arrays as `csr.check` returns them, binf = ||B||_inf, and
+    `_prime_cap`'s modulus cap and representation for B's data."""
+    indptr, indices = csr.check((n, n), indptr, indices, data)
+    max_nnz = int(np.diff(indptr).max(initial=0))
+    binf = _inf_norm(indptr, data, max_nnz)
+    return (indptr, indices, binf, *_prime_cap(data, max_nnz, binf))
+
+
 def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     """Exact check that q(B) kills the given basis vectors.
 
     `indptr`, `indices` and `data` are the CSR arrays of a
     `LinearOperatorHandle`, and `coeffs` the integer coefficients of q,
-    low to high; q must be monic.  Multi-modular with the 2H bound of
-    the module docstring: descending primes from `_prime_cap` until
-    their product exceeds 2H, so one ||B||_inf both sizes H and picks
-    the representation of the data, unreduced int64 entries whenever
-    they allow the larger primes.  `columns` defaults to all of them; a
-    caller passing fewer must know that a symmetry of B maps those onto
-    the rest, see the module docstring.
+    low to high; q must be monic.  Multi-modular with the bound H of the
+    module docstring: every entry of q(B) is at most H in absolute
+    value, and an integer of absolute value at most H that a modulus
+    M > H divides is 0, so the descending primes from `_kernel_setup`'s
+    cap stop once their product exceeds H.  One ||B||_inf both sizes H
+    and picks the representation of the data, unreduced int64 entries
+    whenever they allow the larger primes.  `columns` defaults to all of
+    them; a caller passing fewer must know that a symmetry of B maps
+    those onto the rest, see the module docstring.
     """
-    indptr, indices = csr.check((n, n), indptr, indices, data)
+    indptr, indices, binf, cap, reduce = _kernel_setup(n, indptr, indices, data)
     if not coeffs or coeffs[-1] != 1:
         return False
     if columns is None:
         columns = range(n)
-    max_nnz = int(np.diff(indptr).max(initial=0))
-    binf = _inf_norm(indptr, data, max_nnz)
-    cap, reduce = _prime_cap(data, max_nnz, binf)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     for q in descending_primes(cap):
         primes.append(q)
-        if prod(primes) > 2 * H:
+        if prod(primes) > H:
             break
     cols_np = np.asarray(columns, dtype=np.int64)
-    block = max(1, min(len(cols_np), 4_000_000 // max(1, n)))
+    # about 400,000 entries a block, without splitting a building's witnesses
+    block = max(8, 400_000 // max(1, n))
     for q in primes:
         dq = _reduce(data, q) if reduce else data
         cmod = [c % q for c in coeffs]
@@ -332,11 +347,8 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
     n = op.dim
     if n == 0:
         return MinimalPolynomial((1,), op.L)
-    indptr, indices = csr.check((n, n), op.indptr, op.indices, op.data)
+    indptr, indices, binf, cap, reduce = _kernel_setup(n, op.indptr, op.indices, op.data)
     data, L = op.data, op.L
-    max_nnz = int(np.diff(indptr).max(initial=0))
-    binf = _inf_norm(indptr, data, max_nnz)
-    cap, reduce = _prime_cap(data, max_nnz, binf)
 
     best: dict[int, list[int]] = {}
     best_deg = -1
@@ -402,7 +414,7 @@ def reduced_cohomology_ranks(cx: Complex) -> list[int]:
     return [cx.num_simplices(i) - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
 
 
-def reduced_cohomology_vanishes(cx: Complex, i: int, coboundary=None) -> bool:
+def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
     """Whether the reduced cohomology of degree i vanishes, decided exactly.
 
     dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
@@ -410,12 +422,10 @@ def reduced_cohomology_vanishes(cx: Complex, i: int, coboundary=None) -> bool:
     `exactla.rank_bounds` on the sparse coboundary, and only an
     uncertified one draws the next prime: the count over lower bounds is
     an upper bound, so 0 certifies vanishing, and with both ranks
-    certified it is the dimension.  `coboundary`, when given, is
-    `laplace.coboundary_pattern(cx, i)` already made.
+    certified it is the dimension.
     """
     size = cx.num_simplices(i)
-    d_i = _coboundary(cx, i) if coboundary is None else (*coboundary, size)
-    streams = [exactla.rank_bounds(*d_i), exactla.rank_bounds(*_coboundary(cx, i - 1))]
+    streams = [exactla.rank_bounds(*_coboundary(cx, j)) for j in (i, i - 1)]
     bounds = [next(s) for s in streams]
     while size != bounds[0][0] + bounds[1][0]:
         if bounds[0][1] and bounds[1][1]:
@@ -439,9 +449,6 @@ class SpectralReport:
     M: RootInterval
     integer_eigenvalues: dict[int, bool]
     timings: dict[str, float]
-    # the assembled operator when this report computed it, None when it
-    # came from the cache; never serialized
-    operator: LinearOperatorHandle | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def minpoly(self) -> RatPolynomial:
@@ -508,12 +515,11 @@ def report_from_minpoly(q: tuple[int, ...], L: int, width, instance: dict,
 
 def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int = 0,
                             instance: dict | None = None,
-                            witness_columns=None, coboundary=None) -> SpectralReport:
-    """Full certified pipeline for Delta on C^i of cx; `coboundary` as in
-    `assemble_matrix`."""
+                            witness_columns=None) -> SpectralReport:
+    """Full certified pipeline for Delta on C^i of cx."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    op = assemble_matrix(cx, i, coboundary)
+    op = assemble_matrix(cx, i)
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -524,5 +530,4 @@ def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int 
     report = report_from_minpoly(mp.q, mp.L, width, instance or {}, i, op.dim, cx.dim)
     timings["isolate_s"] = time.perf_counter() - t0
     report.timings = timings
-    report.operator = op
     return report

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from garland import complexes, exactla, harness, laplace, reference, spectra
+from garland import complexes, exactla, harness, reference
 from garland.complexes import from_maximal_simplices, from_text
 from garland.errors import (
     BudgetExceeded,
@@ -448,8 +448,7 @@ def test_the_environment_does_not_turn_caching_on(tmp_path, monkeypatch):
 def test_cache_round_trip(tmp_path, rep120):
     key = cache_key("b1-q2", 0, "1/1000000")
     store_report(tmp_path, key, rep120)
-    loaded = load_cached_report(tmp_path, key, "1/1000000", rep120.instance, 0,
-                                Instance.building(1, 2))
+    loaded = load_cached_report(tmp_path, key, "1/1000000", 0, Instance.building(1, 2))
     assert loaded is not None
     assert loaded.minpoly == rep120.minpoly
     assert loaded.m.lo == rep120.m.lo and loaded.M.value == rep120.M.value
@@ -463,10 +462,9 @@ def test_cache_rejects_tampering(tmp_path, rep120):
     doc = json.loads(path.read_text())
     doc["minpoly"] = "0/1 -1/1 1/1"
     path.write_text(json.dumps(doc))
-    inst = rep120.instance
     b12 = Instance.building(1, 2)
-    assert load_cached_report(tmp_path, key, "1/1000000", inst, 0, b12) is None
-    assert load_cached_report(tmp_path, "no-such-key", "1/1000000", inst, 0, b12) is None
+    assert load_cached_report(tmp_path, key, "1/1000000", 0, b12) is None
+    assert load_cached_report(tmp_path, "no-such-key", "1/1000000", 0, b12) is None
 
 
 def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
@@ -478,18 +476,18 @@ def test_cache_entry_of_another_instance_is_a_miss(tmp_path):
     src, dst = (tmp_path / f"{cache_key(f'b1-q{q}', 0, width)}.json" for q in (3, 2))
     shutil.copyfile(src, dst)
     b12 = Instance.building(1, 2)
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
+    assert load_cached_report(tmp_path, dst.stem, width, 0, b12) is None
     doc = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
     assert doc["spectral"]["minpoly"] == "0/1 -14/9 43/9 -4/1 1/1"
     assert doc["spectral"]["dim"] == 14
     # the recomputed entry replaced the file and names its own key
     stored = json.loads(dst.read_text())
     assert stored["key"] == dst.stem
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is not None
+    assert load_cached_report(tmp_path, dst.stem, width, 0, b12) is not None
     # an entry without a key is a miss as well
     del stored["key"]
     dst.write_text(json.dumps(stored))
-    assert load_cached_report(tmp_path, dst.stem, width, {}, 0, b12) is None
+    assert load_cached_report(tmp_path, dst.stem, width, 0, b12) is None
 
 
 @pytest.mark.parametrize("entry", [
@@ -506,14 +504,14 @@ def test_cache_entry_is_a_miss_unless_it_is_monic_and_integral_on_b(tmp_path, mo
     run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.json")
     b12 = Instance.building(1, 2)
-    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is not None
+    assert load_cached_report(tmp_path, path.stem, width, 0, b12) is not None
     path.write_text(json.dumps({**json.loads(path.read_text()), **entry}))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a report built from an entry that is not min_B")
 
     monkeypatch.setattr(harness, "report_from_minpoly", forbidden)
-    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is None
+    assert load_cached_report(tmp_path, path.stem, width, 0, b12) is None
 
 
 def _exact_roots(*values):
@@ -540,12 +538,12 @@ def test_malformed_cache_entry_is_a_recomputed_miss(tmp_path, entry):
         entry = {**json.loads(path.read_text()), **entry}
     path.write_text(json.dumps(entry))
     b12 = Instance.building(1, 2)
-    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is None
+    assert load_cached_report(tmp_path, path.stem, width, 0, b12) is None
     doc = run_instance(Instance.building(1, 2), 0, width, cache_dir=tmp_path)
     assert strip_timings(doc) == strip_timings(fresh)
     # the recomputed report replaced the entry, which is a hit again
     assert json.loads(path.read_text())["key"] == path.stem
-    assert load_cached_report(tmp_path, path.stem, width, {}, 0, b12) is not None
+    assert load_cached_report(tmp_path, path.stem, width, 0, b12) is not None
 
 
 def test_cache_hit_takes_the_callers_instance(tmp_path):
@@ -697,24 +695,6 @@ def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
     p = exactla.PRIME_CEILING  # 2**31 - 1 is prime: the first rank prime
     # d_0 of each link as 2-entry rows, the augmentation as 1-entry rows
     assert calls == [((2, 2), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
-
-
-def test_each_link_coboundary_is_gathered_once(monkeypatch):
-    # the building's d_1 for its Laplacian, and each of the 3 link
-    # orbits' d_0 once, for both the link's Laplacian and its cohomology
-    calls = []
-    real = laplace.coboundary_pattern
-
-    def spy(c, i):
-        calls.append((c.num_simplices(0), i))
-        return real(c, i)
-
-    for module in (laplace, spectra, harness):
-        monkeypatch.setattr(module, "coboundary_pattern", spy)
-    run_instance(Instance.building(2, 2), 1)
-    assert len(calls) == 4
-    assert calls[0] == (harness.get_building(2, 2).complex.num_simplices(0), 1)
-    assert [i for _, i in calls[1:]] == [0, 0, 0]
 
 
 # -- report plumbing ---------------------------------------------------------------

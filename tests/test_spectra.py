@@ -7,12 +7,15 @@ characteristic polynomial by an unrelated algorithm (Berkowitz), which
 cross-checks the Krylov engine on every small instance.
 """
 
+import gc
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ import sympy
 
 from garland import exactla, spectra
 from garland.building import flag_complex, witness_columns
-from garland.complexes import from_maximal_simplices
+from garland.complexes import from_maximal_simplices, from_text
 from garland.gf import descending_primes, field_for_order
 from garland.harness import Instance, default_grid, get_building, run_instance, spectral_report
 from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
@@ -143,10 +146,8 @@ def test_incidence_building_minpoly_against_oracle(b12):
 
 
 def _prime_cap(op):
-    """`spectra._prime_cap` of op's data, with the norm certification computes."""
-    max_nnz = int(np.diff(op.indptr).max())
-    return spectra._prime_cap(op.data, max_nnz,
-                              spectra._inf_norm(op.indptr, op.data, max_nnz))
+    """(cap, reduce) of op, as `spectra._kernel_setup` decides them for its kernels."""
+    return spectra._kernel_setup(op.dim, op.indptr, op.indices, op.data)[3:]
 
 
 def test_routes_and_seeds_agree(b12, monkeypatch):
@@ -177,7 +178,7 @@ def test_routes_and_seeds_agree(b12, monkeypatch):
 
 def test_certificate_bound_uses_every_power_of_the_norm(monkeypatch):
     # B = [30] and q = x: q(B) = 30 != 0.  H = sum |c_k| ||B||^k = 30, so
-    # the primes run until their product passes 60: 5, 3, 2, 7, and 7
+    # the primes run until their product passes 30: 5, 3, 2, 7, and 7
     # sees 30 != 0.  A bound with ||B||^(k // 2) gives H = 1 and stops
     # after 5, which divides 30, and would accept x
     monkeypatch.setattr(spectra, "descending_primes", lambda cap: iter([5, 3, 2, 7, 11]))
@@ -194,6 +195,62 @@ def test_certificate_refuses_a_candidate_that_is_not_monic(b12):
     args = (op.dim, op.indptr, op.indices, op.data)
     assert certify_annihilates(*args, list(q))
     assert not certify_annihilates(*args, [2 * c for c in q])
+
+
+def test_certificate_stops_once_the_primes_pass_h(monkeypatch):
+    # an entry of q(B) is at most H in absolute value, and one that a
+    # modulus past H divides is 0.  B = [15] and q = x - 15: H = 30, so
+    # the primes 7, 5 stop there (35 > 30), where 2H = 60 would draw 3 too
+    drawn = []
+
+    def recording(cap):
+        for p in (7, 5, 3, 2, 11):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(spectra, "descending_primes", recording)
+    indptr, indices = np.array([0, 1], dtype=np.int64), np.array([0], dtype=np.int64)
+    b = np.array([15], dtype=np.int64)
+    assert certify_annihilates(1, indptr, indices, b, [-15, 1])
+    assert drawn == [7, 5]
+    # q = x + 15: q(B) = 30 = H.  5 * 3 * 2 = 30 divides it without
+    # passing H, so 7 is drawn as well and refuses q
+    monkeypatch.setattr(spectra, "descending_primes", lambda cap: iter([5, 3, 2, 7]))
+    assert not certify_annihilates(1, indptr, indices, b, [15, 1])
+
+
+def test_certification_blocks_stay_small_on_a_text_complex():
+    # the (2,3) building read from text certifies all 1,560 columns of
+    # degree 1.  A block of 400,000 // 1560 = 256 columns is 3.05 MiB of
+    # int64, and its product with B a second one: the peak is 6.1 MiB.
+    # The 1,560 columns as one block peaked at 37.2 MiB
+    cx, _ = from_text(get_building(2, 3).complex.to_text())
+    op = assemble_matrix(cx, 1)
+    q = minimal_polynomial(op, witness_columns=[0]).q
+    assert op.dim == 1560
+    tracemalloc.start()
+    try:
+        assert certify_annihilates(op.dim, op.indptr, op.indices, op.data, list(q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+
+
+def test_a_report_keeps_no_operator(monkeypatch):
+    # the operator is freed once its report is made
+    refs = []
+
+    def assemble(*args):
+        op = assemble_matrix(*args)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(spectra, "assemble_matrix", assemble)
+    report = compute_spectral_report(OCTAHEDRON, 1)
+    gc.collect()
+    assert report.dim == 12 and len(refs) == 1
+    assert refs[0]() is None
 
 
 def test_witness_columns_do_not_change_the_answer(b12, b22):

@@ -19,12 +19,16 @@ complex has
 
   * `rows[d]`, a C-contiguous int32 array of shape (count, d+1): the
     ascending id rows of the d-simplices, in lexicographic order;
-  * `keys[d]`, an int64 array: the key of a row is rank(prefix) * V +
-    last id, where rank(prefix) is the position of the row without its
-    last vertex among the (d-1)-simplices (0 for a vertex).  Keys are
-    strictly increasing, so `locate` finds a face by one `searchsorted`
-    per prefix after the first vertex, whose position is its id;
-  * `counts[d]`, an int64 array of the weights.
+  * `keys[d]`: the key of a row is rank(prefix) * V + last id, where
+    rank(prefix) is the position of the row without its last vertex
+    among the (d-1)-simplices (0 for a vertex).  Keys are strictly
+    increasing, so `locate` finds a face by one `searchsorted` per
+    prefix after the first vertex, whose position is its id.  Every key
+    is below count(d-1) * V (1 * V for the vertices), so the keys are
+    int32 while that is at most 2**31 and int64 beyond (`key_dtype`);
+  * `counts[d]`, the weights: a weight counts maximal simplices, so
+    they are int32 while there are fewer than 2**31 of those and int64
+    beyond (`weight_dtype`).
 
 Face levels are built on demand.  Construction checks the input, sorts
 every maximal row with a network of elementwise minima and maxima over
@@ -52,9 +56,12 @@ builds the levels up to i + 1 and no others.  `facets` gathers the
 boundary faces of every simplex of one dimension at once, which is what
 the operators are assembled from, as int32 positions while the faces
 number fewer than 2**31 (`position_dtype`), so the coboundary pattern
-reaches the Gram product without an int64 copy.  Vertex links, the only
-links that Garland's localization reads, come from one vertex-to-top-
-simplex CSR over the sorted columns, built on first use; removing a
+reaches the Gram product without an int64 copy.  At d = 1 a facet is a
+vertex, whose position is its id, so the edge rows are read as they
+are; above, `locate` searches with keys in the keys' own width.  Vertex
+links, the only links that Garland's localization reads, come from one
+vertex-to-top-simplex CSR over the sorted columns, built on first use
+and kept with its top positions in `position_dtype`; removing a
 vertex that two ascending rows share keeps their order, so every vertex
 link arrives in lexicographic order too.
 
@@ -104,6 +111,21 @@ def position_dtype(count: int) -> type:
     face: int32 when count < 2**31, so every position 0..count-1 fits,
     and int64 otherwise."""
     return np.int32 if count < _INT32_POSITIONS else np.int64
+
+
+def key_dtype(prefixes: int, nv: int) -> type:
+    """The width of the keys rank(prefix) * V + last id of faces whose
+    prefixes number `prefixes` (1 for the vertices): every key is below
+    prefixes * V, so int32 when that is at most 2**31, and int64
+    otherwise."""
+    return np.int32 if prefixes * nv <= 2**31 else np.int64
+
+
+def weight_dtype(tops: int) -> type:
+    """The width of a weight in a complex of `tops` maximal simplices: a
+    weight counts maximal simplices, so it is at most `tops`; int32 when
+    tops < 2**31, and int64 otherwise."""
+    return np.int32 if tops < 2**31 else np.int64
 
 
 def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
@@ -162,10 +184,11 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, out=None) -> np.ndarray:
-    """rank(prefix) * V + last vertex, in the dtype of `out` (int64 without
-    one) whatever the dtype of the ranks."""
-    out = np.multiply(prefix_rank, nv, out=out, dtype=np.int64 if out is None else out.dtype)
+def _face_keys(prefix_rank: np.ndarray, last: np.ndarray, nv: int, dtype, out=None) -> np.ndarray:
+    """rank(prefix) * V + last vertex in `dtype`, whatever the dtypes of
+    the ranks and ids, into `out` when given (which has that dtype); the
+    caller knows that every key fits."""
+    out = np.multiply(prefix_rank, nv, out=out, dtype=dtype)
     out += last
     return out
 
@@ -230,8 +253,8 @@ class Complex:
     Attributes:
         dim: n.
         rows, keys, counts: per dimension 0..n, the int32 id rows, the
-            int64 search keys and the int64 weights, each level built on
-            first read; V is len(rows[0]).
+            search keys in `key_dtype` and the weights in `weight_dtype`,
+            each level built on first read; V is len(rows[0]).
         simplices: the derived read-only id-tuple view (module docstring).
 
     Make one with `from_maximal_simplices`.
@@ -246,8 +269,8 @@ class Complex:
         self.dim = len(cols) - 1
         self._cols = cols
         self._rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
-        self._keys = [np.arange(nv, dtype=np.int64)]
-        self._counts = [occurrences.astype(np.int64, copy=False)]
+        self._keys = [np.arange(nv, dtype=key_dtype(1, nv))]
+        self._counts = [occurrences.astype(weight_dtype(len(cols[0])))]
         # column combination c -> position of every top's face on columns
         # c among the faces of size len(c): the prefixes of the last level
         # built, kept until the top level is built
@@ -325,30 +348,33 @@ class Complex:
         distinct faces in order and their weights.  The face rows are
         gathered one column at a time from the prefix rows.
         When that bound on the keys is at most 2**31, the keys are
-        filled and sorted as int32, which sorts about twice as fast as
-        int64; only the distinct keys are widened, so `keys` holds int64
-        at every level.
+        filled, sorted and kept as int32 (`key_dtype`), which sorts about
+        twice as fast as int64, and a prefix's search keys are formed in
+        the width of the keys they are searched among, so `searchsorted`
+        copies neither.  The weights are kept in `weight_dtype`.
         """
         cols, nv, size = self._cols, len(self._rows[0]), self.dim + 1
+        weight = weight_dtype(len(cols[0]))
         while len(self._rows) <= d:
             k = len(self._rows) + 1
             if k == 2:
                 rank = {(j,): cols[j] for j in range(size - 1)}  # a vertex's position is its id
             else:
                 below, keys = self._prefix_rank, self._keys[-1]
-                rank = {c: np.searchsorted(keys, _face_keys(below[c[:-1]], cols[c[-1]], nv))
+                # each searched key is an existing face's, so it fits the keys' width
+                rank = {c: np.searchsorted(keys, _face_keys(below[c[:-1]], cols[c[-1]], nv,
+                                                            keys.dtype))
                         for c in combinations(range(size - 1), k - 1)}
             # one buffer for every combination, so that one combination's
             # keys are the largest temporary of the level
-            narrow = len(self._rows[-1]) * nv <= 2**31
-            flat = np.empty(len(cols[0]), dtype=np.int32 if narrow else np.int64)
+            flat = np.empty(len(cols[0]), dtype=key_dtype(len(self._rows[-1]), nv))
             parts, weights = [], []
             for c in combinations(range(size), k):
-                _face_keys(rank[c[:-1]], cols[c[-1]], nv, out=flat)
+                _face_keys(rank[c[:-1]], cols[c[-1]], nv, flat.dtype, out=flat)
                 flat.sort()
                 starts = _run_starts(flat)
                 parts.append(flat[starts])
-                weights.append(np.diff(starts, append=len(flat)))
+                weights.append(np.diff(starts, append=len(flat)).astype(weight))
             del flat, starts
             merged = np.concatenate(parts)
             weights = np.concatenate(weights)
@@ -357,8 +383,8 @@ class Complex:
             merged, weights = merged[order], weights[order]
             del order
             starts = _run_starts(merged)
-            uniq = merged[starts].astype(np.int64, copy=False)
-            counts = np.add.reduceat(weights, starts)
+            uniq = merged[starts]
+            counts = np.add.reduceat(weights, starts, dtype=weight)
             del merged, weights, starts
             prefix, last = np.divmod(uniq, nv)
             faces = np.empty((len(uniq), k), dtype=np.int32)
@@ -394,14 +420,19 @@ class Complex:
         """Positions of ascending id rows (shape (m, d+1)) among the
         d-simplices, int64; -1 if absent.  A vertex's position is its id,
         so the first column needs only a range check; each later column
-        one `searchsorted` among the keys."""
+        a range check and one `searchsorted` among the keys, with the
+        search keys formed in the keys' own width.  An id outside 0..V-1
+        makes its row absent: clipped into range, every search key is
+        below count(j-1) * V, which that width holds (`key_dtype`)."""
         nv = len(self._rows[0])
         pos = rows[:, 0].astype(np.int64)
         found = (pos >= 0) & (pos < nv)
         np.clip(pos, 0, nv - 1, out=pos)
         for j in range(1, rows.shape[1]):
             keys = self.keys[j]
-            want = pos * nv + rows[:, j]
+            last = rows[:, j]
+            found &= (last >= 0) & (last < nv)
+            want = _face_keys(pos, np.clip(last, 0, nv - 1), nv, keys.dtype)
             pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             found &= keys[pos] == want
         pos[~found] = -1
@@ -410,9 +441,14 @@ class Complex:
     def facets(self, d: int) -> np.ndarray:
         """Shape (count, d+1), 1 <= d <= n: column j holds the position
         among the (d-1)-simplices of each d-simplex without its vertex j,
-        in the width `position_dtype` gives for the (d-1)-simplex count."""
+        in the width `position_dtype` gives for the (d-1)-simplex count.
+        At d = 1 that position is the other vertex's id, read from the
+        edge rows; above, `locate` finds it."""
         rows = self.rows[d]
         out = np.empty((len(rows), d + 1), dtype=position_dtype(self.num_simplices(d - 1)))
+        if d == 1:
+            out[...] = rows[:, ::-1]
+            return out
         for j in range(d + 1):
             out[:, j] = self.locate(np.delete(rows, j, axis=1))
         return out
@@ -426,12 +462,14 @@ class Complex:
     @cached_property
     def _vertex_tops(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex-to-top CSR over the stored maximal simplices: those at id
-        j are tops[ptr[j]:ptr[j+1]], ascending."""
+        j are tops[ptr[j]:ptr[j+1]], ascending, as positions in the width
+        `position_dtype` gives for the number of maximal simplices."""
         top = np.stack(self._cols, axis=1)
         order = np.argsort(top, axis=None, kind="stable")
+        order //= top.shape[1]
         ptr = np.zeros(len(self._rows[0]) + 1, dtype=np.int64)
         np.cumsum(self._counts[0], out=ptr[1:])
-        return ptr, order // top.shape[1]
+        return ptr, order.astype(position_dtype(len(top)))
 
     def vertex_link(self, v: int) -> tuple["Complex", list[int]]:
         """Link of vertex v, relabeled to dense ids; returns (complex, new_to_old).

@@ -17,7 +17,7 @@ The kernel contract, which the functions below keep:
     (`gram_index_dtype`) and returns its indptr and indices in that
     width, and `check` keeps a pattern whose two arrays are both int32
     and makes anything else int64, so no kernel call converts an index
-    array; `gram`'s values keep the width of its inputs, which its
+    array; `gram`'s values keep the width of its weights, which its
     caller proves wide enough (`gram_value_dtype`); blocks of vectors
     are C-contiguous (n, k) int64 arrays;
   - the kernels do no bounds checks: a stray index reads or writes out
@@ -61,9 +61,9 @@ def _load():
 _kernels = _load()
 
 
-def _validated(shape, indptr, indices, *data):
-    """(indptr, indices) as arrays, int32 kept and anything else as int64,
-    once they form a valid CSR pattern.
+def check(shape, indptr, indices, *data):
+    """(indptr, indices) as contiguous arrays of one width, once they form
+    a valid CSR pattern: int32 when both are int32 arrays, int64 otherwise.
 
     Raises MalformedMatrix unless indptr has rows + 1 entries, starts at
     0 and never decreases, indptr[-1] equals the length of indices and
@@ -79,14 +79,6 @@ def _validated(shape, indptr, indices, *data):
                               f"have lengths {[len(a) for a in (indices, *data)]}")
     if len(indices) and not (0 <= indices.min() and indices.max() < cols):
         raise MalformedMatrix(f"a column index lies outside 0..{cols - 1}")
-    return indptr, indices
-
-
-def check(shape, indptr, indices, *data):
-    """(indptr, indices) as contiguous arrays of one width, once they form
-    a valid CSR pattern (`_validated` lists the conditions; MalformedMatrix
-    otherwise): int32 when both are int32 arrays, int64 otherwise."""
-    indptr, indices = _validated(shape, indptr, indices, *data)
     width = np.int32 if indptr.dtype == indices.dtype == np.int32 else np.int64
     return tuple(np.ascontiguousarray(a, dtype=width) for a in (indptr, indices))
 
@@ -123,47 +115,63 @@ def gram_index_dtype(m, n, row_nnz, nnz):
 
 
 def gram_value_dtype(bound):
-    """The value width for a Gram product X^T Y whose every entry and
+    """The value width for a Gram product X^T diag(w) X whose every entry and
     partial sum is at most `bound` in absolute value: int32 below 2**31,
     int64 otherwise."""
     return np.int32 if bound < 2**31 else np.int64
 
 
-def gram(n, indptr, indices, x, y):
-    """X^T Y as n x n CSR (indptr, indices, data) with ascending columns.
+def gram(n, cols, signs, weights):
+    """X^T diag(w) X as n x n CSR (indptr, indices, data) with ascending columns.
 
-    X and Y are m x n integer CSR matrices with the one pattern (indptr,
-    indices) and the values x and y.  Exact zero sums are left out.  The
-    product's values are in the result type of x and y, int32 or int64,
-    and the kernels accumulate in that type without an overflow check:
-    the caller picks a type that holds every entry and partial sum of
-    X^T Y (`gram_value_dtype`).
+    X is the m x n integer matrix whose row r holds the values `signs`
+    (k of them, the +-1 of a coboundary) at the k columns cols[r], and w
+    holds one weight per row, so `cols` is an (m, k) array of indices in
+    [0, n) and `weights` has length m.  Exact zero sums are left out.
+    The product's values are in the width of `weights`, int32 kept and
+    anything else int64, and the kernels accumulate in that type without
+    an overflow check: the caller picks a width that holds every entry
+    and partial sum of X^T diag(w) X (`gram_value_dtype`).
 
-    The transposition and the product run on int32 index arrays when
-    they provably fit: X^T Y has at most sum_r nnz_r^2 <= max_r nnz_r *
-    nnz(X) entries (row r of X meets row r of Y in nnz_r^2 products), so
-    int32 is taken when m, n and that bound are all below 2**31 - 1, and
-    int64 otherwise (`gram_index_dtype`).  int32 inputs of that width are
-    used without a copy, and the returned indptr and indices keep that
-    width, which `check` keeps too.
+    gram keeps nothing of its operands past the call: it builds X's
+    values itself, transposes them, and then turns those values into
+    Y = diag(w) X in place, so one array of m k values and its transpose
+    are its only temporaries of that size besides the product.  The
+    transposition and the product run on int32 index arrays when they
+    provably fit: the product has at most sum_r k^2 = k * mk entries (row
+    r of X meets row r of Y in k^2 products), so int32 is taken when m,
+    n and that bound are all below 2**31 - 1, and int64 otherwise
+    (`gram_index_dtype`).  int32 columns of that width are used without
+    a copy, and the returned indptr and indices keep that width, which
+    `check` keeps too.
+
+    Raises MalformedMatrix unless cols is 2-D with one column per sign,
+    weights has one entry per row of cols, and every index lies in [0, n).
     """
-    indptr, indices = _validated((len(indptr) - 1, n), indptr, indices, x, y)
-    value = np.result_type(*map(np.asarray, (x, y)))
-    x, y = (np.asarray(a, dtype=value) for a in (x, y))
-    m = len(indptr) - 1
-    index = gram_index_dtype(m, n, int((indptr[1:] - indptr[:-1]).max(initial=0)), len(indices))
-    indptr, indices = (np.ascontiguousarray(a, dtype=index) for a in (indptr, indices))
+    cols, signs, weights = map(np.asarray, (cols, signs, weights))
+    if cols.ndim != 2 or cols.shape[1] != len(signs) or weights.shape != cols.shape[:1]:
+        raise MalformedMatrix(f"{cols.shape} columns, {len(signs)} signs and "
+                              f"{weights.shape} weights are no pattern of rows")
+    if cols.size and not (0 <= cols.min() and cols.max() < n):
+        raise MalformedMatrix(f"a column index lies outside 0..{n - 1}")
+    m, k = cols.shape
+    value = np.int32 if weights.dtype == np.int32 else np.int64
+    index = gram_index_dtype(m, n, k, m * k)
+    indptr = np.arange(0, m * k + 1, k, dtype=index)
+    indices = np.ascontiguousarray(cols, dtype=index).reshape(-1)
+    # X's values, transposed, and then, in place, Y's
+    x = np.tile(signs.astype(value), m)
     tp = np.empty(n + 1, dtype=index)
     tj = np.empty(len(indices), dtype=index)
     tx = np.empty(len(x), dtype=value)
     _kernels.csr_tocsc(m, n, indptr, indices, x, tp, tj, tx)
-    del x
+    np.multiply(x.reshape(m, k), weights.astype(value, copy=False)[:, None], out=x.reshape(m, k))
     nnz = _kernels.csr_matmat_maxnnz(n, n, tp, tj, indptr, indices)
     cp = np.empty(n + 1, dtype=index)
     cj = np.empty(nnz, dtype=index)
     cx = np.empty(nnz, dtype=value)
-    _kernels.csr_matmat(n, n, tp, tj, tx, indptr, indices, y, cp, cj, cx)
-    del tp, tj, tx, indptr, indices
+    _kernels.csr_matmat(n, n, tp, tj, tx, indptr, indices, x, cp, cj, cx)
+    del tp, tj, tx, indptr, indices, x
     cj, cx = cj[:cp[-1]], cx[:cp[-1]]
     _kernels.csr_sort_indices(n, cp, cj, cx)
     return cp, cj, cx

@@ -9,18 +9,22 @@ n is out of domain and rejected.
 assemble_matrix builds Delta on C^i in integer arrays, never as
 rationals, from the column gather of the coboundary
 (`coboundary_pattern`, one `Complex.facets` call) and one Gram product
-d^T (diag(w) d) on scipy's compiled CSR kernels (`csr.gram`).  The
-coboundary of m (i+1)-simplices has i + 2 entries a row, so the product
-has at most m (i+2)^2 entries; while m, n and that bound are below
-2**31 - 1, the pattern goes to the Gram product as int32 index arrays
-(`facets` writes int32 positions, so no int64 copy is made), which it
-transposes and multiplies without widening them, and B's indptr and
-indices come back int32 too; past the bound all four are int64.
+d^T diag(w_{i+1}) d on scipy's compiled CSR kernels (`csr.gram`).  Its
+operands are the facet positions as `facets` returns them, the i + 2
+signs (-1)^j and the weights w_{i+1} as `counts` stores them: gram
+makes d's values and diag(w) d itself, so assembly forms no array of
+coboundary values.  The coboundary of m (i+1)-simplices has i + 2
+entries a row, so the product has at most m (i+2)^2 entries; while m,
+n and that bound are below 2**31 - 1, the int32 facet positions are
+gram's column indices without a copy, which it transposes and
+multiplies without widening them, and B's indptr and indices come back
+int32 too; past the bound all four are int64.
 Krylov and certification run the kernels on B's arrays in that width
 (`csr.check`).  The values are int32 likewise while the sum of w_{i+1}
 is below 2**31, a bound on every entry of X and every weight
-(`assemble_matrix` gives the proof), and B's data are made afresh from
-them.  It returns the square matrix B = L * Delta as
+(`assemble_matrix` gives the proof), so the int32 weights go to gram
+uncopied, and B's data are made in place from
+the int64 denominators.  It returns the square matrix B = L * Delta as
 CSR and the scale L (the lcm of the entry denominators of Delta),
 which is what the certified spectral code consumes; the
 assembly time therefore includes the integer scaling.  B's entries are
@@ -43,6 +47,9 @@ from . import csr
 from .complexes import Complex
 from .errors import DegreeOutOfRange
 from .rationals import QQ, qstr
+
+# the entries whose gcds `assemble_matrix` takes at a time
+_GCD_BLOCK = 65_536
 
 
 @dataclass
@@ -94,7 +101,7 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
 def _fits_int64(num: np.ndarray, den: np.ndarray, L: int) -> bool:
     """Whether every product num * (L // den) fits int64 (den > 0)."""
     top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
-    # not den.min(initial=L): an int32 den cannot hold an L past 2**31
+    # not den.min(initial=L): den's width need not hold L
     smallest = int(den.min()) if den.size else L
     return L < 2**63 and top * (L // smallest) < 2**63
 
@@ -109,47 +116,41 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     Python int, because it can pass 2**63; B's data are int64 when every
     product fits and Python ints in an object array otherwise.
 
-    X, its factors, the denominators and the gcds are int32 when
+    X, the weights gram reads and the gcds are int32 when
     W = sum_s w_{i+1}(s) < 2**31 and int64 otherwise
     (`csr.gram_value_dtype`).  That is enough: a row of d has entries
     +-1, so |X[r, c]| and every partial sum of it are at most W; and
     w_r <= W, because each of the w_r top simplices through r contains
     an (i+1)-simplex (i < n), and W counts every top simplex once per
-    (i+1)-face, so at least once.  |g| <= w_r then too.
+    (i+1)-face, so at least once.  |g| <= w_r then too.  The denominators
+    are int64, because B's data are made from them in place, and the
+    gcds are taken a block of entries at a time.
     """
     if not 0 <= i <= c.dim - 1:
         raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
     n = c.num_simplices(i)
     cols, signs = coboundary_pattern(c, i)
-    m = len(cols)
-    # the pattern in gram's index width, so gram takes it without a copy
-    index = csr.gram_index_dtype(m, n, i + 2, m * (i + 2))
-    rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=index)
-    cols = cols.astype(index, copy=False).ravel()
     # every |X[r, c]|, every partial sum of it and every w_r is at most
-    # the sum of w_{i+1} (docstring), so that sum picks the width of Y,
-    # X's +-1 values, X, the denominators and the gcds
-    value = csr.gram_value_dtype(int(c.counts[i + 1].sum()))
-    signs = signs.astype(value)
-    # Y's values w_{i+1}(row) * sign, formed in place
-    y = np.repeat(c.counts[i + 1].astype(value), i + 2)
-    y.reshape(m, i + 2)[...] *= signs
-    indptr, indices, x = csr.gram(n, rowptr, cols, np.tile(signs, m), y)
-    del cols, rowptr, y
-    # in place, to keep the peak down: x becomes x / g and den w_r / g
-    den = np.repeat(c.counts[i].astype(value), np.diff(indptr))
-    g = np.gcd(x, den)
-    x //= g
-    den //= g
-    del g
+    # the sum of w_{i+1} (docstring), so that sum picks the width of X,
+    # the weights gram reads and the gcds
+    weights = c.counts[i + 1]
+    value = csr.gram_value_dtype(int(weights.sum(dtype=np.int64)))
+    indptr, indices, x = csr.gram(n, cols, signs, weights.astype(value, copy=False))
+    del cols
+    # in place, to keep the peak down: x becomes x / g and den w_r / g,
+    # a block at a time, so no array of gcds is B's size; then den
+    # becomes B's data, so den is int64 from the start
+    den = np.repeat(c.counts[i].astype(np.int64), np.diff(indptr))
+    for start in range(0, len(den), _GCD_BLOCK):
+        xs, ds = x[start:start + _GCD_BLOCK], den[start:start + _GCD_BLOCK]
+        g = np.gcd(xs, ds, out=np.empty_like(xs))
+        xs //= g
+        ds //= g
     # the distinct denominators from a count over 1..max w_r, not a list
     # of every entry, nor np.unique, which loads numpy.ma on first use
     L = lcm(*np.flatnonzero(np.bincount(den)).tolist())
     if _fits_int64(x, den, L):
-        # a fresh int64 array: L // den and its products need not fit den's width
-        data = den.astype(np.int64)
-        del den
-        np.floor_divide(L, data, out=data)
+        data = np.floor_divide(L, den, out=den)
         data *= x
     else:
         data = x.astype(object) * (L // den.astype(object))

@@ -64,9 +64,11 @@ representations of the data guarantee that, each up to its own cap:
     max_nnz_row * p^2 <= 2**62 (hence p <= 2**31, below the Krylov
     ceiling).
 
-Each call computes ||B||_inf once and takes whichever representation
-allows the larger primes (`_kernel_setup`, `_prime_cap`); object data,
-whose entries pass int64 (as when L >= 2**63), are always reduced.
+Each call computes ||B||_inf once, summing |B| one block of whole rows
+of about 65,536 entries at a time, so no copy of B's data is made, and
+takes whichever representation allows the larger primes
+(`_kernel_setup`, `_prime_cap`); object data, whose entries pass int64
+(as when L >= 2**63), are always reduced.
 Certification draws descending primes from that cap.  The Krylov elimination
 subtracts a product of two residues from a residue, so its primes stay
 at most isqrt(2**63 - 1) = 3,037,000,499 either way: (p-1)^2 and
@@ -167,21 +169,36 @@ def _reduce(data: np.ndarray, p: int) -> np.ndarray:
     return (data % p).astype(np.int64, copy=False)
 
 
+# the entries of one block of whole rows that `_inf_norm` sums at a time
+_NORM_BLOCK = 65_536
+
+
 def _inf_norm(indptr: np.ndarray, data: np.ndarray, max_nnz: int) -> int:
     """max_r sum_j |B[r, j]| of CSR B with at most max_nnz entries a row.
 
-    The row sums are exact: data whose rows could pass 2**63 are summed
-    as Python ints.
+    |B| is taken one block of whole rows at a time, about _NORM_BLOCK
+    entries (more when one row is longer), so no copy of all of `data`
+    is made.  The row sums are exact: a block whose rows could pass
+    2**63 is summed as Python ints.
     """
-    absdata = np.abs(data)
-    if int(absdata.max(initial=0)) * max_nnz >= 2**63:
-        absdata = absdata.astype(object)
-    # reduceat over the nonempty rows' starts: each segment then runs to
-    # the next nonempty row, i.e. over exactly one row
-    starts = indptr[:-1][np.diff(indptr) > 0]
-    if not len(starts):
-        return 0
-    return int(np.add.reduceat(absdata, starts).max())
+    # a block ends at the last row start at or before each multiple of
+    # _NORM_BLOCK entries; a row longer than that makes empty blocks
+    ends = np.searchsorted(indptr, np.arange(_NORM_BLOCK, indptr[-1], _NORM_BLOCK,
+                                             dtype=indptr.dtype), side="right") - 1
+    ends = [*ends.tolist(), len(indptr) - 1]
+    best = 0
+    for first, end in zip([0, *ends], ends):
+        ptr = indptr[first:end + 1]
+        block = np.abs(data[ptr[0]:ptr[-1]])
+        if int(block.max(initial=0)) * max_nnz >= 2**63:
+            block = block.astype(object)
+        # reduceat over the nonempty rows' starts: each segment then runs
+        # to the next nonempty row, i.e. over exactly one row
+        starts = ptr[:-1][np.diff(ptr) > 0] - ptr[0]
+        if len(starts):
+            best = max(best, int(np.add.reduceat(block, starts).max()))
+        del block  # before the next block is taken
+    return best
 
 
 # -- modular Krylov -------------------------------------------------------------
@@ -265,7 +282,9 @@ def _prime_cap(data: np.ndarray, max_nnz_row: int, binf: int) -> tuple[int, bool
 def _kernel_setup(n, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
     """(indptr, indices, binf, cap, reduce) for the n x n CSR matrix B:
     the arrays as `csr.check` returns them, binf = ||B||_inf, and
-    `_prime_cap`'s modulus cap and representation for B's data."""
+    `_prime_cap`'s modulus cap and representation for B's data.  binf
+    is summed by row blocks (`_inf_norm`), so the set-up copies no
+    array of B's size."""
     indptr, indices = csr.check((n, n), indptr, indices, data)
     max_nnz = int(np.diff(indptr).max(initial=0))
     binf = _inf_norm(indptr, data, max_nnz)

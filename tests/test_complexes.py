@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from garland import complexes
-from garland.complexes import Complex, from_maximal_simplices, from_text, position_dtype
+from garland.complexes import (
+    Complex,
+    from_maximal_simplices,
+    from_text,
+    key_dtype,
+    position_dtype,
+    weight_dtype,
+)
 from garland.errors import (
     DuplicateSimplex,
     EmptyInput,
@@ -139,12 +146,14 @@ def test_array_face_tables_match_reference():
         assert np.array_equal(tops, before)
         assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops.tolist())
         assert _tables(c) == _tables(from_maximal_simplices(tops.tolist()))
+        # at most 26 vertices and 39 tops: every key is below 26**6 < 2**31
+        # and every weight below 2**31, so both tables are int32
         for d in range(c.dim + 1):
             rows, keys, counts = c.rows[d], c.keys[d], c.counts[d]
             assert rows.dtype == np.int32 and rows.flags.c_contiguous
             assert rows.shape == (len(keys), d + 1)
-            assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
-            assert counts.dtype == np.int64
+            assert keys.dtype == np.int32 and (np.diff(keys) > 0).all()
+            assert counts.dtype == np.int32
     bad = []
     # a repeated vertex at each adjacent position of the sorted row
     for size in range(2, 7):
@@ -401,8 +410,9 @@ def test_rows_equal_modulo_2_to_the_64_are_distinct():
 
 
 # 46340**2 <= 2**31 < 46341**2: the edge keys of a cycle on V vertices are
-# sorted as int32 only on the first V.  On 46342 vertices the largest key,
-# (V-2) * V + V-1, itself passes 2**31, so int32 keys would wrap there.
+# sorted and kept as int32 only on the first V, and as int64 at or past
+# the bound.  On 46342 vertices the largest key, (V-2) * V + V-1, itself
+# passes 2**31, so int32 keys would wrap there.
 @pytest.mark.parametrize("nv", [46_340, 46_341, 46_342])
 def test_cycle_edges_on_each_side_of_the_int32_key_bound(nv):
     rng = np.random.default_rng(nv)
@@ -415,10 +425,11 @@ def test_cycle_edges_on_each_side_of_the_int32_key_bound(nv):
     want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     assert want[:2].tolist() == [[0, 1], [0, nv - 1]]
     assert np.array_equal(c.rows[1], want)
-    assert c.keys[1].dtype == np.int64
+    assert key_dtype(nv, nv) == c.keys[1].dtype == (np.int32 if nv == 46_340 else np.int64)
     assert np.array_equal(c.keys[1], want[:, 0].astype(np.int64) * nv + want[:, 1])
-    assert np.array_equal(c.counts[1], np.ones(nv, dtype=np.int64))
-    assert np.array_equal(c.counts[0], np.full(nv, 2, dtype=np.int64))
+    assert c.keys[0].dtype == c.counts[0].dtype == c.counts[1].dtype == np.int32
+    assert np.array_equal(c.counts[1], np.ones(nv))
+    assert np.array_equal(c.counts[0], np.full(nv, 2))
     assert np.array_equal(c.locate(want[::-1]), np.arange(nv)[::-1])
 
 
@@ -436,10 +447,15 @@ def _brute_levels(tops, nv):
 
 
 def _check_levels(c, tops):
-    for d, (faces, keys, counts) in enumerate(_brute_levels(tops, c.num_simplices(0))):
+    # the keys of level d are below count(d-1) * V: int32 while that is at
+    # most 2**31, int64 past it; fewer than 2**31 tops make int32 weights
+    nv, prefixes = c.num_simplices(0), 1
+    for d, (faces, keys, counts) in enumerate(_brute_levels(tops, nv)):
         assert c.rows[d].dtype == np.int32 and np.array_equal(c.rows[d], faces)
-        assert c.keys[d].dtype == np.int64 and np.array_equal(c.keys[d], keys)
-        assert c.counts[d].dtype == np.int64 and np.array_equal(c.counts[d], counts)
+        width = np.int32 if prefixes * nv <= 2**31 else np.int64
+        assert c.keys[d].dtype == width and np.array_equal(c.keys[d], keys)
+        assert c.counts[d].dtype == np.int32 and np.array_equal(c.counts[d], counts)
+        prefixes = len(faces)
 
 
 def _shared_faces(tops) -> int:
@@ -616,3 +632,48 @@ def test_facets_width_follows_the_face_count(monkeypatch):
     nv = cx.num_simplices(0)
     assert cx.locate(np.array([[-1], [0], [nv - 1], [nv]])).tolist() == [-1, 0, nv - 1, -1]
     assert cx.locate(np.array([[-1, 0], [nv, nv + 1], [0, nv]])).tolist() == [-1, -1, -1]
+    # an id outside 0..V-1 after the first column is absent too: the key
+    # a * V + b of edge (a, b) is also (a - 1) * V + (b + V), so an
+    # unchecked last id would find that edge
+    a, b = cx.rows[1][-1].tolist()
+    assert cx.locate(np.array([[a, b], [a - 1, b + nv], [a + 1, b - nv]])).tolist() == \
+        [cx.num_simplices(1) - 1, -1, -1]
+
+
+def test_weight_width_follows_the_number_of_maximal_simplices(monkeypatch):
+    # a weight counts maximal simplices, so fewer than 2**31 of them make
+    # int32 weights and more make int64; the rule moved to int64 gives
+    # the same weights and the same operator
+    assert weight_dtype(2**31 - 1) == np.int32
+    assert weight_dtype(2**31) == np.int64
+    tops = get_building(2, 2).complex.rows[2]
+    got = {}
+    for width in (np.int32, np.int64):
+        monkeypatch.setattr(complexes, "weight_dtype", lambda tops: width)
+        cx = from_maximal_simplices(tops)
+        assert [c.dtype for c in cx.counts] == [width] * 3
+        ops = [assemble_matrix(cx, i) for i in (0, 1)]
+        got[width] = ([c.tolist() for c in cx.counts],
+                      [[a.tolist() for a in (op.indptr, op.indices, op.data)] for op in ops])
+    assert got[np.int32] == got[np.int64]
+
+
+def test_vertex_tops_are_positions_and_every_link_is_the_tops_through_v(monkeypatch):
+    # the vertex-to-top CSR keeps its top positions in position_dtype of
+    # the top count, int32 here; every vertex link of the (2,2) building
+    # is the tops through v without v, and an int64 table gives the same
+    top = get_building(2, 2).complex.rows[2]
+    want = []
+    for v in range(int(top.max()) + 1):
+        rest = [[u for u in t if u != v] for t in top.tolist() if v in t]
+        old = sorted({u for t in rest for u in t})
+        new_id = {u: j for j, u in enumerate(old)}
+        want.append((_tables(from_maximal_simplices([[new_id[u] for u in t] for t in rest])),
+                     old))
+    for bound, width in ((len(top) + 1, np.int32), (len(top), np.int64)):
+        monkeypatch.setattr(complexes, "_INT32_POSITIONS", bound)
+        cx = from_maximal_simplices(top)
+        ptr, tops = cx._vertex_tops
+        assert tops.dtype == width
+        got = [(_tables(link), old) for link, old in map(cx.vertex_link, cx.vertices)]
+        assert got == want

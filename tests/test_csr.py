@@ -106,21 +106,23 @@ def test_unreduced_rows_at_the_norm_cap_match_the_dense_product(binf):
 
 @pytest.mark.parametrize("i", [0, 1])
 def test_gram_is_the_weighted_coboundary_square(i):
-    # X = d^T diag(w_{i+1}) d, the numerator matrix of the Laplacian
+    # X = d^T diag(w_{i+1}) d, the numerator matrix of the Laplacian, from
+    # the coboundary's columns and signs and the weights as stored; the
+    # operands are only read
     c = OCTAHEDRON
     n = c.num_simplices(i)
     cols, signs = coboundary_pattern(c, i)
+    weights = c.counts[i + 1]
     m = len(cols)
     d = np.zeros((m, n), dtype=object)
     for r in range(m):
         for j in range(i + 2):
             d[r, cols[r, j]] = int(signs[j])
-    w = np.diag([int(v) for v in c.counts[i + 1]]).astype(object)
+    w = np.diag([int(v) for v in weights]).astype(object)
     want = d.T.dot(w).dot(d)
-    tiled = np.tile(signs, m)
-    rowptr = np.arange(0, m * (i + 2) + 1, i + 2, dtype=np.int64)
-    weighted = tiled * np.repeat(c.counts[i + 1], i + 2)
-    indptr, indices, data = csr.gram(n, rowptr, cols.ravel(), tiled, weighted)
+    given = [a.copy() for a in (cols, signs, weights)]
+    indptr, indices, data = csr.gram(n, cols, signs, weights)
+    assert all(np.array_equal(a, b) for a, b in zip((cols, signs, weights), given))
     for r in range(n):
         row = indices[indptr[r]:indptr[r + 1]]
         assert np.all(row[1:] > row[:-1])  # ascending, no duplicates
@@ -129,24 +131,24 @@ def test_gram_is_the_weighted_coboundary_square(i):
 
 
 def test_gram_index_width_follows_its_bound(monkeypatch):
-    # X^T Y has at most max_r nnz_r * nnz(X) entries; int32 below 2**31 - 1
+    # X^T diag(w) X has at most max_r nnz_r * nnz(X) entries; int32 below
+    # 2**31 - 1
     top = 2**31 - 1
     assert csr.gram_index_dtype(top - 1, top - 1, 1, top - 1) == np.int32
     for m, n, row_nnz, nnz in [(top, 1, 1, 1), (1, top, 1, 1), (1, 1, 2, top // 2 + 1)]:
         assert csr.gram_index_dtype(m, n, row_nnz, nnz) == np.int64
-    # either width, from int32 or int64 input, gives one result, whose
-    # indptr and indices are in the width the rule gives
+    # either width, from int32 or int64 columns, gives one result, whose
+    # indptr and indices are in the width the rule gives and whose values
+    # are in the weights' width
     cols, signs = coboundary_pattern(OCTAHEDRON, 1)
-    m, n = len(cols), OCTAHEDRON.num_simplices(1)
-    tiled = np.tile(signs, m)
-    weighted = tiled * np.repeat(OCTAHEDRON.counts[2], 3)
+    n = OCTAHEDRON.num_simplices(1)
+    weights = OCTAHEDRON.counts[2]
     results = []
     for width in (np.int32, np.int64):
         monkeypatch.setattr(csr, "gram_index_dtype", lambda *bound: width)
         for given in (np.int32, np.int64):
-            rowptr = np.arange(0, 3 * m + 1, 3, dtype=given)
-            got = csr.gram(n, rowptr, cols.ravel().astype(given), tiled, weighted)
-            assert [a.dtype for a in got] == [width, width, np.int64]
+            got = csr.gram(n, cols.astype(given), signs, weights)
+            assert [a.dtype for a in got] == [width, width, weights.dtype]
             results.append([a.tolist() for a in got])
     assert all(r == results[0] for r in results)
 
@@ -159,23 +161,21 @@ def test_gram_value_width_follows_its_bound():
     # computed exactly in the width the rule gives
     for bound in (2**31 - 1, 2**31):
         value = csr.gram_value_dtype(bound)
-        y = np.array([2**30, bound - 2**30], dtype=value)
-        got = csr.gram(1, [0, 1, 2], [0, 0], np.ones(2, dtype=value), y)
+        weights = np.array([2**30, bound - 2**30], dtype=value)
+        got = csr.gram(1, [[0], [0]], [1], weights)
         assert got[2].dtype == value and got[2].tolist() == [bound]
-    # int32 and int64 values give one product, in their own width; the
-    # indptr and indices are in the index width of the pattern's bound
+    # int32 and int64 weights give one product, in their own width, and
+    # weights of any other width are taken as int64; the indptr and
+    # indices are in the index width of the pattern's bound
     cols, signs = coboundary_pattern(OCTAHEDRON, 1)
     m, n = len(cols), OCTAHEDRON.num_simplices(1)
-    rowptr = np.arange(0, 3 * m + 1, 3)
     index = csr.gram_index_dtype(m, n, 3, 3 * m)
     results = []
-    for value in (np.int32, np.int64):
-        tiled = np.tile(signs.astype(value), m)
-        weighted = tiled * np.repeat(OCTAHEDRON.counts[2].astype(value), 3)
-        got = csr.gram(n, rowptr, cols.ravel(), tiled, weighted)
+    for given, value in ((np.int32, np.int32), (np.int64, np.int64), (np.int16, np.int64)):
+        got = csr.gram(n, cols, signs, OCTAHEDRON.counts[2].astype(given))
         assert [a.dtype for a in got] == [index, index, value]
         results.append([a.tolist() for a in got])
-    assert results[0] == results[1]
+    assert all(r == results[0] for r in results)
 
 
 def test_int32_and_int64_forms_of_one_operator_agree(b22):
@@ -249,8 +249,23 @@ def test_malformed_arrays_raise_before_any_kernel(case, monkeypatch):
         spectra.certify_annihilates(3, indptr, indices, data, [0, 1])
     with pytest.raises(MalformedMatrix):
         spectra.minimal_polynomial(LinearOperatorHandle(0, indptr, indices, data, 1))
+
+
+# (columns, signs, weights) that are no Gram operands for n = 3
+MALFORMED_GRAM = {
+    "index equal to n": ([[0, 3], [1, 2]], [1, -1], [1, 1]),
+    "negative index": ([[0, -1], [1, 2]], [1, -1], [1, 1]),
+    "fewer signs than columns": ([[0, 1], [1, 2]], [1], [1, 1]),
+    "a weight short": ([[0, 1], [1, 2]], [1, -1], [1]),
+    "columns not 2-D": ([0, 1, 1, 2], [1, -1], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAM))
+def test_malformed_gram_operands_raise_before_any_kernel(case, monkeypatch):
+    monkeypatch.setattr(csr, "_kernels", NoKernels())
     with pytest.raises(MalformedMatrix):
-        csr.gram(3, indptr, indices, data, data)
+        csr.gram(3, *MALFORMED_GRAM[case])
 
 
 def test_a_wrong_row_count_is_malformed():

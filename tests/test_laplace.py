@@ -208,12 +208,11 @@ def test_int64_and_python_int_scaling_agree(b22, monkeypatch):
 
 
 def test_value_width_follows_the_weight_sum(b22, monkeypatch):
-    # X, the denominators and the gcds take the width that the sum of
-    # w_{i+1} bounds; B's data are int64 or Python ints either way, and
-    # forcing int64 values gives the same B.  The star unions reach
-    # L = lcm(1..23) = 5,354,228,880 > 2**31, scaled from int32
-    # denominators into int64 data, and L = lcm(1..47) > 2**63, into
-    # Python ints
+    # X and the gcds take the width that the sum of w_{i+1} bounds; B's
+    # data are int64 or Python ints either way, and forcing int64 values
+    # gives the same B.  The star unions reach
+    # L = lcm(1..23) = 5,354,228,880 > 2**31, scaled from int32 X into
+    # int64 data, and L = lcm(1..47) > 2**63, into Python ints
     asked = []
     real = laplace.csr.gram_value_dtype
 
@@ -234,6 +233,18 @@ def test_value_width_follows_the_weight_sum(b22, monkeypatch):
         assert wide.data.dtype == op.data.dtype and wide.L == op.L
         for a, b in zip((op.indptr, op.indices, op.data), (wide.indptr, wide.indices, wide.data)):
             assert a.tolist() == b.tolist()
+
+
+def test_gcds_by_blocks_give_the_same_operator(b22, monkeypatch):
+    # the gcds are taken _GCD_BLOCK entries at a time; blocks of 8, the
+    # last one short, give the B and L of one block, and an entry left
+    # unreduced would not (a weight-9 vertex's -3/9 sets L = 21)
+    whole = [assemble_matrix(b22.complex, i) for i in (0, 1)]
+    monkeypatch.setattr(laplace, "_GCD_BLOCK", 8)
+    for i, op in enumerate(whole):
+        assert len(op.data) > 8 and len(op.data) % 8
+        blocked = assemble_matrix(b22.complex, i)
+        assert (blocked.data.tolist(), blocked.L) == (op.data.tolist(), op.L)
 
 
 def test_int64_fit_scales_by_the_smallest_denominator():

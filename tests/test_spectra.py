@@ -549,6 +549,73 @@ def test_inf_norm_in_int64_matches_python_rows(b22):
     assert spectra._inf_norm(indptr, big, 3) == 3 * 2**62
 
 
+def _rows_of_lengths(rng, lengths, high):
+    """indptr and int64 data of CSR rows of the given lengths, entries in (-high, high)."""
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return indptr, rng.integers(1 - high, high, int(indptr[-1]), dtype=np.int64)
+
+
+def test_inf_norm_by_row_blocks_matches_python_rows():
+    # ||B||_inf is summed one block of whole rows of about _NORM_BLOCK
+    # entries at a time; every case spans several blocks
+    block = spectra._NORM_BLOCK
+    rng = np.random.default_rng(block)
+    cases = []
+    # short rows, every seventh one empty, and empty rows at both ends
+    lengths = rng.integers(0, 40, 12_000)
+    lengths[::7] = 0
+    lengths[-3:] = 0
+    cases.append(_rows_of_lengths(rng, lengths, 2**20))
+    # a row longer than a block between short ones, and one at the end
+    cases.append(_rows_of_lengths(rng, [3, 0, block + 5, 2, 0], 2**20))
+    cases.append(_rows_of_lengths(rng, [5] * 100 + [2 * block + 1], 2**20))
+    # the maximum in the last block
+    indptr, data = _rows_of_lengths(rng, [16] * (3 * block // 16 + 10), 1000)
+    data[-16:] = -(10**6)
+    cases.append((indptr, data))
+    # |x| * max_nnz passes 2**63 in the second block alone: that block is
+    # summed as Python ints, and its row of sum 4 * (2**62 - 1) > 2**63 is
+    # the maximum, which int64 would wrap
+    indptr, data = _rows_of_lengths(rng, [4] * (block // 2), 2**20)
+    data[block + 8:block + 12] = [2**62 - 1, -(2**62 - 1), 2**62 - 1, 2**62 - 1]
+    cases.append((indptr, data))
+    # object data, entries past 2**63 in the last block
+    indptr, data = _rows_of_lengths(rng, [6] * (block // 3), 2**20)
+    data = data.astype(object)
+    data[-6:] = [2**70, -(2**70), 1, 2, 3, 4]
+    cases.append((indptr, data))
+    for indptr, data in cases:
+        assert len(data) > block
+        max_nnz = int(np.diff(indptr).max())
+        want = python_inf_norm(indptr, data.tolist())
+        assert spectra._inf_norm(indptr, data, max_nnz) == want
+        if data.dtype == np.int64:
+            narrow = indptr.astype(np.int32)
+            assert spectra._inf_norm(narrow, data, max_nnz) == want
+    assert [python_inf_norm(indptr, data.tolist()) for indptr, data in cases[3:]] == \
+        [16 * 10**6, 4 * (2**62 - 1), 2 * 2**70 + 10]
+
+
+def test_kernel_setup_copies_no_array_of_the_operators_size():
+    # 2**20 int64 entries, 8 MiB, in 2**14 rows of 64: ||B||_inf by row
+    # blocks takes |B| about 65,536 entries (0.5 MiB) at a time, and the
+    # set-up peaks at 0.52 MiB.  |B| taken whole peaked at 8.3 MiB
+    n, k = 2**14, 64
+    rng = np.random.default_rng(k)
+    indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
+    indices = np.tile(np.arange(k, dtype=np.int32), n)
+    data = rng.integers(-1000, 1000, n * k)
+    tracemalloc.start()
+    try:
+        got = spectra._kernel_setup(n, indptr, indices, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] is indptr and got[1] is indices
+    assert got[2] == int(np.abs(data).reshape(n, k).sum(axis=1).max())
+    assert peak <= 1 * 2**20
+
+
 def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
     # b22 fits int64; the star union's L = lcm(1..47) does not, and its
     # data are the oracle's Python ints in an object array

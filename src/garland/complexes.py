@@ -351,7 +351,8 @@ class Complex:
         filled, sorted and kept as int32 (`key_dtype`), which sorts about
         twice as fast as int64, and a prefix's search keys are formed in
         the width of the keys they are searched among, so `searchsorted`
-        copies neither.  The weights are kept in `weight_dtype`.
+        copies neither.  Weights are kept in `weight_dtype`, and prefix
+        ranks, positions among the faces below, in `position_dtype`.
         """
         cols, nv, size = self._cols, len(self._rows[0]), self.dim + 1
         weight = weight_dtype(len(cols[0]))
@@ -364,6 +365,7 @@ class Complex:
                 # each searched key is an existing face's, so it fits the keys' width
                 rank = {c: np.searchsorted(keys, _face_keys(below[c[:-1]], cols[c[-1]], nv,
                                                             keys.dtype))
+                        .astype(position_dtype(len(keys)))
                         for c in combinations(range(size - 1), k - 1)}
             # one buffer for every combination, so that one combination's
             # keys are the largest temporary of the level
@@ -476,8 +478,10 @@ class Complex:
 
         The maximal simplices of Lk(v) are exactly t minus v for the
         maximal t containing v, so the link is itself pure of dimension
-        n - 1 with every simplex under a top face.  Memoized: vertex
-        links recur in every localization op.
+        n - 1 with every simplex under a top face.  Memoized, so that
+        every call for v returns the same link object: cochains on a link
+        (`tests/cochains.py`, `tau_v`) are combined only when they live
+        on the identical complex.
         """
         if v not in self._vertex_links:
             if not 0 <= v < len(self._rows[0]):

@@ -41,7 +41,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, zip_longest
+from itertools import combinations, groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -120,15 +120,9 @@ def ensure_budget(ell: int, q: int) -> None:
                              f"over the budget of {DEFAULT_CHAMBER_BUDGET}")
 
 
-_BUILDINGS: dict[tuple[int, int], TypedBuilding] = {}
-
-
 def get_building(ell: int, q: int) -> TypedBuilding:
-    """The memoized flag complex of F_q^(ell+2); the caller checks the budget."""
-    key = (ell, q)
-    if key not in _BUILDINGS:
-        _BUILDINGS[key] = flag_complex(ell, field_for_order(q))
-    return _BUILDINGS[key]
+    """The flag complex of F_q^(ell+2), made anew; the caller checks the budget."""
+    return flag_complex(ell, field_for_order(q))
 
 
 @dataclass(frozen=True)
@@ -660,24 +654,28 @@ def run_instance(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
 # -- grid reports ----------------------------------------------------------------
 
 
-def _grid_task(args) -> dict:
-    ell, q, i, *rest = args
-    return run_instance(Instance.building(ell, q), i, *rest)
+def _grid_task(args) -> list[dict]:
+    """One (ell, q) grid point's documents, its degrees in order on one building."""
+    ell, q, degrees, *rest = args
+    inst = Instance.building(ell, q)
+    return [run_instance(inst, i, *rest) for i in degrees]
 
 
 def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,
              seed: int = 0, cache_dir=None) -> dict:
     """The grid's report documents, computed by up to `threads` worker processes.
 
-    A pool starts all of its workers up front, so it gets no more of
-    them than there are instances.
+    A task runs one (ell, q) point's degrees in order on one building,
+    made once and freed after it.  A pool starts all of its workers up
+    front, so it gets no more of them than there are grid points.
     """
     if threads < 1:
         raise InvalidThreadCount(f"--threads must be at least 1, got {threads}")
     if grid not in GRIDS:
         raise GarlandError(f"unknown grid {grid!r}: the grids are {', '.join(map(repr, GRIDS))}")
-    instances = GRIDS[grid]()
-    tasks = [(ell, q, i, width, seed, cache_dir) for (ell, q, i) in instances]
+    # the grids are sorted, so each point's degrees are consecutive
+    tasks = [(ell, q, [i for _, _, i in point], width, seed, cache_dir)
+             for (ell, q), point in groupby(GRIDS[grid](), key=lambda t: t[:2])]
     workers = min(threads, len(tasks))
     if workers > 1:
         from multiprocessing import Pool  # here, so that a run without workers never loads it
@@ -685,8 +683,9 @@ def run_grid(grid: str = "default", threads: int = 1, width=DEFAULT_WIDTH,
         with Pool(processes=workers) as pool:
             results = pool.map(_grid_task, tasks)
     else:
-        results = [_grid_task(t) for t in tasks]
-    return {"version": VERSION, "grid": grid, "instances": results}
+        results = map(_grid_task, tasks)
+    return {"version": VERSION, "grid": grid,
+            "instances": [doc for docs in results for doc in docs]}
 
 
 def dumps_report(obj) -> str:

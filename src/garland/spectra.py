@@ -210,35 +210,30 @@ def _krylov_annihilator_mod_p(bp, p, v0) -> list[int]:
     `bp` is (indptr, indices, data), checked CSR arrays of B whose data
     are reduced mod p or B's own entries, as `_kernel_setup` decided.
 
-    Vectorized Gaussian elimination on the Krylov vectors: stored
-    vectors are pivot-normalized and were fully reduced at insertion, so
-    one insertion-order pass reduces completely.
+    Gaussian elimination on the augmented Krylov vectors [B^k v0 | e_k]
+    mod p, whose tails carry each row's coefficients in the powers of B
+    through the same reduction and normalization.  Stored rows are
+    pivot-normalized, fully reduced at insertion and shorter than later
+    rows, so one insertion-order pass reduces completely; the tail of
+    the first row whose first n entries vanish is the annihilator.
     """
-    basis: list[tuple[int, np.ndarray]] = []
-    combos: list[list[int]] = []
     raw = np.asarray(v0, dtype=np.int64) % p
-    k = 0
-    while True:
-        # reduce a copy; `raw` must stay B^k v0 for the combos to mean
-        # coefficients in the powers of B
-        w = raw.copy()
-        combo = [0] * k + [1]
-        for (pivot, vec), vcombo in zip(basis, combos):
+    n = len(raw)
+    basis: list[tuple[int, np.ndarray]] = []
+    for k in count():
+        w = np.append(raw, [0] * k + [1])  # [B^k v0 | e_k]
+        for pivot, vec in basis:
             f = int(w[pivot])
             if f:
-                w = (w - f * vec) % p
-                for j, x in enumerate(vcombo):
-                    combo[j] = (combo[j] - f * x) % p
-        nz = np.nonzero(w)[0]
+                w[:len(vec)] = (w[:len(vec)] - f * vec) % p
+        nz = np.flatnonzero(w[:n])
         if len(nz) == 0:
-            return combo
+            return w[n:].tolist()
         pivot = int(nz[0])
         inv = pow(int(w[pivot]), p - 2, p)
         basis.append((pivot, (w * inv) % p))
-        combos.append([x * inv % p for x in combo])
         raw = csr.matvec(*bp, raw)
         raw %= p
-        k += 1
 
 
 def _balanced_crt(residues: list[list[int]], primes: list[int]) -> list[int]:

@@ -21,5 +21,10 @@ def b22():
 
 
 @pytest.fixture(scope="session")
+def b23():
+    return get_building(2, 3)
+
+
+@pytest.fixture(scope="session")
 def shared_cache(tmp_path_factory):
     return tmp_path_factory.mktemp("report-cache")

@@ -131,7 +131,6 @@ def test_spectrum_cache_hit_constructs_no_building(tmp_path, capsys, monkeypatch
     def no_building(*args, **kwargs):
         raise AssertionError("a building was constructed")
 
-    monkeypatch.setattr(harness, "_BUILDINGS", {})
     monkeypatch.setattr(harness, "flag_complex", no_building)
     code, hit, _ = run(capsys, argv)
     assert code == 0
@@ -378,16 +377,22 @@ class RecordingPool:
         return [fn(t) for t in tasks]
 
 
-@pytest.mark.parametrize("threads, pools", [("64", [10]), ("3", [3]), ("1", [])])
+@pytest.mark.parametrize("threads, pools", [("64", [8]), ("3", [3]), ("1", [])])
 def test_report_pool_has_no_more_workers_than_instances(capsys, monkeypatch, threads, pools):
+    # one task per (ell, q) grid point: the default grid's 10 instances
+    # are 8 points, so a pool gets at most 8 workers, and the documents
+    # of each point's degrees come back in grid order
     import multiprocessing
 
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(harness, "_grid_task", lambda task: {"task": list(task[:3])})
+    monkeypatch.setattr(harness, "_grid_task",
+                        lambda task: [{"task": [*task[:2], i]} for i in task[2]])
     code, out, _err = run(capsys, ["report", "--grid", "default", "--threads", threads])
     assert code == 0
-    assert len(json.loads(out)["instances"]) == 10
+    docs = json.loads(out)["instances"]
+    assert len(docs) == 10
+    assert [tuple(d["task"]) for d in docs] == harness.default_grid()
     assert RecordingPool.sizes == pools
 
 

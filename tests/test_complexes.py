@@ -28,7 +28,6 @@ from garland.errors import (
 )
 from garland.building import flag_complex, witness_columns
 from garland.gf import field_for_order
-from garland.harness import get_building
 from garland.laplace import assemble_matrix
 from garland.spectra import compute_spectral_report
 
@@ -87,7 +86,7 @@ def _text(tops) -> str:
     return "".join(" ".join(map(str, t)) + "\n" for t in tops)
 
 
-def test_face_tables_match_reference(b13, b22):
+def test_face_tables_match_reference(b13, b22, b23):
     # sparse labels reach a complex through from_text, which ranks them
     # to dense ids in first-appearance order; nested lists of dense ids
     # go straight in
@@ -97,7 +96,7 @@ def test_face_tables_match_reference(b13, b22):
         ids = [[label_map[v] for v in t] for t in tops]
         assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(ids)
         assert all(type(w) is int for level in weights(c) for w in level)
-    for b in (b13, b22, get_building(2, 3)):
+    for b in (b13, b22, b23):
         tops = b.complex.simplices[b.complex.dim]
         c = from_maximal_simplices(list(tops))
         assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops)
@@ -207,21 +206,21 @@ def test_array_input_must_be_dense_ids():
         from_maximal_simplices(np.array([[0, 1], [1, 0]]))
 
 
-def test_dense_array_matches_the_list_path():
-    b = get_building(2, 3)
+def test_dense_array_matches_the_list_path(b23):
     rng = np.random.default_rng(5)
-    chambers = rng.permuted(b.complex.rows[2][rng.permutation(len(b.complex.rows[2]))], axis=1)
+    top = b23.complex.rows[2]
+    chambers = rng.permuted(top[rng.permutation(len(top))], axis=1)
     cases = [np.array(OCTAHEDRON), np.array(TWO_TRIANGLES, dtype=np.uint16), chambers]
     for tops in cases:
         a = from_maximal_simplices(tops)
         assert _tables(a) == _tables(from_maximal_simplices(tops.tolist()))
-    assert _tables(from_maximal_simplices(chambers)) == _tables(b.complex)
+    assert _tables(from_maximal_simplices(chambers)) == _tables(b23.complex)
 
 
-def test_links_of_the_23_building_match_the_list_path():
+def test_links_of_the_23_building_match_the_list_path(b23):
     # each vertex link equals the reference tables of the tops through v
     # without v, ranked to dense ids in sorted order
-    cx = get_building(2, 3).complex
+    cx = b23.complex
     top = cx.rows[cx.dim].tolist()
     for v in range(0, cx.num_simplices(0), 7):
         lk, new_to_old = cx.vertex_link(v)
@@ -348,8 +347,8 @@ def test_degree_zero_report_builds_only_vertices_and_edges():
     assert _built_levels(c) == 2
 
 
-def test_levels_read_in_any_order_match_the_reference():
-    tops = get_building(2, 2).complex.simplices[2]
+def test_levels_read_in_any_order_match_the_reference(b22):
+    tops = b22.complex.simplices[2]
     ref = reference_face_tables(tops)
 
     def top_first(c):
@@ -554,12 +553,12 @@ def test_only_rows_out_of_ascending_order_are_sorted(monkeypatch):
         assert _tables(link) == _tables(from_maximal_simplices(dense[::-1]))
 
 
-def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch):
+def test_duplicates_and_error_order_in_ascending_and_shuffled_input(monkeypatch, b23):
     # an ascending input with two equal adjacent rows is not strictly
     # ascending, so it is sorted like a shuffled one, and both raise
     # DuplicateSimplex; a repeated vertex is reported before it, and a
     # missing id before both
-    chambers = get_building(2, 3).complex.rows[2]
+    chambers = b23.complex.rows[2]
     nv = int(chambers.max()) + 1
     ascending = np.insert(chambers, 100, chambers[100], axis=0)
     rng = np.random.default_rng(32)
@@ -586,13 +585,13 @@ def _top_rows_text(c) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in c.rows[c.dim].tolist())
 
 
-def test_text_is_the_top_level_without_the_face_levels(monkeypatch):
+def test_text_is_the_top_level_without_the_face_levels(monkeypatch, b23):
     # to_text renders the stored columns, which are the top level in
     # lexicographic order whatever order the rows came in: on a building,
     # on the same chambers shuffled as text, and on the links of both,
     # which arrive in order and are never sorted
     cx = flag_complex(2, field_for_order(3)).complex
-    chambers = get_building(2, 3).complex.rows[2]
+    chambers = b23.complex.rows[2]
     rng = np.random.default_rng(5)
     shuffled = rng.permuted(chambers[rng.permutation(len(chambers))], axis=1)
     text = "".join(" ".join(map(str, row)) + "\n" for row in shuffled.tolist())
@@ -607,13 +606,13 @@ def test_text_is_the_top_level_without_the_face_levels(monkeypatch):
     assert ingested.to_text() != text
 
 
-def test_facets_width_follows_the_face_count(monkeypatch):
+def test_facets_width_follows_the_face_count(monkeypatch, b22):
     # positions among fewer than 2**31 faces are int32, else int64; a
     # bound moved to the face count itself shows both sides on a small
     # complex, with the same positions and the same assembled operator
     assert position_dtype(2**31 - 1) == np.int32
     assert position_dtype(2**31) == np.int64
-    cx = get_building(2, 2).complex
+    cx = b22.complex
     for d in (1, 2):
         count = cx.num_simplices(d - 1)
         faces = cx.simplices[d - 1]
@@ -640,13 +639,13 @@ def test_facets_width_follows_the_face_count(monkeypatch):
         [cx.num_simplices(1) - 1, -1, -1]
 
 
-def test_weight_width_follows_the_number_of_maximal_simplices(monkeypatch):
+def test_weight_width_follows_the_number_of_maximal_simplices(monkeypatch, b22):
     # a weight counts maximal simplices, so fewer than 2**31 of them make
     # int32 weights and more make int64; the rule moved to int64 gives
     # the same weights and the same operator
     assert weight_dtype(2**31 - 1) == np.int32
     assert weight_dtype(2**31) == np.int64
-    tops = get_building(2, 2).complex.rows[2]
+    tops = b22.complex.rows[2]
     got = {}
     for width in (np.int32, np.int64):
         monkeypatch.setattr(complexes, "weight_dtype", lambda tops: width)
@@ -658,11 +657,11 @@ def test_weight_width_follows_the_number_of_maximal_simplices(monkeypatch):
     assert got[np.int32] == got[np.int64]
 
 
-def test_vertex_tops_are_positions_and_every_link_is_the_tops_through_v(monkeypatch):
+def test_vertex_tops_are_positions_and_every_link_is_the_tops_through_v(monkeypatch, b22):
     # the vertex-to-top CSR keeps its top positions in position_dtype of
     # the top count, int32 here; every vertex link of the (2,2) building
     # is the tops through v without v, and an int64 table gives the same
-    top = get_building(2, 2).complex.rows[2]
+    top = b22.complex.rows[2]
     want = []
     for v in range(int(top.max()) + 1):
         rest = [[u for u in t if u != v] for t in top.tolist() if v in t]
@@ -677,3 +676,20 @@ def test_vertex_tops_are_positions_and_every_link_is_the_tops_through_v(monkeypa
         assert tops.dtype == width
         got = [(_tables(link), old) for link, old in map(cx.vertex_link, cx.vertices)]
         assert got == want
+
+
+def test_prefix_ranks_are_positions_among_the_faces_below(monkeypatch):
+    # the prefix ranks kept for the next level are positions among the
+    # faces they were searched in, so position_dtype of that count: int32
+    # on the (3,2) building after rows[2] (ranks among its edges), int64
+    # when the bound is moved to the edge count, with the same face tables
+    top = flag_complex(3, field_for_order(2)).complex.rows[3]
+    got = {}
+    for shift, width in ((1, np.int32), (0, np.int64)):
+        cx = from_maximal_simplices(top)
+        monkeypatch.setattr(complexes, "_INT32_POSITIONS", cx.num_simplices(1) + shift)
+        cx.rows[2]
+        ranks = cx._prefix_rank
+        assert len(ranks) == 3 and all(r.dtype == width for r in ranks.values())
+        got[width] = _tables(cx)
+    assert got[np.int32] == got[np.int64]

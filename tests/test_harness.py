@@ -151,8 +151,19 @@ def test_run_grid_looks_each_reference_up_once(monkeypatch, shared_cache):
     assert all(item["reproduction"]["match"] for item in doc["instances"])
 
 
-def test_get_building_is_memoized():
-    assert get_building(1, 2) is get_building(1, 2)
+def test_run_grid_builds_each_grid_point_once(monkeypatch):
+    # one task per (ell, q) runs that point's degrees on one building, so
+    # the 10 default-grid instances make the 8 distinct buildings once each
+    built = []
+    real = harness.flag_complex
+    monkeypatch.setattr(harness, "flag_complex",
+                        lambda ell, field: built.append((ell, field.q)) or real(ell, field))
+    doc = run_grid("default")
+    points = sorted({(ell, q) for ell, q, _ in default_grid()})
+    assert len(points) == 8
+    assert built == points
+    assert [(d["instance"]["ell"], d["instance"]["q"], d["instance"]["i"])
+            for d in doc["instances"]] == default_grid()
 
 
 # -- verdicts on a known spectrum ----------------------------------------------
@@ -405,7 +416,6 @@ def test_cache_hit_constructs_no_building(tmp_path, monkeypatch):
     def no_building(*args, **kwargs):
         raise AssertionError("a building was constructed")
 
-    monkeypatch.setattr(harness, "_BUILDINGS", {})
     monkeypatch.setattr(harness, "flag_complex", no_building)
     hit = run_instance(Instance.building(1, 2), 0, cache_dir=tmp_path)
     assert dumps_report(strip_timings(hit)) == dumps_report(strip_timings(warm))
@@ -634,14 +644,11 @@ def test_report_path_builds_no_face_views(monkeypatch, tmp_path):
         raise AssertionError("a per-face view was built on the report path")
 
     monkeypatch.setattr(complexes._View, "_list", refuse)
-    monkeypatch.setattr(harness, "_BUILDINGS", {})  # a fresh building
-    doc = run_instance(Instance.building(2, 2), 1, cache_dir=tmp_path)
+    inst = Instance.building(2, 2)
+    doc = run_instance(inst, 1, cache_dir=tmp_path)
     assert doc["reproduction"]["match"] is True
-    b = harness._BUILDINGS[(2, 2)]
-    assert "types" not in vars(b)
-    assert "index" not in vars(b.complex)
-    links = [b.complex.vertex_link(v)[0] for v in (0, 15, 50)]  # the memoized ones
-    assert all("index" not in vars(lk) for lk in links)
+    # the run read its one link per vertex type off its own building
+    assert sorted(inst.cx._vertex_links) == [0, 15, 50]
 
 
 def test_run_instance_document(doc221):

@@ -100,13 +100,24 @@ def test_the_oracle_is_not_shipped():
 
 def test_version_matches_the_project_metadata():
     # --version, the report's "version" and the cache key read
-    # garland.__version__; an installed package reports pyproject's
+    # garland.__version__; an installed package reports pyproject's, which
+    # setuptools reads from the attribute the project table names
     import garland
 
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
-    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
-    assert garland.__version__ == version
+
+    def table(name):
+        return text.split(f"\n[{name}]\n", 1)[1].split("\n[", 1)[0]
+
+    project = table("project")
+    assert not re.findall(r"^version\s*=", project, re.M)
+    (dynamic,) = re.findall(r"^dynamic = \[(.*)\]$", project, re.M)
+    assert '"version"' in dynamic.split(", ")
+    (attr,) = re.findall(r'^version = \{attr = "([^"]+)"\}$',
+                         table("tool.setuptools.dynamic"), re.M)
+    assert attr == "garland.version.VERSION"
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == garland.__version__
 
 
 def test_one_rational_backend():

@@ -219,12 +219,12 @@ def test_certificate_stops_once_the_primes_pass_h(monkeypatch):
     assert not certify_annihilates(1, indptr, indices, b, [15, 1])
 
 
-def test_certification_blocks_stay_small_on_a_text_complex():
+def test_certification_blocks_stay_small_on_a_text_complex(b23):
     # the (2,3) building read from text certifies all 1,560 columns of
     # degree 1.  A block of 400,000 // 1560 = 256 columns is 3.05 MiB of
     # int64, and its product with B a second one: the peak is 6.1 MiB.
     # The 1,560 columns as one block peaked at 37.2 MiB
-    cx, _ = from_text(get_building(2, 3).complex.to_text())
+    cx, _ = from_text(b23.complex.to_text())
     op = assemble_matrix(cx, 1)
     q = minimal_polynomial(op, witness_columns=[0]).q
     assert op.dim == 1560

@@ -17,18 +17,18 @@ Canonical data layout, fixed as an external contract:
     order, then dim-2, and so on; `vertex_types[v]` is the type of id v.
     Every subspace lies on a chamber, so these ids are also the
     complex's dense vertex ids;
-  * the chambers are a (chambers x (ell+1)) array of vertex ids in the
-    width that V proves (`vertex_id_dtype`): uint16 when the ids 0..V-1
-    fit 16 bits (V <= 2**16; the (3,3) building has V = 2,662), else
-    int32.  Each row is ascending in type, so ascending in id, and the
-    rows are in strictly ascending lexicographic order: the depth-first
-    walk takes the dim-1 subspaces in id order and, at each step, a
-    partial flag's superspaces in ascending id order (each row of
-    `superspace_ids` sorted).  The walk allocates that array once and
-    fills it in place a column per layer, so no layer copies the flags
-    walked so far.  It goes straight to `Complex.from_maximal_simplices`,
-    whose duplicate check that order proves at the cost of one pass of
-    comparisons; no tuple per chamber is made;
+  * the chambers are ell+1 columns of vertex ids, column d the type-d
+    vertex of each, in the width that V proves (`vertex_id_dtype`):
+    uint16 when the ids 0..V-1 fit 16 bits (V <= 2**16; the (3,3)
+    building has V = 2,662), else int32.  Each row is ascending in
+    type, so ascending in id, and the rows are in strictly ascending
+    lexicographic order: the depth-first walk takes the dim-1 subspaces
+    in id order and, at each step, a partial flag's superspaces in
+    ascending id order (each row of `superspace_ids` sorted).  The walk
+    makes each column once and hands the columns to `Complex`, which
+    keeps them, so the chambers exist once; their order proves its
+    duplicate check in one pass of comparisons, and no tuple per
+    chamber is made;
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -146,24 +147,23 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     # walk the complete flags one dimension at a time: every d-subspace
     # has the same number of (d+1)-superspaces, so each superspace-id
     # table is rectangular, and in depth-first order the flags through
-    # one partial flag of layer d form a block of equal rows.  So the
-    # chamber array is allocated once and column d is filled in place,
-    # one value per block, through a (blocks, block size, ell+1) view.
+    # one partial flag of layer d form a block of equal rows.  So layer
+    # d's ids, one per block, are the table rows of layer d-1's ids laid
+    # end to end, and column d repeats each over its block.
     # Each table row is sorted, so the walk takes a partial flag's
     # superspaces in ascending id order and, ids being dimension-major,
     # emits the chambers in strictly ascending lexicographic order
-    tables = [np.sort(superspace_ids(n, d, field), axis=1) + np.int32(offsets[d])
+    width = vertex_id_dtype(offsets[-1])
+    tables = [(np.sort(superspace_ids(n, d, field), axis=1) + offsets[d]).astype(width)
               for d in range(1, ell + 1)]
-    blocks = np.cumprod([sizes[0]] + [sup.shape[1] for sup in tables]).tolist()
-    chambers = np.empty((blocks[-1], ell + 1), dtype=vertex_id_dtype(offsets[-1]))
-    layer = chambers.reshape(blocks[0], -1, ell + 1)
-    layer[:, :, 0] = np.arange(sizes[0], dtype=np.int32)[:, None]
+    chambers = prod([sizes[0], *(sup.shape[1] for sup in tables)])
+    layer = np.arange(sizes[0], dtype=width)
+    cols = [np.repeat(layer, chambers // len(layer))]
     for d, sup in enumerate(tables, start=1):
-        parents = layer[:, 0, d - 1] - np.int32(offsets[d - 1])
-        layer = chambers.reshape(blocks[d], -1, ell + 1)
-        layer[:, :, d] = sup[parents].reshape(-1, 1)
-
-    cx = Complex.from_maximal_simplices(chambers)
+        layer = sup[layer - offsets[d - 1]].reshape(-1)
+        cols.append(np.repeat(layer, chambers // len(layer)))
+    del layer  # as long as a column: not kept while the complex is made
+    cx = Complex(cols)
     types = np.repeat(np.arange(ell + 1, dtype=np.int32), sizes)
     return TypedBuilding(ell, field, cx, types, tuple(offsets[:-1]))
 

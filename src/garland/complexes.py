@@ -30,19 +30,22 @@ complex has
     they are int32 while there are fewer than 2**31 of those and int64
     beyond (`weight_dtype`).
 
-Face levels are built on demand.  Construction checks the input, sorts
-every maximal row with a network of elementwise minima and maxima over
-per-column copies of the ids, puts the rows in lexicographic order, and
-keeps those sorted columns and the vertex level.  Rows in strictly
-ascending lexicographic order are distinct, which one pass of
-comparisons checks; so the order is the duplicate proof.  A building's
-chambers, and the vertex links of any complex, arrive in that order and
-are never sorted; rows in any other order, as from text, are put in it
-by one `np.lexsort`.  So the stored columns are always the top level in
-lexicographic order, and `to_text` renders them without building a face
-level.  The columns hold the ids in the narrowest width that V proves
-enough (`vertex_id_dtype`): uint16 when V <= 2**16, as on the (3,3)
-building's 2,662 vertices and 251,680 chambers, and int32 beyond.
+Face levels are built on demand.  `Complex(cols)`, the one
+constructor, takes the maximal simplices as one id column per vertex
+position and checks them (`from_maximal_simplices` copies the columns
+of an array of rows for it); it sorts every maximal row across the
+columns with a network of elementwise minima and maxima, puts the rows
+in lexicographic order, and keeps those sorted columns and the vertex
+level.  Rows in strictly ascending lexicographic order are distinct,
+which one pass of comparisons checks; so the order is the duplicate
+proof.  A building's chambers, and the vertex links of any complex,
+arrive in that order and are never sorted; rows in any other order, as
+from text, are put in it by one `np.lexsort`.  So the stored columns
+are always the top level in lexicographic order, and `to_text` renders
+them without building a face level.  The columns hold the ids in the
+narrowest width that V proves enough (`vertex_id_dtype`): uint16 when
+V <= 2**16, as on the (3,3) building's 2,662 vertices and 251,680
+chambers, and int32 beyond.
 The vertex level is the ids themselves: `rows[0]` and `keys[0]` are
 0..V-1, and `counts[0]` counts each id's occurrences among the maximal
 simplices.  `rows`, `keys` and `counts` are read-only sequences of
@@ -128,27 +131,21 @@ def weight_dtype(tops: int) -> type:
     return np.int32 if tops < 2**31 else np.int64
 
 
-def _dense_vertex_counts(tops: np.ndarray) -> np.ndarray:
-    """Occurrences of each id in a 2-D array of dense ids 0..V-1, each
-    occurring (so the length is V); raises otherwise."""
-    if not tops.size:
+def _id_bound(cols: list) -> int:
+    """V, one more than the largest id in the id columns `cols`.  Raises
+    EmptyInput when they hold no id, and NonDenseIds unless they are
+    equal-length 1-D integer arrays of ids from 0 to below their entry
+    count, past which 0..V-1 cannot all occur: checked in O(size)."""
+    if not cols or not len(cols[0]):
         raise EmptyInput("a complex needs at least one maximal simplex with a vertex")
-    if tops.ndim != 2 or tops.dtype.kind not in "iu":
-        raise NonDenseIds(f"maximal simplices must be a 2-D array of integer ids, "
-                          f"got shape {tops.shape} of {tops.dtype}")
-    lo, hi = int(tops.min()), int(tops.max())
-    # ids past the entry count cannot all occur; checked before bincount allocates hi + 1
-    if lo < 0 or hi >= tops.size:
-        raise NonDenseIds(f"vertex ids {lo}..{hi} are not dense ids of {tops.size} entries")
-    # a column at a time: bincount widens its input to intp, and the
-    # whole array widened would be the largest temporary of construction
-    occurrences = np.zeros(hi + 1, dtype=np.intp)
-    for j in range(tops.shape[1]):
-        occurrences += np.bincount(tops[:, j].astype(np.intp, copy=False), minlength=hi + 1)
-    missing = np.flatnonzero(occurrences == 0)
-    if len(missing):
-        raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{hi}")
-    return occurrences
+    if any(not isinstance(c, np.ndarray) or c.ndim != 1 or c.dtype.kind not in "iu"
+           or len(c) != len(cols[0]) for c in cols):
+        raise NonDenseIds("maximal simplices must be equal-length 1-D columns of integer ids")
+    size = len(cols) * len(cols[0])
+    lo, hi = min(int(c.min()) for c in cols), max(int(c.max()) for c in cols)
+    if lo < 0 or hi >= size:
+        raise NonDenseIds(f"vertex ids {lo}..{hi} are not dense ids of {size} entries")
+    return hi + 1
 
 
 def _sort_columns(cols: list) -> None:
@@ -257,15 +254,51 @@ class Complex:
             each level built on first read; V is len(rows[0]).
         simplices: the derived read-only id-tuple view (module docstring).
 
-    Make one with `from_maximal_simplices`.
+    `Complex(cols)` is the one constructor, and it checks its input.
     """
 
-    def __init__(self, cols: list, occurrences: np.ndarray):
-        """`cols`: the maximal simplices as columns of `vertex_id_dtype(V)`,
-        each row ascending across them and the rows in strictly ascending
-        lexicographic order, so distinct and the top level as `rows[n]`
-        lists it; `occurrences`: each id's count in them."""
-        nv = len(occurrences)
+    def __init__(self, cols: list):
+        """The closure of the maximal simplices given as the columns `cols`.
+
+        `cols` holds n + 1 equal-length 1-D integer arrays, column j the
+        j-th vertex of every maximal simplex, whose entries are dense ids:
+        every id in 0..V-1 occurs and no other.  The complex owns the
+        columns: it casts each to `vertex_id_dtype(V)` unless it has that
+        width, and sorts them in place (module docstring).  Errors come
+        in this order: EmptyInput; NonDenseIds for another shape or
+        dtype, or for an id out of range before anything of size V is
+        allocated (`_id_bound`), then for a missing id, by one `bincount`
+        per column; RepeatedVertex, naming the row as given; and
+        DuplicateSimplex, for a tie between sorted rows that one pass of
+        comparisons finds (`_strictly_ascending`) once they are in
+        lexicographic order.
+        """
+        nv = _id_bound(cols)
+        # every id is below V once checked, so the cast keeps it
+        cols = [c.astype(vertex_id_dtype(nv), copy=False) for c in cols]
+        # bincount widens a column to intp: the largest temporary of construction
+        occurrences = np.zeros(nv, dtype=np.intp)
+        for c in cols:
+            occurrences += np.bincount(c, minlength=nv)
+        missing = np.flatnonzero(occurrences == 0)
+        if len(missing):
+            raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{nv - 1}")
+        # before the sort, which would leave only the sorted row to name
+        repeats = np.zeros(len(cols[0]), dtype=bool)
+        for a, b in combinations(cols, 2):
+            repeats |= a == b
+        if repeats.any():
+            first = tuple(int(c[repeats.argmax()]) for c in cols)
+            raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
+        del repeats
+        _sort_columns(cols)
+        if not _strictly_ascending(cols):
+            order = np.lexsort(cols[::-1])
+            for j, c in enumerate(cols):
+                cols[j] = c[order]
+            del order
+            if not _strictly_ascending(cols):
+                raise DuplicateSimplex("duplicate maximal simplex")
         self.dim = len(cols) - 1
         self._cols = cols
         self._rows = [np.arange(nv, dtype=np.int32).reshape(nv, 1)]
@@ -279,58 +312,25 @@ class Complex:
 
     @classmethod
     def from_maximal_simplices(cls, maximal) -> "Complex":
-        """The closure of `maximal`, with its face and weight tables built on demand.
+        """The complex whose maximal simplices are the rows of `maximal`.
 
-        `maximal` holds one maximal simplex per row of a 2-D integer
-        array (or anything `np.asarray` makes one of, such as nested
-        equal-length lists), and its entries are dense ids: every id in
-        0..V-1 occurs and no other.  That contract is checked in O(size)
-        before anything of size V is allocated; a violation raises
-        NonDenseIds, and ragged rows, empty input, a repeated vertex or a
-        duplicate row raise their own GarlandError, in that order.  The
-        caller's array is only read.
-
-        The input becomes one contiguous copy per column, in the id width
-        `vertex_id_dtype(V)` (uint16 up to 2**16 vertices, else int32;
-        every id is below V once the contract is checked), and an
-        odd-even transposition network of elementwise minima and maxima
-        sorts every row across those columns.  Sorted rows that are not
-        already in strictly ascending lexicographic order, as from text
-        or a caller's array, are put in lexicographic order by one
-        `np.lexsort`; a building's chamber walk emits that order, and so
-        does every vertex link, so neither is sorted.  One pass of
-        elementwise comparisons of each row with the next then proves
-        the rows distinct (`_strictly_ascending`): no descent is left, so
-        a tie is a duplicate row.
-        The complex keeps the sorted columns and the vertex level: vertex
-        v is row v and has key v, and its weight is the number of times v
-        occurs.  Every larger face level is built when first read
-        (`_build_levels`).
+        `maximal` is a 2-D integer array of dense ids, one maximal simplex
+        per row, or anything `np.asarray` makes one of, such as nested
+        equal-length lists.  Ragged rows raise MixedDimensions, and the
+        shape, dtype and range are checked; then each column is copied
+        once in `vertex_id_dtype(V)`, so the caller's array is only read,
+        and `Complex` checks the copies and keeps them.
         """
         try:
             tops = np.asarray(maximal)
         except ValueError:
             raise MixedDimensions("maximal simplices must all have the same dimension") from None
-        occurrences = _dense_vertex_counts(tops)
-        nv, size = len(occurrences), tops.shape[1]
-        # astype always copies, so sorting in place never writes into the caller's array
-        cols = [tops[:, j].astype(vertex_id_dtype(nv)) for j in range(size)]
-        _sort_columns(cols)
-        if size > 1:
-            repeats = cols[0] == cols[1]
-            for a, b in zip(cols[1:], cols[2:]):
-                repeats |= a == b
-            if repeats.any():
-                first = tuple(tops[int(repeats.argmax())].tolist())
-                raise RepeatedVertex(f"maximal simplex repeats a vertex: {first}")
-        if not _strictly_ascending(cols):
-            order = np.lexsort(cols[::-1])
-            for j, c in enumerate(cols):
-                cols[j] = c[order]
-            del order
-            if not _strictly_ascending(cols):
-                raise DuplicateSimplex("duplicate maximal simplex")
-        return cls(cols, occurrences)
+        if tops.size and (tops.ndim != 2 or tops.dtype.kind not in "iu"):
+            raise NonDenseIds(f"maximal simplices must be a 2-D array of integer ids, "
+                              f"got shape {tops.shape} of {tops.dtype}")
+        views = list(tops.T) if tops.size else []
+        width = vertex_id_dtype(_id_bound(views))
+        return cls([c.astype(width) for c in views])
 
     def _build_levels(self, d: int) -> None:
         """Build every missing face level up to dimension d, in order.

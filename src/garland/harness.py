@@ -35,6 +35,7 @@ own: the seconds the load took, as "load_s".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -490,7 +491,7 @@ def cache_key(stem: str, i: int, width) -> str:
 def load_cached_report(cache_dir: Path, key: str, width, degree: int, inst: Instance):
     """The report stored under key, re-derived from its minimal polynomial, or None.
 
-    The entry must be a JSON object naming the key it answers
+    The entry must be readable and a JSON object naming the key it answers
     (`store_report` writes it), so a file copied or renamed from another
     instance, degree, width or version, or one without a key, is a miss,
     and so is one whose `minpoly` is not a string, whose `roots` is not a
@@ -506,12 +507,13 @@ def load_cached_report(cache_dir: Path, key: str, width, degree: int, inst: Inst
     {"load_s": seconds}.
     """
     t0 = time.perf_counter()
-    path = cache_dir / f"{key}.json"
-    if not path.exists():
-        return None
+    try:
+        text = (cache_dir / f"{key}.json").read_text()
+    except (OSError, UnicodeDecodeError):
+        return None  # no entry, or one that cannot be read
     dim = inst.num_simplices(degree)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(text)
         if not (isinstance(data, dict) and data.get("key") == key
                 and isinstance(data.get("minpoly"), str)
                 and isinstance(data.get("roots"), list)
@@ -535,11 +537,21 @@ def load_cached_report(cache_dir: Path, key: str, width, degree: int, inst: Inst
 
 
 def store_report(cache_dir: Path, key: str, report: SpectralReport) -> None:
-    """Write the report and its key atomically, as `dumps_report` text."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    """Write the report and its key atomically, as `dumps_report` text.
+
+    A cache that cannot be written raises GarlandError, and the temporary
+    file is removed."""
+    text = dumps_report({**report.to_json_dict(), "key": key})
+    path = cache_dir / f"{key}.json"
     tmp = cache_dir / f"{key}.json.tmp{os.getpid()}"
-    tmp.write_text(dumps_report({**report.to_json_dict(), "key": key}))
-    os.replace(tmp, cache_dir / f"{key}.json")
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # absent, or under no directory
+            tmp.unlink()
+        raise GarlandError(f"cannot write the cache entry {path}: {exc}") from None
 
 
 # -- drivers ----------------------------------------------------------------------

@@ -230,7 +230,7 @@ def _krylov_annihilator_mod_p(bp, p, v0) -> list[int]:
         if len(nz) == 0:
             return w[n:].tolist()
         pivot = int(nz[0])
-        inv = pow(int(w[pivot]), p - 2, p)
+        inv = pow(int(w[pivot]), -1, p)
         basis.append((pivot, (w * inv) % p))
         raw = csr.matvec(*bp, raw)
         raw %= p

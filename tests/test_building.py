@@ -187,24 +187,32 @@ def test_type_invariant_lift_is_constant_on_signatures(b22):
         assert val == edge_values[key]
 
 
+def _spy_columns(monkeypatch) -> list:
+    """Patch the walk's `Complex` to record a copy of the columns it is
+    handed (the constructor sorts them in place) on every call."""
+    given = []
+
+    def spy(cols):
+        given.append([c.copy() for c in cols])
+        return Complex(cols)
+
+    monkeypatch.setattr(building, "Complex", spy)
+    return given
+
+
 @pytest.mark.parametrize("ell,q", [(2, 3), (3, 2)])
 def test_chamber_walk_stores_16_bit_ids_and_agrees_with_a_32_bit_walk(ell, q, monkeypatch):
-    # V <= 2**16 on every grid building, so the walk's chamber array and
-    # the complex's sorted columns hold uint16 ids; a walk forced to
-    # int32 builds the same complex
-    widths = []
-    real = Complex.from_maximal_simplices.__func__
-
-    def spy(cls, maximal):
-        widths.append(maximal.dtype)
-        return real(cls, maximal)
-
-    monkeypatch.setattr(Complex, "from_maximal_simplices", classmethod(spy))
+    # V <= 2**16 on every grid building, so the walk's columns and the
+    # complex's sorted columns hold uint16 ids; a walk forced to int32
+    # builds the same complex
+    given = _spy_columns(monkeypatch)
     f = field_for_order(q)
     narrow = flag_complex(ell, f).complex
     monkeypatch.setattr(building, "vertex_id_dtype", lambda nv: np.int32)
     wide = flag_complex(ell, f).complex
-    assert widths == [np.uint16, np.int32]
+    assert [[c.dtype for c in cols] for cols in given] == [[np.uint16] * (ell + 1),
+                                                           [np.int32] * (ell + 1)]
+    assert np.array_equal(np.stack(given[0], axis=1), np.stack(given[1], axis=1))
     assert [c.dtype for c in narrow._cols] == [np.uint16] * (ell + 1)
     for d in range(ell + 1):
         assert np.array_equal(narrow.rows[d], wide.rows[d])
@@ -216,16 +224,10 @@ def test_chamber_walk_stores_16_bit_ids_and_agrees_with_a_32_bit_walk(ell, q, mo
 def test_chamber_walk_emits_strictly_lexicographic_rows(ell, q, monkeypatch):
     # each superspace table row is sorted, so the depth-first walk hands
     # over ascending rows in strictly ascending lexicographic order
-    given = []
-    real = Complex.from_maximal_simplices.__func__
-
-    def spy(cls, maximal):
-        given.append(maximal.astype(np.int64))
-        return real(cls, maximal)
-
-    monkeypatch.setattr(Complex, "from_maximal_simplices", classmethod(spy))
+    given = _spy_columns(monkeypatch)
     b = flag_complex(ell, field_for_order(q))
-    (chambers,) = given
+    (cols,) = given
+    chambers = np.stack(cols, axis=1).astype(np.int64)
     assert (np.diff(chambers, axis=1) > 0).all()
     # the first column where a row differs from the next is larger in the next
     step = np.diff(chambers, axis=0)
@@ -236,20 +238,25 @@ def test_chamber_walk_emits_strictly_lexicographic_rows(ell, q, monkeypatch):
 
 def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
     # numpy reports every array allocation to tracemalloc, so the peak is
-    # deterministic.  251,680 chambers of 4 vertex ids are 1.9 MiB as one
-    # uint16 array and again as the sorted columns.  They arrive in
-    # lexicographic order, so the duplicate check sorts nothing and the
-    # walk peaks at 5.2 MiB.  The peak, 6.01 MiB, is in the Gram product
-    # of the degree-0 operator, where the int32 edge rows reversed as its
-    # columns, one array of its values, their transpose and the product
-    # sit beside the columns and the edge level; the bound leaves 8%
-    # above it.  With the values made twice and the edge facets found by
-    # int64 searches the peak was 6.50 MiB
+    # deterministic.  251,680 chambers of 4 vertex ids are 1.9 MiB as
+    # uint16 columns, which the walk hands to the complex to keep, so
+    # they exist once.  They arrive in lexicographic order, so the
+    # duplicate check sorts nothing, and the walk peaks at 3.93 MiB while
+    # `bincount` widens one column to intp; the bound leaves 8% above
+    # it.  With the chambers walked into one array whose columns the
+    # complex copied, the walk peaked at 5.16 MiB.  The peak, 6.01 MiB,
+    # is in the Gram product of the degree-0 operator, where the int32
+    # edge rows reversed as its columns, one array of its values, their
+    # transpose and the product sit beside the columns and the edge
+    # level; the bound leaves 8% above it.  With the values made twice
+    # and the edge facets found by int64 searches the peak was 6.50 MiB
     tracemalloc.start()
     try:
         b = flag_complex(3, field_for_order(3))
+        walk = tracemalloc.get_traced_memory()[1]
         assemble_matrix(b.complex, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert walk <= 4.25 * 2**20
     assert peak <= 6.5 * 2**20

@@ -206,6 +206,37 @@ def test_array_input_must_be_dense_ids():
         from_maximal_simplices(np.array([[0, 1], [1, 0]]))
 
 
+def test_columns_given_to_the_constructor_are_checked_as_rows_are():
+    # Complex(cols) is the one constructor, so columns handed to it
+    # directly meet every check that from_maximal_simplices makes on the
+    # same input, and raise the same error
+    bad = [
+        (EmptyInput, np.empty((0, 3), dtype=np.int32)),
+        (NonDenseIds, np.array([[0, 1], [1, 3]])),  # 2 is missing
+        (NonDenseIds, np.array([[-1, 0], [0, 1]])),
+        (NonDenseIds, np.array([[0, 1], [1, 4]])),  # max id 4 >= 4 entries
+        (NonDenseIds, np.array([[0, 1], [1, 2]], dtype=np.float64)),
+        (RepeatedVertex, np.array([[0, 1, 2], [2, 1, 0], [3, 3, 1]])),
+        (DuplicateSimplex, np.array([[0, 1], [1, 0]])),
+        (DuplicateSimplex, np.zeros((2, 1), dtype=np.uint8)),
+    ]
+    for error, tops in bad:
+        with pytest.raises(error) as by_rows:
+            from_maximal_simplices(tops)
+        with pytest.raises(error) as by_cols:
+            Complex([c.copy() for c in tops.T])
+        if error is RepeatedVertex:
+            assert "(3, 3, 1)" in str(by_rows.value) and "(3, 3, 1)" in str(by_cols.value)
+    with pytest.raises(EmptyInput):
+        Complex([])
+    with pytest.raises(NonDenseIds):  # ragged columns
+        Complex([np.array([0, 1]), np.array([2])])
+    tops = np.array(OCTAHEDRON)
+    cx = Complex([c.copy() for c in tops.T])
+    assert [c.dtype for c in cx._cols] == [np.uint16] * 3
+    assert _tables(cx) == _tables(from_maximal_simplices(tops))
+
+
 def test_dense_array_matches_the_list_path(b23):
     rng = np.random.default_rng(5)
     top = b23.complex.rows[2]

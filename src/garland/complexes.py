@@ -267,19 +267,20 @@ class Complex:
         width, and sorts them in place (module docstring).  Errors come
         in this order: EmptyInput; NonDenseIds for another shape or
         dtype, or for an id out of range before anything of size V is
-        allocated (`_id_bound`), then for a missing id, by one `bincount`
-        per column; RepeatedVertex, naming the row as given; and
-        DuplicateSimplex, for a tie between sorted rows that one pass of
-        comparisons finds (`_strictly_ascending`) once they are in
+        allocated (`_id_bound`), then for a missing id, by `bincount` on
+        blocks of max(65,536, V) ids; RepeatedVertex, naming the row as
+        given; and DuplicateSimplex, for a tie between sorted rows that one
+        pass of comparisons finds (`_strictly_ascending`) once they are in
         lexicographic order.
         """
         nv = _id_bound(cols)
         # every id is below V once checked, so the cast keeps it
         cols = [c.astype(vertex_id_dtype(nv), copy=False) for c in cols]
-        # bincount widens a column to intp: the largest temporary of construction
         occurrences = np.zeros(nv, dtype=np.intp)
+        block = max(65_536, nv)  # bincount widens ids to intp: a block at a time
         for c in cols:
-            occurrences += np.bincount(c, minlength=nv)
+            for part in np.split(c, range(block, len(c), block)):
+                occurrences += np.bincount(part, minlength=nv)
         missing = np.flatnonzero(occurrences == 0)
         if len(missing):
             raise NonDenseIds(f"vertex id {int(missing[0])} is missing from ids 0..{nv - 1}")

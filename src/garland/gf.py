@@ -23,8 +23,8 @@ The subspace enumeration in `building` runs on these tables; the
 element objects and their arithmetic, which check the tables against
 the field axioms, are test oracles.
 
-`descending_primes` is the package's one prime source: the Krylov,
-certification and rank primes all come from it.
+`descending_primes` is the package's one prime source: the Krylov and
+certification primes both come from it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with bases sized to n (OEIS A014233).
 
-    Bases 2..7 decide n < 3,215,031,751 (every Krylov and rank prime),
+    Bases 2..7 decide n < 3,215,031,751 (every Krylov prime),
     2..23 decide n < 3,825,123,056,546,413,051, and all twelve, 2..37,
     decide n < 3.1 * 10**23, so every int64 modulus.  Each bound is a
     strong pseudoprime to the smaller set.

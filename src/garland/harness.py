@@ -582,16 +582,17 @@ def spectral_report(inst: Instance, i: int, width=DEFAULT_WIDTH, seed: int = 0,
 
 def _link_data(inst: Instance, j: int, width, seed: int, cache_dir) -> list[dict]:
     """Degree-j spectral report and reduced cohomology of one vertex link
-    per link orbit."""
+    per link orbit: a fresh report's certificate gives dim Z^j, and
+    the vanishing test certifies degree j - 1 (j >= 1) and a cached j."""
     out = []
     for orbit in inst.symmetry.links:
         link, _ = inst.cx.vertex_link(orbit.vertex)
+        report = spectral_report(Instance.complex(link, orbit.tag), j, width, seed, cache_dir)
         out.append({
             "label": orbit.label,
             "count": orbit.count,
-            "report": spectral_report(Instance.complex(link, orbit.tag), j, width, seed,
-                                      cache_dir),
-            "vanishes": reduced_cohomology_vanishes(link, j),
+            "report": report,
+            "vanishes": reduced_cohomology_vanishes(link, j, report.kernel_dim),
         })
     return out
 

@@ -2,7 +2,7 @@
 
 Matrix entries, polynomial coefficients and root endpoints in this
 package are `fractions.Fraction`, exported as QQ; there is one backend.
-The hot paths (Krylov, certification, Sturm isolation, rank) run on
+The hot paths (Krylov, certification, Sturm isolation) run on
 machine or Python integers and make a rational only for what they hand
 back.  Rationals are written and read only as qstr/parse_qstr text.
 """

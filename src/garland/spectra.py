@@ -69,13 +69,11 @@ of about 65,536 entries at a time, so no copy of B's data is made, and
 takes whichever representation allows the larger primes
 (`_kernel_setup`, `_prime_cap`); object data, whose entries pass int64
 (as when L >= 2**63), are always reduced.
-Certification draws descending primes from that cap.  The Krylov elimination
-subtracts a product of two residues from a residue, so its primes stay
-at most isqrt(2**63 - 1) = 3,037,000,499 either way: (p-1)^2 and
-w - f*vec in (-(p-1)^2, p) then fit int64.
-Both streams come from `gf.descending_primes`, as the rank primes do
-with which `exactla` decides the reduced cohomology of vertex links on
-the sparse +-1 coboundary of `laplace.coboundary_pattern`.
+Certification draws descending primes from that cap.  The Krylov
+elimination subtracts a product of two residues from a residue, so its
+primes stay at most isqrt(2**63 - 1) = 3,037,000,499 either way: (p-1)^2
+and w - f*vec in (-(p-1)^2, p) then fit int64.  Both streams come from
+`gf.descending_primes`.
 On the grids' buildings ||B||_inf stays below 3*10^4, so their
 operators enter the kernels unreduced and certify with primes of at
 least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
@@ -84,6 +82,18 @@ least 48 bits.  The kernels check no bounds, so `minimal_polynomial` and
 multiplies B into blocks of max(8, 400,000 // n) columns, 3.2 MB of
 int64 up to n = 50,000, so a building's 3 to 6 witness columns are one
 block.
+
+With every column certified, the certificate also gives m_0 = dim ker B.
+Horner's block before its last product is q_1(B) e_j, q_1(x) =
+(q(x) - c_0) / x, so its diagonal sums to tr q_1(B) mod each prime.
+min_B divides q: if c_0 != 0, m_0 = 0.  If c_0 = 0 and c_1 != 0, 0 is a
+simple root of q, so the eigenvalue 0 is semisimple and q_1 vanishes at
+every other eigenvalue: tr q_1(B) = m_0 c_1.  A prime p > n not dividing
+c_1 fixes m_0 in [0, n]; one exists, as the primes' product exceeds
+H >= |c_1|.  Primes that disagree, a value past n or no such prime raise
+CertificationFailed, and c_0 = c_1 = 0 NotSquarefree.  Garland's
+Delta_j = W_j^-1 d_j^T W_{j+1} d_j, W > 0, has kernel Z^j, so dim H~^j =
+z_j - f_{j-1} + z_{j-1} for z_j = dim Z^j, z_{-1} = 0, f_{-1} = 1, z_n = f_n.
 
 Callers whose operator commutes with a symmetry group that is
 transitive on basis vectors up to sign may pass witness columns: one
@@ -114,11 +124,11 @@ from math import isqrt, prod
 
 import numpy as np
 
-from . import csr, exactla
+from . import csr
 from .complexes import Complex
-from .errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
+from .errors import CertificationFailed, DegreeOutOfRange, NoNonzeroRoot, NotSquarefree
 from .gf import descending_primes
-from .laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
+from .laplace import LinearOperatorHandle, assemble_matrix
 from .polyq import (
     DEFAULT_WIDTH,
     RatPolynomial,
@@ -286,8 +296,9 @@ def _kernel_setup(n, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, int
     return (indptr, indices, binf, *_prime_cap(data, max_nnz, binf))
 
 
-def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
-    """Exact check that q(B) kills the given basis vectors.
+def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> dict[int, int] | None:
+    """Exact check that q(B) kills the given basis vectors: None if not,
+    else per prime p the sum of q_1(B)'s diagonal entries on them mod p.
 
     `indptr`, `indices` and `data` are the CSR arrays of a
     `LinearOperatorHandle`, and `coeffs` the integer coefficients of q,
@@ -303,7 +314,7 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     """
     indptr, indices, binf, cap, reduce = _kernel_setup(n, indptr, indices, data)
     if not coeffs or coeffs[-1] != 1:
-        return False
+        return None
     if columns is None:
         columns = range(n)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
@@ -315,23 +326,42 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> bool:
     cols_np = np.asarray(columns, dtype=np.int64)
     # about 400,000 entries a block, without splitting a building's witnesses
     block = max(8, 400_000 // max(1, n))
+    traces = {}
     for q in primes:
         dq = _reduce(data, q) if reduce else data
         cmod = [c % q for c in coeffs]
-        for c0 in range(0, len(cols_np), block):
-            cols = cols_np[c0:c0 + block]
+        trace = 0
+        for start in range(0, len(cols_np), block):
+            cols = cols_np[start:start + block]
             pos = np.arange(len(cols))
             s = np.zeros((n, len(cols)), dtype=np.int64)
             s[cols, pos] = cmod[-1]
             # entries enter each product in [0, q), so a row plus one
             # coefficient stays within the int64 bound of _prime_cap
             for k in range(len(cmod) - 2, -1, -1):
+                if k == 0:  # s is q_1(B) e_j; summed in ints, as a prime may pass 2**62
+                    trace += sum(s[cols, pos].tolist())
                 s = csr.matvecs(indptr, indices, dq, s)
                 s[cols, pos] += cmod[k]
                 s %= q
             if np.any(s):
-                return False
-    return True
+                return None
+        traces[q] = trace % q
+    return traces
+
+
+def _kernel_dim(coeffs, traces: dict[int, int], n: int) -> int:
+    """dim ker B from a certified q = min_B of degree >= 1 and the traces
+    of `certify_annihilates` over all n columns (module docstring)."""
+    c0, c1 = coeffs[:2]
+    if c0:
+        return 0
+    if not c1:
+        raise NotSquarefree(f"0 is a multiple root of {coeffs!r}")
+    dims = {t * pow(c1, -1, p) % p for p, t in traces.items() if p > n and c1 % p}
+    if len(dims) != 1 or max(dims) > n:
+        raise CertificationFailed(f"primes p > n read dim ker B as {sorted(dims)}, not 0..{n}")
+    return dims.pop()
 
 
 # -- minimal polynomial --------------------------------------------------------
@@ -343,6 +373,7 @@ class MinimalPolynomial:
 
     q: tuple[int, ...]  # monic integer coefficients, low to high
     L: int
+    kernel_dim: int | None = None  # dim ker B, if every column was certified
 
     @property
     def degree(self) -> int:
@@ -355,12 +386,12 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
 
     `witness_columns` restricts the certification to those basis
     vectors; pass it only when a symmetry of the operator carries them
-    onto all the others (module docstring).  Never affects the value,
-    which is the unique minimal polynomial.
+    onto all the others (module docstring).  Never affects q and L, the
+    unique minimal polynomial; with it, `kernel_dim` is None.
     """
     n = op.dim
     if n == 0:
-        return MinimalPolynomial((1,), op.L)
+        return MinimalPolynomial((1,), op.L, 0)
     indptr, indices, binf, cap, reduce = _kernel_setup(n, op.indptr, op.indices, op.data)
     data, L = op.data, op.L
 
@@ -385,8 +416,10 @@ def minimal_polynomial(op: LinearOperatorHandle, seed: int = 0,
             continue
         # an annihilator's degree mod p never exceeds deg min_B, so a
         # certified annihilator of that degree is min_B itself
-        if certify_annihilates(n, indptr, indices, data, coeffs, columns=witness_columns):
-            return MinimalPolynomial(tuple(coeffs), L)
+        traces = certify_annihilates(n, indptr, indices, data, coeffs, columns=witness_columns)
+        if traces is not None:
+            kernel_dim = None if witness_columns is not None else _kernel_dim(coeffs, traces, n)
+            return MinimalPolynomial(tuple(coeffs), L, kernel_dim)
         failed.add(tuple(coeffs))
     raise CertificationFailed(
         f"no reconstruction was certified within {_MAX_PRIMES} primes"
@@ -410,42 +443,33 @@ def extract_extremes(iso: RootIsolation) -> tuple[RootInterval, RootInterval]:
 # -- reduced cohomology ----------------------------------------------------------
 
 
-def _coboundary(cx: Complex, i: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """d_i as an `exactla` pattern with its column count, for -1 <= i <= n:
-    d_{-1} is the augmentation (a column of ones) and d_n has no rows."""
-    if i < 0:
-        return np.zeros((cx.num_simplices(0), 1), np.int64), np.ones(1, np.int64), 1
+def _check_cochain_degree(cx: Complex, i: int) -> None:
+    if not 0 <= i <= cx.dim:
+        raise DegreeOutOfRange(f"cochain degree {i} out of range 0..{cx.dim}")
+
+
+def kernel_dimension(cx: Complex, i: int) -> int:
+    """z_i = dim Z^i = dim ker Delta_i, 0 <= i <= n, from the certificate
+    of Delta_i's minimal polynomial, and f_n at i = n (module docstring)."""
+    _check_cochain_degree(cx, i)
     if i == cx.dim:
-        return np.zeros((0, i + 2), np.int64), np.ones(i + 2, np.int64), cx.num_simplices(i)
-    return (*coboundary_pattern(cx, i), cx.num_simplices(i))
+        return cx.num_simplices(i)
+    return minimal_polynomial(assemble_matrix(cx, i)).kernel_dim
 
 
 def reduced_cohomology_ranks(cx: Complex) -> list[int]:
-    """Exact ranks of reduced cohomology in degrees 0..n (augmented at -1),
-    from coboundary ranks certified modularly by `exactla.rank`."""
-    # ranks[i] is the rank of d_{i-1}
-    ranks = [exactla.rank(*_coboundary(cx, i)) for i in range(-1, cx.dim + 1)]
-    return [cx.num_simplices(i) - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
+    """Exact dimensions of reduced cohomology in degrees 0..n:
+    dim H~^i = z_i - f_{i-1} + z_{i-1}, with z_{-1} = 0 and f_{-1} = 1."""
+    z = [kernel_dimension(cx, i) for i in range(cx.dim + 1)]
+    return [z[i] - (cx.num_simplices(i - 1) - z[i - 1] if i else 1) for i in range(cx.dim + 1)]
 
 
-def reduced_cohomology_vanishes(cx: Complex, i: int) -> bool:
-    """Whether the reduced cohomology of degree i vanishes, decided exactly.
-
-    dim H-tilde^i = dims[i] - rank(d_i) - rank(d_{i-1}), where d_{-1} is
-    the augmentation and d_n has no rows.  Both ranks come from
-    `exactla.rank_bounds` on the sparse coboundary, and only an
-    uncertified one draws the next prime: the count over lower bounds is
-    an upper bound, so 0 certifies vanishing, and with both ranks
-    certified it is the dimension.
-    """
-    size = cx.num_simplices(i)
-    streams = [exactla.rank_bounds(*_coboundary(cx, j)) for j in (i, i - 1)]
-    bounds = [next(s) for s in streams]
-    while size != bounds[0][0] + bounds[1][0]:
-        if bounds[0][1] and bounds[1][1]:
-            return False
-        bounds = [b if b[1] else next(s) for s, b in zip(streams, bounds)]
-    return True
+def reduced_cohomology_vanishes(cx: Complex, i: int, kernel_dim: int | None = None) -> bool:
+    """Whether H~^i = 0, 0 <= i <= n, as in `reduced_cohomology_ranks`;
+    `kernel_dim`, when given, is z_i, as a degree-i certificate found it."""
+    _check_cochain_degree(cx, i)
+    z = kernel_dimension(cx, i) if kernel_dim is None else kernel_dim
+    return z == (cx.num_simplices(i - 1) - kernel_dimension(cx, i - 1) if i else 1)
 
 
 # -- report -------------------------------------------------------------------
@@ -463,6 +487,7 @@ class SpectralReport:
     M: RootInterval
     integer_eigenvalues: dict[int, bool]
     timings: dict[str, float]
+    kernel_dim: int | None = None  # as certified; not in the JSON, so None on a cache hit
 
     @cached_property
     def minpoly(self) -> RatPolynomial:
@@ -544,4 +569,5 @@ def compute_spectral_report(cx: Complex, i: int, width=DEFAULT_WIDTH, seed: int 
     report = report_from_minpoly(mp.q, mp.L, width, instance or {}, i, op.dim, cx.dim)
     timings["isolate_s"] = time.perf_counter() - t0
     report.timings = timings
+    report.kernel_dim = mp.kernel_dim
     return report

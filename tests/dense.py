@@ -1,10 +1,11 @@
 """Dense exact rational matrices for the tests: entry dicts to rows, ranks and kernel bases.
 
 `bareiss_echelon` is fraction-free (Bareiss) elimination in Python ints,
-so no entry can overflow and no rational is made.  It is the tests'
-reference for `garland.exactla`, which certifies the rank of a +-1
-coboundary pattern from sparse modular ranks instead; `pattern_rows`
-writes such a pattern out densely.  `kernel_basis` clears the
+so no entry can overflow and no rational is made.  Its ranks of the +-1
+coboundaries of `laplace.coboundary_pattern`, which `pattern_rows`
+writes out densely, are the tests' reference for reduced cohomology,
+which `garland.spectra` reads from the kernel dimensions of certified
+Laplacians instead.  `kernel_basis` clears the
 denominators of rational rows (`cleared_int_rows`) and back-substitutes
 rationally over the echelon form to recover exact eigencochains.
 """
@@ -51,7 +52,7 @@ def reference_rank(int_rows) -> int:
 
 
 def pattern_rows(cols, signs, ncols: int) -> list[list[int]]:
-    """The dense integer rows of an `exactla` pattern: signs[j] at column cols[r][j]."""
+    """The dense integer rows of a coboundary pattern: signs[j] at column cols[r][j]."""
     out = []
     for row_cols in cols:
         row = [0] * ncols

@@ -241,10 +241,12 @@ def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
     # deterministic.  251,680 chambers of 4 vertex ids are 1.9 MiB as
     # uint16 columns, which the walk hands to the complex to keep, so
     # they exist once.  They arrive in lexicographic order, so the
-    # duplicate check sorts nothing, and the walk peaks at 3.93 MiB while
-    # `bincount` widens one column to intp; the bound leaves 8% above
-    # it.  With the chambers walked into one array whose columns the
-    # complex copied, the walk peaked at 5.16 MiB.  The peak, 6.01 MiB,
+    # duplicate check sorts nothing.  The walk peaks at 3.19 MiB in that
+    # check's one pass of comparisons, since `bincount` widens only a
+    # block of 65,536 ids to intp at a time; the bound leaves 8% above
+    # it.  With a whole column widened at once the walk peaked at 3.93
+    # MiB, and with the chambers walked into one array whose columns the
+    # complex copied, at 5.16 MiB.  The peak, 6.01 MiB,
     # is in the Gram product of the degree-0 operator, where the int32
     # edge rows reversed as its columns, one array of its values, their
     # transpose and the product sit beside the columns and the edge
@@ -258,5 +260,5 @@ def test_33_building_and_its_degree_0_operator_fit_a_small_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert walk <= 4.25 * 2**20
+    assert walk <= 3.45 * 2**20
     assert peak <= 6.5 * 2**20

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from garland import complexes, exactla, harness, reference
+from garland import complexes, harness, reference, spectra
 from garland.complexes import from_maximal_simplices, from_text
 from garland.errors import (
     BudgetExceeded,
@@ -678,30 +678,27 @@ def test_run_complex_instance(shared_cache):
     assert checks["integer-eigenvalues"] == CERTIFIED_FALSE
 
 
-def test_link_cohomology_falls_back_to_exact_ranks(monkeypatch):
-    # the bowtie's vertex-0 link is two disjoint edges: its mod-p bound on
-    # the reduced H^0 is 1, which is inconclusive, so the exact ranks of
-    # d_0 and of the augmentation decide; both are full, so certified at
-    # the first prime, and no matrix is eliminated a second time
-    calls = []
-
-    def spy(cols, signs, p):
-        calls.append((cols.shape, p))
-        return real(cols, signs, p)
-
-    real = exactla.rank_mod_p
-    monkeypatch.setattr(exactla, "rank_mod_p", spy)
-    monkeypatch.setattr(exactla, "rank", None)  # the vanishing test walks the rank streams
-    bowtie = from_maximal_simplices([(0, 1, 2), (0, 3, 4)])
-    doc = run_instance(Instance.complex(bowtie), 1)
-    (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
-    assert v["witness"]["hypothesis_cohomology_vanishes"] is False
-    assert v["witness"]["lower"] == {"status": "not-applicable"}
-    assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
-        False, True, True, True, True]
-    p = exactla.PRIME_CEILING  # 2**31 - 1 is prime: the first rank prime
-    # d_0 of each link as 2-entry rows, the augmentation as 1-entry rows
-    assert calls == [((2, 2), p), ((4, 1), p)] + [((1, 2), p), ((2, 1), p)] * 4
+def test_bowtie_link_cohomology_is_read_from_one_certificate_per_link(tmp_path, monkeypatch):
+    # the bowtie's vertex-0 link is two disjoint edges, with H~^0 of
+    # dimension 1; the other four are single edges.  A fresh link report's
+    # certificate decides its vanishing test, and a cached one has no
+    # kernel dimension, so that test certifies the link once more
+    dims = []
+    certify = spectra.minimal_polynomial
+    monkeypatch.setattr(spectra, "minimal_polynomial",
+                        lambda op, *a, **kw: dims.append(op.dim) or certify(op, *a, **kw))
+    bowtie = Instance.complex(from_maximal_simplices([(0, 1, 2), (0, 3, 4)]))
+    for _ in range(2):
+        doc = run_instance(bowtie, 1, cache_dir=tmp_path)
+        (v,) = [v for v in doc["verdicts"] if v["check"] == "fundamental-inequality"]
+        assert v["witness"]["hypothesis_cohomology_vanishes"] is False
+        assert v["witness"]["lower"] == {"status": "not-applicable"}
+        assert [link["cohomology_vanishes"] for link in v["witness"]["links"]] == [
+            False, True, True, True, True]
+    # the first run certifies the bowtie's 6 edges and each link's vertices
+    # once: the four single edges share one cache entry, so three of them
+    # are hits; the second run certifies each cached link once
+    assert dims == [6, 4, 2, 2, 2, 2] + [4, 2, 2, 2, 2]
 
 
 # -- report plumbing ---------------------------------------------------------------

@@ -13,6 +13,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 # module -> names that only the tests' oracle defines, or that no code defines
 MOVED = {
     "garland.laplace": [
@@ -32,11 +34,6 @@ MOVED = {
         # deleted: the multiplication table proves the modulus irreducible
         "_trim", "poly_mul", "poly_divmod", "_is_irreducible",
     ],
-    "garland.exactla": [
-        "kernel_basis", "dense_from_entries", "_cleared_int_rows",
-        "_bareiss_echelon",  # the tests' reference rank; the package ranks modularly
-        "_as_int_rows", "_squared_row_norms",  # deleted: ranks are of sparse +-1 patterns
-    ],
     "garland.rationals": ["as_float", "floor_q"],
     "garland.polyq": [  # deleted: rational roots are certified on the lattice (1/L)Z
         "simplest_between", "_integer_coeffs",
@@ -49,7 +46,8 @@ MOVED = {
     "garland.spectra": [
         "integer_table",  # folded into report_from_minpoly
         "_prime_stream", "_RANK_PRIME",  # one prime source: gf.descending_primes
-        "_coboundary_int_rows",  # deleted: link cohomology ranks the sparse coboundary
+        # deleted: link cohomology is read from kernel dimensions
+        "_coboundary_int_rows", "_coboundary",
         "is_eigenvalue",  # deleted: the integer table reads the exact roots
     ],
     "garland.errors": [
@@ -96,6 +94,13 @@ def test_the_oracle_is_not_shipped():
     shipped += [f"Complex().{name}" for name in MOVED_ATTRIBUTES[("garland.complexes", "Complex")]
                 if hasattr(cx, name)]
     assert shipped == []
+
+
+def test_the_rank_engine_is_gone():
+    # link cohomology is read from the certificates' kernel dimensions;
+    # the tests' Bareiss ranks (tests/dense.py) are the oracle
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("garland.exactla")
 
 
 def test_version_matches_the_project_metadata():

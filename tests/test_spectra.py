@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 import sympy
 
-from garland import exactla, spectra
+from garland import spectra
 from garland.building import flag_complex, witness_columns
 from garland.complexes import from_maximal_simplices, from_text
 from garland.gf import descending_primes, field_for_order
 from garland.harness import Instance, default_grid, get_building, run_instance, spectral_report
-from garland.errors import CertificationFailed, NoNonzeroRoot, NotSquarefree
+from garland.errors import CertificationFailed, DegreeOutOfRange, NoNonzeroRoot, NotSquarefree
 from garland.laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
@@ -38,6 +38,7 @@ from garland.spectra import (
     certify_annihilates,
     compute_spectral_report,
     extract_extremes,
+    kernel_dimension,
     minimal_polynomial,
     reduced_cohomology_ranks,
     reduced_cohomology_vanishes,
@@ -109,8 +110,8 @@ def sympy_annihilates(op, p):
 
 def test_edge_laplacian_minpoly():
     op = assemble_matrix(from_maximal_simplices([(0, 1)]), 0)
-    # min_B = x (x - 2L) with its L: min_A = x (x - 2)
-    assert minimal_polynomial(op) == MinimalPolynomial((0, -2 * op.L, 1), op.L)
+    # min_B = x (x - 2L) with its L: min_A = x (x - 2); the kernel is the constants
+    assert minimal_polynomial(op) == MinimalPolynomial((0, -2 * op.L, 1), op.L, 1)
     assert min_a(op) == P(0, -2, 1)
 
 
@@ -166,7 +167,7 @@ def test_routes_and_seeds_agree(b12, monkeypatch):
         for cand, kills in ((true, True), (short, False), (lifted, False)):
             assert sympy_annihilates(op, cand) is kills
             coeffs = b_coefficients(cand, L)
-            assert certify_annihilates(op.dim, indptr, indices, data, coeffs) is kills
+            assert bool(certify_annihilates(op.dim, indptr, indices, data, coeffs)) is kills
         with monkeypatch.context() as m:
             m.setattr(spectra, "descending_primes",
                       lambda cap: iter([next(descending_primes(cap))]))
@@ -211,7 +212,8 @@ def test_certificate_stops_once_the_primes_pass_h(monkeypatch):
     monkeypatch.setattr(spectra, "descending_primes", recording)
     indptr, indices = np.array([0, 1], dtype=np.int64), np.array([0], dtype=np.int64)
     b = np.array([15], dtype=np.int64)
-    assert certify_annihilates(1, indptr, indices, b, [-15, 1])
+    # q_1 = 1, so the trace over the one column is 1 mod each prime
+    assert certify_annihilates(1, indptr, indices, b, [-15, 1]) == {7: 1, 5: 1}
     assert drawn == [7, 5]
     # q = x + 15: q(B) = 30 = H.  5 * 3 * 2 = 30 divides it without
     # passing H, so 7 is drawn as well and refuses q
@@ -258,7 +260,9 @@ def test_witness_columns_do_not_change_the_answer(b12, b22):
         op = assemble_matrix(b.complex, i)
         full = minimal_polynomial(op)
         restricted = minimal_polynomial(op, witness_columns=witness_columns(b, i))
-        assert full == restricted
+        assert (full.q, full.L) == (restricted.q, restricted.L)
+        # a trace over the witnesses alone is no trace of B
+        assert full.kernel_dim is not None and restricted.kernel_dim is None
 
 
 def _first_primes(op, k):
@@ -280,14 +284,14 @@ def _record_annihilators(monkeypatch):
     return seen
 
 
-def _record_certifications(monkeypatch, verdict=None):
-    """Patch certification to record each candidate; `verdict` overrides its answer."""
+def _record_certifications(monkeypatch, refuse=False):
+    """Patch certification to record each candidate, and to refuse all when `refuse`."""
     certify = spectra.certify_annihilates
     candidates = []
 
     def recording(*args, **kwargs):
         candidates.append(args[4])
-        return certify(*args, **kwargs) if verdict is None else verdict
+        return None if refuse else certify(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "certify_annihilates", recording)
     return candidates
@@ -406,7 +410,7 @@ def test_a_failed_candidate_is_certified_once(b12, monkeypatch):
 
 
 def test_uncertified_candidates_raise(b12, monkeypatch):
-    certified = _record_certifications(monkeypatch, verdict=False)
+    certified = _record_certifications(monkeypatch, refuse=True)
     seen = _record_annihilators(monkeypatch)
     op = assemble_matrix(b12.complex, 0)
     with pytest.raises(CertificationFailed):
@@ -629,8 +633,8 @@ def test_matrix_data_is_one_array_from_assembly_to_certificate(b22):
     for op, true in ((small, reference_minimal_polynomial(2, 2, 1)), (big, P(0, 2, -3, 1))):
         assert min_a(op) == true
         for cand, kills in ((true, True), (poly_div(true, P(0, 1)), False)):
-            assert certify_annihilates(op.dim, op.indptr, op.indices, op.data,
-                                       b_coefficients(cand, op.L)) is kills
+            assert bool(certify_annihilates(op.dim, op.indptr, op.indices, op.data,
+                                            b_coefficients(cand, op.L))) is kills
 
 
 def test_report_runs_the_squarefree_test_once(b12, monkeypatch):
@@ -729,7 +733,7 @@ def test_seed_vectors_are_a_fixed_stream():
 def test_zero_dimensional_operator():
     h = LinearOperatorHandle(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
                              np.zeros(0, dtype=np.int64), 1)
-    assert minimal_polynomial(h) == MinimalPolynomial((1,), 1)
+    assert minimal_polynomial(h) == MinimalPolynomial((1,), 1, 0)
 
 
 # -- helpers around the minimal polynomial ------------------------------------
@@ -898,7 +902,7 @@ def test_cohomology_of_circle_and_spheres():
 
 
 def test_vanishing_certificate_is_one_sided():
-    # the mod-p bound can only certify rank 0; the exact ranks decide the rest
+    # the vanishing test is the zero test of the dimension in every degree
     for cx in (CIRCLE, OCTAHEDRON, TWO_EDGES, simplex(2)):
         ranks = reduced_cohomology_ranks(cx)
         for i, r in enumerate(ranks):
@@ -907,10 +911,64 @@ def test_vanishing_certificate_is_one_sided():
             assert got == (r == 0)
 
 
+def test_cohomology_degrees_outside_0_to_n_are_refused():
+    # the 3-cycle has n = 1, so its cochain degrees are 0 and 1
+    for i in (-2, -1, 2):
+        with pytest.raises(DegreeOutOfRange):
+            reduced_cohomology_vanishes(CIRCLE, i)
+        with pytest.raises(DegreeOutOfRange):
+            reduced_cohomology_vanishes(CIRCLE, i, kernel_dim=0)
+        with pytest.raises(DegreeOutOfRange):
+            kernel_dimension(CIRCLE, i)
+
+
+def test_kernel_dimension_is_the_solomon_tits_count():
+    # a building of rank n is homotopy equivalent to a wedge of spheres of
+    # dimension n (Solomon-Tits), so H~^j = 0 below n and z_i = rank d_{i-1}
+    # is the alternating sum of f_{i-1}, f_{i-2}, ..., f_{-1} = 1
+    got = {}
+    for ell, q, i in default_grid():
+        cx = get_building(ell, q).complex
+        f = [1] + [cx.num_simplices(j) for j in range(i)]
+        got[ell, q, i] = kernel_dimension(cx, i)
+        assert got[ell, q, i] == sum((-1) ** (i - j) * f[j] for j in range(i + 1))
+    assert {got[key] for key in got if key[2] == 0} == {1}
+    assert (got[2, 2, 1], got[2, 3, 1]) == (64, 209)
+
+
+def test_kernel_dimension_refuses_a_wrong_trace_and_a_double_root_at_0(b22, monkeypatch):
+    # (2,2,1) has m_0 = 64, read as tr q_1(B) / c_1 mod each certification
+    # prime p > n not dividing c_1; a diagonal sum off by one, an extra
+    # prime that reads 63, one value past n and no prime p > n all raise
+    op = assemble_matrix(b22.complex, 1)
+    mp = minimal_polynomial(op)
+    n, c1 = op.dim, mp.q[1]
+    assert mp.kernel_dim == 64 and mp.q[0] == 0 and c1 % 1_000_003
+    certify = spectra.certify_annihilates
+    for edit in (lambda traces: {p: (t + 1) % p for p, t in traces.items()},
+                 lambda traces: {**traces, 1_000_003: 63 * c1 % 1_000_003},
+                 lambda traces: {p: (t + (n + 1) * c1) % p for p, t in traces.items()},
+                 lambda traces: {3: 0}):
+        def edited(*args, edit=edit, **kwargs):
+            traces = certify(*args, **kwargs)
+            return traces and edit(traces)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "certify_annihilates", edited)
+            with pytest.raises(CertificationFailed):
+                minimal_polynomial(op)
+    # x * min_B is certified, but 0 is a double root of it: c_0 = c_1 = 0
+    krylov = spectra._krylov_annihilator_mod_p
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p",
+                        lambda bp, p, v0: [0] + krylov(bp, p, v0))
+    with pytest.raises(NotSquarefree):
+        minimal_polynomial(op)
+
+
 def _disconnected_link():
     """Vertex 0's link in the cone over two disjoint (1,7) incidence graphs:
     their union, 228 vertices and 912 edges in two components, so its
-    reduced H^0 has dimension 1 and the mod-p bound is inconclusive."""
+    reduced H^0 has dimension 1 and Delta_0's kernel dimension 2."""
     graph = flag_complex(1, field_for_order(7)).complex
     nv = graph.num_simplices(0)
     edges = graph.rows[1].tolist()
@@ -919,63 +977,83 @@ def _disconnected_link():
     return cone.vertex_link(0)[0]
 
 
+def _record_primes(monkeypatch):
+    """Per run of the Krylov recurrence (dim, p); per certificate (dim, its primes)."""
+    krylov, certify = spectra._krylov_annihilator_mod_p, spectra.certify_annihilates
+    runs, certificates = [], []
+
+    def krylov_spy(bp, p, v0):
+        runs.append((len(bp[0]) - 1, p))
+        return krylov(bp, p, v0)
+
+    def certify_spy(n, *args, **kwargs):
+        traces = certify(n, *args, **kwargs)
+        certificates.append((n, traces and sorted(traces)))
+        return traces
+
+    monkeypatch.setattr(spectra, "_krylov_annihilator_mod_p", krylov_spy)
+    monkeypatch.setattr(spectra, "certify_annihilates", certify_spy)
+    return runs, certificates
+
+
 def test_disconnected_link_ranks_need_four_primes(monkeypatch):
     link = _disconnected_link()
     cols, signs = coboundary_pattern(link, 0)
     assert cols.shape == (912, 2)
     want = reference_rank(pattern_rows(cols, signs, 228))
     assert want == 226
-    assert reduced_cohomology_ranks(link) == [228 - want - 1, 912 - want]
-    assert reduced_cohomology_vanishes(link, 0) is False
-    # rank 226 < min(912, 228), so the Hadamard bound decides: any
-    # 227-minor squared is at most 2**227 (two entries +-1 a row), which
-    # the squared product of four primes below 2**31 passes and of three
-    # does not
-    primes = []
-    real = exactla.rank_mod_p
-    monkeypatch.setattr(exactla, "rank_mod_p",
-                        lambda cols, signs, p: primes.append(p) or real(cols, signs, p))
-    assert exactla.rank(cols, signs, 228) == want
-    assert primes == list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
+    # rank 226 < min(912, 228): a modular rank of d_0 is exact only past
+    # the Hadamard bound, any 227-minor squared at most 2**227 (two
+    # entries +-1 a row), which the squared product of four primes below
+    # 2**31 passes and of three does not
+    primes = list(itertools.islice(descending_primes(2**31), 4))
+    assert math.prod(primes[:3]) ** 2 <= 2**227 < math.prod(primes) ** 2
+    # the ranks read from Delta_0's certified minimal polynomial x (x^3 -
+    # 32 x^2 + 313 x - 912), dim ker Delta_0 = 2, need one Krylov prime
+    # and one certification prime instead
+    runs, certificates = _record_primes(monkeypatch)
+    assert reduced_cohomology_ranks(link) == [1, 686] == [228 - want - 1, 912 - want]
+    assert [n for n, _ in runs] == [228]
+    assert [(n, len(ps)) for n, ps in certificates] == [(228, 1)]
+    assert minimal_polynomial(assemble_matrix(link, 0)).q == (0, -912, 313, -32, 1)
 
 
 def test_disconnected_link_vanishing_eliminates_each_matrix_once_per_prime(monkeypatch):
-    # d_0 (912 rows of 2 entries, rank 226) needs four primes and the
-    # augmentation (228 rows of 1) one; neither is eliminated again for
-    # its exact rank
+    # H~^0 = 0 compares z_0 with f_{-1} = 1: one Laplacian, Delta_0 (228
+    # rows), run through the Krylov recurrence once for its one prime and
+    # certified once; it is not worked again for the verdict
     link = _disconnected_link()
-    seen = []
-    real = exactla.rank_mod_p
-
-    def spy(cols, signs, p):
-        seen.append((cols.shape, cols.tobytes(), p))
-        return real(cols, signs, p)
-
-    monkeypatch.setattr(exactla, "rank_mod_p", spy)
+    runs, certificates = _record_primes(monkeypatch)
     assert reduced_cohomology_vanishes(link, 0) is False
-    assert len(seen) == len(set(seen)) <= 5
-    primes = list(itertools.islice(descending_primes(exactla.PRIME_CEILING), 4))
-    assert [(shape, p) for shape, _, p in seen] == [
-        ((912, 2), primes[0]), ((228, 1), primes[0])] + [((912, 2), p) for p in primes[1:]]
+    assert runs == [(228, next(descending_primes(spectra._KRYLOV_CEILING)))]
+    assert len(certificates) == 1 and certificates[0][0] == 228
+    # given z_0, no Laplacian is worked at all
+    assert reduced_cohomology_vanishes(link, 0, kernel_dim=2) is False
+    assert len(runs) == len(certificates) == 1
 
 
 def _bareiss_cohomology(cx):
-    """Reduced cohomology dimensions from Bareiss ranks of the dense coboundaries."""
+    """(z_i, dim H~^i) for i = 0..n, from Bareiss ranks of the dense coboundaries."""
     dims = [cx.num_simplices(i) for i in range(cx.dim + 1)]
     ranks = [1] + [reference_rank(pattern_rows(*coboundary_pattern(cx, i), dims[i]))
                    for i in range(cx.dim)] + [0]
-    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)]
+    return ([dims[i] - ranks[i + 1] for i in range(cx.dim + 1)],
+            [dims[i] - ranks[i] - ranks[i + 1] for i in range(cx.dim + 1)])
 
 
 def test_sparse_cohomology_matches_bareiss_on_random_complexes():
+    # the kernel dimensions read from the certificates against dense
+    # Bareiss ranks; a given z_i, as a fresh link report passes it,
+    # decides as the one certified here
     rng = random.Random(1)
     pairs = 0
     for _ in range(150):
         cx = random_pure_complex(rng)
-        want = _bareiss_cohomology(cx)
+        z, want = _bareiss_cohomology(cx)
         assert reduced_cohomology_ranks(cx) == want
         for i, dim in enumerate(want):
             assert reduced_cohomology_vanishes(cx, i) is (dim == 0)
+            assert reduced_cohomology_vanishes(cx, i, z[i]) is (dim == 0)
         pairs += len(want)
     # every degree 0..n: the 317 Laplacian degrees 0..n-1 and the top ones
     assert pairs == 467
@@ -996,8 +1074,9 @@ print(reduced_cohomology_vanishes(cx, 0), peak_kib() - before)
 @pytest.mark.skipif(not HAS_VMHWM, reason="reads VmHWM (Linux)")
 def test_connectivity_of_the_27_building_is_decided_in_little_memory():
     # the building is the apex link of a cone over it: H~^0 of its 3,650
-    # vertices and 68,400 edges, whose dense d_0 took 6.3 GB; in a fresh
-    # process, so that VmHWM (KiB) is this call's peak alone
+    # vertices and 68,400 edges, whose dense d_0 took 6.3 GB, is read off
+    # the certificate of Delta_0 on all 3,650 columns; in a fresh process,
+    # so that VmHWM (KiB) is this call's peak alone
     src = Path(spectra.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _CONNECTIVITY_27], capture_output=True,
                           text=True, timeout=240, check=True,
@@ -1013,7 +1092,7 @@ TORUS = [tuple(sorted((j, (j + a) % 7, (j + 3) % 7))) for j in range(7) for a in
 
 def test_torus_cone_apex_link_has_first_cohomology():
     torus = from_maximal_simplices(TORUS)
-    assert reduced_cohomology_ranks(torus) == [0, 2, 1] == _bareiss_cohomology(torus)
+    assert reduced_cohomology_ranks(torus) == [0, 2, 1] == _bareiss_cohomology(torus)[1]
     # in the cone over the torus the apex's link is the torus, and every
     # other vertex's link is a cone over a hexagon, which is contractible
     cone = from_maximal_simplices([t + (7,) for t in TORUS])

@@ -68,12 +68,8 @@ and kept with its top positions in `position_dtype`; removing a
 vertex that two ascending rows share keeps their order, so every vertex
 link arrives in lexicographic order too.
 
-One derived view stays: `simplices`, per dimension the id tuples in
-lexicographic order, built from the arrays on first item access; its
-length builds that level.  Nothing on the path of a CLI command reads
-it.  The benchmark counts faces through it, and the tests'
-exact-rational cochain calculus (which derives its own position and
-weight tables) reads it.
+`simplices` is another name for `rows`, under which the benchmark
+counts faces; no CLI command reads it.
 
 The text interchange format is one maximal simplex per line as
 whitespace-separated non-negative integer labels, with '#' starting a
@@ -209,41 +205,6 @@ class _Levels(Sequence):
         return self._built[d]
 
 
-class _View(Sequence):
-    """A read-only list of one dimension's simplices, built on first item
-    access; its length builds that face level."""
-
-    def __init__(self, cx: "Complex", d: int):
-        self._cx = cx
-        self._d = d
-        self._items = None
-
-    def _list(self) -> list:
-        if self._items is None:
-            rows = self._cx.rows[self._d]
-            self._items = list(zip(*(rows[:, j].tolist() for j in range(self._d + 1))))
-        return self._items
-
-    def __len__(self) -> int:
-        return len(self._cx.rows[self._d])
-
-    def __getitem__(self, k):
-        return self._list()[k]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _View):
-            other = other._list()
-        return self._list() == other
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(self._list())
-
-
 class Complex:
     """Pure n-dimensional complex with coface-count weights (module docstring).
 
@@ -252,7 +213,7 @@ class Complex:
         rows, keys, counts: per dimension 0..n, the int32 id rows, the
             search keys in `key_dtype` and the weights in `weight_dtype`,
             each level built on first read; V is len(rows[0]).
-        simplices: the derived read-only id-tuple view (module docstring).
+        simplices: `rows` by another name (module docstring).
 
     `Complex(cols)` is the one constructor, and it checks its input.
     """
@@ -414,6 +375,8 @@ class Complex:
     def counts(self) -> _Levels:
         return _Levels(self, self._counts)
 
+    simplices = rows
+
     # -- array lookups ---------------------------------------------------------
 
     def num_simplices(self, i: int) -> int:
@@ -495,13 +458,6 @@ class Complex:
             self._vertex_links[v] = (Complex.from_maximal_simplices(dense.reshape(rest.shape)),
                                      old.tolist())
         return self._vertex_links[v]
-
-    # -- derived view ---------------------------------------------------------------
-
-    @cached_property
-    def simplices(self) -> list[_View]:
-        """Per dimension, the canonical simplices as id tuples in lexicographic order."""
-        return [_View(self, d) for d in range(self.dim + 1)]
 
     # -- text interchange -----------------------------------------------------------
 

@@ -505,6 +505,14 @@ def load_cached_report(cache_dir: Path, key: str, width, degree: int, inst: Inst
     formed for a complex of dimension `inst.n`, the instance is
     `inst.tag(degree)`, and the timings are this load's own,
     {"load_s": seconds}.
+
+    Two kinds of wrong entry pass these checks.  An entry of another
+    instance, copied in with its key rewritten, is believed when its
+    polynomial passes every check.  Any `den_bound` that keeps min_B
+    integral is believed, even where it is not the operator's L, unless
+    it moves the stop width.  Only certifying the polynomial again
+    against the assembled operator, or removing the cache, can catch
+    either.
     """
     t0 = time.perf_counter()
     try:

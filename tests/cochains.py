@@ -26,11 +26,12 @@ That `garland.laplace.assemble_matrix` agrees with `laplacian_apply` is
 a test invariant.
 
 The package works on the arrays of a `Complex`.  The per-face tables
-this calculus reads, `index` (simplex tuple -> position) and `weights`
-(Python ints aligned with `Complex.simplices`), each built once per
-complex, and the lookups on one simplex (`contains`, `weight`, `star`)
-are derived here from those arrays.  So are a building's vertex-type
-dict (`types_of`) and the type-invariant lift of chamber cochains.
+this calculus reads, `simplices` (the id tuples in lexicographic order),
+`index` (simplex tuple -> position) and `weights` (Python ints aligned
+with `simplices`), each built once per complex, and the lookups on one
+simplex (`contains`, `weight`, `star`) are derived here from those
+arrays.  So are a building's vertex-type dict (`types_of`) and the
+type-invariant lift of chamber cochains.
 """
 
 from __future__ import annotations
@@ -102,15 +103,21 @@ def _per_object(build):
 
 
 @_per_object
+def simplices(cx: Complex) -> list[list[tuple]]:
+    """Per dimension, the canonical simplices as id tuples in lexicographic order."""
+    return [list(map(tuple, level.tolist())) for level in cx.rows]
+
+
+@_per_object
 def index(cx: Complex) -> list[MappingProxyType]:
     """Per dimension, simplex tuple -> position."""
     return [MappingProxyType(dict(zip(level, range(len(level)))))
-            for level in cx.simplices]
+            for level in simplices(cx)]
 
 
 @_per_object
 def weights(cx: Complex) -> list[list[int]]:
-    """Per dimension, the weights as Python ints, aligned with `cx.simplices`."""
+    """Per dimension, the weights as Python ints, aligned with `simplices`."""
     return [c.tolist() for c in cx.counts]
 
 
@@ -148,9 +155,9 @@ def star(cx: Complex, s) -> tuple[Complex, list[int]]:
 def check_weight_identity(cx: Complex) -> bool:
     """Sum of (i+1)-coface weights of sigma equals (n-i) * w(sigma), all i < n."""
     for i in range(cx.dim):
-        acc = [0] * len(cx.simplices[i])
+        acc = [0] * len(simplices(cx)[i])
         idx = index(cx)[i]
-        for t, wt in zip(cx.simplices[i + 1], weights(cx)[i + 1]):
+        for t, wt in zip(simplices(cx)[i + 1], weights(cx)[i + 1]):
             for face in combinations(t, i + 1):
                 acc[idx[face]] += wt
         target = cx.dim - i
@@ -260,7 +267,7 @@ def coboundary(f: Cochain) -> Cochain:
         raise DegreeOutOfRange(f"coboundary out of degree {i} on a {c.dim}-complex")
     idx = index(c)[i]
     out = []
-    for t in c.simplices[i + 1]:
+    for t in simplices(c)[i + 1]:
         acc = QQ0
         sign = 1
         for j in range(i + 2):
@@ -280,7 +287,7 @@ def adjoint_delta(g: Cochain) -> Cochain:
     idx = index(c)[i - 1]
     wi = weights(c)[i]
     wlow = weights(c)[i - 1]
-    for t, wt, gt in zip(c.simplices[i], wi, g.values):
+    for t, wt, gt in zip(simplices(c)[i], wi, g.values):
         if not gt:
             continue
         sign = 1
@@ -319,7 +326,7 @@ def rho_v(f: Cochain, v: int) -> Cochain:
         raise UnknownVertex(f"vertex {v} not in complex")
     vals = [
         val if v in s else QQ0
-        for s, val in zip(c.simplices[f.degree], f.values)
+        for s, val in zip(simplices(c)[f.degree], f.values)
     ]
     return Cochain(c, f.degree, vals)
 
@@ -335,7 +342,7 @@ def rho_alpha(f: Cochain, types, alpha: int) -> Cochain:
         raise UnknownType(f"no vertex has type {alpha}")
     c = f.complex
     vals = []
-    for s, val in zip(c.simplices[f.degree], f.values):
+    for s, val in zip(simplices(c)[f.degree], f.values):
         mult = sum(1 for v in s if types[v] == alpha)
         vals.append(QQ(mult) * val if mult else QQ0)
     return Cochain(c, f.degree, vals)
@@ -355,7 +362,7 @@ def tau_v(f: Cochain, v: int) -> Cochain:
     link, new_to_old = c.vertex_link(v)
     idx = index(c)[i]
     out = []
-    for sigma in link.simplices[i - 1]:
+    for sigma in simplices(link)[i - 1]:
         glob = tuple(new_to_old[u] for u in sigma)
         pos = bisect_left(glob, v)
         merged = glob[:pos] + (v,) + glob[pos:]
@@ -395,6 +402,6 @@ def type_invariant_lift(b, degree: int, face_values) -> Cochain:
     types = types_of(b)
     values = [
         fv[tuple(types[v] for v in s)]
-        for s in b.complex.simplices[degree]
+        for s in simplices(b.complex)[degree]
     ]
     return Cochain(b.complex, degree, values)

@@ -1,5 +1,8 @@
 """Dense exact rational matrices for the tests: entry dicts to rows, ranks and kernel bases.
 
+`rational_entries` reads an assembled operator B = L * Delta back as
+Delta's entry dict, each stored entry of B over L.
+
 `bareiss_echelon` is fraction-free (Bareiss) elimination in Python ints,
 so no entry can overflow and no rational is made.  Its ranks of the +-1
 coboundaries of `laplace.coboundary_pattern`, which `pattern_rows`
@@ -69,6 +72,13 @@ def cleared_int_rows(rows) -> list[list[int]]:
         scale = lcm(*(int(QQ(x).denominator) for x in row)) if row else 1
         out.append([int(QQ(x) * scale) for x in row])
     return out
+
+
+def rational_entries(op) -> dict:
+    """Delta of a `LinearOperatorHandle` as {(row, col): rational}, over its stored entries."""
+    ptr, cols, data = op.indptr.tolist(), op.indices.tolist(), op.data.tolist()
+    return {(r, cols[k]): QQ(data[k], op.L)
+            for r in range(op.dim) for k in range(ptr[r], ptr[r + 1])}
 
 
 def dense_from_entries(nrows: int, ncols: int, entries: dict) -> list[list]:

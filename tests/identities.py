@@ -27,10 +27,11 @@ from cochains import (
     inner_product,
     laplacian_apply,
     rho_v,
+    simplices,
     tau_v,
     types_of,
 )
-from dense import dense_from_entries, kernel_basis
+from dense import dense_from_entries, kernel_basis, rational_entries
 
 
 def random_pure_complex(rng: random.Random) -> Complex:
@@ -115,7 +116,7 @@ def laplacian_csr_by_apply(cx: Complex, i: int, groups=None):
         groups = [[j] for j in range(n)]
     # near[j]: the i-simplices sharing an (i+1)-coface with simplex j, and j
     near = [{j} for j in range(n)]
-    for t in cx.simplices[i + 1]:
+    for t in simplices(cx)[i + 1]:
         faces = [index(cx)[i][f] for f in combinations(t, i + 1)]
         for a in faces:
             near[a].update(faces)
@@ -210,7 +211,7 @@ def universal_identity_failures(cx: Complex, rng: random.Random, tag: str = "") 
 def _type_scaled(b, f: Cochain, alpha: int, scale) -> Cochain:
     vals = [
         QQ(scale) * val if types_of(b)[s[0]] == alpha else val
-        for s, val in zip(b.complex.simplices[0], f.values)
+        for s, val in zip(simplices(b.complex)[0], f.values)
     ]
     return Cochain(b.complex, 0, vals)
 
@@ -225,7 +226,7 @@ def rational_eigencochains(b, max_per_eigenvalue: int = 2):
         if not root.is_rational:
             continue
         c = QQ(root.value)
-        rows = dense_from_entries(op.dim, op.dim, op.entries)
+        rows = dense_from_entries(op.dim, op.dim, rational_entries(op))
         for j in range(op.dim):
             rows[j][j] -= c
         basis = kernel_basis(rows)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cochains import types_of
+from cochains import simplices, types_of
 from identities import (
     eigencochain_sum_failures,
     random_pure_complex,
@@ -264,7 +264,7 @@ def _normalized_graph_spectrum(graph):
     """
     n = graph.num_simplices(0)
     a = np.zeros((n, n))
-    for u, v in graph.simplices[1]:
+    for u, v in simplices(graph)[1]:
         a[u, v] = a[v, u] = 1.0
     s = 1.0 / np.sqrt(a.sum(axis=1))
     return 1.0 - np.linalg.eigvalsh(s[:, None] * a * s[None, :])

@@ -18,6 +18,7 @@ from cochains import (
     check_weight_identity,
     contains,
     fundamental_chamber_complex,
+    simplices,
     type_invariant_lift,
     types_of,
     weight,
@@ -115,7 +116,7 @@ def test_rank_one_building_is_point_line_incidence(b12):
     assert sorted(types_of(b12).values()).count(0) == 7
     assert sorted(types_of(b12).values()).count(1) == 7
     assert all(weight(c, (v,)) == 3 for v in c.vertices)
-    for (u, v) in c.simplices[1]:
+    for (u, v) in simplices(c)[1]:
         assert types_of(b12)[u] != types_of(b12)[v]
 
 
@@ -131,7 +132,7 @@ def test_rank_two_building_counts(b22):
     assert by_type == {0: 15, 1: 35, 2: 15}
     assert check_weight_identity(c)
     # every chamber has one vertex of each type
-    for chamber in c.simplices[2]:
+    for chamber in simplices(c)[2]:
         assert sorted(types_of(b22)[v] for v in chamber) == [0, 1, 2]
 
 
@@ -169,20 +170,20 @@ def test_witness_columns_one_per_type_signature(b12, b22):
     # the chosen columns realize every type signature exactly once
     for b, degree in ((b12, 0), (b22, 1), (b22, 2)):
         cols = witness_columns(b, degree)
-        simplices = b.complex.simplices[degree]
+        level = simplices(b.complex)[degree]
         sig = lambda s: tuple(sorted(types_of(b)[v] for v in s))
-        all_sigs = {sig(s) for s in simplices}
-        assert [sig(simplices[k]) for k in cols] == sorted(all_sigs)
+        all_sigs = {sig(s) for s in level}
+        assert [sig(level[k]) for k in cols] == sorted(all_sigs)
 
 
 def test_type_invariant_lift_is_constant_on_signatures(b22):
     face_values = {(0,): QQ(5), (1,): QQ(-1), (2,): QQ(2)}
     f = type_invariant_lift(b22, 0, face_values)
-    for (v,), val in zip(b22.complex.simplices[0], f.values):
+    for (v,), val in zip(simplices(b22.complex)[0], f.values):
         assert val == face_values[(types_of(b22)[v],)]
     edge_values = {(0, 1): QQ(1), (0, 2): QQ(7), (1, 2): QQ(0)}
     g = type_invariant_lift(b22, 1, edge_values)
-    for s, val in zip(b22.complex.simplices[1], g.values):
+    for s, val in zip(simplices(b22.complex)[1], g.values):
         key = tuple(sorted(types_of(b22)[v] for v in s))
         assert val == edge_values[key]
 

@@ -338,6 +338,24 @@ def test_verify_single_degree(capsys, cache_args):
     assert len(docs) == 1 and docs[0]["instance"] == {"ell": 2, "q": 2, "i": 1}
 
 
+@pytest.mark.parametrize("source", ["building", "complex"])
+def test_verify_threads_changes_no_byte(tmp_path, capsys, source):
+    # the benchmark runs verify with --threads 1; verify computes its
+    # degrees in one process whatever the flag says
+    if source == "building":
+        argv = ["verify", "--ell", "1", "--q", "2", "--i", "0", "--json", "--seed", "1"]
+    else:
+        path = tmp_path / "octahedron.txt"
+        path.write_text("".join(f"{a} {b} {c}\n" for a in (0, 1) for b in (2, 3) for c in (4, 5)))
+        argv = ["verify", "--complex", str(path), "--json"]
+    docs = []
+    for threads in ([], ["--threads", "1"], ["--threads", "4"]):
+        code, out, _err = run(capsys, argv + threads)
+        assert code == 0
+        docs.append(harness.dumps_report(harness.strip_timings(json.loads(out))))
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_reproduce_exit_codes(capsys, cache_args):
     code, out, _ = run(capsys, ["reproduce", "--ell", "1", "--q", "2", "--i", "0"] + cache_args)
     assert code == 0

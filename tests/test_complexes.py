@@ -36,6 +36,7 @@ from cochains import (
     contains,
     index,
     orientation_sign,
+    simplices,
     star,
     weight,
     weights,
@@ -94,12 +95,12 @@ def test_face_tables_match_reference(b13, b22, b23):
     for tops in [_random_tops(rng) for _ in range(60)]:
         c, label_map = from_text(_text(tops))
         ids = [[label_map[v] for v in t] for t in tops]
-        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(ids)
+        assert (c.dim, simplices(c), index(c), weights(c)) == reference_face_tables(ids)
         assert all(type(w) is int for level in weights(c) for w in level)
     for b in (b13, b22, b23):
-        tops = b.complex.simplices[b.complex.dim]
+        tops = simplices(b.complex)[b.complex.dim]
         c = from_maximal_simplices(list(tops))
-        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops)
+        assert (c.dim, simplices(c), index(c), weights(c)) == reference_face_tables(tops)
     bad = {
         EmptyInput: [[], [()], [(), ()]],
         MixedDimensions: [[(0, 1), (2,)], [(0, 1, 2), (3, 4)]],
@@ -143,7 +144,7 @@ def test_array_face_tables_match_reference():
         before = tops.copy()
         c = from_maximal_simplices(tops)
         assert np.array_equal(tops, before)
-        assert (c.dim, c.simplices, index(c), weights(c)) == reference_face_tables(tops.tolist())
+        assert (c.dim, simplices(c), index(c), weights(c)) == reference_face_tables(tops.tolist())
         assert _tables(c) == _tables(from_maximal_simplices(tops.tolist()))
         # at most 26 vertices and 39 tops: every key is below 26**6 < 2**31
         # and every weight below 2**31, so both tables are int32
@@ -259,7 +260,7 @@ def test_links_of_the_23_building_match_the_list_path(b23):
         assert new_to_old == sorted({u for t in rest for u in t})
         new_id = {u: j for j, u in enumerate(new_to_old)}
         ref = reference_face_tables([[new_id[u] for u in t] for t in rest])
-        assert (lk.dim, lk.simplices, index(lk), weights(lk)) == ref
+        assert (lk.dim, simplices(lk), index(lk), weights(lk)) == ref
 
 
 def test_triangle_counts_and_weights():
@@ -268,7 +269,7 @@ def test_triangle_counts_and_weights():
     assert [c.num_simplices(i) for i in range(3)] == [3, 3, 1]
     assert list(c.vertices) == [0, 1, 2]
     for i in range(3):
-        for s in c.simplices[i]:
+        for s in simplices(c)[i]:
             assert weight(c, s) == 1
     assert contains(c, (0, 2)) and not contains(c, (0, 3))
     with pytest.raises(SimplexNotFound):
@@ -289,7 +290,7 @@ def test_weight_identity_on_octahedron():
     assert [c.num_simplices(i) for i in range(3)] == [6, 12, 8]
     assert check_weight_identity(c)
     # every edge of the octahedron lies in exactly 2 triangles
-    assert all(weight(c, s) == 2 for s in c.simplices[1])
+    assert all(weight(c, s) == 2 for s in simplices(c)[1])
 
 
 def test_star_keeps_vertex_ids():
@@ -298,8 +299,8 @@ def test_star_keeps_vertex_ids():
     st, new_to_old = star(c, (3,))
     assert st.dim == 2
     assert new_to_old == [1, 2, 3]
-    assert st.simplices[2] == [(0, 1, 2)]
-    assert (0, 1) in st.simplices[1]
+    assert simplices(st)[2] == [(0, 1, 2)]
+    assert (0, 1) in simplices(st)[1]
     st, new_to_old = star(c, (1, 2))
     assert new_to_old == [0, 1, 2, 3] and st.num_simplices(2) == 2
     for s in ((9,), (0, 3), (2, 1), (0, 6)):
@@ -313,7 +314,7 @@ def test_link_relabels_densely():
     assert lk.dim == 1
     assert new_to_old == [0, 2, 3]
     # edges of the link are the opposite edges of the two triangles
-    old_edges = {tuple(sorted(new_to_old[u] for u in e)) for e in lk.simplices[1]}
+    old_edges = {tuple(sorted(new_to_old[u] for u in e)) for e in simplices(lk)[1]}
     assert old_edges == {(0, 2), (2, 3)}
     for v in (-1, 4):
         with pytest.raises(SimplexNotFound):
@@ -335,7 +336,7 @@ def test_text_round_trip():
     c, labels = from_text("4 7 9\n12 9 7  # a comment\n\n")
     # labels are dense in first-appearance order
     assert labels == {4: 0, 7: 1, 9: 2, 12: 3}
-    assert c.simplices[2] == [(0, 1, 2), (1, 2, 3)]
+    assert simplices(c)[2] == [(0, 1, 2), (1, 2, 3)]
     # the text form prints the ids, so it is a fixed point of from_text
     assert c.to_text() == "0 1 2\n1 2 3\n"
     c2, labels2 = from_text(c.to_text())
@@ -360,7 +361,7 @@ def test_from_text_rejects_bad_labels():
 def test_classmethod_matches_module_function():
     a = Complex.from_maximal_simplices(TRIANGLE)
     b = from_maximal_simplices(TRIANGLE)
-    assert a.simplices == b.simplices and weights(a) == weights(b)
+    assert simplices(a) == simplices(b) and weights(a) == weights(b)
 
 
 # -- face levels on demand ------------------------------------------------------
@@ -379,7 +380,7 @@ def test_degree_zero_report_builds_only_vertices_and_edges():
 
 
 def test_levels_read_in_any_order_match_the_reference(b22):
-    tops = b22.complex.simplices[2]
+    tops = simplices(b22.complex)[2]
     ref = reference_face_tables(tops)
 
     def top_first(c):
@@ -391,7 +392,7 @@ def test_levels_read_in_any_order_match_the_reference(b22):
     for first in (top_first, counts_first):
         c = from_maximal_simplices(list(tops))
         first(c)
-        assert (c.dim, c.simplices, index(c), weights(c)) == ref
+        assert (c.dim, simplices(c), index(c), weights(c)) == ref
         assert _tables(c) == _tables(from_maximal_simplices(list(tops)))
     c = from_maximal_simplices(list(tops))
     assert len(c.rows[-1]) == len(tops) and _built_levels(c) == 3
@@ -417,7 +418,7 @@ def test_duplicates_on_each_side_of_the_int64_range(size):
     assert all(len(set(t)) == size for t in tops)
     assert sorted({v for t in tops for v in t}) == list(range(80))
     c = from_maximal_simplices(tops)
-    assert c.simplices[size - 1] == sorted(tuple(sorted(t)) for t in tops)
+    assert simplices(c)[size - 1] == sorted(tuple(sorted(t)) for t in tops)
     assert weights(c) == reference_face_tables(tops)[3]
     for dup in (rng.sample(tops[3], size), tops[-1]):
         with pytest.raises(DuplicateSimplex):
@@ -646,9 +647,9 @@ def test_facets_width_follows_the_face_count(monkeypatch, b22):
     cx = b22.complex
     for d in (1, 2):
         count = cx.num_simplices(d - 1)
-        faces = cx.simplices[d - 1]
+        faces = simplices(cx)[d - 1]
         want = [[faces.index(s[:j] + s[j + 1:]) for j in range(d + 1)]
-                for s in cx.simplices[d]]
+                for s in simplices(cx)[d]]
         got = {}
         for bound in (count + 1, count):
             monkeypatch.setattr(complexes, "_INT32_POSITIONS", bound)

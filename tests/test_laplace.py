@@ -25,9 +25,11 @@ from cochains import (
     laplacian_apply,
     rho_alpha,
     rho_v,
+    simplices,
     tau_v,
     weights,
 )
+from dense import rational_entries
 from identities import laplacian_csr_by_apply, star_union
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
@@ -123,31 +125,31 @@ def test_triangle_vertex_laplacian_matrix():
     for r in range(3):
         for c in range(3):
             expect[(r, c)] = QQ(2) if r == c else QQ(-1)
-    assert op.entries == expect
+    assert rational_entries(op) == expect
     assert op.dim == 3
 
 
 def test_simplex_vertex_laplacian_is_shifted_all_ones():
-    op = assemble_matrix(TETRA, 0)
+    entries = rational_entries(assemble_matrix(TETRA, 0))
     for r in range(4):
         for c in range(4):
-            assert op.entries[(r, c)] == (QQ(3) if r == c else QQ(-1))
+            assert entries[(r, c)] == (QQ(3) if r == c else QQ(-1))
 
 
 def test_incidence_graph_laplacian_structure(b12):
     # scaled by q+1 the vertex Laplacian is (q+1)I - adjacency
     c = b12.complex
-    op = assemble_matrix(c, 0)
-    idx = {s: k for k, s in enumerate(c.simplices[0])}
-    for (r, s), val in op.entries.items():
+    entries = rational_entries(assemble_matrix(c, 0))
+    idx = {s: k for k, s in enumerate(simplices(c)[0])}
+    for (r, s), val in entries.items():
         if r == s:
             assert val == 1
         else:
-            u, v = c.simplices[0][r][0], c.simplices[0][s][0]
+            u, v = simplices(c)[0][r][0], simplices(c)[0][s][0]
             assert contains(c, tuple(sorted((u, v))))
             assert val == QQ(-1, 3)
     degrees = {}
-    for (r, s) in op.entries:
+    for (r, s) in entries:
         if r != s:
             degrees[r] = degrees.get(r, 0) + 1
     assert all(d == 3 for d in degrees.values())
@@ -274,7 +276,7 @@ def test_rho_restricts_to_star():
     rng = random.Random(13)
     f = rand_cochain(TWO_TRIANGLES, 1, rng)
     g = rho_v(f, 3)
-    for s, val in zip(TWO_TRIANGLES.simplices[1], g.values):
+    for s, val in zip(simplices(TWO_TRIANGLES)[1], g.values):
         assert val == (f.values[index(TWO_TRIANGLES)[1][s]] if 3 in s else 0)
     with pytest.raises(UnknownVertex):
         rho_v(f, 9)
@@ -311,17 +313,26 @@ def test_tau_contracts_with_sign():
     t0 = tau_v(f, 0)
     link, new_to_old = TRIANGLE.vertex_link(0)
     assert t0.complex is link
-    got = {new_to_old[s[0]]: val for s, val in zip(link.simplices[0], t0.values)}
+    got = {new_to_old[s[0]]: val for s, val in zip(simplices(link)[0], t0.values)}
     assert got == {1: QQ(3), 2: QQ(5)}  # (tau_0 f)(sigma) = f([0, sigma])
     t2 = tau_v(f, 2)
     link2, new_to_old2 = TRIANGLE.vertex_link(2)
-    got2 = {new_to_old2[s[0]]: val for s, val in zip(link2.simplices[0], t2.values)}
+    got2 = {new_to_old2[s[0]]: val for s, val in zip(simplices(link2)[0], t2.values)}
     # f([2, sigma]): sorting 2 to the front costs one transposition
     assert got2 == {0: QQ(-5), 1: QQ(-7)}
     with pytest.raises(DegreeOutOfRange):
         tau_v(Cochain.zeros(TRIANGLE, 0), 0)
     with pytest.raises(UnknownVertex):
         tau_v(f, 4)
+
+
+def test_assemble_matrix_checks_the_degree_before_building_faces():
+    # the one check is coboundary_pattern's, made before the face counts
+    for degree in (-1, 2):
+        c = from_maximal_simplices([(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(DegreeOutOfRange, match=f"^degree {degree} is out of range 0..1$"):
+            assemble_matrix(c, degree)
+        assert len(c._rows) == 1  # the vertex level alone
 
 
 # -- serialization ------------------------------------------------------------
@@ -333,9 +344,10 @@ def test_dump_matrix_text():
     assert lines[0] == "3 3 0"  # n n degree
     assert lines[1].split() == ["0", "0", "2/1"]
     assert len(lines) == 1 + 9
+    entries = rational_entries(op)
     for line in lines[1:]:
         r, c, val = line.split()
-        assert op.entries[(int(r), int(c))] == QQ(*map(int, val.split("/")))
+        assert entries[(int(r), int(c))] == QQ(*map(int, val.split("/")))
 
 
 def test_coboundary_entries_shape():

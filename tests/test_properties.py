@@ -2,7 +2,15 @@
 
 import random
 
-from cochains import Cochain, coboundary, inner_product, laplacian_apply, rho_alpha, types_of
+from cochains import (
+    Cochain,
+    coboundary,
+    inner_product,
+    laplacian_apply,
+    rho_alpha,
+    simplices,
+    types_of,
+)
 from identities import (
     eigencochain_sum_failures,
     rand_cochain,
@@ -49,7 +57,7 @@ def test_eigencochain_sum_rule_rank_two(b22):
 def _type_scaled(b, f, alpha, R):
     vals = [
         QQ(R) * val if types_of(b)[s[0]] == alpha else val
-        for s, val in zip(b.complex.simplices[0], f.values)
+        for s, val in zip(simplices(b.complex)[0], f.values)
     ]
     return Cochain(b.complex, 0, vals)
 

@@ -46,7 +46,7 @@ from garland.spectra import (
     squarefree_certify,
 )
 
-from dense import dense_from_entries, pattern_rows, reference_rank
+from dense import dense_from_entries, pattern_rows, rational_entries, reference_rank
 from identities import laplacian_csr_by_apply, random_pure_complex, star_union
 from peak_memory import HAS_VMHWM, PEAK_KIB
 from rational_isolation import integer_form, poly_div
@@ -79,7 +79,7 @@ def min_a(op, **kwargs):
 
 
 def sympy_matrix(op):
-    rows = dense_from_entries(op.dim, op.dim, op.entries)
+    rows = dense_from_entries(op.dim, op.dim, rational_entries(op))
     return sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
 
 

@@ -115,15 +115,16 @@ def _print_verdict(v: dict) -> None:
 
 
 def _instance(args) -> harness.Instance:
-    if args.complex:
+    given = tuple(a is not None for a in (args.ell, args.q, args.complex))
+    if given not in ((True, True, False), (False, False, True)):
+        raise GarlandError("pass either --ell and --q, or --complex PATH")
+    if args.complex is not None:
         try:
             text = Path(args.complex).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise GarlandError(f"cannot read the complex file: {exc}") from None
         cx, _ = from_text(text)
         return harness.Instance.complex(cx)
-    if args.ell is None or args.q is None:
-        raise GarlandError("pass either --ell and --q, or --complex PATH")
     return harness.Instance.building(args.ell, args.q)
 
 

@@ -15,13 +15,16 @@ links, and one run driver, `run_instance`, and both check
 A verdict is the JSON record {"check", "instance", "status", "witness"}
 that `run_instance` writes, re-checkable from its witness alone:
 witnesses carry exact rationals (as "num/den" strings) or certified
-root intervals, never floats.  A root r is compared with a rational x by one
-rule, `_root_at_most`: a rational root exactly, and an irrational root
-isolated in (lo, hi] is <= x when hi <= x and > x when lo >= x, since it
-exceeds lo strictly.  The fundamental inequality compares sums of roots,
-so it compares the closed outer hulls [lo, hi] instead.  An undecided
-comparison refines the intervals once, to a floor of 10^-12, and one
-still undecided there makes the verdict "inconclusive-at-width".
+root intervals, never floats.  A root r is compared with a rational x by
+one sign: `RootIsolation.cut` splits r's interval (lo, hi] at an x
+strictly inside it by the sign of min_A at x, so afterwards r <= x
+exactly when hi <= x (a rational root has hi = r).  `max-eigenvalue`,
+`min-bound` and `vanishing-threshold` are thus always decided, and the
+last two report the cut interval as their witness.  The fundamental
+inequality compares sums of roots of different polynomials, which no
+single sign decides, so it compares the closed outer hulls [lo, hi]; an
+undecided comparison refines the intervals once, to a floor of 10^-12,
+and one still undecided there makes the verdict "inconclusive-at-width".
 
 Cached spectral data is keyed by the instance's stem (b{ell}-q{q} for a
 building, x{sha256 of the canonical text} for a complex), the degree,
@@ -57,8 +60,7 @@ from .errors import (
     UnknownReferenceInstance,
 )
 from .gf import field_for_order, prime_power
-from .polyq import (DEFAULT_WIDTH, RatPolynomial, RootInterval, parse_width,
-                    root_magnitude_bound)
+from .polyq import DEFAULT_WIDTH, RatPolynomial, RootInterval, parse_width
 from .rationals import QQ, QQ0, qstr
 from .reference import reference_minimal_polynomial
 from .spectra import (
@@ -267,27 +269,10 @@ GRIDS = {"default": default_grid, "extended": extended_grid}
 _STATUS = {True: CERTIFIED_TRUE, False: CERTIFIED_FALSE, None: INCONCLUSIVE}
 
 
-def _root_at_most(r: RootInterval, x) -> bool | None:
-    """Whether the root r is <= x, or None when r's interval leaves it open.
-
-    An irrational root in (lo, hi] exceeds lo strictly, so lo >= x
-    decides r > x.
-    """
-    if r.value is not None:
-        return r.value <= x
-    if r.hi <= x:
-        return True
-    return False if r.lo >= x else None
-
-
-def _smallest_at_most(report: SpectralReport, x) -> tuple[RootInterval, bool | None]:
-    """m and whether m <= x, refining m once to WIDTH_FLOOR when undecided."""
-    m = report.m
-    at_most = _root_at_most(m, x)
-    if at_most is None:
-        m = extract_extremes(report.isolation.refine(WIDTH_FLOOR))[0]
-        at_most = _root_at_most(m, x)
-    return m, at_most
+def _smallest_at_most(report: SpectralReport, x) -> tuple[RootInterval, bool]:
+    """m cut at x (`RootIsolation.cut`), and whether m <= x."""
+    m = report.isolation.cut(report.m, x)
+    return m, m.hi <= x
 
 
 def _hull(r: RootInterval) -> tuple:
@@ -311,13 +296,16 @@ def _hull_json(h: tuple) -> dict:
 
 
 def verdict_max_eigenvalue(report: SpectralReport, instance: dict) -> dict:
-    """Whether n + 1, the integer table's largest entry, is the largest root."""
+    """Whether n + 1, the integer table's largest entry, is the largest root.
+
+    `roots_above` counts the roots whose interval, cut at n + 1
+    (`RootIsolation.cut`), ends above it.
+    """
     largest = max(report.integer_eigenvalues)  # the table runs over 0..n+1
     is_root = report.integer_eigenvalues[largest]
     top = QQ(largest)
-    bound = root_magnitude_bound(report.isolation.chain[0])  # chain[0] is min_A's multiple
-    hi = bound if bound > top else top + 1
-    above = report.isolation.count_in_halfopen(top, hi)
+    iso = report.isolation
+    above = sum(iso.cut(r, top).hi > top for r in iso.roots)
     ok = is_root and above == 0
     return {
         "check": "max-eigenvalue",
@@ -438,7 +426,7 @@ def verdict_vanishing_threshold(report_below: SpectralReport, ell: int, i: int,
     return {
         "check": "vanishing-threshold",
         "instance": instance,
-        "status": _STATUS[None if at_most is None else not at_most],  # m > theta
+        "status": _STATUS[not at_most],  # m > theta
         "witness": {
             "kind": "hypothesis-check",
             "cohomology_degree": i,

@@ -233,31 +233,12 @@ def _variations(signs) -> int:
     return count
 
 
-def _variations_at(chain: list[tuple], x) -> int:
-    x = QQ(x)
-    u, v = int(x.numerator), int(x.denominator)
-    return _variations(_sign_at(c, u, v) for c in chain)
-
-
-def count_roots_halfopen(chain: list[tuple], a, b) -> int:
-    """Number of distinct real roots in (a, b], from a squarefree Sturm chain."""
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
 def _cauchy_bound(c: tuple) -> tuple[int, int]:
     """Cauchy bound 1 + max |c_j / c_d| of a nonconstant c as a reduced a / b."""
     lead = abs(c[-1])
     a = lead + max(abs(x) for x in c[:-1])
     g = gcd(a, lead)
     return a // g, lead // g
-
-
-def root_magnitude_bound(c) -> QQ:
-    """Cauchy bound of integer coefficients c (low to high, no high zeros):
-    every real root lies strictly inside (-B, B)."""
-    if len(c) <= 1:
-        return QQ1
-    return QQ(*_cauchy_bound(c))
 
 
 class _Frame:
@@ -310,7 +291,7 @@ def _bisect(frame: _Frame, n: int, k: int, delta: int, done) -> tuple[int, int, 
 
 @dataclass(frozen=True)
 class RootInterval:
-    """One isolated real root: exact rational value, or an open-ish (lo, hi]."""
+    """One isolated real root: exact rational value (lo = hi = value), or an open-ish (lo, hi]."""
 
     lo: QQ
     hi: QQ
@@ -336,25 +317,34 @@ class RootInterval:
 class RootIsolation:
     """All real roots of a squarefree polynomial p, isolated and sorted.
 
-    `chain` is p's integer Sturm chain (`sturm_chain`), which
-    `count_in_halfopen` reads; chain[0], a positive multiple of p, is the
-    only copy of p kept.  The interval (lo, hi] of an irrational root
-    holds no other root of p, and hi is none; `refine` halves it by the
-    sign of chain[0].
+    `p` is the first member of p's Sturm chain, a positive multiple with
+    coprime integer coefficients, low to high.  The interval (lo, hi] of
+    an irrational root holds no other root of p, and hi is none, so p is
+    nonzero at hi and at every rational inside and changes sign once.
+    `cut` and `refine` read that sign change, never the sign at lo,
+    which can be an exact root deflated during isolation.
     """
 
     roots: list[RootInterval]
-    chain: list[tuple[int, ...]]
+    p: tuple[int, ...]
 
-    def count_in_halfopen(self, a, b) -> int:
-        return count_roots_halfopen(self.chain, a, b)
+    def cut(self, r: RootInterval, x) -> RootInterval:
+        """r's interval split at the rational x: (lo, x] when p(x) has the
+        sign of p(hi), else (x, hi], if r is irrational and lo < x < hi;
+        r itself otherwise.  Afterwards r <= x exactly when its hi <= x.
+        """
+        x = QQ(x)
+        if r.value is not None or not r.lo < x < r.hi:
+            return r
+        s_hi = _sign_at(self.p, int(r.hi.numerator), int(r.hi.denominator))
+        if _sign_at(self.p, int(x.numerator), int(x.denominator)) == s_hi:
+            return RootInterval(r.lo, x)
+        return RootInterval(x, r.hi)
 
     def refine(self, width) -> "RootIsolation":
         """Bisect each irrational interval until it is at most `width` wide (> 0).
 
-        `_bisect` reads the sign of p at the right end, never at lo, which
-        can be an exact root deflated during isolation.  No midpoint is a
-        root, since the one root inside is irrational.
+        No midpoint is a root, since the one root inside is irrational.
         """
         width = parse_width(width)
         wn, wd = int(width.numerator), int(width.denominator)
@@ -367,11 +357,11 @@ class RootIsolation:
             den = lcm(int(r.lo.denominator), int(r.hi.denominator))
             n = int(r.lo.numerator) * (den // int(r.lo.denominator))
             delta = int(r.hi.numerator) * (den // int(r.hi.denominator)) - n
-            frame = _Frame(self.chain[:1], 1, den)
+            frame = _Frame([self.p], 1, den)
             kstop = _halvings(delta, den, wn, wd)
             n, k, _ = _bisect(frame, n, 0, delta, lambda n, k: k >= kstop)
             out.append(RootInterval(frame.point(n, k), frame.point(n + delta, k)))
-        return RootIsolation(out, self.chain)
+        return RootIsolation(out, self.p)
 
 
 def _deflate(c: tuple, u: int, v: int) -> tuple[int, ...]:
@@ -420,7 +410,7 @@ def isolate_real_roots(q, L: int = 1, width=DEFAULT_WIDTH) -> RootIsolation:
     rational root is detected exactly (see module docstring for the
     certificate).  Raises NotSquarefree unless q is nonzero and
     squarefree; that test reads the chain the isolation needs anyway.
-    The returned `RootIsolation` carries the integer Sturm chain of p.
+    The returned `RootIsolation` carries the chain's first member, p.
     """
     if q and q[-1] != 1:
         raise ValueError(f"root isolation requires a monic integer polynomial, got {q!r}")
@@ -509,4 +499,4 @@ def isolate_real_roots(q, L: int = 1, width=DEFAULT_WIDTH) -> RootIsolation:
     roots = [RootInterval(x, x, x) for x in (QQ(u, v) for u, v in exact)]
     roots.extend(RootInterval(frame.point(n, k), frame.point(n + 2, k)) for n, k in intervals)
     roots.sort(key=lambda r: (r.lo, r.hi))
-    return RootIsolation(roots, chain)
+    return RootIsolation(roots, chain[0])

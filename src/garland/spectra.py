@@ -126,7 +126,8 @@ import numpy as np
 
 from . import csr
 from .complexes import Complex
-from .errors import CertificationFailed, DegreeOutOfRange, NoNonzeroRoot, NotSquarefree
+from .errors import (CertificationFailed, DegreeOutOfRange, MalformedMatrix, NoNonzeroRoot,
+                     NotSquarefree)
 from .gf import descending_primes
 from .laplace import LinearOperatorHandle, assemble_matrix
 from .polyq import (
@@ -310,20 +311,21 @@ def certify_annihilates(n, indptr, indices, data, coeffs, columns=None) -> dict[
     and picks the representation of the data, unreduced int64 entries
     whenever they allow the larger primes.  `columns` defaults to all of
     them; a caller passing fewer must know that a symmetry of B maps
-    those onto the rest, see the module docstring.
+    those onto the rest, see the module docstring.  For n > 0 they must
+    be a nonempty list of indices in 0..n-1 (MalformedMatrix otherwise).
     """
     indptr, indices, binf, cap, reduce = _kernel_setup(n, indptr, indices, data)
+    cols_np = np.asarray(range(n) if columns is None else columns, dtype=np.int64)
+    if n and not (len(cols_np) and 0 <= cols_np.min() and cols_np.max() < n):
+        raise MalformedMatrix(f"certification columns must be a nonempty list in 0..{n - 1}")
     if not coeffs or coeffs[-1] != 1:
         return None
-    if columns is None:
-        columns = range(n)
     H = sum(abs(c) * binf**k for k, c in enumerate(coeffs))
     primes = []
     for q in descending_primes(cap):
         primes.append(q)
         if prod(primes) > H:
             break
-    cols_np = np.asarray(columns, dtype=np.int64)
     # about 400,000 entries a block, without splitting a building's witnesses
     block = max(8, 400_000 // max(1, n))
     traces = {}

@@ -122,6 +122,18 @@ def test_spectrum_from_complex_file(tmp_path, capsys, cache_args):
     assert [str(c) for c in p.coeffs] == ["0", "-4", "1"]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_a_complex_file_and_a_building_are_not_both_taken(tmp_path, capsys, command):
+    path = tmp_path / "b12.txt"
+    path.write_text(harness.get_building(1, 2).complex.to_text())
+    for extra in (["--ell", "2", "--q", "3"], ["--ell", "2"], ["--q", "3"]):
+        code, out, err = run(capsys, [command, *extra, "--complex", str(path), "--i", "0"])
+        assert code == 2 and out == ""
+        assert err == "error: pass either --ell and --q, or --complex PATH\n"
+    code, _, err = run(capsys, [command, "--i", "0"])
+    assert code == 2 and err == "error: pass either --ell and --q, or --complex PATH\n"
+
+
 def test_spectrum_cache_hit_constructs_no_building(tmp_path, capsys, monkeypatch):
     argv = ["spectrum", "--ell", "1", "--q", "2", "--i", "0", "--json",
             "--cache-dir", str(tmp_path)]

@@ -43,11 +43,12 @@ from garland.harness import (
     verdict_min_bound,
     verdict_vanishing_threshold,
 )
-from garland.polyq import RatPolynomial, RootInterval, RootIsolation, isolate_real_roots
-from garland.rationals import QQ
+from garland.polyq import RatPolynomial, RootIsolation, isolate_real_roots
+from garland.rationals import QQ, QQ0
 from garland.spectra import SpectralReport, extract_extremes
 from garland.version import VERSION
 
+import rational_isolation as oracle
 from rational_isolation import integer_form
 
 
@@ -228,11 +229,12 @@ def test_verdict_json_round_trip(rep120):
     }
 
 
-# -- refinement and inconclusive fallbacks ------------------------------------------
+# -- cuts, refinement and inconclusive fallbacks -----------------------------------
 #
-# No grid instance needs a verdict to refine: every comparison there is
-# decided at the default width.  These reports are isolated coarsely so
-# that the bound falls inside an isolating interval.
+# No grid instance puts a bound strictly inside an isolating interval.
+# These reports are isolated coarsely so that it does: a root is then
+# compared with the bound by one sign (`RootIsolation.cut`), and only
+# the fundamental inequality, which compares sums of roots, refines.
 
 
 def _coarse_report(coeffs, width="1/4") -> SpectralReport:
@@ -265,40 +267,86 @@ def rep_sqrt2():
     return rep
 
 
+def sqrt2_m_at_most(x) -> bool:
+    """Whether m = 2 - sqrt(2) <= x, exactly: for x < 2, (2 - x)^2 <= 2."""
+    return x >= 2 or (2 - x) ** 2 <= 2
+
+
 def test_an_irrational_root_exceeds_its_left_end_without_refinement(rep_sqrt2, refines):
     # m = 2 - sqrt(2) isolated in (15/32, 5/8] is > 15/32 by the interval
-    # alone; reading lo > x in place of lo >= x would refine to decide
-    assert harness._root_at_most(RootInterval(QQ(15, 32), QQ(5, 8)), QQ(15, 32)) is False
-    assert verdict_min_bound(rep_sqrt2, QQ(15, 32), {})["status"] == CERTIFIED_FALSE
+    # alone, which the cut leaves as it is
+    v = verdict_min_bound(rep_sqrt2, QQ(15, 32), {})
+    assert v["status"] == CERTIFIED_FALSE
+    assert v["witness"]["m"] == rep_sqrt2.m.to_json_dict()
     assert refines[0] == 0
 
 
-def test_min_bound_refines_once_when_the_bound_splits_the_interval(rep_sqrt2, refines):
+def test_min_bound_cuts_the_interval_at_the_bound(rep_sqrt2, refines):
     assert verdict_min_bound(rep_sqrt2, QQ(1), {})["status"] == CERTIFIED_TRUE
-    assert refines[0] == 0  # decided at the isolation width
     v = verdict_min_bound(rep_sqrt2, QQ(3, 5), {})
-    assert refines[0] == 1
     assert v["status"] == CERTIFIED_TRUE
-    m = v["witness"]["m"]
-    assert QQ(m["hi"]) - QQ(m["lo"]) <= WIDTH_FLOOR and QQ(m["hi"]) <= QQ(3, 5)
+    assert (v["witness"]["m"]["lo"], v["witness"]["m"]["hi"]) == ("15/32", "3/5")
+    assert refines[0] == 0
 
 
-def test_min_bound_at_the_floor_midpoint_is_inconclusive(rep_sqrt2, refines):
+def test_min_bound_at_the_floor_midpoint_is_decided(rep_sqrt2, refines):
     m = extract_extremes(rep_sqrt2.isolation.refine(WIDTH_FLOOR))[0]
     bound = (m.lo + m.hi) / 2
     v = verdict_min_bound(rep_sqrt2, bound, {})
-    assert v["status"] == INCONCLUSIVE
-    assert v["witness"]["m"] == m.to_json_dict()
-    assert refines[0] == 2  # the one above, and the verdict's own
+    assert (2 - bound) ** 2 > 2  # m > bound, exactly
+    assert v["status"] == CERTIFIED_FALSE
+    assert (QQ(v["witness"]["m"]["lo"]), QQ(v["witness"]["m"]["hi"])) == (bound, rep_sqrt2.m.hi)
+    assert refines[0] == 1  # the one above; the verdict refines nothing
 
 
-def test_vanishing_threshold_refines_to_decide(rep_sqrt2, refines):
+def test_vanishing_threshold_cuts_to_decide(rep_sqrt2, refines):
     # theta = (ell + 1 - i) / (i + 1) = 1/2 lies in (15/32, 5/8]
     v = verdict_vanishing_threshold(rep_sqrt2, 1, 1, {})
     assert v["witness"]["threshold"] == "1/2"
-    assert refines[0] == 1
     assert v["status"] == CERTIFIED_TRUE
-    assert QQ(v["witness"]["m"]["lo"]) >= QQ(1, 2)
+    assert (v["witness"]["m"]["lo"], v["witness"]["m"]["hi"]) == ("1/2", "5/8")
+    assert refines[0] == 0
+
+
+def test_min_bound_and_threshold_are_exact_at_every_bound(rep_sqrt2, refines):
+    # every end, interior point and floor midpoint of m's coarse and fine
+    # intervals; theta = a / b is the threshold of ell = a + b - 2, i = b - 1
+    fine = extract_extremes(rep_sqrt2.isolation.refine(WIDTH_FLOOR))[0]
+    bounds = {(fine.lo + fine.hi) / 2}
+    for m in (rep_sqrt2.m, fine):
+        bounds |= {m.lo + k * (m.hi - m.lo) / 8 for k in range(9)}
+    bounds |= {QQ(1, 10), QQ(1), QQ(3)}
+    refines[0] = 0
+    for x in sorted(bounds):
+        truth = sqrt2_m_at_most(x)
+        v = verdict_min_bound(rep_sqrt2, x, {})
+        assert v["status"] == (CERTIFIED_TRUE if truth else CERTIFIED_FALSE), x
+        w = v["witness"]["m"]
+        lo, hi = QQ(w["lo"]), QQ(w["hi"])
+        assert not sqrt2_m_at_most(lo) and sqrt2_m_at_most(hi)  # the witness holds m
+        t = verdict_vanishing_threshold(rep_sqrt2, x.numerator + x.denominator - 2,
+                                        x.denominator - 1, {})
+        assert QQ(t["witness"]["threshold"]) == x
+        assert t["status"] == (CERTIFIED_FALSE if truth else CERTIFIED_TRUE), x
+        assert t["witness"]["m"] == w
+    assert refines[0] == 0
+
+
+def test_max_eigenvalue_cuts_an_interval_that_holds_n_plus_1():
+    # x (x^2 - c) isolated at width 1 puts n + 1 = 3 strictly inside the
+    # interval of sqrt(c): above it for c = 10, below it for c = 8
+    for c, above in ((10, 1), (8, 0)):
+        p = RatPolynomial((QQ0, QQ(-c), QQ0, QQ(1)))
+        q, L = integer_form(p)
+        iso = isolate_real_roots(q, L, "1")
+        top = iso.roots[-1]
+        assert not top.is_rational and top.lo < 3 < top.hi
+        rep = SpectralReport({}, 0, 3, q, L, iso, *extract_extremes(iso),
+                             {k: k == 0 for k in range(4)}, {})
+        v = verdict_max_eigenvalue(rep, {})
+        assert v["witness"]["roots_above"] == above == oracle.count_roots_halfopen(
+            oracle.sturm_chain(p), 3, oracle.root_magnitude_bound(p))
+        assert v["status"] == CERTIFIED_FALSE  # 3 is no root
 
 
 def _links(*reports):

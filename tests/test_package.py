@@ -39,11 +39,14 @@ MOVED = {
     "garland.rationals": ["as_float", "floor_q"],
     "garland.polyq": [  # deleted: rational roots are certified on the lattice (1/L)Z
         "simplest_between", "_integer_coeffs",
+        # deleted: a root is compared with a rational by one sign, RootIsolation.cut
+        "count_roots_halfopen", "_variations_at", "root_magnitude_bound",
     ],
     "garland.harness": [  # deleted
         "_link_cohomology_vanishes", "resolve_cache_dir", "_report", "_bounds", "_root_json",
         "_refine_extreme", "_compare_le",
         "VerificationVerdict",  # a verdict is its JSON record
+        "_root_at_most",  # deleted: a cut leaves m <= x to its interval's hi
     ],
     "garland.spectra": [
         "integer_table",  # folded into report_from_minpoly
@@ -76,7 +79,10 @@ MOVED_ATTRIBUTES = {
         "scale_roots",  # deleted: reports keep min_B and L, and build min_A as from_scaled
     ],
     ("garland.polyq", "RootInterval"): ["width", "midpoint"],  # deleted
-    ("garland.polyq", "RootIsolation"): ["real_root_count"],  # deleted
+    ("garland.polyq", "RootIsolation"): [
+        "real_root_count",  # deleted
+        "count_in_halfopen", "chain",  # deleted: an isolation keeps p, which cut reads
+    ],
 }
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -89,12 +95,16 @@ def test_the_oracle_is_not_shipped():
     for (module, cls), names in MOVED_ATTRIBUTES.items():
         owner = getattr(importlib.import_module(module), cls)
         shipped += [f"{module}.{cls}.{name}" for name in names if hasattr(owner, name)]
-    # a complex's instance attributes as well, such as the deleted `labels`
+    # instance attributes as well, such as a complex's deleted `labels`
+    # and an isolation's deleted `chain`
     from garland.complexes import Complex
+    from garland.polyq import isolate_real_roots
 
-    cx = Complex.from_maximal_simplices([(0, 1)])
-    shipped += [f"Complex().{name}" for name in MOVED_ATTRIBUTES[("garland.complexes", "Complex")]
-                if hasattr(cx, name)]
+    for obj, module in ((Complex.from_maximal_simplices([(0, 1)]), "garland.complexes"),
+                        (isolate_real_roots((-2, 0, 1)), "garland.polyq")):
+        cls = type(obj).__name__
+        shipped += [f"{cls}().{name}" for name in MOVED_ATTRIBUTES[(module, cls)]
+                    if hasattr(obj, name)]
     assert shipped == []
 
 

@@ -7,15 +7,14 @@ from garland.errors import InvalidWidth, NotSquarefree
 from garland.polyq import (
     RatPolynomial,
     RootInterval,
-    count_roots_halfopen,
     is_squarefree,
     isolate_real_roots,
     poly_product,
-    root_magnitude_bound,
     sturm_chain,
 )
 from garland.rationals import QQ, QQ1
 
+import rational_isolation as oracle
 from rational_isolation import (
     derivative,
     divides,
@@ -140,26 +139,6 @@ def test_sturm_chain_is_primitive_and_signed():
     assert chain[-1].degree == 0  # squarefree input ends in a constant
 
 
-def test_count_roots_halfopen():
-    chain = sturm_chain(integer_form(P(-1, 1) * P(-2, 1) * P(-3, 1))[0])
-    assert count_roots_halfopen(chain, QQ(0), QQ(3)) == 3
-    assert count_roots_halfopen(chain, QQ(1), QQ(2)) == 1  # (1, 2] excludes 1
-    assert count_roots_halfopen(chain, QQ(3, 2), QQ(3)) == 2
-    assert count_roots_halfopen(chain, QQ(3), QQ(10)) == 0
-    assert count_roots_halfopen(chain, QQ(-5), QQ(1, 2)) == 0
-
-
-def test_root_magnitude_bound_is_strict():
-    for f in (P(-1, 0, 1), P(QQ(-14, 9), QQ(43, 9), -4, 1), P(100, 1)):
-        # the bound is read off integer coefficients, as off a Sturm chain's first member
-        chain = sturm_chain(int(c) for c in primitive(f).coeffs)
-        b = root_magnitude_bound(chain[0])
-        assert f(b) != 0 and f(-b) != 0
-        assert count_roots_halfopen(chain, -b, b) == len(
-            sympy.Poly([c for c in reversed(f.coeffs)], sympy.Symbol("x")).real_roots()
-        )
-
-
 def test_is_squarefree():
     assert is_squarefree((-1, 0, 1))
     assert not is_squarefree((1, -2, 1))  # (x - 1)^2
@@ -228,7 +207,7 @@ def test_isolation_intervals_certify_irrationality():
     for r in iso.roots:
         assert not r.is_rational
         assert f(r.lo) != 0 and f(r.hi) != 0
-        assert iso.count_in_halfopen(r.lo, r.hi) == 1
+        assert oracle.count_roots_halfopen(oracle.sturm_chain(f), r.lo, r.hi) == 1
 
 
 def test_isolation_rejects_repeated_roots():
@@ -265,9 +244,10 @@ def test_isolation_returns_the_input_and_its_chain():
     q = (0, 3, -4, 1)  # x (x - 1) (x - 3)
     iso = isolate_real_roots(q)
     assert [r.value for r in iso.roots] == [0, 1, 3]
-    assert iso.chain == sturm_chain(q)
-    assert iso.count_in_halfopen(1, 10) == 1
-    assert iso.count_in_halfopen(0, 3) == 2
+    assert iso.p == sturm_chain(q)[0]
+    chain = oracle.sturm_chain(RatPolynomial(iso.p))
+    assert oracle.count_roots_halfopen(chain, 1, 10) == 1
+    assert oracle.count_roots_halfopen(chain, 0, 3) == 2
 
 
 def test_isolation_runs_without_rational_polynomial_arithmetic(monkeypatch):
@@ -284,8 +264,12 @@ def test_isolation_runs_without_rational_polynomial_arithmetic(monkeypatch):
     monkeypatch.setattr(RatPolynomial, "__call__", forbidden)
     iso = isolate_real_roots(*integer_form(f))
     assert [r.value for r in iso.roots if r.is_rational] == [0, 2]
-    assert iso.count_in_halfopen(QQ(1, 2), 2) == 3  # 1 -+ sqrt(2)/3 and 2
-    assert iso.count_in_halfopen(-1, 0) == 1
+    # the cuts at a rational read integer signs too
+    def above(x):
+        return sum(iso.cut(r, x).hi > x for r in iso.roots)
+
+    assert above(QQ(1, 2)) - above(2) == 3  # 1 -+ sqrt(2)/3 and 2
+    assert above(-1) - above(0) == 1
     fine = iso.refine(QQ(1, 10**9))
     assert all(r.hi - r.lo <= QQ(1, 10**9) for r in fine.roots)
     with pytest.raises(AssertionError):

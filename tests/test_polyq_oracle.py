@@ -5,8 +5,9 @@
 the lcm D of the denominators of monic p); the package isolates the
 monic integer q = L^d p(x / L) with L, the oracle p with L.  On every
 case both must give the same monic polynomial, the same roots (compared
-as JSON), the same chain, the same counts at a few rationals and the
-same refinement to 1e-9.  The fixed list reaches each branch of the
+as JSON), the same chain and the same refinement to 1e-9, and the roots
+above each probe x, counted on the package's cuts at x, must match the
+oracle's Sturm count.  The fixed list reaches each branch of the
 isolator; the seeded random ones add bulk.
 """
 
@@ -103,7 +104,16 @@ def random_cases(seed: int, count: int):
     return out
 
 
-PROBES = [(-3, 2), (QQ(1, 3), QQ(7, 2)), (-100, 100), (0, 1), (QQ(-1, 7), QQ(22, 7))]
+PROBES = [-100, -3, QQ(-1, 7), 0, QQ(1, 3), 1, 2, QQ(22, 7), QQ(7, 2), 100]
+
+
+def probes(roots) -> list:
+    """PROBES and, for each irrational interval, its ends and two points inside."""
+    out = list(PROBES)
+    for r in roots:
+        if r.value is None:
+            out += [r.lo, r.hi, (r.lo + r.hi) / 2, (2 * r.lo + r.hi) / 3]
+    return out
 
 
 def compare(p, width, L) -> set:
@@ -115,10 +125,18 @@ def compare(p, width, L) -> set:
     assert [RatPolynomial(c) for c in chain] == oracle.sturm_chain(oracle.monic(p))
     old = oracle.isolate_real_roots(p, width, L, cases)
     new = isolate_real_roots(q, L, width)
-    assert new.chain == chain
+    assert new.p == chain[0]
     assert [r.to_json_dict() for r in new.roots] == [r.to_json_dict() for r in old.roots]
-    for a, b in PROBES:
-        assert new.count_in_halfopen(a, b) == old.count_in_halfopen(a, b)
+    # the roots above x, read on the cuts at x, against the Sturm count
+    # over (x, bound], every root lying below the Cauchy bound
+    bound = oracle.root_magnitude_bound(p)
+    for x in probes(new.roots):
+        cuts = [new.cut(r, x) for r in new.roots]
+        assert sum(c.hi > x for c in cuts) == old.count_in_halfopen(x, bound)
+        for r, c in zip(new.roots, cuts):
+            if c != r:
+                cases.add("cut")
+                assert x in (c.lo, c.hi) and r.lo <= c.lo < c.hi <= r.hi
     fine_new, fine_old = new.refine(QQ(1, 10**9)), old.refine(QQ(1, 10**9))
     assert [r.to_json_dict() for r in fine_new.roots] == \
         [r.to_json_dict() for r in fine_old.roots]
@@ -126,7 +144,6 @@ def compare(p, width, L) -> set:
     cases.add(f"degree {min(p.degree, 2)}")
     if not new.roots:
         cases.add("no real roots")
-    bound = oracle.root_magnitude_bound(p)
     den = bound.denominator
     if p.degree > 0 and den & (den - 1):
         cases.add("non-dyadic bound")
@@ -148,7 +165,7 @@ def test_every_branch_is_reached():
     assert reached >= {
         "midpoint-split", "midpoint-narrow", "lattice", "lattice root below", "irrational",
         "shrink", "gap", "L default", "L given", "no real roots", "degree 0", "degree 1",
-        "non-dyadic bound", "negative lc, odd power",
+        "non-dyadic bound", "negative lc, odd power", "cut",
     }
     # a finished interval's right end is never a root: it is the strict
     # Cauchy bound or a midpoint already tested nonzero in the same pass,
@@ -161,7 +178,7 @@ def test_seeded_random_polynomials_match_the_rational_isolator():
     for p, width, L in random_cases(20261018, 150):
         reached |= compare(p, width, L)
     assert "hi" not in reached
-    assert {"midpoint-split", "lattice", "irrational", "gap"} <= reached
+    assert {"midpoint-split", "lattice", "irrational", "gap", "cut"} <= reached
 
 
 # minimal polynomials of B / L and the scale L their reports isolate

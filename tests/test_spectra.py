@@ -27,7 +27,8 @@ from garland.building import flag_complex, witness_columns
 from garland.complexes import from_maximal_simplices, from_text
 from garland.gf import descending_primes, field_for_order
 from garland.harness import Instance, default_grid, get_building, run_instance, spectral_report
-from garland.errors import CertificationFailed, DegreeOutOfRange, NoNonzeroRoot, NotSquarefree
+from garland.errors import (CertificationFailed, DegreeOutOfRange, MalformedMatrix, NoNonzeroRoot,
+                            NotSquarefree)
 from garland.laplace import LinearOperatorHandle, assemble_matrix, coboundary_pattern
 from garland.polyq import RatPolynomial
 from garland.rationals import QQ, QQ1
@@ -196,6 +197,22 @@ def test_certificate_refuses_a_candidate_that_is_not_monic(b12):
     args = (op.dim, op.indptr, op.indices, op.data)
     assert certify_annihilates(*args, list(q))
     assert not certify_annihilates(*args, [2 * c for c in q])
+
+
+def test_certificate_refuses_columns_outside_the_operator(b12):
+    # no column proves nothing, and an index past either end is no basis
+    # vector: -1 would wrap to the last one, n would raise IndexError
+    op = assemble_matrix(b12.complex, 0)
+    n, q = op.dim, list(minimal_polynomial(op).q)
+    args = (n, op.indptr, op.indices, op.data)
+    not_annihilating = [1] + [0] * (len(q) - 2) + [1]  # x^d + 1
+    for columns in ([], [n], [-1], [0, n]):
+        with pytest.raises(MalformedMatrix):
+            certify_annihilates(*args, not_annihilating, columns=columns)
+    with pytest.raises(MalformedMatrix):
+        minimal_polynomial(op, witness_columns=[])
+    assert certify_annihilates(*args, q, columns=[0, n - 1])
+    assert not certify_annihilates(*args, not_annihilating, columns=[0, n - 1])
 
 
 def test_certificate_stops_once_the_primes_pass_h(monkeypatch):

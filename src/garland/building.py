@@ -32,11 +32,12 @@ Canonical data layout, fixed as an external contract:
   * the fundamental chamber is the standard flag <e1> < <e1,e2> < ...,
     which is the first subspace of every dimension block.
 
-What ships is what a run needs: the closed-form superspace tables, the
-chamber walk, the type array and `witness_columns`.  The subspace
-objects, their one-at-a-time enumeration, incidence tests on single
-subspaces and the type-invariant lift of chamber cochains are test
-oracles and live with the tests.
+What ships is what a run needs: the closed-form counts (`flag_count`,
+which sizes the walk, the budget and a cache hit), the closed-form
+superspace tables, the chamber walk, the type array and
+`witness_columns`.  The subspace objects, their one-at-a-time
+enumeration, incidence tests on single subspaces and the type-invariant
+lift of chamber cochains are test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -48,8 +49,34 @@ from math import prod
 import numpy as np
 
 from .complexes import Complex, vertex_id_dtype
-from .errors import DimensionOutOfRange
+from .errors import DimensionOutOfRange, NonPrimeCharacteristic
 from .gf import FieldSpec, digits
+
+
+def _q_factorial(k: int, q: int) -> int:
+    """[k]_q! = prod over j = 1..k of (q^j - 1) / (q - 1)."""
+    return prod((q**j - 1) // (q - 1) for j in range(1, k + 1))
+
+
+def _signature_count(n: int, q: int, dims: tuple) -> int:
+    """Number of flags of subspaces of dimensions dims (ascending) in F_q^n:
+    [n]_q! over the q-factorials of the gaps, [d_0]_q! [d_1 - d_0]_q! ... [n - d_last]_q!."""
+    gaps = zip((0, *dims), (*dims, n))
+    return _q_factorial(n, q) // prod(_q_factorial(b - a, q) for a, b in gaps)
+
+
+def flag_count(ell: int, q: int, i: int) -> int:
+    """Number of i-simplices of the flag complex on F_q^(ell+2), without building it.
+
+    An i-simplex is a flag of subspaces of dimensions d_0 < ... < d_i in
+    1..ell+1.  The count is a polynomial in q and needs no field.
+    """
+    if q < 2:
+        raise NonPrimeCharacteristic(f"field order must be >= 2, got {q}")
+    if ell < 1:
+        raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
+    n = ell + 2
+    return sum(_signature_count(n, q, dims) for dims in combinations(range(1, n), i + 1))
 
 
 def _pivot_groups(n: int, d: int, q: int) -> dict:
@@ -70,11 +97,6 @@ def _pivot_groups(n: int, d: int, q: int) -> dict:
         groups[pivots] = (free, start)
         start += q ** int(free.sum())
     return groups
-
-
-def subspace_count(n: int, d: int, q: int) -> int:
-    """Number of d-subspaces of F_q^n, summed over the pivot groups."""
-    return sum(q ** int(free.sum()) for free, _ in _pivot_groups(n, d, q).values())
 
 
 def superspace_ids(n: int, d: int, field: FieldSpec) -> np.ndarray:
@@ -138,10 +160,9 @@ class TypedBuilding:
 
 
 def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
-    if ell < 1:
-        raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
+    chambers = flag_count(ell, field.q, ell)
     n = ell + 2
-    sizes = [subspace_count(n, d, field.q) for d in range(1, ell + 2)]
+    sizes = [_signature_count(n, field.q, (d,)) for d in range(1, n)]
     offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
 
     # walk the complete flags one dimension at a time: every d-subspace
@@ -156,7 +177,6 @@ def flag_complex(ell: int, field: FieldSpec) -> TypedBuilding:
     width = vertex_id_dtype(offsets[-1])
     tables = [(np.sort(superspace_ids(n, d, field), axis=1) + offsets[d]).astype(width)
               for d in range(1, ell + 1)]
-    chambers = prod([sizes[0], *(sup.shape[1] for sup in tables)])
     layer = np.arange(sizes[0], dtype=width)
     cols = [np.repeat(layer, chambers // len(layer))]
     for d, sup in enumerate(tables, start=1):

@@ -45,12 +45,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, groupby, zip_longest
+from itertools import groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .building import TypedBuilding, flag_complex, witness_columns
+from .building import TypedBuilding, flag_complex, flag_count, witness_columns
 from .complexes import Complex
 from .errors import (
     BudgetExceeded,
@@ -83,44 +83,15 @@ INCONCLUSIVE = "inconclusive-at-width"
 # -- instances and budget -------------------------------------------------------
 
 
-def _q_factorial(k: int, q: int) -> int:
-    """[k]_q! = prod over j = 1..k of (q^j - 1) / (q - 1)."""
-    out = 1
-    for j in range(1, k + 1):
-        out *= (q**j - 1) // (q - 1)
-    return out
-
-
-def flag_count(ell: int, q: int, i: int) -> int:
-    """Number of i-simplices of the flag complex on F_q^(ell+2), without building it.
-
-    An i-simplex is a flag of subspaces of dimensions d_0 < ... < d_i in
-    1..ell+1, and the flags of those dimensions in F_q^n, n = ell + 2,
-    number the Gaussian multinomial [n]_q! / ([d_0]_q! [d_1 - d_0]_q!
-    ... [n - d_i]_q!).
-    """
-    n = ell + 2
-    top = _q_factorial(n, q)
-    total = 0
-    for dims in combinations(range(1, n), i + 1):
-        den = 1
-        for a, b in zip((0, *dims), (*dims, n)):
-            den *= _q_factorial(b - a, q)
-        total += top // den
-    return total
-
-
-def chamber_count(ell: int, q: int) -> int:
-    """Number of top simplices of the flag complex on F_q^(ell+2)."""
-    return flag_count(ell, q, ell)
-
-
 def ensure_budget(ell: int, q: int) -> None:
-    prime_power(q)  # q first: the chamber count divides by q - 1
-    count = chamber_count(ell, q)
+    count = flag_count(ell, q, ell)  # refuses q < 2, then ell < 1
     if count > DEFAULT_CHAMBER_BUDGET:
         raise BudgetExceeded(f"instance (ell={ell}, q={q}) has {count} chambers, "
                              f"over the budget of {DEFAULT_CHAMBER_BUDGET}")
+    # the count is a polynomial in q that needs no field, so the budget
+    # is decided first: within it q <= 88 for any ell >= 1, and factoring
+    # never runs its trial division to sqrt(q) on a large prime
+    prime_power(q)
 
 
 def get_building(ell: int, q: int) -> TypedBuilding:
@@ -275,11 +246,6 @@ def _smallest_at_most(report: SpectralReport, x) -> tuple[RootInterval, bool]:
     return m, m.hi <= x
 
 
-def _hull(r: RootInterval) -> tuple:
-    """The closed outer hull [lo, hi] of a root's interval."""
-    return (r.value, r.value) if r.value is not None else (r.lo, r.hi)
-
-
 def _hull_le(lhs: tuple, rhs: tuple) -> bool | None:
     """Whether every point of hull lhs is <= every point of rhs; False when
     all of lhs exceeds rhs, None when they overlap."""
@@ -365,14 +331,15 @@ def fundamental_inequality_verdict(n: int, i: int, report: SpectralReport,
         if refined:
             pairs = [extract_extremes(r.isolation.refine(WIDTH_FLOOR)) for r in reports]
         (m_x, big_m), *extremes = pairs
-        lam_max = tuple(max(_hull(e[1])[k] for e in extremes) for k in (0, 1))
-        lam_min = tuple(min(_hull(e[0])[k] for e in extremes) for k in (0, 1))
+        # a root's closed hull is [lo, hi]; an exact root has lo = hi
+        lam_max = (max(M.lo for _, M in extremes), max(M.hi for _, M in extremes))
+        lam_min = (min(m.lo for m, _ in extremes), min(m.hi for m, _ in extremes))
         # upper: i*M <= (i+1)*lam_max - (n-i)
-        up_lhs = tuple(i * x for x in _hull(big_m))
+        up_lhs = (i * big_m.lo, i * big_m.hi)
         up_rhs = tuple((i + 1) * x - (n - i) for x in lam_max)
         upper = _STATUS[_hull_le(up_lhs, up_rhs)]
         # lower: i*m >= (i+1)*lam_min - (n-i), i.e. RHS <= LHS
-        lo_lhs = tuple(i * x for x in _hull(m_x))
+        lo_lhs = (i * m_x.lo, i * m_x.hi)
         lo_rhs = tuple((i + 1) * x - (n - i) for x in lam_min)
         lower = _STATUS[_hull_le(lo_rhs, lo_lhs)] if hypothesis else "not-applicable"
         if INCONCLUSIVE not in (upper, lower):
@@ -445,7 +412,7 @@ def conjecture_table(report: SpectralReport, lo_int: int, hi_int: int,
     for r in report.isolation.roots:
         if r.is_zero:
             continue
-        lo, hi = _hull(r)
+        lo, hi = r.lo, r.hi
         # (k, least and greatest distance to the hull): the first k of least greatest
         best = min(((k, max(QQ0, k - hi, lo - k), max(abs(hi - k), abs(k - lo)))
                     for k in range(lo_int, hi_int + 1)), key=lambda t: t[2])

@@ -1,14 +1,16 @@
 """Flag complexes of finite vector spaces: counts, types, symmetry witnesses."""
 
+import os
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from garland import building
-from garland.building import flag_complex, superspace_ids, witness_columns
+from garland.building import flag_complex, flag_count, superspace_ids, witness_columns
 from garland.complexes import Complex
-from garland.errors import DimensionOutOfRange
+from garland.errors import DimensionOutOfRange, NonPrimeCharacteristic
 from garland.gf import field_for_order
 from garland.harness import default_grid, extended_grid
 from garland.laplace import assemble_matrix
@@ -35,6 +37,8 @@ from fields import (
 )
 
 GRID_BUILDINGS = sorted({(ell, q) for ell, q, _ in default_grid() + extended_grid()})
+DEFAULT_BUILDINGS = sorted({(ell, q) for ell, q, _ in default_grid()})
+EXTENDED_BUILDINGS = sorted(set(GRID_BUILDINGS) - set(DEFAULT_BUILDINGS))
 
 
 def gaussian(n, d, q):
@@ -160,6 +164,40 @@ def test_fundamental_chamber_complex_is_a_simplex():
 def test_flag_complex_rejects_rank_zero():
     with pytest.raises(DimensionOutOfRange):
         flag_complex(0, field_for_order(2))
+
+
+def test_flag_count_refuses_the_order_then_the_rank():
+    with pytest.raises(NonPrimeCharacteristic, match="field order must be >= 2, got 1"):
+        flag_count(0, 1, 0)
+    with pytest.raises(DimensionOutOfRange, match="rank parameter must be >= 1, got 0"):
+        flag_count(0, 2, 0)
+
+
+def _assert_signature_counts(ell, q):
+    # the i-simplices of each type signature are the flags of the
+    # matching dimensions, as many as the Gaussian multinomial counts:
+    # the orbit sizes of the linear group's action on C^i
+    b = flag_complex(ell, field_for_order(q))
+    for i in range(ell + 1):
+        types, sizes = np.unique(b.vertex_types[b.complex.rows[i]], axis=0, return_counts=True)
+        found = dict(zip(map(tuple, types.tolist()), sizes.tolist()))
+        assert found == {
+            t: building._signature_count(ell + 2, q, tuple(d + 1 for d in t))
+            for t in combinations(range(ell + 1), i + 1)}
+        assert sum(found.values()) == flag_count(ell, q, i)
+
+
+@pytest.mark.parametrize("ell,q", DEFAULT_BUILDINGS)
+def test_each_type_signature_holds_its_flag_count(ell, q):
+    _assert_signature_counts(ell, q)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(os.environ.get("GARLAND_EXTENDED") != "1",
+                    reason="builds the (3,3) and (4,2) buildings; only with GARLAND_EXTENDED=1")
+@pytest.mark.parametrize("ell,q", EXTENDED_BUILDINGS)
+def test_each_type_signature_holds_its_flag_count_on_the_extended_buildings(ell, q):
+    _assert_signature_counts(ell, q)
 
 
 def test_witness_columns_one_per_type_signature(b12, b22):

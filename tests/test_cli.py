@@ -78,6 +78,30 @@ def test_field_order_one_is_rejected_before_the_chamber_count(capsys, command):
     assert err == "error: field order must be >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("ell", [0, -1, -5])
+def test_a_rank_below_one_is_rejected(capsys, ell):
+    for command in (["build"], ["spectrum", "--i", "0"], ["verify"], ["reproduce", "--i", "0"]):
+        code, out, err = run(capsys, command + ["--ell", str(ell), "--q", "2"])
+        assert (code, out) == (2, ""), command
+        assert err == f"error: building rank parameter must be >= 1, got {ell}\n", command
+
+
+def test_the_budget_refuses_a_large_prime_order_promptly():
+    # 2**61 - 1 is prime; factoring it by trial division to sqrt(q) would
+    # stall, so the budget decides first.  The timeout turns a regression
+    # into a failure instead of a stuck run
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "garland.cli", "build", "--ell", "1", "--q",
+         str(2**61 - 1)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: instance (ell=1, q=2305843009213693951) has ")
+    assert "over the budget" in proc.stderr
+
+
 def test_spectrum_json_and_matrix_dump(tmp_path, capsys, cache_args):
     dump = tmp_path / "matrix.txt"
     code, out, _ = run(

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from garland import complexes, harness, reference, spectra
+from garland.building import flag_count
 from garland.complexes import from_maximal_simplices, from_text
 from garland.errors import (
     BudgetExceeded,
@@ -23,12 +24,10 @@ from garland.harness import (
     WIDTH_FLOOR,
     Instance,
     cache_key,
-    chamber_count,
     default_grid,
     dumps_report,
     ensure_budget,
     extended_grid,
-    flag_count,
     fundamental_inequality_verdict,
     get_building,
     load_cached_report,
@@ -75,13 +74,14 @@ def verdicts_by_check(doc):
 
 
 def test_chamber_counts():
-    assert chamber_count(1, 2) == 21
-    assert chamber_count(2, 2) == 315
-    assert chamber_count(2, 3) == 2080
-    assert chamber_count(3, 2) == 9765
-    assert chamber_count(3, 3) == 251680
-    assert chamber_count(4, 2) == 615195
-    assert chamber_count(3, 4) == 3043425
+    # a building's chambers are its ell-simplices
+    assert flag_count(1, 2, 1) == 21
+    assert flag_count(2, 2, 2) == 315
+    assert flag_count(2, 3, 2) == 2080
+    assert flag_count(3, 2, 3) == 9765
+    assert flag_count(3, 3, 3) == 251680
+    assert flag_count(4, 2, 4) == 615195
+    assert flag_count(3, 4, 3) == 3043425
 
 
 def test_budget_gate():
@@ -98,17 +98,28 @@ def test_flag_count_is_the_number_of_simplices():
         cx = get_building(ell, q).complex
         assert [flag_count(ell, q, i) for i in range(ell + 1)] == [
             cx.num_simplices(i) for i in range(ell + 1)]
-        assert Instance.building(ell, q).num_simplices(ell) == chamber_count(ell, q)
+        assert Instance.building(ell, q).num_simplices(ell) == flag_count(ell, q, ell)
 
 
 @pytest.mark.parametrize("ell, q", [(2, 3), (4, 2)])
 def test_budget_edge(ell, q, monkeypatch):
     # the budget counts chambers inclusively: exactly enough passes
-    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", chamber_count(ell, q))
+    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", flag_count(ell, q, ell))
     ensure_budget(ell, q)
-    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", chamber_count(ell, q) - 1)
+    monkeypatch.setattr(harness, "DEFAULT_CHAMBER_BUDGET", flag_count(ell, q, ell) - 1)
     with pytest.raises(BudgetExceeded):
         ensure_budget(ell, q)
+
+
+def test_the_budget_is_decided_before_q_is_factored(monkeypatch):
+    # the chamber count needs no field, so an order over the budget is
+    # refused without the trial division to sqrt(q) (2**61 - 1 is prime)
+    def no_factoring(q):
+        raise AssertionError("q was factored")
+
+    monkeypatch.setattr(harness, "prime_power", no_factoring)
+    with pytest.raises(BudgetExceeded):
+        ensure_budget(1, 2**61 - 1)
 
 
 def test_a_building_run_checks_the_budget_once(monkeypatch):

@@ -30,6 +30,7 @@ MOVED = {
     "garland.building": [
         "type_invariant_lift", "fundamental_chamber_complex", "incident",
         "enumerate_subspaces", "_superspace_rows", "Subspace",
+        "subspace_count",  # deleted: the layer sizes are flag counts
     ],
     "garland.gf": [
         "FieldElement", "field_add", "field_neg", "field_mul", "field_inv", "enumerate_field",
@@ -47,6 +48,8 @@ MOVED = {
         "_refine_extreme", "_compare_le",
         "VerificationVerdict",  # a verdict is its JSON record
         "_root_at_most",  # deleted: a cut leaves m <= x to its interval's hi
+        # the flag count is building.flag_count; a root's hull is (lo, hi)
+        "_q_factorial", "chamber_count", "_hull",
     ],
     "garland.spectra": [
         "integer_table",  # folded into report_from_minpoly
@@ -106,6 +109,15 @@ def test_the_oracle_is_not_shipped():
         shipped += [f"{cls}().{name}" for name in MOVED_ATTRIBUTES[(module, cls)]
                     if hasattr(obj, name)]
     assert shipped == []
+
+
+def test_the_flag_count_is_written_once():
+    # the harness sizes its budget and cache hits by the count that the
+    # chamber walk is sized by
+    from garland import building, harness
+
+    assert harness.flag_count is building.flag_count
+    assert building.flag_count.__module__ == "garland.building"
 
 
 def test_the_rank_engine_is_gone():

@@ -49,7 +49,7 @@ from math import prod
 import numpy as np
 
 from .complexes import Complex, vertex_id_dtype
-from .errors import DimensionOutOfRange, NonPrimeCharacteristic
+from .errors import BudgetExceeded, DimensionOutOfRange, NonPrimeCharacteristic
 from .gf import FieldSpec, digits
 
 
@@ -65,18 +65,36 @@ def _signature_count(n: int, q: int, dims: tuple) -> int:
     return _q_factorial(n, q) // prod(_q_factorial(b - a, q) for a, b in gaps)
 
 
+def _ambient_dimension(ell: int, q: int) -> int:
+    """n = ell + 2, after refusing q < 2 and then ell < 1."""
+    if q < 2:
+        raise NonPrimeCharacteristic(f"field order must be >= 2, got {q}")
+    if ell < 1:
+        raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
+    return ell + 2
+
+
 def flag_count(ell: int, q: int, i: int) -> int:
     """Number of i-simplices of the flag complex on F_q^(ell+2), without building it.
 
     An i-simplex is a flag of subspaces of dimensions d_0 < ... < d_i in
     1..ell+1.  The count is a polynomial in q and needs no field.
     """
-    if q < 2:
-        raise NonPrimeCharacteristic(f"field order must be >= 2, got {q}")
-    if ell < 1:
-        raise DimensionOutOfRange(f"building rank parameter must be >= 1, got {ell}")
-    n = ell + 2
+    n = _ambient_dimension(ell, q)
     return sum(_signature_count(n, q, dims) for dims in combinations(range(1, n), i + 1))
+
+
+def refuse_over_budget(ell: int, q: int, budget: int) -> None:
+    """Refuse more than `budget` chambers at the first partial product of
+    [ell+2]_q! = [1]_q [2]_q ... [ell+2]_q over it, a lower bound of the
+    count, so a huge rank or order never forms the whole product."""
+    n, count = _ambient_dimension(ell, q), 1
+    for k in range(1, n + 1):
+        count *= (q**k - 1) // (q - 1)
+        if count > budget:
+            more = "more than " if k < n else ""
+            raise BudgetExceeded(f"instance (ell={ell}, q={q}) has {more}{count} chambers, "
+                                 f"over the budget of {budget}")
 
 
 def _pivot_groups(n: int, d: int, q: int) -> dict:

@@ -6,19 +6,27 @@ and sweep whole instance grids into JSON reports.  Human-readable text
 is the default; --json switches a subcommand to the canonical JSON
 document (sorted keys, exact rationals as "num/den" strings, floats
 only inside timings).
+
+The command line runs numpy's OpenBLAS in one thread (OPENBLAS_NUM_THREADS=1
+unless already set): garland does no floating-point linear algebra, so no
+result depends on BLAS, and an idle BLAS worker would only spin on a core.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from . import harness
-from .complexes import from_text
-from .errors import GarlandError
-from .laplace import assemble_matrix, dump_matrix_text
-from .version import VERSION
+# before the imports below load numpy, whose OpenBLAS sizes its pool once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import harness  # noqa: E402
+from .complexes import from_text  # noqa: E402
+from .errors import GarlandError, InvalidThreadCount  # noqa: E402
+from .laplace import assemble_matrix, dump_matrix_text  # noqa: E402
+from .version import VERSION  # noqa: E402
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -63,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow degrees from the extended grid")
     v.add_argument("--width", default=harness.DEFAULT_WIDTH)
     v.add_argument("--json", action="store_true")
-    v.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    v.add_argument("--threads", type=int, default=1, help="at least 1; verify runs in one process")
     _add_common(v)
 
     r = sub.add_parser("reproduce", help="compare against the recorded polynomial")
@@ -194,6 +202,8 @@ def _verify_degrees(args, inst: harness.Instance) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
+    if args.threads < 1:
+        raise InvalidThreadCount(f"--threads must be at least 1, got {args.threads}")
     inst = _instance(args)
     docs = [harness.run_instance(inst, i, width=args.width, seed=args.seed,
                                  cache_dir=args.cache_dir)

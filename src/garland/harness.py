@@ -50,10 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .building import TypedBuilding, flag_complex, flag_count, witness_columns
+from .building import TypedBuilding, flag_complex, flag_count, refuse_over_budget, witness_columns
 from .complexes import Complex
 from .errors import (
-    BudgetExceeded,
     DegreeOutOfRange,
     GarlandError,
     InvalidThreadCount,
@@ -84,10 +83,7 @@ INCONCLUSIVE = "inconclusive-at-width"
 
 
 def ensure_budget(ell: int, q: int) -> None:
-    count = flag_count(ell, q, ell)  # refuses q < 2, then ell < 1
-    if count > DEFAULT_CHAMBER_BUDGET:
-        raise BudgetExceeded(f"instance (ell={ell}, q={q}) has {count} chambers, "
-                             f"over the budget of {DEFAULT_CHAMBER_BUDGET}")
+    refuse_over_budget(ell, q, DEFAULT_CHAMBER_BUDGET)  # refuses q < 2, then ell < 1
     # the count is a polynomial in q that needs no field, so the budget
     # is decided first: within it q <= 88 for any ell >= 1, and factoring
     # never runs its trial division to sqrt(q) on a large prime

@@ -102,6 +102,20 @@ def test_the_budget_refuses_a_large_prime_order_promptly():
     assert "over the budget" in proc.stderr
 
 
+def test_the_budget_refuses_a_huge_rank_promptly():
+    # [ell+2]_q! has about ell**2 / 2 bits here; the budget stops its
+    # product at the first factor that carries it over, before ell + 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "garland.cli", "build", "--ell", "100000", "--q", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: instance (ell=100000, q=2) has more than 78129765 "
+                           "chambers, over the budget of 700000\n")
+
+
 def test_spectrum_json_and_matrix_dump(tmp_path, capsys, cache_args):
     dump = tmp_path / "matrix.txt"
     code, out, _ = run(
@@ -392,6 +406,16 @@ def test_verify_threads_changes_no_byte(tmp_path, capsys, source):
     assert docs[0] == docs[1] == docs[2]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_thread(capsys, monkeypatch, threads):
+    # the check that report makes; verify then runs in one process
+    monkeypatch.setattr(harness, "run_instance", lambda *a, **k: pytest.fail("verify ran"))
+    code, out, err = run(capsys, ["verify", "--ell", "1", "--q", "2", "--i", "0",
+                                  "--threads", threads])
+    assert (code, out) == (2, "")
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
 def test_reproduce_exit_codes(capsys, cache_args):
     code, out, _ = run(capsys, ["reproduce", "--ell", "1", "--q", "2", "--i", "0"] + cache_args)
     assert code == 0
@@ -541,3 +565,48 @@ def test_verify_on_the_largest_extended_buildings_adds_little_peak_memory(ell, q
     # twice and |B| whole, (2,7,1) added 39,068 KiB or more
     assert _verify_added_kib(ell, q, i) < bound_mb * 1024
 
+
+# -- BLAS threads ------------------------------------------------------------------
+
+_THREADS = """
+import json, os, sys
+__import__(sys.argv[1])
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+
+
+def _after_import(module, blas_threads=None):
+    """(OPENBLAS_NUM_THREADS, OS thread count) in a fresh interpreter after
+    importing `module`, with the variable exported as `blas_threads`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", _THREADS, module], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+needs_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="counts threads in /proc/self/task")
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@needs_tasks
+def test_the_command_line_runs_numpy_in_one_thread():
+    # garland does no floating-point linear algebra, so the command line
+    # starts OpenBLAS without the worker pool that would spin on a core
+    assert _after_import("garland.cli") == ("1", 1)
+
+
+@needs_tasks
+@pytest.mark.skipif(_CPUS < 2, reason="OpenBLAS starts at most one thread per CPU")
+def test_an_exported_blas_thread_count_wins():
+    assert _after_import("garland.cli", blas_threads="2") == ("2", 2)
+
+
+@needs_tasks
+def test_the_library_leaves_the_environment_alone():
+    # harness imports numpy; only the command line, the process garland
+    # owns, sets the BLAS thread count
+    assert _after_import("garland.harness")[0] is None

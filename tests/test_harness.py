@@ -111,6 +111,17 @@ def test_budget_edge(ell, q, monkeypatch):
         ensure_budget(ell, q)
 
 
+@pytest.mark.parametrize("ell, q, has", [
+    (3, 4, "has 3043425 chambers"),  # over at the last factor: the count itself
+    (1, 10**6, "has more than 1000001 chambers"),  # over at [2]_q: a lower bound
+    (8, 2, "has more than 78129765 chambers"),  # [7]_2! = 78129765 > 700000
+])
+def test_the_budget_stops_at_the_first_partial_product_over_it(ell, q, has):
+    with pytest.raises(BudgetExceeded) as caught:
+        ensure_budget(ell, q)
+    assert str(caught.value) == f"instance (ell={ell}, q={q}) {has}, over the budget of 700000"
+
+
 def test_the_budget_is_decided_before_q_is_factored(monkeypatch):
     # the chamber count needs no field, so an order over the budget is
     # refused without the trial division to sqrt(q) (2**61 - 1 is prime)
